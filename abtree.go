@@ -60,7 +60,8 @@ type options struct {
 }
 
 // WithDegree sets the (a,b) node-size bounds; the paper (and default) is
-// a=2, b=11. Requires 2 <= a <= b/2 and 4 <= b <= 16.
+// a=2, b=11. Requires 2 <= a <= b/2 and 4 <= b <= 11 (the nodes are
+// laid out for the paper's b); New panics otherwise.
 func WithDegree(a, b int) Option { return func(o *options) { o.a, o.b = a, b } }
 
 // WithTASLocks substitutes test-and-test-and-set spinlocks for the MCS

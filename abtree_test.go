@@ -36,6 +36,24 @@ func TestPublicAPIVolatile(t *testing.T) {
 	}
 }
 
+// TestPublicDegreeCap: the volatile trees take b up to the paper's 11 —
+// the capacity their nodes are laid out for — and reject anything
+// larger; the persistent trees validate against pabtree's own limit.
+func TestPublicDegreeCap(t *testing.T) {
+	abtree.New(abtree.WithDegree(5, 11))
+	abtree.NewPersistent(abtree.WithPersistentDegree(5, 11), abtree.WithArenaWords(1<<16))
+	for _, b := range []int{12, 16} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(WithDegree(2, %d)) did not panic", b)
+				}
+			}()
+			abtree.New(abtree.WithDegree(2, b))
+		}()
+	}
+}
+
 func TestPublicAPIConcurrent(t *testing.T) {
 	tr := abtree.NewElim()
 	var wg sync.WaitGroup

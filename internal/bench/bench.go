@@ -145,8 +145,9 @@ func LatUs(s *metrics.Snapshot) (p50, p99, p999 float64) {
 // issues the inserts as InsertBatch batches (native descent sharing
 // where available, and — crucially for remote dictionaries — one wire
 // round trip per batch instead of per key); the tail falls back to
-// per-key inserts so the overshoot stays bounded by the worker count,
-// exactly as before.
+// per-key inserts. Either way a worker claims its slots in the shared
+// count before inserting and returns the duplicates' afterwards, so
+// concurrent workers stop at exactly the target.
 //
 // Prefill counts successful inserts, so it assumes a structure that
 // starts (near-)empty; on one that is already near keyRange keys, new
@@ -186,26 +187,37 @@ func Prefill(d dict.Dict, cfg Config) {
 				if done >= target || attempts.Load() >= maxAttempts {
 					return
 				}
+				// Claim the slots in the count before inserting and return
+				// the duplicates' afterwards: a worker stalled between its
+				// read of the count and its insert must not land on top of
+				// a target the others have meanwhile reached.
+				n := uint64(1)
 				if target-done > uint64(workers)*prefillBatch {
+					n = prefillBatch
+				}
+				if inserted.Add(n) > target {
+					inserted.Add(-n)
+					continue
+				}
+				landed := uint64(0)
+				if n == 1 {
+					k := 1 + rng.Uint64n(cfg.KeyRange)
+					if _, hit := h.Insert(k, k); hit {
+						landed = 1
+					}
+				} else {
 					for i := range keys {
 						keys[i] = 1 + rng.Uint64n(cfg.KeyRange)
 					}
 					bt.InsertBatch(keys[:], keys[:], prev[:], ok[:])
-					var landed uint64
 					for _, hit := range ok {
 						if hit {
 							landed++
 						}
 					}
-					inserted.Add(landed)
-					attempts.Add(prefillBatch)
-					continue
 				}
-				k := 1 + rng.Uint64n(cfg.KeyRange)
-				if _, hit := h.Insert(k, k); hit {
-					inserted.Add(1)
-				}
-				attempts.Add(1)
+				inserted.Add(landed - n)
+				attempts.Add(n)
 			}
 		}(w)
 	}

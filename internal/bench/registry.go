@@ -89,7 +89,7 @@ var registry = map[string]func(keyRange uint64) dict.Dict{
 	"OCC-ABtree-Sorted":     func(uint64) dict.Dict { return coreDict{T: core.New(core.WithSortedLeaves())} },
 	"OCC-ABtree-LockedFind": func(uint64) dict.Dict { return coreDict{T: core.New(core.WithLockedSearch())} },
 	"OCC-ABtree-b4":         func(uint64) dict.Dict { return coreDict{T: core.New(core.WithDegree(2, 4))} },
-	"OCC-ABtree-b16":        func(uint64) dict.Dict { return coreDict{T: core.New(core.WithDegree(2, 16))} },
+	"OCC-ABtree-b8":         func(uint64) dict.Dict { return coreDict{T: core.New(core.WithDegree(2, 8))} },
 	"LF-ABtree":             func(uint64) dict.Dict { return selfDict{lfabtree.New()} },
 	"CATree":                func(uint64) dict.Dict { return selfDict{catree.New()} },
 	"DGT15":                 func(uint64) dict.Dict { return selfDict{extbst.New()} },

@@ -24,7 +24,8 @@ func WithLockedSearch() Option { return func(t *Tree) { t.lockedFind = true } }
 
 // leafSearchSorted is the double-collect search specialized for sorted
 // leaves: the scan stops at the first key greater than the target.
-func (t *Tree) leafSearchSorted(l *node, key uint64) (uint64, bool) {
+func (t *Tree) leafSearchSorted(n *node, key uint64) (uint64, bool) {
+	l := n.leaf()
 	spins := 0
 	for {
 		v1 := l.ver.Load()
@@ -57,10 +58,10 @@ func (t *Tree) leafSearchSorted(l *node, key uint64) (uint64, bool) {
 func (th *Thread) findLocked(key uint64) (uint64, bool) {
 	t := th.t
 	for {
-		path := t.search(key, nil)
-		leaf := path.n
-		th.lockNode(leaf)
-		if leaf.marked.Load() {
+		n := t.search(key, nil).n
+		th.lockNode(n)
+		leaf := n.leaf()
+		if leaf.isMarked() {
 			th.unlockAll()
 			continue
 		}
@@ -82,8 +83,9 @@ func (th *Thread) findLocked(key uint64) (uint64, bool) {
 // insertion position, shift the tail right one slot, write the pair.
 // Returns handled == false if the leaf is full (caller runs the shared
 // splitting-insert path, which re-sorts anyway).
-func (t *Tree) insertSorted(leaf *node, key, val uint64) (old uint64, inserted, handled bool) {
-	size := int(leaf.size.Load())
+func (t *Tree) insertSorted(n *node, key, val uint64) (old uint64, inserted, handled bool) {
+	leaf := n.leaf()
+	size := leaf.size()
 	pos := size
 	for i := 0; i < size; i++ {
 		k := leaf.keys[i].Load()
@@ -106,15 +108,16 @@ func (t *Tree) insertSorted(leaf *node, key, val uint64) (old uint64, inserted, 
 	}
 	leaf.vals[pos].Store(val)
 	leaf.keys[pos].Store(key)
-	leaf.size.Add(1)
+	leaf.addSize(1)
 	leaf.ver.Add(1)
 	return 0, true, true
 }
 
 // deleteSorted removes key from a sorted leaf, shifting the tail left.
 // Returns handled == false if the key is absent.
-func (t *Tree) deleteSorted(leaf *node, key uint64) (val uint64, handled bool) {
-	size := int(leaf.size.Load())
+func (t *Tree) deleteSorted(n *node, key uint64) (val uint64, handled bool) {
+	leaf := n.leaf()
+	size := leaf.size()
 	pos := -1
 	for i := 0; i < size; i++ {
 		k := leaf.keys[i].Load()
@@ -137,7 +140,7 @@ func (t *Tree) deleteSorted(leaf *node, key uint64) (val uint64, handled bool) {
 		leaf.vals[i].Store(leaf.vals[i+1].Load())
 	}
 	leaf.keys[size-1].Store(emptyKey)
-	leaf.size.Add(-1)
+	leaf.addSize(-1)
 	leaf.ver.Add(1)
 	return val, true
 }

@@ -19,8 +19,6 @@ func allocGuardTree(t *testing.T, opts ...Option) (*Tree, *Thread) {
 
 // TestAllocsSteadyStatePointOps: Get, a present-key Insert (pure read),
 // and a delete/insert cycle on a settled OCC tree allocate nothing.
-// (The Elim-ABtree is excluded by design: a publishing update allocates
-// its immutable ElimRecord.)
 func TestAllocsSteadyStatePointOps(t *testing.T) {
 	_, th := allocGuardTree(t)
 	if avg := testing.AllocsPerRun(200, func() { th.Find(7777) }); avg != 0 {
@@ -34,6 +32,28 @@ func TestAllocsSteadyStatePointOps(t *testing.T) {
 		th.Insert(5000, 5000)
 	}); avg != 0 {
 		t.Errorf("steady-state Delete+Insert allocates %.2f/op, want 0", avg)
+	}
+}
+
+// TestAllocsElimUpdates: publishing updates on a settled Elim-ABtree
+// allocate nothing — the elimination record lives inline in the leaf
+// (elimLeaf), written inside the version window.
+func TestAllocsElimUpdates(t *testing.T) {
+	_, th := allocGuardTree(t, WithElimination())
+	if avg := testing.AllocsPerRun(200, func() {
+		th.Delete(5000)
+		th.Insert(5000, 5000)
+	}); avg != 0 {
+		t.Errorf("Elim Delete+Insert allocates %.2f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { th.Upsert(5000, 1) }); avg != 0 {
+		t.Errorf("Elim replacing Upsert allocates %.2f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		th.Delete(6000)
+		th.Upsert(6000, 6000)
+	}); avg != 0 {
+		t.Errorf("Elim Delete+inserting Upsert allocates %.2f/op, want 0", avg)
 	}
 }
 

@@ -120,6 +120,7 @@ func (th *Thread) runSubtree(op batchOp, n *node, run []batchEnt, vals, res []ui
 			return
 		}
 		rk := n.routingKeys()
+		ptrs := &n.inner().ptrs
 		i := 0
 		for c := 0; c <= rk && i < len(run); c++ {
 			end := len(run)
@@ -133,7 +134,7 @@ func (th *Thread) runSubtree(op batchOp, n *node, run []batchEnt, vals, res []ui
 			if end == i {
 				continue // no keys for this child: skip its pointer load
 			}
-			child := n.ptrs[c].Load()
+			child := ptrs[c].Load()
 			if i == 0 && end == len(run) {
 				n = child // whole run funnels into one child
 				break
@@ -156,7 +157,7 @@ func (th *Thread) runSubtree(op batchOp, n *node, run []batchEnt, vals, res []ui
 func (th *Thread) applyRunLocked(op batchOp, leaf *node, run []batchEnt, vals, res []uint64, ok []bool) (consumed int, marked, full bool) {
 	t := th.t
 	th.lockNode(leaf)
-	if leaf.marked.Load() {
+	if leaf.isMarked() {
 		th.unlockAll()
 		return 0, true, false
 	}
@@ -184,9 +185,9 @@ func (th *Thread) applyRunLocked(op batchOp, leaf *node, run []batchEnt, vals, r
 		}
 		i++
 	}
-	newSize := leaf.size.Load()
+	newSize := leaf.size()
 	th.unlockAll()
-	if op == bDelete && int(newSize) < t.a {
+	if op == bDelete && newSize < t.a {
 		th.fixUnderfull(leaf)
 	}
 	return i, false, full
@@ -249,7 +250,8 @@ func (th *Thread) runSlow(op batchOp, ents []batchEnt, vals, res []uint64, ok []
 // double collect of the leaf. ok is false if the leaf has been unlinked
 // (the descent may have read a pointer to it before the unlink, so the
 // frozen contents cannot be served — same rule as snapshotLeaf).
-func (t *Tree) collectBatchFinds(l *node, run []batchEnt, vals []uint64, found []bool) bool {
+func (t *Tree) collectBatchFinds(n *node, run []batchEnt, vals []uint64, found []bool) bool {
+	l := n.leaf()
 	spins := 0
 	for {
 		v1 := l.ver.Load()
@@ -257,7 +259,7 @@ func (t *Tree) collectBatchFinds(l *node, run []batchEnt, vals []uint64, found [
 			spinPause(&spins)
 			continue
 		}
-		if l.marked.Load() {
+		if l.isMarked() {
 			return false
 		}
 		for _, e := range run {

@@ -51,20 +51,11 @@ type fcQueue struct {
 	head atomic.Pointer[fcRecord]
 }
 
-// fcqOf returns n's publication list, allocating it on first use.
-func fcqOf(n *node) *fcQueue {
-	if q := n.fcq.Load(); q != nil {
-		return q
-	}
-	n.fcq.CompareAndSwap(nil, new(fcQueue))
-	return n.fcq.Load()
-}
-
 // combineUpdate publishes an insert/delete on leaf and waits until some
 // combiner (possibly this thread) resolves it. It returns the
 // operation's result and final status.
 func (th *Thread) combineUpdate(leaf *node, key, val uint64, isInsert bool) (uint64, bool, uint32) {
-	q := fcqOf(leaf)
+	q := &extOf(leaf).fcq
 	rec := &fcRecord{key: key, val: val, isInsert: isInsert}
 	for {
 		old := q.head.Load()
@@ -81,7 +72,7 @@ func (th *Thread) combineUpdate(leaf *node, key, val uint64, isInsert bool) (uin
 		if th.tryLockNode(leaf) {
 			newSize := th.combine(leaf, q, rec)
 			th.unlockAll()
-			if newSize >= 0 && int(newSize) < th.t.a {
+			if newSize >= 0 && newSize < th.t.a {
 				th.fixUnderfull(leaf)
 			}
 			// Our record was either drained by a previous combiner
@@ -102,11 +93,11 @@ func (th *Thread) combineUpdate(leaf *node, key, val uint64, isInsert bool) (uin
 // (excluded from the combined-ops counter). It returns the leaf's final
 // size if any delete was applied (so the caller can run fixUnderfull
 // after unlocking), else -1.
-func (th *Thread) combine(leaf *node, q *fcQueue, own *fcRecord) int64 {
+func (th *Thread) combine(leaf *node, q *fcQueue, own *fcRecord) int {
 	t := th.t
 	recs := q.head.Swap(nil)
-	marked := leaf.marked.Load()
-	size := int64(-1)
+	marked := leaf.isMarked()
+	size := -1
 	for r := recs; r != nil; r = r.next {
 		if marked {
 			r.status.Store(fcLeafMarked)

@@ -12,15 +12,25 @@ import (
 // version <= rec.Ver) must eliminate themselves once the publisher
 // finishes: the insert returns the record's value, the delete returns ⊥,
 // and neither touches the tree.
+// openPublishingWindow performs the first half of a publishing update by
+// hand on behalf of pub: it locks key's leaf, opens the version window
+// (ver odd) and publishes the elimination record inside it. The caller
+// finishes the update on the returned leaf, closes the window and
+// unlocks.
+func openPublishingWindow(tr *Tree, pub *Thread, key, val uint64, k RecKind) *elimLeaf {
+	n := tr.search(key, nil).n
+	pub.lockNode(n)
+	leaf := n.elim()
+	leaf.publish(key, val, leaf.ver.Add(1), k)
+	return leaf
+}
+
 func TestPublishingEliminationDeterministic(t *testing.T) {
 	tr := New(WithElimination())
 
 	// The publisher: manually perform the first half of insert(7, 42).
 	pub := tr.NewThread()
-	leaf := tr.search(7, nil).n
-	pub.lockNode(leaf)
-	ver := leaf.ver.Add(1) // odd: modification in progress
-	leaf.rec.Store(&ElimRecord{Key: 7, Val: 42, Ver: ver})
+	leaf := openPublishingWindow(tr, pub, 7, 42, RecInsert)
 
 	// Concurrent operations on key 7 start inside the window. Both will
 	// spin in lockOrElim until the publisher's second increment, then
@@ -43,7 +53,7 @@ func TestPublishingEliminationDeterministic(t *testing.T) {
 	// even (the linearization point), unlock.
 	leaf.vals[0].Store(42)
 	leaf.keys[0].Store(7)
-	leaf.size.Add(1)
+	leaf.addSize(1)
 	leaf.ver.Add(1)
 	pub.unlockAll()
 
@@ -113,10 +123,8 @@ func b2u(b bool) uint64 {
 func TestFindEliminationDeterministic(t *testing.T) {
 	tr := New(WithElimination(), WithFindElimination())
 	pub := tr.NewThread()
-	leaf := tr.search(7, nil).n
-	pub.lockNode(leaf)
-	ver := leaf.ver.Add(1) // leaf stays "mid-update": scans never consistent
-	leaf.rec.Store(&ElimRecord{Key: 7, Val: 42, Ver: ver, Kind: RecInsert})
+	// The leaf stays "mid-update": scans never consistent.
+	leaf := openPublishingWindow(tr, pub, 7, 42, RecInsert)
 
 	res := make(chan [2]uint64, 1)
 	go func() {
@@ -135,7 +143,7 @@ func TestFindEliminationDeterministic(t *testing.T) {
 	// modification, so scans stay interrupted; the record must answer.
 	leaf.vals[0].Store(42)
 	leaf.keys[0].Store(7)
-	leaf.size.Add(1)
+	leaf.addSize(1)
 	leaf.ver.Add(1) // even: linearized
 	got := <-res
 	if got[0] != 42 || got[1] != 1 {
@@ -156,10 +164,7 @@ func TestFindEliminationDeleteRecord(t *testing.T) {
 	tr := New(WithElimination(), WithFindElimination())
 	pub := tr.NewThread()
 	pub.Insert(7, 1)
-	leaf := tr.search(7, nil).n
-	pub.lockNode(leaf)
-	ver := leaf.ver.Add(1)
-	leaf.rec.Store(&ElimRecord{Key: 7, Val: 1, Ver: ver, Kind: RecDelete})
+	leaf := openPublishingWindow(tr, pub, 7, 1, RecDelete)
 
 	res := make(chan [2]uint64, 1)
 	go func() {
@@ -171,7 +176,7 @@ func TestFindEliminationDeleteRecord(t *testing.T) {
 	for i := 0; i < tr.b; i++ {
 		if leaf.keys[i].Load() == 7 {
 			leaf.keys[i].Store(emptyKey)
-			leaf.size.Add(-1)
+			leaf.addSize(-1)
 			break
 		}
 	}

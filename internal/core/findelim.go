@@ -21,26 +21,18 @@ func WithFindElimination() Option { return func(t *Tree) { t.elimFinds = true } 
 // is interrupted, try the record before rescanning.
 func (th *Thread) findElim(key uint64) (uint64, bool) {
 	t := th.t
-	leaf := t.search(key, nil).n
+	n := t.search(key, nil).n
+	leaf := n.elim()
 	startVer := leaf.ver.Load()
 	spins := 0
 	for {
-		v, found, consistent := t.leafScanOnce(leaf, key)
+		v, found, consistent := t.leafScanOnce(n, key)
 		if consistent {
 			return v, found
 		}
 		// Interrupted by a concurrent update: consult the record.
-		var rec *ElimRecord
-		for {
-			v1 := leaf.ver.Load()
-			rec = leaf.rec.Load()
-			v2 := leaf.ver.Load()
-			if v1&1 == 0 && v1 == v2 {
-				break
-			}
-			spinPause(&spins)
-		}
-		if rec != nil && startVer <= rec.Ver && rec.Key == key {
+		rec := leaf.record(&spins)
+		if startVer <= rec.Ver && rec.Key == key {
 			t.elimFindHits.Add(1)
 			// Linearize immediately after the publisher.
 			if rec.Kind == RecDelete {

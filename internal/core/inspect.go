@@ -13,20 +13,22 @@ import (
 // Scan calls fn for every key-value pair, in ascending key order. It must
 // only be called while the tree is quiescent.
 func (t *Tree) Scan(fn func(k, v uint64)) {
-	t.scan(t.entry.ptrs[0].Load(), fn)
+	t.scan(t.root(), fn)
 }
 
 func (t *Tree) scan(n *node, fn func(k, v uint64)) {
 	if n.isLeaf() {
-		items := gatherLeaf(t, n)
+		var buf [maxCap]kv
+		items := gatherLeaf(t, n.leaf(), buf[:0])
 		sortKVs(items)
 		for _, it := range items {
 			fn(it.k, it.v)
 		}
 		return
 	}
+	ptrs := &n.inner().ptrs
 	for i := 0; i < int(n.nchildren); i++ {
-		t.scan(n.ptrs[i].Load(), fn)
+		t.scan(ptrs[i].Load(), fn)
 	}
 }
 
@@ -51,7 +53,7 @@ func (t *Tree) KeySum() uint64 {
 // only). An empty tree (a single leaf root) has height 1.
 func (t *Tree) Height() int {
 	h := 0
-	for n := t.entry.ptrs[0].Load(); ; n = n.ptrs[0].Load() {
+	for n := t.root(); ; n = n.inner().ptrs[0].Load() {
 		h++
 		if n.isLeaf() {
 			return h
@@ -77,7 +79,7 @@ func (t *Tree) Stats() Stats {
 	walk = func(n *node) {
 		if n.isLeaf() {
 			s.Leaves++
-			s.Keys += int(n.size.Load())
+			s.Keys += n.size()
 			return
 		}
 		if n.tagged() {
@@ -85,11 +87,12 @@ func (t *Tree) Stats() Stats {
 		} else {
 			s.Internal++
 		}
+		ptrs := &n.inner().ptrs
 		for i := 0; i < int(n.nchildren); i++ {
-			walk(n.ptrs[i].Load())
+			walk(ptrs[i].Load())
 		}
 	}
-	walk(t.entry.ptrs[0].Load())
+	walk(t.root())
 	if s.Leaves > 0 {
 		s.AvgLeafFill = float64(s.Keys) / float64(s.Leaves*t.b)
 	}
@@ -108,7 +111,7 @@ func (t *Tree) Stats() Stats {
 //  4. non-root nodes have between a and b entries;
 //  5. all leaves are at the same depth.
 func (t *Tree) Validate() error {
-	root := t.entry.ptrs[0].Load()
+	root := t.root()
 	leafDepth := -1
 	seen := make(map[uint64]bool)
 	var walk func(n *node, lo, hi uint64, depth int, isRoot bool) error
@@ -116,7 +119,7 @@ func (t *Tree) Validate() error {
 		if n == nil {
 			return errors.New("nil child pointer")
 		}
-		if n.marked.Load() {
+		if n.isMarked() {
 			return fmt.Errorf("reachable node at depth %d is marked", depth)
 		}
 		if n.tagged() {
@@ -143,8 +146,8 @@ func (t *Tree) Validate() error {
 				}
 				seen[k] = true
 			}
-			if int64(count) != n.size.Load() {
-				return fmt.Errorf("leaf size %d but %d non-empty keys", n.size.Load(), count)
+			if count != n.size() {
+				return fmt.Errorf("leaf size %d but %d non-empty keys", n.size(), count)
 			}
 			if !isRoot && (count < t.a || count > t.b) {
 				return fmt.Errorf("leaf size %d outside [%d, %d]", count, t.a, t.b)
@@ -175,7 +178,7 @@ func (t *Tree) Validate() error {
 			if i < nc-1 {
 				childHi = n.keys[i].Load()
 			}
-			if err := walk(n.ptrs[i].Load(), childLo, childHi, depth+1, false); err != nil {
+			if err := walk(n.inner().ptrs[i].Load(), childLo, childHi, depth+1, false); err != nil {
 				return err
 			}
 			childLo = childHi

@@ -1,0 +1,221 @@
+package core
+
+// Layout and footprint guards for the split node layouts (node.go): the
+// byte budgets as compile-time constants, the live heap they buy, and a
+// walk of every variant with the downcast checks on.
+
+import (
+	"flag"
+	"math/rand"
+	"os"
+	"runtime"
+	"testing"
+	"unsafe"
+)
+
+// TestMain turns the downcast kind checks on for the whole test binary,
+// so every suite in the package — stress, differential, fuzz seeds —
+// also asserts that vals/ver are never taken of an internal node nor
+// ptrs of a leaf. Benchmarks measure the unchecked accessors.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	checkDowncasts = flag.Lookup("test.bench").Value.String() == ""
+	os.Exit(m.Run())
+}
+
+// The byte budgets. Each is a Go allocation size class, so a field too
+// many costs the next class (leaf 240 -> 256, inner 208 -> 224, elimLeaf
+// 256 -> 288); a negative array length here fails the package's test
+// build rather than a benchmark.
+const (
+	leafBudget     = 240
+	elimLeafBudget = 256
+	innerBudget    = 208
+)
+
+var (
+	_ [leafBudget - unsafe.Sizeof(leaf{})]byte
+	_ [elimLeafBudget - unsafe.Sizeof(elimLeaf{})]byte
+	_ [innerBudget - unsafe.Sizeof(inner{})]byte
+	// The header is the first field of every allocation type: a *node is
+	// a pointer to the allocation's start, which is what makes the
+	// downcasts legal.
+	_ [-unsafe.Offsetof(leaf{}.node)]byte
+	_ [-unsafe.Offsetof(inner{}.node)]byte
+	_ [-unsafe.Offsetof(elimLeaf{}.leaf)]byte
+)
+
+func TestNodeLayout(t *testing.T) {
+	t.Logf("header %d B, inner %d B, leaf %d B, elimLeaf %d B",
+		unsafe.Sizeof(node{}), unsafe.Sizeof(inner{}), unsafe.Sizeof(leaf{}), unsafe.Sizeof(elimLeaf{}))
+	// newLeaf picks the allocation type by t.elim. -race builds run
+	// checkptr over the downcast: an elimLeaf view of an OCC leaf (or a
+	// leaf view of an inner) would straddle the allocation and abort the
+	// test binary.
+	elim := New(WithElimination())
+	elim.root().elim().publish(1, 2, 3, RecReplace)
+	spins := 0
+	if r := elim.root().elim().record(&spins); r != (ElimRecord{Key: 1, Val: 2, Ver: 3, Kind: RecReplace}) {
+		t.Errorf("inline record round trip = %+v", r)
+	}
+}
+
+// TestHeapBytesPerKey pins the footprint the layouts exist for: uniform
+// random inserts settle at ~69% leaf fill, so a 240 B leaf class plus
+// the internal levels cost ~36 B of live heap per key (the unified
+// 480 B node cost ~70).
+func TestHeapBytesPerKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a 200k-key tree")
+	}
+	const keys = 200_000
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	tr := New()
+	th := tr.NewThread()
+	rng := rand.New(rand.NewSource(1))
+	inserted := 0
+	for inserted < keys {
+		if _, ok := th.Insert(1+rng.Uint64()%(1<<40), 1); ok {
+			inserted++
+		}
+	}
+	perKey := float64(heap()-before) / keys
+	t.Logf("%.1f B/key live heap, %+v", perKey, tr.Stats())
+	if perKey > 42 {
+		t.Errorf("live heap %.1f B/key, want <= 42", perKey)
+	}
+	runtime.KeepAlive(th)
+}
+
+// TestDowncastsMatchKinds builds every variant and drives the point,
+// batch, scan and inspection paths through splits, merges and root
+// collapses with the kind checks on. On the unified node a vals read of
+// an internal node was harmless; now it is out of bounds.
+func TestDowncastsMatchKinds(t *testing.T) {
+	if !checkDowncasts {
+		t.Skip("downcast checks are off (benchmark run)")
+	}
+	// The hook itself must bite.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("leaf() of an internal node did not panic")
+			}
+		}()
+		New().entry.leaf()
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("inner() of a leaf did not panic")
+			}
+		}()
+		New().root().inner()
+	}()
+
+	variants := map[string][]Option{
+		"OCC":        nil,
+		"Elim":       {WithElimination()},
+		"TAS":        {WithTASLocks()},
+		"Cohort":     {WithCohortLocks()},
+		"FC":         {WithLeafCombining()},
+		"Sorted":     {WithSortedLeaves()},
+		"LockedFind": {WithLockedSearch()},
+		"FindElim":   {WithElimination(), WithFindElimination()},
+		"b4":         {WithDegree(2, 4)},
+		"b11-a5":     {WithDegree(5, 11)},
+		"Elim-b4":    {WithElimination(), WithDegree(2, 4)},
+	}
+	for name, opts := range variants {
+		t.Run(name, func(t *testing.T) {
+			tr := New(opts...)
+			th := tr.NewThread()
+			// Upsert writes leaves in place, unsorted and uncombined.
+			upserts := !tr.sorted && !tr.combining
+			const n = 3000
+			rng := rand.New(rand.NewSource(7))
+			model := map[uint64]uint64{}
+			for i := 0; i < n; i++ {
+				k := 1 + rng.Uint64()%n
+				switch rng.Intn(4) {
+				case 0:
+					if _, ok := th.Insert(k, k); ok {
+						model[k] = k
+					}
+				case 1:
+					if upserts {
+						th.Upsert(k, k+1)
+						model[k] = k + 1
+					}
+				case 2:
+					th.Delete(k)
+					delete(model, k)
+				default:
+					v, ok := th.Find(k)
+					if mv, mok := model[k]; ok != mok || v != mv {
+						t.Fatalf("Find(%d) = (%d,%v), model (%d,%v)", k, v, ok, mv, mok)
+					}
+				}
+			}
+			// Batches, then delete everything so leaves merge and the
+			// tree collapses back to a root leaf.
+			keys := make([]uint64, 64)
+			vals := make([]uint64, 64)
+			res := make([]uint64, 64)
+			ok := make([]bool, 64)
+			for base := uint64(1); base <= n; base += 64 {
+				for i := range keys {
+					keys[i] = base + uint64(i)
+					vals[i] = keys[i]
+				}
+				th.InsertBatch(keys, vals, res, ok)
+				for i, k := range keys {
+					if ok[i] {
+						model[k] = k
+					}
+				}
+				th.FindBatch(keys, res, ok)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			count := 0
+			tr.Scan(func(k, v uint64) {
+				if model[k] != v {
+					t.Fatalf("Scan pair (%d,%d), model %d", k, v, model[k])
+				}
+				count++
+			})
+			if count != len(model) || tr.Len() != len(model) {
+				t.Fatalf("Scan saw %d pairs, Len %d, model %d", count, tr.Len(), len(model))
+			}
+			snap, weak := 0, 0
+			th.RangeSnapshot(1, ^uint64(0), func(_, _ uint64) bool { snap++; return true })
+			th.Range(1, ^uint64(0), func(_, _ uint64) bool { weak++; return true })
+			if snap != count || weak != count {
+				t.Fatalf("RangeSnapshot saw %d, Range %d, want %d", snap, weak, count)
+			}
+			if s := tr.Stats(); s.Keys != count || s.Height != tr.Height() {
+				t.Fatalf("Stats %+v vs %d keys, height %d", s, count, tr.Height())
+			}
+			for base := uint64(1); base <= n+64; base += 64 {
+				for i := range keys {
+					keys[i] = base + uint64(i)
+				}
+				th.DeleteBatch(keys, res, ok)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Len() != 0 || tr.Height() != 1 {
+				t.Fatalf("after deleting everything: Len %d, Height %d", tr.Len(), tr.Height())
+			}
+		})
+	}
+}

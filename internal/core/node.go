@@ -11,7 +11,7 @@
 //     linearize against it and return without writing to the tree.
 //
 // Both trees are instances of one Tree type (elimination is a construction
-// option) because they share the node layout, search, and rebalancing code;
+// option) because they share the node layouts, search, and rebalancing code;
 // the paper describes the Elim-ABtree as "a modified version of the
 // OCC-ABtree".
 //
@@ -21,6 +21,7 @@ package core
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/cohortlock"
 	"repro/internal/mcslock"
@@ -28,13 +29,14 @@ import (
 )
 
 const (
-	// maxCap is the compile-time capacity of per-node arrays. The runtime
-	// degree b can be configured anywhere in [4, maxCap]; the paper uses 11.
-	maxCap = 16
+	// maxCap is the compile-time capacity of per-node arrays: the paper's
+	// b = 11. The runtime degree b can be configured anywhere in
+	// [4, maxCap].
+	maxCap = 11
 
 	// DefaultMaxSize is the paper's b: at most 11 keys per leaf and 11
 	// child pointers per internal node.
-	DefaultMaxSize = 11
+	DefaultMaxSize = maxCap
 
 	// DefaultMinSize is the paper's a: at least 2 keys per leaf and 2
 	// child pointers per internal node (except the root).
@@ -56,7 +58,9 @@ const (
 )
 
 // ElimRecord summarises the last simple insert or successful delete that
-// modified a leaf (paper §4.1). Records are immutable once published.
+// modified a leaf (paper §4.1). It is the decoded form of the record an
+// Elim-ABtree leaf stores inline (elimLeaf); Ver == 0 means no update has
+// published yet.
 type ElimRecord struct {
 	Key uint64
 	Val uint64
@@ -71,34 +75,50 @@ type ElimRecord struct {
 	Ver uint64
 }
 
-// node is a tree node. One struct serves leaves, internal nodes and tagged
-// internal nodes (discriminated by kind): unifying them keeps search,
-// fixTagged and fixUnderfull free of type switches on a hot path, at the
-// cost of each node carrying one unused array (vals for internals, ptrs for
-// leaves).
+// node is the header every tree node starts with, and the type of every
+// tree pointer. A node is never allocated on its own: it is the first
+// field of one of three allocation types, picked by the only two
+// allocation sites (Tree.newLeaf, newInternal) and sized to a Go
+// allocation class each (TestNodeLayout pins the budgets):
+//
+//	inner     header + 11 child pointers                    208 B
+//	leaf      header + ver, rqTS, rqVers + 11 values        232 B (class 240)
+//	elimLeaf  leaf + the inline elimination record          256 B
+//
+// Everything that works on any node — locking, marking, routing by keys,
+// re-location by searchKey — reads the header through the *node. The
+// role-specific tails are reached through the downcasts leaf(), inner()
+// and elim(), which hold the package's only unsafe conversions; kind says
+// which one is legal (leafKind: leaf, and elim on an Elim-ABtree;
+// otherwise inner).
 //
 // Mutability discipline:
-//   - leaf keys/vals/size/ver/rec: mutated only while the leaf's lock is
-//     held, between the two ver increments; read lock-free by searches.
-//   - internal routing keys and nchildren: immutable after publication
-//     ("once an internal node is created, its routing keys are never
-//     changed" — §3.1). Adding/removing a routing key replaces the node.
-//   - internal ptrs: mutated only while the node's lock is held; read
+//   - header state (marked bit, leaf size): written only while the node's
+//     lock is held (or before publication). marked is set once, when the
+//     node is unlinked from the tree, and never cleared. Leaf size changes
+//     between the leaf's two ver increments.
+//   - header kind, nchildren, searchKey: immutable.
+//   - header keys: in a leaf, mutated only while the leaf's lock is held,
+//     between the two ver increments, and read lock-free by searches. In
+//     an internal node they are the routing keys, immutable after
+//     publication ("once an internal node is created, its routing keys
+//     are never changed" — §3.1); adding/removing one replaces the node.
+//   - leaf ver/vals/rqTS/rqVers and elimLeaf rec: as leaf keys.
+//   - inner ptrs: mutated only while the node's lock is held; read
 //     lock-free by searches.
-//   - marked: set (once, never cleared) while the node's lock is held,
-//     when the node is unlinked from the tree.
 type node struct {
+	// mcs is the node's lock. WithTASLocks spins on the same word
+	// (mcslock.Lock.SpinAcquire) instead of queueing behind it.
 	mcs mcslock.Lock
-	tas mcslock.TASLock
-	// cohort is the node's NUMA-aware cohort lock, allocated lazily on
-	// first acquisition (WithCohortLocks only, so the common
-	// configurations don't carry its footprint).
-	cohort atomic.Pointer[cohortlock.Lock]
-	// fcq is the leaf's flat-combining publication list, allocated
-	// lazily on first use (WithLeafCombining only).
-	fcq    atomic.Pointer[fcQueue]
-	marked atomic.Bool
-	kind   kind
+
+	// ext holds what only the cohort-lock and flat-combining ablations
+	// need, allocated on first use (extOf); nil in every other tree.
+	ext atomic.Pointer[nodeExt]
+
+	// state packs the marked bit with a leaf's number of non-empty keys.
+	state atomic.Uint32
+
+	kind kind
 
 	// nchildren is an internal node's child-pointer count (immutable);
 	// the node has nchildren-1 routing keys in keys[0..nchildren-2].
@@ -110,17 +130,18 @@ type node struct {
 	// contains it (paper Def. 3.3/3.4), hence through this node.
 	searchKey uint64
 
-	// ver is a leaf's version: even when quiescent, odd while the lock
+	keys [maxCap]atomic.Uint64
+}
+
+// leaf is the allocation behind a *node of leafKind: the paper's leaf
+// (lock, version, size, 11 keys, 11 values) plus the range-query stamp.
+type leaf struct {
+	node
+
+	// ver is the leaf's version: even when quiescent, odd while the lock
 	// holder is modifying the leaf. Searches use it for double-collect
 	// validation (§3.2); publishing elimination keys off it (§4.1).
 	ver atomic.Uint64
-
-	// size is a leaf's number of non-empty keys.
-	size atomic.Int64
-
-	// rec is the leaf's elimination record (Elim-ABtree only; nil until
-	// the first publishing update).
-	rec atomic.Pointer[ElimRecord]
 
 	// rqTS is the global range-query timestamp observed by the leaf's
 	// most recent write; rqVers chains preserved pre-write states for
@@ -129,16 +150,129 @@ type node struct {
 	rqTS   atomic.Uint64
 	rqVers atomic.Pointer[rq.Version]
 
-	keys [maxCap]atomic.Uint64
 	vals [maxCap]atomic.Uint64
+}
+
+// elimLeaf is the leaf of an Elim-ABtree: a leaf followed by its
+// elimination record, stored inline so publishing updates allocate
+// nothing. The three words are written inside the leaf's version window
+// and read between two equal even ver loads, which makes the multi-word
+// read consistent. OCC-ABtree leaves do not carry it.
+type elimLeaf struct {
+	leaf
+	rec struct {
+		key, val atomic.Uint64
+		// verKind is Ver<<2 | Kind; 0 until the first publishing update.
+		verKind atomic.Uint64
+	}
+}
+
+// inner is the allocation behind a *node of internalKind or taggedKind.
+type inner struct {
+	node
 	ptrs [maxCap]atomic.Pointer[node]
+}
+
+// nodeExt is the per-node state of the ablation variants that need more
+// than the header's lock word.
+type nodeExt struct {
+	cohort cohortlock.Lock // WithCohortLocks: NUMA-aware node lock
+	fcq    fcQueue         // WithLeafCombining: publication list
+}
+
+// extOf returns n's ablation state, allocating it on first use.
+func extOf(n *node) *nodeExt {
+	if x := n.ext.Load(); x != nil {
+		return x
+	}
+	n.ext.CompareAndSwap(nil, new(nodeExt))
+	return n.ext.Load()
+}
+
+// checkDowncasts makes the downcasts verify the node's kind first. Only
+// tests set it (before any tree exists): with separate allocations, vals
+// of an internal node or ptrs of a leaf would be an out-of-bounds read.
+var checkDowncasts bool
+
+//go:noinline
+func (n *node) checkKind(wantLeaf bool) {
+	if n.isLeaf() != wantLeaf {
+		panic("core: node downcast to the wrong layout")
+	}
+}
+
+// leaf returns the leaf n heads; n must be of leafKind.
+func (n *node) leaf() *leaf {
+	if checkDowncasts {
+		n.checkKind(true)
+	}
+	return (*leaf)(unsafe.Pointer(n))
+}
+
+// inner returns the internal node n heads; n must not be of leafKind.
+func (n *node) inner() *inner {
+	if checkDowncasts {
+		n.checkKind(false)
+	}
+	return (*inner)(unsafe.Pointer(n))
+}
+
+// elim returns the Elim-ABtree leaf n heads; n must be a leaf of a tree
+// built WithElimination.
+func (n *node) elim() *elimLeaf {
+	if checkDowncasts {
+		n.checkKind(true)
+	}
+	return (*elimLeaf)(unsafe.Pointer(n))
 }
 
 func (n *node) isLeaf() bool { return n.kind == leafKind }
 func (n *node) tagged() bool { return n.kind == taggedKind }
 
+// markedBit is the state bit set when a node is unlinked; the bits below
+// it hold a leaf's size.
+const markedBit = 1 << 31
+
+func (n *node) isMarked() bool { return n.state.Load()&markedBit != 0 }
+
+// mark flags n as unlinked. The caller holds n's lock, which serialises
+// every write to state.
+func (n *node) mark() { n.state.Store(n.state.Load() | markedBit) }
+
+// size returns a leaf's number of non-empty keys.
+func (n *node) size() int { return int(n.state.Load() &^ markedBit) }
+
+// addSize adjusts a locked leaf's size by d and returns the new size.
+func (n *node) addSize(d int) int {
+	return int(n.state.Add(uint32(d)) &^ markedBit)
+}
+
 // routingKeys returns the number of routing keys in an internal node.
 func (n *node) routingKeys() int { return int(n.nchildren) - 1 }
+
+// publish stores the elimination record of the update that opened version
+// window ver (odd) on the locked leaf l.
+func (l *elimLeaf) publish(key, val, ver uint64, k RecKind) {
+	l.rec.key.Store(key)
+	l.rec.val.Store(val)
+	l.rec.verKind.Store(ver<<2 | uint64(k))
+}
+
+// record waits for the leaf to be quiescent and returns its elimination
+// record as of that moment (Ver == 0: none published yet).
+func (l *elimLeaf) record(spins *int) ElimRecord {
+	for {
+		v1 := l.ver.Load()
+		if v1&1 == 0 {
+			vk := l.rec.verKind.Load()
+			r := ElimRecord{Key: l.rec.key.Load(), Val: l.rec.val.Load(), Kind: RecKind(vk & 3), Ver: vk >> 2}
+			if l.ver.Load() == v1 {
+				return r
+			}
+		}
+		spinPause(spins)
+	}
+}
 
 // kv is a key-value pair staged during node construction.
 type kv struct{ k, v uint64 }
@@ -146,14 +280,20 @@ type kv struct{ k, v uint64 }
 // newLeaf builds a leaf containing items (at most b of them), packed into
 // the first len(items) slots. searchKey must lie within the leaf's key
 // range.
-func newLeaf(items []kv, searchKey uint64) *node {
-	n := &node{kind: leafKind, searchKey: searchKey}
-	for i, it := range items {
-		n.keys[i].Store(it.k)
-		n.vals[i].Store(it.v)
+func (t *Tree) newLeaf(items []kv, searchKey uint64) *node {
+	var l *leaf
+	if t.elim {
+		l = &new(elimLeaf).leaf
+	} else {
+		l = new(leaf)
 	}
-	n.size.Store(int64(len(items)))
-	return n
+	l.kind, l.searchKey = leafKind, searchKey
+	for i, it := range items {
+		l.keys[i].Store(it.k)
+		l.vals[i].Store(it.v)
+	}
+	l.state.Store(uint32(len(items)))
+	return &l.node
 }
 
 // newInternal builds an internal or tagged node with the given routing keys
@@ -163,21 +303,21 @@ func newInternal(k kind, keys []uint64, children []*node, searchKey uint64) *nod
 	if len(children) != len(keys)+1 {
 		panic("core: internal node children/keys arity mismatch")
 	}
-	n := &node{kind: k, nchildren: uint8(len(children)), searchKey: searchKey}
+	n := &inner{node: node{kind: k, nchildren: uint8(len(children)), searchKey: searchKey}}
 	for i, rk := range keys {
 		n.keys[i].Store(rk)
 	}
 	for i, c := range children {
 		n.ptrs[i].Store(c)
 	}
-	return n
+	return &n.node
 }
 
 // sizeOf returns a node's occupancy in the (a,b) sense: key count for a
 // leaf, child count for an internal node.
 func sizeOf(n *node) int {
 	if n.isLeaf() {
-		return int(n.size.Load())
+		return n.size()
 	}
 	return int(n.nchildren)
 }

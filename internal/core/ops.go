@@ -72,7 +72,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 			th.lockNode(leaf)
 		}
 
-		if leaf.marked.Load() {
+		if leaf.isMarked() {
 			th.unlockAll()
 			continue
 		}
@@ -94,7 +94,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 		// write). Lock the parent too (bottom-to-top order).
 		parent := path.p
 		th.lockNode(parent)
-		if parent.marked.Load() {
+		if parent.isMarked() {
 			th.unlockAll()
 			continue
 		}
@@ -110,7 +110,8 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 // insertUnsorted performs the locked phase of a simple insert into an
 // unsorted leaf. done is false when the leaf is full (splitting insert
 // required).
-func (t *Tree) insertUnsorted(leaf *node, key, val uint64) (done bool, old uint64, inserted bool) {
+func (t *Tree) insertUnsorted(n *node, key, val uint64) (done bool, old uint64, inserted bool) {
+	leaf := n.leaf()
 	// Verify key is not present and find an empty slot, under the lock.
 	emptyIdx := -1
 	dup := -1
@@ -135,11 +136,11 @@ func (t *Tree) insertUnsorted(leaf *node, key, val uint64) (done bool, old uint6
 	v := leaf.ver.Add(1) // now odd: modification in progress
 	t.rqStamp(leaf)
 	if t.elim {
-		leaf.rec.Store(&ElimRecord{Key: key, Val: val, Ver: v, Kind: RecInsert})
+		n.elim().publish(key, val, v, RecInsert)
 	}
 	leaf.vals[emptyIdx].Store(val)
 	leaf.keys[emptyIdx].Store(key)
-	leaf.size.Add(1)
+	leaf.addSize(1)
 	leaf.ver.Add(1)
 	return true, 0, true
 }
@@ -147,14 +148,10 @@ func (t *Tree) insertUnsorted(leaf *node, key, val uint64) (done bool, old uint6
 // splitInsert performs the splitting-insert update with leaf and parent
 // locked and unmarked. It returns the created tagged node (nil if the new
 // subtree root is an untagged internal, i.e. the new tree root).
-func (t *Tree) splitInsert(leaf, parent *node, nIdx int, key, val uint64) *node {
-	items := make([]kv, 0, t.b+1)
-	for i := 0; i < t.b; i++ {
-		if k := leaf.keys[i].Load(); k != emptyKey {
-			items = append(items, kv{k, leaf.vals[i].Load()})
-		}
-	}
-	items = append(items, kv{key, val})
+func (t *Tree) splitInsert(n, parent *node, nIdx int, key, val uint64) *node {
+	leaf := n.leaf()
+	var buf [maxCap + 1]kv
+	items := append(gatherLeaf(t, leaf, buf[:0]), kv{key, val})
 	sortKVs(items)
 
 	mid := len(items) / 2
@@ -166,9 +163,9 @@ func (t *Tree) splitInsert(leaf, parent *node, nIdx int, key, val uint64) *node 
 	// only its reachability changes.
 	leaf.ver.Add(1)
 	c := t.rqp.ReadStamp()
-	left := newLeaf(items[:mid], items[0].k)
-	right := newLeaf(items[mid:], sep)
-	t.rqInheritSplit(leaf, left, right, sep, c)
+	left := t.newLeaf(items[:mid], items[0].k)
+	right := t.newLeaf(items[mid:], sep)
+	t.rqInheritSplit(leaf, left.leaf(), right.leaf(), sep, c)
 
 	// The new two-child node is tagged — a temporary height imbalance to
 	// be merged upward by fixTagged — unless the split leaf was the root,
@@ -179,8 +176,8 @@ func (t *Tree) splitInsert(leaf, parent *node, nIdx int, key, val uint64) *node 
 	}
 	nn := newInternal(k, []uint64{sep}, []*node{left, right}, sep)
 
-	parent.ptrs[nIdx].Store(nn)
-	leaf.marked.Store(true)
+	parent.inner().ptrs[nIdx].Store(nn)
+	leaf.mark()
 	leaf.ver.Add(1)
 	if k == taggedKind {
 		return nn
@@ -234,19 +231,19 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			th.lockNode(leaf)
 		}
 
-		if leaf.marked.Load() {
+		if leaf.isMarked() {
 			th.unlockAll()
 			continue
 		}
 
 		if t.sorted {
 			val, handled := t.deleteSorted(leaf, key)
-			newSize := leaf.size.Load()
+			newSize := leaf.size()
 			th.unlockAll()
 			if !handled {
 				return 0, false
 			}
-			if int(newSize) < t.a {
+			if newSize < t.a {
 				th.fixUnderfull(leaf)
 			}
 			return val, true
@@ -258,7 +255,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			// Removed by a concurrent delete between search and lock.
 			return 0, false
 		}
-		if int(newSize) < t.a {
+		if newSize < t.a {
 			th.fixUnderfull(leaf)
 		}
 		return val, true
@@ -268,7 +265,8 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 // deleteUnsorted performs the locked phase of a delete from an unsorted
 // leaf: clear the key's slot and publish the elimination record inside
 // one version window. The caller holds the leaf's lock.
-func (t *Tree) deleteUnsorted(leaf *node, key uint64) (val uint64, found bool, newSize int64) {
+func (t *Tree) deleteUnsorted(n *node, key uint64) (val uint64, found bool, newSize int) {
+	leaf := n.leaf()
 	idx := -1
 	for i := 0; i < t.b; i++ {
 		if leaf.keys[i].Load() == key {
@@ -277,16 +275,16 @@ func (t *Tree) deleteUnsorted(leaf *node, key uint64) (val uint64, found bool, n
 		}
 	}
 	if idx < 0 {
-		return 0, false, leaf.size.Load()
+		return 0, false, leaf.size()
 	}
 	val = leaf.vals[idx].Load()
 	v := leaf.ver.Add(1) // odd: modification in progress
 	t.rqStamp(leaf)
 	if t.elim {
-		leaf.rec.Store(&ElimRecord{Key: key, Val: val, Ver: v, Kind: RecDelete})
+		n.elim().publish(key, val, v, RecDelete)
 	}
 	leaf.keys[idx].Store(emptyKey)
-	newSize = leaf.size.Add(-1)
+	newSize = leaf.addSize(-1)
 	leaf.ver.Add(1)
 	return val, true, newSize
 }

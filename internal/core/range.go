@@ -70,7 +70,7 @@ func (p *scanPath) invalidate() { p.depth = 0 }
 func (p *scanPath) resumeLevel(key uint64) int {
 	for i := p.depth - 2; i > 0; i-- {
 		l := &p.lvl[i]
-		if key >= l.lo && (!l.hasHi || key < l.hi) && !l.n.marked.Load() {
+		if key >= l.lo && (!l.hasHi || key < l.hi) && !l.n.isMarked() {
 			return i
 		}
 	}
@@ -117,7 +117,7 @@ func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf *node, bound 
 			lo = rkey
 			nIdx++
 		}
-		n = n.ptrs[nIdx].Load()
+		n = n.inner().ptrs[nIdx].Load()
 		if !caching {
 			continue
 		}
@@ -141,7 +141,8 @@ func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf *node, bound 
 // caller must re-descend from the root: a cached path may have led here
 // arbitrarily long after the unlink, so the frozen contents cannot be
 // served.
-func (t *Tree) snapshotLeaf(buf []kv, l *node, lo, hi uint64) (items []kv, ok bool) {
+func (t *Tree) snapshotLeaf(buf []kv, n *node, lo, hi uint64) (items []kv, ok bool) {
+	l := n.leaf()
 	spins := 0
 	for {
 		v1 := l.ver.Load()
@@ -149,7 +150,7 @@ func (t *Tree) snapshotLeaf(buf []kv, l *node, lo, hi uint64) (items []kv, ok bo
 			spinPause(&spins)
 			continue
 		}
-		if l.marked.Load() {
+		if l.isMarked() {
 			return buf, false
 		}
 		items = buf

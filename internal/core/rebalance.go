@@ -7,7 +7,7 @@ package core
 func (th *Thread) fixTagged(n *node) {
 	t := th.t
 	for {
-		if n.marked.Load() {
+		if n.isMarked() {
 			return
 		}
 		path := t.search(n.searchKey, n)
@@ -26,7 +26,7 @@ func (th *Thread) fixTagged(n *node) {
 		th.lockNode(n)
 		th.lockNode(p)
 		th.lockNode(gp)
-		if n.marked.Load() || p.marked.Load() || gp.marked.Load() || p.tagged() {
+		if n.isMarked() || p.isMarked() || gp.isMarked() || p.tagged() {
 			th.unlockAll()
 			continue
 		}
@@ -35,13 +35,15 @@ func (th *Thread) fixTagged(n *node) {
 		// replacing p's pointer to n.
 		nIdx, pIdx := path.nIdx, path.pIdx
 		pc := int(p.nchildren)
-		children := make([]*node, 0, pc+1)
-		keys := make([]uint64, 0, pc)
+		var cbuf [maxCap + 1]*node
+		var kbuf [maxCap]uint64
+		children, keys := cbuf[:0], kbuf[:0]
+		nptrs, pptrs, gpptrs := &n.inner().ptrs, &p.inner().ptrs, &gp.inner().ptrs
 		for i := 0; i < pc; i++ {
 			if i == nIdx {
-				children = append(children, n.ptrs[0].Load(), n.ptrs[1].Load())
+				children = append(children, nptrs[0].Load(), nptrs[1].Load())
 			} else {
-				children = append(children, p.ptrs[i].Load())
+				children = append(children, pptrs[i].Load())
 			}
 		}
 		for i := 0; i < nIdx; i++ {
@@ -55,9 +57,9 @@ func (th *Thread) fixTagged(n *node) {
 		if len(children) <= t.b {
 			// Merge case (Figure 3(5)): one new internal replaces p.
 			nn := newInternal(internalKind, keys, children, p.searchKey)
-			gp.ptrs[pIdx].Store(nn)
-			n.marked.Store(true)
-			p.marked.Store(true)
+			gpptrs[pIdx].Store(nn)
+			n.mark()
+			p.mark()
 			th.unlockAll()
 			return
 		}
@@ -75,9 +77,9 @@ func (th *Thread) fixTagged(n *node) {
 			topKind = internalKind
 		}
 		top := newInternal(topKind, []uint64{promoted}, []*node{left, right}, p.searchKey)
-		gp.ptrs[pIdx].Store(top)
-		n.marked.Store(true)
-		p.marked.Store(true)
+		gpptrs[pIdx].Store(top)
+		n.mark()
+		p.mark()
 		th.unlockAll()
 		if topKind != taggedKind {
 			return
@@ -102,7 +104,7 @@ func (th *Thread) fixTagged(n *node) {
 func (th *Thread) fixUnderfull(n *node) {
 	t := th.t
 	for {
-		if n == t.entry || n == t.entry.ptrs[0].Load() {
+		if n == t.entry || n == t.root() {
 			return // The root may be underfull.
 		}
 		path := t.search(n.searchKey, n)
@@ -125,7 +127,7 @@ func (th *Thread) fixUnderfull(n *node) {
 		if nIdx == 0 {
 			sIdx = 1
 		}
-		sibling := p.ptrs[sIdx].Load()
+		sibling := p.inner().ptrs[sIdx].Load()
 
 		// Lock order: bottom-to-top, left-to-right (deadlock freedom,
 		// paper §3.3.5).
@@ -144,8 +146,11 @@ func (th *Thread) fixUnderfull(n *node) {
 			th.unlockAll()
 			return
 		}
-		if int(p.nchildren) < t.a ||
-			n.marked.Load() || sibling.marked.Load() || p.marked.Load() || gp.marked.Load() ||
+		// An underfull parent must be repaired first — unless it is the
+		// root, which may stay below a (with a > 2 nobody else would ever
+		// grow it, and this loop would wait forever).
+		if (int(p.nchildren) < t.a && gp != t.entry) ||
+			n.isMarked() || sibling.isMarked() || p.isMarked() || gp.isMarked() ||
 			n.tagged() || sibling.tagged() || p.tagged() {
 			th.unlockAll()
 			yield_()
@@ -176,23 +181,27 @@ func (th *Thread) fixUnderfull(n *node) {
 func (t *Tree) distribute(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pIdx int, sep uint64) {
 	var newLeft, newRight *node
 	var newSep uint64
+	var ll, rl *leaf
 	leaves := left.isLeaf()
 	if leaves {
-		items := gatherLeaf(t, left)
-		items = append(items, gatherLeaf(t, right)...)
+		ll, rl = left.leaf(), right.leaf()
+		var buf [2 * maxCap]kv
+		items := gatherLeaf(t, rl, gatherLeaf(t, ll, buf[:0]))
 		sortKVs(items)
 		lc := (len(items) + 1) / 2
 		newSep = items[lc].k
 		// Version windows around the replacement (closed after the marks
 		// below): snapshot scans arbitrate against the stamp read here.
-		left.ver.Add(1)
-		right.ver.Add(1)
+		ll.ver.Add(1)
+		rl.ver.Add(1)
 		c := t.rqp.ReadStamp()
-		newLeft = newLeaf(items[:lc], items[0].k)
-		newRight = newLeaf(items[lc:], newSep)
-		t.rqInheritDistribute(left, right, newLeft, newRight, newSep, c)
+		newLeft = t.newLeaf(items[:lc], items[0].k)
+		newRight = t.newLeaf(items[lc:], newSep)
+		t.rqInheritDistribute(ll, rl, newLeft.leaf(), newRight.leaf(), newSep, c)
 	} else {
-		children, keys := gatherInternal(left, right, sep)
+		var cbuf [2 * maxCap]*node
+		var kbuf [2 * maxCap]uint64
+		children, keys := gatherInternal(left, right, sep, cbuf[:0], kbuf[:0])
 		lc := (len(children) + 1) / 2
 		newSep = keys[lc-1]
 		newLeft = newInternal(internalKind, keys[:lc-1], children[:lc], keys[0])
@@ -200,8 +209,10 @@ func (t *Tree) distribute(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pI
 	}
 
 	pc := int(p.nchildren)
-	pchildren := make([]*node, 0, pc)
-	pkeys := make([]uint64, 0, pc-1)
+	var pcbuf [maxCap]*node
+	var pkbuf [maxCap]uint64
+	pchildren, pkeys := pcbuf[:0], pkbuf[:0]
+	pptrs := &p.inner().ptrs
 	for i := 0; i < pc; i++ {
 		switch i {
 		case lIdx:
@@ -209,7 +220,7 @@ func (t *Tree) distribute(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pI
 		case lIdx + 1:
 			pchildren = append(pchildren, newRight)
 		default:
-			pchildren = append(pchildren, p.ptrs[i].Load())
+			pchildren = append(pchildren, pptrs[i].Load())
 		}
 	}
 	for i := 0; i < pc-1; i++ {
@@ -221,13 +232,13 @@ func (t *Tree) distribute(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pI
 	}
 	newParent := newInternal(p.kind, pkeys, pchildren, p.searchKey)
 
-	gp.ptrs[pIdx].Store(newParent)
-	left.marked.Store(true)
-	right.marked.Store(true)
-	p.marked.Store(true)
+	gp.inner().ptrs[pIdx].Store(newParent)
+	left.mark()
+	right.mark()
+	p.mark()
 	if leaves {
-		left.ver.Add(1)
-		right.ver.Add(1)
+		ll.ver.Add(1)
+		rl.ver.Add(1)
 	}
 	th.unlockAll()
 }
@@ -239,42 +250,48 @@ func (t *Tree) distribute(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pI
 // and recursively fixes any underfull node it created.
 func (t *Tree) merge(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pIdx int, sep uint64) {
 	var nn *node
+	var ll, rl *leaf
 	leaves := left.isLeaf()
 	if leaves {
-		items := gatherLeaf(t, left)
-		items = append(items, gatherLeaf(t, right)...)
+		ll, rl = left.leaf(), right.leaf()
+		var buf [2 * maxCap]kv
+		items := gatherLeaf(t, rl, gatherLeaf(t, ll, buf[:0]))
 		// Version windows around the replacement (closed after the
 		// marks): snapshot scans arbitrate against the stamp read here.
-		left.ver.Add(1)
-		right.ver.Add(1)
+		ll.ver.Add(1)
+		rl.ver.Add(1)
 		c := t.rqp.ReadStamp()
-		nn = newLeaf(items, sep)
-		t.rqInheritMerge(left, right, nn, c)
+		nn = t.newLeaf(items, sep)
+		t.rqInheritMerge(ll, rl, nn.leaf(), c)
 	} else {
-		children, keys := gatherInternal(left, right, sep)
+		var cbuf [2 * maxCap]*node
+		var kbuf [2 * maxCap]uint64
+		children, keys := gatherInternal(left, right, sep, cbuf[:0], kbuf[:0])
 		nn = newInternal(internalKind, keys, children, sep)
 	}
 	closeWindows := func() {
 		if leaves {
-			left.ver.Add(1)
-			right.ver.Add(1)
+			ll.ver.Add(1)
+			rl.ver.Add(1)
 		}
 	}
 
 	if gp == t.entry && int(p.nchildren) == 2 {
 		// p was the root and is now down to one child: collapse a level.
-		t.entry.ptrs[0].Store(nn)
-		left.marked.Store(true)
-		right.marked.Store(true)
-		p.marked.Store(true)
+		t.entry.inner().ptrs[0].Store(nn)
+		left.mark()
+		right.mark()
+		p.mark()
 		closeWindows()
 		th.unlockAll()
 		return
 	}
 
 	pc := int(p.nchildren)
-	pchildren := make([]*node, 0, pc-1)
-	pkeys := make([]uint64, 0, pc-2)
+	var pcbuf [maxCap]*node
+	var pkbuf [maxCap]uint64
+	pchildren, pkeys := pcbuf[:0], pkbuf[:0]
+	pptrs := &p.inner().ptrs
 	for i := 0; i < pc; i++ {
 		switch i {
 		case lIdx:
@@ -282,7 +299,7 @@ func (t *Tree) merge(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pIdx in
 		case lIdx + 1:
 			// right's slot: dropped.
 		default:
-			pchildren = append(pchildren, p.ptrs[i].Load())
+			pchildren = append(pchildren, pptrs[i].Load())
 		}
 	}
 	for i := 0; i < pc-1; i++ {
@@ -292,10 +309,10 @@ func (t *Tree) merge(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pIdx in
 	}
 	newParent := newInternal(p.kind, pkeys, pchildren, p.searchKey)
 
-	gp.ptrs[pIdx].Store(newParent)
-	left.marked.Store(true)
-	right.marked.Store(true)
-	p.marked.Store(true)
+	gp.inner().ptrs[pIdx].Store(newParent)
+	left.mark()
+	right.mark()
+	p.mark()
 	closeWindows()
 	th.unlockAll()
 
@@ -315,9 +332,9 @@ func (t *Tree) merge(th *Thread, left, right, p, gp *node, lIdx, sepIdx, pIdx in
 	}
 }
 
-// gatherLeaf collects a locked leaf's key-value pairs.
-func gatherLeaf(t *Tree, l *node) []kv {
-	items := make([]kv, 0, t.b)
+// gatherLeaf appends a locked leaf's key-value pairs to items. Callers on
+// the structural paths pass a fixed-size array on their stack.
+func gatherLeaf(t *Tree, l *leaf, items []kv) []kv {
 	for i := 0; i < t.b; i++ {
 		if k := l.keys[i].Load(); k != emptyKey {
 			items = append(items, kv{k, l.vals[i].Load()})
@@ -327,20 +344,20 @@ func gatherLeaf(t *Tree, l *node) []kv {
 }
 
 // gatherInternal concatenates two locked internal siblings' children and
-// routing keys, with the parent separator between them.
-func gatherInternal(left, right *node, sep uint64) ([]*node, []uint64) {
+// routing keys, with the parent separator between them, onto the
+// caller's (stack) buffers.
+func gatherInternal(left, right *node, sep uint64, children []*node, keys []uint64) ([]*node, []uint64) {
 	lc, rc := int(left.nchildren), int(right.nchildren)
-	children := make([]*node, 0, lc+rc)
-	keys := make([]uint64, 0, lc+rc-1)
+	lptrs, rptrs := &left.inner().ptrs, &right.inner().ptrs
 	for i := 0; i < lc; i++ {
-		children = append(children, left.ptrs[i].Load())
+		children = append(children, lptrs[i].Load())
 	}
 	for i := 0; i < lc-1; i++ {
 		keys = append(keys, left.keys[i].Load())
 	}
 	keys = append(keys, sep)
 	for i := 0; i < rc; i++ {
-		children = append(children, right.ptrs[i].Load())
+		children = append(children, rptrs[i].Load())
 	}
 	for i := 0; i < rc-1; i++ {
 		keys = append(keys, right.keys[i].Load())

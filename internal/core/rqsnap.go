@@ -22,7 +22,7 @@ import "repro/internal/rq"
 // before the first content mutation. On the scan-free fast path — no
 // scan began since the leaf's last write — it is one shared-timestamp
 // load, one leaf-local load and a compare.
-func (t *Tree) rqStamp(leaf *node) {
+func (t *Tree) rqStamp(leaf *leaf) {
 	c := t.rqp.ReadStamp()
 	s := leaf.rqTS.Load()
 	if c == s {
@@ -42,7 +42,7 @@ func (t *Tree) rqStamp(leaf *node) {
 // headed by the current contents when a scan in (stamp, c] could still
 // need them — for inheritance by the leaf's replacements. The leaf must
 // be locked and not yet modified by the caller.
-func (t *Tree) rqTimeline(leaf *node, c uint64) *rq.Version {
+func (t *Tree) rqTimeline(leaf *leaf, c uint64) *rq.Version {
 	tl := leaf.rqVers.Load()
 	if s := leaf.rqTS.Load(); s < c {
 		v := t.rqp.Acquire()
@@ -55,7 +55,7 @@ func (t *Tree) rqTimeline(leaf *node, c uint64) *rq.Version {
 // rqInheritSplit hands a split leaf's history to its two replacements:
 // left covers keys < sep, right keys >= sep. Runs inside old's version
 // window, with c the stamp read there.
-func (t *Tree) rqInheritSplit(old, left, right *node, sep, c uint64) {
+func (t *Tree) rqInheritSplit(old, left, right *leaf, sep, c uint64) {
 	left.rqTS.Store(c)
 	right.rqTS.Store(c)
 	if tl := t.rqTimeline(old, c); tl != nil {
@@ -67,14 +67,14 @@ func (t *Tree) rqInheritSplit(old, left, right *node, sep, c uint64) {
 // rqMergedTimeline combines two sibling leaves' histories (for merge and
 // distribute, whose replacements span both old ranges). Runs inside both
 // leaves' version windows, with c the stamp read there.
-func (t *Tree) rqMergedTimeline(left, right *node, c uint64) *rq.Version {
+func (t *Tree) rqMergedTimeline(left, right *leaf, c uint64) *rq.Version {
 	return t.rqp.MergeTimelines(t.rqTimeline(left, c), t.rqTimeline(right, c))
 }
 
 // rqInheritDistribute hands two redistributed leaves' combined history
 // to their replacements, split at newSep. Runs inside both old leaves'
 // version windows, with c the stamp read there.
-func (t *Tree) rqInheritDistribute(oldLeft, oldRight, newLeft, newRight *node, newSep, c uint64) {
+func (t *Tree) rqInheritDistribute(oldLeft, oldRight, newLeft, newRight *leaf, newSep, c uint64) {
 	newLeft.rqTS.Store(c)
 	newRight.rqTS.Store(c)
 	if tl := t.rqMergedTimeline(oldLeft, oldRight, c); tl != nil {
@@ -85,13 +85,13 @@ func (t *Tree) rqInheritDistribute(oldLeft, oldRight, newLeft, newRight *node, n
 
 // rqInheritMerge hands two merged leaves' combined history to their
 // single replacement. Same window requirements as rqInheritDistribute.
-func (t *Tree) rqInheritMerge(oldLeft, oldRight, nn *node, c uint64) {
+func (t *Tree) rqInheritMerge(oldLeft, oldRight, nn *leaf, c uint64) {
 	nn.rqTS.Store(c)
 	nn.rqVers.Store(t.rqMergedTimeline(oldLeft, oldRight, c))
 }
 
 // gatherPairs appends a locked leaf's pairs to items, sorted by key.
-func gatherPairs(t *Tree, l *node, items []rq.Pair) []rq.Pair {
+func gatherPairs(t *Tree, l *leaf, items []rq.Pair) []rq.Pair {
 	for i := 0; i < t.b; i++ {
 		if k := l.keys[i].Load(); k != emptyKey {
 			items = append(items, rq.Pair{K: k, V: l.vals[i].Load()})
@@ -171,7 +171,8 @@ func (th *Thread) RangeSnapshotAt(ts, lo, hi uint64, fn func(k, v uint64) bool) 
 // been unlinked, in which case the caller must re-descend: the
 // replacement nodes (which inherited this leaf's history) are the ones
 // reachable from the root.
-func (t *Tree) collectVersioned(buf []rq.Pair, l *node, ts, lo, hi uint64) (items []rq.Pair, ok bool) {
+func (t *Tree) collectVersioned(buf []rq.Pair, n *node, ts, lo, hi uint64) (items []rq.Pair, ok bool) {
+	l := n.leaf()
 	spins := 0
 	for {
 		v1 := l.ver.Load()
@@ -179,7 +180,7 @@ func (t *Tree) collectVersioned(buf []rq.Pair, l *node, ts, lo, hi uint64) (item
 			spinPause(&spins)
 			continue
 		}
-		if l.marked.Load() {
+		if l.isMarked() {
 			return buf, false
 		}
 		s := l.rqTS.Load()

@@ -291,7 +291,7 @@ func TestRangeSnapshotVersionsPruned(t *testing.T) {
 	walk = func(n *node) {
 		if n.isLeaf() {
 			depth := 0
-			for v := n.rqVers.Load(); v != nil; v = v.Next() {
+			for v := n.leaf().rqVers.Load(); v != nil; v = v.Next() {
 				depth++
 			}
 			if depth > 1 {
@@ -300,7 +300,7 @@ func TestRangeSnapshotVersionsPruned(t *testing.T) {
 			return
 		}
 		for i := 0; i < int(n.nchildren); i++ {
-			walk(n.ptrs[i].Load())
+			walk(n.inner().ptrs[i].Load())
 		}
 	}
 	walk(tr.entry)

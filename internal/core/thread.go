@@ -59,15 +59,6 @@ func (t *Tree) NewThread() *Thread {
 // Tree returns the tree this handle operates on.
 func (th *Thread) Tree() *Tree { return th.t }
 
-// cohortOf returns n's cohort lock, allocating it on first use.
-func cohortOf(n *node) *cohortlock.Lock {
-	if l := n.cohort.Load(); l != nil {
-		return l
-	}
-	n.cohort.CompareAndSwap(nil, new(cohortlock.Lock))
-	return n.cohort.Load()
-}
-
 // lockNode acquires n's lock, blocking, and records it for unlockAll.
 // Locks must be taken bottom-to-top, ties broken left-to-right, to
 // preserve the paper's deadlock-freedom argument (§3.3.5).
@@ -78,9 +69,9 @@ func (th *Thread) lockNode(n *node) {
 	qn := &th.qn[th.nheld]
 	switch th.t.lock {
 	case lockTAS:
-		n.tas.Acquire(qn)
+		n.mcs.SpinAcquire(qn)
 	case lockCohort:
-		cohortOf(n).Acquire(th.socket, qn)
+		extOf(n).cohort.Acquire(th.socket, qn)
 	default:
 		n.mcs.Acquire(qn)
 	}
@@ -96,11 +87,9 @@ func (th *Thread) tryLockNode(n *node) bool {
 	qn := &th.qn[th.nheld]
 	ok := false
 	switch th.t.lock {
-	case lockTAS:
-		ok = n.tas.TryAcquire(qn)
 	case lockCohort:
-		ok = cohortOf(n).TryAcquire(th.socket, qn)
-	default:
+		ok = extOf(n).cohort.TryAcquire(th.socket, qn)
+	default: // MCS and TAS share the lock word
 		ok = n.mcs.TryAcquire(qn)
 	}
 	if ok {
@@ -114,12 +103,9 @@ func (th *Thread) tryLockNode(n *node) bool {
 func (th *Thread) unlockAll() {
 	for i := th.nheld - 1; i >= 0; i-- {
 		n := th.held[i]
-		switch th.t.lock {
-		case lockTAS:
-			n.tas.Release(&th.qn[i])
-		case lockCohort:
-			n.cohort.Load().Release(th.socket, &th.qn[i])
-		default:
+		if th.t.lock == lockCohort {
+			n.ext.Load().cohort.Release(th.socket, &th.qn[i])
+		} else {
 			n.mcs.Release(&th.qn[i])
 		}
 		th.held[i] = nil

@@ -68,7 +68,8 @@ type Option func(*Tree)
 func WithElimination() Option { return func(t *Tree) { t.elim = true } }
 
 // WithDegree sets the (a,b) node-size bounds. Requires 2 <= a <= b/2 and
-// 4 <= b <= 16 (the paper uses a=2, b=11).
+// 4 <= b <= 11 (the paper uses a=2, b=11, which is also the capacity the
+// node layouts are sized for).
 func WithDegree(a, b int) Option { return func(t *Tree) { t.a, t.b = a, b } }
 
 // lockKind selects the node lock implementation.
@@ -81,7 +82,8 @@ const (
 )
 
 // WithTASLocks replaces the MCS node locks with test-and-test-and-set
-// spinlocks. This exists only for the lock ablation study (paper §7 notes
+// spinlocks: waiters spin on the node's lock word instead of queueing
+// behind it. This exists only for the lock ablation study (paper §7 notes
 // MCS locks "significantly increased the scalability").
 func WithTASLocks() Option { return func(t *Tree) { t.lock = lockTAS } }
 
@@ -127,7 +129,7 @@ func New(opts ...Option) *Tree {
 		t.rqClock = rq.NewClock()
 	}
 	t.rqp = rq.NewProviderWith(t.rqClock)
-	root := newLeaf(nil, 0)
+	root := t.newLeaf(nil, 0)
 	t.entry = newInternal(internalKind, nil, []*node{root}, 0)
 	return t
 }
@@ -138,6 +140,9 @@ func (t *Tree) Elim() bool { return t.elim }
 // RQClock returns the linearization clock the tree's range-query
 // subsystem runs on (shared with other trees under WithRQClock).
 func (t *Tree) RQClock() *rq.Clock { return t.rqp.Clock() }
+
+// root returns the entry's only child.
+func (t *Tree) root() *node { return t.entry.inner().ptrs[0].Load() }
 
 // MinSize returns a, MaxSize returns b.
 func (t *Tree) MinSize() int { return t.a }
@@ -172,7 +177,7 @@ func (t *Tree) search(key uint64, target *node) pathInfo {
 		for nIdx < rk && key >= n.keys[nIdx].Load() {
 			nIdx++
 		}
-		n = n.ptrs[nIdx].Load()
+		n = n.inner().ptrs[nIdx].Load()
 	}
 	return pathInfo{gp: gp, p: p, pIdx: pIdx, n: n, nIdx: nIdx}
 }
@@ -182,7 +187,8 @@ func (t *Tree) search(key uint64, target *node) pathInfo {
 // version, scan, re-read the version; retry if the leaf changed or was
 // being modified. It never takes a lock — find operations never restart
 // from the root in the OCC-ABtree.
-func (t *Tree) leafSearch(l *node, key uint64) (uint64, bool) {
+func (t *Tree) leafSearch(n *node, key uint64) (uint64, bool) {
+	l := n.leaf()
 	spins := 0
 	for {
 		v1 := l.ver.Load()
@@ -209,7 +215,8 @@ func (t *Tree) leafSearch(l *node, key uint64) (uint64, bool) {
 // leafScanOnce performs the Elim-ABtree's single optimistic scan (§4.1):
 // one pass over the leaf, with consistent reporting whether the leaf was
 // quiescent and unchanged across the scan.
-func (t *Tree) leafScanOnce(l *node, key uint64) (val uint64, found, consistent bool) {
+func (t *Tree) leafScanOnce(n *node, key uint64) (val uint64, found, consistent bool) {
+	l := n.leaf()
 	v1 := l.ver.Load()
 	if v1&1 == 1 {
 		return 0, false, false

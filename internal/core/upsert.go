@@ -13,7 +13,7 @@ package core
 //	eliminated op ↓
 //	Insert            after, rec.Val   before, rec.Val  after, rec.Val
 //	Delete            before, ⊥        after, ⊥         —
-//	Upsert            —                before, void     before, void
+//	Upsert            —                —                before, void
 //
 // An eliminated Insert can always linearize adjacent to the publisher:
 // after an insert or replace (key present with rec.Val), or just before
@@ -21,10 +21,12 @@ package core
 // rule). An eliminated Delete linearizes just before an insert or just
 // after a delete (key absent either way, return ⊥); it cannot eliminate
 // against a replace record, whose before/after states both have the key
-// present. An eliminated Upsert linearizes just before a delete or
-// replace publisher (its value is immediately overwritten and never
-// observed); it cannot eliminate against an insert record, because the
-// key must be absent immediately before a successful insert.
+// present. An eliminated Upsert linearizes just before a replace
+// publisher (its value is immediately overwritten and never observed);
+// it cannot eliminate against an insert record, because the key must be
+// absent immediately before a successful insert, nor against a delete
+// record, because Delete reports the value it removed and the publisher
+// has already returned the older one.
 
 // RecKind identifies the operation that published an ElimRecord.
 type RecKind uint8
@@ -55,7 +57,7 @@ func canEliminate(op opKind, rec RecKind) bool {
 	case opDelete:
 		return rec == RecInsert || rec == RecDelete
 	default: // opUpsert
-		return rec == RecDelete || rec == RecReplace
+		return rec == RecReplace
 	}
 }
 
@@ -68,10 +70,11 @@ func (th *Thread) Upsert(key, val uint64) {
 	t := th.t
 	for {
 		path := t.search(key, nil)
-		leaf := path.n
+		n := path.n
+		leaf := n.leaf()
 
 		if t.elim {
-			acquired, _ := th.lockOrElimKind(leaf, key, opUpsert)
+			acquired, _ := th.lockOrElimKind(n, key, opUpsert)
 			if !acquired {
 				// Eliminated: linearized immediately before the publisher;
 				// our value is overwritten without ever being observed.
@@ -79,10 +82,10 @@ func (th *Thread) Upsert(key, val uint64) {
 				return
 			}
 		} else {
-			th.lockNode(leaf)
+			th.lockNode(n)
 		}
 
-		if leaf.marked.Load() {
+		if leaf.isMarked() {
 			th.unlockAll()
 			continue
 		}
@@ -107,7 +110,7 @@ func (th *Thread) Upsert(key, val uint64) {
 			v := leaf.ver.Add(1)
 			t.rqStamp(leaf)
 			if t.elim {
-				leaf.rec.Store(&ElimRecord{Key: key, Val: val, Ver: v, Kind: RecReplace})
+				n.elim().publish(key, val, v, RecReplace)
 			}
 			leaf.vals[dup].Store(val)
 			leaf.ver.Add(1)
@@ -119,11 +122,11 @@ func (th *Thread) Upsert(key, val uint64) {
 			v := leaf.ver.Add(1)
 			t.rqStamp(leaf)
 			if t.elim {
-				leaf.rec.Store(&ElimRecord{Key: key, Val: val, Ver: v, Kind: RecInsert})
+				n.elim().publish(key, val, v, RecInsert)
 			}
 			leaf.vals[emptyIdx].Store(val)
 			leaf.keys[emptyIdx].Store(key)
-			leaf.size.Add(1)
+			leaf.addSize(1)
 			leaf.ver.Add(1)
 			th.unlockAll()
 			return
@@ -132,11 +135,11 @@ func (th *Thread) Upsert(key, val uint64) {
 			// like the paper's splitting inserts).
 			parent := path.p
 			th.lockNode(parent)
-			if parent.marked.Load() {
+			if parent.isMarked() {
 				th.unlockAll()
 				continue
 			}
-			taggedNode := t.splitInsert(leaf, parent, path.nIdx, key, val)
+			taggedNode := t.splitInsert(n, parent, path.nIdx, key, val)
 			th.unlockAll()
 			if taggedNode != nil {
 				th.fixTagged(taggedNode)
@@ -148,24 +151,16 @@ func (th *Thread) Upsert(key, val uint64) {
 
 // lockOrElimKind generalizes lockOrElim with the op/record compatibility
 // matrix. The paper's original operations use the original pairs.
-func (th *Thread) lockOrElimKind(leaf *node, key uint64, op opKind) (acquired bool, val uint64) {
+func (th *Thread) lockOrElimKind(n *node, key uint64, op opKind) (acquired bool, val uint64) {
+	leaf := n.elim()
 	startVer := leaf.ver.Load()
 	spins := 0
 	for {
-		var rec *ElimRecord
-		for {
-			v1 := leaf.ver.Load()
-			rec = leaf.rec.Load()
-			v2 := leaf.ver.Load()
-			if v1&1 == 0 && v1 == v2 {
-				break
-			}
-			spinPause(&spins)
-		}
-		if rec != nil && startVer <= rec.Ver && rec.Key == key && canEliminate(op, rec.Kind) {
+		rec := leaf.record(&spins)
+		if startVer <= rec.Ver && rec.Key == key && canEliminate(op, rec.Kind) {
 			return false, rec.Val
 		}
-		if th.tryLockNode(leaf) {
+		if th.tryLockNode(n) {
 			return true, 0
 		}
 		spinPause(&spins)

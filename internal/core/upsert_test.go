@@ -103,7 +103,7 @@ func TestUpsertEliminationMatrix(t *testing.T) {
 		{RecInsert, opUpsert, false},
 		{RecDelete, opInsert, true},
 		{RecDelete, opDelete, true},
-		{RecDelete, opUpsert, true},
+		{RecDelete, opUpsert, false},
 		{RecReplace, opInsert, true},
 		{RecReplace, opDelete, false},
 		{RecReplace, opUpsert, true},
@@ -115,10 +115,7 @@ func TestUpsertEliminationMatrix(t *testing.T) {
 		if tc.recKind != RecInsert {
 			pub.Insert(7, 1)
 		}
-		leaf := tr.search(7, nil).n
-		pub.lockNode(leaf)
-		ver := leaf.ver.Add(1)
-		leaf.rec.Store(&ElimRecord{Key: 7, Val: 42, Ver: ver, Kind: tc.recKind})
+		leaf := openPublishingWindow(tr, pub, 7, 42, tc.recKind)
 
 		done := make(chan struct{})
 		go func() {
@@ -140,12 +137,12 @@ func TestUpsertEliminationMatrix(t *testing.T) {
 		case RecInsert:
 			leaf.vals[0].Store(42)
 			leaf.keys[0].Store(7)
-			leaf.size.Add(1)
+			leaf.addSize(1)
 		case RecDelete:
 			for i := 0; i < tr.b; i++ {
 				if leaf.keys[i].Load() == 7 {
 					leaf.keys[i].Store(emptyKey)
-					leaf.size.Add(-1)
+					leaf.addSize(-1)
 					break
 				}
 			}

@@ -65,6 +65,20 @@ func (l *Lock) TryAcquire(qn *QNode) bool {
 	return l.tail.CompareAndSwap(nil, qn)
 }
 
+// SpinAcquire blocks until the calling thread holds l without ever
+// joining the queue: test-and-test-and-set on the tail word, every waiter
+// spinning on the one shared line. It exists for the paper's §7
+// observation — "Using MCS locks significantly increased the scalability
+// of the OCC-ABtree" — which BenchmarkAblationTASLock reproduces by
+// acquiring the tree's node locks this way. Release is the same as
+// after Acquire.
+func (l *Lock) SpinAcquire(qn *QNode) {
+	spins := 0
+	for l.Locked() || !l.TryAcquire(qn) {
+		spinThenYield(&spins)
+	}
+}
+
 // Release unlocks l, which the caller must hold via qn.
 func (l *Lock) Release(qn *QNode) {
 	next := qn.next.Load()
@@ -90,55 +104,6 @@ func (l *Lock) Release(qn *QNode) {
 func (l *Lock) Locked() bool {
 	return l.tail.Load() != nil
 }
-
-// TASLock is a test-and-test-and-set spinlock with the same interface as
-// Lock (the QNode argument is ignored). It exists for the paper's §7
-// observation — "Using MCS locks significantly increased the scalability of
-// the OCC-ABtree" — which the ablation benchmark BenchmarkAblationTASLock
-// reproduces by swapping this lock in.
-type TASLock struct {
-	state atomic.Uint32
-}
-
-// Acquire spins until the lock is held.
-func (l *TASLock) Acquire(*QNode) {
-	spins := 0
-	for {
-		if l.state.Load() == 0 && l.state.CompareAndSwap(0, 1) {
-			return
-		}
-		spinThenYield(&spins)
-	}
-}
-
-// TryAcquire acquires the lock if free, reporting success.
-func (l *TASLock) TryAcquire(*QNode) bool {
-	return l.state.Load() == 0 && l.state.CompareAndSwap(0, 1)
-}
-
-// Release unlocks the lock.
-func (l *TASLock) Release(*QNode) {
-	l.state.Store(0)
-}
-
-// Locked reports whether the lock is currently held (racy snapshot).
-func (l *TASLock) Locked() bool {
-	return l.state.Load() != 0
-}
-
-// Locker abstracts over Lock and TASLock so the tree can be instantiated
-// with either for the lock-ablation study.
-type Locker interface {
-	Acquire(*QNode)
-	TryAcquire(*QNode) bool
-	Release(*QNode)
-	Locked() bool
-}
-
-var (
-	_ Locker = (*Lock)(nil)
-	_ Locker = (*TASLock)(nil)
-)
 
 // HasWaiter reports whether the holder (via qn) has a successor queued
 // behind it. It is used by lock cohorting to decide whether the global

@@ -39,12 +39,13 @@ func TestTryAcquire(t *testing.T) {
 // mutualExclusion hammers a lock from many goroutines and checks that a
 // plain (non-atomic) counter is never corrupted, which only holds if the
 // lock provides mutual exclusion and release/acquire ordering.
-func mutualExclusion(t *testing.T, l Locker) {
+func mutualExclusion(t *testing.T, acquire func(*Lock, *QNode)) {
 	t.Helper()
 	const (
 		goroutines = 8
 		iters      = 20000
 	)
+	var l Lock
 	var counter int64 // deliberately non-atomic; protected by l
 	var inside atomic.Int64
 	var wg sync.WaitGroup
@@ -54,7 +55,7 @@ func mutualExclusion(t *testing.T, l Locker) {
 			defer wg.Done()
 			var qn QNode
 			for i := 0; i < iters; i++ {
-				l.Acquire(&qn)
+				acquire(&l, &qn)
 				if n := inside.Add(1); n != 1 {
 					t.Errorf("%d goroutines inside critical section", n)
 				}
@@ -70,8 +71,8 @@ func mutualExclusion(t *testing.T, l Locker) {
 	}
 }
 
-func TestMutualExclusionMCS(t *testing.T) { mutualExclusion(t, new(Lock)) }
-func TestMutualExclusionTAS(t *testing.T) { mutualExclusion(t, new(TASLock)) }
+func TestMutualExclusionMCS(t *testing.T) { mutualExclusion(t, (*Lock).Acquire) }
+func TestMutualExclusionTAS(t *testing.T) { mutualExclusion(t, (*Lock).SpinAcquire) }
 
 // TestFIFOHandoff checks the queue property: with two waiters enqueued in a
 // known order behind a holder, the first waiter gets the lock first.
@@ -163,11 +164,12 @@ func BenchmarkMCSContended(b *testing.B) {
 }
 
 func BenchmarkTASContended(b *testing.B) {
-	var l TASLock
+	var l Lock
 	b.RunParallel(func(pb *testing.PB) {
+		var qn QNode
 		for pb.Next() {
-			l.Acquire(nil)
-			l.Release(nil)
+			l.SpinAcquire(&qn)
+			l.Release(&qn)
 		}
 	})
 }

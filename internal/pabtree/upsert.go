@@ -28,7 +28,7 @@ func pCanEliminate(op pOpKind, rec uint8) bool {
 	case pOpDelete:
 		return rec == recInsert || rec == recDelete
 	default:
-		return rec == recDelete || rec == recReplace
+		return rec == recReplace
 	}
 }
 
