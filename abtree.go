@@ -52,11 +52,7 @@ type Tree struct {
 type Option func(*options)
 
 type options struct {
-	a, b      int
-	tas       bool
-	cohort    bool
-	combining bool
-	elimFinds bool
+	a, b int
 }
 
 // WithDegree sets the (a,b) node-size bounds; the paper (and default) is
@@ -64,63 +60,28 @@ type options struct {
 // laid out for the paper's b); New panics otherwise.
 func WithDegree(a, b int) Option { return func(o *options) { o.a, o.b = a, b } }
 
-// WithTASLocks substitutes test-and-test-and-set spinlocks for the MCS
-// node locks. Exists for the lock ablation study; MCS is faster under
-// contention.
-func WithTASLocks() Option { return func(o *options) { o.tas = true } }
-
-// WithFindElimination (NewElim only) lets finds answer from elimination
-// records when concurrent updates keep interrupting their scans — the
-// paper's §4.1 anti-starvation remark.
-func WithFindElimination() Option { return func(o *options) { o.elimFinds = true } }
-
-// WithCohortLocks substitutes NUMA-aware cohort locks for the MCS node
-// locks — the paper's §7 future-work suggestion. Threads (Handles) are
-// assigned simulated NUMA sockets round-robin.
-func WithCohortLocks() Option { return func(o *options) { o.cohort = true } }
-
-// WithLeafCombining (New only) replaces each leaf's plain locking with
-// per-leaf flat combining — the alternative to publishing elimination
-// the paper tested and found slower (§2). Exists for the
-// combining-vs-elimination ablation.
-func WithLeafCombining() Option { return func(o *options) { o.combining = true } }
-
-func parseOpts(opts []Option) options {
+// coreOpts translates the public options into the tree's construction
+// options; elim selects the Elim-ABtree.
+func coreOpts(opts []Option, elim bool) []core.Option {
 	o := options{a: core.DefaultMinSize, b: core.DefaultMaxSize}
 	for _, f := range opts {
 		f(&o)
 	}
-	return o
-}
-
-func buildOpts(o options) []core.Option {
 	co := []core.Option{core.WithDegree(o.a, o.b)}
-	if o.tas {
-		co = append(co, core.WithTASLocks())
-	}
-	if o.cohort {
-		co = append(co, core.WithCohortLocks())
-	}
-	if o.combining {
-		co = append(co, core.WithLeafCombining())
+	if elim {
+		co = append(co, core.WithElimination())
 	}
 	return co
 }
 
 // New returns an empty OCC-ABtree.
 func New(opts ...Option) *Tree {
-	return &Tree{t: core.New(buildOpts(parseOpts(opts))...)}
+	return &Tree{t: core.New(coreOpts(opts, false)...)}
 }
 
 // NewElim returns an empty Elim-ABtree (publishing elimination enabled).
 func NewElim(opts ...Option) *Tree {
-	o := parseOpts(opts)
-	o.combining = false // combining is the §2 alternative to elimination
-	co := append(buildOpts(o), core.WithElimination())
-	if o.elimFinds {
-		co = append(co, core.WithFindElimination())
-	}
-	return &Tree{t: core.New(co...)}
+	return &Tree{t: core.New(coreOpts(opts, true)...)}
 }
 
 // NewHandle returns a new per-goroutine accessor.

@@ -15,7 +15,6 @@ func TestPublicAPIVolatile(t *testing.T) {
 		{"OCC", func() *abtree.Tree { return abtree.New() }},
 		{"Elim", func() *abtree.Tree { return abtree.NewElim() }},
 		{"OCC-degree", func() *abtree.Tree { return abtree.New(abtree.WithDegree(2, 8)) }},
-		{"OCC-tas", func() *abtree.Tree { return abtree.New(abtree.WithTASLocks()) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			tr := mk.f()
@@ -124,7 +123,7 @@ func TestPublicAPIScanOrder(t *testing.T) {
 }
 
 func TestPublicUpsertAndRange(t *testing.T) {
-	tr := abtree.NewElim(abtree.WithFindElimination())
+	tr := abtree.NewElim()
 	h := tr.NewHandle()
 	for i := uint64(1); i <= 500; i++ {
 		h.Upsert(i, i)

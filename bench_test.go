@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's evaluation (§6): one benchmark
-// family per figure and table, plus ablation benches for the design
-// decisions DESIGN.md calls out. `go test -bench=. -benchmem` runs a
-// laptop-scale version of the full grid; cmd/abtree-bench runs the
-// richer thread-sweep variant with validation.
+// family per figure and table, plus the node-degree ablation.
+// `go test -bench=. -benchmem` runs a laptop-scale version of the full
+// grid; cmd/abtree-bench runs the richer thread-sweep variant with
+// validation.
 //
 // Each benchmark reports ops/us (the paper's y-axis unit) via
 // b.ReportMetric in addition to the standard ns/op.
@@ -142,53 +142,6 @@ func BenchmarkTable1(b *testing.B) {
 				})
 			}
 		}
-	}
-}
-
-// ---- Ablation benchmarks (DESIGN.md §4) ----
-
-// BenchmarkAblationSortedLeaves quantifies unsorted leaves with ⊥ holes
-// (the paper's design) against classic sorted dense leaves.
-func BenchmarkAblationSortedLeaves(b *testing.B) {
-	for _, name := range []string{"OCC-ABtree", "OCC-ABtree-Sorted"} {
-		b.Run(name, func(b *testing.B) { microCell(b, name, 100_000, 100, 0) })
-	}
-}
-
-// BenchmarkAblationTASLock quantifies MCS node locks against
-// test-and-test-and-set spinlocks (paper §7).
-func BenchmarkAblationTASLock(b *testing.B) {
-	for _, name := range []string{"OCC-ABtree", "OCC-ABtree-TAS", "Elim-ABtree", "Elim-ABtree-TAS"} {
-		b.Run(name, func(b *testing.B) { microCell(b, name, 10_000, 100, 1) })
-	}
-}
-
-// BenchmarkAblationCombining reproduces the paper's §2 comparison of
-// publishing elimination against per-leaf flat combining ("much slower
-// than our publishing elimination technique"): same skewed update-heavy
-// workload, three synchronization designs for the same tree.
-func BenchmarkAblationCombining(b *testing.B) {
-	for _, name := range []string{"Elim-ABtree", "OCC-ABtree-FC", "OCC-ABtree"} {
-		b.Run(name, func(b *testing.B) { microCell(b, name, 10_000, 100, 1) })
-	}
-}
-
-// BenchmarkAblationCohortLock quantifies the paper's §7 future-work
-// suggestion: NUMA-aware cohort locks in place of plain MCS locks. On a
-// real multi-socket machine the cohort variant should close the gap to
-// elimination on skewed update-heavy workloads; on one socket it mostly
-// measures the handoff overhead.
-func BenchmarkAblationCohortLock(b *testing.B) {
-	for _, name := range []string{"OCC-ABtree", "OCC-ABtree-Cohort", "Elim-ABtree", "Elim-ABtree-Cohort"} {
-		b.Run(name, func(b *testing.B) { microCell(b, name, 10_000, 100, 1) })
-	}
-}
-
-// BenchmarkAblationLockedSearch quantifies the lock-free version-validated
-// find against a find that locks the leaf.
-func BenchmarkAblationLockedSearch(b *testing.B) {
-	for _, name := range []string{"OCC-ABtree", "OCC-ABtree-LockedFind"} {
-		b.Run(name, func(b *testing.B) { microCell(b, name, 100_000, 5, 0) })
 	}
 }
 

@@ -2,8 +2,6 @@ package abtree_test
 
 import (
 	"fmt"
-	"sync"
-	"testing"
 
 	abtree "repro"
 )
@@ -81,53 +79,4 @@ func ExamplePersistentTree_Recover() {
 	v, ok := r.NewHandle().Find(1)
 	fmt.Println(v, ok)
 	// Output: 100 true
-}
-
-// TestPublicLockAndCombiningOptions exercises the §7 cohort-lock and §2
-// flat-combining options through the public API under concurrency.
-func TestPublicLockAndCombiningOptions(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		tr   *abtree.Tree
-	}{
-		{"cohort", abtree.New(abtree.WithCohortLocks())},
-		{"combining", abtree.New(abtree.WithLeafCombining())},
-		{"elim-cohort", abtree.NewElim(abtree.WithCohortLocks())},
-		{"elim-ignores-combining", abtree.NewElim(abtree.WithLeafCombining())},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var wg sync.WaitGroup
-			sums := make([]int64, 4)
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					h := tc.tr.NewHandle()
-					for i := 0; i < 20000; i++ {
-						k := uint64(w*31+i)%128 + 1
-						if i%2 == 0 {
-							if _, ok := h.Insert(k, k); ok {
-								sums[w] += int64(k)
-							}
-						} else {
-							if _, ok := h.Delete(k); ok {
-								sums[w] -= int64(k)
-							}
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			var want uint64
-			for _, s := range sums {
-				want += uint64(s)
-			}
-			if got := tc.tr.KeySum(); got != want {
-				t.Fatalf("KeySum = %d, want %d", got, want)
-			}
-			if err := tc.tr.Validate(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }

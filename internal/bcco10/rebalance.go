@@ -164,17 +164,24 @@ func endShrink(n *node, v int64) {
 //	  l   c      =>      a    n
 //	 / \                     / \
 //	a   b                   b   c
+//
+// Store order (all four rotations, as in Bronson et al.): the links below
+// the promoted node first, the parent's child pointer last. The promoted
+// node only grows, so it takes no version change that would make a
+// search retry; if parent pointed at it while l.right was still b, an
+// operation arriving through parent with a key beyond n.key would read
+// l.right == b, validate, and insert inside b — outside b's key range.
 func (t *Tree) rotateRight(parent, n, l *node) {
 	nv := beginShrink(n)
 	b := l.right.Load()
-	replaceChild(parent, n, l)
-	l.parent.Store(parent)
 	n.left.Store(b)
 	if b != nil {
 		b.parent.Store(n)
 	}
 	l.right.Store(n)
 	n.parent.Store(l)
+	replaceChild(parent, n, l)
+	l.parent.Store(parent)
 	n.height.Store(1 + maxi32(height(b), height(n.right.Load())))
 	l.height.Store(1 + maxi32(height(l.left.Load()), n.height.Load()))
 	endShrink(n, nv)
@@ -184,14 +191,14 @@ func (t *Tree) rotateRight(parent, n, l *node) {
 func (t *Tree) rotateLeft(parent, n, r *node) {
 	nv := beginShrink(n)
 	b := r.left.Load()
-	replaceChild(parent, n, r)
-	r.parent.Store(parent)
 	n.right.Store(b)
 	if b != nil {
 		b.parent.Store(n)
 	}
 	r.left.Store(n)
 	n.parent.Store(r)
+	replaceChild(parent, n, r)
+	r.parent.Store(parent)
 	n.height.Store(1 + maxi32(height(n.left.Load()), height(b)))
 	r.height.Store(1 + maxi32(n.height.Load(), height(r.right.Load())))
 	endShrink(n, nv)
@@ -214,8 +221,6 @@ func (t *Tree) rotateRightOverLeft(parent, n, l, lr *node) {
 	nv := beginShrink(n)
 	lv := beginShrink(l)
 	b, c := lr.left.Load(), lr.right.Load()
-	replaceChild(parent, n, lr)
-	lr.parent.Store(parent)
 	n.left.Store(c)
 	if c != nil {
 		c.parent.Store(n)
@@ -228,6 +233,8 @@ func (t *Tree) rotateRightOverLeft(parent, n, l, lr *node) {
 	l.parent.Store(lr)
 	lr.right.Store(n)
 	n.parent.Store(lr)
+	replaceChild(parent, n, lr)
+	lr.parent.Store(parent)
 	l.height.Store(1 + maxi32(height(l.left.Load()), height(b)))
 	n.height.Store(1 + maxi32(height(c), height(n.right.Load())))
 	lr.height.Store(1 + maxi32(l.height.Load(), n.height.Load()))
@@ -240,8 +247,6 @@ func (t *Tree) rotateLeftOverRight(parent, n, r, rl *node) {
 	nv := beginShrink(n)
 	rv := beginShrink(r)
 	b, c := rl.left.Load(), rl.right.Load()
-	replaceChild(parent, n, rl)
-	rl.parent.Store(parent)
 	n.right.Store(b)
 	if b != nil {
 		b.parent.Store(n)
@@ -254,6 +259,8 @@ func (t *Tree) rotateLeftOverRight(parent, n, r, rl *node) {
 	r.parent.Store(rl)
 	rl.left.Store(n)
 	n.parent.Store(rl)
+	replaceChild(parent, n, rl)
+	rl.parent.Store(parent)
 	r.height.Store(1 + maxi32(height(c), height(r.right.Load())))
 	n.height.Store(1 + maxi32(height(n.left.Load()), height(b)))
 	rl.height.Store(1 + maxi32(n.height.Load(), r.height.Load()))

@@ -79,27 +79,20 @@ func arenaWords(keyRange uint64) int {
 // registry is the single source of truth for the structures the harness
 // can build: Names, NewDict and the registry test all derive from it.
 var registry = map[string]func(keyRange uint64) dict.Dict{
-	"OCC-ABtree":            func(uint64) dict.Dict { return coreDict{T: core.New()} },
-	"Elim-ABtree":           func(uint64) dict.Dict { return coreDict{T: core.New(core.WithElimination())} },
-	"OCC-ABtree-TAS":        func(uint64) dict.Dict { return coreDict{T: core.New(core.WithTASLocks())} },
-	"OCC-ABtree-FC":         func(uint64) dict.Dict { return coreDict{T: core.New(core.WithLeafCombining())} },
-	"OCC-ABtree-Cohort":     func(uint64) dict.Dict { return coreDict{T: core.New(core.WithCohortLocks())} },
-	"Elim-ABtree-Cohort":    func(uint64) dict.Dict { return coreDict{T: core.New(core.WithElimination(), core.WithCohortLocks())} },
-	"Elim-ABtree-TAS":       func(uint64) dict.Dict { return coreDict{T: core.New(core.WithElimination(), core.WithTASLocks())} },
-	"OCC-ABtree-Sorted":     func(uint64) dict.Dict { return coreDict{T: core.New(core.WithSortedLeaves())} },
-	"OCC-ABtree-LockedFind": func(uint64) dict.Dict { return coreDict{T: core.New(core.WithLockedSearch())} },
-	"OCC-ABtree-b4":         func(uint64) dict.Dict { return coreDict{T: core.New(core.WithDegree(2, 4))} },
-	"OCC-ABtree-b8":         func(uint64) dict.Dict { return coreDict{T: core.New(core.WithDegree(2, 8))} },
-	"LF-ABtree":             func(uint64) dict.Dict { return selfDict{lfabtree.New()} },
-	"CATree":                func(uint64) dict.Dict { return selfDict{catree.New()} },
-	"DGT15":                 func(uint64) dict.Dict { return selfDict{extbst.New()} },
-	"EFRB10":                func(uint64) dict.Dict { return selfDict{efrbbst.New()} },
-	"SplayList":             func(uint64) dict.Dict { return selfDict{splaylist.New()} },
-	"BCCO10":                func(uint64) dict.Dict { return selfDict{bcco10.New()} },
-	"CBTree":                func(uint64) dict.Dict { return selfDict{cbtree.New()} },
-	"OLC-ART":               func(uint64) dict.Dict { return selfDict{olcart.New()} },
-	"C-IST":                 func(uint64) dict.Dict { return selfDict{cist.New()} },
-	"OpenBw-Tree":           func(uint64) dict.Dict { return selfDict{bwtree.New()} },
+	"OCC-ABtree":    func(uint64) dict.Dict { return coreDict{T: core.New()} },
+	"Elim-ABtree":   func(uint64) dict.Dict { return coreDict{T: core.New(core.WithElimination())} },
+	"OCC-ABtree-b4": func(uint64) dict.Dict { return coreDict{T: core.New(core.WithDegree(2, 4))} },
+	"OCC-ABtree-b8": func(uint64) dict.Dict { return coreDict{T: core.New(core.WithDegree(2, 8))} },
+	"LF-ABtree":     func(uint64) dict.Dict { return selfDict{lfabtree.New()} },
+	"CATree":        func(uint64) dict.Dict { return selfDict{catree.New()} },
+	"DGT15":         func(uint64) dict.Dict { return selfDict{extbst.New()} },
+	"EFRB10":        func(uint64) dict.Dict { return selfDict{efrbbst.New()} },
+	"SplayList":     func(uint64) dict.Dict { return selfDict{splaylist.New()} },
+	"BCCO10":        func(uint64) dict.Dict { return selfDict{bcco10.New()} },
+	"CBTree":        func(uint64) dict.Dict { return selfDict{cbtree.New()} },
+	"OLC-ART":       func(uint64) dict.Dict { return selfDict{olcart.New()} },
+	"C-IST":         func(uint64) dict.Dict { return selfDict{cist.New()} },
+	"OpenBw-Tree":   func(uint64) dict.Dict { return selfDict{bwtree.New()} },
 	"p-OCC-ABtree": func(kr uint64) dict.Dict {
 		return pabDict{T: pabtree.New(pmem.New(arenaWords(kr)))}
 	},

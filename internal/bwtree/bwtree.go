@@ -18,11 +18,11 @@
 // the leaf oversized installs a truncated left base (high key + side
 // PID) in place and a new right sibling PID, then posts the separator
 // to the parent level; searches that outrun an unposted split simply
-// follow the side link. Two simplifications from the original are
-// documented in DESIGN.md: splits happen at consolidation time (the
-// split-delta record is subsumed by the consolidation CAS, which is
-// where the original's cost lives anyway), and underfull nodes are not
-// merged (the paper's workloads hold the tree at steady-state size).
+// follow the side link. Two simplifications from the original: splits
+// happen at consolidation time (the split-delta record is subsumed by
+// the consolidation CAS, which is where the original's cost lives
+// anyway), and underfull nodes are not merged (the paper's workloads
+// hold the tree at steady-state size).
 // The per-operation cost profile that makes the OpenBw-Tree slow in the
 // paper — an allocation per update, chain replay on reads, wholesale
 // copies on consolidation — is exactly preserved.

@@ -26,7 +26,7 @@
 // performed by the triggering thread alone, where the C-IST recruits
 // helper threads for a collaborative rebuild — the total rebuild work
 // (the source of the update-heavy slowdown) is identical, only its
-// distribution across threads differs (see DESIGN.md).
+// distribution across threads differs.
 package cist
 
 import (

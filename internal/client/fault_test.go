@@ -89,6 +89,20 @@ func readOneFrame(nc net.Conn) bool {
 	return err == nil
 }
 
+// readBatchFrame consumes one batch request frame (the only kind a mux
+// data connection sends untraced) and returns its id and key count.
+func readBatchFrame(nc net.Conn) (id uint64, n int, ok bool) {
+	var hdr [wire.HeaderLen]byte
+	if _, err := io.ReadFull(nc, hdr[:]); err != nil {
+		return 0, 0, false
+	}
+	payload := make([]byte, binary.LittleEndian.Uint32(hdr[:4])-(wire.HeaderLen-4))
+	if _, err := io.ReadFull(nc, payload); err != nil || len(payload) < 4 {
+		return 0, 0, false
+	}
+	return binary.LittleEndian.Uint64(hdr[4:12]), int(binary.LittleEndian.Uint32(payload)), true
+}
+
 // swallowFrameAndClose is the ambiguity script: the frame is received
 // (so the mutation may execute in a real partial-failure) but the
 // connection dies before any response.
@@ -332,6 +346,78 @@ func TestMuxMutationAmbiguity(t *testing.T) {
 	}
 	if fs := m.FaultStats(); fs.Ambiguous == 0 {
 		t.Fatalf("mux ambiguity not counted: %+v", fs)
+	}
+}
+
+// TestMuxOutOfOrderReplies: a server's worker pool answers one
+// connection's frames in any order, so a frame may still be in flight
+// after arbitrarily many later ones completed. The script withholds the
+// first frame's reply (a PUT) until 64 later frames were answered — one
+// full lap of the response-slot table. The PUT must still complete
+// normally, with no generation lost to a mismatched response id.
+func TestMuxOutOfOrderReplies(t *testing.T) {
+	_, backend := startBackend(t)
+	const later = 64
+	firstRead := make(chan struct{})
+	// answer replies "absent/applied, no value" for every key of a frame.
+	answer := func(nc net.Conn, id uint64, n int) {
+		oks := make([]bool, n)
+		for i := range oks {
+			oks[i] = true
+		}
+		nc.Write(wire.AppendRespBatch(nil, id, make([]uint64, n), oks))
+	}
+	script := func(nc net.Conn) {
+		defer nc.Close()
+		firstID, firstN, ok := readBatchFrame(nc)
+		if !ok {
+			return
+		}
+		close(firstRead)
+		for i := 0; i < later; i++ {
+			id, n, ok := readBatchFrame(nc)
+			if !ok {
+				return
+			}
+			answer(nc, id, n)
+		}
+		answer(nc, firstID, firstN)
+		io.Copy(io.Discard, nc) // stay open until the mux closes
+	}
+	// Conn 1: control client dial. Conn 2: the mux's shared connection.
+	front := evilFront(t, backend, map[int]func(net.Conn){2: script})
+	m, err := client.DialMux(front, client.MuxConfig{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+
+	putErr := make(chan error, 1)
+	go func() {
+		_, _, err := m.NewHandle().(client.TryHandle).TryInsert(700, 701)
+		putErr <- err
+	}()
+	select {
+	case <-firstRead:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the PUT frame never reached the server")
+	}
+	h := m.NewHandle().(client.TryHandle)
+	for i := 0; i < later; i++ {
+		if _, _, err := h.TryFind(uint64(2 + i)); err != nil {
+			t.Fatalf("TryFind %d behind the withheld PUT: %v", i, err)
+		}
+	}
+	select {
+	case err := <-putErr:
+		if err != nil {
+			t.Errorf("withheld PUT: %v, want its late reply", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("withheld PUT never completed: its response slot was reused")
+	}
+	if fs := m.FaultStats(); fs.Redials+fs.Ambiguous+fs.MuxProtocol+fs.MuxTransport != 0 {
+		t.Errorf("out-of-order replies cost a generation: %+v", fs)
 	}
 }
 

@@ -49,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -82,9 +83,10 @@ type MuxConfig struct {
 }
 
 const (
-	muxSlotCount  = 64 // response-matching slots; > max window, power of two
+	muxSlotBits   = 6 // low bits of a frame id: its response-matching slot
+	muxSlotCount  = 1 << muxSlotBits
 	muxSlotMask   = muxSlotCount - 1
-	muxMaxWindow  = 32   // window cap; must stay below muxSlotCount
+	muxMaxWindow  = 32   // window cap; at most muxSlotCount
 	muxSubDepth   = 4096 // submission queue depth per connection
 	muxBatchFlush = 8    // explicit-batch frames staged per combiner round
 )
@@ -291,6 +293,11 @@ func (g *muxGen) fail(err error) {
 	}
 }
 
+// errProtocol marks a generation ended by a response the wire contract
+// rules out — a bug on one side of the connection, not a transport
+// failure. The supervisor counts and logs the two apart.
+var errProtocol = errors.New("protocol violation")
+
 // errGenStopped is the combiner's silent exit signal (the generation is
 // being torn down by the supervisor; nothing is wrong with this loop).
 var errGenStopped = errors.New("generation stopped")
@@ -318,13 +325,15 @@ type muxConn struct {
 	failed  chan struct{} // closed on terminal reconnect failure
 	failErr error         // set before failed closes
 
-	credits chan struct{}
+	// credits holds the free response slots, 0..window-1: taking a
+	// credit is taking the slot the frame's reply will be matched in.
+	credits chan uint64
 	slots   [muxSlotCount]atomic.Pointer[muxFrame]
 	frees   chan *muxFrame
 
 	rng *xrand.Rand // supervisor backoff jitter
 
-	id uint64 // combiner-owned frame id counter
+	id uint64 // combiner-owned frame sequence; ids are id<<muxSlotBits | slot
 
 	// Combiner staging and scratch (supervisor-owned between generations).
 	points  [3][]*muxOp // staged point waiters by class (get/put/delete)
@@ -355,15 +364,21 @@ func (m *Mux) dialConn(addr string, idx, maxBatch, window int) (*muxConn, error)
 		subq:     make(chan *muxOp, muxSubDepth),
 		quit:     make(chan struct{}),
 		failed:   make(chan struct{}),
-		credits:  make(chan struct{}, window),
+		credits:  make(chan uint64, window),
 		frees:    make(chan *muxFrame, muxSlotCount),
 		rng:      newRetryRNG(idx + 1<<20),
 	}
-	for i := 0; i < window; i++ {
-		mc.credits <- struct{}{}
-	}
+	mc.fillCredits()
 	go mc.supervise()
 	return mc, nil
+}
+
+// fillCredits frees every response slot. The credit channel must be
+// empty and no frame in flight.
+func (mc *muxConn) fillCredits() {
+	for slot := 0; slot < mc.window; slot++ {
+		mc.credits <- uint64(slot)
+	}
 }
 
 func (mc *muxConn) closeConn() {
@@ -403,14 +418,22 @@ func (mc *muxConn) supervise() {
 		if mc.closed.Load() {
 			return // deliberate Close; Close's contract says no in-flight ops
 		}
-		// A BUSY rejection arrives at accept time, before the server reads
-		// anything — every in-flight frame (mutations included) is safe to
-		// replay on the next connection.
-		busy := errors.Is(genErr, errBusy)
-		if busy {
-			mc.m.c.faults.busy.Add(1)
+		faults := &mc.m.c.faults
+		busy := false
+		switch {
+		case errors.Is(genErr, errBusy):
+			// A BUSY rejection arrives at accept time, before the server
+			// reads anything — every in-flight frame (mutations included)
+			// is safe to replay on the next connection.
+			busy = true
+			faults.busy.Add(1)
+		case errors.Is(genErr, errProtocol):
+			faults.muxProtocol.Add(1)
+			log.Printf("client: mux conn %d: %v", mc.idx, genErr)
+		default:
+			faults.muxTransport.Add(1)
 		}
-		mc.salvage(busy)
+		mc.salvage(busy, genErr)
 		if err := mc.redial(); err != nil {
 			mc.failTerminal(fmt.Errorf("client: mux conn %d: reconnect: %w (after %v)", mc.idx, err, genErr))
 			return
@@ -420,11 +443,12 @@ func (mc *muxConn) supervise() {
 
 // salvage reclaims every in-flight frame after a generation died:
 // idempotent waiters (GET/MGET) are re-staged for the next generation,
-// mutation waiters complete with ErrAmbiguous (their frame may have
-// reached the server) unless requeueAll says the server never read them.
-// Credits are reset to a full window; staged-but-never-framed waiters
-// are already in the staging arrays and simply carry over.
-func (mc *muxConn) salvage(requeueAll bool) {
+// mutation waiters complete with ErrAmbiguous naming cause, the error
+// that ended the generation (their frame may have reached the server),
+// unless requeueAll says the server never read them. Credits are reset
+// to a full window; staged-but-never-framed waiters are already in the
+// staging arrays and simply carry over.
+func (mc *muxConn) salvage(requeueAll bool, cause error) {
 	ambiguous := 0
 	for i := range mc.slots {
 		f := mc.slots[i].Load()
@@ -437,7 +461,7 @@ func (mc *muxConn) salvage(requeueAll bool) {
 			if requeueAll || o.op == wire.OpMGet {
 				mc.batches = append(mc.batches, o)
 			} else {
-				o.resErr = fmt.Errorf("%w (mux conn %d, op %#x)", ErrAmbiguous, mc.idx, o.op)
+				o.resErr = fmt.Errorf("%w (mux conn %d, op %#x): %v", ErrAmbiguous, mc.idx, o.op, cause)
 				ambiguous++
 				o.done <- struct{}{}
 			}
@@ -447,7 +471,7 @@ func (mc *muxConn) salvage(requeueAll bool) {
 					cls := pointClass(o.op)
 					mc.points[cls] = append(mc.points[cls], o)
 				} else {
-					o.resErr = fmt.Errorf("%w (mux conn %d, op %#x)", ErrAmbiguous, mc.idx, o.op)
+					o.resErr = fmt.Errorf("%w (mux conn %d, op %#x): %v", ErrAmbiguous, mc.idx, o.op, cause)
 					ambiguous++
 					o.done <- struct{}{}
 				}
@@ -466,9 +490,7 @@ func (mc *muxConn) salvage(requeueAll bool) {
 			drained = true
 		}
 	}
-	for i := 0; i < mc.window; i++ {
-		mc.credits <- struct{}{}
-	}
+	mc.fillCredits()
 }
 
 // redial reconnects the shared connection under the Client's backoff
@@ -649,47 +671,49 @@ func (mc *muxConn) flush(g *muxGen) error {
 	return nil
 }
 
-// acquireCredit takes one in-flight slot. If none is free it first
+// acquireCredit takes one free response slot. If none is free it first
 // flushes the socket — frames sitting in the bufio buffer earn no
 // responses, and blocking on credit with the window fully buffered
 // would deadlock — then blocks until the reader returns one.
-func (mc *muxConn) acquireCredit(g *muxGen) error {
+func (mc *muxConn) acquireCredit(g *muxGen) (slot uint64, err error) {
 	select {
-	case <-mc.credits:
-		return nil
+	case slot = <-mc.credits:
+		return slot, nil
 	default:
 	}
 	if err := mc.bw.Flush(); err != nil {
-		return err
+		return 0, err
 	}
 	select {
-	case <-mc.credits:
-		return nil
+	case slot = <-mc.credits:
+		return slot, nil
 	case <-g.stop:
-		return errGenStopped
+		return 0, errGenStopped
 	case <-mc.quit:
-		return errGenStopped
+		return 0, errGenStopped
 	}
 }
 
 // writeFrame installs the frame in its response slot and writes it to
 // the buffered socket (flushed by the caller or by credit pressure).
-// Slots cannot collide: ids are sequential, at most window (< slot
-// count) frames are ever in flight, and salvage empties the table
-// between generations. A frame carrying traced waiters is announced by
-// one OpTraceCtx frame (the first traced waiter's id — the server holds
-// one pending trace per connection) and closes each traced waiter's
-// mux-stage span here, at seal time.
+// Slots cannot collide however the server orders its replies: the slot
+// is the credit itself, carried in the id's low bits, and only the
+// reader frees it, after the frame's own response; salvage empties the
+// table between generations. A frame carrying traced waiters is
+// announced by one OpTraceCtx frame (the first traced waiter's id — the
+// server holds one pending trace per connection) and closes each traced
+// waiter's mux-stage span here, at seal time.
 func (mc *muxConn) writeFrame(g *muxGen, f *muxFrame, op byte, keys, vals []uint64) error {
-	if err := mc.acquireCredit(g); err != nil {
+	slot, err := mc.acquireCredit(g)
+	if err != nil {
 		// Never entered a slot: put the frame's waiters back in staging
 		// so they carry to the next generation (or terminal failure).
 		mc.unseal(f)
 		return err
 	}
 	mc.id++
-	f.id = mc.id
-	mc.slots[f.id&muxSlotMask].Store(f)
+	f.id = mc.id<<muxSlotBits | slot
+	mc.slots[slot].Store(f)
 	tid := mc.sealSpans(f)
 	mc.out = mc.out[:0]
 	if tid != 0 {
@@ -770,16 +794,17 @@ func (mc *muxConn) reader(g *muxGen) {
 			g.fail(errBusy)
 			return
 		}
-		f := mc.slots[id&muxSlotMask].Load()
+		slot := id & muxSlotMask
+		f := mc.slots[slot].Load()
 		if f == nil || f.id != id {
-			g.fail(fmt.Errorf("response id %d matches no in-flight frame", id))
+			g.fail(fmt.Errorf("%w: response id %d matches no in-flight frame", errProtocol, id))
 			return
 		}
 		var appErr error
 		if rop == wire.RespError {
 			appErr = respError(payload)
 		} else if rop != wire.RespBatch {
-			g.fail(fmt.Errorf("unexpected response op %#x", rop))
+			g.fail(fmt.Errorf("%w: unexpected response op %#x", errProtocol, rop))
 			return
 		}
 		if f.bop != nil {
@@ -789,12 +814,12 @@ func (mc *muxConn) reader(g *muxGen) {
 				// if present, is dropped (routing clients use per-goroutine
 				// handles, which track it).
 				if _, err := wire.DecodeBatch(payload, o.resVals, o.resOks); err != nil {
-					g.fail(err)
+					g.fail(fmt.Errorf("%w: %v", errProtocol, err))
 					return
 				}
 			}
 			o.resErr = appErr
-			mc.slots[id&muxSlotMask].Store(nil)
+			mc.slots[slot].Store(nil)
 			mc.putFrame(f)
 			o.done <- struct{}{}
 		} else {
@@ -805,7 +830,7 @@ func (mc *muxConn) reader(g *muxGen) {
 					f.oks = make([]bool, n)
 				}
 				if _, err := wire.DecodeBatch(payload, f.vals[:n], f.oks[:n]); err != nil {
-					g.fail(err)
+					g.fail(fmt.Errorf("%w: %v", errProtocol, err))
 					return
 				}
 			}
@@ -818,10 +843,10 @@ func (mc *muxConn) reader(g *muxGen) {
 				}
 				o.done <- struct{}{}
 			}
-			mc.slots[id&muxSlotMask].Store(nil)
+			mc.slots[slot].Store(nil)
 			mc.putFrame(f)
 		}
-		mc.credits <- struct{}{}
+		mc.credits <- slot
 	}
 }
 
@@ -832,7 +857,7 @@ func (mc *muxConn) readFrame() (id uint64, op byte, payload []byte, err error) {
 	}
 	length := binary.LittleEndian.Uint32(mc.hdr[:4])
 	if length < wire.HeaderLen-4 || length > wire.MaxFrame {
-		return 0, 0, nil, fmt.Errorf("bad response frame length %d", length)
+		return 0, 0, nil, fmt.Errorf("%w: bad response frame length %d", errProtocol, length)
 	}
 	id = binary.LittleEndian.Uint64(mc.hdr[4:12])
 	op = mc.hdr[12]

@@ -112,6 +112,10 @@ type FaultStats struct {
 	Retries   uint64 // operations replayed after a transport failure
 	Ambiguous uint64 // mutations failed with ErrAmbiguous
 	Busy      uint64 // server BUSY admission rejections absorbed
+	// Mux connection generations ended by a transport failure, and by a
+	// response violating the wire protocol (a bug; also logged).
+	MuxTransport uint64
+	MuxProtocol  uint64
 }
 
 // faultCounters is the atomic backing store (fast path never touches it).
@@ -120,6 +124,9 @@ type faultCounters struct {
 	retries   atomic.Uint64
 	ambiguous atomic.Uint64
 	busy      atomic.Uint64
+
+	muxTransport atomic.Uint64
+	muxProtocol  atomic.Uint64
 }
 
 // FaultStats snapshots the client's fault-path counters.
@@ -129,6 +136,9 @@ func (c *Client) FaultStats() FaultStats {
 		Retries:   c.faults.retries.Load(),
 		Ambiguous: c.faults.ambiguous.Load(),
 		Busy:      c.faults.busy.Load(),
+
+		MuxTransport: c.faults.muxTransport.Load(),
+		MuxProtocol:  c.faults.muxProtocol.Load(),
 	}
 }
 

@@ -165,23 +165,14 @@ func (th *Thread) applyRunLocked(op batchOp, leaf *node, run []batchEnt, vals, r
 	for i < len(run) {
 		e := run[i]
 		if op == bInsert {
-			var done, ins bool
-			var old uint64
-			if t.sorted {
-				old, ins, done = t.insertSorted(leaf, e.K, vals[e.Idx])
-			} else {
-				done, old, ins = t.insertUnsorted(leaf, e.K, vals[e.Idx])
-			}
+			done, old, ins := t.insertLocked(leaf, e.K, vals[e.Idx])
 			if !done {
 				full = true
 				break
 			}
 			res[e.Idx], ok[e.Idx] = old, ins
-		} else if t.sorted {
-			res[e.Idx], ok[e.Idx] = t.deleteSorted(leaf, e.K)
 		} else {
-			val, found, _ := t.deleteUnsorted(leaf, e.K)
-			res[e.Idx], ok[e.Idx] = val, found
+			res[e.Idx], ok[e.Idx], _ = t.deleteLocked(leaf, e.K)
 		}
 		i++
 	}

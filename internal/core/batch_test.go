@@ -72,8 +72,6 @@ func TestBatchDifferentialSequential(t *testing.T) {
 		{"default", nil},
 		{"degree-2-4", []Option{WithDegree(2, 4)}},
 		{"elim", []Option{WithElimination()}},
-		{"sorted", []Option{WithSortedLeaves()}},
-		{"combining", []Option{WithLeafCombining()}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

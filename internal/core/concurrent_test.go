@@ -88,18 +88,6 @@ func TestConcurrentMixed(t *testing.T) {
 	})
 }
 
-func TestConcurrentTAS(t *testing.T) {
-	stress(t, New(WithTASLocks()), 8, 200*time.Millisecond, 1000, 0, 100)
-}
-
-// TestConcurrentCohort runs the same stress under NUMA-aware cohort
-// locks (§7 future work), including the high-contention tiny-range case
-// where lock handoffs dominate.
-func TestConcurrentCohort(t *testing.T) {
-	stress(t, New(WithCohortLocks()), 8, 200*time.Millisecond, 1000, 0, 100)
-	stress(t, New(WithElimination(), WithCohortLocks()), 8, 200*time.Millisecond, 8, 0, 100)
-}
-
 // TestConcurrentSingleKey hammers a single key from all threads. For the
 // Elim-ABtree this exercises publishing elimination intensively: most ops
 // should be eliminated or see the other op's record.

@@ -116,83 +116,3 @@ func b2u(b bool) uint64 {
 	}
 	return 0
 }
-
-// TestFindEliminationDeterministic: a find that starts while a publisher
-// is mid-update and keeps getting interrupted answers from the record —
-// after the publisher's linearization, with the publisher's value.
-func TestFindEliminationDeterministic(t *testing.T) {
-	tr := New(WithElimination(), WithFindElimination())
-	pub := tr.NewThread()
-	// The leaf stays "mid-update": scans never consistent.
-	leaf := openPublishingWindow(tr, pub, 7, 42, RecInsert)
-
-	res := make(chan [2]uint64, 1)
-	go func() {
-		th := tr.NewThread()
-		v, ok := th.Find(7)
-		res <- [2]uint64{v, b2u(ok)}
-	}()
-	// The find can complete even though the leaf version never returns to
-	// even — this is the §4.1 anti-starvation property.
-	select {
-	case got := <-res:
-		t.Fatalf("find returned (%d,%v) before the publisher linearized", got[0], got[1] == 1)
-	case <-time.After(50 * time.Millisecond):
-	}
-	// Publisher linearizes (even version) but immediately starts the next
-	// modification, so scans stay interrupted; the record must answer.
-	leaf.vals[0].Store(42)
-	leaf.keys[0].Store(7)
-	leaf.addSize(1)
-	leaf.ver.Add(1) // even: linearized
-	got := <-res
-	if got[0] != 42 || got[1] != 1 {
-		t.Fatalf("eliminated find = (%d,%v), want (42,true)", got[0], got[1] == 1)
-	}
-	if tr.ElimFindHits() == 0 {
-		t.Fatal("find did not use the elimination record")
-	}
-	pub.unlockAll()
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFindEliminationDeleteRecord: against a delete record, an
-// overlapping find answers absent.
-func TestFindEliminationDeleteRecord(t *testing.T) {
-	tr := New(WithElimination(), WithFindElimination())
-	pub := tr.NewThread()
-	pub.Insert(7, 1)
-	leaf := openPublishingWindow(tr, pub, 7, 1, RecDelete)
-
-	res := make(chan [2]uint64, 1)
-	go func() {
-		th := tr.NewThread()
-		v, ok := th.Find(7)
-		res <- [2]uint64{v, b2u(ok)}
-	}()
-	time.Sleep(50 * time.Millisecond)
-	for i := 0; i < tr.b; i++ {
-		if leaf.keys[i].Load() == 7 {
-			leaf.keys[i].Store(emptyKey)
-			leaf.addSize(-1)
-			break
-		}
-	}
-	leaf.ver.Add(1)
-	got := <-res
-	if got[1] != 0 {
-		t.Fatalf("find against delete record = (%d,%v), want absent", got[0], got[1] == 1)
-	}
-	pub.unlockAll()
-}
-
-func TestFindEliminationRequiresElim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(WithFindElimination())
-}

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"repro/internal/cohortlock"
 	"repro/internal/mcslock"
 	"repro/internal/rq"
 )
@@ -81,9 +80,10 @@ type ElimRecord struct {
 // allocation sites (Tree.newLeaf, newInternal) and sized to a Go
 // allocation class each (TestNodeLayout pins the budgets):
 //
-//	inner     header + 11 child pointers                    208 B
-//	leaf      header + ver, rqTS, rqVers + 11 values        232 B (class 240)
-//	elimLeaf  leaf + the inline elimination record          256 B
+//	header    lock, state, kind, searchKey + 11 keys        112 B
+//	inner     header + 11 child pointers                    200 B (class 208)
+//	leaf      header + ver, rqTS, rqVers + 11 values        224 B
+//	elimLeaf  leaf + the inline elimination record          248 B (class 256)
 //
 // Everything that works on any node — locking, marking, routing by keys,
 // re-location by searchKey — reads the header through the *node. The
@@ -107,13 +107,8 @@ type ElimRecord struct {
 //   - inner ptrs: mutated only while the node's lock is held; read
 //     lock-free by searches.
 type node struct {
-	// mcs is the node's lock. WithTASLocks spins on the same word
-	// (mcslock.Lock.SpinAcquire) instead of queueing behind it.
+	// mcs is the node's lock.
 	mcs mcslock.Lock
-
-	// ext holds what only the cohort-lock and flat-combining ablations
-	// need, allocated on first use (extOf); nil in every other tree.
-	ext atomic.Pointer[nodeExt]
 
 	// state packs the marked bit with a leaf's number of non-empty keys.
 	state atomic.Uint32
@@ -171,22 +166,6 @@ type elimLeaf struct {
 type inner struct {
 	node
 	ptrs [maxCap]atomic.Pointer[node]
-}
-
-// nodeExt is the per-node state of the ablation variants that need more
-// than the header's lock word.
-type nodeExt struct {
-	cohort cohortlock.Lock // WithCohortLocks: NUMA-aware node lock
-	fcq    fcQueue         // WithLeafCombining: publication list
-}
-
-// extOf returns n's ablation state, allocating it on first use.
-func extOf(n *node) *nodeExt {
-	if x := n.ext.Load(); x != nil {
-		return x
-	}
-	n.ext.CompareAndSwap(nil, new(nodeExt))
-	return n.ext.Load()
 }
 
 // checkDowncasts makes the downcasts verify the node's kind first. Only

@@ -5,17 +5,7 @@ package core
 func (th *Thread) Find(key uint64) (uint64, bool) {
 	checkKey(key)
 	t := th.t
-	if t.lockedFind {
-		return th.findLocked(key)
-	}
-	if t.elimFinds {
-		return th.findElim(key)
-	}
-	path := t.search(key, nil)
-	if t.sorted {
-		return t.leafSearchSorted(path.n, key)
-	}
-	return t.leafSearch(path.n, key)
+	return t.leafSearch(t.search(key, nil).n, key)
 }
 
 // Insert inserts <key, val> if key is absent and returns (0, true).
@@ -31,22 +21,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 		// Pre-lock read phase. The OCC-ABtree retries leafSearch until it
 		// has a consistent snapshot; the Elim-ABtree scans once and, on
 		// interference, goes straight to lockOrElim (§4.1).
-		if t.combining {
-			if v, found := t.leafSearch(leaf, key); found {
-				return v, false
-			}
-			rv, rok, status := th.combineUpdate(leaf, key, val, true)
-			switch status {
-			case fcDone:
-				return rv, rok
-			case fcLeafMarked:
-				continue
-			}
-			// fcLeafFull: fall through to the classic locked path, which
-			// retries the simple insert under the lock and splits if the
-			// leaf is still full.
-			th.lockNode(leaf)
-		} else if t.elim {
+		if t.elim {
 			v, found, consistent := t.leafScanOnce(leaf, key)
 			if consistent && found {
 				return v, false
@@ -59,14 +34,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 				return ev, false
 			}
 		} else {
-			var v uint64
-			var found bool
-			if t.sorted {
-				v, found = t.leafSearchSorted(leaf, key)
-			} else {
-				v, found = t.leafSearch(leaf, key)
-			}
-			if found {
+			if v, found := t.leafSearch(leaf, key); found {
 				return v, false
 			}
 			th.lockNode(leaf)
@@ -77,14 +45,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 			continue
 		}
 
-		if t.sorted {
-			old, inserted, handled := t.insertSorted(leaf, key, val)
-			if handled {
-				th.unlockAll()
-				return old, inserted
-			}
-			// Full leaf: fall through to the shared splitting insert.
-		} else if done, old, inserted := t.insertUnsorted(leaf, key, val); done {
+		if done, old, inserted := t.insertLocked(leaf, key, val); done {
 			th.unlockAll()
 			return old, inserted
 		}
@@ -107,42 +68,51 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 	}
 }
 
-// insertUnsorted performs the locked phase of a simple insert into an
-// unsorted leaf. done is false when the leaf is full (splitting insert
-// required).
-func (t *Tree) insertUnsorted(n *node, key, val uint64) (done bool, old uint64, inserted bool) {
-	leaf := n.leaf()
-	// Verify key is not present and find an empty slot, under the lock.
-	emptyIdx := -1
-	dup := -1
+// findSlot scans the locked leaf l for key. at is key's slot, or -1 if
+// key is absent; empty is then the first empty slot, or -1 if l is full.
+func (t *Tree) findSlot(l *leaf, key uint64) (at, empty int) {
+	empty = -1
 	for i := 0; i < t.b; i++ {
-		switch k := leaf.keys[i].Load(); {
+		switch k := l.keys[i].Load(); {
 		case k == key:
-			dup = i
-		case k == emptyKey && emptyIdx < 0:
-			emptyIdx = i
-		}
-		if dup >= 0 {
-			break
+			return i, empty
+		case k == emptyKey && empty < 0:
+			empty = i
 		}
 	}
-	if dup >= 0 {
-		return true, leaf.vals[dup].Load(), false
+	return -1, empty
+}
+
+// insertLocked performs the locked phase of a simple insert: the caller
+// holds the leaf's lock. done is false when the leaf is full (splitting
+// insert required).
+func (t *Tree) insertLocked(n *node, key, val uint64) (done bool, old uint64, inserted bool) {
+	leaf := n.leaf()
+	at, empty := t.findSlot(leaf, key)
+	if at >= 0 {
+		return true, leaf.vals[at].Load(), false
 	}
-	if emptyIdx < 0 {
+	if empty < 0 {
 		return false, 0, false // full: splitting insert
 	}
-	// Simple insert: linearizes at the second version increment.
+	t.putLocked(n, empty, key, val)
+	return true, 0, true
+}
+
+// putLocked writes <key, val> into the empty slot i of the locked leaf n
+// and publishes the insert record, inside one version window. A simple
+// insert linearizes at the second version increment.
+func (t *Tree) putLocked(n *node, i int, key, val uint64) {
+	leaf := n.leaf()
 	v := leaf.ver.Add(1) // now odd: modification in progress
 	t.rqStamp(leaf)
 	if t.elim {
 		n.elim().publish(key, val, v, RecInsert)
 	}
-	leaf.vals[emptyIdx].Store(val)
-	leaf.keys[emptyIdx].Store(key)
+	leaf.vals[i].Store(val)
+	leaf.keys[i].Store(key)
 	leaf.addSize(1)
 	leaf.ver.Add(1)
-	return true, 0, true
 }
 
 // splitInsert performs the splitting-insert update with leaf and parent
@@ -191,19 +161,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 	checkKey(key)
 	t := th.t
 	for {
-		path := t.search(key, nil)
-		leaf := path.n
-
-		if t.combining {
-			if _, found := t.leafSearch(leaf, key); !found {
-				return 0, false
-			}
-			rv, rok, status := th.combineUpdate(leaf, key, 0, false)
-			if status == fcLeafMarked {
-				continue
-			}
-			return rv, rok
-		}
+		leaf := t.search(key, nil).n
 
 		if t.elim {
 			_, found, consistent := t.leafScanOnce(leaf, key)
@@ -219,13 +177,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 				return 0, false
 			}
 		} else {
-			var found bool
-			if t.sorted {
-				_, found = t.leafSearchSorted(leaf, key)
-			} else {
-				_, found = t.leafSearch(leaf, key)
-			}
-			if !found {
+			if _, found := t.leafSearch(leaf, key); !found {
 				return 0, false
 			}
 			th.lockNode(leaf)
@@ -236,20 +188,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			continue
 		}
 
-		if t.sorted {
-			val, handled := t.deleteSorted(leaf, key)
-			newSize := leaf.size()
-			th.unlockAll()
-			if !handled {
-				return 0, false
-			}
-			if newSize < t.a {
-				th.fixUnderfull(leaf)
-			}
-			return val, true
-		}
-
-		val, found, newSize := t.deleteUnsorted(leaf, key)
+		val, found, newSize := t.deleteLocked(leaf, key)
 		th.unlockAll()
 		if !found {
 			// Removed by a concurrent delete between search and lock.
@@ -262,10 +201,10 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 	}
 }
 
-// deleteUnsorted performs the locked phase of a delete from an unsorted
-// leaf: clear the key's slot and publish the elimination record inside
-// one version window. The caller holds the leaf's lock.
-func (t *Tree) deleteUnsorted(n *node, key uint64) (val uint64, found bool, newSize int) {
+// deleteLocked performs the locked phase of a delete: clear the key's
+// slot and publish the elimination record inside one version window. The
+// caller holds the leaf's lock.
+func (t *Tree) deleteLocked(n *node, key uint64) (val uint64, found bool, newSize int) {
 	leaf := n.leaf()
 	idx := -1
 	for i := 0; i < t.b; i++ {

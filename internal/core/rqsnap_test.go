@@ -12,10 +12,8 @@ import (
 // the range-query version machinery.
 func rqConfigs() map[string][]Option {
 	return map[string][]Option{
-		"occ":       {WithDegree(2, 4)},
-		"elim":      {WithDegree(2, 4), WithElimination()},
-		"sorted":    {WithDegree(2, 4), WithSortedLeaves()},
-		"combining": {WithDegree(2, 4), WithLeafCombining()},
+		"occ":  {WithDegree(2, 4)},
+		"elim": {WithDegree(2, 4), WithElimination()},
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
-	"repro/internal/cohortlock"
 	"repro/internal/mcslock"
 	"repro/internal/rq"
 )
@@ -12,22 +9,15 @@ import (
 // fixUnderfull locks the target, its sibling, parent and grandparent.
 const maxHeld = 4
 
-// nextSocket assigns simulated NUMA sockets to threads round-robin,
-// mirroring the paper's pinning discipline (fill a socket's cores before
-// moving to the next would need core counts; round-robin spreads
-// cohorts evenly, which is the interesting regime for cohort locks).
-var nextSocket atomic.Uint64
-
 // Thread is a per-goroutine handle through which all tree operations run.
 // It owns the MCS queue nodes for the (up to four) locks an operation may
 // hold, so lock acquisition allocates nothing. A Thread must not be used
 // concurrently; create one per worker goroutine with Tree.NewThread.
 type Thread struct {
-	t      *Tree
-	socket int // simulated NUMA domain (WithCohortLocks)
-	qn     [maxHeld]mcslock.QNode
-	held   [maxHeld]*node
-	nheld  int
+	t     *Tree
+	qn    [maxHeld]mcslock.QNode
+	held  [maxHeld]*node
+	nheld int
 	// rqs is this thread's scan registration, nil until the first
 	// RangeSnapshot (rqsnap.go).
 	rqs *rq.Scanner
@@ -49,12 +39,7 @@ type Thread struct {
 }
 
 // NewThread returns a new operation handle for t.
-func (t *Tree) NewThread() *Thread {
-	return &Thread{
-		t:      t,
-		socket: int(nextSocket.Add(1)-1) % cohortlock.MaxSockets,
-	}
-}
+func (t *Tree) NewThread() *Thread { return &Thread{t: t} }
 
 // Tree returns the tree this handle operates on.
 func (th *Thread) Tree() *Tree { return th.t }
@@ -66,15 +51,7 @@ func (th *Thread) lockNode(n *node) {
 	if th.nheld == maxHeld {
 		panic("core: too many locks held")
 	}
-	qn := &th.qn[th.nheld]
-	switch th.t.lock {
-	case lockTAS:
-		n.mcs.SpinAcquire(qn)
-	case lockCohort:
-		extOf(n).cohort.Acquire(th.socket, qn)
-	default:
-		n.mcs.Acquire(qn)
-	}
+	n.mcs.Acquire(&th.qn[th.nheld])
 	th.held[th.nheld] = n
 	th.nheld++
 }
@@ -84,30 +61,18 @@ func (th *Thread) tryLockNode(n *node) bool {
 	if th.nheld == maxHeld {
 		panic("core: too many locks held")
 	}
-	qn := &th.qn[th.nheld]
-	ok := false
-	switch th.t.lock {
-	case lockCohort:
-		ok = extOf(n).cohort.TryAcquire(th.socket, qn)
-	default: // MCS and TAS share the lock word
-		ok = n.mcs.TryAcquire(qn)
+	if !n.mcs.TryAcquire(&th.qn[th.nheld]) {
+		return false
 	}
-	if ok {
-		th.held[th.nheld] = n
-		th.nheld++
-	}
-	return ok
+	th.held[th.nheld] = n
+	th.nheld++
+	return true
 }
 
 // unlockAll releases every lock this thread holds, most recent first.
 func (th *Thread) unlockAll() {
 	for i := th.nheld - 1; i >= 0; i-- {
-		n := th.held[i]
-		if th.t.lock == lockCohort {
-			n.ext.Load().cohort.Release(th.socket, &th.qn[i])
-		} else {
-			n.mcs.Release(&th.qn[i])
-		}
+		th.held[i].mcs.Release(&th.qn[i])
 		th.held[i] = nil
 	}
 	th.nheld = 0

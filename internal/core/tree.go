@@ -18,26 +18,15 @@ type Tree struct {
 	// pointer (the root). It is never removed or replaced (§3).
 	entry *node
 
-	a, b int      // min/max node size
-	elim bool     // publishing elimination enabled (Elim-ABtree)
-	lock lockKind // node lock implementation (MCS, TAS, or cohort)
-
-	combining  bool // leaf-level flat combining instead of elimination (ablation)
-	sorted     bool // sorted dense leaves (ablation)
-	lockedFind bool // Find locks the leaf instead of version-validating (ablation)
-	elimFinds  bool // finds may answer from elimination records (§4.1 remark)
+	a, b int  // min/max node size
+	elim bool // publishing elimination enabled (Elim-ABtree)
 
 	// Elimination counters (Elim-ABtree only): operations that returned
 	// via publishing elimination instead of modifying the tree. They
 	// expose the mechanism directly, independent of core count.
-	elimInserts  atomic.Uint64
-	elimDeletes  atomic.Uint64
-	elimUpserts  atomic.Uint64
-	elimFindHits atomic.Uint64
-
-	// fcCombined counts operations applied by another thread's combiner
-	// (WithLeafCombining only).
-	fcCombined atomic.Uint64
+	elimInserts atomic.Uint64
+	elimDeletes atomic.Uint64
+	elimUpserts atomic.Uint64
 
 	// rqp coordinates linearizable range queries (rqsnap.go): the scan
 	// timestamp clock (private by default, shared under WithRQClock),
@@ -45,14 +34,6 @@ type Tree struct {
 	rqp     *rq.Provider
 	rqClock *rq.Clock // nil = private clock
 }
-
-// FCCombined reports how many operations were applied on their owners'
-// behalf by a flat-combining leaf combiner (WithLeafCombining only).
-func (t *Tree) FCCombined() uint64 { return t.fcCombined.Load() }
-
-// ElimFindHits reports how many finds answered from an elimination record
-// (WithFindElimination only).
-func (t *Tree) ElimFindHits() uint64 { return t.elimFindHits.Load() }
 
 // ElimStats reports how many inserts, deletes and upserts were eliminated
 // against a published record rather than executed against the tree.
@@ -72,40 +53,12 @@ func WithElimination() Option { return func(t *Tree) { t.elim = true } }
 // node layouts are sized for).
 func WithDegree(a, b int) Option { return func(t *Tree) { t.a, t.b = a, b } }
 
-// lockKind selects the node lock implementation.
-type lockKind uint8
-
-const (
-	lockMCS    lockKind = iota // paper default (§3.1)
-	lockTAS                    // test-and-test-and-set (ablation)
-	lockCohort                 // NUMA-aware cohort lock (§7 future work)
-)
-
-// WithTASLocks replaces the MCS node locks with test-and-test-and-set
-// spinlocks: waiters spin on the node's lock word instead of queueing
-// behind it. This exists only for the lock ablation study (paper §7 notes
-// MCS locks "significantly increased the scalability").
-func WithTASLocks() Option { return func(t *Tree) { t.lock = lockTAS } }
-
-// WithCohortLocks replaces the MCS node locks with NUMA-aware cohort
-// locks (Dice/Marathe/Shavit, PPoPP 2012), implementing the paper's §7
-// suggestion that NUMA-aware locks "might be a simple way of improving
-// performance further". Threads are assigned simulated sockets
-// round-robin by NewThread.
-func WithCohortLocks() Option { return func(t *Tree) { t.lock = lockCohort } }
-
 // WithRQClock couples the tree's range-query subsystem to c instead of a
 // private clock. Trees sharing one clock share one scan-linearization
 // point: a scan that draws a timestamp from the shared clock (see
 // RangeSnapshotAt) observes a single atomic snapshot across all of
 // them. internal/shard uses this for cross-shard linearizable scans.
 func WithRQClock(c *rq.Clock) Option { return func(t *Tree) { t.rqClock = c } }
-
-// WithLeafCombining replaces publishing elimination with per-leaf flat
-// combining — the alternative design the paper tested and found "much
-// slower than our publishing elimination technique" (§2). It exists for
-// the combining-vs-elimination ablation (BenchmarkAblationCombining).
-func WithLeafCombining() Option { return func(t *Tree) { t.combining = true } }
 
 // New returns an empty tree.
 func New(opts ...Option) *Tree {
@@ -115,15 +68,6 @@ func New(opts ...Option) *Tree {
 	}
 	if t.b < 4 || t.b > maxCap || t.a < 2 || t.a > t.b/2 {
 		panic(fmt.Sprintf("core: invalid degree (a=%d, b=%d): need 2 <= a <= b/2 and 4 <= b <= %d", t.a, t.b, maxCap))
-	}
-	if t.sorted && t.elim {
-		panic("core: WithSortedLeaves is an OCC-only ablation, incompatible with WithElimination")
-	}
-	if t.combining && (t.elim || t.sorted) {
-		panic("core: WithLeafCombining is incompatible with WithElimination and WithSortedLeaves")
-	}
-	if t.elimFinds && !t.elim {
-		panic("core: WithFindElimination requires WithElimination")
 	}
 	if t.rqClock == nil {
 		t.rqClock = rq.NewClock()

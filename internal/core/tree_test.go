@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/xrand"
 )
@@ -257,23 +256,6 @@ func TestInvalidDegreePanics(t *testing.T) {
 	}
 }
 
-func TestTASLockVariant(t *testing.T) {
-	tr := New(WithTASLocks())
-	th := tr.NewThread()
-	for i := uint64(1); i <= 3000; i++ {
-		th.Insert(i, i)
-	}
-	for i := uint64(1); i <= 3000; i += 2 {
-		th.Delete(i)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 1500 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-}
-
 func TestHeightLogarithmic(t *testing.T) {
 	tr := New()
 	th := tr.NewThread()
@@ -310,104 +292,4 @@ func TestKeySum(t *testing.T) {
 			t.Fatalf("KeySum = %d, want %d", got, want)
 		}
 	})
-}
-
-func TestSortedLeavesAblation(t *testing.T) {
-	tr := New(WithSortedLeaves())
-	th := tr.NewThread()
-	rng := xrand.New(77)
-	model := make(map[uint64]uint64)
-	for i := 0; i < 40000; i++ {
-		k := 1 + rng.Uint64n(700)
-		switch rng.Intn(3) {
-		case 0:
-			v := rng.Uint64()
-			old, ins := th.Insert(k, v)
-			mv, present := model[k]
-			if ins == present || (present && old != mv) {
-				t.Fatalf("op %d Insert(%d)", i, k)
-			}
-			if !present {
-				model[k] = v
-			}
-		case 1:
-			old, del := th.Delete(k)
-			mv, present := model[k]
-			if del != present || (present && old != mv) {
-				t.Fatalf("op %d Delete(%d)", i, k)
-			}
-			delete(model, k)
-		case 2:
-			v, ok := th.Find(k)
-			mv, present := model[k]
-			if ok != present || (present && v != mv) {
-				t.Fatalf("op %d Find(%d)", i, k)
-			}
-		}
-	}
-	if tr.Len() != len(model) {
-		t.Fatalf("Len %d vs model %d", tr.Len(), len(model))
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Leaves must actually be sorted and dense.
-	var walk func(n *node) error
-	walk = func(n *node) error {
-		if n.isLeaf() {
-			sz := n.size()
-			prev := uint64(0)
-			for i := 0; i < sz; i++ {
-				k := n.keys[i].Load()
-				if k == emptyKey || k <= prev {
-					return fmt.Errorf("leaf not sorted-dense at slot %d", i)
-				}
-				prev = k
-			}
-			for i := sz; i < tr.b; i++ {
-				if n.keys[i].Load() != emptyKey {
-					return fmt.Errorf("non-empty slot %d beyond size", i)
-				}
-			}
-			return nil
-		}
-		for i := 0; i < int(n.nchildren); i++ {
-			if err := walk(n.inner().ptrs[i].Load()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(tr.root()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLockedSearchAblation(t *testing.T) {
-	tr := New(WithLockedSearch())
-	th := tr.NewThread()
-	for i := uint64(1); i <= 2000; i++ {
-		th.Insert(i, i*2)
-	}
-	for i := uint64(1); i <= 2000; i++ {
-		if v, ok := th.Find(i); !ok || v != i*2 {
-			t.Fatalf("Find(%d) = (%d,%v)", i, v, ok)
-		}
-	}
-	if _, ok := th.Find(99999); ok {
-		t.Fatal("found absent key")
-	}
-}
-
-func TestSortedElimIncompatible(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(WithSortedLeaves(), WithElimination())
-}
-
-func TestSortedLeavesConcurrent(t *testing.T) {
-	stress(t, New(WithSortedLeaves()), 8, 300*time.Millisecond, 3000, 0, 100)
 }

@@ -90,44 +90,23 @@ func (th *Thread) Upsert(key, val uint64) {
 			continue
 		}
 
-		emptyIdx := -1
-		dup := -1
-		for i := 0; i < t.b; i++ {
-			switch k := leaf.keys[i].Load(); {
-			case k == key:
-				dup = i
-			case k == emptyKey && emptyIdx < 0:
-				emptyIdx = i
-			}
-			if dup >= 0 {
-				break
-			}
-		}
-
+		at, empty := t.findSlot(leaf, key)
 		switch {
-		case dup >= 0:
+		case at >= 0:
 			// Replace in place.
 			v := leaf.ver.Add(1)
 			t.rqStamp(leaf)
 			if t.elim {
 				n.elim().publish(key, val, v, RecReplace)
 			}
-			leaf.vals[dup].Store(val)
+			leaf.vals[at].Store(val)
 			leaf.ver.Add(1)
 			th.unlockAll()
 			return
-		case emptyIdx >= 0:
+		case empty >= 0:
 			// Insert into an empty slot (publishes an insert record: the
 			// key was absent before this operation).
-			v := leaf.ver.Add(1)
-			t.rqStamp(leaf)
-			if t.elim {
-				n.elim().publish(key, val, v, RecInsert)
-			}
-			leaf.vals[emptyIdx].Store(val)
-			leaf.keys[emptyIdx].Store(key)
-			leaf.addSize(1)
-			leaf.ver.Add(1)
+			t.putLocked(n, empty, key, val)
 			th.unlockAll()
 			return
 		default:

@@ -3,9 +3,9 @@
 // Trees", PODC 2010) with full helping. It stands in for the NM14
 // baseline in the paper's evaluation (§2: Natarajan & Mittal improved on
 // exactly this design by flagging edges instead of nodes and allocating
-// less per update — DESIGN.md documents the substitution). The
-// performance role in the figures is preserved: a lock-free external BST
-// whose searches never block and whose updates allocate and may help.
+// less per update). The performance role in the figures is preserved: a
+// lock-free external BST whose searches never block and whose updates
+// allocate and may help.
 //
 // Protocol summary: every internal node carries an update word holding a
 // state (CLEAN / IFLAG / DFLAG / MARK) and a pointer to the in-progress
@@ -148,26 +148,37 @@ func (t *Tree) Insert(key, val uint64) (uint64, bool) {
 			t.help(r.pupd)
 			continue
 		}
-		nl := leafNode(key, val)
-		var nn *node
-		if key < r.l.key {
-			nn = internal(r.l.key)
-			nn.left.Store(nl)
-			nn.right.Store(r.l)
-		} else {
-			nn = internal(key)
-			nn.left.Store(r.l)
-			nn.right.Store(nl)
-		}
-		op := &iInfo{p: r.p, nn: nn, l: r.l}
-		u := &update{s: iflag, i: op}
-		op.u = u
-		if r.p.upd.CompareAndSwap(r.pupd, u) {
+		op := newInsert(r, key, val)
+		if r.p.upd.CompareAndSwap(r.pupd, op.u) {
 			t.helpInsert(op)
 			return 0, true
 		}
 		t.help(r.p.upd.Load())
 	}
+}
+
+// newInsert builds the insert of <key, val> beside the leaf r.l: a new
+// internal node over the new leaf and a fresh copy of r.l. The copy is
+// what keeps child pointers ABA-free (Ellen et al., Fig. 7): linking r.l
+// itself would let p's child go l -> nn -> l once key is deleted again,
+// and a late helper's casChild(p, l, nn) would then resurrect the
+// spliced-out subtree.
+func newInsert(r seekRecord, key, val uint64) *iInfo {
+	nl := leafNode(key, val)
+	sib := leafNode(r.l.key, r.l.val)
+	var nn *node
+	if key < r.l.key {
+		nn = internal(r.l.key)
+		nn.left.Store(nl)
+		nn.right.Store(sib)
+	} else {
+		nn = internal(key)
+		nn.left.Store(sib)
+		nn.right.Store(nl)
+	}
+	op := &iInfo{p: r.p, nn: nn, l: r.l}
+	op.u = &update{s: iflag, i: op}
+	return op
 }
 
 // helpInsert completes an IFLAGged insert: swing the child, then unflag.

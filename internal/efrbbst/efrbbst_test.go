@@ -143,3 +143,31 @@ func stress(t *testing.T, workers int, d time.Duration, keyRange uint64, zipfS f
 func TestConcurrentUniform(t *testing.T) { stress(t, 8, 300*time.Millisecond, 5000, 0) }
 func TestConcurrentZipf(t *testing.T)    { stress(t, 8, 300*time.Millisecond, 5000, 1) }
 func TestConcurrentTiny(t *testing.T)    { stress(t, 8, 200*time.Millisecond, 4, 0) }
+
+// TestLateInsertHelperCannotResurrect replays a stale helper: an insert
+// whose key has since been deleted must not be re-applied by a thread
+// that read its IFLAG word before the insert finished. It holds only if
+// no child pointer ever takes the same value twice, i.e. if the insert
+// links a fresh copy of the sibling leaf rather than the leaf itself.
+func TestLateInsertHelperCannotResurrect(t *testing.T) {
+	tr := New()
+	tr.Insert(10, 10)
+
+	r := tr.seek(20)
+	op := newInsert(r, 20, 20)
+	if !r.p.upd.CompareAndSwap(r.pupd, op.u) {
+		t.Fatal("uncontended IFLAG failed")
+	}
+	tr.helpInsert(op)
+	if _, ok := tr.Delete(20); !ok {
+		t.Fatal("Delete(20) missed the key just inserted")
+	}
+
+	tr.helpInsert(op) // the late helper
+	if _, ok := tr.Find(20); ok {
+		t.Error("late helpInsert resurrected the deleted key 20")
+	}
+	if n := tr.Len(); n != 1 {
+		t.Errorf("Len = %d, want 1", n)
+	}
+}

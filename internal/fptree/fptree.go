@@ -14,7 +14,7 @@
 //   - fingerprints: each leaf stores a one-byte hash per slot, scanned
 //     before any key comparison, limiting full key probes.
 //
-// Substitutions (documented in DESIGN.md): the original synchronizes
+// Substitutions: the original synchronizes
 // inner-node access with HTM transactions and leaf locks; portable Go has
 // no HTM, so the inner index here is guarded by an RWMutex (readers
 // scale, structural modifications serialize) and each leaf by a mutex.

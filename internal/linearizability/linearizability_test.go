@@ -136,14 +136,6 @@ func TestTreesProduceLinearizableHistories(t *testing.T) {
 			tr := pabtree.New(pmem.New(1<<16), pabtree.WithElimination())
 			return func() DictHandle { return tr.NewThread() }
 		}, true},
-		{"FC", func() func() DictHandle {
-			tr := core.New(core.WithLeafCombining())
-			return func() DictHandle { return tr.NewThread() }
-		}, false},
-		{"Cohort", func() func() DictHandle {
-			tr := core.New(core.WithCohortLocks())
-			return func() DictHandle { return tr.NewThread() }
-		}, true},
 		{"BCCO10", func() func() DictHandle {
 			tr := bcco10.New()
 			return func() DictHandle { return tr }

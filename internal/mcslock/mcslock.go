@@ -65,20 +65,6 @@ func (l *Lock) TryAcquire(qn *QNode) bool {
 	return l.tail.CompareAndSwap(nil, qn)
 }
 
-// SpinAcquire blocks until the calling thread holds l without ever
-// joining the queue: test-and-test-and-set on the tail word, every waiter
-// spinning on the one shared line. It exists for the paper's §7
-// observation — "Using MCS locks significantly increased the scalability
-// of the OCC-ABtree" — which BenchmarkAblationTASLock reproduces by
-// acquiring the tree's node locks this way. Release is the same as
-// after Acquire.
-func (l *Lock) SpinAcquire(qn *QNode) {
-	spins := 0
-	for l.Locked() || !l.TryAcquire(qn) {
-		spinThenYield(&spins)
-	}
-}
-
 // Release unlocks l, which the caller must hold via qn.
 func (l *Lock) Release(qn *QNode) {
 	next := qn.next.Load()
@@ -103,11 +89,4 @@ func (l *Lock) Release(qn *QNode) {
 // racy snapshot intended for stats and assertions only.
 func (l *Lock) Locked() bool {
 	return l.tail.Load() != nil
-}
-
-// HasWaiter reports whether the holder (via qn) has a successor queued
-// behind it. It is used by lock cohorting to decide whether the global
-// lock can be handed to a same-cohort waiter.
-func (l *Lock) HasWaiter(qn *QNode) bool {
-	return qn.next.Load() != nil || l.tail.Load() != qn
 }

@@ -36,11 +36,10 @@ func TestTryAcquire(t *testing.T) {
 	l.Release(&b)
 }
 
-// mutualExclusion hammers a lock from many goroutines and checks that a
-// plain (non-atomic) counter is never corrupted, which only holds if the
-// lock provides mutual exclusion and release/acquire ordering.
-func mutualExclusion(t *testing.T, acquire func(*Lock, *QNode)) {
-	t.Helper()
+// TestMutualExclusionMCS hammers a lock from many goroutines and checks
+// that a plain (non-atomic) counter is never corrupted, which only holds
+// if the lock provides mutual exclusion and release/acquire ordering.
+func TestMutualExclusionMCS(t *testing.T) {
 	const (
 		goroutines = 8
 		iters      = 20000
@@ -55,7 +54,7 @@ func mutualExclusion(t *testing.T, acquire func(*Lock, *QNode)) {
 			defer wg.Done()
 			var qn QNode
 			for i := 0; i < iters; i++ {
-				acquire(&l, &qn)
+				l.Acquire(&qn)
 				if n := inside.Add(1); n != 1 {
 					t.Errorf("%d goroutines inside critical section", n)
 				}
@@ -70,9 +69,6 @@ func mutualExclusion(t *testing.T, acquire func(*Lock, *QNode)) {
 		t.Fatalf("counter = %d, want %d", counter, goroutines*iters)
 	}
 }
-
-func TestMutualExclusionMCS(t *testing.T) { mutualExclusion(t, (*Lock).Acquire) }
-func TestMutualExclusionTAS(t *testing.T) { mutualExclusion(t, (*Lock).SpinAcquire) }
 
 // TestFIFOHandoff checks the queue property: with two waiters enqueued in a
 // known order behind a holder, the first waiter gets the lock first.
@@ -158,17 +154,6 @@ func BenchmarkMCSContended(b *testing.B) {
 		var qn QNode
 		for pb.Next() {
 			l.Acquire(&qn)
-			l.Release(&qn)
-		}
-	})
-}
-
-func BenchmarkTASContended(b *testing.B) {
-	var l Lock
-	b.RunParallel(func(pb *testing.PB) {
-		var qn QNode
-		for pb.Next() {
-			l.SpinAcquire(&qn)
 			l.Release(&qn)
 		}
 	})

@@ -1,6 +1,6 @@
 // Package pmem simulates byte-addressable persistent memory with
 // cache-line flush semantics, standing in for the Intel Optane DCPMM the
-// paper evaluates on (see DESIGN.md §1 for the substitution argument).
+// paper evaluates on.
 //
 // The model: an Arena is an array of 64-bit words grouped into 64-byte
 // lines (8 words). Loads and stores act on the volatile view — the "CPU

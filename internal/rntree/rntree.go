@@ -11,7 +11,7 @@
 // update commits with a single flush of that line after persisting the
 // pair itself.
 //
-// Substitution (DESIGN.md): the original executes leaf modifications in
+// Substitution: the original executes leaf modifications in
 // HTM transactions; portable Go has no HTM, so a short per-leaf mutex
 // section stands in for the always-committing transaction, and an RWMutex
 // protects the volatile inner index, as in our FPTree baseline.

@@ -76,7 +76,7 @@ func TestMaxConnsReject(t *testing.T) {
 // TestIdleTimeoutReaps: a connection that sends nothing is reaped with
 // cause idle_timeout; one that keeps trickling requests survives.
 func TestIdleTimeoutReaps(t *testing.T) {
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2, IdleTimeout: 50 * time.Millisecond})
+	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2, IdleTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +88,11 @@ func TestIdleTimeoutReaps(t *testing.T) {
 
 	idle := rawDial(t, addr.String())
 	busy := rawDial(t, addr.String())
-	// The busy connection outlives several idle windows by staying active.
+	// The busy connection outlives several idle windows by staying
+	// active, a request every quarter window: a descheduled sleeper has
+	// three trickle periods of margin before it would look idle itself.
 	var b []byte
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 12; i++ {
 		time.Sleep(25 * time.Millisecond)
 		b = wire.AppendPoint(b[:0], uint64(i+1), wire.OpGet, 42, 0)
 		if _, err := busy.Write(b); err != nil {

@@ -55,10 +55,23 @@ func TestRemoteMetrics(t *testing.T) {
 		FindBatch(keys, vals []uint64, found []bool)
 	}).FindBatch(keys, vals, oks)
 
-	sm, err := c.ServerMetrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A worker observes an op after sending its response, so the METRICS
+	// request, served by the other worker, can overtake the last
+	// observation: poll until the counts settle.
+	var sm *client.ServerMetrics
+	waitCond(t, "op histograms to record every acknowledged op", func() bool {
+		var err error
+		if sm, err = c.ServerMetrics(); err != nil {
+			t.Fatal(err)
+		}
+		hist := func(name string) uint64 {
+			if h := sm.Hists[name]; h != nil {
+				return h.Count
+			}
+			return 0
+		}
+		return hist("op_put_ns") >= ops && hist("op_get_ns") >= ops && hist("op_mget_ns") >= 1
+	})
 	if got := sm.Hists["op_put_ns"].Count; got != ops {
 		t.Errorf("op_put_ns count = %d, want %d", got, ops)
 	}

@@ -44,17 +44,7 @@ func NewShardedElim(n int, keyRange uint64, opts ...Option) *ShardedTree {
 }
 
 func newSharded(n int, keyRange uint64, elim bool, opts []Option) *ShardedTree {
-	o := parseOpts(opts)
-	if elim {
-		o.combining = false // combining is the §2 alternative to elimination
-	}
-	co := buildOpts(o)
-	if elim {
-		co = append(co, core.WithElimination())
-		if o.elimFinds {
-			co = append(co, core.WithFindElimination())
-		}
-	}
+	co := coreOpts(opts, elim)
 	return &ShardedTree{d: shard.New(n, keyRange, func(_ int, c *rq.Clock) dict.Dict {
 		return treedict.Core{T: core.New(append([]core.Option{core.WithRQClock(c)}, co...)...)}
 	})}
