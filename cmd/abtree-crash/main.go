@@ -107,7 +107,7 @@ type inflight struct {
 func shardedRound(seed uint64, workers, shards int, keyRange uint64, evict float64, elim bool) error {
 	arenas := make([]*pmem.Arena, shards)
 	for i := range arenas {
-		arenas[i] = pmem.New(int(keyRange) * 64)
+		arenas[i] = pmem.New(int(keyRange) * 2 * pabtree.NodeWords)
 	}
 	var opts []pabtree.Option
 	if elim {
@@ -222,7 +222,7 @@ func checkDurable(th dict.Handle, completed []map[uint64]lastOp, inflights []inf
 }
 
 func round(seed uint64, workers int, keyRange uint64, evict float64, elim bool) error {
-	arena := pmem.New(int(keyRange) * 64)
+	arena := pmem.New(int(keyRange) * 2 * pabtree.NodeWords)
 	var opts []pabtree.Option
 	if elim {
 		opts = append(opts, pabtree.WithElimination())

@@ -55,12 +55,13 @@ func (d selfDict) KeySum() uint64         { return d.h.KeySum() }
 // uint64 -> int conversion below can never overflow or go negative.
 const maxArenaWords = uint64(1) << 34
 
-// arenaWords sizes a simulated PM arena for a workload: generous slack
-// over the steady-state node count so churn plus epoch lag never exhausts
-// the pool. The result is clamped to maxArenaWords so absurd key ranges
-// degrade into an arena-exhaustion panic at run time instead of a
-// silently truncated allocation here.
-func arenaWords(keyRange uint64) int {
+// arenaWords sizes a simulated PM arena for a workload on a structure
+// whose nodes take nodeWords each: generous slack over the steady-state
+// node count so churn plus epoch lag never exhausts the pool. The result
+// is clamped to maxArenaWords so absurd key ranges degrade into an
+// arena-exhaustion panic at run time instead of a silently truncated
+// allocation here.
+func arenaWords(keyRange, nodeWords uint64) int {
 	slots := keyRange // ~5.5 keys/leaf steady state => ~keyRange/5 leaves
 	if slots < 1<<16 {
 		slots = 1 << 16
@@ -69,8 +70,8 @@ func arenaWords(keyRange uint64) int {
 	if limit > uint64(math.MaxInt) {
 		limit = uint64(math.MaxInt) // 32-bit int: the clamp itself must fit
 	}
-	words := slots * 32
-	if slots > maxArenaWords/32 || words > limit {
+	words := slots * nodeWords
+	if slots > maxArenaWords/nodeWords || words > limit {
 		words = limit
 	}
 	return int(words)
@@ -94,13 +95,13 @@ var registry = map[string]func(keyRange uint64) dict.Dict{
 	"C-IST":         func(uint64) dict.Dict { return selfDict{cist.New()} },
 	"OpenBw-Tree":   func(uint64) dict.Dict { return selfDict{bwtree.New()} },
 	"p-OCC-ABtree": func(kr uint64) dict.Dict {
-		return pabDict{T: pabtree.New(pmem.New(arenaWords(kr)))}
+		return pabDict{T: pabtree.New(pmem.New(arenaWords(kr, pabtree.NodeWords)))}
 	},
 	"p-Elim-ABtree": func(kr uint64) dict.Dict {
-		return pabDict{T: pabtree.New(pmem.New(arenaWords(kr)), pabtree.WithElimination())}
+		return pabDict{T: pabtree.New(pmem.New(arenaWords(kr, pabtree.NodeWords)), pabtree.WithElimination())}
 	},
-	"FPTree": func(kr uint64) dict.Dict { return selfDict{fptree.New(pmem.New(arenaWords(kr)))} },
-	"RNTree": func(kr uint64) dict.Dict { return selfDict{rntree.New(pmem.New(arenaWords(kr)))} },
+	"FPTree": func(kr uint64) dict.Dict { return selfDict{fptree.New(pmem.New(arenaWords(kr, fptree.NodeWords)))} },
+	"RNTree": func(kr uint64) dict.Dict { return selfDict{rntree.New(pmem.New(arenaWords(kr, rntree.NodeWords)))} },
 
 	// Range-partitioned compositions (internal/shard): N per-shard trees
 	// behind one dict.Dict, point ops routed by key, scans crossing
@@ -127,9 +128,9 @@ var registry = map[string]func(keyRange uint64) dict.Dict{
 			// comfortable minimum); the last shard is open above keyRange
 			// and absorbs append-style insert streams (Workload E's new
 			// records), so it keeps the full unsharded headroom.
-			words := arenaWords(kr / 8)
+			words := arenaWords(kr/8, pabtree.NodeWords)
 			if i == 7 {
-				words = arenaWords(kr)
+				words = arenaWords(kr, pabtree.NodeWords)
 			}
 			return pabDict{T: pabtree.New(pmem.New(words), pabtree.WithRQClock(c))}
 		})

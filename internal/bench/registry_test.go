@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dict"
+	"repro/internal/pabtree"
 	"repro/internal/xrand"
 )
 
@@ -151,7 +152,7 @@ func TestShardedRegistrySmoke(t *testing.T) {
 // ranges must clamp, not overflow into a negative or truncated size.
 func TestArenaWordsNoOverflow(t *testing.T) {
 	for _, kr := range []uint64{0, 1, 1 << 16, 1 << 30, 1 << 40, 1 << 62, math.MaxUint64} {
-		w := arenaWords(kr)
+		w := arenaWords(kr, pabtree.NodeWords)
 		if w <= 0 {
 			t.Fatalf("arenaWords(%d) = %d, want positive", kr, w)
 		}
@@ -159,8 +160,8 @@ func TestArenaWordsNoOverflow(t *testing.T) {
 			t.Fatalf("arenaWords(%d) = %d exceeds the clamp", kr, w)
 		}
 	}
-	if w := arenaWords(1 << 10); uint64(w) != uint64(1<<16*32) {
-		t.Fatalf("small key range sized %d words, want %d", w, 1<<16*32)
+	if w := arenaWords(1<<10, pabtree.NodeWords); uint64(w) != uint64(1<<16*pabtree.NodeWords) {
+		t.Fatalf("small key range sized %d words, want %d", w, 1<<16*pabtree.NodeWords)
 	}
 }
 

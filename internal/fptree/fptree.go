@@ -47,6 +47,10 @@ const (
 	leafCap     = 11
 )
 
+// NodeWords is the arena stride of one leaf, for callers that size an
+// arena from a leaf count.
+const NodeWords = strideWords
+
 // fingerprint is the FPTree's one-byte key hash.
 func fingerprint(key uint64) byte {
 	h := key * 0x9e3779b97f4a7c15

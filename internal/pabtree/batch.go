@@ -114,7 +114,7 @@ func (th *Thread) runSubtree(op batchOp, n uint64, run []batchEnt, vals, res []u
 		for c := 0; c <= rk && i < len(run); c++ {
 			end := len(run)
 			if c < rk {
-				b := t.loadKeyWord(n, c)
+				b := t.routingKey(n, c)
 				end = i
 				for end < len(run) && run[end].K < b {
 					end++
@@ -250,8 +250,8 @@ func (t *Tree) collectBatchFinds(off uint64, run []batchEnt, vals []uint64, foun
 			var val uint64
 			ok := false
 			for i := 0; i < t.b; i++ {
-				if t.loadKeyWord(off, i) == e.K {
-					val = t.loadVal(off, i)
+				if t.leafKey(off, i) == e.K {
+					val = t.leafVal(off, i)
 					ok = true
 					break
 				}

@@ -88,7 +88,7 @@ func TestConcurrentTinyKeyRange(t *testing.T) {
 // only guaranteed for completed ops; completed ops are always flushed, so
 // the sums must match for any eviction probability).
 func TestConcurrentThenCrash(t *testing.T) {
-	a := pmem.New(256 * 1024 * strideWords)
+	a := pmem.New(256 * 1024 * NodeWords)
 	tr := New(a)
 	sums := make([]int64, 6)
 	var stop atomic.Bool

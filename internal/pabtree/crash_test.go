@@ -58,6 +58,62 @@ func TestCrashPreservesCompletedOps(t *testing.T) {
 	}
 }
 
+// TestCrashSameLinePair crashes a simple insert and an inserting Upsert at
+// every one of their persistence events (store value, store key, flush),
+// with every dirty line dropped and with every dirty line evicted to PM.
+// The pair slot being filled still holds the value of a deleted pair, so
+// the one-flush discipline is only correct if the key can never reach PM
+// ahead of the value: recovery must find the key absent or carrying the
+// new value, never the stale one.
+func TestCrashSameLinePair(t *testing.T) {
+	const key, stale, fresh = 7, 111, 222
+	ops := []struct {
+		name string
+		op   func(th *Thread)
+	}{
+		{"insert", func(th *Thread) { th.Insert(key, fresh) }},
+		{"upsert", func(th *Thread) { th.Upsert(key, fresh) }},
+	}
+	for _, o := range ops {
+		for _, evict := range []float64{0, 1} {
+			// n runs one past the op's last event, so the final round
+			// crashes right after a completed op.
+			for n, done := int64(1), false; !done; n++ {
+				a := pmem.New(64 * NodeWords)
+				tr := New(a)
+				th := tr.NewThread()
+				th.Insert(key, stale)
+				th.Delete(key) // key word ⊥, value word still stale
+				a.SetFailpoint(n)
+				func() {
+					defer func() {
+						if r := recover(); r != nil && r != pmem.ErrCrash {
+							panic(r)
+						}
+					}()
+					o.op(th)
+					done = true
+				}()
+				a.Crash(evict, uint64(n))
+				rt := Recover(a)
+				if err := rt.Validate(); err != nil {
+					t.Fatalf("%s, event %d, evict %v: %v", o.name, n, evict, err)
+				}
+				v, ok := rt.NewThread().Find(key)
+				if ok && v != fresh {
+					t.Errorf("%s crashed at event %d, evict %v: key recovered with value %d, want absent or %d", o.name, n, evict, v, fresh)
+				}
+				if done && !ok {
+					t.Errorf("%s completed before the crash (evict %v) but the key is absent", o.name, evict)
+				}
+				if done && n != 4 {
+					t.Errorf("%s completed after %d persistence events, want 3", o.name, n-1)
+				}
+			}
+		}
+	}
+}
+
 func TestRecoverWithElimination(t *testing.T) {
 	a := arena()
 	tr := New(a, WithElimination())
@@ -118,7 +174,10 @@ func runCrashTrial(t *testing.T, trial uint64, elim bool) {
 		keyRange = 400
 		prefill  = 200
 	)
-	a := pmem.New(512 * 1024 * strideWords)
+	// At most ~4k persistence events precede the failpoint, so a few
+	// thousand slots are ever claimed; a small arena keeps Crash (which
+	// rewrites every word) cheap under the race detector.
+	a := pmem.New(32 * 1024 * NodeWords)
 	var opts []Option
 	if elim {
 		opts = append(opts, WithElimination())
@@ -247,7 +306,7 @@ func runCrashTrial(t *testing.T, trial uint64, elim bool) {
 // recovering and continuing each time — the repeated-era structure of the
 // strict linearizability proof (§5.1.3).
 func TestCrashStorm(t *testing.T) {
-	a := pmem.New(1024 * 1024 * strideWords)
+	a := pmem.New(64 * 1024 * NodeWords) // <= 2.5k persistence events per era
 	tr := New(a)
 	model := make(map[uint64]uint64) // completed ops only (single thread)
 	rng := xrand.New(1234)

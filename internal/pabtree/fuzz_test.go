@@ -14,7 +14,7 @@ func FuzzOpsWithCrash(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 1, 1, 0, 0}, uint16(50), uint8(1))
 	f.Add([]byte{0, 9, 9, 9, 3, 9, 1, 1, 1, 9, 0, 0}, uint16(10), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, failAt uint16, evict uint8) {
-		a := pmem.New(8 * 1024 * strideWords)
+		a := pmem.New(8 * 1024 * NodeWords)
 		tr := New(a)
 		th := tr.NewThread()
 		model := make(map[uint64]uint64)

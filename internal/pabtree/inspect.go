@@ -81,7 +81,7 @@ func (t *Tree) Validate() error {
 			}
 			count := 0
 			for i := 0; i < t.b; i++ {
-				k := t.loadKeyWord(off, i)
+				k := t.leafKey(off, i)
 				if k == emptyKey {
 					continue
 				}
@@ -111,11 +111,11 @@ func (t *Tree) Validate() error {
 		}
 		prev := lo
 		for i := 0; i < nc-1; i++ {
-			k := t.loadKeyWord(off, i)
+			k := t.routingKey(off, i)
 			if k < prev || k >= hi {
 				return fmt.Errorf("routing key %d not in [%d, %d)", k, prev, hi)
 			}
-			if i > 0 && k <= t.loadKeyWord(off, i-1) {
+			if i > 0 && k <= t.routingKey(off, i-1) {
 				return fmt.Errorf("routing keys not strictly increasing at %d", i)
 			}
 			prev = k
@@ -124,7 +124,7 @@ func (t *Tree) Validate() error {
 		for i := 0; i < nc; i++ {
 			childHi := hi
 			if i < nc-1 {
-				childHi = t.loadKeyWord(off, i)
+				childHi = t.routingKey(off, i)
 			}
 			if err := walk(t.loadChild(off, i), childLo, childHi, depth+1, false); err != nil {
 				return err
@@ -150,12 +150,12 @@ func (t *Tree) ValidatePersisted() error {
 		}
 		if kindOf(meta) == leafKind {
 			for i := 0; i < t.b; i++ {
-				kw := off + keysBase + uint64(i)
+				kw := leafKeyOff(off, i)
 				if t.arena.Load(kw) != t.arena.PersistedLoad(kw) {
 					return fmt.Errorf("leaf %d key slot %d not persisted", off, i)
 				}
 				k := t.arena.Load(kw)
-				vw := off + valsBase + uint64(i)
+				vw := leafValOff(off, i)
 				if k != emptyKey && t.arena.Load(vw) != t.arena.PersistedLoad(vw) {
 					return fmt.Errorf("leaf %d val slot %d not persisted", off, i)
 				}
@@ -163,13 +163,13 @@ func (t *Tree) ValidatePersisted() error {
 			return nil
 		}
 		for i := 0; i < nchildrenOf(meta)-1; i++ {
-			kw := off + keysBase + uint64(i)
+			kw := routingKeyOff(off, i)
 			if t.arena.Load(kw) != t.arena.PersistedLoad(kw) {
 				return fmt.Errorf("internal %d routing key %d not persisted", off, i)
 			}
 		}
 		for i := 0; i < nchildrenOf(meta); i++ {
-			pw := off + ptrsBase + uint64(i)
+			pw := childOff(off, i)
 			vol := t.arena.Load(pw)
 			per := t.arena.PersistedLoad(pw)
 			if vol&markBit != 0 {
@@ -202,7 +202,7 @@ type Stats struct {
 func (t *Tree) Stats() Stats {
 	var s Stats
 	s.Height = t.Height()
-	s.SlotsUsed = t.arena.Allocated() / strideWords
+	s.SlotsUsed = t.arena.Allocated() / NodeWords
 	var walk func(off uint64)
 	walk = func(off uint64) {
 		meta := t.meta(off)

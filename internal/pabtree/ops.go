@@ -21,7 +21,7 @@ func (t *Tree) search(key uint64, target uint64) pathInfo {
 		gp, p, pIdx = p, n, nIdx
 		nIdx = 0
 		rk := nchildrenOf(meta) - 1
-		for nIdx < rk && key >= t.loadKeyWord(n, nIdx) {
+		for nIdx < rk && key >= t.routingKey(n, nIdx) {
 			nIdx++
 		}
 		n = t.loadChild(p, nIdx)
@@ -43,8 +43,8 @@ func (t *Tree) leafSearch(off uint64, key uint64) (uint64, bool) {
 		var val uint64
 		found := false
 		for i := 0; i < t.b; i++ {
-			if t.loadKeyWord(off, i) == key {
-				val = t.loadVal(off, i)
+			if t.leafKey(off, i) == key {
+				val = t.leafVal(off, i)
 				found = true
 				break
 			}
@@ -65,8 +65,8 @@ func (t *Tree) leafScanOnce(off uint64, key uint64) (val uint64, found, consiste
 		return 0, false, false
 	}
 	for i := 0; i < t.b; i++ {
-		if t.loadKeyWord(off, i) == key {
-			val = t.loadVal(off, i)
+		if t.leafKey(off, i) == key {
+			val = t.leafVal(off, i)
 			found = true
 			break
 		}
@@ -141,9 +141,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 
 // leafInsertLocked performs the locked phase of a simple insert: verify
 // key is absent, find an empty slot, and write the pair with the
-// persistent flush discipline (§5): flush the value, then the key — the
-// insert is durable once the key line reaches PM; a crash in between
-// leaves the slot logically empty (key still ⊥). done is false when the
+// persistent flush discipline (persistPair). done is false when the
 // leaf is full (splitting insert required). The caller holds the leaf's
 // lock and has verified it is unmarked.
 func (t *Tree) leafInsertLocked(leaf uint64, key, val uint64) (done bool, old uint64, inserted bool) {
@@ -151,7 +149,7 @@ func (t *Tree) leafInsertLocked(leaf uint64, key, val uint64) (done bool, old ui
 	emptyIdx := -1
 	dup := -1
 	for i := 0; i < t.b; i++ {
-		switch k := t.loadKeyWord(leaf, i); {
+		switch k := t.leafKey(leaf, i); {
 		case k == key:
 			dup = i
 		case k == emptyKey && emptyIdx < 0:
@@ -162,7 +160,7 @@ func (t *Tree) leafInsertLocked(leaf uint64, key, val uint64) (done bool, old ui
 		}
 	}
 	if dup >= 0 {
-		return true, t.loadVal(leaf, dup), false
+		return true, t.leafVal(leaf, dup), false
 	}
 	if emptyIdx < 0 {
 		return false, 0, false // full: splitting insert
@@ -172,15 +170,24 @@ func (t *Tree) leafInsertLocked(leaf uint64, key, val uint64) (done bool, old ui
 	if t.elim {
 		lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: recInsert})
 	}
-	valOff := leaf + valsBase + uint64(emptyIdx)
-	keyOff := leaf + keysBase + uint64(emptyIdx)
-	t.arena.Store(valOff, val)
-	t.arena.Flush(valOff)
-	t.arena.Store(keyOff, key)
-	t.arena.Flush(keyOff)
+	t.persistPair(leaf, emptyIdx, key, val)
 	lv.size.Add(1)
 	lv.ver.Add(1)
 	return true, 0, true
+}
+
+// persistPair writes <key, val> into the empty pair i of the locked leaf
+// and makes it durable with one flush. The pair shares a cache line, and
+// a line reaches PM as a snapshot of stores that became visible in
+// program order, so the key can never be persisted without the value
+// stored before it: the insert is durable — and, if interrupted by a
+// crash, linearizes — when the key reaches PM; before that the slot is
+// logically empty (key still ⊥).
+func (t *Tree) persistPair(leaf uint64, i int, key, val uint64) {
+	t.arena.Store(leafValOff(leaf, i), val)
+	keyOff := leafKeyOff(leaf, i)
+	t.arena.Store(keyOff, key)
+	t.arena.Flush(keyOff)
 }
 
 // leafDeleteLocked performs the locked phase of a delete: clear the
@@ -192,7 +199,7 @@ func (t *Tree) leafDeleteLocked(leaf uint64, key uint64) (val uint64, found bool
 	lv := t.vn(leaf)
 	idx := -1
 	for i := 0; i < t.b; i++ {
-		if t.loadKeyWord(leaf, i) == key {
+		if t.leafKey(leaf, i) == key {
 			idx = i
 			break
 		}
@@ -200,13 +207,13 @@ func (t *Tree) leafDeleteLocked(leaf uint64, key uint64) (val uint64, found bool
 	if idx < 0 {
 		return 0, false, lv.size.Load()
 	}
-	val = t.loadVal(leaf, idx)
+	val = t.leafVal(leaf, idx)
 	ver := lv.ver.Add(1)
 	t.rqStamp(leaf)
 	if t.elim {
 		lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: recDelete})
 	}
-	keyOff := leaf + keysBase + uint64(idx)
+	keyOff := leafKeyOff(leaf, idx)
 	t.arena.Store(keyOff, emptyKey)
 	t.arena.Flush(keyOff)
 	newSize = lv.size.Add(-1)
@@ -313,8 +320,8 @@ func checkKey(key uint64) {
 func (t *Tree) gatherLeaf(off uint64) []kvPair {
 	items := make([]kvPair, 0, t.b+1)
 	for i := 0; i < t.b; i++ {
-		if k := t.loadKeyWord(off, i); k != emptyKey {
-			items = append(items, kvPair{k, t.loadVal(off, i)})
+		if k := t.leafKey(off, i); k != emptyKey {
+			items = append(items, kvPair{k, t.leafVal(off, i)})
 		}
 	}
 	return items

@@ -1,28 +1,63 @@
 // Package pabtree implements the paper's durably linearizable trees: the
 // p-OCC-ABtree and p-Elim-ABtree (§5). The algorithms are those of
-// internal/core with the paper's persistence additions:
+// internal/core with the paper's persistence additions: node keys, values
+// and child pointers live in a simulated persistent memory arena
+// (internal/pmem); locks, versions, sizes, marks, elimination records and
+// the free-slot list are volatile headers (vnode), one per arena slot in
+// use, and are reconstructed by Recover.
 //
-//   - node keys, values and child pointers live in a simulated persistent
-//     memory arena (internal/pmem); locks, versions, sizes, marks and
-//     elimination records are volatile and are reconstructed by Recover;
-//   - a simple insert flushes the value, then the key (two flushes); the
-//     insert becomes durable — and, if interrupted by a crash, linearizes —
-//     when the key reaches PM. A successful delete flushes the ⊥ key;
-//   - structural updates (splitting inserts, fixTagged, fixUnderfull)
+// # Node layout
+//
+// A node is NodeWords = 24 words, three cache lines, line-aligned. Word 0
+// of both kinds is the immutable meta word (kind | nchildren<<8).
+//
+//	          line 0 (words 0-7)     line 1 (words 8-15)    line 2 (words 16-23)
+//	internal  meta,                  routing keys 7-9,      children 5-10,
+//	          routing keys 0-6       children 0-4           two words unused
+//	leaf      meta, one word spare,  pairs 3-6              pairs 7-10
+//	          pairs 0-2
+//
+// Pair i of a leaf is words 2+2i (key, 0 = ⊥) and 3+2i (value): an even
+// word and its successor, so no pair straddles a line. Only the accessors
+// in this file (leafKeyOff/leafValOff/routingKeyOff/childOff) know the
+// word map.
+//
+// # Flush discipline
+//
+//   - A simple insert stores the value, stores the key, and flushes the
+//     pair's line once (persistPair). One flush suffices because both
+//     words are in one line: stores to a line become visible in program
+//     order and a line is written back as a whole, so whatever instant of
+//     the line reaches PM — by this flush or by an earlier eviction — it
+//     cannot contain the key without the value stored before it. That is
+//     x86's same-line persist ordering (the invariant FAST&FAIR is built
+//     on), and it is what internal/pmem models: Flush and Crash persist a
+//     line as a snapshot of its current words. The insert is durable —
+//     and, if interrupted by a crash, linearizes — when the key reaches
+//     PM. The paper's §5 insert keeps keys and values in separate arrays
+//     and so pays two flushes (value, then key); this is a departure.
+//   - A successful delete flushes the ⊥ key; a replacing Upsert flushes
+//     the value word (single-word atomicity). One flush each.
+//   - Structural updates (splitting inserts, fixTagged, fixUnderfull)
 //     flush all newly created nodes, then publish them with the
 //     link-and-persist technique: the new child pointer is written with a
 //     mark bit, flushed, and unmarked; traversals that encounter a marked
 //     pointer wait until it is persisted, so operations never depend on
-//     unpersisted data;
-//   - node slots are recycled through epoch-based reclamation (the DEBRA
+//     unpersisted data.
+//   - Node slots are recycled through epoch-based reclamation (the DEBRA
 //     analogue), since the Go GC cannot manage arena memory.
 //
-// Recovery walks the persisted image from the entry node's fixed offset,
-// rebuilds the volatile node headers (lock, version, size, marked), strips
+// # Recovery
+//
+// Recover walks the persisted image from the entry node's fixed offset,
+// rebuilds the volatile headers (lock, version, size, marked), strips
 // pointer mark bits, rebuilds the slot free list from reachability, and
 // completes any rebalancing (tagged or underfull nodes) that a crash
 // interrupted — yielding a tree on which the strict-linearizability
-// invariants of §5.1 hold again.
+// invariants of §5.1 hold again. In a leaf it may find a ⊥ key beside any
+// value word (an insert cut short before its key store, or a deleted
+// pair: both logically empty) or a key beside the value stored with it;
+// it can never find a key beside a stale value.
 package pabtree
 
 import (
@@ -36,17 +71,23 @@ import (
 	"repro/internal/rq"
 )
 
-// Persistent node layout, in 64-bit words relative to the node offset.
-// A node occupies one 32-word (4 cache line) stride.
+// NodeWords is the arena stride of one node slot in 64-bit words: three
+// cache lines. Arena sizes derived from a slot count multiply by it.
+const NodeWords = 24
+
+// Persistent node layout, in words relative to the node offset (word map
+// in the package comment). The bases are used only by the accessors
+// (leafKeyOff/leafValOff/routingKeyOff/childOff) and the two node
+// constructors below.
 const (
-	strideWords = 32
-	metaWord    = 0  // kind | nchildren<<8 (immutable, flushed at creation)
-	keysBase    = 1  // leaf keys [b] / internal routing keys [b-1]
-	valsBase    = 12 // leaf values [b]
-	ptrsBase    = 12 // internal child offsets [b] (same region as vals)
+	metaWord = 0 // kind | nchildren<<8 (immutable, flushed at creation)
+	keysBase = 1 // internal routing keys [b-1]
+	pairBase = 2 // leaf <key, value> pairs [b], two words each (word 1 spare)
 
 	// maxB is the largest supported node degree for the persistent layout.
 	maxB = 11
+
+	ptrsBase = keysBase + maxB - 1 // internal child offsets [b]
 
 	// markBit flags a child pointer that has been written but whose line
 	// has not yet been flushed (link-and-persist).
@@ -77,10 +118,14 @@ type elimRecord struct {
 }
 
 // vnode holds a node's volatile fields, indexed by arena slot. Everything
-// here is reset by Recover.
+// here is reset by Recover. One header per cache line (layout_test.go).
 type vnode struct {
-	mcs       mcslock.Lock
-	marked    atomic.Bool
+	mcs    mcslock.Lock
+	marked atomic.Bool
+	// freeNext links the slot into the free list while it is recycled
+	// (pushFree/popFree); it shares marked's word, so the list costs no
+	// side table.
+	freeNext  atomic.Uint32
 	ver       atomic.Uint64
 	size      atomic.Int64
 	rec       atomic.Pointer[elimRecord]
@@ -97,14 +142,18 @@ type vnode struct {
 // Tree is a p-OCC-ABtree, or a p-Elim-ABtree when built with
 // WithElimination. All operations go through a Thread (NewThread).
 type Tree struct {
-	arena    *pmem.Arena
-	vnodes   []vnode
+	arena *pmem.Arena
+	// chunks is the volatile header directory: entry c holds the headers
+	// of slots [c*chunkSlots, (c+1)*chunkSlots), installed by bumpSlot
+	// when the arena's allocation cursor first reaches the chunk, so the
+	// headers follow the slots in use rather than the arena's capacity.
+	chunks   []atomic.Pointer[vchunk]
 	entryOff uint64
 
-	// Slot free list: a Treiber stack of recycled node slots, fed by the
-	// epoch manager after the grace period.
+	// Slot free list: a Treiber stack of recycled node slots (linked
+	// through vnode.freeNext), fed by the epoch manager after the grace
+	// period.
 	freeHead atomic.Uint64 // tag<<32 | slot (slot 0 = empty)
-	freeNext []atomic.Uint32
 	em       *epoch.Manager[uint32]
 
 	a, b int
@@ -159,7 +208,7 @@ func New(arena *pmem.Arena, opts ...Option) *Tree {
 	t := newTreeShell(arena, cfg)
 
 	// Slot 0 is reserved so that offset 0 can mean "null".
-	if arena.Alloc(strideWords) != 0 {
+	if t.bumpSlot() != 0 {
 		panic("pabtree: reserved slot not at offset 0")
 	}
 	entry := t.bumpSlot()
@@ -173,7 +222,7 @@ func New(arena *pmem.Arena, opts ...Option) *Tree {
 }
 
 // entryOffset is the fixed arena offset of the entry node (slot 1).
-const entryOffset = strideWords
+const entryOffset = NodeWords
 
 // newTreeShell builds the volatile superstructure shared by New and
 // Recover.
@@ -181,11 +230,10 @@ func newTreeShell(arena *pmem.Arena, cfg config) *Tree {
 	if cfg.b < 4 || cfg.b > maxB || cfg.a < 2 || cfg.a > cfg.b/2 {
 		panic(fmt.Sprintf("pabtree: invalid degree (a=%d, b=%d)", cfg.a, cfg.b))
 	}
-	slots := arena.Cap() / strideWords
+	slots := arena.Cap() / NodeWords
 	t := &Tree{
 		arena:    arena,
-		vnodes:   make([]vnode, slots),
-		freeNext: make([]atomic.Uint32, slots),
+		chunks:   make([]atomic.Pointer[vchunk], (slots+chunkSlots-1)/chunkSlots),
 		entryOff: entryOffset,
 		a:        cfg.a,
 		b:        cfg.b,
@@ -215,14 +263,35 @@ func (t *Tree) MinSize() int { return t.a }
 // MaxSize returns the maximum node size b.
 func (t *Tree) MaxSize() int { return t.b }
 
-func (t *Tree) vn(off uint64) *vnode { return &t.vnodes[off/strideWords] }
+// chunkSlots is the number of node slots one header chunk covers
+// (4096 x 64 B = 256 KiB per chunk).
+const chunkSlots = 4096
+
+type vchunk [chunkSlots]vnode
+
+// vn returns the volatile header of the node at off. The chunk is present
+// for every bump-allocated slot (bumpSlot, Recover), and an offset reaches
+// a reader only through a pointer published after its allocation.
+func (t *Tree) vn(off uint64) *vnode { return t.vnSlot(off / NodeWords) }
+
+func (t *Tree) vnSlot(slot uint64) *vnode {
+	return &t.chunks[slot/chunkSlots].Load()[slot%chunkSlots]
+}
+
+// installChunk makes header chunk c present. Racing installers agree on
+// the CAS winner.
+func (t *Tree) installChunk(c uint64) {
+	if t.chunks[c].Load() == nil {
+		t.chunks[c].CompareAndSwap(nil, new(vchunk))
+	}
+}
 
 // ---- slot management ----
 
 func (t *Tree) pushFree(slot uint32) {
 	for {
 		h := t.freeHead.Load()
-		t.freeNext[slot].Store(uint32(h))
+		t.vnSlot(uint64(slot)).freeNext.Store(uint32(h))
 		nh := (h>>32+1)<<32 | uint64(slot)
 		if t.freeHead.CompareAndSwap(h, nh) {
 			return
@@ -237,7 +306,7 @@ func (t *Tree) popFree() uint32 {
 		if slot == 0 {
 			return 0
 		}
-		next := t.freeNext[slot].Load()
+		next := t.vnSlot(uint64(slot)).freeNext.Load()
 		nh := (h>>32+1)<<32 | uint64(next)
 		if t.freeHead.CompareAndSwap(h, nh) {
 			return slot
@@ -245,9 +314,12 @@ func (t *Tree) popFree() uint32 {
 	}
 }
 
-// bumpSlot claims a never-used slot from the arena and returns its offset.
+// bumpSlot claims a never-used slot from the arena and returns its
+// offset, installing the slot's header chunk if it is the first there.
 func (t *Tree) bumpSlot() uint64 {
-	return t.arena.Alloc(strideWords)
+	off := t.arena.Alloc(NodeWords)
+	t.installChunk(off / NodeWords / chunkSlots)
+	return off
 }
 
 // allocSlot returns the offset of a free node slot, preferring recycled
@@ -255,7 +327,7 @@ func (t *Tree) bumpSlot() uint64 {
 func (t *Tree) allocSlot() uint64 {
 	var off uint64
 	if slot := t.popFree(); slot != 0 {
-		off = uint64(slot) * strideWords
+		off = uint64(slot) * NodeWords
 	} else {
 		off = t.bumpSlot()
 	}
@@ -273,7 +345,7 @@ func (t *Tree) allocSlot() uint64 {
 // the free list after the grace period. The node's unlinking must already
 // be flushed, so the slot is unreachable in the persisted image as well.
 func (th *Thread) retire(off uint64) {
-	th.eh.Retire(uint32(off / strideWords))
+	th.eh.Retire(uint32(off / NodeWords))
 }
 
 // ---- node construction (all words flushed before the caller links) ----
@@ -291,10 +363,10 @@ func (t *Tree) initLeaf(off uint64, items []kvPair, searchKey uint64) {
 		if i < len(items) {
 			k, v = items[i].k, items[i].v
 		}
-		a.Store(off+keysBase+uint64(i), k)
-		a.Store(off+valsBase+uint64(i), v)
+		a.Store(leafKeyOff(off, i), k)
+		a.Store(leafValOff(off, i), v)
 	}
-	a.FlushRange(off, valsBase+uint64(t.b))
+	a.FlushRange(off, pairBase+2*uint64(t.b))
 	vn := t.vn(off)
 	vn.size.Store(int64(len(items)))
 	vn.searchKey = searchKey
@@ -312,14 +384,14 @@ func (t *Tree) initInternalNode(off uint64, k kind, keys []uint64, children []ui
 		if i < len(keys) {
 			rk = keys[i]
 		}
-		a.Store(off+keysBase+uint64(i), rk)
+		a.Store(routingKeyOff(off, i), rk)
 	}
 	for i := 0; i < t.b; i++ {
 		var c uint64
 		if i < len(children) {
 			c = children[i]
 		}
-		a.Store(off+ptrsBase+uint64(i), c)
+		a.Store(childOff(off, i), c)
 	}
 	a.FlushRange(off, ptrsBase+uint64(t.b))
 	t.vn(off).searchKey = searchKey
@@ -331,13 +403,22 @@ func (t *Tree) meta(off uint64) uint64 { return t.arena.Load(off + metaWord) }
 
 func (t *Tree) isLeaf(off uint64) bool { return kindOf(t.meta(off)) == leafKind }
 
-func (t *Tree) loadKeyWord(off uint64, i int) uint64 {
-	return t.arena.Load(off + keysBase + uint64(i))
-}
+// leafKeyOff and leafValOff locate pair i of the leaf at off. The two
+// words are adjacent and pairBase is even, so a pair never straddles a
+// cache line: storing the value, then the key, then flushing the key's
+// line persists both or neither (package comment).
+func leafKeyOff(off uint64, i int) uint64 { return off + pairBase + 2*uint64(i) }
+func leafValOff(off uint64, i int) uint64 { return off + pairBase + 2*uint64(i) + 1 }
 
-func (t *Tree) loadVal(off uint64, i int) uint64 {
-	return t.arena.Load(off + valsBase + uint64(i))
-}
+// routingKeyOff and childOff locate routing key i and child pointer i of
+// the internal node at off.
+func routingKeyOff(off uint64, i int) uint64 { return off + keysBase + uint64(i) }
+func childOff(off uint64, i int) uint64      { return off + ptrsBase + uint64(i) }
+
+func (t *Tree) leafKey(off uint64, i int) uint64 { return t.arena.Load(leafKeyOff(off, i)) }
+func (t *Tree) leafVal(off uint64, i int) uint64 { return t.arena.Load(leafValOff(off, i)) }
+
+func (t *Tree) routingKey(off uint64, i int) uint64 { return t.arena.Load(routingKeyOff(off, i)) }
 
 // loadChild returns child i of the internal node at off, waiting out the
 // link-and-persist mark bit: a marked pointer has been written but not yet
@@ -346,7 +427,7 @@ func (t *Tree) loadVal(off uint64, i int) uint64 {
 func (t *Tree) loadChild(off uint64, i int) uint64 {
 	spins := 0
 	for {
-		raw := t.arena.Load(off + ptrsBase + uint64(i))
+		raw := t.arena.Load(childOff(off, i))
 		if raw&markBit == 0 {
 			return raw
 		}
@@ -359,7 +440,7 @@ func (t *Tree) loadChild(off uint64, i int) uint64 {
 // write marked, flush, unmark. The caller holds the node's lock and has
 // already flushed the pointed-to nodes.
 func (t *Tree) setChildPersist(off uint64, i int, child uint64) {
-	w := off + ptrsBase + uint64(i)
+	w := childOff(off, i)
 	t.arena.Store(w, child|markBit)
 	t.arena.Flush(w)
 	t.arena.Store(w, child)

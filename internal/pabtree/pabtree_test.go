@@ -8,7 +8,7 @@ import (
 )
 
 // arena returns a fresh arena big enough for the tests (64k node slots).
-func arena() *pmem.Arena { return pmem.New(64 * 1024 * strideWords) }
+func arena() *pmem.Arena { return pmem.New(64 * 1024 * NodeWords) }
 
 func both(t *testing.T, fn func(t *testing.T, tr *Tree)) {
 	t.Helper()
@@ -135,7 +135,7 @@ func TestModelRandomOps(t *testing.T) {
 // epoch reclamation working, the bump-allocation high-water mark must stay
 // far below what leak-per-split would consume.
 func TestSlotRecycling(t *testing.T) {
-	a := pmem.New(16 * 1024 * strideWords)
+	a := pmem.New(16 * 1024 * NodeWords)
 	tr := New(a)
 	th := tr.NewThread()
 	rng := xrand.New(3)
@@ -150,7 +150,7 @@ func TestSlotRecycling(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	slotsUsed := a.Allocated() / strideWords
+	slotsUsed := a.Allocated() / NodeWords
 	// ~300 keys need ~60 leaves; thousands of splits/merges happened. If
 	// recycling were broken the bump allocator would have consumed tens of
 	// thousands of slots.
@@ -160,37 +160,42 @@ func TestSlotRecycling(t *testing.T) {
 }
 
 func TestFlushCountsPerOp(t *testing.T) {
-	// The paper (§5): a simple insert issues two flushes (value, key); a
-	// successful delete issues one (key). Verify on a quiet tree.
+	// A pair shares a cache line, so every in-place update is one flush
+	// and one fence: the pair's line for an insert, the ⊥ key's for a
+	// delete, the value's for a replace. Verify on a quiet tree.
 	tr := New(arena())
 	th := tr.NewThread()
 	for i := uint64(2); i <= 20; i += 2 {
 		th.Insert(i, i) // prefill, leaves half-full
 	}
 	a := tr.Arena()
-	s0 := a.Stats()
-	th.Insert(3, 3) // simple insert (leaf has room)
-	s1 := a.Stats()
-	if got := s1.Flushes - s0.Flushes; got != 2 {
-		t.Errorf("simple insert issued %d flushes, want 2", got)
-	}
-	th.Delete(3)
-	s2 := a.Stats()
-	if got := s2.Flushes - s1.Flushes; got != 1 {
-		t.Errorf("successful delete issued %d flushes, want 1", got)
-	}
-	// Unsuccessful operations flush nothing.
-	th.Delete(999)
-	th.Insert(4, 4) // present
-	s3 := a.Stats()
-	if got := s3.Flushes - s2.Flushes; got != 0 {
-		t.Errorf("failed ops issued %d flushes, want 0", got)
+	for _, c := range []struct {
+		name string
+		op   func()
+		want uint64
+	}{
+		{"simple insert", func() { th.Insert(3, 3) }, 1},
+		{"successful delete", func() { th.Delete(3) }, 1},
+		{"inserting upsert", func() { th.Upsert(5, 5) }, 1},
+		{"replacing upsert", func() { th.Upsert(5, 6) }, 1},
+		{"failed delete", func() { th.Delete(999) }, 0},
+		{"failed insert", func() { th.Insert(4, 4) }, 0},
+	} {
+		before := a.Stats()
+		c.op()
+		after := a.Stats()
+		if got := after.Flushes - before.Flushes; got != c.want {
+			t.Errorf("%s issued %d flushes, want %d", c.name, got, c.want)
+		}
+		if got := after.Fences - before.Fences; got != c.want {
+			t.Errorf("%s issued %d fences, want %d", c.name, got, c.want)
+		}
 	}
 }
 
 func TestFreshArenaRequired(t *testing.T) {
 	a := arena()
-	a.Alloc(strideWords)
+	a.Alloc(NodeWords)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("New on used arena did not panic")

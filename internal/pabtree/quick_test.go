@@ -15,7 +15,7 @@ import (
 // completed prefix of the sequence modulo the single in-flight op.
 func TestQuickCrashRecovery(t *testing.T) {
 	f := func(seed uint16, failAfter uint16, evictChoice uint8) bool {
-		a := pmem.New(32 * 1024 * strideWords)
+		a := pmem.New(32 * 1024 * NodeWords)
 		tr := New(a)
 		th := tr.NewThread()
 		rng := xrand.New(uint64(seed))
@@ -98,7 +98,7 @@ func TestQuickDegreeVariants(t *testing.T) {
 	f := func(seed uint16, cfg uint8) bool {
 		degrees := [][2]int{{2, 4}, {2, 8}, {3, 8}, {2, 11}}
 		d := degrees[int(cfg)%len(degrees)]
-		tr := New(pmem.New(32*1024*strideWords), WithDegree(d[0], d[1]))
+		tr := New(pmem.New(32*1024*NodeWords), WithDegree(d[0], d[1]))
 		th := tr.NewThread()
 		rng := xrand.New(uint64(seed) + 77)
 		model := make(map[uint64]uint64)

@@ -95,7 +95,7 @@ func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf uint64, bound
 		nIdx := 0
 		rk := nchildrenOf(meta) - 1
 		for nIdx < rk {
-			rkey := t.loadKeyWord(n, nIdx)
+			rkey := t.routingKey(n, nIdx)
 			if key < rkey {
 				bound, hasBound = rkey, true
 				break
@@ -136,9 +136,9 @@ func (t *Tree) snapshotLeaf(buf []kvPair, off uint64, lo, hi uint64) (items []kv
 		}
 		items = buf
 		for i := 0; i < t.b; i++ {
-			k := t.loadKeyWord(off, i)
+			k := t.leafKey(off, i)
 			if k != emptyKey && k >= lo && k <= hi {
-				items = append(items, kvPair{k, t.loadVal(off, i)})
+				items = append(items, kvPair{k, t.leafVal(off, i)})
 			}
 		}
 		if v.ver.Load() == v1 {

@@ -42,11 +42,11 @@ func (th *Thread) fixTagged(off uint64) {
 			}
 		}
 		for i := 0; i < nIdx; i++ {
-			keys = append(keys, t.loadKeyWord(p, i))
+			keys = append(keys, t.routingKey(p, i))
 		}
-		keys = append(keys, t.loadKeyWord(off, 0))
+		keys = append(keys, t.routingKey(off, 0))
 		for i := nIdx; i < pc-1; i++ {
-			keys = append(keys, t.loadKeyWord(p, i))
+			keys = append(keys, t.routingKey(p, i))
 		}
 
 		if len(children) <= t.b {
@@ -147,7 +147,7 @@ func (th *Thread) fixUnderfull(off uint64) {
 			left, right, lIdx = sibling, off, sIdx
 		}
 		sepIdx := lIdx
-		sep := t.loadKeyWord(p, sepIdx)
+		sep := t.routingKey(p, sepIdx)
 		total := t.sizeOf(off) + t.sizeOf(sibling)
 
 		if total >= 2*t.a {
@@ -177,14 +177,14 @@ func (t *Tree) gatherInternal(left, right uint64, sep uint64) ([]uint64, []uint6
 		children = append(children, t.loadChild(left, i))
 	}
 	for i := 0; i < lc-1; i++ {
-		keys = append(keys, t.loadKeyWord(left, i))
+		keys = append(keys, t.routingKey(left, i))
 	}
 	keys = append(keys, sep)
 	for i := 0; i < rc; i++ {
 		children = append(children, t.loadChild(right, i))
 	}
 	for i := 0; i < rc-1; i++ {
-		keys = append(keys, t.loadKeyWord(right, i))
+		keys = append(keys, t.routingKey(right, i))
 	}
 	return children, keys
 }
@@ -240,7 +240,7 @@ func (t *Tree) distribute(th *Thread, left, right, p, gp uint64, lIdx, sepIdx, p
 		if i == sepIdx {
 			pkeys = append(pkeys, newSep)
 		} else {
-			pkeys = append(pkeys, t.loadKeyWord(p, i))
+			pkeys = append(pkeys, t.routingKey(p, i))
 		}
 	}
 	newParent := t.allocSlot()
@@ -312,7 +312,7 @@ func (t *Tree) merge(th *Thread, left, right, p, gp uint64, lIdx, sepIdx, pIdx i
 	}
 	for i := 0; i < pc-1; i++ {
 		if i != sepIdx {
-			pkeys = append(pkeys, t.loadKeyWord(p, i))
+			pkeys = append(pkeys, t.routingKey(p, i))
 		}
 	}
 	newParent := t.allocSlot()

@@ -27,13 +27,16 @@ func Recover(arena *pmem.Arena, opts ...Option) *Tree {
 	}
 	t := newTreeShell(arena, cfg)
 
-	slots := arena.Allocated() / strideWords
-	visited := make([]bool, t.arena.Cap()/strideWords)
+	slots := arena.Allocated() / NodeWords
+	for c := uint64(0); c*chunkSlots < slots; c++ {
+		t.installChunk(c)
+	}
+	visited := make([]bool, slots)
 	var tagged, underfull []uint64
 
 	var walk func(off uint64, lo uint64, isRoot bool)
 	walk = func(off uint64, lo uint64, isRoot bool) {
-		visited[off/strideWords] = true
+		visited[off/NodeWords] = true
 		v := t.vn(off)
 		v.marked.Store(false)
 		v.ver.Store(0)
@@ -44,7 +47,7 @@ func Recover(arena *pmem.Arena, opts ...Option) *Tree {
 		if kindOf(meta) == leafKind {
 			count := 0
 			for i := 0; i < t.b; i++ {
-				if t.arena.Load(off+keysBase+uint64(i)) != emptyKey {
+				if t.leafKey(off, i) != emptyKey {
 					count++
 				}
 			}
@@ -63,7 +66,7 @@ func Recover(arena *pmem.Arena, opts ...Option) *Tree {
 		}
 		childLo := lo
 		for i := 0; i < nc; i++ {
-			w := off + ptrsBase + uint64(i)
+			w := childOff(off, i)
 			raw := t.arena.Load(w)
 			if raw&markBit != 0 {
 				raw &^= markBit
@@ -71,7 +74,7 @@ func Recover(arena *pmem.Arena, opts ...Option) *Tree {
 				t.arena.Flush(w)
 			}
 			if i > 0 {
-				childLo = t.arena.Load(off + keysBase + uint64(i-1))
+				childLo = t.routingKey(off, i-1)
 			}
 			walk(raw, childLo, false)
 		}

@@ -82,8 +82,8 @@ func (t *Tree) rqInheritMerge(oldLeft, oldRight, nn uint64, c uint64) {
 // sorted by key.
 func (t *Tree) gatherPairs(off uint64, items []rq.Pair) []rq.Pair {
 	for i := 0; i < t.b; i++ {
-		if k := t.loadKeyWord(off, i); k != emptyKey {
-			items = append(items, rq.Pair{K: k, V: t.loadVal(off, i)})
+		if k := t.leafKey(off, i); k != emptyKey {
+			items = append(items, rq.Pair{K: k, V: t.leafVal(off, i)})
 		}
 	}
 	rq.SortPairs(items)
@@ -175,9 +175,9 @@ func (t *Tree) collectVersioned(buf []rq.Pair, off, ts, lo, hi uint64) (items []
 		chain := lv.rqVers.Load()
 		items = buf
 		for i := 0; i < t.b; i++ {
-			k := t.loadKeyWord(off, i)
+			k := t.leafKey(off, i)
 			if k != emptyKey && k >= lo && k <= hi {
-				items = append(items, rq.Pair{K: k, V: t.loadVal(off, i)})
+				items = append(items, rq.Pair{K: k, V: t.leafVal(off, i)})
 			}
 		}
 		if lv.ver.Load() != v1 {

@@ -33,7 +33,7 @@ func pCanEliminate(op pOpKind, rec uint8) bool {
 }
 
 // Upsert sets key's value to val, inserting if absent. Durable on return
-// (replace: one value flush; insert: value + key flushes; split:
+// (replace: one value flush; insert: one flush of the pair's line; split:
 // link-and-persist).
 func (th *Thread) Upsert(key, val uint64) {
 	checkKey(key)
@@ -63,7 +63,7 @@ func (th *Thread) Upsert(key, val uint64) {
 		emptyIdx := -1
 		dup := -1
 		for i := 0; i < t.b; i++ {
-			switch k := t.loadKeyWord(leaf, i); {
+			switch k := t.leafKey(leaf, i); {
 			case k == key:
 				dup = i
 			case k == emptyKey && emptyIdx < 0:
@@ -84,7 +84,7 @@ func (th *Thread) Upsert(key, val uint64) {
 			if t.elim {
 				lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: recReplace})
 			}
-			valOff := leaf + valsBase + uint64(dup)
+			valOff := leafValOff(leaf, dup)
 			t.arena.Store(valOff, val)
 			t.arena.Flush(valOff)
 			lv.ver.Add(1)
@@ -96,12 +96,7 @@ func (th *Thread) Upsert(key, val uint64) {
 			if t.elim {
 				lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: recInsert})
 			}
-			valOff := leaf + valsBase + uint64(emptyIdx)
-			keyOff := leaf + keysBase + uint64(emptyIdx)
-			t.arena.Store(valOff, val)
-			t.arena.Flush(valOff)
-			t.arena.Store(keyOff, key)
-			t.arena.Flush(keyOff)
+			t.persistPair(leaf, emptyIdx, key, val)
 			lv.size.Add(1)
 			lv.ver.Add(1)
 			th.unlockAll()

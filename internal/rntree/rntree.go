@@ -45,6 +45,10 @@ const (
 	leafCap     = 11
 )
 
+// NodeWords is the arena stride of one leaf, for callers that size an
+// arena from a leaf count.
+const NodeWords = strideWords
+
 type leafMeta struct {
 	mu  sync.Mutex
 	off uint64

@@ -35,7 +35,7 @@ func TestRecoverSharded(t *testing.T) {
 	)
 	arenas := make([]*pmem.Arena, shards)
 	for i := range arenas {
-		arenas[i] = pmem.New(int(keyRange) * 32)
+		arenas[i] = pmem.New(int(keyRange) * pabtree.NodeWords)
 	}
 	d, _ := NewPab(keyRange, arenas)
 

@@ -41,7 +41,8 @@ func WithPersistentDegree(a, b int) PersistentOption {
 }
 
 // WithArenaWords sets the simulated PM capacity in 64-bit words (default
-// 1<<24 words = 128 MiB, roughly 500k node slots).
+// 1<<24 words = 128 MiB, roughly 700k node slots of pabtree.NodeWords
+// each).
 func WithArenaWords(words uint64) PersistentOption {
 	return func(o *poptions) { o.arenaWords = words }
 }
