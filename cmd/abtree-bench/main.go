@@ -41,13 +41,11 @@
 //	abtree-bench -remote 127.0.0.1:7471 -figure 18             # SNAPSHOT_SCAN streams
 //
 // -remote-mux is -remote through the coalescing mux (client.Mux): all
-// worker goroutines share -conns connection(s) and their per-key
-// operations are dynamically merged into batch frames on the wire —
-// per-key workload code, batch-level throughput (see README
-// "Coalescing"):
+// worker goroutines share one connection and their per-key operations
+// are dynamically merged into batch frames on the wire — per-key
+// workload code, batch-level throughput (see README "Coalescing"):
 //
 //	abtree-bench -remote-mux 127.0.0.1:7471 -figure 12 -threads 64
-//	abtree-bench -remote-mux 127.0.0.1:7471 -conns 2 -figure 12
 //
 // The defaults are laptop-scale (short durations, thread counts up to
 // GOMAXPROCS); the paper's absolute numbers came from a 144-thread Xeon,
@@ -128,12 +126,12 @@ func adoptOrOpen(c interface {
 var remoteMux *client.Mux
 
 // muxFactory is remoteFactory's coalescing sibling (-remote-mux): every
-// cell runs through a client.Mux, so all worker handles share conns
-// connections and their per-key ops coalesce into batch frames.
-func muxFactory(addr string, conns, traceEvery int, noOpen bool) func(name string, keyRange uint64) dict.Dict {
+// cell runs through a client.Mux, so all worker handles share one
+// connection and their per-key ops coalesce into batch frames.
+func muxFactory(addr string, traceEvery int, noOpen bool) func(name string, keyRange uint64) dict.Dict {
 	return func(name string, keyRange uint64) dict.Dict {
 		closeRemote()
-		m, err := client.DialMux(addr, client.MuxConfig{Conns: conns, Net: client.Config{TraceEvery: traceEvery}})
+		m, err := client.DialMux(addr, client.Config{TraceEvery: traceEvery})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "remote-mux %s: %v\n", addr, err)
 			os.Exit(1)
@@ -222,19 +220,13 @@ func main() {
 		latEvery   = flag.Int("latevery", 8, "sample whole-call latency every Nth op per worker, reported as p50/p99/p999 columns (0 = off)")
 		jsonPath   = flag.String("json", "", "also write results as a JSON array to this path (e.g. BENCH_fig18.json)")
 		remote     = flag.String("remote", "", "run every cell against an abtree-server at this address instead of in-process")
-		remoteMuxA = flag.String("remote-mux", "", "like -remote, but through a coalescing shared-connection mux (client.Mux): all workers share -conns connections and per-key ops merge into batch frames")
-		conns      = flag.Int("conns", 1, "shared mux connections for -remote-mux")
+		remoteMuxA = flag.String("remote-mux", "", "like -remote, but through a coalescing shared-connection mux (client.Mux): all workers share one connection and per-key ops merge into batch frames")
 		traceEvery = flag.Int("trace-every", 0, "with -remote/-remote-mux: head-sample 1 in N operations per worker for end-to-end tracing (0 = off)")
 		noOpen     = flag.Bool("no-open", false, "with -remote/-remote-mux: drive the structure the server already hosts instead of re-OPENing per cell (required for replicated primaries, which reject OPEN)")
 	)
 	flag.Parse()
 	if *remote != "" && *remoteMuxA != "" {
 		fmt.Fprintln(os.Stderr, "-remote and -remote-mux are mutually exclusive")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *conns < 1 {
-		fmt.Fprintf(os.Stderr, "bad -conns %d (want at least 1)\n", *conns)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -263,9 +255,9 @@ func main() {
 		fmt.Printf("# remote: %s (%s)\n", *remote, cellMode)
 	}
 	if *remoteMuxA != "" {
-		newDict = muxFactory(*remoteMuxA, *conns, *traceEvery, *noOpen)
+		newDict = muxFactory(*remoteMuxA, *traceEvery, *noOpen)
 		defer closeRemote()
-		fmt.Printf("# remote-mux: %s, %d shared conn(s) (%s)\n", *remoteMuxA, *conns, cellMode)
+		fmt.Printf("# remote-mux: %s, one shared conn (%s)\n", *remoteMuxA, cellMode)
 	}
 
 	// Validate the scan flags up front, for every figure: an unknown

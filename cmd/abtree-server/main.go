@@ -50,14 +50,10 @@ func main() {
 		workers   = flag.Int("workers", 0, "handle-owning worker goroutines (0 = GOMAXPROCS)")
 		debugAddr = flag.String("debug", "", "HTTP listen address for /debug/metrics (JSON instrument dump) and /debug/pprof (empty = off)")
 		traceSlow = flag.Duration("trace-slow", 0, "log any operation whose service time reaches this (0 = off)")
-		coalesce  = flag.Int("coalesce", 64, "max same-opcode point requests a worker coalesces into one batched descent (1 = off)")
-		queue     = flag.Int("queue", 0, "work queue depth (0 = max(4*workers, 256))")
-		shed      = flag.Bool("shed", false, "answer requests with an error instead of blocking readers when the work queue is full")
 		maxConns  = flag.Int("max-conns", 0, "max concurrent connections; over-cap accepts get one BUSY frame and close (0 = unlimited)")
 		idleTO    = flag.Duration("idle-timeout", 0, "reap connections idle for this long (0 = never)")
 		drainTO   = flag.Duration("drain-timeout", 10*time.Second, "on SIGINT/SIGTERM, drain in-flight requests for up to this long before closing hard (0 = close immediately)")
-		rateLimit = flag.Float64("rate-limit", 0, "per-connection request budget in ops/sec, enforced with BUSY pushback (0 = off)")
-		rateBurst = flag.Int("rate-burst", 0, "token-bucket depth for -rate-limit (0 = max(rate, 32))")
+		rateLimit = flag.Float64("rate-limit", 0, "per-connection request budget in ops/sec (token bucket of depth max(rate, 32)), enforced with BUSY pushback (0 = off)")
 
 		followers = flag.String("followers", "", "comma-separated follower addresses: host this server as a partition PRIMARY shipping its op log to them")
 		follow    = flag.Bool("follow", false, "host this server as a partition FOLLOWER: read-only, applies REPLICATE streams, promotable")
@@ -79,13 +75,9 @@ func main() {
 		Workers:      *workers,
 		Logf:         log.Printf,
 		TraceSlow:    *traceSlow,
-		Coalesce:     *coalesce,
-		QueueDepth:   *queue,
-		ShedOnFull:   *shed,
 		MaxConns:     *maxConns,
 		IdleTimeout:  *idleTO,
 		RateLimit:    *rateLimit,
-		RateBurst:    *rateBurst,
 		Followers:    followerList,
 		Follower:     *follow,
 		AckFollowers: *ackFol,

@@ -207,7 +207,7 @@ func render(members []*member, traceMax int, now time.Time) string {
 			}
 		}
 		cur := map[string]uint64{
-			"shed":      m.sm.Counters["shed_overload_total"] + m.sm.Counters["rate_limited_total"],
+			"shed":      m.sm.Counters["rate_limited_total"],
 			"teardowns": teardowns,
 		}
 		fmt.Fprintf(&b, "%-22s %-10s %-14s %9d %6s %6d %5d %-17s %-17s %8s %8s\n",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/bcco10"
@@ -196,11 +195,10 @@ var RangeStructures = append(append([]string{}, ScanStructures...),
 // multi-cell driver: the same client, but the requested structure is
 // re-opened fresh per experiment cell.
 //
-// The form "remote-mux:<addr>" (or "remote-mux:<conns>@<addr>") dials
-// a coalescing client.Mux instead: every worker handle shares the
-// mux's connection(s), and concurrent per-key operations are merged
-// into batch frames on the wire (ISSUE 7). cmd/abtree-bench's
-// -remote-mux/-conns flags drive this form.
+// The form "remote-mux:<addr>" dials a coalescing client.Mux instead:
+// every worker handle shares the mux's connection, and concurrent
+// per-key operations are merged into batch frames on the wire (ISSUE
+// 7). cmd/abtree-bench's -remote-mux flag drives this form.
 func NewDict(name string, keyRange uint64) dict.Dict {
 	if addr, ok := strings.CutPrefix(name, "remote:"); ok {
 		c, err := client.Dial(addr)
@@ -209,8 +207,8 @@ func NewDict(name string, keyRange uint64) dict.Dict {
 		}
 		return c
 	}
-	if spec, ok := strings.CutPrefix(name, "remote-mux:"); ok {
-		m, err := client.DialMux(muxSpec(spec))
+	if addr, ok := strings.CutPrefix(name, "remote-mux:"); ok {
+		m, err := client.DialMux(addr, client.Config{})
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))
 		}
@@ -221,17 +219,6 @@ func NewDict(name string, keyRange uint64) dict.Dict {
 		panic(fmt.Sprintf("bench: unknown structure %q (known: %v)", name, Names()))
 	}
 	return build(keyRange)
-}
-
-// muxSpec parses a "remote-mux:" spec — "<addr>" or "<conns>@<addr>" —
-// into DialMux arguments.
-func muxSpec(spec string) (addr string, cfg client.MuxConfig) {
-	if pre, rest, ok := strings.Cut(spec, "@"); ok {
-		if n, err := strconv.Atoi(pre); err == nil && n > 0 {
-			return rest, client.MuxConfig{Conns: n}
-		}
-	}
-	return spec, client.MuxConfig{}
 }
 
 // Names lists every registered structure, sorted.

@@ -164,28 +164,3 @@ func TestArenaWordsNoOverflow(t *testing.T) {
 		t.Fatalf("small key range sized %d words, want %d", w, 1<<16*pabtree.NodeWords)
 	}
 }
-
-// TestMuxSpec pins the "remote-mux:" spec grammar: a bare address, a
-// "<conns>@<addr>" prefix, and the fallbacks where the prefix is not a
-// positive integer (then the whole spec is the address — IPv6 forms
-// like "::1@..." must not be half-parsed).
-func TestMuxSpec(t *testing.T) {
-	for _, tc := range []struct {
-		spec, addr string
-		conns      int
-	}{
-		{"127.0.0.1:7471", "127.0.0.1:7471", 0},
-		{"4@127.0.0.1:7471", "127.0.0.1:7471", 4},
-		{"1@host:1", "host:1", 1},
-		{"0@host:1", "0@host:1", 0},   // zero conns: not a count
-		{"-2@host:1", "-2@host:1", 0}, // negative: not a count
-		{"x@host:1", "x@host:1", 0},   // non-numeric prefix
-		{"host:1@2", "host:1@2", 0},   // split is at the first '@'; prefix non-numeric
-	} {
-		addr, cfg := muxSpec(tc.spec)
-		if addr != tc.addr || cfg.Conns != tc.conns {
-			t.Errorf("muxSpec(%q) = (%q, %d), want (%q, %d)",
-				tc.spec, addr, cfg.Conns, tc.addr, tc.conns)
-		}
-	}
-}

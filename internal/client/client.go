@@ -456,9 +456,7 @@ func (h *handle) rpcPoint(op byte, key, val uint64, tid uint64) (uint64, bool, e
 		}
 		rid, rop, payload, err := h.readFrame()
 		if err == nil && rop == wire.RespBusy {
-			if h.c != nil {
-				h.c.faults.busy.Add(1)
-			}
+			h.c.faults.busy.Add(1)
 			if rid == id {
 				// Rate-limit rejection: the server read this very request,
 				// executed nothing, and keeps the connection alive — back
@@ -654,7 +652,7 @@ func (h *handle) batchRetry(op byte, keys, ivals []uint64, ovals []uint64, oks [
 			}
 			h.broken = true
 			busy := errors.Is(err, errBusy)
-			if busy && h.c != nil {
+			if busy {
 				h.c.faults.busy.Add(1)
 			}
 			if mutation && wrote && !busy {

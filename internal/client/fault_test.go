@@ -278,7 +278,7 @@ func TestMuxReconnect(t *testing.T) {
 		dh.Insert(k, k*7)
 	}
 
-	m, err := client.DialMux(paddr.String(), client.MuxConfig{Conns: 1, Net: client.Config{RetryAttempts: 10}})
+	m, err := client.DialMux(paddr.String(), client.Config{RetryAttempts: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestMuxMutationAmbiguity(t *testing.T) {
 	_, backend := startBackend(t)
 	// Conn 1: control client dial. Conn 2: the mux's shared connection.
 	front := evilFront(t, backend, map[int]func(net.Conn){2: swallowFrameAndClose})
-	m, err := client.DialMux(front, client.MuxConfig{Conns: 1, Net: client.Config{RetryAttempts: 6}})
+	m, err := client.DialMux(front, client.Config{RetryAttempts: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestMuxOutOfOrderReplies(t *testing.T) {
 	}
 	// Conn 1: control client dial. Conn 2: the mux's shared connection.
 	front := evilFront(t, backend, map[int]func(net.Conn){2: script})
-	m, err := client.DialMux(front, client.MuxConfig{Conns: 1})
+	m, err := client.DialMux(front, client.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

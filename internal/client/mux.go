@@ -1,11 +1,15 @@
 package client
 
-// Dynamic request coalescing, client half: a Mux multiplexes any number
-// of concurrent dict.Handle callers onto one (or a few) shared TCP
-// connections, transparently merging their per-key Get/Put/Delete calls
-// into MGET/MPUT/MDELETE frames.
+// Dynamic request coalescing — the request path's one coalescer: a Mux
+// multiplexes any number of concurrent dict.Handle callers onto one
+// shared TCP connection, transparently merging their per-key
+// Get/Put/Delete calls into MGET/MPUT/MDELETE frames. (One connection,
+// because a second one splits the arrival stream and was no faster at
+// any measured fan-in; with one or two callers a plain Client's
+// thread-bound handles beat the mux — see EXPERIMENTS.md "Request path
+// settled".)
 //
-// Shape: each shared connection runs a combiner goroutine and a reader
+// Shape: the shared connection runs a combiner goroutine and a reader
 // goroutine under a supervisor. A caller's point operation parks in a
 // pooled muxOp, lands on the connection's buffered submission queue, and
 // blocks on its own done channel. The combiner drains the queue, staging
@@ -18,15 +22,15 @@ package client
 // added latency floor); under load the submission queue fills exactly
 // while the combiner waits for credit, and the next frame carries
 // everything that accumulated — batch size adapts to the arrival rate,
-// bounded by MaxBatch. The reader completes each waiter from the batch
-// response by input position and returns the frame's credit.
+// bounded by muxMaxBatch. The reader completes each waiter from the
+// batch response by input position and returns the frame's credit.
 //
 // Explicit dict.Batcher calls pass through as their own frames (they
 // are already batches; re-coalescing them would only add copying) but
 // share the connection, its credit window and its FIFO order with the
 // coalesced traffic.
 //
-// Fault tolerance: when a shared connection dies, the supervisor stops
+// Fault tolerance: when the shared connection dies, the supervisor stops
 // both loops, salvages the in-flight state, redials with the Client's
 // backoff policy, and restarts a fresh generation. Salvage follows the
 // same ambiguity contract as plain handles (see retry.go): staged
@@ -38,10 +42,10 @@ package client
 // ErrAmbiguous or exhausted retries; the Try* methods surface the error.
 //
 // Allocation discipline: muxOps live in their handles, frames and
-// response scratch are pooled per connection, and the submission path
-// is channel sends of pooled pointers — a warmed-up per-key operation
-// through the mux allocates nothing on either endpoint (enforced by
-// internal/server's TestAllocsMux).
+// response scratch are pooled by the connection, and the submission
+// path is channel sends of pooled pointers — a warmed-up per-key
+// operation through the mux allocates nothing on either endpoint
+// (enforced by internal/server's TestAllocsMux).
 
 import (
 	"bufio"
@@ -62,32 +66,21 @@ import (
 	"repro/internal/xrand"
 )
 
-// MuxConfig tunes a Mux. The zero value is ready: one shared
-// connection, MaxBatch 512, an 8-frame credit window, default retries.
-type MuxConfig struct {
-	// Conns is the number of shared connections (default 1). Handles are
-	// assigned round-robin; more connections trade coalescing density
-	// for wire parallelism.
-	Conns int
-	// MaxBatch caps how many waiters one coalesced frame carries
-	// (default 512, capped at wire.MaxBatch). Smaller values bound the
-	// per-frame service time a coalesced op can be charged for.
-	MaxBatch int
-	// Window is the per-connection credit: how many frames may be in
-	// flight before the combiner blocks (default 8, capped at 32). The
-	// window is what turns backpressure into batching — while the
-	// combiner waits for credit, arriving ops pile into the next frame.
-	Window int
-	// Net is the dial/retry policy (shared with the control client).
-	Net Config
-}
-
 const (
-	muxSlotBits   = 6 // low bits of a frame id: its response-matching slot
-	muxSlotCount  = 1 << muxSlotBits
-	muxSlotMask   = muxSlotCount - 1
-	muxMaxWindow  = 32   // window cap; at most muxSlotCount
-	muxSubDepth   = 4096 // submission queue depth per connection
+	// muxMaxBatch caps how many waiters one coalesced frame carries,
+	// bounding the per-frame service time a coalesced op can be charged
+	// for.
+	muxMaxBatch = 512
+	// muxWindow is the connection's credit: how many frames may be in
+	// flight before the combiner blocks. The window is what turns
+	// backpressure into batching — while the combiner waits for credit,
+	// arriving ops pile into the next frame. A frame's credit is its
+	// response-matching slot, carried in the low muxSlotBits of its id.
+	muxSlotBits = 3
+	muxWindow   = 1 << muxSlotBits
+	muxSlotMask = muxWindow - 1
+
+	muxSubDepth   = 4096 // submission queue depth
 	muxBatchFlush = 8    // explicit-batch frames staged per combiner round
 )
 
@@ -97,9 +90,9 @@ const (
 // operations (STATS, OPEN, KeySum) and scans ride a plain Client under
 // the hood.
 type Mux struct {
-	c     *Client // control plane + scan connections
-	conns []*muxConn
-	next  atomic.Uint64 // handle round-robin counter
+	c     *Client  // control plane + scan connections
+	mc    *muxConn // the shared data connection
+	nhand atomic.Uint64
 
 	inflight metrics.Gauge     // ops submitted, not yet completed
 	coalesce metrics.Histogram // waiters per coalesced point frame
@@ -108,55 +101,29 @@ type Mux struct {
 	closeErr  error
 }
 
-// DialMux connects a Mux to an abtree server: cfg.Conns shared data
-// connections plus a Client for control and scans.
-func DialMux(addr string, cfg MuxConfig) (*Mux, error) {
-	c, err := DialConfig(addr, cfg.Net)
+// DialMux connects a Mux to an abtree server: the shared data
+// connection plus a Client (dialed with cfg) for control and scans.
+func DialMux(addr string, cfg Config) (*Mux, error) {
+	c, err := DialConfig(addr, cfg)
 	if err != nil {
 		return nil, err
 	}
-	nconns := cfg.Conns
-	if nconns <= 0 {
-		nconns = 1
-	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 512
-	}
-	if maxBatch > wire.MaxBatch {
-		maxBatch = wire.MaxBatch
-	}
-	window := cfg.Window
-	if window <= 0 {
-		window = 8
-	}
-	if window > muxMaxWindow {
-		window = muxMaxWindow
-	}
 	m := &Mux{c: c}
-	for i := 0; i < nconns; i++ {
-		mc, err := m.dialConn(addr, i, maxBatch, window)
-		if err != nil {
-			m.Close()
-			return nil, fmt.Errorf("client: mux dial %s: %w", addr, err)
-		}
-		m.conns = append(m.conns, mc)
+	if m.mc, err = m.dialConn(addr); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("client: mux dial %s: %w", addr, err)
 	}
 	return m, nil
 }
 
-// Close tears down the shared connections and the control client. It
+// Close tears down the shared connection and the control client. It
 // must not race in-flight operations (finish or abandon your workers
 // first — the dict contract's quiescence rule, extended to teardown).
 func (m *Mux) Close() error {
 	m.closeOnce.Do(func() {
-		for _, mc := range m.conns {
-			mc.closed.Store(true)
-		}
-		for _, mc := range m.conns {
-			close(mc.quit)
-			mc.closeConn()
-		}
+		m.mc.closed.Store(true)
+		close(m.mc.quit)
+		m.mc.closeConn()
 		m.closeErr = m.c.Close()
 	})
 	return m.closeErr
@@ -188,7 +155,7 @@ func (m *Mux) RTT() map[string]*metrics.Snapshot { return m.c.RTT() }
 func (m *Mux) ServerMetrics() (*ServerMetrics, error) { return m.c.ServerMetrics() }
 
 // Tracer returns the mux's local span collector (shared with the
-// control client; nil unless Net.TraceEvery > 0).
+// control client; nil unless Config.TraceEvery > 0).
 func (m *Mux) Tracer() *trace.Collector { return m.c.Tracer() }
 
 // LocalTraces dumps the client-side trace collector.
@@ -214,20 +181,14 @@ func (m *Mux) CoalesceStats() *metrics.Snapshot {
 // yet completed across every handle.
 func (m *Mux) Inflight() int64 { return m.inflight.Load() }
 
-// NewHandle returns a per-goroutine accessor multiplexed onto one of
-// the shared connections (round-robin). Handles are cheap — no dial —
-// so any number of worker goroutines can share a connection. The
-// dynamic type exposes the hosted structure's scan capabilities, like
-// Client.NewHandle; scans ride a dedicated per-handle connection dialed
-// lazily on first use (scans are streamed and would head-of-line block
-// the shared pipe).
+// NewHandle returns a per-goroutine accessor multiplexed onto the
+// shared connection. Handles are cheap — no dial — so any number of
+// worker goroutines can share it. The dynamic type exposes the hosted
+// structure's scan capabilities, like Client.NewHandle; scans ride a
+// dedicated per-handle connection dialed lazily on first use (scans are
+// streamed and would head-of-line block the shared pipe).
 func (m *Mux) NewHandle() dict.Handle {
-	i := m.next.Add(1)
-	h := &muxHandle{
-		m:    m,
-		mc:   m.conns[int(i-1)%len(m.conns)],
-		hint: int(i),
-	}
+	h := &muxHandle{m: m, hint: int(m.nhand.Add(1))}
 	h.op.done = make(chan struct{}, 1)
 	m.c.mu.Lock()
 	caps := m.c.caps
@@ -268,7 +229,7 @@ type muxOp struct {
 
 // muxFrame is one in-flight frame's completion state: the waiters to
 // scatter a coalesced response into, or the single explicit-batch op.
-// Pooled per connection.
+// Pooled by the connection.
 type muxFrame struct {
 	id      uint64
 	waiters []*muxOp
@@ -302,17 +263,14 @@ var errProtocol = errors.New("protocol violation")
 // being torn down by the supervisor; nothing is wrong with this loop).
 var errGenStopped = errors.New("generation stopped")
 
-// muxConn is one shared connection: a combiner goroutine owning the
+// muxConn is the shared connection: a combiner goroutine owning the
 // write side (staging, framing, credit) and a reader goroutine owning
 // the read side (matching responses by id, completing waiters,
 // returning credit), restarted across reconnects by a supervisor that
 // owns the socket and all inter-generation state.
 type muxConn struct {
-	m        *Mux
-	idx      int    // connection index, metrics shard hint
-	addr     string // redial target
-	maxBatch int
-	window   int
+	m    *Mux
+	addr string // redial target
 
 	ncMu sync.Mutex
 	nc   net.Conn
@@ -325,10 +283,10 @@ type muxConn struct {
 	failed  chan struct{} // closed on terminal reconnect failure
 	failErr error         // set before failed closes
 
-	// credits holds the free response slots, 0..window-1: taking a
+	// credits holds the free response slots, 0..muxWindow-1: taking a
 	// credit is taking the slot the frame's reply will be matched in.
 	credits chan uint64
-	slots   [muxSlotCount]atomic.Pointer[muxFrame]
+	slots   [muxWindow]atomic.Pointer[muxFrame]
 	frees   chan *muxFrame
 
 	rng *xrand.Rand // supervisor backoff jitter
@@ -347,26 +305,23 @@ type muxConn struct {
 	in  []byte
 }
 
-func (m *Mux) dialConn(addr string, idx, maxBatch, window int) (*muxConn, error) {
+func (m *Mux) dialConn(addr string) (*muxConn, error) {
 	nc, err := net.DialTimeout("tcp", addr, m.c.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	mc := &muxConn{
-		m:        m,
-		idx:      idx & (metrics.NumShards - 1),
-		addr:     addr,
-		nc:       nc,
-		br:       bufio.NewReaderSize(nc, 64<<10),
-		bw:       bufio.NewWriterSize(nc, 64<<10),
-		maxBatch: maxBatch,
-		window:   window,
-		subq:     make(chan *muxOp, muxSubDepth),
-		quit:     make(chan struct{}),
-		failed:   make(chan struct{}),
-		credits:  make(chan uint64, window),
-		frees:    make(chan *muxFrame, muxSlotCount),
-		rng:      newRetryRNG(idx + 1<<20),
+		m:       m,
+		addr:    addr,
+		nc:      nc,
+		br:      bufio.NewReaderSize(nc, 64<<10),
+		bw:      bufio.NewWriterSize(nc, 64<<10),
+		subq:    make(chan *muxOp, muxSubDepth),
+		quit:    make(chan struct{}),
+		failed:  make(chan struct{}),
+		credits: make(chan uint64, muxWindow),
+		frees:   make(chan *muxFrame, muxWindow+1), // one per slot + the one being sealed
+		rng:     newRetryRNG(1 << 20),
 	}
 	mc.fillCredits()
 	go mc.supervise()
@@ -376,7 +331,7 @@ func (m *Mux) dialConn(addr string, idx, maxBatch, window int) (*muxConn, error)
 // fillCredits frees every response slot. The credit channel must be
 // empty and no frame in flight.
 func (mc *muxConn) fillCredits() {
-	for slot := 0; slot < mc.window; slot++ {
+	for slot := 0; slot < muxWindow; slot++ {
 		mc.credits <- uint64(slot)
 	}
 }
@@ -429,13 +384,13 @@ func (mc *muxConn) supervise() {
 			faults.busy.Add(1)
 		case errors.Is(genErr, errProtocol):
 			faults.muxProtocol.Add(1)
-			log.Printf("client: mux conn %d: %v", mc.idx, genErr)
+			log.Printf("client: mux conn: %v", genErr)
 		default:
 			faults.muxTransport.Add(1)
 		}
 		mc.salvage(busy, genErr)
 		if err := mc.redial(); err != nil {
-			mc.failTerminal(fmt.Errorf("client: mux conn %d: reconnect: %w (after %v)", mc.idx, err, genErr))
+			mc.failTerminal(fmt.Errorf("client: mux conn: reconnect: %w (after %v)", err, genErr))
 			return
 		}
 	}
@@ -461,7 +416,7 @@ func (mc *muxConn) salvage(requeueAll bool, cause error) {
 			if requeueAll || o.op == wire.OpMGet {
 				mc.batches = append(mc.batches, o)
 			} else {
-				o.resErr = fmt.Errorf("%w (mux conn %d, op %#x): %v", ErrAmbiguous, mc.idx, o.op, cause)
+				o.resErr = fmt.Errorf("%w (mux conn, op %#x): %v", ErrAmbiguous, o.op, cause)
 				ambiguous++
 				o.done <- struct{}{}
 			}
@@ -471,7 +426,7 @@ func (mc *muxConn) salvage(requeueAll bool, cause error) {
 					cls := pointClass(o.op)
 					mc.points[cls] = append(mc.points[cls], o)
 				} else {
-					o.resErr = fmt.Errorf("%w (mux conn %d, op %#x): %v", ErrAmbiguous, mc.idx, o.op, cause)
+					o.resErr = fmt.Errorf("%w (mux conn, op %#x): %v", ErrAmbiguous, o.op, cause)
 					ambiguous++
 					o.done <- struct{}{}
 				}
@@ -510,12 +465,7 @@ func (mc *muxConn) redial() error {
 		if attempt >= cfg.RetryAttempts {
 			return err
 		}
-		d := cfg.RetryBackoff << uint(attempt)
-		if d > cfg.RetryBackoffMax || d <= 0 {
-			d = cfg.RetryBackoffMax
-		}
-		time.Sleep(d/2 + time.Duration(mc.rng.Uint64n(uint64(d))))
-		mc.m.c.faults.retries.Add(1)
+		mc.m.c.backoff(attempt, mc.rng)
 	}
 }
 
@@ -613,13 +563,13 @@ func (mc *muxConn) combiner(g *muxGen) {
 func (mc *muxConn) stage(op *muxOp) bool {
 	if cls := pointClass(op.op); cls >= 0 {
 		mc.points[cls] = append(mc.points[cls], op)
-		return len(mc.points[cls]) >= mc.maxBatch
+		return len(mc.points[cls]) >= muxMaxBatch
 	}
 	mc.batches = append(mc.batches, op)
 	return len(mc.batches) >= muxBatchFlush
 }
 
-// flush seals every staged class into frames (chunked at maxBatch —
+// flush seals every staged class into frames (chunked at muxMaxBatch —
 // salvage can stage more than one frame's worth) and writes them, then
 // flushes the socket. Waiters move out of the staging arrays the moment
 // their frame is sealed, so a mid-flush failure leaves each op in
@@ -629,7 +579,7 @@ func (mc *muxConn) flush(g *muxGen) error {
 	for cls := range mc.points {
 		for len(mc.points[cls]) > 0 {
 			ops := mc.points[cls]
-			n := min(len(ops), mc.maxBatch)
+			n := min(len(ops), muxMaxBatch)
 			f := mc.getFrame()
 			f.bop = nil
 			f.waiters = append(f.waiters[:0], ops[:n]...)
@@ -647,7 +597,7 @@ func (mc *muxConn) flush(g *muxGen) error {
 				}
 				vals = mc.valBuf
 			}
-			mc.m.coalesce.Record(mc.idx, uint64(len(f.waiters)))
+			mc.m.coalesce.Record(0, uint64(len(f.waiters)))
 			if err := mc.writeFrame(g, f, op, mc.keyBuf, vals); err != nil {
 				return err
 			}
@@ -748,7 +698,7 @@ func (mc *muxConn) sealSpans(f *muxFrame) uint64 {
 		if st := uint64(o.submitT); sealNs > st {
 			dur = sealNs - st
 		}
-		mc.m.c.tracer.Record(mc.idx, trace.Span{
+		mc.m.c.tracer.Record(0, trace.Span{
 			TraceID: o.trace, Kind: trace.KindMuxStage, Op: o.op,
 			Start: uint64(o.submitT), Dur: dur, Aux: uint64(members),
 		})
@@ -889,12 +839,11 @@ func (mc *muxConn) putFrame(f *muxFrame) {
 	}
 }
 
-// muxHandle is a per-goroutine accessor multiplexed onto a shared
+// muxHandle is a per-goroutine accessor multiplexed onto the shared
 // connection. Not safe for concurrent use, like every dict.Handle —
 // the sharing happens below it, in the connection.
 type muxHandle struct {
 	m    *Mux
-	mc   *muxConn
 	hint int // metrics stripe
 
 	op     muxOp    // reused point-op parking slot
@@ -941,11 +890,11 @@ func (h *muxHandle) traceSpan(tid uint64, op byte, t0 time.Time) {
 func (h *muxHandle) submit(o *muxOp) {
 	o.resErr = nil
 	select {
-	case h.mc.subq <- o:
-	case <-h.mc.quit:
+	case h.m.mc.subq <- o:
+	case <-h.m.mc.quit:
 		panic("client: mux: operation on closed mux")
-	case <-h.mc.failed:
-		o.resErr = h.mc.failErr
+	case <-h.m.mc.failed:
+		o.resErr = h.m.mc.failErr
 		return
 	}
 	<-o.done
@@ -1067,13 +1016,13 @@ func (h *muxHandle) runBatch(op byte, keys, ivals, ovals []uint64, oks []bool) {
 		} else {
 			o.resErr = nil
 			select {
-			case h.mc.subq <- o:
+			case h.m.mc.subq <- o:
 				nsub++
-			case <-h.mc.quit:
+			case <-h.m.mc.quit:
 				panic("client: mux: operation on closed mux")
-			case <-h.mc.failed:
+			case <-h.m.mc.failed:
 				if firstErr == nil {
-					firstErr = h.mc.failErr
+					firstErr = h.m.mc.failErr
 				}
 			}
 			if firstErr != nil {

@@ -72,10 +72,9 @@ type Config struct {
 	// transport failure before giving up (8 by default). Negative
 	// disables retries entirely — every transport error surfaces.
 	RetryAttempts int
-	// RetryBackoff is the first retry's backoff; it doubles per attempt
-	// up to RetryBackoffMax, with ±50% jitter. Defaults 2ms / 250ms.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
+	// RetryBackoff is the first retry's backoff (default 2ms); it doubles
+	// per attempt up to retryBackoffMax, with ±50% jitter.
+	RetryBackoff time.Duration
 	// TraceEvery head-samples 1 in TraceEvery operations per handle for
 	// request-scoped tracing (1 = every op, 0 = tracing off). Sampled
 	// ops announce a fresh 64-bit trace id with an OpTraceCtx frame —
@@ -83,6 +82,9 @@ type Config struct {
 	// span into the Client's trace collector.
 	TraceEvery int
 }
+
+// retryBackoffMax caps the exponential retry backoff.
+const retryBackoffMax = 250 * time.Millisecond
 
 func (cfg Config) withDefaults() Config {
 	if cfg.DialTimeout <= 0 {
@@ -96,9 +98,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 2 * time.Millisecond
-	}
-	if cfg.RetryBackoffMax <= 0 {
-		cfg.RetryBackoffMax = 250 * time.Millisecond
 	}
 	if cfg.TraceEvery < 0 {
 		cfg.TraceEvery = 0
@@ -171,11 +170,6 @@ func (c *Client) forget(nc net.Conn) {
 // redial replaces the handle's dead connection with a fresh one,
 // resetting the buffered reader/writer in place (no allocation).
 func (h *handle) redial() error {
-	if h.c == nil {
-		// Handle without a Client (not reachable in practice); the old
-		// panic-on-first-failure behaviour applies.
-		return fmt.Errorf("connection broken and handle has no client to redial")
-	}
 	if h.nc != nil {
 		h.c.forget(h.nc)
 		h.nc = nil
@@ -193,27 +187,24 @@ func (h *handle) redial() error {
 }
 
 // backoff sleeps for the attempt'th capped exponential backoff with
-// ±50% jitter, counting the retry.
-func (h *handle) backoff(attempt int) {
-	cfg := h.c.cfg
-	d := cfg.RetryBackoff << uint(attempt)
-	if d > cfg.RetryBackoffMax || d <= 0 {
-		d = cfg.RetryBackoffMax
+// ±50% jitter drawn from rng (the caller's own stream: a plain handle's
+// or the mux supervisor's), counting the retry.
+func (c *Client) backoff(attempt int, rng *xrand.Rand) {
+	d := c.cfg.RetryBackoff << uint(attempt)
+	if d > retryBackoffMax || d <= 0 {
+		d = retryBackoffMax
 	}
 	// Jitter in [d/2, 3d/2) so synchronized failures don't re-dial in
 	// lockstep.
-	d = d/2 + time.Duration(h.rng.Uint64n(uint64(d)))
+	d = d/2 + time.Duration(rng.Uint64n(uint64(d)))
 	time.Sleep(d)
-	h.c.faults.retries.Add(1)
+	c.faults.retries.Add(1)
 }
 
+func (h *handle) backoff(attempt int) { h.c.backoff(attempt, h.rng) }
+
 // retryBudget returns how many retries this handle's client allows.
-func (h *handle) retryBudget() int {
-	if h.c == nil {
-		return 0
-	}
-	return h.c.cfg.RetryAttempts
-}
+func (h *handle) retryBudget() int { return h.c.cfg.RetryAttempts }
 
 // prepare readies the handle for an attempt: if the connection is known
 // broken, redial (terminal on a closed client).
@@ -242,7 +233,7 @@ func (h *handle) retryIdempotent(attemptFn func() error) error {
 				return err // healthy connection, executed exactly once
 			}
 			h.broken = true
-			if errors.Is(err, errBusy) && h.c != nil {
+			if errors.Is(err, errBusy) {
 				h.c.faults.busy.Add(1)
 			}
 		}
@@ -257,9 +248,7 @@ func (h *handle) retryIdempotent(attemptFn func() error) error {
 // ErrAmbiguous.
 func (h *handle) failAmbiguous(op byte, cause error) error {
 	h.broken = true
-	if h.c != nil {
-		h.c.faults.ambiguous.Add(1)
-	}
+	h.c.faults.ambiguous.Add(1)
 	return fmt.Errorf("%w (op %#x: %v)", ErrAmbiguous, op, cause)
 }
 

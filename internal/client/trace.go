@@ -18,7 +18,7 @@ import (
 // the 1-in-TraceEvery draw. 0 allocs.
 func (h *handle) maybeTrace() uint64 {
 	c := h.c
-	if c == nil || c.cfg.TraceEvery <= 0 || !c.canTrace.Load() {
+	if c.cfg.TraceEvery <= 0 || !c.canTrace.Load() {
 		return 0
 	}
 	h.traceN++
@@ -33,7 +33,7 @@ func (h *handle) maybeTrace() uint64 {
 // RPC, issue to response decode (retries included), plus a tail-sample
 // offer so slow round trips are retained locally too. 0 allocs.
 func (h *handle) traceSpan(tid uint64, op byte, t0 time.Time) {
-	if tid == 0 || h.c == nil {
+	if tid == 0 {
 		return
 	}
 	d := time.Since(t0)

@@ -77,12 +77,13 @@ type Config struct {
 	// (unsafe: acked writes can die with the primary). Capped at the
 	// number of live members the promotion can still reach.
 	AckFollowers int
-	// MaxFailovers bounds how many failover-and-retry rounds one
-	// operation attempts before giving up (default 3).
-	MaxFailovers int
 	// Logf, when set, receives failover and resolution events.
 	Logf func(format string, args ...any)
 }
+
+// maxFailovers bounds how many failover-and-retry rounds one operation
+// attempts before giving up.
+const maxFailovers = 3
 
 // Dict is the routing dictionary. Safe for concurrent use through
 // per-goroutine handles, like every dict.Dict.
@@ -113,9 +114,6 @@ func New(cfg Config) (*Dict, error) {
 	}
 	if cfg.KeyRange == 0 {
 		return nil, errors.New("cluster: KeyRange is required")
-	}
-	if cfg.MaxFailovers <= 0 {
-		cfg.MaxFailovers = 3
 	}
 	n := len(cfg.Partitions)
 	d := &Dict{
@@ -378,7 +376,7 @@ func (h *clusterHandle) onPrimary(p *partState, mutation bool,
 	op func(t client.TryHandle) (uint64, bool, error)) (uint64, bool, error) {
 	d := h.d
 	var lastErr error
-	for attempt := 0; attempt <= d.cfg.MaxFailovers; attempt++ {
+	for attempt := 0; attempt <= maxFailovers; attempt++ {
 		prim := p.primary.Load()
 		s, err := h.sub(p.members[prim])
 		if err != nil {

@@ -26,7 +26,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 			if consistent && found {
 				return v, false
 			}
-			acquired, ev := th.lockOrElimKind(leaf, key, opInsert)
+			acquired, ev := th.lockOrElimKind(leaf, key, OpInsert)
 			if !acquired {
 				// Eliminated: linearized immediately after the record's
 				// operation; key is (momentarily) present with rec.Val.
@@ -168,7 +168,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			if consistent && !found {
 				return 0, false
 			}
-			acquired, _ := th.lockOrElimKind(leaf, key, opDelete)
+			acquired, _ := th.lockOrElimKind(leaf, key, OpDelete)
 			if !acquired {
 				// Eliminated deletes always return ⊥ (§4.1): linearized
 				// just before the record's insert, or just after the

@@ -40,23 +40,23 @@ const (
 	RecReplace
 )
 
-// opKind identifies the operation attempting elimination.
-type opKind uint8
+// OpKind identifies the operation attempting elimination.
+type OpKind uint8
 
 const (
-	opInsert opKind = iota
-	opDelete
-	opUpsert
+	OpInsert OpKind = iota
+	OpDelete
+	OpUpsert
 )
 
-// canEliminate applies the compatibility matrix above.
-func canEliminate(op opKind, rec RecKind) bool {
+// CanEliminate applies the compatibility matrix above.
+func CanEliminate(op OpKind, rec RecKind) bool {
 	switch op {
-	case opInsert:
+	case OpInsert:
 		return true
-	case opDelete:
+	case OpDelete:
 		return rec == RecInsert || rec == RecDelete
-	default: // opUpsert
+	default: // OpUpsert
 		return rec == RecReplace
 	}
 }
@@ -74,7 +74,7 @@ func (th *Thread) Upsert(key, val uint64) {
 		leaf := n.leaf()
 
 		if t.elim {
-			acquired, _ := th.lockOrElimKind(n, key, opUpsert)
+			acquired, _ := th.lockOrElimKind(n, key, OpUpsert)
 			if !acquired {
 				// Eliminated: linearized immediately before the publisher;
 				// our value is overwritten without ever being observed.
@@ -130,13 +130,13 @@ func (th *Thread) Upsert(key, val uint64) {
 
 // lockOrElimKind generalizes lockOrElim with the op/record compatibility
 // matrix. The paper's original operations use the original pairs.
-func (th *Thread) lockOrElimKind(n *node, key uint64, op opKind) (acquired bool, val uint64) {
+func (th *Thread) lockOrElimKind(n *node, key uint64, op OpKind) (acquired bool, val uint64) {
 	leaf := n.elim()
 	startVer := leaf.ver.Load()
 	spins := 0
 	for {
 		rec := leaf.record(&spins)
-		if startVer <= rec.Ver && rec.Key == key && canEliminate(op, rec.Kind) {
+		if startVer <= rec.Ver && rec.Key == key && CanEliminate(op, rec.Kind) {
 			return false, rec.Val
 		}
 		if th.tryLockNode(n) {

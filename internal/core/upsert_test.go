@@ -95,18 +95,18 @@ func TestUpsertFullLeafSplits(t *testing.T) {
 func TestUpsertEliminationMatrix(t *testing.T) {
 	matrix := []struct {
 		recKind RecKind
-		op      opKind
+		op      OpKind
 		want    bool
 	}{
-		{RecInsert, opInsert, true},
-		{RecInsert, opDelete, true},
-		{RecInsert, opUpsert, false},
-		{RecDelete, opInsert, true},
-		{RecDelete, opDelete, true},
-		{RecDelete, opUpsert, false},
-		{RecReplace, opInsert, true},
-		{RecReplace, opDelete, false},
-		{RecReplace, opUpsert, true},
+		{RecInsert, OpInsert, true},
+		{RecInsert, OpDelete, true},
+		{RecInsert, OpUpsert, false},
+		{RecDelete, OpInsert, true},
+		{RecDelete, OpDelete, true},
+		{RecDelete, OpUpsert, false},
+		{RecReplace, OpInsert, true},
+		{RecReplace, OpDelete, false},
+		{RecReplace, OpUpsert, true},
 	}
 	for _, tc := range matrix {
 		tr := New(WithElimination())
@@ -122,11 +122,11 @@ func TestUpsertEliminationMatrix(t *testing.T) {
 			defer close(done)
 			th := tr.NewThread()
 			switch tc.op {
-			case opInsert:
+			case OpInsert:
 				th.Insert(7, 100)
-			case opDelete:
+			case OpDelete:
 				th.Delete(7)
-			case opUpsert:
+			case OpUpsert:
 				th.Upsert(7, 200)
 			}
 		}()

@@ -1,5 +1,7 @@
 package pabtree
 
+import "repro/internal/core"
+
 // pathInfo is a search result: node offsets plus child indices.
 type pathInfo struct {
 	gp, p, n   uint64 // offsets; 0 means "none"
@@ -101,7 +103,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 			if consistent && found {
 				return v, false
 			}
-			acquired, ev := th.lockOrElimKind(leaf, key, pOpInsert)
+			acquired, ev := th.lockOrElimKind(leaf, key, core.OpInsert)
 			if !acquired {
 				t.elimInserts.Add(1)
 				return ev, false
@@ -139,6 +141,22 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 	}
 }
 
+// findSlot scans the locked leaf for key. at is key's pair index, or -1
+// if key is absent; empty is then the first empty pair, or -1 if the
+// leaf is full.
+func (t *Tree) findSlot(leaf, key uint64) (at, empty int) {
+	empty = -1
+	for i := 0; i < t.b; i++ {
+		switch k := t.leafKey(leaf, i); {
+		case k == key:
+			return i, empty
+		case k == emptyKey && empty < 0:
+			empty = i
+		}
+	}
+	return -1, empty
+}
+
 // leafInsertLocked performs the locked phase of a simple insert: verify
 // key is absent, find an empty slot, and write the pair with the
 // persistent flush discipline (persistPair). done is false when the
@@ -146,19 +164,7 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 // lock and has verified it is unmarked.
 func (t *Tree) leafInsertLocked(leaf uint64, key, val uint64) (done bool, old uint64, inserted bool) {
 	lv := t.vn(leaf)
-	emptyIdx := -1
-	dup := -1
-	for i := 0; i < t.b; i++ {
-		switch k := t.leafKey(leaf, i); {
-		case k == key:
-			dup = i
-		case k == emptyKey && emptyIdx < 0:
-			emptyIdx = i
-		}
-		if dup >= 0 {
-			break
-		}
-	}
+	dup, emptyIdx := t.findSlot(leaf, key)
 	if dup >= 0 {
 		return true, t.leafVal(leaf, dup), false
 	}
@@ -168,7 +174,7 @@ func (t *Tree) leafInsertLocked(leaf uint64, key, val uint64) (done bool, old ui
 	ver := lv.ver.Add(1)
 	t.rqStamp(leaf)
 	if t.elim {
-		lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: recInsert})
+		lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: core.RecInsert})
 	}
 	t.persistPair(leaf, emptyIdx, key, val)
 	lv.size.Add(1)
@@ -211,7 +217,7 @@ func (t *Tree) leafDeleteLocked(leaf uint64, key uint64) (val uint64, found bool
 	ver := lv.ver.Add(1)
 	t.rqStamp(leaf)
 	if t.elim {
-		lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: recDelete})
+		lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: core.RecDelete})
 	}
 	keyOff := leafKeyOff(leaf, idx)
 	t.arena.Store(keyOff, emptyKey)
@@ -278,7 +284,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			if consistent && !found {
 				return 0, false
 			}
-			acquired, _ := th.lockOrElimKind(leaf, key, pOpDelete)
+			acquired, _ := th.lockOrElimKind(leaf, key, core.OpDelete)
 			if !acquired {
 				t.elimDeletes.Add(1)
 				return 0, false // eliminated deletes return ⊥

@@ -65,6 +65,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/mcslock"
 	"repro/internal/pmem"
@@ -114,7 +115,7 @@ func nchildrenOf(meta uint64) int           { return int(meta >> 8 & 0xff) }
 // by which point the publisher is durably linearized, §5).
 type elimRecord struct {
 	key, val, ver uint64
-	kind          uint8 // recInsert / recDelete / recReplace
+	kind          core.RecKind
 }
 
 // vnode holds a node's volatile fields, indexed by arena slot. Everything

@@ -5,32 +5,8 @@ package pabtree
 // (see internal/core/upsert.go); persistence adds that a value replace
 // commits with a single flush of the value word, which is atomic against
 // any crash (one word, one line).
-//
-// recKind mirrors core.RecKind for the persistent elimination records.
-const (
-	recInsert uint8 = iota
-	recDelete
-	recReplace
-)
 
-type pOpKind uint8
-
-const (
-	pOpInsert pOpKind = iota
-	pOpDelete
-	pOpUpsert
-)
-
-func pCanEliminate(op pOpKind, rec uint8) bool {
-	switch op {
-	case pOpInsert:
-		return true
-	case pOpDelete:
-		return rec == recInsert || rec == recDelete
-	default:
-		return rec == recReplace
-	}
-}
+import "repro/internal/core"
 
 // Upsert sets key's value to val, inserting if absent. Durable on return
 // (replace: one value flush; insert: one flush of the pair's line; split:
@@ -46,7 +22,7 @@ func (th *Thread) Upsert(key, val uint64) {
 		lv := t.vn(leaf)
 
 		if t.elim {
-			acquired, _ := th.lockOrElimKind(leaf, key, pOpUpsert)
+			acquired, _ := th.lockOrElimKind(leaf, key, core.OpUpsert)
 			if !acquired {
 				t.elimUpserts.Add(1)
 				return
@@ -60,20 +36,7 @@ func (th *Thread) Upsert(key, val uint64) {
 			continue
 		}
 
-		emptyIdx := -1
-		dup := -1
-		for i := 0; i < t.b; i++ {
-			switch k := t.leafKey(leaf, i); {
-			case k == key:
-				dup = i
-			case k == emptyKey && emptyIdx < 0:
-				emptyIdx = i
-			}
-			if dup >= 0 {
-				break
-			}
-		}
-
+		dup, emptyIdx := t.findSlot(leaf, key)
 		switch {
 		case dup >= 0:
 			// Replace: the value word is the commit point. If a crash
@@ -82,7 +45,7 @@ func (th *Thread) Upsert(key, val uint64) {
 			ver := lv.ver.Add(1)
 			t.rqStamp(leaf)
 			if t.elim {
-				lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: recReplace})
+				lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: core.RecReplace})
 			}
 			valOff := leafValOff(leaf, dup)
 			t.arena.Store(valOff, val)
@@ -94,7 +57,7 @@ func (th *Thread) Upsert(key, val uint64) {
 			ver := lv.ver.Add(1)
 			t.rqStamp(leaf)
 			if t.elim {
-				lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: recInsert})
+				lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: core.RecInsert})
 			}
 			t.persistPair(leaf, emptyIdx, key, val)
 			lv.size.Add(1)
@@ -119,7 +82,7 @@ func (th *Thread) Upsert(key, val uint64) {
 }
 
 // lockOrElimKind is lockOrElim with the op/record compatibility matrix.
-func (th *Thread) lockOrElimKind(leaf uint64, key uint64, op pOpKind) (acquired bool, val uint64) {
+func (th *Thread) lockOrElimKind(leaf uint64, key uint64, op core.OpKind) (acquired bool, val uint64) {
 	t := th.t
 	lv := t.vn(leaf)
 	startVer := lv.ver.Load()
@@ -136,7 +99,7 @@ func (th *Thread) lockOrElimKind(leaf uint64, key uint64, op pOpKind) (acquired 
 			t.crashCheck()
 			spinPause(&spins)
 		}
-		if rec != nil && startVer <= rec.ver && rec.key == key && pCanEliminate(op, rec.kind) {
+		if rec != nil && startVer <= rec.ver && rec.key == key && core.CanEliminate(op, rec.kind) {
 			return false, rec.val
 		}
 		if th.tryLockNode(leaf) {

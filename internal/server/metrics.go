@@ -103,7 +103,6 @@ var causeNames = [numCauses]string{
 type srvMetrics struct {
 	opLat      [numOpSlots]metrics.Histogram // service latency per opcode
 	queueWait  metrics.Histogram             // reader-enqueue to worker-dequeue
-	coalesce   metrics.Histogram             // point requests per worker queue sweep
 	commitWait metrics.Histogram             // primary: mutation blocked on waitCommitted
 	shipAck    metrics.Histogram             // primary: REPLICATE ship to REPL_ACK, per round trip with entries
 
@@ -114,7 +113,6 @@ type srvMetrics struct {
 	accepted     metrics.Counter // connections ever accepted
 	decodeErrs   metrics.Counter // malformed-but-delimited frames answered with RespError
 	keyRejects   metrics.Counter // reserved-sentinel keys rejected at the boundary
-	shedOverload metrics.Counter // requests answered with an error because the work queue was full (Config.ShedOnFull)
 	shedConnDead metrics.Counter // responses dropped because the connection died first
 	rateLimited  metrics.Counter // requests answered with BUSY by the per-connection token bucket
 	replAcks     metrics.Counter // follower acks absorbed by this primary's senders
@@ -125,19 +123,14 @@ type srvMetrics struct {
 
 // metricsItemCount is the fixed number of instruments a METRICS
 // response streams (the last one carries the MetricsLast flag).
-const metricsItemCount = 8 + numCauses + 5 + 4 + numOpSlots
+const metricsItemCount = 7 + numCauses + 5 + 3 + numOpSlots
 
-// eachCounter visits every counter in the stable stream order. The old
-// shed_responses_total conflated two very different events; it is split
-// into overload shedding (admission control answered instead of
-// queueing) and dead-connection shedding (teardown dropped a produced
-// response).
+// eachCounter visits every counter in the stable stream order.
 func (s *Server) eachCounter(f func(name string, v uint64)) {
 	m := &s.metrics
 	f("accepted_conns_total", m.accepted.Load())
 	f("decode_errors_total", m.decodeErrs.Load())
 	f("key_rejects_total", m.keyRejects.Load())
-	f("shed_overload_total", m.shedOverload.Load())
 	f("shed_conn_dead_total", m.shedConnDead.Load())
 	f("rate_limited_total", m.rateLimited.Load())
 	f("repl_acks_total", m.replAcks.Load())
@@ -165,7 +158,6 @@ func (s *Server) eachGauge(f func(name string, v int64)) {
 func (s *Server) eachHist(f func(name string, h *metrics.Histogram)) {
 	m := &s.metrics
 	f("queue_wait_ns", &m.queueWait)
-	f("coalesce_batch_size", &m.coalesce)
 	f("repl_commit_wait_ns", &m.commitWait)
 	f("repl_ship_ack_ns", &m.shipAck)
 	for i := range m.opLat {

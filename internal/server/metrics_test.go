@@ -98,14 +98,11 @@ func TestRemoteMetrics(t *testing.T) {
 	if got := sm.Gauges["open_conns"]; got < 2 {
 		t.Errorf("open_conns = %d, want >= 2", got)
 	}
-	if got := sm.Counters["shed_overload_total"]; got != 0 {
-		t.Errorf("shed_overload_total = %d, want 0", got)
-	}
 	if got := sm.Counters["shed_conn_dead_total"]; got != 0 {
 		t.Errorf("shed_conn_dead_total = %d, want 0", got)
 	}
 	if _, ok := sm.Counters["shed_responses_total"]; ok {
-		t.Error("shed_responses_total still exported (should be split into overload/conn_dead)")
+		t.Error("shed_responses_total still exported (it is shed_conn_dead_total now)")
 	}
 
 	// The client recorded matching RTT histograms.
@@ -189,9 +186,8 @@ func TestTeardownCauses(t *testing.T) {
 	waitCond(t, "peer_closed teardown", func() bool {
 		return s.MetricsDump().Counters["teardown_peer_closed_total"] == 1
 	})
-	if !logs.find("cause=peer_closed") {
-		t.Error("no structured log line for peer_closed teardown")
-	}
+	// teardown counts before it logs: wait for the line, don't assume it.
+	waitCond(t, "peer_closed log line", func() bool { return logs.find("cause=peer_closed") })
 
 	// Framing violation: an oversized frame length. The server answers
 	// with an error frame, then closes.
@@ -210,9 +206,7 @@ func TestTeardownCauses(t *testing.T) {
 		return s.MetricsDump().Counters["teardown_framing_total"] == 1
 	})
 	nc.Close()
-	if !logs.find("cause=framing") {
-		t.Error("no structured log line for framing teardown")
-	}
+	waitCond(t, "framing log line", func() bool { return logs.find("cause=framing") })
 
 	d := s.MetricsDump()
 	if got := d.Counters["accepted_conns_total"]; got != 2 {

@@ -190,7 +190,7 @@ func TestPromotionFencesOldPrimary(t *testing.T) {
 // rejections the client absorbs by backing off — every op still
 // completes exactly once, and rate_limited_total counts the pushback.
 func TestRateLimit(t *testing.T) {
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2, RateLimit: 200, RateBurst: 4})
+	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2, RateLimit: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestRateLimit(t *testing.T) {
 	}
 	dump := s.MetricsDump()
 	if dump.Counters["rate_limited_total"] == 0 {
-		t.Fatal("rate limiter never fired on a 400-op burst at 200 rps / burst 4")
+		t.Fatal("rate limiter never fired on a 400-op burst at 200 rps (bucket depth 200)")
 	}
 	if fs := c.FaultStats(); fs.Busy == 0 {
 		t.Fatal("client absorbed no BUSY rejections")
@@ -226,12 +226,12 @@ func TestRateLimit(t *testing.T) {
 
 // TestRateLimitBatchDeficitBounded pins the bounded-deficit rule: a
 // batch overdraws the bucket by at most one extra burst, so a point op
-// issued right after a huge batch recovers within the client's default
-// retry budget. With an unbounded deficit the 2048-key batch below
-// would leave the bucket ~20s in debt at 100 rps and the Insert would
-// exhaust its retries.
+// issued right after a huge batch recovers within a modest retry
+// budget. With an unbounded deficit the 2048-key batch below would
+// leave the bucket ~20s in debt at 100 rps and the Insert would exhaust
+// its retries.
 func TestRateLimitBatchDeficitBounded(t *testing.T) {
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2, RateLimit: 100, RateBurst: 8})
+	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2, RateLimit: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,8 @@ func TestRateLimitBatchDeficitBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	c, err := client.Dial(addr.String())
+	// 16 attempts back off for 1.25-3.75 s in total (jitter included).
+	c, err := client.DialConfig(addr.String(), client.Config{RetryAttempts: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +259,10 @@ func TestRateLimitBatchDeficitBounded(t *testing.T) {
 		keys[i] = uint64(i) + 2
 		vals[i] = uint64(i) + 2
 	}
-	bt.InsertBatch(keys, vals, prev, ins) // charged 2048 against burst 8, never rejected
-	// Debt is clamped at -burst, so the worst wait is 2*burst/rate =
-	// 160ms — inside the default retry budget (8 attempts, ~500ms of
-	// capped backoff). This Insert panicking = the deficit is unbounded.
+	bt.InsertBatch(keys, vals, prev, ins) // charged 2048 against a 100-token bucket, never rejected
+	// Debt is clamped at -burst, so the wait for the next token is
+	// (burst+1)/rate = 1.01s — inside the retry budget above. This Insert
+	// panicking = the deficit is unbounded.
 	if _, inserted := h.Insert(60_000, 1); !inserted {
 		t.Fatal("post-batch insert reported duplicate on a fresh key")
 	}

@@ -283,3 +283,54 @@ func TestRobustNoWorkerLeak(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteTimeoutTearsDownStalledPeer: the stalled-peer backstop. A
+// peer pipelines scans whose responses far exceed what the socket
+// buffers hold and never reads a byte; the writer's per-write deadline
+// (shortened from its one-minute production value) must fire, the
+// connection must die with cause write_timeout, and the single worker —
+// parked publishing a chunk to that connection — must come free, so the
+// next client is served.
+func TestWriteTimeoutTearsDownStalledPeer(t *testing.T) {
+	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.writeTimeout = 50 * time.Millisecond // before Start: no connection exists yet
+	a, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	addr := a.String()
+
+	const n = 20_000 // one full scan = 20k pairs = 320 KB of chunks
+	{
+		nc := rawDial(t, addr)
+		keys := make([]uint64, wire.MaxBatch)
+		for base := uint64(0); base < n; base += wire.MaxBatch {
+			for i := range keys {
+				keys[i] = base + uint64(i) + 1
+			}
+			if _, err := nc.Write(wire.AppendBatch(nil, base, wire.OpMPut, keys, keys)); err != nil {
+				t.Fatal(err)
+			}
+			readResp(t, nc)
+		}
+		nc.Close()
+	}
+
+	stalled := rawDial(t, addr)
+	stalled.(*net.TCPConn).SetReadBuffer(4 << 10) // keep the kernel from absorbing the stream
+	var b []byte
+	for id := uint64(1); id <= 2*reqSlots; id++ { // ~20 MB of responses owed
+		b = wire.AppendScan(b, id, false, 1, 1<<60)
+	}
+	if _, err := stalled.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "write_timeout teardown", func() bool {
+		return s.MetricsDump().Counters["teardown_write_timeout_total"] == 1
+	})
+	checkServes(t, addr)
+}

@@ -27,8 +27,16 @@
 // selects on the connection's teardown signal, so a dead connection can
 // never strand a worker (the robustness tests abuse this path) — and a
 // live connection whose peer stopped reading is turned into a dead one
-// by the writer's per-write deadline (Config.WriteTimeout), so a
+// by the writer's per-write deadline (Server.writeTimeout), so a
 // stalled peer cannot pin a worker either.
+//
+// Overload policy: a full work queue blocks the connection's reader
+// behind its request slots — backpressure reaches the peer through TCP.
+// Admission control is Config.MaxConns and Config.RateLimit, both
+// answering BUSY ("nothing was executed"), which clients retry after
+// backing off. Merging concurrent callers' point operations into batch
+// descents is the client's job (client.Mux); a worker serves each
+// dequeued request on its own.
 package server
 
 import (
@@ -64,14 +72,6 @@ type Config struct {
 	// GOMAXPROCS). It caps the server's operation concurrency the same
 	// way thread counts cap the in-process harness.
 	Workers int
-	// WriteTimeout bounds how long a connection's writer may sit in one
-	// socket write without progress (default 1 minute; < 0 disables).
-	// It is the stalled-peer backstop: a worker publishing a response
-	// blocks on the connection's write queue, which is fine while the
-	// peer consumes, but a peer that stops reading mid-stream would
-	// otherwise pin that worker forever. The deadline turns a stalled
-	// connection into a dead one, and teardown frees the worker.
-	WriteTimeout time.Duration
 	// Logf, when set, receives one structured line per connection
 	// teardown (remote address + cause) and per slow operation (see
 	// TraceSlow). Nil keeps the server silent, as before.
@@ -79,25 +79,6 @@ type Config struct {
 	// TraceSlow, when positive, logs any operation whose service time
 	// reaches it through Logf — the slow-op trace hook.
 	TraceSlow time.Duration
-	// Coalesce caps how many compatible same-opcode point requests a
-	// worker may drain from the work queue in one pull and stage through
-	// a single dict.Batcher descent (default 64, capped at
-	// wire.MaxBatch; 1 disables coalescing). Purely opportunistic: a
-	// worker never waits for a batch to form, it only sweeps what is
-	// already queued, so an idle server still serves a lone request
-	// immediately. Per-key linearizability is preserved (the batch is
-	// non-atomic, per the dict.Batcher contract).
-	Coalesce int
-	// QueueDepth is the shared work queue's capacity (default
-	// max(4*workers, 256)). Coalescing feeds on queue backlog, so the
-	// default is deeper than the pre-coalescing 4*workers.
-	QueueDepth int
-	// ShedOnFull, when set, makes a connection reader answer a request
-	// with an error response instead of blocking when the work queue is
-	// full (counted as shed_overload_total). Default off: readers block,
-	// and per-connection request slots bound the pressure — the PR 5
-	// flow-control contract.
-	ShedOnFull bool
 	// MaxConns caps concurrently registered connections (0 = unlimited).
 	// An accept over the cap is answered with one BUSY frame and closed
 	// — admission control at the cheapest possible point: the rejected
@@ -115,8 +96,8 @@ type Config struct {
 	IdleTimeout time.Duration
 
 	// RateLimit, when positive, is the per-connection token-bucket rate
-	// in requests per second; RateBurst is the bucket depth (default
-	// max(RateLimit, 32)). A connection over its budget has single-frame
+	// in requests per second; the bucket depth ("burst") is always
+	// max(RateLimit, 32). A connection over its budget has single-frame
 	// operations (point ops, scans) answered with a BUSY frame echoing
 	// the request id — the server read the request and executed nothing,
 	// so even a mutation is safe to resend after backing off. Batched
@@ -126,11 +107,10 @@ type Config struct {
 	// bucket into deficit and throttles the connection's subsequent
 	// requests instead; the deficit is capped at one extra burst so a
 	// run of large batches delays later single-frame ops by at most
-	// 2*burst/rate rather than starving them past the client's retry
-	// budget. Control (STATS/METRICS/OPEN) and replication frames are
-	// exempt. Counted as rate_limited_total.
+	// 2*burst/rate (2s at 32 rps and up) rather than without bound.
+	// Control (STATS/METRICS/OPEN) and replication frames are exempt.
+	// Counted as rate_limited_total.
 	RateLimit float64
-	RateBurst int
 
 	// Replication. A server with Followers (primary) or Follower=true
 	// (replica) is one member of a replicated partition: see repl.go for
@@ -140,7 +120,7 @@ type Config struct {
 	// acked (default 1 — sync-1; clamped to len(Followers); negative
 	// means ack immediately). Replicated servers reject OPEN (the log is
 	// tied to the hosted generation) and serve mutations through the
-	// sequenced-log write path; cross-connection coalescing is disabled.
+	// sequenced-log write path.
 	Followers    []string
 	Follower     bool
 	AckFollowers int
@@ -167,17 +147,23 @@ type hosted struct {
 
 // Server serves one dictionary over TCP.
 type Server struct {
-	build        Builder
-	workers      int
+	build   Builder
+	workers int
+	// writeTimeout bounds how long a connection's writer may sit in one
+	// socket write without progress (always one minute; a field only so
+	// the in-package test can shorten it). It is the stalled-peer
+	// backstop: a worker publishing a response blocks on the connection's
+	// write queue, which is fine while the peer consumes, but a peer that
+	// stops reading mid-stream would otherwise pin that worker forever.
+	// The deadline turns a stalled connection into a dead one, and
+	// teardown frees the worker.
 	writeTimeout time.Duration
 	logf         func(format string, args ...any)
 	traceSlow    time.Duration
-	coalesce     int
-	shedOnFull   bool
 	maxConns     int
 	idleTimeout  time.Duration
 	rateLimit    float64
-	rateBurst    float64
+	rateBurst    float64 // token-bucket depth, max(rateLimit, 32)
 
 	// repl is the replication state; nil on standalone servers (every
 	// replication hook checks for nil, keeping the standalone paths
@@ -213,62 +199,25 @@ func New(build Builder, name string, keyRange uint64, cfg Config) (*Server, erro
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	wt := cfg.WriteTimeout
-	if wt == 0 {
-		wt = time.Minute
-	}
-	coalesce := cfg.Coalesce
-	if coalesce == 0 {
-		coalesce = 64
-	}
-	if coalesce < 1 {
-		coalesce = 1
-	}
-	if coalesce > wire.MaxBatch {
-		coalesce = wire.MaxBatch
-	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 4 * workers
-		if depth < 256 {
-			depth = 256
-		}
-	}
-	replicated := cfg.Follower || len(cfg.Followers) > 0
-	if replicated {
-		// Mutations must route one-at-a-time through the stripe-locked
-		// log path; the coalescing sweep and native batch descents would
-		// bypass it.
-		coalesce = 1
-	}
-	burst := float64(cfg.RateBurst)
-	if cfg.RateLimit > 0 && burst <= 0 {
-		burst = cfg.RateLimit
-		if burst < 32 {
-			burst = 32
-		}
-	}
 	s := &Server{
 		build:        build,
 		workers:      workers,
-		writeTimeout: wt,
+		writeTimeout: time.Minute,
 		logf:         cfg.Logf,
 		traceSlow:    cfg.TraceSlow,
-		coalesce:     coalesce,
-		shedOnFull:   cfg.ShedOnFull,
 		maxConns:     cfg.MaxConns,
 		idleTimeout:  cfg.IdleTimeout,
 		rateLimit:    cfg.RateLimit,
-		rateBurst:    burst,
+		rateBurst:    max(cfg.RateLimit, 32),
 		tracer:       trace.New(),
-		work:         make(chan *request, depth),
+		work:         make(chan *request, max(4*workers, 256)),
 		quit:         make(chan struct{}),
 		conns:        make(map[*srvConn]struct{}),
 	}
 	if err := s.host(name, keyRange); err != nil {
 		return nil, err
 	}
-	if replicated {
+	if cfg.Follower || len(cfg.Followers) > 0 {
 		s.repl = newReplState(s, cfg)
 	}
 	s.metrics.workers.Add(0, int64(workers))
@@ -776,19 +725,6 @@ func (c *srvConn) reader() {
 			continue
 		}
 		req.enq = time.Now()
-		if c.s.shedOnFull {
-			// Admission control: answer instead of blocking when the
-			// queue is full. The error frame keeps the stream aligned;
-			// the peer decides whether to back off or retry.
-			select {
-			case c.s.work <- req:
-			default:
-				m.shedOverload.Inc(0)
-				c.sendErr(id, "server overloaded: work queue full")
-				c.putReq(req)
-			}
-			continue
-		}
 		select {
 		case c.s.work <- req:
 		case <-c.done:
@@ -834,11 +770,9 @@ func (c *srvConn) writer() {
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
 	// Each socket write gets a fresh deadline: steady progress never
 	// trips it, a peer that stopped reading does, and the resulting
-	// write error tears the connection down (see Config.WriteTimeout).
+	// write error tears the connection down (see Server.writeTimeout).
 	deadline := func() {
-		if c.s.writeTimeout > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(c.s.writeTimeout))
-		}
+		c.nc.SetWriteDeadline(time.Now().Add(c.s.writeTimeout))
 	}
 	// writeCause classifies a socket-write failure: a deadline expiry
 	// (the stalled-peer backstop firing) is its own teardown cause so
@@ -942,15 +876,6 @@ type worker struct {
 	oks   []bool
 	msnap metrics.Snapshot // METRICS streaming scratch
 
-	// Cross-connection coalescing state: requests swept from the work
-	// queue in one pull (creqs), their staged keys/values (ckeys,
-	// cvals), and the first incompatible request the sweep hit, served
-	// next (deferred).
-	creqs    []*request
-	ckeys    []uint64
-	cvals    []uint64
-	deferred *request
-
 	// Scan-in-flight state for the bound relay callback (one scan at a
 	// time per worker, so worker fields — not a per-scan closure).
 	sc struct {
@@ -967,17 +892,12 @@ func (s *Server) workerLoop(idx int) {
 	w := &worker{s: s, idx: idx & (metrics.NumShards - 1)}
 	w.relay = w.scanRelay
 	for {
-		var req *request
-		if w.deferred != nil {
-			req, w.deferred = w.deferred, nil
-		} else {
-			select {
-			case req = <-s.work:
-			case <-s.quit:
-				return
-			}
+		select {
+		case req := <-s.work:
+			w.serve(req)
+		case <-s.quit:
+			return
 		}
-		w.serve(req)
 	}
 }
 
@@ -989,102 +909,9 @@ func (w *worker) attach(h *hosted) {
 	w.snap = dict.ScanFunc(w.h, true)
 }
 
-// pointCoalescable reports whether an opcode participates in
-// cross-connection coalescing (the per-key point operations; batches
-// are already batches, scans and control ops have their own shapes).
-func pointCoalescable(op byte) bool {
-	return op == wire.OpGet || op == wire.OpPut || op == wire.OpDelete
-}
-
-// serve dispatches one dequeued request. Point operations first sweep
-// the work queue for compatible companions (cross-connection
-// coalescing, the ISSUE 7 server half); everything else — and a point
-// op that found no company — takes the per-request path.
+// serve executes one dequeued request on the worker's handle and
+// publishes its response(s) to the owning connection.
 func (w *worker) serve(req *request) {
-	if w.s.coalesce > 1 && pointCoalescable(req.Op) {
-		w.servePoints(req)
-		return
-	}
-	w.serveOne(req)
-}
-
-// servePoints opportunistically drains up to Coalesce-1 more requests
-// with the same point opcode from the work queue — never waiting; the
-// sweep takes only what is already there — and stages the whole group
-// through one Batcher descent. The first incompatible request swept is
-// parked in w.deferred and served next, so nothing is reordered past a
-// full queue scan. Per-key linearizability holds: every client blocks
-// until its response, so two coalesced requests are concurrent calls,
-// and any execution order within the descent is a valid linearization
-// (the dict.Batcher per-key contract).
-func (w *worker) servePoints(first *request) {
-	w.creqs = append(w.creqs[:0], first)
-	op := first.Op
-collect:
-	for len(w.creqs) < w.s.coalesce {
-		select {
-		case r := <-w.s.work:
-			if r.Op != op {
-				w.deferred = r
-				break collect
-			}
-			w.creqs = append(w.creqs, r)
-		default:
-			break collect
-		}
-	}
-	w.s.metrics.coalesce.Record(w.idx, uint64(len(w.creqs)))
-	if len(w.creqs) == 1 {
-		w.serveOne(first)
-		return
-	}
-	if h := w.s.cur.Load(); w.cur != h {
-		w.attach(h)
-	}
-	now := time.Now()
-	reqs := w.creqs
-	n := len(reqs)
-	w.s.metrics.inFlight.Add(w.idx, int64(n))
-	w.ckeys = w.ckeys[:0]
-	for _, r := range reqs {
-		w.ckeys = append(w.ckeys, r.Key)
-	}
-	if cap(w.vals) < n {
-		w.vals = make([]uint64, n)
-		w.oks = make([]bool, n)
-	}
-	vals, oks := w.vals[:n], w.oks[:n]
-	switch op {
-	case wire.OpGet:
-		w.bat.FindBatch(w.ckeys, vals, oks)
-	case wire.OpPut:
-		w.cvals = w.cvals[:0]
-		for _, r := range reqs {
-			w.cvals = append(w.cvals, r.Val)
-		}
-		w.bat.InsertBatch(w.ckeys, w.cvals, vals, oks)
-	case wire.OpDelete:
-		w.bat.DeleteBatch(w.ckeys, vals, oks)
-	}
-	// Scatter: each response goes back to its owning connection; a dead
-	// connection sheds its response without disturbing the others.
-	for i, r := range reqs {
-		r.c.sendPoint(r.ID, vals[i], oks[i])
-		if r.traceID != 0 {
-			// Batched-descent attribution: the traced op was served inside
-			// a coalesced sweep of n requests, not alone.
-			w.s.tracer.Record(w.idx, trace.Span{
-				TraceID: r.traceID, Kind: trace.KindBatchDescent, Op: r.Op,
-				Start: uint64(now.UnixNano()), Dur: sinceNs(now), Aux: uint64(n),
-			})
-		}
-		w.observe(r, now)
-		r.c.putReq(r)
-	}
-	w.s.metrics.inFlight.Add(w.idx, -int64(n))
-}
-
-func (w *worker) serveOne(req *request) {
 	if h := w.s.cur.Load(); w.cur != h {
 		w.attach(h)
 	}

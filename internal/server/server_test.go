@@ -6,10 +6,13 @@ package server
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/client"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dict"
 	"repro/internal/rq"
@@ -210,7 +213,8 @@ func TestRemoteBatchCrossFrameOrder(t *testing.T) {
 // TestRemoteBatchDeepPipeline: a batch spanning many frames (several
 // full pipeline windows) completes and lands every result at its input
 // offset — the bounded-window regression guard for the write-all/
-// read-all deadlock.
+// read-all deadlock — and a pipelined point burst deeper than the work
+// queue is answered completely and in order.
 func TestRemoteBatchDeepPipeline(t *testing.T) {
 	_, c := startServer(t, "occ", 1<<21, 2)
 	b := c.NewHandle().(dict.Batcher)
@@ -229,6 +233,30 @@ func TestRemoteBatchDeepPipeline(t *testing.T) {
 		if !ok[i] || res[i] != vals[i] {
 			t.Fatalf("i=%d: (%d,%v), want (%d,true)", i, res[i], ok[i], vals[i])
 		}
+	}
+
+	// The overload policy, same shape one layer down: a raw connection
+	// pipelines a point burst deeper than its request slots AND the work
+	// queue at a single worker. The reader blocks behind its slots
+	// instead of shedding, so every request is answered, in order, and
+	// nothing is dropped.
+	s1, addr := startServerCfg(t, "occ", 1<<16, Config{Workers: 1})
+	nc := rawDial(t, addr)
+	burst := uint64(2 * cap(s1.work))
+	var buf []byte
+	for id := uint64(1); id <= burst; id++ {
+		buf = wire.AppendPoint(buf, id, wire.OpPut, id, id)
+	}
+	if _, err := nc.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	for want := uint64(1); want <= burst; want++ {
+		if id, op, _ := readResp(t, nc); id != want || op != wire.RespPoint {
+			t.Fatalf("burst response %d: id=%d op=%#x", want, id, op)
+		}
+	}
+	if got := s1.MetricsDump().Counters["shed_conn_dead_total"]; got != 0 {
+		t.Errorf("shed_conn_dead_total = %d, want 0 (no connection died)", got)
 	}
 }
 
@@ -338,47 +366,137 @@ func TestRemoteCapabilityGating(t *testing.T) {
 
 // TestRemoteConcurrentHandles hammers one server from many goroutines,
 // each with its own handle/connection, and cross-checks the key sum —
-// the smallest version of what bench.Run does remotely.
+// the smallest version of what bench.Run does remotely. Two shapes: a
+// random mix (scans included) against a worker pool, and eight
+// connections marching through phase-aligned Insert/Find/Delete bursts
+// against ONE worker — every request funnels through the same work
+// queue and handle, and each goroutine's own key stripe must match its
+// shadow map exactly.
 func TestRemoteConcurrentHandles(t *testing.T) {
-	_, c := startServer(t, "shard4", 1<<16, 4)
-	const workers = 8
-	sums := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := c.NewHandle()
-			rng := xrand.New(uint64(w)*771 + 13)
-			var sum int64
-			for i := 0; i < 2000; i++ {
-				k := 1 + rng.Uint64n(1<<12)
-				switch rng.Uint64n(4) {
-				case 0:
-					if _, ok := h.Insert(k, k); ok {
-						sum += int64(k)
-					}
-				case 1:
-					if _, ok := h.Delete(k); ok {
-						sum -= int64(k)
-					}
-				case 2:
-					h.Find(k)
-				default:
-					if sr, ok := h.(dict.SnapshotRanger); ok {
-						sr.RangeSnapshot(k, k+100, func(_, _ uint64) bool { return true })
-					}
-				}
+	for _, tc := range []struct {
+		name, host string
+		workers    int
+		run        func(t *testing.T, g int, h dict.Handle) (keySum uint64)
+	}{
+		{"mixed-4-workers", "shard4", 4, mixedOps},
+		{"phased-1-worker", "occ", 1, phasedStripeOps},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c := startServer(t, tc.host, 1<<16, tc.workers)
+			const goroutines = 8
+			var want atomic.Uint64
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					want.Add(tc.run(t, g, c.NewHandle()))
+				}(g)
 			}
-			sums[w] = sum
-		}(w)
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			if got := c.KeySum(); got != want.Load() {
+				t.Fatalf("KeySum=%d, want %d", got, want.Load())
+			}
+		})
 	}
-	wg.Wait()
-	var want int64
-	for _, s := range sums {
-		want += s
+}
+
+// mixedOps runs a random Insert/Delete/Find/RangeSnapshot mix over keys
+// shared with every other goroutine, returning its (wrapping) net
+// contribution to the key sum.
+func mixedOps(_ *testing.T, g int, h dict.Handle) (keySum uint64) {
+	rng := xrand.New(uint64(g)*771 + 13)
+	for i := 0; i < 2000; i++ {
+		k := 1 + rng.Uint64n(1<<12)
+		switch rng.Uint64n(4) {
+		case 0:
+			if _, ok := h.Insert(k, k); ok {
+				keySum += k
+			}
+		case 1:
+			if _, ok := h.Delete(k); ok {
+				keySum -= k
+			}
+		case 2:
+			h.Find(k)
+		default:
+			if sr, ok := h.(dict.SnapshotRanger); ok {
+				sr.RangeSnapshot(k, k+100, func(_, _ uint64) bool { return true })
+			}
+		}
 	}
-	if got := c.KeySum(); got != uint64(want) {
-		t.Fatalf("KeySum=%d, want %d", got, want)
+	return keySum
+}
+
+// phasedStripeOps runs an Insert phase, a Find phase and a Delete phase
+// over the goroutine's private key stripe, checking every result
+// against a shadow map; it returns the sum of the keys left behind.
+func phasedStripeOps(t *testing.T, g int, h dict.Handle) (keySum uint64) {
+	const (
+		perPhase = 1200
+		stripe   = uint64(1) << 10
+	)
+	base := 1 + uint64(g)*stripe
+	model := make(map[uint64]uint64)
+	rng := xrand.New(uint64(g)*7919 + 3)
+	for i := 0; i < perPhase; i++ {
+		k := base + rng.Uint64n(stripe)
+		v := rng.Uint64()
+		prev, ins := h.Insert(k, v)
+		mv, had := model[k]
+		if ins == had || (had && prev != mv) {
+			t.Errorf("g%d Insert(%d) = %d,%v; model %d,%v", g, k, prev, ins, mv, had)
+			return 0
+		}
+		if !had {
+			model[k] = v
+		}
+	}
+	for i := 0; i < perPhase; i++ {
+		k := base + rng.Uint64n(stripe)
+		v, ok := h.Find(k)
+		mv, had := model[k]
+		if ok != had || (had && v != mv) {
+			t.Errorf("g%d Find(%d) = %d,%v; model %d,%v", g, k, v, ok, mv, had)
+			return 0
+		}
+	}
+	for i := 0; i < perPhase; i++ {
+		k := base + rng.Uint64n(stripe)
+		prev, del := h.Delete(k)
+		mv, had := model[k]
+		if del != had || (had && prev != mv) {
+			t.Errorf("g%d Delete(%d) = %d,%v; model %d,%v", g, k, prev, del, mv, had)
+			return 0
+		}
+		delete(model, k)
+	}
+	for k := range model {
+		keySum += k
+	}
+	return keySum
+}
+
+// TestRequestPathOptionCensus pins how many independently settable
+// values the request path exposes. Changing a count is a decision, not
+// a drift: an option survives only if two non-test callers need
+// different values — otherwise it is a constant or derived from its
+// inputs (ISSUE 23; the PR 20 rule).
+func TestRequestPathOptionCensus(t *testing.T) {
+	for _, c := range []struct {
+		cfg  any
+		want int
+	}{
+		{Config{}, 10},
+		{client.Config{}, 4},
+		{cluster.Config{}, 6},
+	} {
+		typ := reflect.TypeOf(c.cfg)
+		if got := typ.NumField(); got != c.want {
+			t.Errorf("%v has %d fields, want %d: an option survives only if two non-test callers need different values — make the new one a constant or derive it, or argue the census change in the PR", typ, got, c.want)
+		}
 	}
 }

@@ -222,7 +222,7 @@ func TestTraceReplicatedCausality(t *testing.T) {
 // coalesced frame's waiter count in Aux.
 func TestTraceMuxStage(t *testing.T) {
 	_, addr := startServerCfg(t, "occ", 1<<16, Config{Workers: 2})
-	m, err := client.DialMux(addr, client.MuxConfig{Net: client.Config{TraceEvery: 1}})
+	m, err := client.DialMux(addr, client.Config{TraceEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

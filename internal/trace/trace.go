@@ -12,8 +12,8 @@
 // records, not a tree: Kind says which stage of the pipeline the span
 // measures (client RPC, mux stage-wait, server queue-wait, worker
 // service, replication ship, commit wait, follower apply), Start/Dur
-// place it in wall time, and Aux carries per-kind detail (sweep size,
-// coalesced-frame membership, replication seq).
+// place it in wall time, and Aux carries per-kind detail
+// (coalesced-frame membership, replication seq).
 //
 // Recording costs one short critical section on an uncontended
 // per-worker stripe and allocates nothing (TestAllocsTrace* gates the
@@ -30,14 +30,14 @@ import (
 
 // Span kinds: which stage of a request's journey the span measures.
 const (
-	KindClient       = 0x01 // whole client RPC, issue to response decode
-	KindMuxStage     = 0x02 // mux: submit to coalesced-frame seal (Aux = waiters in frame)
-	KindQueueWait    = 0x03 // server: decoded to picked up by a worker
-	KindService      = 0x04 // server: worker executing the op
-	KindBatchDescent = 0x05 // server: op served inside a coalesced sweep (Aux = sweep size)
-	KindReplShip     = 0x06 // primary: log append to first covering REPL_ACK (Aux = seq)
-	KindCommitWait   = 0x07 // primary: blocked until commit position covered the op (Aux = seq)
-	KindApply        = 0x08 // follower: applying the shipped entry (Aux = seq)
+	KindClient    = 0x01 // whole client RPC, issue to response decode
+	KindMuxStage  = 0x02 // mux: submit to coalesced-frame seal (Aux = waiters in frame)
+	KindQueueWait = 0x03 // server: decoded to picked up by a worker
+	KindService   = 0x04 // server: worker executing the op
+	// 0x05 is unassigned: dumps from older servers may still carry it.
+	KindReplShip   = 0x06 // primary: log append to first covering REPL_ACK (Aux = seq)
+	KindCommitWait = 0x07 // primary: blocked until commit position covered the op (Aux = seq)
+	KindApply      = 0x08 // follower: applying the shipped entry (Aux = seq)
 )
 
 // KindName returns the human-readable name of a span kind.
@@ -51,8 +51,6 @@ func KindName(kind byte) string {
 		return "queue-wait"
 	case KindService:
 		return "service"
-	case KindBatchDescent:
-		return "batch-descent"
 	case KindReplShip:
 		return "repl-ship"
 	case KindCommitWait:
