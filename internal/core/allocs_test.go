@@ -129,3 +129,29 @@ func TestAllocsWriteUnderScan(t *testing.T) {
 		t.Errorf("write under scan allocates %.2f/op after warm-up, want 0", avg)
 	}
 }
+
+// TestAllocsStructuralChurn: appending 256 keys and deleting them again
+// splits and then merges leaves and internal nodes. The only allocations
+// are the replacement nodes themselves (474 of them, as when the staging
+// buffers were stack arrays): the structural updates stage in the
+// Thread's scratch (abalg.Scratch), so nothing escapes through the seam.
+func TestAllocsStructuralChurn(t *testing.T) {
+	tr, th := allocGuardTree(t)
+	churn := func() {
+		for k := uint64(20_001); k <= 20_256; k++ {
+			th.Insert(k, k)
+		}
+		for k := uint64(20_001); k <= 20_256; k++ {
+			th.Delete(k)
+		}
+	}
+	churn()
+	avg := testing.AllocsPerRun(50, churn)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.0f allocations per 256-key insert+delete churn", avg)
+	if avg > 474 {
+		t.Errorf("structural churn allocates %.0f/run, want <= 474 (the nodes)", avg)
+	}
+}

@@ -33,7 +33,10 @@ package core
 // per-Thread scratch: steady-state batched operations allocate nothing
 // (TestAllocsBatchOps).
 
-import "repro/internal/batchkit"
+import (
+	"repro/internal/abalg"
+	"repro/internal/batchkit"
+)
 
 // batchEnt is one key of an in-flight batched operation (see
 // batchkit.Ent).
@@ -44,7 +47,7 @@ type batchEnt = batchkit.Ent
 func (th *Thread) orderBatch(keys []uint64) []batchEnt {
 	ents := th.batchBuf[:0]
 	for i, k := range keys {
-		checkKey(k)
+		abalg.CheckKey(k)
 		ents = append(ents, batchEnt{K: k, Idx: i})
 	}
 	ents, th.batchTmp = batchkit.Sort(ents, th.batchTmp)
@@ -156,9 +159,9 @@ func (th *Thread) runSubtree(op batchOp, n *node, run []batchEnt, vals, res []ui
 // triggers the underfull repair exactly like the per-key delete path.
 func (th *Thread) applyRunLocked(op batchOp, leaf *node, run []batchEnt, vals, res []uint64, ok []bool) (consumed int, marked, full bool) {
 	t := th.t
-	th.lockNode(leaf)
+	th.Lock(leaf)
 	if leaf.isMarked() {
-		th.unlockAll()
+		th.UnlockAll()
 		return 0, true, false
 	}
 	i := 0
@@ -177,9 +180,9 @@ func (th *Thread) applyRunLocked(op batchOp, leaf *node, run []batchEnt, vals, r
 		i++
 	}
 	newSize := leaf.size()
-	th.unlockAll()
+	th.UnlockAll()
 	if op == bDelete && newSize < t.a {
-		th.fixUnderfull(leaf)
+		abalg.FixUnderfull(th, leaf)
 	}
 	return i, false, full
 }
@@ -247,7 +250,7 @@ func (t *Tree) collectBatchFinds(n *node, run []batchEnt, vals []uint64, found [
 	for {
 		v1 := l.ver.Load()
 		if v1&1 == 1 {
-			spinPause(&spins)
+			abalg.SpinPause(&spins)
 			continue
 		}
 		if l.isMarked() {
@@ -269,6 +272,6 @@ func (t *Tree) collectBatchFinds(n *node, run []batchEnt, vals []uint64, found [
 		if l.ver.Load() == v1 {
 			return true
 		}
-		spinPause(&spins)
+		abalg.SpinPause(&spins)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // finishes the update on the returned leaf, closes the window and
 // unlocks.
 func openPublishingWindow(tr *Tree, pub *Thread, key, val uint64, k RecKind) *elimLeaf {
-	n := tr.search(key, nil).n
-	pub.lockNode(n)
+	n := tr.search(key, nil).N
+	pub.Lock(n)
 	leaf := n.elim()
 	leaf.publish(key, val, leaf.ver.Add(1), k)
 	return leaf
@@ -55,7 +55,7 @@ func TestPublishingEliminationDeterministic(t *testing.T) {
 	leaf.keys[0].Store(7)
 	leaf.addSize(1)
 	leaf.ver.Add(1)
-	pub.unlockAll()
+	pub.UnlockAll()
 
 	ins := <-insRes
 	if ins[0] != 42 || ins[1] != 0 {

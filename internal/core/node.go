@@ -11,9 +11,16 @@
 //     linearize against it and return without writing to the tree.
 //
 // Both trees are instances of one Tree type (elimination is a construction
-// option) because they share the node layouts, search, and rebalancing code;
-// the paper describes the Elim-ABtree as "a modified version of the
+// option): the paper describes the Elim-ABtree as "a modified version of the
 // OCC-ABtree".
+//
+// This package is the Go-heap node store and the per-operation half of the
+// algorithm: the node layouts, search, the leaf reads and locked leaf
+// writes, elimination, batches and scans. The structural half — splitting
+// inserts, fixTagged, fixUnderfull, Validate and the other inspection
+// walks — is internal/abalg, written once for this store and for
+// internal/pabtree's arena; it reaches the nodes through the abalg.Store
+// seam that *Thread implements (seam.go).
 //
 // Keys and values are uint64. Key 0 is reserved as the paper's ⊥ (the
 // empty-slot sentinel in leaf key arrays).
@@ -23,6 +30,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/abalg"
 	"repro/internal/mcslock"
 	"repro/internal/rq"
 )
@@ -31,7 +39,7 @@ const (
 	// maxCap is the compile-time capacity of per-node arrays: the paper's
 	// b = 11. The runtime degree b can be configured anywhere in
 	// [4, maxCap].
-	maxCap = 11
+	maxCap = abalg.MaxCap
 
 	// DefaultMaxSize is the paper's b: at most 11 keys per leaf and 11
 	// child pointers per internal node.
@@ -43,17 +51,6 @@ const (
 
 	// emptyKey is ⊥: an empty slot in a leaf's keys array.
 	emptyKey = 0
-)
-
-type kind uint8
-
-const (
-	leafKind kind = iota
-	internalKind
-	// taggedKind marks a TaggedInternal node: a temporary height imbalance
-	// created by a splitting insert (or by fixTagged's split case), always
-	// with exactly two children, removed by fixTagged.
-	taggedKind
 )
 
 // ElimRecord summarises the last simple insert or successful delete that
@@ -82,14 +79,14 @@ type ElimRecord struct {
 //
 //	header    lock, state, kind, searchKey + 11 keys        112 B
 //	inner     header + 11 child pointers                    200 B (class 208)
-//	leaf      header + ver, rqTS, rqVers + 11 values        224 B
+//	leaf      header + ver, rq.LeafState + 11 values        224 B
 //	elimLeaf  leaf + the inline elimination record          248 B (class 256)
 //
 // Everything that works on any node — locking, marking, routing by keys,
 // re-location by searchKey — reads the header through the *node. The
 // role-specific tails are reached through the downcasts leaf(), inner()
 // and elim(), which hold the package's only unsafe conversions; kind says
-// which one is legal (leafKind: leaf, and elim on an Elim-ABtree;
+// which one is legal (LeafKind: leaf, and elim on an Elim-ABtree;
 // otherwise inner).
 //
 // Mutability discipline:
@@ -103,7 +100,7 @@ type ElimRecord struct {
 //     an internal node they are the routing keys, immutable after
 //     publication ("once an internal node is created, its routing keys
 //     are never changed" — §3.1); adding/removing one replaces the node.
-//   - leaf ver/vals/rqTS/rqVers and elimLeaf rec: as leaf keys.
+//   - leaf ver/vals/LeafState and elimLeaf rec: as leaf keys.
 //   - inner ptrs: mutated only while the node's lock is held; read
 //     lock-free by searches.
 type node struct {
@@ -113,22 +110,22 @@ type node struct {
 	// state packs the marked bit with a leaf's number of non-empty keys.
 	state atomic.Uint32
 
-	kind kind
+	kind abalg.Kind
 
 	// nchildren is an internal node's child-pointer count (immutable);
 	// the node has nchildren-1 routing keys in keys[0..nchildren-2].
 	nchildren uint8
 
-	// searchKey is an immutable key within this node's key range, used by
-	// fixTagged/fixUnderfull to re-locate the node: the unique search path
-	// for searchKey passes through every reachable node whose key range
-	// contains it (paper Def. 3.3/3.4), hence through this node.
+	// searchKey is the immutable lower bound of this node's key range,
+	// used by fixTagged/fixUnderfull to re-locate the node: the unique
+	// search path for searchKey passes through every reachable node whose
+	// key range contains it (paper Def. 3.3/3.4), hence through this node.
 	searchKey uint64
 
 	keys [maxCap]atomic.Uint64
 }
 
-// leaf is the allocation behind a *node of leafKind: the paper's leaf
+// leaf is the allocation behind a *node of LeafKind: the paper's leaf
 // (lock, version, size, 11 keys, 11 values) plus the range-query stamp.
 type leaf struct {
 	node
@@ -138,12 +135,8 @@ type leaf struct {
 	// validation (§3.2); publishing elimination keys off it (§4.1).
 	ver atomic.Uint64
 
-	// rqTS is the global range-query timestamp observed by the leaf's
-	// most recent write; rqVers chains preserved pre-write states for
-	// in-flight snapshot scans. Both are written only inside the leaf's
-	// version window (or before publication) — see rqsnap.go.
-	rqTS   atomic.Uint64
-	rqVers atomic.Pointer[rq.Version]
+	// The range-query write stamp and version chain (rqsnap.go).
+	rq.LeafState
 
 	vals [maxCap]atomic.Uint64
 }
@@ -162,7 +155,7 @@ type elimLeaf struct {
 	}
 }
 
-// inner is the allocation behind a *node of internalKind or taggedKind.
+// inner is the allocation behind a *node of InternalKind or TaggedKind.
 type inner struct {
 	node
 	ptrs [maxCap]atomic.Pointer[node]
@@ -180,7 +173,7 @@ func (n *node) checkKind(wantLeaf bool) {
 	}
 }
 
-// leaf returns the leaf n heads; n must be of leafKind.
+// leaf returns the leaf n heads; n must be of LeafKind.
 func (n *node) leaf() *leaf {
 	if checkDowncasts {
 		n.checkKind(true)
@@ -188,7 +181,7 @@ func (n *node) leaf() *leaf {
 	return (*leaf)(unsafe.Pointer(n))
 }
 
-// inner returns the internal node n heads; n must not be of leafKind.
+// inner returns the internal node n heads; n must not be of LeafKind.
 func (n *node) inner() *inner {
 	if checkDowncasts {
 		n.checkKind(false)
@@ -205,8 +198,8 @@ func (n *node) elim() *elimLeaf {
 	return (*elimLeaf)(unsafe.Pointer(n))
 }
 
-func (n *node) isLeaf() bool { return n.kind == leafKind }
-func (n *node) tagged() bool { return n.kind == taggedKind }
+func (n *node) isLeaf() bool { return n.kind == abalg.LeafKind }
+func (n *node) tagged() bool { return n.kind == abalg.TaggedKind }
 
 // markedBit is the state bit set when a node is unlinked; the bits below
 // it hold a leaf's size.
@@ -249,36 +242,33 @@ func (l *elimLeaf) record(spins *int) ElimRecord {
 				return r
 			}
 		}
-		spinPause(spins)
+		abalg.SpinPause(spins)
 	}
 }
 
-// kv is a key-value pair staged during node construction.
-type kv struct{ k, v uint64 }
-
 // newLeaf builds a leaf containing items (at most b of them), packed into
-// the first len(items) slots. searchKey must lie within the leaf's key
-// range.
-func (t *Tree) newLeaf(items []kv, searchKey uint64) *node {
+// the first len(items) slots. searchKey is the lower bound of the leaf's
+// key range.
+func (t *Tree) newLeaf(items []rq.Pair, searchKey uint64) *node {
 	var l *leaf
 	if t.elim {
 		l = &new(elimLeaf).leaf
 	} else {
 		l = new(leaf)
 	}
-	l.kind, l.searchKey = leafKind, searchKey
+	l.kind, l.searchKey = abalg.LeafKind, searchKey
 	for i, it := range items {
-		l.keys[i].Store(it.k)
-		l.vals[i].Store(it.v)
+		l.keys[i].Store(it.K)
+		l.vals[i].Store(it.V)
 	}
 	l.state.Store(uint32(len(items)))
 	return &l.node
 }
 
 // newInternal builds an internal or tagged node with the given routing keys
-// and children; len(children) must equal len(keys)+1. searchKey must lie
-// within the node's key range.
-func newInternal(k kind, keys []uint64, children []*node, searchKey uint64) *node {
+// and children; len(children) must equal len(keys)+1. searchKey is the
+// lower bound of the node's key range.
+func newInternal(k abalg.Kind, keys []uint64, children []*node, searchKey uint64) *node {
 	if len(children) != len(keys)+1 {
 		panic("core: internal node children/keys arity mismatch")
 	}
@@ -290,13 +280,4 @@ func newInternal(k kind, keys []uint64, children []*node, searchKey uint64) *nod
 		n.ptrs[i].Store(c)
 	}
 	return &n.node
-}
-
-// sizeOf returns a node's occupancy in the (a,b) sense: key count for a
-// leaf, child count for an internal node.
-func sizeOf(n *node) int {
-	if n.isLeaf() {
-		return n.size()
-	}
-	return int(n.nchildren)
 }

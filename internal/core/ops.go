@@ -1,22 +1,24 @@
 package core
 
+import "repro/internal/abalg"
+
 // Find returns the value associated with key, if present (paper §3.2).
 // Finds take no locks and never restart from the root.
 func (th *Thread) Find(key uint64) (uint64, bool) {
-	checkKey(key)
+	abalg.CheckKey(key)
 	t := th.t
-	return t.leafSearch(t.search(key, nil).n, key)
+	return t.leafSearch(t.search(key, nil).N, key)
 }
 
 // Insert inserts <key, val> if key is absent and returns (0, true).
 // If key is present, the tree is unchanged and Insert returns the existing
 // value and false (the paper's insert semantics, §3).
 func (th *Thread) Insert(key, val uint64) (uint64, bool) {
-	checkKey(key)
+	abalg.CheckKey(key)
 	t := th.t
 	for {
 		path := t.search(key, nil)
-		leaf := path.n
+		leaf := path.N
 
 		// Pre-lock read phase. The OCC-ABtree retries leafSearch until it
 		// has a consistent snapshot; the Elim-ABtree scans once and, on
@@ -37,32 +39,32 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 			if v, found := t.leafSearch(leaf, key); found {
 				return v, false
 			}
-			th.lockNode(leaf)
+			th.Lock(leaf)
 		}
 
 		if leaf.isMarked() {
-			th.unlockAll()
+			th.UnlockAll()
 			continue
 		}
 
 		if done, old, inserted := t.insertLocked(leaf, key, val); done {
-			th.unlockAll()
+			th.UnlockAll()
 			return old, inserted
 		}
 
 		// Splitting insert: no empty slot; replace the leaf with a tagged
 		// node over two half leaves (linearizes at the parent's pointer
 		// write). Lock the parent too (bottom-to-top order).
-		parent := path.p
-		th.lockNode(parent)
+		parent := path.P
+		th.Lock(parent)
 		if parent.isMarked() {
-			th.unlockAll()
+			th.UnlockAll()
 			continue
 		}
-		taggedNode := t.splitInsert(leaf, parent, path.nIdx, key, val)
-		th.unlockAll()
+		taggedNode := abalg.SplitInsert(th, leaf, parent, path.NIdx, key, val)
+		th.UnlockAll()
 		if taggedNode != nil {
-			th.fixTagged(taggedNode)
+			abalg.FixTagged(th, taggedNode)
 		}
 		return 0, true
 	}
@@ -115,53 +117,13 @@ func (t *Tree) putLocked(n *node, i int, key, val uint64) {
 	leaf.ver.Add(1)
 }
 
-// splitInsert performs the splitting-insert update with leaf and parent
-// locked and unmarked. It returns the created tagged node (nil if the new
-// subtree root is an untagged internal, i.e. the new tree root).
-func (t *Tree) splitInsert(n, parent *node, nIdx int, key, val uint64) *node {
-	leaf := n.leaf()
-	var buf [maxCap + 1]kv
-	items := append(gatherLeaf(t, leaf, buf[:0]), kv{key, val})
-	sortKVs(items)
-
-	mid := len(items) / 2
-	sep := items[mid].k
-
-	// Open the leaf's version window around the replacement: the scan
-	// timestamp must be read where a snapshot scan's double collect can
-	// arbitrate against it (rqsnap.go). The leaf's contents stay intact;
-	// only its reachability changes.
-	leaf.ver.Add(1)
-	c := t.rqp.ReadStamp()
-	left := t.newLeaf(items[:mid], items[0].k)
-	right := t.newLeaf(items[mid:], sep)
-	t.rqInheritSplit(leaf, left.leaf(), right.leaf(), sep, c)
-
-	// The new two-child node is tagged — a temporary height imbalance to
-	// be merged upward by fixTagged — unless the split leaf was the root,
-	// in which case the new node simply becomes the (untagged) new root.
-	k := taggedKind
-	if parent == t.entry {
-		k = internalKind
-	}
-	nn := newInternal(k, []uint64{sep}, []*node{left, right}, sep)
-
-	parent.inner().ptrs[nIdx].Store(nn)
-	leaf.mark()
-	leaf.ver.Add(1)
-	if k == taggedKind {
-		return nn
-	}
-	return nil
-}
-
 // Delete removes key if present, returning its value and true; otherwise
 // it returns (0, false) and leaves the tree unchanged (paper §3.2).
 func (th *Thread) Delete(key uint64) (uint64, bool) {
-	checkKey(key)
+	abalg.CheckKey(key)
 	t := th.t
 	for {
-		leaf := t.search(key, nil).n
+		leaf := t.search(key, nil).N
 
 		if t.elim {
 			_, found, consistent := t.leafScanOnce(leaf, key)
@@ -180,22 +142,22 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			if _, found := t.leafSearch(leaf, key); !found {
 				return 0, false
 			}
-			th.lockNode(leaf)
+			th.Lock(leaf)
 		}
 
 		if leaf.isMarked() {
-			th.unlockAll()
+			th.UnlockAll()
 			continue
 		}
 
 		val, found, newSize := t.deleteLocked(leaf, key)
-		th.unlockAll()
+		th.UnlockAll()
 		if !found {
 			// Removed by a concurrent delete between search and lock.
 			return 0, false
 		}
 		if newSize < t.a {
-			th.fixUnderfull(leaf)
+			abalg.FixUnderfull(th, leaf)
 		}
 		return val, true
 	}
@@ -226,28 +188,4 @@ func (t *Tree) deleteLocked(n *node, key uint64) (val uint64, found bool, newSiz
 	newSize = leaf.addSize(-1)
 	leaf.ver.Add(1)
 	return val, true, newSize
-}
-
-func checkKey(key uint64) {
-	if key == emptyKey {
-		panic("core: key 0 is reserved as the empty sentinel")
-	}
-	if key == ^uint64(0) {
-		panic("core: key 2^64-1 is reserved as the key-range upper bound")
-	}
-}
-
-// sortKVs sorts items by key (insertion sort: at most b+1 = 12 elements,
-// called with the leaf lock held, so avoiding sort.Slice's allocation and
-// indirection is worthwhile).
-func sortKVs(items []kv) {
-	for i := 1; i < len(items); i++ {
-		it := items[i]
-		j := i - 1
-		for j >= 0 && items[j].k > it.k {
-			items[j+1] = items[j]
-			j--
-		}
-		items[j+1] = it
-	}
 }

@@ -34,6 +34,11 @@ package core
 // The collects write into per-Thread scratch buffers, so a warmed-up
 // scan allocates nothing regardless of length.
 
+import (
+	"repro/internal/abalg"
+	"repro/internal/rq"
+)
+
 // maxScanDepth bounds the cached descent. Height 32 would need > 2^31
 // keys even at pathological minimum occupancy; deeper trees still scan
 // correctly, they just bypass the cache.
@@ -141,13 +146,13 @@ func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf *node, bound 
 // caller must re-descend from the root: a cached path may have led here
 // arbitrarily long after the unlink, so the frozen contents cannot be
 // served.
-func (t *Tree) snapshotLeaf(buf []kv, n *node, lo, hi uint64) (items []kv, ok bool) {
+func (t *Tree) snapshotLeaf(buf []rq.Pair, n *node, lo, hi uint64) (items []rq.Pair, ok bool) {
 	l := n.leaf()
 	spins := 0
 	for {
 		v1 := l.ver.Load()
 		if v1&1 == 1 {
-			spinPause(&spins)
+			abalg.SpinPause(&spins)
 			continue
 		}
 		if l.isMarked() {
@@ -157,15 +162,15 @@ func (t *Tree) snapshotLeaf(buf []kv, n *node, lo, hi uint64) (items []kv, ok bo
 		for i := 0; i < t.b; i++ {
 			k := l.keys[i].Load()
 			if k != emptyKey && k >= lo && k <= hi {
-				items = append(items, kv{k, l.vals[i].Load()})
+				items = append(items, rq.Pair{K: k, V: l.vals[i].Load()})
 			}
 		}
 		if l.ver.Load() == v1 {
-			sortKVs(items)
+			rq.SortPairs(items)
 			return items, true
 		}
 		buf = items[:0]
-		spinPause(&spins)
+		abalg.SpinPause(&spins)
 	}
 }
 
@@ -193,14 +198,14 @@ func (th *Thread) Range(lo, hi uint64, fn func(k, v uint64) bool) {
 	cursor := lo
 	for {
 		leaf, bound, hasBound := th.searchScan(cursor)
-		items, ok := t.snapshotLeaf(th.kvBuf[:0], leaf, cursor, hi)
-		th.kvBuf = items[:0]
+		items, ok := t.snapshotLeaf(th.pairBuf[:0], leaf, cursor, hi)
+		th.pairBuf = items[:0]
 		if !ok {
 			th.path.invalidate()
 			continue // leaf was unlinked: re-descend to its replacement
 		}
 		for _, it := range items {
-			if !fn(it.k, it.v) {
+			if !fn(it.K, it.V) {
 				return
 			}
 		}

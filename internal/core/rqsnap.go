@@ -5,9 +5,10 @@ package core
 // scans advance, a write stamp per leaf, and per-leaf version chains
 // preserving pre-write states while scans that still need them are in
 // flight. See the internal/rq package comment for the protocol and its
-// linearizability argument. Writers call rqStamp (in-place updates) or
-// the rqInherit* helpers (structural replacements) inside the leaf's
-// version window; scans resolve each leaf with collectVersioned.
+// linearizability argument. Writers call rqStamp (in-place updates)
+// inside the leaf's version window — structural replacements inherit
+// the replaced leaves' chains in internal/abalg — and scans resolve each
+// leaf with collectVersioned.
 //
 // Steady-state allocation: snapshot scans descend through the Thread's
 // cached path and collect into the Thread's scratch buffer (range.go),
@@ -15,7 +16,10 @@ package core
 // Items buffers from the provider's recycling pool (internal/rq), so
 // neither side allocates once warmed up.
 
-import "repro/internal/rq"
+import (
+	"repro/internal/abalg"
+	"repro/internal/rq"
+)
 
 // rqStamp preserves and stamps a leaf about to be modified in place. It
 // must run inside the leaf's version window (version odd, lock held),
@@ -24,7 +28,7 @@ import "repro/internal/rq"
 // load, one leaf-local load and a compare.
 func (t *Tree) rqStamp(leaf *leaf) {
 	c := t.rqp.ReadStamp()
-	s := leaf.rqTS.Load()
+	s := leaf.TS.Load()
 	if c == s {
 		return
 	}
@@ -34,60 +38,8 @@ func (t *Tree) rqStamp(leaf *leaf) {
 	// by the pruning this push performs.
 	v := t.rqp.Acquire()
 	v.Items = gatherPairs(t, leaf, v.Items)
-	leaf.rqVers.Store(t.rqp.PushAcquired(leaf.rqVers.Load(), s, v, t.rqp.MinActive()))
-	leaf.rqTS.Store(c)
-}
-
-// rqTimeline returns a leaf's full state history — the version chain,
-// headed by the current contents when a scan in (stamp, c] could still
-// need them — for inheritance by the leaf's replacements. The leaf must
-// be locked and not yet modified by the caller.
-func (t *Tree) rqTimeline(leaf *leaf, c uint64) *rq.Version {
-	tl := leaf.rqVers.Load()
-	if s := leaf.rqTS.Load(); s < c {
-		v := t.rqp.Acquire()
-		v.Items = gatherPairs(t, leaf, v.Items)
-		tl = t.rqp.PushAcquired(tl, s, v, t.rqp.MinActive())
-	}
-	return tl
-}
-
-// rqInheritSplit hands a split leaf's history to its two replacements:
-// left covers keys < sep, right keys >= sep. Runs inside old's version
-// window, with c the stamp read there.
-func (t *Tree) rqInheritSplit(old, left, right *leaf, sep, c uint64) {
-	left.rqTS.Store(c)
-	right.rqTS.Store(c)
-	if tl := t.rqTimeline(old, c); tl != nil {
-		left.rqVers.Store(t.rqp.Restrict(tl, 0, sep-1))
-		right.rqVers.Store(t.rqp.Restrict(tl, sep, ^uint64(0)))
-	}
-}
-
-// rqMergedTimeline combines two sibling leaves' histories (for merge and
-// distribute, whose replacements span both old ranges). Runs inside both
-// leaves' version windows, with c the stamp read there.
-func (t *Tree) rqMergedTimeline(left, right *leaf, c uint64) *rq.Version {
-	return t.rqp.MergeTimelines(t.rqTimeline(left, c), t.rqTimeline(right, c))
-}
-
-// rqInheritDistribute hands two redistributed leaves' combined history
-// to their replacements, split at newSep. Runs inside both old leaves'
-// version windows, with c the stamp read there.
-func (t *Tree) rqInheritDistribute(oldLeft, oldRight, newLeft, newRight *leaf, newSep, c uint64) {
-	newLeft.rqTS.Store(c)
-	newRight.rqTS.Store(c)
-	if tl := t.rqMergedTimeline(oldLeft, oldRight, c); tl != nil {
-		newLeft.rqVers.Store(t.rqp.Restrict(tl, 0, newSep-1))
-		newRight.rqVers.Store(t.rqp.Restrict(tl, newSep, ^uint64(0)))
-	}
-}
-
-// rqInheritMerge hands two merged leaves' combined history to their
-// single replacement. Same window requirements as rqInheritDistribute.
-func (t *Tree) rqInheritMerge(oldLeft, oldRight, nn *leaf, c uint64) {
-	nn.rqTS.Store(c)
-	nn.rqVers.Store(t.rqMergedTimeline(oldLeft, oldRight, c))
+	leaf.Vers.Store(t.rqp.PushAcquired(leaf.Vers.Load(), s, v, t.rqp.MinActive()))
+	leaf.TS.Store(c)
 }
 
 // gatherPairs appends a locked leaf's pairs to items, sorted by key.
@@ -177,14 +129,14 @@ func (t *Tree) collectVersioned(buf []rq.Pair, n *node, ts, lo, hi uint64) (item
 	for {
 		v1 := l.ver.Load()
 		if v1&1 == 1 {
-			spinPause(&spins)
+			abalg.SpinPause(&spins)
 			continue
 		}
 		if l.isMarked() {
 			return buf, false
 		}
-		s := l.rqTS.Load()
-		chain := l.rqVers.Load()
+		s := l.TS.Load()
+		chain := l.Vers.Load()
 		items = buf
 		for i := 0; i < t.b; i++ {
 			k := l.keys[i].Load()
@@ -194,7 +146,7 @@ func (t *Tree) collectVersioned(buf []rq.Pair, n *node, ts, lo, hi uint64) (item
 		}
 		if l.ver.Load() != v1 {
 			buf = items[:0]
-			spinPause(&spins)
+			abalg.SpinPause(&spins)
 			continue
 		}
 		// The collect is consistent: the leaf's version window did not

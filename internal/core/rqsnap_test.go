@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -212,7 +213,7 @@ func TestRangeSnapshotDifferential(t *testing.T) {
 				if populated {
 					break
 				}
-				yield_()
+				runtime.Gosched()
 			}
 
 			th := tr.NewThread()
@@ -289,7 +290,7 @@ func TestRangeSnapshotVersionsPruned(t *testing.T) {
 	walk = func(n *node) {
 		if n.isLeaf() {
 			depth := 0
-			for v := n.leaf().rqVers.Load(); v != nil; v = v.Next() {
+			for v := n.leaf().Vers.Load(); v != nil; v = v.Next() {
 				depth++
 			}
 			if depth > 1 {

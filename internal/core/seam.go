@@ -1,0 +1,62 @@
+package core
+
+import (
+	"runtime"
+
+	"repro/internal/abalg"
+	"repro/internal/rq"
+)
+
+// The abalg.Store seam over Go-heap nodes (see the interface for each
+// method's contract). Here a node reference is a *node, publication is
+// an atomic pointer store, and unlinked nodes are left to the garbage
+// collector. Lock and UnlockAll are in thread.go.
+
+func (th *Thread) Degree() (a, b int)               { return th.t.a, th.t.b }
+func (th *Thread) Entry() *node                     { return th.t.entry }
+func (th *Thread) Kind(n *node) abalg.Kind          { return n.kind }
+func (th *Thread) RoutingKey(n *node, i int) uint64 { return n.keys[i].Load() }
+func (th *Thread) Child(n *node, i int) *node       { return n.inner().ptrs[i].Load() }
+func (th *Thread) SearchKey(n *node) uint64         { return n.searchKey }
+func (th *Thread) Marked(n *node) bool              { return n.isMarked() }
+func (th *Thread) Unlink(n *node)                   { n.mark() }
+func (th *Thread) BumpVer(n *node)                  { n.leaf().ver.Add(1) }
+func (th *Thread) LeafState(n *node) *rq.LeafState  { return &n.leaf().LeafState }
+func (th *Thread) RQ() *rq.Provider                 { return th.t.rqp }
+func (th *Thread) SetChild(p *node, i int, c *node) { p.inner().ptrs[i].Store(c) }
+func (th *Thread) Pause()                           { runtime.Gosched() }
+func (th *Thread) Scratch() *abalg.Scratch[*node]   { return &th.scratch }
+
+func (th *Thread) Size(n *node) int {
+	if n.isLeaf() {
+		return n.size()
+	}
+	return int(n.nchildren)
+}
+
+func (th *Thread) GatherLeaf(n *node, items []rq.Pair) []rq.Pair {
+	return gatherPairs(th.t, n.leaf(), items)
+}
+
+func (th *Thread) GatherInternal(n *node, children []*node, keys []uint64) ([]*node, []uint64) {
+	ptrs, nc := &n.inner().ptrs, int(n.nchildren)
+	for i := 0; i < nc; i++ {
+		children = append(children, ptrs[i].Load())
+	}
+	for i := 0; i < nc-1; i++ {
+		keys = append(keys, n.keys[i].Load())
+	}
+	return children, keys
+}
+
+func (th *Thread) Search(key uint64, target *node) abalg.Path[*node] {
+	return th.t.search(key, target)
+}
+
+func (th *Thread) NewLeaf(items []rq.Pair, searchKey uint64) *node {
+	return th.t.newLeaf(items, searchKey)
+}
+
+func (th *Thread) NewInternal(k abalg.Kind, keys []uint64, children []*node, searchKey uint64) *node {
+	return newInternal(k, keys, children, searchKey)
+}

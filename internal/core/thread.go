@@ -1,13 +1,12 @@
 package core
 
 import (
+	"repro/internal/abalg"
 	"repro/internal/mcslock"
 	"repro/internal/rq"
 )
 
-// maxHeld is the most node locks any operation holds at once:
-// fixUnderfull locks the target, its sibling, parent and grandparent.
-const maxHeld = 4
+const maxHeld = abalg.MaxHeld
 
 // Thread is a per-goroutine handle through which all tree operations run.
 // It owns the MCS queue nodes for the (up to four) locks an operation may
@@ -23,13 +22,15 @@ type Thread struct {
 	rqs *rq.Scanner
 
 	// Scan fast path (range.go): the cached root-to-leaf descent and the
-	// scratch buffers per-leaf collects append into, so steady-state
+	// scratch buffer per-leaf collects append into, so steady-state
 	// scans neither re-descend from the root per leaf nor allocate.
 	// noScanCache forces full re-descents (differential tests only).
 	path        scanPath
-	kvBuf       []kv
 	pairBuf     []rq.Pair
 	noScanCache bool
+
+	// scratch stages the structural updates (abalg.Store, seam.go).
+	scratch abalg.Scratch[*node]
 
 	// batchBuf stages batched point operations sorted by key; batchTmp
 	// is the radix sort's ping-pong partner (batch.go). Both persist so
@@ -44,10 +45,10 @@ func (t *Tree) NewThread() *Thread { return &Thread{t: t} }
 // Tree returns the tree this handle operates on.
 func (th *Thread) Tree() *Tree { return th.t }
 
-// lockNode acquires n's lock, blocking, and records it for unlockAll.
+// Lock acquires n's lock, blocking, and records it for UnlockAll.
 // Locks must be taken bottom-to-top, ties broken left-to-right, to
 // preserve the paper's deadlock-freedom argument (§3.3.5).
-func (th *Thread) lockNode(n *node) {
+func (th *Thread) Lock(n *node) {
 	if th.nheld == maxHeld {
 		panic("core: too many locks held")
 	}
@@ -69,8 +70,8 @@ func (th *Thread) tryLockNode(n *node) bool {
 	return true
 }
 
-// unlockAll releases every lock this thread holds, most recent first.
-func (th *Thread) unlockAll() {
+// UnlockAll releases every lock this thread holds, most recent first.
+func (th *Thread) UnlockAll() {
 	for i := th.nheld - 1; i >= 0; i-- {
 		th.held[i].mcs.Release(&th.qn[i])
 		th.held[i] = nil

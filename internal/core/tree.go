@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
+	"repro/internal/abalg"
 	"repro/internal/rq"
 )
 
@@ -73,8 +73,8 @@ func New(opts ...Option) *Tree {
 		t.rqClock = rq.NewClock()
 	}
 	t.rqp = rq.NewProviderWith(t.rqClock)
-	root := t.newLeaf(nil, 0)
-	t.entry = newInternal(internalKind, nil, []*node{root}, 0)
+	root := t.newLeaf(nil, 1)
+	t.entry = newInternal(abalg.InternalKind, nil, []*node{root}, 1)
 	return t
 }
 
@@ -94,19 +94,9 @@ func (t *Tree) MinSize() int { return t.a }
 // MaxSize returns the maximum node size b.
 func (t *Tree) MaxSize() int { return t.b }
 
-// pathInfo is the result of a search: the node reached, its parent and
-// grandparent, and the child indices along the way (paper Figure 1).
-type pathInfo struct {
-	gp   *node // grandparent (nil if p is the entry or n is the root)
-	p    *node // parent (entry if n is the root; nil if n is the entry)
-	pIdx int   // index of p in gp.ptrs
-	n    *node // the leaf reached, or target if encountered
-	nIdx int   // index of n in p.ptrs
-}
-
 // search descends from the entry toward key, stopping at a leaf or at
 // target (whichever comes first), taking no locks (paper Figure 2).
-func (t *Tree) search(key uint64, target *node) pathInfo {
+func (t *Tree) search(key uint64, target *node) abalg.Path[*node] {
 	var gp, p *node
 	pIdx := 0
 	n := t.entry
@@ -123,7 +113,7 @@ func (t *Tree) search(key uint64, target *node) pathInfo {
 		}
 		n = n.inner().ptrs[nIdx].Load()
 	}
-	return pathInfo{gp: gp, p: p, pIdx: pIdx, n: n, nIdx: nIdx}
+	return abalg.Path[*node]{GP: gp, P: p, PIdx: pIdx, N: n, NIdx: nIdx}
 }
 
 // leafSearch obtains a consistent snapshot answer for key in leaf l using
@@ -137,7 +127,7 @@ func (t *Tree) leafSearch(n *node, key uint64) (uint64, bool) {
 	for {
 		v1 := l.ver.Load()
 		if v1&1 == 1 {
-			spinPause(&spins)
+			abalg.SpinPause(&spins)
 			continue
 		}
 		var val uint64
@@ -152,7 +142,7 @@ func (t *Tree) leafSearch(n *node, key uint64) (uint64, bool) {
 		if l.ver.Load() == v1 {
 			return val, found
 		}
-		spinPause(&spins)
+		abalg.SpinPause(&spins)
 	}
 }
 
@@ -173,18 +163,4 @@ func (t *Tree) leafScanOnce(n *node, key uint64) (val uint64, found, consistent 
 		}
 	}
 	return val, found, l.ver.Load() == v1
-}
-
-// yield_ cedes the processor once; used by retry loops that are waiting
-// for another thread's structural fix to land.
-func yield_() { runtime.Gosched() }
-
-// spinPause backs off a busy-wait loop, yielding the processor
-// periodically so lock/version holders preempted by the Go scheduler can
-// make progress.
-func spinPause(spins *int) {
-	*spins++
-	if *spins%32 == 0 {
-		runtime.Gosched()
-	}
 }

@@ -28,6 +28,8 @@ package core
 // record, because Delete reports the value it removed and the publisher
 // has already returned the older one.
 
+import "repro/internal/abalg"
+
 // RecKind identifies the operation that published an ElimRecord.
 type RecKind uint8
 
@@ -66,11 +68,11 @@ func CanEliminate(op OpKind, rec RecKind) bool {
 // composes with publishing elimination (an upsert that would have to
 // report the replaced value would need record chaining).
 func (th *Thread) Upsert(key, val uint64) {
-	checkKey(key)
+	abalg.CheckKey(key)
 	t := th.t
 	for {
 		path := t.search(key, nil)
-		n := path.n
+		n := path.N
 		leaf := n.leaf()
 
 		if t.elim {
@@ -82,11 +84,11 @@ func (th *Thread) Upsert(key, val uint64) {
 				return
 			}
 		} else {
-			th.lockNode(n)
+			th.Lock(n)
 		}
 
 		if leaf.isMarked() {
-			th.unlockAll()
+			th.UnlockAll()
 			continue
 		}
 
@@ -101,27 +103,27 @@ func (th *Thread) Upsert(key, val uint64) {
 			}
 			leaf.vals[at].Store(val)
 			leaf.ver.Add(1)
-			th.unlockAll()
+			th.UnlockAll()
 			return
 		case empty >= 0:
 			// Insert into an empty slot (publishes an insert record: the
 			// key was absent before this operation).
 			t.putLocked(n, empty, key, val)
-			th.unlockAll()
+			th.UnlockAll()
 			return
 		default:
 			// Full leaf: splitting insert (never published/eliminated,
 			// like the paper's splitting inserts).
-			parent := path.p
-			th.lockNode(parent)
+			parent := path.P
+			th.Lock(parent)
 			if parent.isMarked() {
-				th.unlockAll()
+				th.UnlockAll()
 				continue
 			}
-			taggedNode := t.splitInsert(n, parent, path.nIdx, key, val)
-			th.unlockAll()
+			taggedNode := abalg.SplitInsert(th, n, parent, path.NIdx, key, val)
+			th.UnlockAll()
 			if taggedNode != nil {
-				th.fixTagged(taggedNode)
+				abalg.FixTagged(th, taggedNode)
 			}
 			return
 		}
@@ -142,6 +144,6 @@ func (th *Thread) lockOrElimKind(n *node, key uint64, op OpKind) (acquired bool,
 		if th.tryLockNode(n) {
 			return true, 0
 		}
-		spinPause(&spins)
+		abalg.SpinPause(&spins)
 	}
 }

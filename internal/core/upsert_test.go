@@ -155,7 +155,7 @@ func TestUpsertEliminationMatrix(t *testing.T) {
 			}
 		}
 		leaf.ver.Add(1)
-		pub.unlockAll()
+		pub.UnlockAll()
 		<-done
 
 		ei, ed, eu := tr.ElimStats()

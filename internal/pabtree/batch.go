@@ -19,7 +19,10 @@ package pabtree
 // See internal/dict.Batcher for the cross-structure contract (results
 // in input order, per-key linearizable, batch not atomic).
 
-import "repro/internal/batchkit"
+import (
+	"repro/internal/abalg"
+	"repro/internal/batchkit"
+)
 
 // batchEnt is one key of an in-flight batched operation (see
 // batchkit.Ent).
@@ -30,7 +33,7 @@ type batchEnt = batchkit.Ent
 func (th *Thread) orderBatch(keys []uint64) []batchEnt {
 	ents := th.batchBuf[:0]
 	for i, k := range keys {
-		checkKey(k)
+		abalg.CheckKey(k)
 		ents = append(ents, batchEnt{K: k, Idx: i})
 	}
 	ents, th.batchTmp = batchkit.Sort(ents, th.batchTmp)
@@ -105,7 +108,7 @@ func (th *Thread) runSubtree(op batchOp, n uint64, run []batchEnt, vals, res []u
 	t := th.t
 	for {
 		meta := t.meta(n)
-		if kindOf(meta) == leafKind {
+		if kindOf(meta) == abalg.LeafKind {
 			th.applyLeafRun(op, n, run, vals, res, ok)
 			return
 		}
@@ -145,10 +148,10 @@ func (th *Thread) runSubtree(op batchOp, n uint64, run []batchEnt, vals, res []u
 // triggers the underfull repair exactly like the per-key delete path.
 func (th *Thread) applyRunLocked(op batchOp, leaf uint64, run []batchEnt, vals, res []uint64, ok []bool) (consumed int, marked, full bool) {
 	t := th.t
-	th.lockNode(leaf)
+	th.Lock(leaf)
 	lv := t.vn(leaf)
 	if lv.marked.Load() {
-		th.unlockAll()
+		th.UnlockAll()
 		return 0, true, false
 	}
 	i := 0
@@ -168,9 +171,9 @@ func (th *Thread) applyRunLocked(op batchOp, leaf uint64, run []batchEnt, vals, 
 		i++
 	}
 	newSize := lv.size.Load()
-	th.unlockAll()
+	th.UnlockAll()
 	if op == bDelete && int(newSize) < t.a {
-		th.fixUnderfull(leaf)
+		abalg.FixUnderfull(th, leaf)
 	}
 	return i, false, full
 }
@@ -240,7 +243,7 @@ func (t *Tree) collectBatchFinds(off uint64, run []batchEnt, vals []uint64, foun
 		v1 := v.ver.Load()
 		if v1&1 == 1 {
 			t.crashCheck()
-			spinPause(&spins)
+			abalg.SpinPause(&spins)
 			continue
 		}
 		if v.marked.Load() {
@@ -263,6 +266,6 @@ func (t *Tree) collectBatchFinds(off uint64, run []batchEnt, vals []uint64, foun
 			return true
 		}
 		t.crashCheck()
-		spinPause(&spins)
+		abalg.SpinPause(&spins)
 	}
 }

@@ -1,23 +1,21 @@
 package pabtree
 
-import "repro/internal/core"
-
-// pathInfo is a search result: node offsets plus child indices.
-type pathInfo struct {
-	gp, p, n   uint64 // offsets; 0 means "none"
-	pIdx, nIdx int
-}
+import (
+	"repro/internal/abalg"
+	"repro/internal/core"
+)
 
 // search descends from the entry toward key, stopping at a leaf or at
 // target, lock-free. It only follows persisted (unmarked) pointers.
-func (t *Tree) search(key uint64, target uint64) pathInfo {
+// Offset 0 is "none".
+func (t *Tree) search(key uint64, target uint64) abalg.Path[uint64] {
 	var gp, p uint64
 	pIdx := 0
 	n := t.entryOff
 	nIdx := 0
 	for {
 		meta := t.meta(n)
-		if kindOf(meta) == leafKind || n == target {
+		if kindOf(meta) == abalg.LeafKind || n == target {
 			break
 		}
 		gp, p, pIdx = p, n, nIdx
@@ -28,7 +26,7 @@ func (t *Tree) search(key uint64, target uint64) pathInfo {
 		}
 		n = t.loadChild(p, nIdx)
 	}
-	return pathInfo{gp: gp, p: p, pIdx: pIdx, n: n, nIdx: nIdx}
+	return abalg.Path[uint64]{GP: gp, P: p, PIdx: pIdx, N: n, NIdx: nIdx}
 }
 
 // leafSearch double-collects a consistent answer for key in the leaf.
@@ -39,7 +37,7 @@ func (t *Tree) leafSearch(off uint64, key uint64) (uint64, bool) {
 		v1 := v.ver.Load()
 		if v1&1 == 1 {
 			t.crashCheck()
-			spinPause(&spins)
+			abalg.SpinPause(&spins)
 			continue
 		}
 		var val uint64
@@ -55,7 +53,7 @@ func (t *Tree) leafSearch(off uint64, key uint64) (uint64, bool) {
 			return val, found
 		}
 		t.crashCheck()
-		spinPause(&spins)
+		abalg.SpinPause(&spins)
 	}
 }
 
@@ -78,24 +76,24 @@ func (t *Tree) leafScanOnce(off uint64, key uint64) (val uint64, found, consiste
 
 // Find returns the value associated with key, if present.
 func (th *Thread) Find(key uint64) (uint64, bool) {
-	checkKey(key)
+	abalg.CheckKey(key)
 	th.enter()
 	defer th.exit()
 	t := th.t
 	path := t.search(key, 0)
-	return t.leafSearch(path.n, key)
+	return t.leafSearch(path.N, key)
 }
 
 // Insert inserts <key, val> if absent, returning (0, true); if key is
 // present it returns the existing value and false.
 func (th *Thread) Insert(key, val uint64) (uint64, bool) {
-	checkKey(key)
+	abalg.CheckKey(key)
 	th.enter()
 	defer th.exit()
 	t := th.t
 	for {
 		path := t.search(key, 0)
-		leaf := path.n
+		leaf := path.N
 		lv := t.vn(leaf)
 
 		if t.elim {
@@ -112,30 +110,30 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 			if v, found := t.leafSearch(leaf, key); found {
 				return v, false
 			}
-			th.lockNode(leaf)
+			th.Lock(leaf)
 		}
 
 		if lv.marked.Load() {
-			th.unlockAll()
+			th.UnlockAll()
 			continue
 		}
 
 		if done, old, inserted := t.leafInsertLocked(leaf, key, val); done {
-			th.unlockAll()
+			th.UnlockAll()
 			return old, inserted
 		}
 
 		// Splitting insert.
-		parent := path.p
-		th.lockNode(parent)
+		parent := path.P
+		th.Lock(parent)
 		if t.vn(parent).marked.Load() {
-			th.unlockAll()
+			th.UnlockAll()
 			continue
 		}
-		taggedOff := t.splitInsert(th, leaf, parent, path.nIdx, key, val)
-		th.unlockAll()
+		taggedOff := abalg.SplitInsert(th, leaf, parent, path.NIdx, key, val)
+		th.UnlockAll()
 		if taggedOff != 0 {
-			th.fixTagged(taggedOff)
+			abalg.FixTagged(th, taggedOff)
 		}
 		return 0, true
 	}
@@ -227,56 +225,16 @@ func (t *Tree) leafDeleteLocked(leaf uint64, key uint64) (val uint64, found bool
 	return val, true, newSize
 }
 
-// splitInsert replaces the full leaf with a (usually tagged) two-leaf
-// subtree containing the leaf's pairs plus <key, val>. The new nodes are
-// flushed before the parent pointer is published (link-and-persist), so
-// the insert becomes durable exactly when the pointer line is flushed.
-func (t *Tree) splitInsert(th *Thread, leaf, parent uint64, nIdx int, key, val uint64) uint64 {
-	items := t.gatherLeaf(leaf)
-	items = append(items, kvPair{key, val})
-	sortKVs(items)
-
-	mid := len(items) / 2
-	sep := items[mid].k
-
-	// Open the leaf's version window around the replacement so snapshot
-	// scans can arbitrate against the stamp read inside it (rqsnap.go).
-	lv := t.vn(leaf)
-	lv.ver.Add(1)
-	c := t.rqp.ReadStamp()
-	leftOff := t.allocSlot()
-	rightOff := t.allocSlot()
-	topOff := t.allocSlot()
-	t.initLeaf(leftOff, items[:mid], lv.searchKey)
-	t.initLeaf(rightOff, items[mid:], sep)
-	t.rqInheritSplit(leaf, leftOff, rightOff, sep, c)
-
-	k := taggedKind
-	if parent == t.entryOff {
-		k = internalKind
-	}
-	t.initInternalNode(topOff, k, []uint64{sep}, []uint64{leftOff, rightOff}, lv.searchKey)
-
-	t.setChildPersist(parent, nIdx, topOff)
-	lv.marked.Store(true)
-	lv.ver.Add(1)
-	th.retire(leaf)
-	if k == taggedKind {
-		return topOff
-	}
-	return 0
-}
-
 // Delete removes key if present, returning its value and true. The delete
 // is durable once the ⊥ key reaches PM.
 func (th *Thread) Delete(key uint64) (uint64, bool) {
-	checkKey(key)
+	abalg.CheckKey(key)
 	th.enter()
 	defer th.exit()
 	t := th.t
 	for {
 		path := t.search(key, 0)
-		leaf := path.n
+		leaf := path.N
 		lv := t.vn(leaf)
 
 		if t.elim {
@@ -293,54 +251,22 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 			if _, found := t.leafSearch(leaf, key); !found {
 				return 0, false
 			}
-			th.lockNode(leaf)
+			th.Lock(leaf)
 		}
 
 		if lv.marked.Load() {
-			th.unlockAll()
+			th.UnlockAll()
 			continue
 		}
 
 		val, found, newSize := t.leafDeleteLocked(leaf, key)
-		th.unlockAll()
+		th.UnlockAll()
 		if !found {
 			return 0, false
 		}
 		if int(newSize) < t.a {
-			th.fixUnderfull(leaf)
+			abalg.FixUnderfull(th, leaf)
 		}
 		return val, true
-	}
-}
-
-func checkKey(key uint64) {
-	if key == emptyKey {
-		panic("pabtree: key 0 is reserved as the empty sentinel")
-	}
-	if key == ^uint64(0) {
-		panic("pabtree: key 2^64-1 is reserved as the key-range upper bound")
-	}
-}
-
-// gatherLeaf collects a locked leaf's pairs from the arena.
-func (t *Tree) gatherLeaf(off uint64) []kvPair {
-	items := make([]kvPair, 0, t.b+1)
-	for i := 0; i < t.b; i++ {
-		if k := t.leafKey(off, i); k != emptyKey {
-			items = append(items, kvPair{k, t.leafVal(off, i)})
-		}
-	}
-	return items
-}
-
-func sortKVs(items []kvPair) {
-	for i := 1; i < len(items); i++ {
-		it := items[i]
-		j := i - 1
-		for j >= 0 && items[j].k > it.k {
-			items[j+1] = items[j]
-			j--
-		}
-		items[j+1] = it
 	}
 }

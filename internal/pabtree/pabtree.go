@@ -1,10 +1,19 @@
 // Package pabtree implements the paper's durably linearizable trees: the
-// p-OCC-ABtree and p-Elim-ABtree (§5). The algorithms are those of
-// internal/core with the paper's persistence additions: node keys, values
-// and child pointers live in a simulated persistent memory arena
-// (internal/pmem); locks, versions, sizes, marks, elimination records and
-// the free-slot list are volatile headers (vnode), one per arena slot in
-// use, and are reconstructed by Recover.
+// p-OCC-ABtree and p-Elim-ABtree (§5), the OCC/Elim-ABtree with the
+// paper's persistence additions: node keys, values and child pointers
+// live in a simulated persistent memory arena (internal/pmem); locks,
+// versions, sizes, marks, elimination records and the free-slot list are
+// volatile headers (vnode), one per arena slot in use, and are
+// reconstructed by Recover.
+//
+// This package is the arena node store and the per-operation half of the
+// algorithm: the word map, the flush discipline of the leaf writes,
+// search, batches, scans, the slot allocator and recovery. The
+// structural half — splitting inserts, fixTagged, fixUnderfull, Validate
+// and the other inspection walks — is internal/abalg, shared with
+// internal/core's Go-heap store; it reaches the nodes through the
+// abalg.Store seam that *Thread implements (seam.go), whose NewLeaf,
+// NewInternal and SetChild are where the structural flushes below live.
 //
 // # Node layout
 //
@@ -62,9 +71,9 @@ package pabtree
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
+	"repro/internal/abalg"
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/mcslock"
@@ -86,7 +95,7 @@ const (
 	pairBase = 2 // leaf <key, value> pairs [b], two words each (word 1 spare)
 
 	// maxB is the largest supported node degree for the persistent layout.
-	maxB = 11
+	maxB = abalg.MaxCap
 
 	ptrsBase = keysBase + maxB - 1 // internal child offsets [b]
 
@@ -97,17 +106,9 @@ const (
 	emptyKey = 0
 )
 
-type kind uint64
-
-const (
-	leafKind kind = iota
-	internalKind
-	taggedKind
-)
-
-func packMeta(k kind, nchildren int) uint64 { return uint64(k) | uint64(nchildren)<<8 }
-func kindOf(meta uint64) kind               { return kind(meta & 0xff) }
-func nchildrenOf(meta uint64) int           { return int(meta >> 8 & 0xff) }
+func packMeta(k abalg.Kind, nchildren int) uint64 { return uint64(k) | uint64(nchildren)<<8 }
+func kindOf(meta uint64) abalg.Kind               { return abalg.Kind(meta & 0xff) }
+func nchildrenOf(meta uint64) int                 { return int(meta >> 8 & 0xff) }
 
 // elimRecord mirrors core.ElimRecord for the p-Elim-ABtree. Records are
 // volatile: elimination never crosses a crash (an operation is only
@@ -130,14 +131,11 @@ type vnode struct {
 	ver       atomic.Uint64
 	size      atomic.Int64
 	rec       atomic.Pointer[elimRecord]
-	searchKey uint64
+	searchKey uint64 // lower bound of the node's key range (abalg.Store)
 
-	// rqTS is the global range-query timestamp observed by the leaf's
-	// most recent write; rqVers chains preserved pre-write states for
-	// in-flight snapshot scans (rqsnap.go). Volatile: reset by allocSlot
-	// and absent after Recover.
-	rqTS   atomic.Uint64
-	rqVers atomic.Pointer[rq.Version]
+	// The leaf's range-query write stamp and version chain (rqsnap.go).
+	// Volatile: reset by allocSlot and absent after Recover.
+	rq.LeafState
 }
 
 // Tree is a p-OCC-ABtree, or a p-Elim-ABtree when built with
@@ -218,7 +216,7 @@ func New(arena *pmem.Arena, opts ...Option) *Tree {
 	}
 	root := t.bumpSlot()
 	t.initLeaf(root, nil, 1)
-	t.initInternalNode(entry, internalKind, nil, []uint64{root}, 1)
+	t.initInternalNode(entry, abalg.InternalKind, nil, []uint64{root}, 1)
 	return t
 }
 
@@ -337,32 +335,22 @@ func (t *Tree) allocSlot() uint64 {
 	v.ver.Store(0)
 	v.size.Store(0)
 	v.rec.Store(nil)
-	v.rqTS.Store(0)
-	v.rqVers.Store(nil)
+	v.TS.Store(0)
+	v.Vers.Store(nil)
 	return off
-}
-
-// retire hands a replaced node's slot to the epoch manager; it returns to
-// the free list after the grace period. The node's unlinking must already
-// be flushed, so the slot is unreachable in the persisted image as well.
-func (th *Thread) retire(off uint64) {
-	th.eh.Retire(uint32(off / NodeWords))
 }
 
 // ---- node construction (all words flushed before the caller links) ----
 
-// kvPair is a staging key-value pair.
-type kvPair struct{ k, v uint64 }
-
 // initLeaf writes and flushes a leaf node's persistent words and resets
 // its volatile header. searchKey is the node's key-range lower bound.
-func (t *Tree) initLeaf(off uint64, items []kvPair, searchKey uint64) {
+func (t *Tree) initLeaf(off uint64, items []rq.Pair, searchKey uint64) {
 	a := t.arena
-	a.Store(off+metaWord, packMeta(leafKind, 0))
+	a.Store(off+metaWord, packMeta(abalg.LeafKind, 0))
 	for i := 0; i < t.b; i++ {
 		var k, v uint64
 		if i < len(items) {
-			k, v = items[i].k, items[i].v
+			k, v = items[i].K, items[i].V
 		}
 		a.Store(leafKeyOff(off, i), k)
 		a.Store(leafValOff(off, i), v)
@@ -374,7 +362,7 @@ func (t *Tree) initLeaf(off uint64, items []kvPair, searchKey uint64) {
 }
 
 // initInternalNode writes and flushes an internal (or tagged) node.
-func (t *Tree) initInternalNode(off uint64, k kind, keys []uint64, children []uint64, searchKey uint64) {
+func (t *Tree) initInternalNode(off uint64, k abalg.Kind, keys []uint64, children []uint64, searchKey uint64) {
 	if len(children) != len(keys)+1 {
 		panic("pabtree: internal node arity mismatch")
 	}
@@ -402,7 +390,7 @@ func (t *Tree) initInternalNode(off uint64, k kind, keys []uint64, children []ui
 
 func (t *Tree) meta(off uint64) uint64 { return t.arena.Load(off + metaWord) }
 
-func (t *Tree) isLeaf(off uint64) bool { return kindOf(t.meta(off)) == leafKind }
+func (t *Tree) isLeaf(off uint64) bool { return kindOf(t.meta(off)) == abalg.LeafKind }
 
 // leafKeyOff and leafValOff locate pair i of the leaf at off. The two
 // words are adjacent and pairBase is even, so a pair never straddles a
@@ -433,7 +421,7 @@ func (t *Tree) loadChild(off uint64, i int) uint64 {
 			return raw
 		}
 		t.crashCheck()
-		spinPause(&spins)
+		abalg.SpinPause(&spins)
 	}
 }
 
@@ -453,12 +441,5 @@ func (t *Tree) setChildPersist(off uint64, i int, child uint64) {
 func (t *Tree) crashCheck() {
 	if t.arena.FailpointTriggered() {
 		panic(pmem.ErrCrash)
-	}
-}
-
-func spinPause(spins *int) {
-	*spins++
-	if *spins%32 == 0 {
-		runtime.Gosched()
 	}
 }

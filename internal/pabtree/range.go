@@ -17,6 +17,11 @@ package pabtree
 // within the section a retired slot cannot be recycled, so a stale
 // cached node is at worst marked, never a different node.
 
+import (
+	"repro/internal/abalg"
+	"repro/internal/rq"
+)
+
 // maxScanDepth bounds the cached descent; deeper trees (unreachable at
 // sane degrees) still scan correctly, bypassing the cache.
 const maxScanDepth = 32
@@ -86,7 +91,7 @@ func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf uint64, bound
 	caching := true
 	for {
 		meta := t.meta(n)
-		if kindOf(meta) == leafKind {
+		if kindOf(meta) == abalg.LeafKind {
 			if caching {
 				p.depth = lvl + 1
 			}
@@ -121,14 +126,14 @@ func (t *Tree) descendPath(p *scanPath, lvl int, key uint64) (leaf uint64, bound
 // [lo, hi] to buf. ok is false if the leaf has been unlinked (a cached
 // path may have led here after the unlink; the frozen contents cannot
 // be served).
-func (t *Tree) snapshotLeaf(buf []kvPair, off uint64, lo, hi uint64) (items []kvPair, ok bool) {
+func (t *Tree) snapshotLeaf(buf []rq.Pair, off uint64, lo, hi uint64) (items []rq.Pair, ok bool) {
 	v := t.vn(off)
 	spins := 0
 	for {
 		v1 := v.ver.Load()
 		if v1&1 == 1 {
 			t.crashCheck()
-			spinPause(&spins)
+			abalg.SpinPause(&spins)
 			continue
 		}
 		if v.marked.Load() {
@@ -138,16 +143,16 @@ func (t *Tree) snapshotLeaf(buf []kvPair, off uint64, lo, hi uint64) (items []kv
 		for i := 0; i < t.b; i++ {
 			k := t.leafKey(off, i)
 			if k != emptyKey && k >= lo && k <= hi {
-				items = append(items, kvPair{k, t.leafVal(off, i)})
+				items = append(items, rq.Pair{K: k, V: t.leafVal(off, i)})
 			}
 		}
 		if v.ver.Load() == v1 {
-			sortKVs(items)
+			rq.SortPairs(items)
 			return items, true
 		}
 		buf = items[:0]
 		t.crashCheck()
-		spinPause(&spins)
+		abalg.SpinPause(&spins)
 	}
 }
 
@@ -177,14 +182,14 @@ func (th *Thread) Range(lo, hi uint64, fn func(k, v uint64) bool) {
 	cursor := lo
 	for {
 		leaf, bound, hasBound := th.searchScan(cursor)
-		items, ok := t.snapshotLeaf(th.kvBuf[:0], leaf, cursor, hi)
-		th.kvBuf = items[:0]
+		items, ok := t.snapshotLeaf(th.pairBuf[:0], leaf, cursor, hi)
+		th.pairBuf = items[:0]
 		if !ok {
 			th.path.invalidate()
 			continue // leaf was unlinked: re-descend to its replacement
 		}
 		for _, it := range items {
-			if !fn(it.k, it.v) {
+			if !fn(it.K, it.V) {
 				return
 			}
 		}

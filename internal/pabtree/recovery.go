@@ -1,6 +1,9 @@
 package pabtree
 
-import "repro/internal/pmem"
+import (
+	"repro/internal/abalg"
+	"repro/internal/pmem"
+)
 
 // Recover rebuilds a Tree from the persisted image in arena after a crash
 // (paper §5): it walks the tree from the entry node's fixed offset and
@@ -44,7 +47,7 @@ func Recover(arena *pmem.Arena, opts ...Option) *Tree {
 		v.searchKey = lo
 
 		meta := t.arena.Load(off + metaWord)
-		if kindOf(meta) == leafKind {
+		if kindOf(meta) == abalg.LeafKind {
 			count := 0
 			for i := 0; i < t.b; i++ {
 				if t.leafKey(off, i) != emptyKey {
@@ -57,11 +60,11 @@ func Recover(arena *pmem.Arena, opts ...Option) *Tree {
 			}
 			return
 		}
-		if kindOf(meta) == taggedKind {
+		if kindOf(meta) == abalg.TaggedKind {
 			tagged = append(tagged, off)
 		}
 		nc := nchildrenOf(meta)
-		if !isRoot && off != t.entryOff && kindOf(meta) != taggedKind && nc < t.a {
+		if !isRoot && off != t.entryOff && kindOf(meta) != abalg.TaggedKind && nc < t.a {
 			underfull = append(underfull, off)
 		}
 		childLo := lo
@@ -104,11 +107,11 @@ func Recover(arena *pmem.Arena, opts ...Option) *Tree {
 	// to operate near tagged nodes.
 	th := t.NewThread()
 	for _, off := range tagged {
-		th.fixTagged(off)
+		abalg.FixTagged(th, off)
 	}
 	for _, off := range underfull {
-		if t.sizeOf(off) < t.a {
-			th.fixUnderfull(off)
+		if th.Size(off) < t.a {
+			abalg.FixUnderfull(th, off)
 		}
 	}
 	return t

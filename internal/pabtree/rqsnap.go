@@ -1,7 +1,8 @@
 package pabtree
 
 // Linearizable range queries for the persistent trees, mirroring
-// internal/core/rqsnap.go on the same internal/rq machinery. The leaf
+// internal/core/rqsnap.go on the same internal/rq machinery (structural
+// replacements inherit the replaced leaves' chains in internal/abalg). The leaf
 // version chains are volatile (they hang off the vnode headers): a scan
 // is a runtime construct, so snapshots need not survive a crash —
 // Recover starts from a quiescent image with fresh chains. Reclamation
@@ -9,7 +10,10 @@ package pabtree
 // inside an epoch critical section, so a retired leaf's slot (and with
 // it the vnode holding its chain) cannot be recycled under the scan.
 
-import "repro/internal/rq"
+import (
+	"repro/internal/abalg"
+	"repro/internal/rq"
+)
 
 // rqStamp preserves and stamps a leaf about to be modified in place.
 // Must run inside the leaf's version window, before the first content
@@ -18,64 +22,14 @@ import "repro/internal/rq"
 func (t *Tree) rqStamp(off uint64) {
 	c := t.rqp.ReadStamp()
 	lv := t.vn(off)
-	s := lv.rqTS.Load()
+	s := lv.TS.Load()
 	if c == s {
 		return
 	}
 	v := t.rqp.Acquire()
 	v.Items = t.gatherPairs(off, v.Items)
-	lv.rqVers.Store(t.rqp.PushAcquired(lv.rqVers.Load(), s, v, t.rqp.MinActive()))
-	lv.rqTS.Store(c)
-}
-
-// rqTimeline returns a leaf's state history for inheritance by its
-// replacements (leaf locked, not yet modified by the caller).
-func (t *Tree) rqTimeline(off, c uint64) *rq.Version {
-	lv := t.vn(off)
-	tl := lv.rqVers.Load()
-	if s := lv.rqTS.Load(); s < c {
-		v := t.rqp.Acquire()
-		v.Items = t.gatherPairs(off, v.Items)
-		tl = t.rqp.PushAcquired(tl, s, v, t.rqp.MinActive())
-	}
-	return tl
-}
-
-// rqInheritSplit hands a split leaf's history to its two replacements:
-// left covers keys < sep, right keys >= sep. Runs inside old's version
-// window, with c the stamp read there.
-func (t *Tree) rqInheritSplit(old, left, right uint64, sep, c uint64) {
-	t.vn(left).rqTS.Store(c)
-	t.vn(right).rqTS.Store(c)
-	if tl := t.rqTimeline(old, c); tl != nil {
-		t.vn(left).rqVers.Store(t.rqp.Restrict(tl, 0, sep-1))
-		t.vn(right).rqVers.Store(t.rqp.Restrict(tl, sep, ^uint64(0)))
-	}
-}
-
-// rqMergedTimeline combines two sibling leaves' histories for merge and
-// distribute. Runs inside both leaves' version windows.
-func (t *Tree) rqMergedTimeline(left, right, c uint64) *rq.Version {
-	return t.rqp.MergeTimelines(t.rqTimeline(left, c), t.rqTimeline(right, c))
-}
-
-// rqInheritDistribute hands two redistributed leaves' combined history
-// to their replacements, split at newSep. Runs inside both old leaves'
-// version windows, with c the stamp read there.
-func (t *Tree) rqInheritDistribute(oldLeft, oldRight, newLeft, newRight uint64, newSep, c uint64) {
-	t.vn(newLeft).rqTS.Store(c)
-	t.vn(newRight).rqTS.Store(c)
-	if tl := t.rqMergedTimeline(oldLeft, oldRight, c); tl != nil {
-		t.vn(newLeft).rqVers.Store(t.rqp.Restrict(tl, 0, newSep-1))
-		t.vn(newRight).rqVers.Store(t.rqp.Restrict(tl, newSep, ^uint64(0)))
-	}
-}
-
-// rqInheritMerge hands two merged leaves' combined history to their
-// single replacement. Same window requirements as rqInheritDistribute.
-func (t *Tree) rqInheritMerge(oldLeft, oldRight, nn uint64, c uint64) {
-	t.vn(nn).rqTS.Store(c)
-	t.vn(nn).rqVers.Store(t.rqMergedTimeline(oldLeft, oldRight, c))
+	lv.Vers.Store(t.rqp.PushAcquired(lv.Vers.Load(), s, v, t.rqp.MinActive()))
+	lv.TS.Store(c)
 }
 
 // gatherPairs appends a locked leaf's pairs from the arena to items,
@@ -165,14 +119,14 @@ func (t *Tree) collectVersioned(buf []rq.Pair, off, ts, lo, hi uint64) (items []
 		v1 := lv.ver.Load()
 		if v1&1 == 1 {
 			t.crashCheck()
-			spinPause(&spins)
+			abalg.SpinPause(&spins)
 			continue
 		}
 		if lv.marked.Load() {
 			return buf, false
 		}
-		s := lv.rqTS.Load()
-		chain := lv.rqVers.Load()
+		s := lv.TS.Load()
+		chain := lv.Vers.Load()
 		items = buf
 		for i := 0; i < t.b; i++ {
 			k := t.leafKey(off, i)
@@ -183,7 +137,7 @@ func (t *Tree) collectVersioned(buf []rq.Pair, off, ts, lo, hi uint64) (items []
 		if lv.ver.Load() != v1 {
 			buf = items[:0]
 			t.crashCheck()
-			spinPause(&spins)
+			abalg.SpinPause(&spins)
 			continue
 		}
 		if s >= ts {

@@ -1,0 +1,82 @@
+package pabtree
+
+import (
+	"runtime"
+
+	"repro/internal/abalg"
+	"repro/internal/rq"
+)
+
+// The abalg.Store seam over arena slots (see the interface for each
+// method's contract). Here a node reference is an arena offset (0 =
+// none), and the seam carries the structural half of the package
+// comment's flush discipline: NewLeaf/NewInternal flush every word they
+// write before returning, SetChild is link-and-persist, and Unlink also
+// queues the slot for epoch reclamation. Lock and UnlockAll are in
+// thread.go.
+
+func (th *Thread) Degree() (a, b int)                  { return th.t.a, th.t.b }
+func (th *Thread) Entry() uint64                       { return th.t.entryOff }
+func (th *Thread) Kind(off uint64) abalg.Kind          { return kindOf(th.t.meta(off)) }
+func (th *Thread) RoutingKey(off uint64, i int) uint64 { return th.t.routingKey(off, i) }
+func (th *Thread) Child(off uint64, i int) uint64      { return th.t.loadChild(off, i) }
+func (th *Thread) SearchKey(off uint64) uint64         { return th.t.vn(off).searchKey }
+func (th *Thread) Marked(off uint64) bool              { return th.t.vn(off).marked.Load() }
+func (th *Thread) BumpVer(off uint64)                  { th.t.vn(off).ver.Add(1) }
+func (th *Thread) LeafState(off uint64) *rq.LeafState  { return &th.t.vn(off).LeafState }
+func (th *Thread) RQ() *rq.Provider                    { return th.t.rqp }
+func (th *Thread) SetChild(p uint64, i int, c uint64)  { th.t.setChildPersist(p, i, c) }
+func (th *Thread) Scratch() *abalg.Scratch[uint64]     { return &th.scratch }
+func (th *Thread) GatherLeaf(off uint64, items []rq.Pair) []rq.Pair {
+	return th.t.gatherPairs(off, items)
+}
+
+func (th *Thread) GatherInternal(off uint64, children, keys []uint64) ([]uint64, []uint64) {
+	t, nc := th.t, nchildrenOf(th.t.meta(off))
+	for i := 0; i < nc; i++ {
+		children = append(children, t.loadChild(off, i))
+	}
+	for i := 0; i < nc-1; i++ {
+		keys = append(keys, t.routingKey(off, i))
+	}
+	return children, keys
+}
+
+func (th *Thread) Search(key uint64, target uint64) abalg.Path[uint64] {
+	return th.t.search(key, target)
+}
+
+// Unlink marks the node and hands its slot to the epoch manager; it
+// returns to the free list after the grace period. The unlinking pointer
+// write is already flushed (SetChild), so the slot is unreachable in the
+// persisted image as well.
+func (th *Thread) Unlink(off uint64) {
+	th.t.vn(off).marked.Store(true)
+	th.eh.Retire(uint32(off / NodeWords))
+}
+
+// Pause lets a waiter observe an injected crash instead of spinning
+// behind a lock holder that will never finish.
+func (th *Thread) Pause() {
+	th.t.crashCheck()
+	runtime.Gosched()
+}
+
+func (th *Thread) NewLeaf(items []rq.Pair, searchKey uint64) uint64 {
+	off := th.t.allocSlot()
+	th.t.initLeaf(off, items, searchKey)
+	return off
+}
+
+func (th *Thread) NewInternal(k abalg.Kind, keys, children []uint64, searchKey uint64) uint64 {
+	off := th.t.allocSlot()
+	th.t.initInternalNode(off, k, keys, children, searchKey)
+	return off
+}
+
+func (th *Thread) Size(off uint64) int {
+	if th.t.isLeaf(off) {
+		return int(th.t.vn(off).size.Load())
+	}
+	return nchildrenOf(th.t.meta(off))
+}

@@ -1,13 +1,14 @@
 package pabtree
 
 import (
+	"repro/internal/abalg"
 	"repro/internal/epoch"
 	"repro/internal/mcslock"
 	"repro/internal/pmem"
 	"repro/internal/rq"
 )
 
-const maxHeld = 4
+const maxHeld = abalg.MaxHeld
 
 // Thread is a per-goroutine operation handle. It owns the MCS queue nodes
 // for held locks and this worker's epoch-reclamation handle. A Thread must
@@ -23,13 +24,15 @@ type Thread struct {
 	rqs *rq.Scanner
 
 	// Scan fast path (range.go): the cached descent (offsets, valid only
-	// within one epoch critical section) and the scratch buffers
+	// within one epoch critical section) and the scratch buffer
 	// per-leaf collects append into. noScanCache forces full re-descents
 	// (differential tests only).
 	path        scanPath
-	kvBuf       []kvPair
 	pairBuf     []rq.Pair
 	noScanCache bool
+
+	// scratch stages the structural updates (abalg.Store, seam.go).
+	scratch abalg.Scratch[uint64]
 
 	// batchBuf stages batched point operations sorted by key; batchTmp
 	// is the radix sort's ping-pong partner (batch.go). Both persist so
@@ -46,11 +49,11 @@ func (t *Tree) NewThread() *Thread {
 // Tree returns the tree this handle operates on.
 func (th *Thread) Tree() *Tree { return th.t }
 
-// lockNode acquires the lock of the node at off (bottom-to-top,
+// Lock acquires the lock of the node at off (bottom-to-top,
 // left-to-right global order). When a crash failpoint is armed the wait is
 // abortable: a lock whose holder "crashed" will never be released, so
 // waiters must observe the crash rather than queue behind it.
-func (th *Thread) lockNode(off uint64) {
+func (th *Thread) Lock(off uint64) {
 	if th.nheld == maxHeld {
 		panic("pabtree: too many locks held")
 	}
@@ -60,7 +63,7 @@ func (th *Thread) lockNode(off uint64) {
 		spins := 0
 		for !v.mcs.TryAcquire(qn) {
 			th.t.crashCheck()
-			spinPause(&spins)
+			abalg.SpinPause(&spins)
 		}
 	} else {
 		v.mcs.Acquire(qn)
@@ -84,8 +87,8 @@ func (th *Thread) tryLockNode(off uint64) bool {
 	return true
 }
 
-// unlockAll releases all held locks, most recent first.
-func (th *Thread) unlockAll() {
+// UnlockAll releases all held locks, most recent first.
+func (th *Thread) UnlockAll() {
 	for i := th.nheld - 1; i >= 0; i-- {
 		th.held[i].mcs.Release(&th.qn[i])
 		th.held[i] = nil

@@ -6,19 +6,22 @@ package pabtree
 // commits with a single flush of the value word, which is atomic against
 // any crash (one word, one line).
 
-import "repro/internal/core"
+import (
+	"repro/internal/abalg"
+	"repro/internal/core"
+)
 
 // Upsert sets key's value to val, inserting if absent. Durable on return
 // (replace: one value flush; insert: one flush of the pair's line; split:
 // link-and-persist).
 func (th *Thread) Upsert(key, val uint64) {
-	checkKey(key)
+	abalg.CheckKey(key)
 	th.enter()
 	defer th.exit()
 	t := th.t
 	for {
 		path := t.search(key, 0)
-		leaf := path.n
+		leaf := path.N
 		lv := t.vn(leaf)
 
 		if t.elim {
@@ -28,11 +31,11 @@ func (th *Thread) Upsert(key, val uint64) {
 				return
 			}
 		} else {
-			th.lockNode(leaf)
+			th.Lock(leaf)
 		}
 
 		if lv.marked.Load() {
-			th.unlockAll()
+			th.UnlockAll()
 			continue
 		}
 
@@ -51,7 +54,7 @@ func (th *Thread) Upsert(key, val uint64) {
 			t.arena.Store(valOff, val)
 			t.arena.Flush(valOff)
 			lv.ver.Add(1)
-			th.unlockAll()
+			th.UnlockAll()
 			return
 		case emptyIdx >= 0:
 			ver := lv.ver.Add(1)
@@ -62,19 +65,19 @@ func (th *Thread) Upsert(key, val uint64) {
 			t.persistPair(leaf, emptyIdx, key, val)
 			lv.size.Add(1)
 			lv.ver.Add(1)
-			th.unlockAll()
+			th.UnlockAll()
 			return
 		default:
-			parent := path.p
-			th.lockNode(parent)
+			parent := path.P
+			th.Lock(parent)
 			if t.vn(parent).marked.Load() {
-				th.unlockAll()
+				th.UnlockAll()
 				continue
 			}
-			taggedOff := t.splitInsert(th, leaf, parent, path.nIdx, key, val)
-			th.unlockAll()
+			taggedOff := abalg.SplitInsert(th, leaf, parent, path.NIdx, key, val)
+			th.UnlockAll()
 			if taggedOff != 0 {
-				th.fixTagged(taggedOff)
+				abalg.FixTagged(th, taggedOff)
 			}
 			return
 		}
@@ -97,7 +100,7 @@ func (th *Thread) lockOrElimKind(leaf uint64, key uint64, op core.OpKind) (acqui
 				break
 			}
 			t.crashCheck()
-			spinPause(&spins)
+			abalg.SpinPause(&spins)
 		}
 		if rec != nil && startVer <= rec.ver && rec.key == key && core.CanEliminate(op, rec.kind) {
 			return false, rec.val
@@ -106,6 +109,6 @@ func (th *Thread) lockOrElimKind(leaf uint64, key uint64, op core.OpKind) (acqui
 			return true, 0
 		}
 		t.crashCheck()
-		spinPause(&spins)
+		abalg.SpinPause(&spins)
 	}
 }

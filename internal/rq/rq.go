@@ -98,6 +98,15 @@ type Version struct {
 // Next returns the next-older snapshot in the chain, or nil.
 func (v *Version) Next() *Version { return v.next.Load() }
 
+// LeafState is the range-query state every leaf embeds: TS is the global
+// timestamp observed by the leaf's most recent write, Vers the chain of
+// preserved pre-write states for in-flight scans. Both are written only
+// inside the leaf's version window (or before the leaf is published).
+type LeafState struct {
+	TS   atomic.Uint64
+	Vers atomic.Pointer[Version]
+}
+
 // Clock is a linearization clock: the global range-query timestamp and
 // the registry of active scans. The zero timestamp predates every scan
 // (scan timestamps start at 1), so freshly created leaves stamped 0 are
