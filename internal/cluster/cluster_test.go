@@ -226,7 +226,10 @@ func TestClusterAmbiguousMidMutation(t *testing.T) {
 // TestClusterFailoverLinearizable: chaos-record through the router
 // while the primary of a 3-member partition is killed mid-load; the
 // history — ambiguous mutations carried as Maybe ops — must check, and
-// the router must have failed over.
+// the router must have failed over. RecordChaos fires the kill on its
+// own goroutine, so every recorded op may finish before the primary
+// closes: the test waits for the kill and drives one probe op through
+// the router before asserting the failover.
 func TestClusterFailoverLinearizable(t *testing.T) {
 	const keyRange = 1 << 10
 	prim, fols := startPartition(t, keyRange, 2, 0)
@@ -242,6 +245,7 @@ func TestClusterFailoverLinearizable(t *testing.T) {
 	}
 	t.Cleanup(func() { d.Close() })
 
+	killed := make(chan struct{})
 	hist, stats := linearizability.RecordChaos(
 		func() linearizability.TryDictHandle {
 			return d.NewHandle().(linearizability.TryDictHandle)
@@ -253,13 +257,25 @@ func TestClusterFailoverLinearizable(t *testing.T) {
 			Seed:      42,
 			Ambiguous: func(err error) bool { return errors.Is(err, client.ErrAmbiguous) },
 			KillAfter: 20,
-			Kill:      func() { prim.srv.Close() },
+			Kill: func() {
+				prim.srv.Close()
+				close(killed)
+			},
 		})
 	if err := linearizability.Check(hist, nil); err != nil {
 		t.Fatalf("post-failover history not linearizable: %v", err)
 	}
 	if stats.Ops == 0 {
 		t.Fatal("recorded no completed operations")
+	}
+	select {
+	case <-killed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the primary never closed")
+	}
+	// A read reaching the dead primary fails over and retries.
+	if _, _, err := d.NewHandle().(client.TryHandle).TryFind(3); err != nil {
+		t.Fatalf("probe through the router after the kill: %v", err)
 	}
 	if d.Failovers() == 0 {
 		t.Fatal("the kill fired but the router never failed over")

@@ -36,8 +36,9 @@ func TestAllocsSteadyStatePointOps(t *testing.T) {
 }
 
 // TestAllocsElimUpdates: publishing updates on a settled Elim-ABtree
-// allocate nothing — the elimination record lives inline in the leaf
-// (elimLeaf), written inside the version window.
+// allocate nothing — the ElimRecord is decoded from the leaf's slot
+// record (node.go), which the version window writes into spare state
+// bits.
 func TestAllocsElimUpdates(t *testing.T) {
 	_, th := allocGuardTree(t, WithElimination())
 	if avg := testing.AllocsPerRun(200, func() {

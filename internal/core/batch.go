@@ -82,8 +82,9 @@ func (th *Thread) FindBatch(keys, vals []uint64, found []bool) {
 // run applies under one lock acquisition; a leaf that fills mid-run
 // falls back to the per-key splitting insert for the key that needed
 // the split. On Elim-ABtrees the batched path locks directly instead of
-// publishing (elimination targets cross-thread same-key contention,
-// which a sorted single-thread batch does not exhibit).
+// trying to eliminate (elimination targets cross-thread same-key
+// contention, which a sorted single-thread batch does not exhibit); each
+// key's version window still publishes its record.
 func (th *Thread) InsertBatch(keys, vals []uint64, prev []uint64, inserted []bool) {
 	if len(vals) != len(keys) || len(prev) != len(keys) || len(inserted) != len(keys) {
 		panic("core: InsertBatch result slices must match len(keys)")
@@ -257,17 +258,7 @@ func (t *Tree) collectBatchFinds(n *node, run []batchEnt, vals []uint64, found [
 			return false
 		}
 		for _, e := range run {
-			var val uint64
-			ok := false
-			for i := 0; i < t.b; i++ {
-				if l.keys[i].Load() == e.K {
-					val = l.vals[i].Load()
-					ok = true
-					break
-				}
-			}
-			vals[e.Idx] = val
-			found[e.Idx] = ok
+			vals[e.Idx], found[e.Idx] = l.valAt(t.slotOf(l, e.K))
 		}
 		if l.ver.Load() == v1 {
 			return true

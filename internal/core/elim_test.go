@@ -5,32 +5,47 @@ import (
 	"time"
 )
 
-// TestPublishingEliminationDeterministic constructs the paper's Figure 11
-// scenario by hand: an in-progress simple insert has locked a leaf,
-// incremented its version to an odd value and published an ElimRecord.
-// Operations on the same key that *start* during this window (their start
-// version <= rec.Ver) must eliminate themselves once the publisher
-// finishes: the insert returns the record's value, the delete returns ⊥,
-// and neither touches the tree.
-// openPublishingWindow performs the first half of a publishing update by
-// hand on behalf of pub: it locks key's leaf, opens the version window
-// (ver odd) and publishes the elimination record inside it. The caller
-// finishes the update on the returned leaf, closes the window and
-// unlocks.
-func openPublishingWindow(tr *Tree, pub *Thread, key, val uint64, k RecKind) *elimLeaf {
+// openPublishingWindow performs the first half of a publishing update of
+// kind k by hand on behalf of pub: it locks key's leaf and opens the
+// version window (ver odd). The returned finish performs the second half
+// — writes the slot (insert, replace) or leaves it as the tombstone
+// (delete), stores the slot record, closes the window — and unlocks.
+func openPublishingWindow(tr *Tree, pub *Thread, key, val uint64, k RecKind) (finish func()) {
 	n := tr.search(key, nil).N
 	pub.Lock(n)
-	leaf := n.elim()
-	leaf.publish(key, val, leaf.ver.Add(1), k)
-	return leaf
+	l := n.leaf()
+	at, empty := tr.findSlot(l, key)
+	s := tr.openWindow(l)
+	return func() {
+		switch k {
+		case RecInsert:
+			at = empty
+			l.vals[at].Store(val)
+			l.keys[at].Store(key)
+			s++
+		case RecDelete:
+			s--
+		case RecReplace:
+			l.vals[at].Store(val)
+		}
+		tr.closeWindow(l, s, at, k)
+		pub.UnlockAll()
+	}
 }
 
+// TestPublishingEliminationDeterministic constructs the paper's Figure 11
+// scenario by hand: an in-progress simple insert has locked a leaf and
+// incremented its version to an odd value; it publishes its slot record
+// when it closes the window. Operations on the same key that *start*
+// during this window (their start version <= rec.Ver) must eliminate
+// themselves once the publisher finishes: the insert returns the record's
+// value, the delete returns ⊥, and neither touches the tree.
 func TestPublishingEliminationDeterministic(t *testing.T) {
 	tr := New(WithElimination())
 
 	// The publisher: manually perform the first half of insert(7, 42).
 	pub := tr.NewThread()
-	leaf := openPublishingWindow(tr, pub, 7, 42, RecInsert)
+	finish := openPublishingWindow(tr, pub, 7, 42, RecInsert)
 
 	// Concurrent operations on key 7 start inside the window. Both will
 	// spin in lockOrElim until the publisher's second increment, then
@@ -49,13 +64,9 @@ func TestPublishingEliminationDeterministic(t *testing.T) {
 	}()
 	time.Sleep(100 * time.Millisecond) // let both reach lockOrElim
 
-	// Publisher completes the insert: write the pair, make the version
-	// even (the linearization point), unlock.
-	leaf.vals[0].Store(42)
-	leaf.keys[0].Store(7)
-	leaf.addSize(1)
-	leaf.ver.Add(1)
-	pub.UnlockAll()
+	// Publisher completes the insert: write the pair and its slot record,
+	// make the version even (the linearization point), unlock.
+	finish()
 
 	ins := <-insRes
 	if ins[0] != 42 || ins[1] != 0 {

@@ -23,53 +23,93 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// The byte budgets. The header is exact; the rest are Go allocation size
-// classes, so a field too many costs the next class (leaf 224 -> 240,
-// inner 208 -> 224, elimLeaf 256 -> 288). A negative array length here
-// fails the package's test build rather than a benchmark.
+// The byte budgets: one leaf budget for both trees, since the Elim-ABtree
+// keeps its elimination record in spare state bits. The header is exact;
+// the rest are Go allocation size classes, so a field too many costs the
+// next class (leaf 224 -> 240, inner 208 -> 224). A negative array length
+// here fails the package's test build rather than a benchmark.
 const (
-	headerSize     = 112
-	leafBudget     = 224
-	elimLeafBudget = 256
-	innerBudget    = 208
+	headerSize  = 112
+	leafBudget  = 224
+	innerBudget = 208
 )
 
 var (
 	_ [headerSize - unsafe.Sizeof(node{})]byte
 	_ [unsafe.Sizeof(node{}) - headerSize]byte
 	_ [leafBudget - unsafe.Sizeof(leaf{})]byte
-	_ [elimLeafBudget - unsafe.Sizeof(elimLeaf{})]byte
 	_ [innerBudget - unsafe.Sizeof(inner{})]byte
 	// The header is the first field of every allocation type: a *node is
 	// a pointer to the allocation's start, which is what makes the
 	// downcasts legal.
 	_ [-unsafe.Offsetof(leaf{}.node)]byte
 	_ [-unsafe.Offsetof(inner{}.node)]byte
-	_ [-unsafe.Offsetof(elimLeaf{}.leaf)]byte
 )
 
+// TestNodeLayout checks the slot record encoding (node.go) and its round
+// trip through a leaf: each publishing update's record is the slot it
+// wrote, with Ver implied by the leaf's version, and a marked leaf serves
+// none.
 func TestNodeLayout(t *testing.T) {
-	t.Logf("header %d B, inner %d B, leaf %d B, elimLeaf %d B",
-		unsafe.Sizeof(node{}), unsafe.Sizeof(inner{}), unsafe.Sizeof(leaf{}), unsafe.Sizeof(elimLeaf{}))
-	// newLeaf picks the allocation type by t.elim. -race builds run
-	// checkptr over the downcast: an elimLeaf view of an OCC leaf (or a
-	// leaf view of an inner) would straddle the allocation and abort the
-	// test binary.
-	elim := New(WithElimination())
-	elim.root().elim().publish(1, 2, 3, RecReplace)
-	spins := 0
-	if r := elim.root().elim().record(&spins); r != (ElimRecord{Key: 1, Val: 2, Ver: 3, Kind: RecReplace}) {
-		t.Errorf("inline record round trip = %+v", r)
+	t.Logf("header %d B, inner %d B, leaf %d B",
+		unsafe.Sizeof(node{}), unsafe.Sizeof(inner{}), unsafe.Sizeof(leaf{}))
+	for i := 0; i < maxCap; i++ {
+		for _, k := range []RecKind{RecInsert, RecDelete, RecReplace} {
+			w := PackRec(i, k)
+			if w&^RecMask != 0 {
+				t.Errorf("PackRec(%d, %d) = %#x spills outside RecMask %#x", i, k, w, RecMask)
+			}
+			if gi, gk := UnpackRec(w | SizeMask | markedBit); gi != i || gk != k {
+				t.Errorf("UnpackRec(PackRec(%d, %d)) = (%d, %d)", i, k, gi, gk)
+			}
+		}
+	}
+	if i, _ := UnpackRec(SizeMask | markedBit); i >= 0 {
+		t.Errorf("a state word with no record decodes to slot %d", i)
+	}
+
+	tr := New(WithElimination())
+	th := tr.NewThread()
+	l := tr.root().leaf()
+	rec := func() ElimRecord {
+		spins := 0
+		return l.record(&spins)
+	}
+	steps := []struct {
+		name string
+		op   func()
+		want ElimRecord
+	}{
+		{"fresh leaf", func() {}, ElimRecord{}},
+		{"insert", func() { th.Insert(1, 2) }, ElimRecord{Key: 1, Val: 2, Kind: RecInsert, Ver: 1}},
+		{"replace", func() { th.Upsert(1, 3) }, ElimRecord{Key: 1, Val: 3, Kind: RecReplace, Ver: 3}},
+		{"delete", func() { th.Delete(1) }, ElimRecord{Key: 1, Val: 3, Kind: RecDelete, Ver: 5}},
+		{"insert after delete", func() { th.Insert(9, 8) }, ElimRecord{Key: 9, Val: 8, Kind: RecInsert, Ver: 7}},
+		{"split", func() {
+			for k := uint64(10); k < uint64(10+maxCap); k++ {
+				th.Insert(k, k)
+			}
+		}, ElimRecord{}},
+	}
+	for _, s := range steps {
+		s.op()
+		if r := rec(); r != s.want {
+			t.Errorf("after %s: record %+v, want %+v", s.name, r, s.want)
+		}
+	}
+	if !l.isMarked() {
+		t.Fatal("the root leaf did not split")
 	}
 }
 
 // TestHeapBytesPerKey pins the footprint the layouts exist for: uniform
 // random inserts settle at ~69% leaf fill, so a 224 B leaf class plus
 // the internal levels cost ~32 B of live heap per key (the unified
-// 480 B node cost ~70).
+// 480 B node cost ~70). Both trees build on that one leaf: the
+// Elim-ABtree's record costs it nothing.
 func TestHeapBytesPerKey(t *testing.T) {
 	if testing.Short() {
-		t.Skip("allocates a 200k-key tree")
+		t.Skip("allocates two 200k-key trees")
 	}
 	const keys = 200_000
 	heap := func() uint64 {
@@ -78,28 +118,57 @@ func TestHeapBytesPerKey(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	before := heap()
-	tr := New()
-	th := tr.NewThread()
-	rng := rand.New(rand.NewSource(1))
-	inserted := 0
-	for inserted < keys {
-		if _, ok := th.Insert(1+rng.Uint64()%(1<<40), 1); ok {
-			inserted++
+	perKey := func(opts ...Option) float64 {
+		before := heap()
+		tr := New(opts...)
+		th := tr.NewThread()
+		rng := rand.New(rand.NewSource(1))
+		inserted := 0
+		for inserted < keys {
+			if _, ok := th.Insert(1+rng.Uint64()%(1<<40), 1); ok {
+				inserted++
+			}
+		}
+		b := float64(heap()-before) / keys
+		t.Logf("elim=%v: %.1f B/key live heap, %+v", tr.Elim(), b, tr.Stats())
+		runtime.KeepAlive(th)
+		return b
+	}
+	occ, elim := perKey(), perKey(WithElimination())
+	if occ > 40 {
+		t.Errorf("OCC-ABtree live heap %.1f B/key, want <= 40", occ)
+	}
+	if elim > occ+1 {
+		t.Errorf("Elim-ABtree live heap %.1f B/key, want within 1 of the OCC-ABtree's %.1f", elim, occ)
+	}
+}
+
+// tombstones counts the reachable leaves carrying a tombstone (node.go).
+// Quiescent trees only.
+func tombstones(tr *Tree) int {
+	n := 0
+	var walk func(x *node)
+	walk = func(x *node) {
+		if x.isLeaf() {
+			if tombstone(x.state.Load()) >= 0 {
+				n++
+			}
+			return
+		}
+		for i := 0; i < int(x.nchildren); i++ {
+			walk(x.inner().ptrs[i].Load())
 		}
 	}
-	perKey := float64(heap()-before) / keys
-	t.Logf("%.1f B/key live heap, %+v", perKey, tr.Stats())
-	if perKey > 40 {
-		t.Errorf("live heap %.1f B/key, want <= 40", perKey)
-	}
-	runtime.KeepAlive(th)
+	walk(tr.root())
+	return n
 }
 
 // TestDowncastsMatchKinds builds every variant and drives the point,
 // batch, scan and inspection paths through splits, merges and root
 // collapses with the kind checks on. On the unified node a vals read of
-// an internal node was harmless; now it is out of bounds.
+// an internal node was harmless; now it is out of bounds. The Elim
+// variants run the same paths over leaves that carry tombstones, and
+// -race builds run checkptr over every downcast.
 func TestDowncastsMatchKinds(t *testing.T) {
 	if !checkDowncasts {
 		t.Skip("downcast checks are off (benchmark run)")
@@ -155,6 +224,9 @@ func TestDowncastsMatchKinds(t *testing.T) {
 						t.Fatalf("Find(%d) = (%d,%v), model (%d,%v)", k, v, ok, mv, mok)
 					}
 				}
+			}
+			if got := tombstones(tr); tr.Elim() != (got > 0) {
+				t.Fatalf("%d leaves carry a tombstone on a tree with elim=%v", got, tr.Elim())
 			}
 			// Batches, then delete everything so leaves merge and the
 			// tree collapses back to a root leaf.

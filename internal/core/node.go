@@ -53,10 +53,10 @@ const (
 	emptyKey = 0
 )
 
-// ElimRecord summarises the last simple insert or successful delete that
-// modified a leaf (paper §4.1). It is the decoded form of the record an
-// Elim-ABtree leaf stores inline (elimLeaf); Ver == 0 means no update has
-// published yet.
+// ElimRecord summarises the last simple insert, successful delete or
+// replace that modified a leaf (paper §4.1). It is the decoded form of an
+// Elim-ABtree leaf's slot record (record, below), which costs the leaf no
+// bytes; Ver == 0 means the leaf carries no record.
 type ElimRecord struct {
 	Key uint64
 	Val uint64
@@ -73,41 +73,43 @@ type ElimRecord struct {
 
 // node is the header every tree node starts with, and the type of every
 // tree pointer. A node is never allocated on its own: it is the first
-// field of one of three allocation types, picked by the only two
+// field of one of two allocation types, picked by the only two
 // allocation sites (Tree.newLeaf, newInternal) and sized to a Go
 // allocation class each (TestNodeLayout pins the budgets):
 //
 //	header    lock, state, kind, searchKey + 11 keys        112 B
 //	inner     header + 11 child pointers                    200 B (class 208)
 //	leaf      header + ver, rq.LeafState + 11 values        224 B
-//	elimLeaf  leaf + the inline elimination record          248 B (class 256)
+//
+// OCC-ABtree and Elim-ABtree leaves are the same 224 B: the elimination
+// record lives in spare state bits and the slot it names (record, below).
 //
 // Everything that works on any node — locking, marking, routing by keys,
 // re-location by searchKey — reads the header through the *node. The
-// role-specific tails are reached through the downcasts leaf(), inner()
-// and elim(), which hold the package's only unsafe conversions; kind says
-// which one is legal (LeafKind: leaf, and elim on an Elim-ABtree;
-// otherwise inner).
+// role-specific tails are reached through the downcasts leaf() and
+// inner(), which hold the package's only unsafe conversions; kind says
+// which one is legal (LeafKind: leaf; otherwise inner).
 //
 // Mutability discipline:
-//   - header state (marked bit, leaf size): written only while the node's
-//     lock is held (or before publication). marked is set once, when the
-//     node is unlinked from the tree, and never cleared. Leaf size changes
-//     between the leaf's two ver increments.
+//   - header state (marked bit, leaf size, slot record): written only
+//     while the node's lock is held (or before publication). marked is set
+//     once, when the node is unlinked from the tree, and never cleared.
+//     Leaf size and record change between the leaf's two ver increments.
 //   - header kind, nchildren, searchKey: immutable.
 //   - header keys: in a leaf, mutated only while the leaf's lock is held,
 //     between the two ver increments, and read lock-free by searches. In
 //     an internal node they are the routing keys, immutable after
 //     publication ("once an internal node is created, its routing keys
 //     are never changed" — §3.1); adding/removing one replaces the node.
-//   - leaf ver/vals/LeafState and elimLeaf rec: as leaf keys.
+//   - leaf ver/vals/LeafState: as leaf keys.
 //   - inner ptrs: mutated only while the node's lock is held; read
 //     lock-free by searches.
 type node struct {
 	// mcs is the node's lock.
 	mcs mcslock.Lock
 
-	// state packs the marked bit with a leaf's number of non-empty keys.
+	// state packs the marked bit with a leaf's number of non-empty keys
+	// and, on an Elim-ABtree, its slot record (see the bit map below).
 	state atomic.Uint32
 
 	kind abalg.Kind
@@ -139,20 +141,6 @@ type leaf struct {
 	rq.LeafState
 
 	vals [maxCap]atomic.Uint64
-}
-
-// elimLeaf is the leaf of an Elim-ABtree: a leaf followed by its
-// elimination record, stored inline so publishing updates allocate
-// nothing. The three words are written inside the leaf's version window
-// and read between two equal even ver loads, which makes the multi-word
-// read consistent. OCC-ABtree leaves do not carry it.
-type elimLeaf struct {
-	leaf
-	rec struct {
-		key, val atomic.Uint64
-		// verKind is Ver<<2 | Kind; 0 until the first publishing update.
-		verKind atomic.Uint64
-	}
 }
 
 // inner is the allocation behind a *node of InternalKind or TaggedKind.
@@ -189,21 +177,60 @@ func (n *node) inner() *inner {
 	return (*inner)(unsafe.Pointer(n))
 }
 
-// elim returns the Elim-ABtree leaf n heads; n must be a leaf of a tree
-// built WithElimination.
-func (n *node) elim() *elimLeaf {
-	if checkDowncasts {
-		n.checkKind(true)
-	}
-	return (*elimLeaf)(unsafe.Pointer(n))
-}
-
 func (n *node) isLeaf() bool { return n.kind == abalg.LeafKind }
 func (n *node) tagged() bool { return n.kind == abalg.TaggedKind }
 
-// markedBit is the state bit set when a node is unlinked; the bits below
-// it hold a leaf's size.
-const markedBit = 1 << 31
+// The state word:
+//
+//	bits 0-3   a leaf's number of non-empty keys (SizeMask)
+//	bits 4-9   a leaf's slot record (RecMask; Elim-ABtree only)
+//	bit  31    marked
+//
+// The slot record is the paper's ElimRecord at zero bytes: the slot the
+// leaf's latest publishing update wrote, plus one (0: none), and that
+// update's RecKind. The record's key and value are the slot's pair, read
+// between two equal even ver loads; its Ver is that even version minus
+// one. The implied Ver is exact because every version window on an
+// unmarked leaf publishes (putLocked, deleteLocked, the replacing Upsert)
+// and every window that does not publish — a structural replacement in
+// internal/abalg — also marks the leaf, and a marked leaf's record is
+// never served (record).
+//
+// A publishing delete cannot clear the slot its record names, so it
+// leaves its pair in place as a tombstone, already excluded from size:
+// every reader of an Elim-ABtree leaf skips the slot a RecDelete record
+// names (tombstone), marked leaves included, whose frozen contents
+// lock-free readers may still reach. The leaf's next version window
+// writes ⊥ into the tombstone before it publishes (openWindow).
+const (
+	SizeMask  = 1<<recShift - 1
+	RecMask   = 1<<(recShift+6) - 1 - SizeMask
+	markedBit = 1 << 31
+
+	recShift = 4
+)
+
+// A leaf's size must fit below the slot record.
+const _ uint = SizeMask - maxCap
+
+// PackRec returns the slot record of an update of kind k that wrote slot
+// i. internal/pabtree keeps the same record in its leaf size word.
+func PackRec(i int, k RecKind) uint32 {
+	return uint32(i+1)<<recShift | uint32(k)<<(recShift+4)
+}
+
+// UnpackRec decodes the slot record in a state word; i < 0 means none.
+func UnpackRec(w uint32) (i int, k RecKind) {
+	return int(w>>recShift&0xf) - 1, RecKind(w >> (recShift + 4) & 3)
+}
+
+// tombstone returns the slot a publishing delete left its pair in, or -1.
+func tombstone(w uint32) int {
+	if w&RecMask>>(recShift+4) != uint32(RecDelete) {
+		return -1
+	}
+	return int(w>>recShift&0xf) - 1
+}
 
 func (n *node) isMarked() bool { return n.state.Load()&markedBit != 0 }
 
@@ -212,32 +239,32 @@ func (n *node) isMarked() bool { return n.state.Load()&markedBit != 0 }
 func (n *node) mark() { n.state.Store(n.state.Load() | markedBit) }
 
 // size returns a leaf's number of non-empty keys.
-func (n *node) size() int { return int(n.state.Load() &^ markedBit) }
-
-// addSize adjusts a locked leaf's size by d and returns the new size.
-func (n *node) addSize(d int) int {
-	return int(n.state.Add(uint32(d)) &^ markedBit)
-}
+func (n *node) size() int { return int(n.state.Load() & SizeMask) }
 
 // routingKeys returns the number of routing keys in an internal node.
 func (n *node) routingKeys() int { return int(n.nchildren) - 1 }
 
-// publish stores the elimination record of the update that opened version
-// window ver (odd) on the locked leaf l.
-func (l *elimLeaf) publish(key, val, ver uint64, k RecKind) {
-	l.rec.key.Store(key)
-	l.rec.val.Store(val)
-	l.rec.verKind.Store(ver<<2 | uint64(k))
+// tomb returns the slot every reader of l must skip: its tombstone on an
+// Elim-ABtree, -1 otherwise. Lock-free readers call it inside their
+// double collect.
+func (t *Tree) tomb(l *leaf) int {
+	if t.elim {
+		return tombstone(l.state.Load())
+	}
+	return -1
 }
 
 // record waits for the leaf to be quiescent and returns its elimination
-// record as of that moment (Ver == 0: none published yet).
-func (l *elimLeaf) record(spins *int) ElimRecord {
+// record as of that moment (Ver == 0: none, or the leaf is marked).
+func (l *leaf) record(spins *int) ElimRecord {
 	for {
 		v1 := l.ver.Load()
 		if v1&1 == 0 {
-			vk := l.rec.verKind.Load()
-			r := ElimRecord{Key: l.rec.key.Load(), Val: l.rec.val.Load(), Kind: RecKind(vk & 3), Ver: vk >> 2}
+			var r ElimRecord
+			s := l.state.Load()
+			if i, k := UnpackRec(s); i >= 0 && s&markedBit == 0 {
+				r = ElimRecord{Key: l.keys[i].Load(), Val: l.vals[i].Load(), Kind: k, Ver: v1 - 1}
+			}
 			if l.ver.Load() == v1 {
 				return r
 			}
@@ -250,12 +277,7 @@ func (l *elimLeaf) record(spins *int) ElimRecord {
 // the first len(items) slots. searchKey is the lower bound of the leaf's
 // key range.
 func (t *Tree) newLeaf(items []rq.Pair, searchKey uint64) *node {
-	var l *leaf
-	if t.elim {
-		l = &new(elimLeaf).leaf
-	} else {
-		l = new(leaf)
-	}
+	l := new(leaf)
 	l.kind, l.searchKey = abalg.LeafKind, searchKey
 	for i, it := range items {
 		l.keys[i].Store(it.K)

@@ -71,16 +71,20 @@ func (th *Thread) Insert(key, val uint64) (uint64, bool) {
 }
 
 // findSlot scans the locked leaf l for key. at is key's slot, or -1 if
-// key is absent; empty is then the first empty slot, or -1 if l is full.
+// key is absent; empty is then the first empty slot, else the tombstone,
+// else -1 (l is full).
 func (t *Tree) findSlot(l *leaf, key uint64) (at, empty int) {
 	empty = -1
 	for i := 0; i < t.b; i++ {
 		switch k := l.keys[i].Load(); {
-		case k == key:
+		case k == key && i != t.tomb(l):
 			return i, empty
 		case k == emptyKey && empty < 0:
 			empty = i
 		}
+	}
+	if empty < 0 {
+		empty = t.tomb(l)
 	}
 	return -1, empty
 }
@@ -106,15 +110,35 @@ func (t *Tree) insertLocked(n *node, key, val uint64) (done bool, old uint64, in
 // insert linearizes at the second version increment.
 func (t *Tree) putLocked(n *node, i int, key, val uint64) {
 	leaf := n.leaf()
-	v := leaf.ver.Add(1) // now odd: modification in progress
-	t.rqStamp(leaf)
-	if t.elim {
-		n.elim().publish(key, val, v, RecInsert)
-	}
+	s := t.openWindow(leaf)
 	leaf.vals[i].Store(val)
 	leaf.keys[i].Store(key)
-	leaf.addSize(1)
-	leaf.ver.Add(1)
+	t.closeWindow(leaf, s+1, i, RecInsert)
+}
+
+// openWindow opens the locked leaf's version window for an in-place
+// update (version now odd: modification in progress), preserves its
+// pre-write state for range queries, clears the tombstone of the leaf's
+// previous publishing update, and returns the leaf's state word.
+func (t *Tree) openWindow(l *leaf) (state uint32) {
+	l.ver.Add(1)
+	t.rqStamp(l)
+	state = l.state.Load()
+	if i := tombstone(state); t.elim && i >= 0 {
+		l.keys[i].Store(emptyKey)
+	}
+	return state
+}
+
+// closeWindow stores the locked leaf's new state — the size in state and,
+// on an Elim-ABtree, the slot record of the update of kind k that wrote
+// slot i — and closes the version window the update linearizes at.
+func (t *Tree) closeWindow(l *leaf, state uint32, i int, k RecKind) {
+	if t.elim {
+		state = state&^RecMask | PackRec(i, k)
+	}
+	l.state.Store(state)
+	l.ver.Add(1)
 }
 
 // Delete removes key if present, returning its value and true; otherwise
@@ -163,29 +187,22 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 	}
 }
 
-// deleteLocked performs the locked phase of a delete: clear the key's
-// slot and publish the elimination record inside one version window. The
-// caller holds the leaf's lock.
+// deleteLocked performs the locked phase of a delete inside one version
+// window: clear the key's slot or, on an Elim-ABtree, publish the delete
+// record, which leaves the pair in place as the leaf's tombstone (delete
+// logically now, physically at the leaf's next window). The caller holds
+// the leaf's lock.
 func (t *Tree) deleteLocked(n *node, key uint64) (val uint64, found bool, newSize int) {
 	leaf := n.leaf()
-	idx := -1
-	for i := 0; i < t.b; i++ {
-		if leaf.keys[i].Load() == key {
-			idx = i
-			break
-		}
-	}
+	idx := t.slotOf(leaf, key)
 	if idx < 0 {
 		return 0, false, leaf.size()
 	}
 	val = leaf.vals[idx].Load()
-	v := leaf.ver.Add(1) // odd: modification in progress
-	t.rqStamp(leaf)
-	if t.elim {
-		n.elim().publish(key, val, v, RecDelete)
+	s := t.openWindow(leaf) - 1
+	if !t.elim {
+		leaf.keys[idx].Store(emptyKey)
 	}
-	leaf.keys[idx].Store(emptyKey)
-	newSize = leaf.addSize(-1)
-	leaf.ver.Add(1)
-	return val, true, newSize
+	t.closeWindow(leaf, s, idx, RecDelete)
+	return val, true, int(s & SizeMask)
 }

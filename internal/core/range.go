@@ -158,13 +158,7 @@ func (t *Tree) snapshotLeaf(buf []rq.Pair, n *node, lo, hi uint64) (items []rq.P
 		if l.isMarked() {
 			return buf, false
 		}
-		items = buf
-		for i := 0; i < t.b; i++ {
-			k := l.keys[i].Load()
-			if k != emptyKey && k >= lo && k <= hi {
-				items = append(items, rq.Pair{K: k, V: l.vals[i].Load()})
-			}
-		}
+		items = t.appendPairs(buf, l, lo, hi)
 		if l.ver.Load() == v1 {
 			rq.SortPairs(items)
 			return items, true

@@ -44,12 +44,21 @@ func (t *Tree) rqStamp(leaf *leaf) {
 
 // gatherPairs appends a locked leaf's pairs to items, sorted by key.
 func gatherPairs(t *Tree, l *leaf, items []rq.Pair) []rq.Pair {
+	items = t.appendPairs(items, l, 1, ^uint64(0))
+	rq.SortPairs(items)
+	return items
+}
+
+// appendPairs appends leaf l's pairs with lo <= key <= hi to items,
+// unsorted, skipping empty slots and the tombstone (node.go). Lock-free
+// callers validate the pass against l's version.
+func (t *Tree) appendPairs(items []rq.Pair, l *leaf, lo, hi uint64) []rq.Pair {
+	tomb := t.tomb(l)
 	for i := 0; i < t.b; i++ {
-		if k := l.keys[i].Load(); k != emptyKey {
+		if k := l.keys[i].Load(); k != emptyKey && k >= lo && k <= hi && i != tomb {
 			items = append(items, rq.Pair{K: k, V: l.vals[i].Load()})
 		}
 	}
-	rq.SortPairs(items)
 	return items
 }
 
@@ -137,13 +146,7 @@ func (t *Tree) collectVersioned(buf []rq.Pair, n *node, ts, lo, hi uint64) (item
 		}
 		s := l.TS.Load()
 		chain := l.Vers.Load()
-		items = buf
-		for i := 0; i < t.b; i++ {
-			k := l.keys[i].Load()
-			if k != emptyKey && k >= lo && k <= hi {
-				items = append(items, rq.Pair{K: k, V: l.vals[i].Load()})
-			}
-		}
+		items = t.appendPairs(buf, l, lo, hi)
 		if l.ver.Load() != v1 {
 			buf = items[:0]
 			abalg.SpinPause(&spins)

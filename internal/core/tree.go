@@ -130,20 +130,36 @@ func (t *Tree) leafSearch(n *node, key uint64) (uint64, bool) {
 			abalg.SpinPause(&spins)
 			continue
 		}
-		var val uint64
-		found := false
-		for i := 0; i < t.b; i++ {
-			if l.keys[i].Load() == key {
-				val = l.vals[i].Load()
-				found = true
-				break
-			}
-		}
+		val, found := l.valAt(t.slotOf(l, key))
 		if l.ver.Load() == v1 {
 			return val, found
 		}
 		abalg.SpinPause(&spins)
 	}
+}
+
+// slotOf returns key's slot in leaf l, or -1 if key is absent. A key in
+// the tombstone (node.go) is absent. Lock-free callers validate the pass
+// against l's version.
+func (t *Tree) slotOf(l *leaf, key uint64) int {
+	for i := 0; i < t.b; i++ {
+		if l.keys[i].Load() == key {
+			if i == t.tomb(l) {
+				return -1
+			}
+			return i
+		}
+	}
+	return -1
+}
+
+// valAt returns the value in slot i of l, and false if i < 0 (slotOf's
+// "absent").
+func (l *leaf) valAt(i int) (uint64, bool) {
+	if i < 0 {
+		return 0, false
+	}
+	return l.vals[i].Load(), true
 }
 
 // leafScanOnce performs the Elim-ABtree's single optimistic scan (§4.1):
@@ -155,12 +171,6 @@ func (t *Tree) leafScanOnce(n *node, key uint64) (val uint64, found, consistent 
 	if v1&1 == 1 {
 		return 0, false, false
 	}
-	for i := 0; i < t.b; i++ {
-		if l.keys[i].Load() == key {
-			val = l.vals[i].Load()
-			found = true
-			break
-		}
-	}
+	val, found = l.valAt(t.slotOf(l, key))
 	return val, found, l.ver.Load() == v1
 }

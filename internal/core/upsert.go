@@ -30,7 +30,8 @@ package core
 
 import "repro/internal/abalg"
 
-// RecKind identifies the operation that published an ElimRecord.
+// RecKind identifies the operation that published an ElimRecord — the
+// decoded form of a leaf's slot record (node.go).
 type RecKind uint8
 
 const (
@@ -96,13 +97,9 @@ func (th *Thread) Upsert(key, val uint64) {
 		switch {
 		case at >= 0:
 			// Replace in place.
-			v := leaf.ver.Add(1)
-			t.rqStamp(leaf)
-			if t.elim {
-				n.elim().publish(key, val, v, RecReplace)
-			}
+			s := t.openWindow(leaf)
 			leaf.vals[at].Store(val)
-			leaf.ver.Add(1)
+			t.closeWindow(leaf, s, at, RecReplace)
 			th.UnlockAll()
 			return
 		case empty >= 0:
@@ -133,7 +130,7 @@ func (th *Thread) Upsert(key, val uint64) {
 // lockOrElimKind generalizes lockOrElim with the op/record compatibility
 // matrix. The paper's original operations use the original pairs.
 func (th *Thread) lockOrElimKind(n *node, key uint64, op OpKind) (acquired bool, val uint64) {
-	leaf := n.elim()
+	leaf := n.leaf()
 	startVer := leaf.ver.Load()
 	spins := 0
 	for {

@@ -115,7 +115,7 @@ func TestUpsertEliminationMatrix(t *testing.T) {
 		if tc.recKind != RecInsert {
 			pub.Insert(7, 1)
 		}
-		leaf := openPublishingWindow(tr, pub, 7, 42, tc.recKind)
+		finish := openPublishingWindow(tr, pub, 7, 42, tc.recKind)
 
 		done := make(chan struct{})
 		go func() {
@@ -132,30 +132,7 @@ func TestUpsertEliminationMatrix(t *testing.T) {
 		}()
 		time.Sleep(60 * time.Millisecond) // let the op reach lockOrElim
 
-		// Publisher completes its operation according to the record kind.
-		switch tc.recKind {
-		case RecInsert:
-			leaf.vals[0].Store(42)
-			leaf.keys[0].Store(7)
-			leaf.addSize(1)
-		case RecDelete:
-			for i := 0; i < tr.b; i++ {
-				if leaf.keys[i].Load() == 7 {
-					leaf.keys[i].Store(emptyKey)
-					leaf.addSize(-1)
-					break
-				}
-			}
-		case RecReplace:
-			for i := 0; i < tr.b; i++ {
-				if leaf.keys[i].Load() == 7 {
-					leaf.vals[i].Store(42)
-					break
-				}
-			}
-		}
-		leaf.ver.Add(1)
-		pub.UnlockAll()
+		finish() // the publisher completes its operation
 		<-done
 
 		ei, ed, eu := tr.ElimStats()

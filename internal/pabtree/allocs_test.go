@@ -36,6 +36,29 @@ func TestAllocsSteadyStatePointOps(t *testing.T) {
 	}
 }
 
+// TestAllocsElimUpdates mirrors internal/core's guard: publishing updates
+// on a settled p-Elim-ABtree allocate nothing. The record is the slot the
+// update wrote, in spare bits of the leaf's size word (vnode), not a
+// heap object per publish.
+func TestAllocsElimUpdates(t *testing.T) {
+	_, th := allocGuardTree(t, WithElimination())
+	if avg := testing.AllocsPerRun(200, func() {
+		th.Delete(5000)
+		th.Insert(5000, 5000)
+	}); avg != 0 {
+		t.Errorf("p-Elim Delete+Insert allocates %.2f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { th.Upsert(5000, 1) }); avg != 0 {
+		t.Errorf("p-Elim replacing Upsert allocates %.2f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		th.Delete(6000)
+		th.Upsert(6000, 6000)
+	}); avg != 0 {
+		t.Errorf("p-Elim Delete+inserting Upsert allocates %.2f/op, want 0", avg)
+	}
+}
+
 func TestAllocsScanFastPath(t *testing.T) {
 	_, th := allocGuardTree(t)
 	var sink uint64

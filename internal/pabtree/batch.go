@@ -170,9 +170,9 @@ func (th *Thread) applyRunLocked(op batchOp, leaf uint64, run []batchEnt, vals, 
 		}
 		i++
 	}
-	newSize := lv.size.Load()
+	newSize := lv.leafSize()
 	th.UnlockAll()
-	if op == bDelete && int(newSize) < t.a {
+	if op == bDelete && newSize < t.a {
 		abalg.FixUnderfull(th, leaf)
 	}
 	return i, false, full

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/pmem"
 )
 
@@ -41,6 +42,43 @@ func TestPairSharesLine(t *testing.T) {
 	}
 	if childOff(0, maxB-1) >= NodeWords {
 		t.Errorf("last child word %d is outside the node", childOff(0, maxB-1))
+	}
+}
+
+// TestSlotRecord round-trips the p-Elim-ABtree's elimination record
+// through a leaf (vnode): each publishing update's record is the pair it
+// wrote, a delete's key comes from delKey because its key word holds the
+// durable ⊥, Ver is implied by the leaf's version, and a marked leaf
+// serves none.
+func TestSlotRecord(t *testing.T) {
+	tr := New(pmem.New(64*NodeWords), WithElimination())
+	th := tr.NewThread()
+	leaf := tr.search(1, 0).N
+	steps := []struct {
+		name string
+		op   func()
+		want core.ElimRecord
+	}{
+		{"fresh leaf", func() {}, core.ElimRecord{}},
+		{"insert", func() { th.Insert(1, 2) }, core.ElimRecord{Key: 1, Val: 2, Kind: core.RecInsert, Ver: 1}},
+		{"replace", func() { th.Upsert(1, 3) }, core.ElimRecord{Key: 1, Val: 3, Kind: core.RecReplace, Ver: 3}},
+		{"delete", func() { th.Delete(1) }, core.ElimRecord{Key: 1, Val: 3, Kind: core.RecDelete, Ver: 5}},
+		{"insert after delete", func() { th.Insert(9, 8) }, core.ElimRecord{Key: 9, Val: 8, Kind: core.RecInsert, Ver: 7}},
+		{"split", func() {
+			for k := uint64(10); k < 10+maxB; k++ {
+				th.Insert(k, k)
+			}
+		}, core.ElimRecord{}},
+	}
+	for _, s := range steps {
+		s.op()
+		spins := 0
+		if r := tr.record(leaf, &spins); r != s.want {
+			t.Errorf("after %s: record %+v, want %+v", s.name, r, s.want)
+		}
+	}
+	if !tr.vn(leaf).marked.Load() {
+		t.Fatal("the root leaf did not split")
 	}
 }
 

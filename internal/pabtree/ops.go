@@ -169,16 +169,26 @@ func (t *Tree) leafInsertLocked(leaf uint64, key, val uint64) (done bool, old ui
 	if emptyIdx < 0 {
 		return false, 0, false // full: splitting insert
 	}
-	ver := lv.ver.Add(1)
-	t.rqStamp(leaf)
-	if t.elim {
-		lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: core.RecInsert})
-	}
-	t.persistPair(leaf, emptyIdx, key, val)
-	lv.size.Add(1)
 	lv.ver.Add(1)
+	t.rqStamp(leaf)
+	t.persistPair(leaf, emptyIdx, key, val)
+	t.closeWindow(lv, lv.size.Load()+1, emptyIdx, core.RecInsert)
 	return true, 0, true
 }
+
+// closeWindow stores the locked leaf's new size word — size in state and,
+// on a p-Elim-ABtree, the slot record of the update of kind k that wrote
+// pair i — and closes the version window the update linearizes at.
+func (t *Tree) closeWindow(lv *vnode, state uint32, i int, k core.RecKind) {
+	if t.elim {
+		state = state&^core.RecMask | core.PackRec(i, k)
+	}
+	lv.size.Store(state)
+	lv.ver.Add(1)
+}
+
+// leafSize returns a leaf's key count.
+func (v *vnode) leafSize() int { return int(v.size.Load() & core.SizeMask) }
 
 // persistPair writes <key, val> into the empty pair i of the locked leaf
 // and makes it durable with one flush. The pair shares a cache line, and
@@ -199,7 +209,7 @@ func (t *Tree) persistPair(leaf uint64, i int, key, val uint64) {
 // elimination record inside one version window. The caller holds the
 // leaf's lock and has verified it is unmarked; it is responsible for
 // fixUnderfull when newSize < a.
-func (t *Tree) leafDeleteLocked(leaf uint64, key uint64) (val uint64, found bool, newSize int64) {
+func (t *Tree) leafDeleteLocked(leaf uint64, key uint64) (val uint64, found bool, newSize int) {
 	lv := t.vn(leaf)
 	idx := -1
 	for i := 0; i < t.b; i++ {
@@ -209,20 +219,20 @@ func (t *Tree) leafDeleteLocked(leaf uint64, key uint64) (val uint64, found bool
 		}
 	}
 	if idx < 0 {
-		return 0, false, lv.size.Load()
+		return 0, false, lv.leafSize()
 	}
 	val = t.leafVal(leaf, idx)
-	ver := lv.ver.Add(1)
+	lv.ver.Add(1)
 	t.rqStamp(leaf)
 	if t.elim {
-		lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: core.RecDelete})
+		lv.delKey.Store(key) // the record's key: its slot now holds ⊥
 	}
 	keyOff := leafKeyOff(leaf, idx)
 	t.arena.Store(keyOff, emptyKey)
 	t.arena.Flush(keyOff)
-	newSize = lv.size.Add(-1)
-	lv.ver.Add(1)
-	return val, true, newSize
+	s := lv.size.Load() - 1
+	t.closeWindow(lv, s, idx, core.RecDelete)
+	return val, true, int(s & core.SizeMask)
 }
 
 // Delete removes key if present, returning its value and true. The delete
@@ -264,7 +274,7 @@ func (th *Thread) Delete(key uint64) (uint64, bool) {
 		if !found {
 			return 0, false
 		}
-		if int(newSize) < t.a {
+		if newSize < t.a {
 			abalg.FixUnderfull(th, leaf)
 		}
 		return val, true

@@ -74,7 +74,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/abalg"
-	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/mcslock"
 	"repro/internal/pmem"
@@ -110,27 +109,30 @@ func packMeta(k abalg.Kind, nchildren int) uint64 { return uint64(k) | uint64(nc
 func kindOf(meta uint64) abalg.Kind               { return abalg.Kind(meta & 0xff) }
 func nchildrenOf(meta uint64) int                 { return int(meta >> 8 & 0xff) }
 
-// elimRecord mirrors core.ElimRecord for the p-Elim-ABtree. Records are
-// volatile: elimination never crosses a crash (an operation is only
-// eliminated after the publisher's second — volatile — version increment,
-// by which point the publisher is durably linearized, §5).
-type elimRecord struct {
-	key, val, ver uint64
-	kind          core.RecKind
-}
-
 // vnode holds a node's volatile fields, indexed by arena slot. Everything
 // here is reset by Recover. One header per cache line (layout_test.go).
+//
+// A p-Elim-ABtree leaf's elimination record is core's slot record: the
+// slot the leaf's latest publishing update wrote and its kind, in spare
+// bits of the size word (core.PackRec), with Ver implied by the leaf's
+// version (see record). Its key and value are the slot's arena pair,
+// except that a durable delete must persist ⊥ in its key word, so the
+// deleted key is kept in delKey — there are no tombstones here. Records
+// are volatile: elimination never crosses a crash (an operation is only
+// eliminated after the publisher's second — volatile — version increment,
+// by which point the publisher is durably linearized, §5).
 type vnode struct {
 	mcs    mcslock.Lock
 	marked atomic.Bool
 	// freeNext links the slot into the free list while it is recycled
 	// (pushFree/popFree); it shares marked's word, so the list costs no
 	// side table.
-	freeNext  atomic.Uint32
-	ver       atomic.Uint64
-	size      atomic.Int64
-	rec       atomic.Pointer[elimRecord]
+	freeNext atomic.Uint32
+	ver      atomic.Uint64
+	// size is a leaf's key count (core.SizeMask) and its slot record
+	// (core.RecMask).
+	size      atomic.Uint32
+	delKey    atomic.Uint64
 	searchKey uint64 // lower bound of the node's key range (abalg.Store)
 
 	// The leaf's range-query write stamp and version chain (rqsnap.go).
@@ -334,7 +336,6 @@ func (t *Tree) allocSlot() uint64 {
 	v.marked.Store(false)
 	v.ver.Store(0)
 	v.size.Store(0)
-	v.rec.Store(nil)
 	v.TS.Store(0)
 	v.Vers.Store(nil)
 	return off
@@ -357,7 +358,7 @@ func (t *Tree) initLeaf(off uint64, items []rq.Pair, searchKey uint64) {
 	}
 	a.FlushRange(off, pairBase+2*uint64(t.b))
 	vn := t.vn(off)
-	vn.size.Store(int64(len(items)))
+	vn.size.Store(uint32(len(items)))
 	vn.searchKey = searchKey
 }
 

@@ -43,7 +43,6 @@ func Recover(arena *pmem.Arena, opts ...Option) *Tree {
 		v := t.vn(off)
 		v.marked.Store(false)
 		v.ver.Store(0)
-		v.rec.Store(nil)
 		v.searchKey = lo
 
 		meta := t.arena.Load(off + metaWord)
@@ -54,7 +53,7 @@ func Recover(arena *pmem.Arena, opts ...Option) *Tree {
 					count++
 				}
 			}
-			v.size.Store(int64(count))
+			v.size.Store(uint32(count))
 			if !isRoot && count < t.a {
 				underfull = append(underfull, off)
 			}

@@ -76,7 +76,7 @@ func (th *Thread) NewInternal(k abalg.Kind, keys, children []uint64, searchKey u
 
 func (th *Thread) Size(off uint64) int {
 	if th.t.isLeaf(off) {
-		return int(th.t.vn(off).size.Load())
+		return th.t.vn(off).leafSize()
 	}
 	return nchildrenOf(th.t.meta(off))
 }

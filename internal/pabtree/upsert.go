@@ -45,26 +45,19 @@ func (th *Thread) Upsert(key, val uint64) {
 			// Replace: the value word is the commit point. If a crash
 			// intervenes, the replace linearizes at the crash iff the new
 			// value reached PM — single-word atomicity.
-			ver := lv.ver.Add(1)
+			lv.ver.Add(1)
 			t.rqStamp(leaf)
-			if t.elim {
-				lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: core.RecReplace})
-			}
 			valOff := leafValOff(leaf, dup)
 			t.arena.Store(valOff, val)
 			t.arena.Flush(valOff)
-			lv.ver.Add(1)
+			t.closeWindow(lv, lv.size.Load(), dup, core.RecReplace)
 			th.UnlockAll()
 			return
 		case emptyIdx >= 0:
-			ver := lv.ver.Add(1)
-			t.rqStamp(leaf)
-			if t.elim {
-				lv.rec.Store(&elimRecord{key: key, val: val, ver: ver, kind: core.RecInsert})
-			}
-			t.persistPair(leaf, emptyIdx, key, val)
-			lv.size.Add(1)
 			lv.ver.Add(1)
+			t.rqStamp(leaf)
+			t.persistPair(leaf, emptyIdx, key, val)
+			t.closeWindow(lv, lv.size.Load()+1, emptyIdx, core.RecInsert)
 			th.UnlockAll()
 			return
 		default:
@@ -91,24 +84,40 @@ func (th *Thread) lockOrElimKind(leaf uint64, key uint64, op core.OpKind) (acqui
 	startVer := lv.ver.Load()
 	spins := 0
 	for {
-		var rec *elimRecord
-		for {
-			v1 := lv.ver.Load()
-			rec = lv.rec.Load()
-			v2 := lv.ver.Load()
-			if v1&1 == 0 && v1 == v2 {
-				break
-			}
-			t.crashCheck()
-			abalg.SpinPause(&spins)
-		}
-		if rec != nil && startVer <= rec.ver && rec.key == key && core.CanEliminate(op, rec.kind) {
-			return false, rec.val
+		rec := t.record(leaf, &spins)
+		if startVer <= rec.Ver && rec.Key == key && core.CanEliminate(op, rec.Kind) {
+			return false, rec.Val
 		}
 		if th.tryLockNode(leaf) {
 			return true, 0
 		}
 		t.crashCheck()
 		abalg.SpinPause(&spins)
+	}
+}
+
+// record waits for the leaf to be quiescent and returns the ElimRecord
+// its slot record decodes to (vnode) as of that moment. As in
+// internal/core, Ver is the even version minus one: every version window
+// on an unmarked leaf publishes, and every other window marks the leaf,
+// so a marked leaf serves none (Ver == 0).
+func (t *Tree) record(leaf uint64, spins *int) core.ElimRecord {
+	lv := t.vn(leaf)
+	for {
+		v1 := lv.ver.Load()
+		if v1&1 == 0 {
+			var r core.ElimRecord
+			if i, k := core.UnpackRec(lv.size.Load()); i >= 0 && !lv.marked.Load() {
+				r = core.ElimRecord{Key: t.leafKey(leaf, i), Val: t.leafVal(leaf, i), Kind: k, Ver: v1 - 1}
+				if k == core.RecDelete {
+					r.Key = lv.delKey.Load()
+				}
+			}
+			if lv.ver.Load() == v1 {
+				return r
+			}
+		}
+		t.crashCheck()
+		abalg.SpinPause(spins)
 	}
 }

@@ -11,6 +11,7 @@ package server
 import (
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/dict"
 )
 
@@ -35,6 +36,36 @@ func TestAllocsRemotePointOps(t *testing.T) {
 		h.Insert(5000, 5000)
 	}); avg != 0 {
 		t.Errorf("remote steady-state Delete+Insert allocates %.2f/op, want 0", avg)
+	}
+}
+
+// TestAllocsReplicatedPoint: a warmed-up replicated PUT/DELETE — primary
+// apply and log append, one REPLICATE round trip to the follower, its
+// apply and REPL_ACK, the commit wait, the response — allocates next to
+// nothing process-wide. The allowance is the two op logs' amortized
+// growth (one slice doubling per thousands of entries).
+func TestAllocsReplicatedPoint(t *testing.T) {
+	_, _, paddr, _ := startReplPair(t, "occ", 1<<16)
+	pc, err := client.Dial(paddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	h := pc.NewHandle()
+	for k := uint64(1); k <= 2000; k++ {
+		h.Insert(k, k)
+	}
+	cycle := func() {
+		h.Delete(500)
+		h.Insert(500, 500)
+	}
+	for i := 0; i < 2000; i++ {
+		cycle() // warm the pools and the senders' scratch
+	}
+	perOp := testing.AllocsPerRun(1000, cycle) / 2
+	t.Logf("%.3f allocs per replicated PUT/DELETE", perOp)
+	if perOp > 0.05 {
+		t.Errorf("replicated PUT/DELETE allocates %.3f/op, want <= 0.05", perOp)
 	}
 }
 

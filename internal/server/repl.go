@@ -56,7 +56,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,6 +100,7 @@ type replState struct {
 	committed uint64
 	ackNeed   int
 	senders   []*replSender
+	ackedBuf  []uint64 // recomputeCommitted's scratch
 	closed    bool
 
 	lastSeqA atomic.Uint64 // mirror of lastSeq (read under stripe locks)
@@ -192,12 +193,13 @@ func (r *replState) recomputeCommitted() {
 	if r.ackNeed == 0 || len(r.senders) == 0 {
 		c = r.lastSeq
 	} else {
-		acked := make([]uint64, len(r.senders))
-		for i, sd := range r.senders {
-			acked[i] = sd.acked.Load()
+		acked := r.ackedBuf[:0]
+		for _, sd := range r.senders {
+			acked = append(acked, sd.acked.Load())
 		}
-		sort.Slice(acked, func(i, j int) bool { return acked[i] > acked[j] })
-		c = acked[r.ackNeed-1]
+		r.ackedBuf = acked
+		slices.Sort(acked)
+		c = acked[len(acked)-r.ackNeed]
 		if c > r.lastSeq {
 			c = r.lastSeq
 		}
@@ -543,6 +545,11 @@ type replSender struct {
 	acked atomic.Uint64 // follower's applied position per its last ack
 
 	nc net.Conn // guarded by r.mu (close() severs a blocked sender)
+
+	// roundTrip's REPL_ACK scratch: a header array on the stack escapes
+	// through io.ReadFull, so both parts live here.
+	ackHdr [wire.HeaderLen]byte
+	ackBuf []byte
 }
 
 // replBatchMax caps entries per REPLICATE frame.
@@ -660,7 +667,7 @@ func (sd *replSender) roundTrip(nc net.Conn, br *bufio.Reader, frame []byte) (ui
 		return 0, err
 	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	var hdr [wire.HeaderLen]byte
+	hdr := &sd.ackHdr
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, err
 	}
@@ -668,7 +675,11 @@ func (sd *replSender) roundTrip(nc net.Conn, br *bufio.Reader, frame []byte) (ui
 	if length < wire.HeaderLen-4 || length > wire.MaxFrame {
 		return 0, fmt.Errorf("bad repl ack frame length %d", length)
 	}
-	payload := make([]byte, int(length)-(wire.HeaderLen-4))
+	n := int(length) - (wire.HeaderLen - 4)
+	if cap(sd.ackBuf) < n {
+		sd.ackBuf = make([]byte, n)
+	}
+	payload := sd.ackBuf[:n]
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return 0, err
 	}
