@@ -76,14 +76,17 @@ func (h *handle) observe(slot int, t0 time.Time) {
 }
 
 // RTT snapshots the client-side round-trip histograms, keyed by
-// instrument name ("rtt_get_ns", ...). Ops that never ran are omitted.
+// instrument name ("rtt_get_ns", ...). Ops that never ran are omitted,
+// and cost no allocation: every histogram snapshots into one scratch,
+// copied out only when it holds observations.
 func (c *Client) RTT() map[string]*metrics.Snapshot {
 	out := make(map[string]*metrics.Snapshot, numClientOps)
+	var s metrics.Snapshot
 	for i := range c.rtt.h {
-		s := new(metrics.Snapshot)
-		c.rtt.h[i].Snapshot(s)
+		c.rtt.h[i].Snapshot(&s)
 		if s.Count != 0 {
-			out[copNames[i]] = s
+			cp := s
+			out[copNames[i]] = &cp
 		}
 	}
 	return out

@@ -59,7 +59,8 @@ func (g *Gauge) Load() int64 {
 
 // histShard is one stripe of a Histogram: a full bucket array plus the
 // stripe's running sum. Count is derived (the bucket total), so a
-// record is exactly two uncontended atomic adds.
+// record is exactly two uncontended atomic adds. The tail pad keeps a
+// stripe off its heap neighbour's last cache line.
 type histShard struct {
 	counts [NumBuckets]atomic.Uint64
 	sum    atomic.Uint64
@@ -68,27 +69,47 @@ type histShard struct {
 
 // Histogram is a striped log-bucketed (HDR-style) histogram. The zero
 // value is ready; see the package comment for the bucket geometry.
+// Stripes are allocated on their first write, so a histogram costs
+// NumShards pointers plus one stripe per hint that ever recorded.
 type Histogram struct {
-	shards [NumShards]histShard
+	shards [NumShards]atomic.Pointer[histShard]
 }
 
 // Record adds one observation of v via the hinted stripe.
 func (h *Histogram) Record(hint int, v uint64) {
-	sh := &h.shards[uint(hint)&hintMask]
+	i := uint(hint) & hintMask
+	sh := h.shards[i].Load()
+	if sh == nil {
+		sh = h.install(i)
+	}
 	sh.counts[bucketIdx(v)].Add(1)
 	sh.sum.Add(v)
 }
 
+// install publishes stripe i on its first write. Racing first writers
+// each offer a stripe; one CompareAndSwap wins and every writer records
+// into the winner, so no observation lands in a discarded stripe. It
+// is kept out of line so that Record's body is only the hot path.
+//
+//go:noinline
+func (h *Histogram) install(i uint) *histShard {
+	h.shards[i].CompareAndSwap(nil, new(histShard))
+	return h.shards[i].Load()
+}
+
 // Snapshot merges every stripe into dst, replacing dst's previous
 // contents. dst is caller-owned scratch, so snapshotting allocates
-// nothing.
+// nothing. Stripes never written contribute nothing and are skipped.
 func (h *Histogram) Snapshot(dst *Snapshot) {
 	dst.Count, dst.Sum = 0, 0
 	for b := range dst.Buckets {
 		dst.Buckets[b] = 0
 	}
 	for i := range h.shards {
-		sh := &h.shards[i]
+		sh := h.shards[i].Load()
+		if sh == nil {
+			continue
+		}
 		for b := range sh.counts {
 			if n := sh.counts[b].Load(); n != 0 {
 				dst.Buckets[b] += n

@@ -16,6 +16,13 @@
 // snapshot-rate consumers: the STATS/METRICS wire path, the debug HTTP
 // endpoint, end-of-run reporting.
 //
+// A histogram stripe is a ~9 KB bucket array, so histograms allocate
+// each stripe on its first write (one CompareAndSwap publishes it)
+// instead of carrying all NumShards inline: a server with two workers
+// pays for two stripes of the histograms its traffic writes, and
+// nothing for the opcodes nobody sends. Only that first write per
+// stripe allocates; every later record is the same two atomic adds.
+//
 // The histogram is HDR-style: values bucket by order of magnitude with
 // 2^SubBits sub-buckets per octave, so any recorded value lands in a
 // bucket whose width is at most value/2^SubBits — a bounded ~3%

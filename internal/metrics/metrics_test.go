@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestBucketMapping: the value->bucket mapping is monotone, contiguous,
@@ -247,5 +248,70 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	if g.Load() != 0 {
 		t.Fatalf("gauge %d, want 0", g.Load())
+	}
+}
+
+// stripes counts the histogram's materialised stripes.
+func stripes(h *Histogram) int {
+	n := 0
+	for i := range h.shards {
+		if h.shards[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestHistogramStripesOnFirstWrite: an unwritten histogram is NumShards
+// pointers, and a record materialises exactly the stripe it hints.
+func TestHistogramStripesOnFirstWrite(t *testing.T) {
+	if got, want := unsafe.Sizeof(Histogram{}), uintptr(NumShards*8); got != want {
+		t.Fatalf("Sizeof(Histogram) = %d, want %d (one pointer per stripe)", got, want)
+	}
+	var h Histogram
+	var s Snapshot
+	h.Snapshot(&s)
+	if s.Count != 0 || stripes(&h) != 0 {
+		t.Fatalf("empty histogram: count %d, %d stripes", s.Count, stripes(&h))
+	}
+	h.Record(5, 42)
+	if n := stripes(&h); n != 1 || h.shards[5].Load() == nil {
+		t.Fatalf("one Record materialised %d stripes, want only stripe 5", n)
+	}
+	h.Record(5+NumShards, 43) // same stripe after the hint is reduced
+	if n := stripes(&h); n != 1 {
+		t.Fatalf("a second Record on the same stripe materialised %d stripes", n)
+	}
+	h.Snapshot(&s)
+	if s.Count != 2 || s.Sum != 85 {
+		t.Fatalf("snapshot count %d sum %d, want 2 and 85", s.Count, s.Sum)
+	}
+}
+
+// TestFirstWriteRace: writers racing to record the first value into the
+// same unwritten stripe must all land in the one stripe that gets
+// published. A stripe installed by a plain store instead of a
+// CompareAndSwap loses the counts recorded into the overwritten stripe.
+func TestFirstWriteRace(t *testing.T) {
+	const writers = 8
+	for rep := 0; rep < 1000; rep++ {
+		var h Histogram
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				h.Record(3, uint64(w))
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		var s Snapshot
+		h.Snapshot(&s)
+		if s.Count != writers || s.Sum != writers*(writers-1)/2 {
+			t.Fatalf("rep %d: count %d sum %d, want %d and %d", rep, s.Count, s.Sum, writers, writers*(writers-1)/2)
+		}
 	}
 }

@@ -10,12 +10,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/client"
+	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -274,4 +277,94 @@ func TestSlowOpTrace(t *testing.T) {
 	waitCond(t, "slow-op trace line", func() bool {
 		return logs.find("slow-op op=put")
 	})
+}
+
+// TestMetricsStreamKeys: a fresh server streams every instrument —
+// zero-count histograms included — and MetricsDump exports exactly the
+// same names. The lists are the stable METRICS vocabulary that
+// abtree-top and the ledger read.
+func TestMetricsStreamKeys(t *testing.T) {
+	s, c := startServer(t, "occ", 1<<16, 2)
+	counters := []string{
+		"accepted_conns_total", "decode_errors_total", "key_rejects_total",
+		"shed_conn_dead_total", "rate_limited_total", "repl_acks_total", "failovers_total",
+		"teardown_peer_closed_total", "teardown_read_error_total", "teardown_framing_total",
+		"teardown_write_error_total", "teardown_write_timeout_total", "teardown_server_closed_total",
+		"teardown_idle_timeout_total", "teardown_max_conns_reject_total", "teardown_drained_total",
+	}
+	gauges := []string{"open_conns", "inflight_ops", "workers", "work_queue_depth", "repl_seq"}
+	hists := []string{
+		"queue_wait_ns", "repl_commit_wait_ns", "repl_ship_ack_ns",
+		"op_get_ns", "op_put_ns", "op_delete_ns", "op_mget_ns", "op_mput_ns", "op_mdelete_ns",
+		"op_scan_ns", "op_snapscan_ns", "op_stats_ns", "op_open_ns", "op_metrics_ns",
+		"op_replicate_ns", "op_promote_ns",
+	}
+	if n := len(counters) + len(gauges) + len(hists); n != metricsItemCount {
+		t.Fatalf("test vocabulary has %d names, metricsItemCount is %d", n, metricsItemCount)
+	}
+	sm, err := c.ServerMetrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sm.Counters) + len(sm.Gauges) + len(sm.Hists); n != metricsItemCount {
+		t.Errorf("METRICS streamed %d items, want %d", n, metricsItemCount)
+	}
+	d := s.MetricsDump()
+	if len(d.Counters) != len(counters) || len(d.Gauges) != len(gauges) || len(d.Histograms) != len(hists) {
+		t.Errorf("MetricsDump has %d/%d/%d counters/gauges/histograms, want %d/%d/%d",
+			len(d.Counters), len(d.Gauges), len(d.Histograms), len(counters), len(gauges), len(hists))
+	}
+	for _, name := range counters {
+		if _, ok := sm.Counters[name]; !ok {
+			t.Errorf("METRICS lacks counter %s", name)
+		}
+		if _, ok := d.Counters[name]; !ok {
+			t.Errorf("MetricsDump lacks counter %s", name)
+		}
+	}
+	for _, name := range gauges {
+		if _, ok := sm.Gauges[name]; !ok {
+			t.Errorf("METRICS lacks gauge %s", name)
+		}
+		if _, ok := d.Gauges[name]; !ok {
+			t.Errorf("MetricsDump lacks gauge %s", name)
+		}
+	}
+	for _, name := range hists {
+		if sm.Hists[name] == nil {
+			t.Errorf("METRICS lacks histogram %s", name)
+		}
+		if _, ok := d.Histograms[name]; !ok {
+			t.Errorf("MetricsDump lacks histogram %s", name)
+		}
+	}
+	// Never-written histograms still stream, as empty snapshots.
+	for _, name := range []string{"op_scan_ns", "op_promote_ns", "repl_commit_wait_ns"} {
+		if h := sm.Hists[name]; h == nil || h.Count != 0 || h.Sum != 0 {
+			t.Errorf("%s = %+v, want a streamed zero-count histogram", name, h)
+		}
+	}
+}
+
+// TestRTTSnapshotsOnlyRecordedOps: Client.RTT returns the ops that ran
+// and allocates a snapshot for those alone — not one per RTT histogram.
+func TestRTTSnapshotsOnlyRecordedOps(t *testing.T) {
+	_, c := startServer(t, "occ", 1<<16, 1)
+	h := c.NewHandle()
+	h.Find(1)
+	rtt := c.RTT()
+	if len(rtt) != 1 || rtt["rtt_get_ns"] == nil || rtt["rtt_get_ns"].Count != 1 {
+		t.Fatalf("RTT after one GET = %v, want only rtt_get_ns with count 1", rtt)
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		c.RTT()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / calls
+	if limit := 2 * uint64(unsafe.Sizeof(metrics.Snapshot{})); per > limit {
+		t.Errorf("RTT allocates %d B per call with one op recorded, want <= %d", per, limit)
+	}
 }

@@ -172,7 +172,9 @@ type Server struct {
 
 	// tracer collects request-scoped spans (internal/trace). Always
 	// present; it records nothing until a connection ships an OpTraceCtx
-	// frame, so untraced traffic pays one predictable branch per request.
+	// frame, so untraced traffic pays one predictable branch per request,
+	// and it allocates no span ring until a traced request records into
+	// one.
 	tracer *trace.Collector
 
 	metrics srvMetrics

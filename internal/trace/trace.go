@@ -17,9 +17,13 @@
 //
 // Recording costs one short critical section on an uncontended
 // per-worker stripe and allocates nothing (TestAllocsTrace* gates the
-// warmed point path at 0 allocs/op with tracing on). Reading (Dump) is
-// snapshot-rate: it copies the rings under their locks and groups spans
-// by trace id, slowest-retained traces first.
+// warmed point path at 0 allocs/op with tracing on). A stripe's ~80 KB
+// ring is allocated on the first span recorded into it (one
+// CompareAndSwap publishes it), so an untraced server or client never
+// allocates a ring and a traced one pays only for the stripes its hints
+// reach. Reading (Dump) is snapshot-rate: it copies the rings under
+// their locks and groups spans by trace id, slowest-retained traces
+// first.
 package trace
 
 import (
@@ -119,9 +123,9 @@ func slowSlot(op byte) int {
 }
 
 // ringShard is one stripe: a fixed span ring under a short mutex,
-// padded so adjacent stripes never share a cache line. (A mutex rather
-// than bare atomics because Dump must read whole 48-byte spans torn-
-// free while writers keep recording.)
+// padded so a stripe never shares a cache line with its heap neighbour.
+// (A mutex rather than bare atomics because Dump must read whole
+// 48-byte spans torn-free while writers keep recording.)
 type ringShard struct {
 	mu   sync.Mutex
 	next uint64
@@ -148,9 +152,9 @@ type slowTable struct {
 
 // Collector owns the span rings and tail-sample tables for one process
 // role (one per server, one per client). The zero value is NOT ready;
-// use New.
+// use New. Rings are allocated on their first span.
 type Collector struct {
-	shards [NumShards]ringShard
+	shards [NumShards]atomic.Pointer[ringShard]
 	slow   [slowOps]slowTable
 }
 
@@ -163,11 +167,26 @@ func (c *Collector) Record(hint int, s Span) {
 	if c == nil || s.TraceID == 0 {
 		return
 	}
-	sh := &c.shards[uint(hint)&hintMask]
+	i := uint(hint) & hintMask
+	sh := c.shards[i].Load()
+	if sh == nil {
+		sh = c.install(i)
+	}
 	sh.mu.Lock()
 	sh.ring[sh.next&(RingSize-1)] = s
 	sh.next++
 	sh.mu.Unlock()
+}
+
+// install publishes ring i on its first span. Racing first writers each
+// offer a ring; one CompareAndSwap wins and every writer records into
+// the winner, so no span lands in a discarded ring. It is kept out of
+// line so that Record's body is only the hot path.
+//
+//go:noinline
+func (c *Collector) install(i uint) *ringShard {
+	c.shards[i].CompareAndSwap(nil, new(ringShard))
+	return c.shards[i].Load()
 }
 
 // RecordTail offers a completed request to the tail sampler: if dur
@@ -235,10 +254,14 @@ func (c *Collector) Dump(max int) []Trace {
 		max = DefaultDumpMax
 	}
 
-	// Copy the rings stripe by stripe under their locks.
+	// Copy the rings stripe by stripe under their locks, skipping rings
+	// no span ever reached.
 	spans := make([]Span, 0, 256)
 	for i := range c.shards {
-		sh := &c.shards[i]
+		sh := c.shards[i].Load()
+		if sh == nil {
+			continue
+		}
 		sh.mu.Lock()
 		n := sh.next
 		if n > RingSize {

@@ -3,6 +3,7 @@ package trace
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestRecordAndDump(t *testing.T) {
@@ -163,5 +164,69 @@ func TestNilCollector(t *testing.T) {
 	c.RecordTail(0x01, 1, 1)
 	if c.Dump(0) != nil {
 		t.Fatal("nil collector dumped traces")
+	}
+}
+
+// rings counts the collector's materialised span rings.
+func rings(c *Collector) int {
+	n := 0
+	for i := range c.shards {
+		if c.shards[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRingsOnFirstSpan: a collector holds no ring inline, untraced spans
+// materialise nothing, and a traced span materialises only its stripe.
+func TestRingsOnFirstSpan(t *testing.T) {
+	if got := unsafe.Sizeof(Collector{}); got > 2<<10 {
+		t.Fatalf("Sizeof(Collector) = %d, want <= 2 KiB (rings allocated on first span)", got)
+	}
+	c := New()
+	for hint := 0; hint < NumShards; hint++ {
+		c.Record(hint, Span{TraceID: 0, Kind: KindService, Op: 0x01, Dur: 9})
+		c.RecordTail(0x01, 0, 9)
+	}
+	if n := rings(c); n != 0 {
+		t.Fatalf("untraced spans materialised %d rings, want 0", n)
+	}
+	if got := c.Dump(0); len(got) != 0 {
+		t.Fatalf("untraced collector dumped %d traces", len(got))
+	}
+	c.Record(2, Span{TraceID: 5, Kind: KindService})
+	if n := rings(c); n != 1 || c.shards[2].Load() == nil {
+		t.Fatalf("one traced span materialised %d rings, want only ring 2", n)
+	}
+}
+
+// TestFirstSpanRace: recorders racing to put the first span into the
+// same unwritten stripe must all land in the one ring that gets
+// published. A ring installed by a plain store instead of a
+// CompareAndSwap loses the spans recorded into the overwritten ring.
+func TestFirstSpanRace(t *testing.T) {
+	const writers = 8
+	for rep := 0; rep < 1000; rep++ {
+		c := New()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				c.Record(3, Span{TraceID: uint64(w + 1), Kind: KindService, Start: uint64(w)})
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		spans := 0
+		for _, tr := range c.Dump(0) {
+			spans += len(tr.Spans)
+		}
+		if spans != writers {
+			t.Fatalf("rep %d: dump holds %d spans, want %d", rep, spans, writers)
+		}
 	}
 }
