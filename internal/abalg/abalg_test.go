@@ -60,7 +60,9 @@ func (f fixture[R]) picture(n R) string {
 	s := f.s
 	var sb strings.Builder
 	if s.Kind(n) == abalg.LeafKind {
-		for _, it := range s.GatherLeaf(n, nil) {
+		items, _, _, _, _, _ := s.AppendLeaf(n, nil, 0, ^uint64(0))
+		rq.SortPairs(items)
+		for _, it := range items {
 			if it.V != it.K*10 {
 				f.t.Errorf("key %d carries value %d", it.K, it.V)
 			}
@@ -305,47 +307,14 @@ func validateRejects[R comparable, S abalg.Store[R]](t *testing.T, mk func() S) 
 // -timeout: at the parent commit the p-OCC-ABtree at (3,8) spun forever
 // in fixUnderfull, waiting for its two-child root to grow.
 func TestDeleteToEmptyDegreeMatrix(t *testing.T) {
-	type tree struct {
-		ops interface {
-			Insert(k, v uint64) (uint64, bool)
-			Delete(k uint64) (uint64, bool)
-		}
-		validate func() error
-		len      func() int
-	}
-	volatile := func(opts ...core.Option) func(a, b int) tree {
-		return func(a, b int) tree {
-			tr := core.New(append(opts, core.WithDegree(a, b))...)
-			return tree{tr.NewThread(), tr.Validate, tr.Len}
-		}
-	}
-	durable := func(opts ...pabtree.Option) func(a, b int) tree {
-		return func(a, b int) tree {
-			tr := pabtree.New(pmem.New(4096*pabtree.NodeWords), append(opts, pabtree.WithDegree(a, b))...)
-			return tree{tr.NewThread(), func() error {
-				if err := tr.Validate(); err != nil {
-					return err
-				}
-				return tr.ValidatePersisted()
-			}, tr.Len}
-		}
-	}
-	trees := []struct {
-		name string
-		mk   func(a, b int) tree
-	}{
-		{"OCC-ABtree", volatile()},
-		{"Elim-ABtree", volatile(core.WithElimination())},
-		{"p-OCC-ABtree", durable()},
-		{"p-Elim-ABtree", durable(pabtree.WithElimination())},
-	}
 	const n = 2000
 	for _, tc := range trees {
 		for _, d := range [][2]int{{2, 4}, {2, 11}, {3, 8}, {4, 11}, {5, 11}} {
 			t.Run(fmt.Sprintf("%s/a%d-b%d", tc.name, d[0], d[1]), func(t *testing.T) {
-				tr := tc.mk(d[0], d[1])
+				tr := tc.open(d[0], d[1], 4096)
+				th := tr.thread()
 				for k := uint64(1); k <= n; k++ {
-					if _, ok := tr.ops.Insert(k, k); !ok {
+					if _, ok := th.Insert(k, k); !ok {
 						t.Fatalf("Insert(%d) found the key present", k)
 					}
 				}
@@ -353,7 +322,7 @@ func TestDeleteToEmptyDegreeMatrix(t *testing.T) {
 					t.Fatalf("after the inserts: Validate = %v, Len = %d", err, tr.len())
 				}
 				for k := uint64(1); k <= n; k++ {
-					if v, ok := tr.ops.Delete(k); !ok || v != k {
+					if v, ok := th.Delete(k); !ok || v != k {
 						t.Fatalf("Delete(%d) = (%d, %v)", k, v, ok)
 					}
 				}

@@ -1,0 +1,227 @@
+package abalg
+
+// Batched point operations: FindBatch/InsertBatch/DeleteBatch apply a
+// whole key batch with the per-key semantics of Find/Insert/Delete while
+// sharing the expensive per-operation work across the batch.
+//
+// The per-key operations pay a full root-to-leaf descent and (for
+// updates) a lock acquisition per key. A batch is instead staged into
+// the Thread's scratch and sorted by key (internal/batchkit's stable LSD
+// radix, so equal keys keep input order), then driven down the tree by a
+// partition descent: every internal node the batch touches is visited
+// once, its sorted run split among its children by the immutable routing
+// keys — so the upper levels cost O(distinct nodes), not O(keys x
+// height). At each leaf the whole run is
+//
+//   - answered from one validated double collect (finds), or
+//   - applied under one lock acquisition (updates; each key still gets
+//     its own version window, so every operation linearizes
+//     individually — the batch is not atomic). On Elim trees the batched
+//     path locks directly instead of trying to eliminate (elimination
+//     targets cross-thread same-key contention, which a sorted
+//     single-thread batch does not exhibit); each key's version window
+//     still publishes its record. On a persistent store every key gets
+//     the per-key flush discipline and durability point.
+//
+// When a leaf cannot serve its run — it was unlinked under the descent,
+// or fills up mid-run so a key needs the splitting insert — the run's
+// remainder is retried through the slow runner, an iterative loop that
+// re-descends per leaf through the Thread's cached scan path (scan.go)
+// and handles splits via the per-key insert. Leaves move rarely, so the
+// partition descent is the common case and the slow runner the churn
+// case.
+//
+// Results are scattered back through each staged key's input index, so
+// the caller sees input order. Equal keys apply in input order; distinct
+// keys commute. Hence a batch's results always match the per-key loop
+// (the differential tests pin this); internal/dict.Batcher states the
+// cross-structure contract. All staging lives in per-Thread scratch:
+// steady-state batched operations allocate nothing (TestAllocsBatchOps).
+
+import "repro/internal/batchkit"
+
+// batchOp selects which point operation a partition descent applies.
+type batchOp uint8
+
+const (
+	bFind batchOp = iota
+	bInsert
+	bDelete
+)
+
+// FindBatch looks up every keys[i], storing the value into vals[i] and
+// its presence into found[i]. Like Find it takes no locks.
+func FindBatch[R comparable](s Store[R], keys, vals []uint64, found []bool) {
+	if len(vals) != len(keys) || len(found) != len(keys) {
+		panic("abtree: FindBatch result slices must match len(keys)")
+	}
+	runBatch(s, bFind, keys, nil, vals, found)
+}
+
+// InsertBatch inserts <keys[i], vals[i]> where absent, storing each
+// key's previous value and whether it was inserted into prev[i] and
+// inserted[i]. Each leaf's run applies under one lock acquisition; a
+// leaf that fills mid-run falls back to the per-key splitting insert for
+// the key that needed the split.
+func InsertBatch[R comparable](s Store[R], keys, vals, prev []uint64, inserted []bool) {
+	if len(vals) != len(keys) || len(prev) != len(keys) || len(inserted) != len(keys) {
+		panic("abtree: InsertBatch result slices must match len(keys)")
+	}
+	runBatch(s, bInsert, keys, vals, prev, inserted)
+}
+
+// DeleteBatch removes every present keys[i], storing its value and
+// whether it was present into prev[i] and deleted[i]. Each leaf's run
+// applies under one lock acquisition; if a run leaves its leaf underfull
+// the rebalance runs once per leaf, after the lock is released — the
+// same repair the per-key path would have triggered, batched.
+func DeleteBatch[R comparable](s Store[R], keys, prev []uint64, deleted []bool) {
+	if len(prev) != len(keys) || len(deleted) != len(keys) {
+		panic("abtree: DeleteBatch result slices must match len(keys)")
+	}
+	runBatch(s, bDelete, keys, nil, prev, deleted)
+}
+
+// batch is one batched operation in flight: the store, the Thread's
+// scratch, the operation, the caller's value slice (inserts; nil
+// otherwise) and its result slices, and the tree's minimum node size.
+type batch[R comparable] struct {
+	s    Store[R]
+	sc   *Scratch[R]
+	op   batchOp
+	vals []uint64
+	res  []uint64
+	ok   []bool
+	a    int
+}
+
+// runBatch stages keys into the Thread's scratch, sorted for run
+// formation, and drives them down from the entry.
+func runBatch[R comparable](s Store[R], op batchOp, keys, vals, res []uint64, ok []bool) {
+	if len(keys) == 0 {
+		return
+	}
+	a, _ := s.Degree()
+	b := batch[R]{s, s.Scratch(), op, vals, res, ok, a}
+	ents := b.sc.ents[:0]
+	for i, k := range keys {
+		CheckKey(k)
+		ents = append(ents, batchkit.Ent{K: k, Idx: i})
+	}
+	ents, b.sc.tmp = batchkit.Sort(ents, b.sc.tmp)
+	b.sc.ents = ents
+	b.runSubtree(s.Entry(), unbounded, ents)
+}
+
+// runSubtree drives one sorted run down the subtree at the internal node
+// n, whose key range ends below hi, splitting it among children by the
+// immutable routing keys so every node the batch touches is visited
+// exactly once. The whole run usually funnels through the top levels
+// into one child, which descends iteratively; a run split among internal
+// children recurses, bounded by the tree height.
+func (b *batch[R]) runSubtree(n R, hi uint64, run []batchkit.Ent) {
+	for i := 0; i < len(run); {
+		c, _, chi, leaf := b.s.Route(n, run[i].K, 0, hi)
+		end := batchkit.RunEnd(run, i, chi, true)
+		switch {
+		case leaf:
+			b.applyLeafRun(c, run[i:end])
+		case i == 0 && end == len(run):
+			n, hi = c, chi // the whole run funnels into one child
+			continue
+		default:
+			b.runSubtree(c, chi, run[i:end])
+		}
+		i = end
+	}
+}
+
+// applyLeafRun serves one leaf's whole run: finds from one validated
+// double collect, updates through applyLocked. Runs the slow runner for
+// whatever remainder the leaf could not serve (unlinked leaf, or a full
+// leaf needing a splitting insert).
+func (b *batch[R]) applyLeafRun(leaf R, run []batchkit.Ent) {
+	if b.op == bFind {
+		if !b.find(leaf, run) {
+			b.runSlow(run)
+		}
+		return
+	}
+	if applied, _ := b.applyLocked(leaf, run); applied < len(run) {
+		// Marked leaf: retry the whole run. Full leaf: the splitting
+		// insert (inside the slow runner) restructures the leaf, so the
+		// rest of the run re-descends there too.
+		b.runSlow(run[applied:])
+	}
+}
+
+// find answers every staged key in run from one validated double collect
+// of the leaf's pairs in the run's key span; false if the leaf has been
+// unlinked (see collect). The collect, at most b pairs, stages in the
+// structural scratch: nothing else stages there before the answers are
+// out, whereas a scan callback may be iterating the scan buffer.
+func (b *batch[R]) find(leaf R, run []batchkit.Ent) bool {
+	items, ok := collect(b.s, leaf, b.sc.Items[:0], latest, run[0].K, run[len(run)-1].K)
+	if !ok {
+		return false
+	}
+	j := 0
+	for _, e := range run {
+		for j < len(items) && items[j].K < e.K {
+			j++
+		}
+		b.res[e.Idx], b.ok[e.Idx] = 0, false
+		if j < len(items) && items[j].K == e.K {
+			b.res[e.Idx], b.ok[e.Idx] = items[j].V, true
+		}
+	}
+	return true
+}
+
+// applyLocked applies run's keys to the leaf under one lock acquisition.
+// It reports how many staged keys it applied and whether it stopped
+// because the leaf was marked (retry the whole run elsewhere); otherwise
+// fewer than len(run) means an insert found it full (run[applied] needs
+// the splitting insert). After unlocking it triggers the underfull
+// repair exactly like the per-key delete path.
+func (b *batch[R]) applyLocked(leaf R, run []batchkit.Ent) (applied int, marked bool) {
+	b.s.Lock(leaf)
+	applied, size, marked := b.s.ApplyRun(leaf, b.op == bInsert, run, b.vals, b.res, b.ok)
+	b.s.UnlockAll()
+	if !marked && b.op == bDelete && size < b.a {
+		FixUnderfull(b.s, leaf)
+	}
+	return applied, marked
+}
+
+// runSlow is the churn path: an iterative per-leaf loop that re-locates
+// each staged key through the Thread's cached scan path, re-descending
+// from the root whenever a leaf moved, and handling splitting inserts
+// via the per-key insert. It serves the run remainders the partition
+// descent could not.
+func (b *batch[R]) runSlow(ents []batchkit.Ent) {
+	for i := 0; i < len(ents); {
+		leaf, bound := searchScan(b.s, b.sc, ents[i].K)
+		j := batchkit.RunEnd(ents, i, bound, true)
+		if b.op == bFind {
+			if !b.find(leaf, ents[i:j]) {
+				b.sc.ResetPath()
+				continue // leaf was unlinked: re-descend to its replacement
+			}
+			i = j
+			continue
+		}
+		applied, marked := b.applyLocked(leaf, ents[i:j])
+		i += applied
+		if marked {
+			b.sc.ResetPath()
+			continue
+		}
+		if i < j {
+			e := ents[i]
+			b.res[e.Idx], b.ok[e.Idx] = b.s.Insert(e.K, b.vals[e.Idx])
+			i++
+			b.sc.ResetPath() // the split restructured this neighborhood
+		}
+	}
+}

@@ -17,7 +17,7 @@ func Scan[R comparable](s Store[R], fn func(k, v uint64)) { scan(s, root(s), fn)
 
 func scan[R comparable](s Store[R], n R, fn func(k, v uint64)) {
 	if s.Kind(n) == LeafKind {
-		for _, it := range s.GatherLeaf(n, s.Scratch().Items[:0]) {
+		for _, it := range gather(s, n, s.Scratch().Items[:0]) {
 			fn(it.K, it.V)
 		}
 		return
@@ -130,7 +130,7 @@ func Validate[R comparable](s Store[R]) error {
 			} else if depth != leafDepth {
 				return fmt.Errorf("leaf at depth %d, expected %d", depth, leafDepth)
 			}
-			items := s.GatherLeaf(n, s.Scratch().Items[:0])
+			items := gather(s, n, s.Scratch().Items[:0])
 			if len(items) != size {
 				return fmt.Errorf("leaf size %d but %d non-empty keys", size, len(items))
 			}

@@ -14,7 +14,7 @@ import (
 // tree's root and the new node simply became the (untagged) new root.
 func SplitInsert[R comparable](s Store[R], leaf, parent R, nIdx int, key, val uint64) (tagged R) {
 	sc := s.Scratch()
-	items := append(s.GatherLeaf(leaf, sc.Items[:0]), rq.Pair{K: key, V: val})
+	items := append(gather(s, leaf, sc.Items[:0]), rq.Pair{K: key, V: val})
 	rq.SortPairs(items)
 	mid := len(items) / 2
 	sep := items[mid].K
@@ -211,7 +211,7 @@ func distribute[R comparable](s Store[R], left, right, p, gp R, lIdx, pIdx int) 
 	var newLeft, newRight R
 	var sep uint64
 	if leaves {
-		items := s.GatherLeaf(right, s.GatherLeaf(left, sc.Items[:0]))
+		items := gather(s, right, gather(s, left, sc.Items[:0]))
 		lc := (len(items) + 1) / 2
 		sep = items[lc].K
 		c := openWindows(s, left, right)
@@ -243,7 +243,7 @@ func merge[R comparable](s Store[R], left, right, p, gp R, lIdx, pIdx int) {
 	leaves := s.Kind(left) == LeafKind
 	var nn R
 	if leaves {
-		items := s.GatherLeaf(right, s.GatherLeaf(left, sc.Items[:0]))
+		items := gather(s, right, gather(s, left, sc.Items[:0]))
 		c := openWindows(s, left, right)
 		nn = s.NewLeaf(items, lo)
 		ls := s.LeafState(nn)
@@ -284,6 +284,14 @@ func merge[R comparable](s Store[R], left, right, p, gp R, lIdx, pIdx int) {
 	if s.Size(nn) < a {
 		FixUnderfull(s, nn)
 	}
+}
+
+// gather appends a locked (or quiescent) leaf's pairs to items and
+// returns the whole of items sorted by key.
+func gather[R comparable](s Store[R], leaf R, items []rq.Pair) []rq.Pair {
+	items, _, _, _, _, _ = s.AppendLeaf(leaf, items, 0, ^uint64(0))
+	rq.SortPairs(items)
+	return items
 }
 
 // gatherSiblings concatenates two locked internal siblings' children and
@@ -330,7 +338,7 @@ func timeline[R comparable](s Store[R], leaf R, c uint64) *rq.Version {
 	tl := ls.Vers.Load()
 	if st := ls.TS.Load(); st < c {
 		v := p.Acquire()
-		v.Items = s.GatherLeaf(leaf, v.Items)
+		v.Items = gather(s, leaf, v.Items)
 		tl = p.PushAcquired(tl, st, v, p.MinActive())
 	}
 	return tl

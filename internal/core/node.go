@@ -14,13 +14,14 @@
 // option): the paper describes the Elim-ABtree as "a modified version of the
 // OCC-ABtree".
 //
-// This package is the Go-heap node store and the per-operation half of the
+// This package is the Go-heap node store and the per-key half of the
 // algorithm: the node layouts, search, the leaf reads and locked leaf
-// writes, elimination, batches and scans. The structural half — splitting
-// inserts, fixTagged, fixUnderfull, Validate and the other inspection
-// walks — is internal/abalg, written once for this store and for
-// internal/pabtree's arena; it reaches the nodes through the abalg.Store
-// seam that *Thread implements (seam.go).
+// writes, and elimination. The rest — splitting inserts, fixTagged,
+// fixUnderfull, range and snapshot scans, batched operations, Validate
+// and the other inspection walks — is internal/abalg, written once for
+// this store and for internal/pabtree's arena; it reaches the nodes
+// through the abalg.Store seam that *Thread implements (seam.go), one
+// call per node or leaf it visits.
 //
 // Keys and values are uint64. Key 0 is reserved as the paper's ⊥ (the
 // empty-slot sentinel in leaf key arrays).

@@ -262,45 +262,3 @@ func TestRangeSnapshotDifferential(t *testing.T) {
 		})
 	}
 }
-
-// TestRangeSnapshotVersionsPruned checks that writers prune version
-// chains once no scan needs them: after heavy scanning plus churn and a
-// quiescent sweep of writes, chains must not retain old snapshots
-// reachable from live leaves beyond the newest prunable entry.
-func TestRangeSnapshotVersionsPruned(t *testing.T) {
-	tr := New(WithDegree(2, 4))
-	th := tr.NewThread()
-	for k := uint64(1); k <= 200; k++ {
-		th.Insert(k, k)
-	}
-	for i := 0; i < 50; i++ {
-		th.RangeSnapshot(1, 200, func(k, v uint64) bool { return true })
-		th.Upsert(uint64(i%200)+1, uint64(i))
-	}
-	_, versions := tr.rqp.Stats()
-	if versions == 0 {
-		t.Fatal("interleaved scans and writes created no leaf versions")
-	}
-	// No scan is in flight: one more write to each leaf must leave at
-	// most one chained version per leaf (the pruning boundary entry).
-	for k := uint64(1); k <= 200; k++ {
-		th.Upsert(k, k)
-	}
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.isLeaf() {
-			depth := 0
-			for v := n.leaf().Vers.Load(); v != nil; v = v.Next() {
-				depth++
-			}
-			if depth > 1 {
-				t.Fatalf("leaf %d retains %d versions with no scans active", n.searchKey, depth)
-			}
-			return
-		}
-		for i := 0; i < int(n.nchildren); i++ {
-			walk(n.inner().ptrs[i].Load())
-		}
-	}
-	walk(tr.entry)
-}

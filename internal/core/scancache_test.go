@@ -21,7 +21,8 @@ import (
 // algorithm) — while writers churn the tree with splitting inserts and
 // merging deletes. A snapshot at a fixed timestamp is unique, so any
 // divergence is a fast-path bug. Degree (2,4) maximizes structural
-// churn per write.
+// churn per write. Each writer's work is bounded, as in
+// TestBatchDifferentialUnderChurn.
 func TestScanPathCacheDifferential(t *testing.T) {
 	const keyRange = 4000
 	tr := New(WithDegree(2, 4))
@@ -38,7 +39,7 @@ func TestScanPathCacheDifferential(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			wth := tr.NewThread()
-			for !stop.Load() {
+			for n := 0; n < 100_000 && !stop.Load(); n++ {
 				k := uint64(rng.Intn(keyRange)) + 1
 				if rng.Intn(2) == 0 {
 					wth.Delete(k)
@@ -51,7 +52,7 @@ func TestScanPathCacheDifferential(t *testing.T) {
 
 	cached := tr.NewThread()
 	fresh := tr.NewThread()
-	fresh.noScanCache = true
+	fresh.scratch.NoScanCache = true
 	churn := tr.NewThread()
 	sc := tr.rqp.Register()
 	rng := rand.New(rand.NewSource(42))
@@ -109,96 +110,4 @@ func TestScanPathCacheDifferential(t *testing.T) {
 	if _, versions := tr.RQStats(); versions == 0 {
 		t.Fatal("churn produced no preserved versions; the differential exercised nothing")
 	}
-}
-
-// TestScanPathCacheWeakRangeStableKeys checks the weak Range fast path
-// under churn: even keys are never touched by writers, so every scan
-// must report each in-range even key exactly once, in sorted order,
-// with its original value — regardless of how much the odd keys churn
-// the tree's shape underneath the cache.
-func TestScanPathCacheWeakRangeStableKeys(t *testing.T) {
-	const keyRange = 4000
-	tr := New(WithDegree(2, 4))
-	loader := tr.NewThread()
-	for k := uint64(2); k <= keyRange; k += 2 {
-		loader.Insert(k, k*7)
-	}
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			wth := tr.NewThread()
-			for !stop.Load() {
-				k := uint64(rng.Intn(keyRange/2))*2 + 1 // odd keys only
-				if rng.Intn(2) == 0 {
-					wth.Delete(k)
-				} else {
-					wth.Insert(k, k)
-				}
-			}
-		}(int64(w) + 100)
-	}
-
-	th := tr.NewThread()
-	churn := tr.NewThread()
-	rng := rand.New(rand.NewSource(7))
-	iters := 400
-	if testing.Short() {
-		iters = 100
-	}
-	for i := 0; i < iters; i++ {
-		// Single-CPU boxes: churn odd keys from this goroutine too, so
-		// the tree reshapes between scans even when the writer
-		// goroutines never get scheduled.
-		for j := 0; j < 20; j++ {
-			k := uint64(rng.Intn(keyRange/2))*2 + 1
-			if rng.Intn(2) == 0 {
-				churn.Delete(k)
-			} else {
-				churn.Insert(k, k)
-			}
-		}
-		runtime.Gosched()
-		lo := uint64(rng.Intn(keyRange-400)) + 1
-		hi := lo + uint64(rng.Intn(400))
-		prev := uint64(0)
-		next := lo + (lo+1)%2 // first even key >= lo... computed below
-		if lo%2 == 1 {
-			next = lo + 1
-		} else {
-			next = lo
-		}
-		th.Range(lo, hi, func(k, v uint64) bool {
-			if k <= prev || k < lo || k > hi {
-				t.Errorf("iter %d [%d,%d]: key %d out of order or range (prev %d)", i, lo, hi, k, prev)
-				return false
-			}
-			prev = k
-			if k%2 == 0 {
-				if k != next {
-					t.Errorf("iter %d [%d,%d]: expected stable key %d next, got %d", i, lo, hi, next, k)
-					return false
-				}
-				if v != k*7 {
-					t.Errorf("iter %d: stable key %d has value %d, want %d", i, k, v, k*7)
-					return false
-				}
-				next = k + 2
-			}
-			return true
-		})
-		if t.Failed() {
-			break
-		}
-		if last := hi - hi%2; next <= last {
-			t.Errorf("iter %d [%d,%d]: stable keys from %d to %d missing", i, lo, hi, next, last)
-			break
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
 }

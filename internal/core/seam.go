@@ -4,13 +4,14 @@ import (
 	"runtime"
 
 	"repro/internal/abalg"
+	"repro/internal/batchkit"
 	"repro/internal/rq"
 )
 
 // The abalg.Store seam over Go-heap nodes (see the interface for each
 // method's contract). Here a node reference is a *node, publication is
 // an atomic pointer store, and unlinked nodes are left to the garbage
-// collector. Lock and UnlockAll are in thread.go.
+// collector. Lock and UnlockAll are in thread.go, Insert in ops.go.
 
 func (th *Thread) Degree() (a, b int)               { return th.t.a, th.t.b }
 func (th *Thread) Entry() *node                     { return th.t.entry }
@@ -34,8 +35,12 @@ func (th *Thread) Size(n *node) int {
 	return int(n.nchildren)
 }
 
-func (th *Thread) GatherLeaf(n *node, items []rq.Pair) []rq.Pair {
-	return gatherPairs(th.t, n.leaf(), items)
+// AppendLeaf skips the tombstone, as every reader of a leaf does.
+func (th *Thread) AppendLeaf(n *node, items []rq.Pair, lo, hi uint64) ([]rq.Pair, uint64, uint64, bool, uint64, *rq.Version) {
+	l := n.leaf()
+	before, marked, stamp, chain := l.ver.Load(), l.isMarked(), l.TS.Load(), l.Vers.Load()
+	items = th.t.appendPairs(items, l, lo, hi)
+	return items, before, l.ver.Load(), marked, stamp, chain
 }
 
 func (th *Thread) GatherInternal(n *node, children []*node, keys []uint64) ([]*node, []uint64) {
@@ -59,4 +64,39 @@ func (th *Thread) NewLeaf(items []rq.Pair, searchKey uint64) *node {
 
 func (th *Thread) NewInternal(k abalg.Kind, keys []uint64, children []*node, searchKey uint64) *node {
 	return newInternal(k, keys, children, searchKey)
+}
+
+func (th *Thread) Route(n *node, key, lo, hi uint64) (*node, uint64, uint64, bool) {
+	i, rk := 0, n.routingKeys()
+	for ; i < rk; i++ {
+		k := n.keys[i].Load()
+		if key < k {
+			hi = k
+			break
+		}
+		lo = k
+	}
+	c := n.inner().ptrs[i].Load()
+	return c, lo, hi, c.isLeaf()
+}
+
+// ApplyRun writes through insertLocked and deleteLocked, whose version
+// windows publish the Elim-ABtree's slot record.
+func (th *Thread) ApplyRun(n *node, insert bool, run []batchkit.Ent, vals, res []uint64, ok []bool) (int, int, bool) {
+	if n.isMarked() {
+		return 0, 0, true
+	}
+	t := th.t
+	for i, e := range run {
+		if !insert {
+			res[e.Idx], ok[e.Idx], _ = t.deleteLocked(n, e.K)
+			continue
+		}
+		done, old, inserted := t.insertLocked(n, e.K, vals[e.Idx])
+		if !done {
+			return i, n.size(), false
+		}
+		res[e.Idx], ok[e.Idx] = old, inserted
+	}
+	return len(run), n.size(), false
 }

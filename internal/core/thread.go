@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/abalg"
 	"repro/internal/mcslock"
-	"repro/internal/rq"
 )
 
 const maxHeld = abalg.MaxHeld
@@ -17,26 +16,11 @@ type Thread struct {
 	qn    [maxHeld]mcslock.QNode
 	held  [maxHeld]*node
 	nheld int
-	// rqs is this thread's scan registration, nil until the first
-	// RangeSnapshot (rqsnap.go).
-	rqs *rq.Scanner
 
-	// Scan fast path (range.go): the cached root-to-leaf descent and the
-	// scratch buffer per-leaf collects append into, so steady-state
-	// scans neither re-descend from the root per leaf nor allocate.
-	// noScanCache forces full re-descents (differential tests only).
-	path        scanPath
-	pairBuf     []rq.Pair
-	noScanCache bool
-
-	// scratch stages the structural updates (abalg.Store, seam.go).
+	// scratch stages the structural updates, scans and batches
+	// (abalg.Store, seam.go), so steady-state scans and batches allocate
+	// nothing.
 	scratch abalg.Scratch[*node]
-
-	// batchBuf stages batched point operations sorted by key; batchTmp
-	// is the radix sort's ping-pong partner (batch.go). Both persist so
-	// steady-state FindBatch/InsertBatch/DeleteBatch allocate nothing.
-	batchBuf []batchEnt
-	batchTmp []batchEnt
 }
 
 // NewThread returns a new operation handle for t.

@@ -1,7 +1,8 @@
 package pabtree
 
-// Differential tests for the persistent batched point operations,
-// mirroring internal/core/batch_test.go: batched results must equal the
+// Differential tests for the batched point operations on the persistent
+// trees, as internal/core/batch_test.go runs them on the volatile ones
+// (the engine is internal/abalg's): batched results must equal the
 // per-key loop's — sequentially against a twin tree, and under
 // concurrent split/merge churn against a shadow map over keys the churn
 // never touches.
@@ -83,7 +84,8 @@ func TestBatchDifferentialSequential(t *testing.T) {
 
 // TestBatchDifferentialUnderChurn pins batched results to a shadow map
 // while writers churn the tree shape on disjoint keys (keys ≡ 0 mod 3
-// belong to the batching thread alone).
+// belong to the batching thread alone). Each writer's work is bounded,
+// as in internal/core's copy.
 func TestBatchDifferentialUnderChurn(t *testing.T) {
 	const keyRange = 3000
 	tr := New(pmem.New(1 << 22))
@@ -102,7 +104,7 @@ func TestBatchDifferentialUnderChurn(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			wth := tr.NewThread()
-			for !stop.Load() {
+			for n := 0; n < 100_000 && !stop.Load(); n++ {
 				k := uint64(rng.Intn(keyRange)) + 1
 				if k%3 == 0 {
 					k++
@@ -193,109 +195,5 @@ func TestBatchDifferentialUnderChurn(t *testing.T) {
 		if ok != sok || (ok && v != sv) {
 			t.Fatalf("final state: key %d tree (%d,%v), shadow (%d,%v)", k, v, ok, sv, sok)
 		}
-	}
-}
-
-// BenchmarkBatchUpdate: the persistent delete+reinsert cycle, batched
-// vs per-key loop (EXPERIMENTS.md tracks these).
-func BenchmarkBatchUpdate(b *testing.B) {
-	const benchKeys = 100_000
-	build := func(b *testing.B) *Thread {
-		b.Helper()
-		tr := New(pmem.New(1 << 23))
-		th := tr.NewThread()
-		for k := uint64(1); k <= benchKeys; k++ {
-			th.Insert(k, k)
-		}
-		return th
-	}
-	for _, size := range []int{8, 64, 512} {
-		keys := make([]uint64, size)
-		res := make([]uint64, size)
-		ok := make([]bool, size)
-		draw := func(rng *rand.Rand) {
-			for i := range keys {
-				keys[i] = uint64(rng.Intn(benchKeys)) + 1
-			}
-		}
-		b.Run(benchSizeName("loop", size), func(b *testing.B) {
-			th := build(b)
-			rng := rand.New(rand.NewSource(2))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				draw(rng)
-				for _, k := range keys {
-					th.Delete(k)
-				}
-				for _, k := range keys {
-					th.Insert(k, k)
-				}
-			}
-		})
-		b.Run(benchSizeName("batch", size), func(b *testing.B) {
-			th := build(b)
-			rng := rand.New(rand.NewSource(2))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				draw(rng)
-				th.DeleteBatch(keys, res, ok)
-				th.InsertBatch(keys, keys, res, ok)
-			}
-		})
-	}
-}
-
-// BenchmarkBatchFind: persistent MultiGet, batched vs per-key loop.
-func BenchmarkBatchFind(b *testing.B) {
-	const benchKeys = 100_000
-	build := func(b *testing.B) *Thread {
-		b.Helper()
-		tr := New(pmem.New(1 << 23))
-		th := tr.NewThread()
-		for k := uint64(1); k <= benchKeys; k++ {
-			th.Insert(k, k)
-		}
-		return th
-	}
-	for _, size := range []int{8, 64, 512} {
-		keys := make([]uint64, size)
-		res := make([]uint64, size)
-		ok := make([]bool, size)
-		draw := func(rng *rand.Rand) {
-			for i := range keys {
-				keys[i] = uint64(rng.Intn(benchKeys)) + 1
-			}
-		}
-		b.Run(benchSizeName("loop", size), func(b *testing.B) {
-			th := build(b)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				draw(rng)
-				for _, k := range keys {
-					th.Find(k)
-				}
-			}
-		})
-		b.Run(benchSizeName("batch", size), func(b *testing.B) {
-			th := build(b)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				draw(rng)
-				th.FindBatch(keys, res, ok)
-			}
-		})
-	}
-}
-
-func benchSizeName(kind string, size int) string {
-	switch size {
-	case 8:
-		return kind + "-8"
-	case 64:
-		return kind + "-64"
-	default:
-		return kind + "-512"
 	}
 }

@@ -6,14 +6,16 @@
 // volatile headers (vnode), one per arena slot in use, and are
 // reconstructed by Recover.
 //
-// This package is the arena node store and the per-operation half of the
+// This package is the arena node store and the per-key half of the
 // algorithm: the word map, the flush discipline of the leaf writes,
-// search, batches, scans, the slot allocator and recovery. The
-// structural half — splitting inserts, fixTagged, fixUnderfull, Validate
-// and the other inspection walks — is internal/abalg, shared with
-// internal/core's Go-heap store; it reaches the nodes through the
+// search, the slot allocator and recovery. The rest — splitting inserts,
+// fixTagged, fixUnderfull, range and snapshot scans, batched operations,
+// Validate and the other inspection walks — is internal/abalg, shared
+// with internal/core's Go-heap store; it reaches the nodes through the
 // abalg.Store seam that *Thread implements (seam.go), whose NewLeaf,
 // NewInternal and SetChild are where the structural flushes below live.
+// The scan and batch wrappers bracket each call with an epoch critical
+// section and reset the cached scan path on entry (rqsnap.go).
 //
 // # Node layout
 //

@@ -1,10 +1,10 @@
 package pabtree
 
-// Differential test for the persistent trees' path-cached scan fast
-// path, mirroring internal/core/scancache_test.go: two snapshot scans
-// at the SAME linearization timestamp — one through the warm path
-// cache, one with the cache disabled — must agree exactly under
-// concurrent split/merge churn.
+// Tests for the path-cached scan fast path on the persistent trees: the
+// differential of internal/core/scancache_test.go — two snapshot scans
+// at the SAME linearization timestamp, one through the warm path cache,
+// one with the cache disabled, must agree exactly under concurrent
+// split/merge churn — and the epoch rule only this store has.
 
 import (
 	"math/rand"
@@ -51,7 +51,7 @@ func TestScanPathCacheDifferential(t *testing.T) {
 
 	cached := tr.NewThread()
 	fresh := tr.NewThread()
-	fresh.noScanCache = true
+	fresh.scratch.NoScanCache = true
 	churn := tr.NewThread()
 	sc := tr.rqp.Register()
 	rng := rand.New(rand.NewSource(42))
@@ -106,68 +106,51 @@ func TestScanPathCacheDifferential(t *testing.T) {
 	}
 }
 
-// TestScanCallbackPointOps exercises the documented callback contract:
-// fn may run point operations on the scanning Thread itself. For the
-// persistent trees that relies on epoch critical sections nesting (the
-// point op's Exit must not end the scan's section, or the scan's
-// cached offsets could be recycled under it). Background churn keeps
-// slot retirement flowing while the scan is in flight.
-func TestScanCallbackPointOps(t *testing.T) {
-	const keyRange = 4000
-	tr := New(pmem.New(1<<23), WithDegree(2, 4))
+// TestScanPathResetPerEpochSection pins the epoch rule of the cached
+// scan path: an arena offset names the same node only inside the epoch
+// critical section it was read in, so every scan and batch call drops
+// the path on entry (scanEnter). The test warms the cache, retires the
+// nodes on it and recycles their slots as different nodes, then scans
+// again: a path carried over from the earlier call would resume the
+// descent at a recycled slot and read some other part of the tree.
+func TestScanPathResetPerEpochSection(t *testing.T) {
+	tr := New(pmem.New(1<<14*NodeWords), WithDegree(2, 4))
 	th := tr.NewThread()
-	for k := uint64(2); k <= keyRange; k += 2 {
-		th.Insert(k, k) // stable even keys
+	shadow := map[uint64]uint64{}
+	for k := uint64(1); k <= 2000; k++ {
+		th.Insert(k, k)
+		shadow[k] = k
 	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(9))
-		wth := tr.NewThread()
-		for n := 0; n < 100_000 && !stop.Load(); n++ {
-			k := uint64(rng.Intn(keyRange/2))*2 + 1 // odd keys churn
-			if rng.Intn(2) == 0 {
-				wth.Delete(k)
-			} else {
-				wth.Insert(k, k)
-			}
-		}
-	}()
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 200; i++ {
-		next := uint64(2)
-		th.RangeSnapshot(1, keyRange, func(k, v uint64) bool {
-			if k%2 == 1 {
-				return true
-			}
-			if k != next || v != k {
-				t.Errorf("iter %d: expected stable key %d, got %d=%d", i, next, k, v)
+	// Warm the cache: it ends on the path to the leaf of key 1000.
+	th.Range(1, 1000, func(k, v uint64) bool { return true })
+	// Delete everything at or below 1000: the merges replace every node
+	// on that path. Flush hands their slots back to the free list, and
+	// inserts elsewhere reuse them for new nodes of other key ranges.
+	for k := uint64(1); k <= 1000; k++ {
+		th.Delete(k)
+		delete(shadow, k)
+	}
+	th.eh.Flush()
+	for k := uint64(5001); k <= 8000; k++ {
+		th.Insert(k, k)
+		shadow[k] = k
+	}
+	for name, scan := range map[string]func(lo, hi uint64, fn func(k, v uint64) bool){
+		"Range": th.Range, "RangeSnapshot": th.RangeSnapshot,
+	} {
+		got := 0
+		prev := uint64(0)
+		scan(1, 10_000, func(k, v uint64) bool {
+			if k <= prev || shadow[k] != v {
+				t.Errorf("%s reported %d=%d after %d", name, k, v, prev)
 				return false
 			}
-			next = k + 2
-			// Point ops on the scanning Thread, mid-scan.
-			if _, ok := th.Find(k); !ok {
-				t.Errorf("iter %d: nested Find(%d) missed", i, k)
-				return false
-			}
-			if k%64 == 0 {
-				j := uint64(rng.Intn(keyRange/2))*2 + 1
-				th.Delete(j)
-				th.Insert(j, j)
-			}
+			prev = k
+			got++
 			return true
 		})
-		if t.Failed() {
-			break
+		if got != len(shadow) {
+			t.Errorf("%s reported %d pairs, want %d", name, got, len(shadow))
 		}
-		if next != keyRange+2 {
-			t.Errorf("iter %d: scan stopped at %d, want all %d stable keys", i, next, keyRange/2)
-			break
-		}
-		runtime.Gosched()
 	}
-	stop.Store(true)
-	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"repro/internal/abalg"
+	"repro/internal/batchkit"
 	"repro/internal/rq"
 )
 
@@ -13,7 +14,7 @@ import (
 // comment's flush discipline: NewLeaf/NewInternal flush every word they
 // write before returning, SetChild is link-and-persist, and Unlink also
 // queues the slot for epoch reclamation. Lock and UnlockAll are in
-// thread.go.
+// thread.go, Insert in ops.go.
 
 func (th *Thread) Degree() (a, b int)                  { return th.t.a, th.t.b }
 func (th *Thread) Entry() uint64                       { return th.t.entryOff }
@@ -27,8 +28,18 @@ func (th *Thread) LeafState(off uint64) *rq.LeafState  { return &th.t.vn(off).Le
 func (th *Thread) RQ() *rq.Provider                    { return th.t.rqp }
 func (th *Thread) SetChild(p uint64, i int, c uint64)  { th.t.setChildPersist(p, i, c) }
 func (th *Thread) Scratch() *abalg.Scratch[uint64]     { return &th.scratch }
-func (th *Thread) GatherLeaf(off uint64, items []rq.Pair) []rq.Pair {
-	return th.t.gatherPairs(off, items)
+
+// AppendLeaf observes an injected crash when it finds a version window
+// open, like Pause: a reader retrying until the window closes may be
+// waiting on a writer that will never close it.
+func (th *Thread) AppendLeaf(off uint64, items []rq.Pair, lo, hi uint64) ([]rq.Pair, uint64, uint64, bool, uint64, *rq.Version) {
+	v := th.t.vn(off)
+	before, marked, stamp, chain := v.ver.Load(), v.marked.Load(), v.TS.Load(), v.Vers.Load()
+	if before&1 == 1 {
+		th.t.crashCheck()
+	}
+	items = th.t.appendPairs(off, items, lo, hi)
+	return items, before, v.ver.Load(), marked, stamp, chain
 }
 
 func (th *Thread) GatherInternal(off uint64, children, keys []uint64) ([]uint64, []uint64) {
@@ -79,4 +90,40 @@ func (th *Thread) Size(off uint64) int {
 		return th.t.vn(off).leafSize()
 	}
 	return nchildrenOf(th.t.meta(off))
+}
+
+func (th *Thread) Route(off, key, lo, hi uint64) (uint64, uint64, uint64, bool) {
+	t := th.t
+	i, rk := 0, nchildrenOf(t.meta(off))-1
+	for ; i < rk; i++ {
+		k := t.routingKey(off, i)
+		if key < k {
+			hi = k
+			break
+		}
+		lo = k
+	}
+	c := t.loadChild(off, i)
+	return c, lo, hi, t.isLeaf(c)
+}
+
+// ApplyRun writes through leafInsertLocked and leafDeleteLocked, so each
+// key gets the per-key flush discipline and durability point.
+func (th *Thread) ApplyRun(off uint64, insert bool, run []batchkit.Ent, vals, res []uint64, ok []bool) (int, int, bool) {
+	t, lv := th.t, th.t.vn(off)
+	if lv.marked.Load() {
+		return 0, 0, true
+	}
+	for i, e := range run {
+		if !insert {
+			res[e.Idx], ok[e.Idx], _ = t.leafDeleteLocked(off, e.K)
+			continue
+		}
+		done, old, inserted := t.leafInsertLocked(off, e.K, vals[e.Idx])
+		if !done {
+			return i, lv.leafSize(), false
+		}
+		res[e.Idx], ok[e.Idx] = old, inserted
+	}
+	return len(run), lv.leafSize(), false
 }

@@ -5,7 +5,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/mcslock"
 	"repro/internal/pmem"
-	"repro/internal/rq"
 )
 
 const maxHeld = abalg.MaxHeld
@@ -19,26 +18,11 @@ type Thread struct {
 	qn    [maxHeld]mcslock.QNode
 	held  [maxHeld]*vnode
 	nheld int
-	// rqs is this thread's scan registration, nil until the first
-	// RangeSnapshot (rqsnap.go).
-	rqs *rq.Scanner
 
-	// Scan fast path (range.go): the cached descent (offsets, valid only
-	// within one epoch critical section) and the scratch buffer
-	// per-leaf collects append into. noScanCache forces full re-descents
-	// (differential tests only).
-	path        scanPath
-	pairBuf     []rq.Pair
-	noScanCache bool
-
-	// scratch stages the structural updates (abalg.Store, seam.go).
+	// scratch stages the structural updates, scans and batches
+	// (abalg.Store, seam.go); its cached scan path holds offsets, valid
+	// only within one epoch critical section (rqsnap.go).
 	scratch abalg.Scratch[uint64]
-
-	// batchBuf stages batched point operations sorted by key; batchTmp
-	// is the radix sort's ping-pong partner (batch.go). Both persist so
-	// steady-state FindBatch/InsertBatch/DeleteBatch allocate nothing.
-	batchBuf []batchEnt
-	batchTmp []batchEnt
 }
 
 // NewThread registers a new operation handle.
