@@ -34,11 +34,8 @@
 package client
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -298,8 +295,7 @@ func (c *Client) newHandleLocked() (*handle, error) {
 	return &handle{
 		c:    c,
 		nc:   nc,
-		br:   bufio.NewReaderSize(nc, 64<<10),
-		bw:   bufio.NewWriterSize(nc, 64<<10),
+		fr:   wire.NewFrameReader(nc),
 		rtt:  &c.rtt,
 		hint: c.nhands,
 		rng:  newRetryRNG(c.nhands),
@@ -311,17 +307,14 @@ func (c *Client) newHandleLocked() (*handle, error) {
 type handle struct {
 	c      *Client // owning pool (redial policy + fault counters)
 	nc     net.Conn
-	br     *bufio.Reader
-	bw     *bufio.Writer
+	fr     *wire.FrameReader // response frames; payloads valid until the next read
 	id     uint64
 	broken bool        // connection known dead; next attempt redials
 	rng    *xrand.Rand // backoff jitter stream
 	rtt    *rttHists   // shared per-op RTT histograms (see metrics.go)
 	hint   int         // this handle's histogram stripe
 
-	hdr   [wire.HeaderLen]byte
 	out   []byte // request frame scratch
-	in    []byte // response payload scratch
 	pairs []byte // scan pair buffer (packed 16-byte pairs)
 
 	traceN int    // ops since this handle's last head sample
@@ -358,40 +351,12 @@ func (h *handle) nextID() uint64 {
 	return h.id
 }
 
-// writeFrames flushes h.out (one or more frames) to the server. On
-// failure, wrote reports whether any frame byte may have left the
-// client: the buffer is empty at frame start (every rpc flushes), so
-// bufio's unflushed count tells exactly how much reached the kernel.
+// writeFrames writes h.out (one or more frames) to the server in one
+// write. On failure, wrote reports whether any frame byte may have left
+// the client: the kernel took n bytes.
 func (h *handle) writeFrames() (wrote bool, err error) {
-	if _, err = h.bw.Write(h.out); err != nil {
-		return h.bw.Buffered() < len(h.out), err
-	}
-	if err = h.bw.Flush(); err != nil {
-		return h.bw.Buffered() < len(h.out), err
-	}
-	return true, nil
-}
-
-// readFrame reads one response frame, leaving the payload in h.in.
-func (h *handle) readFrame() (id uint64, op byte, payload []byte, err error) {
-	if _, err = io.ReadFull(h.br, h.hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	length := binary.LittleEndian.Uint32(h.hdr[:4])
-	if length < wire.HeaderLen-4 || length > wire.MaxFrame {
-		return 0, 0, nil, fmt.Errorf("bad response frame length %d", length)
-	}
-	id = binary.LittleEndian.Uint64(h.hdr[4:12])
-	op = h.hdr[12]
-	n := int(length) - (wire.HeaderLen - 4)
-	if cap(h.in) < n {
-		h.in = make([]byte, n)
-	}
-	h.in = h.in[:n]
-	if _, err = io.ReadFull(h.br, h.in); err != nil {
-		return 0, 0, nil, err
-	}
-	return id, op, h.in, nil
+	n, err := h.nc.Write(h.out)
+	return n > 0, err
 }
 
 // respError is an application-level failure reported by the server over
@@ -454,7 +419,7 @@ func (h *handle) rpcPoint(op byte, key, val uint64, tid uint64) (uint64, bool, e
 			h.backoff(attempt)
 			continue
 		}
-		rid, rop, payload, err := h.readFrame()
+		rid, rop, payload, err := h.fr.Next()
 		if err == nil && rop == wire.RespBusy {
 			h.c.faults.busy.Add(1)
 			if rid == id {
@@ -548,11 +513,11 @@ const maxOutstanding = 8
 // only full serialization preserves dict.Batcher's equal-keys-apply-in-
 // input-order contract across frames (within one frame the trees'
 // native batch path preserves it).
-// batch runs one attempt of a batched operation. On failure, wrote
-// reports whether any frame byte may have left the client (it tracks
-// bufio's unflushed count against the bytes handed over since the last
-// successful flush) — the input to the mutation-ambiguity decision in
-// batchRetry.
+// batch runs one attempt of a batched operation. Frames are gathered
+// into h.out and written once they reach 64 KB, when the window fills,
+// and after the last one. On failure, wrote reports whether any frame
+// byte may have left the client — the input to the mutation-ambiguity
+// decision in batchRetry.
 func (h *handle) batch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool) (wrote bool, err error) {
 	if len(keys) == 0 {
 		return false, nil
@@ -563,9 +528,9 @@ func (h *handle) batch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool
 	}
 	base := h.id + 1
 	written, read := 0, 0
-	handed := 0 // bytes handed to bw since the last successful flush
+	h.out = h.out[:0]
 	readOne := func() error {
-		rid, rop, payload, err := h.readFrame()
+		rid, rop, payload, err := h.fr.Next()
 		if err != nil {
 			return err
 		}
@@ -596,33 +561,28 @@ func (h *handle) batch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool
 			vs = ivals[off:end]
 		}
 		id := h.nextID()
-		h.out = h.out[:0]
 		if h.trace != 0 && off == 0 {
 			// The trace rides the first chunk; its server spans represent
 			// the batch (per-chunk spans would multiply one logical op).
 			h.out = wire.AppendTraceCtx(h.out, id, h.trace)
 		}
 		h.out = wire.AppendBatch(h.out, id, op, keys[off:end], vs)
-		n, werr := h.bw.Write(h.out)
-		handed += n
-		if werr != nil {
-			return wrote || h.bw.Buffered() < handed, werr
-		}
 		written++
+		if len(h.out) < 64<<10 && written-read < window && end < len(keys) {
+			continue
+		}
+		n, werr := h.nc.Write(h.out)
+		h.out = h.out[:0]
+		wrote = wrote || n > 0
+		if werr != nil {
+			return wrote, werr
+		}
 		for written-read >= window {
-			if ferr := h.bw.Flush(); ferr != nil {
-				return wrote || h.bw.Buffered() < handed, ferr
-			}
-			wrote, handed = true, 0
 			if rerr := readOne(); rerr != nil {
 				return true, rerr
 			}
 		}
 	}
-	if ferr := h.bw.Flush(); ferr != nil {
-		return wrote || h.bw.Buffered() < handed, ferr
-	}
-	wrote = true
 	for read < written {
 		if rerr := readOne(); rerr != nil {
 			return true, rerr
@@ -766,7 +726,7 @@ func (h *handle) scanOnce(snapshot bool, lo, hi uint64) error {
 	}
 	h.pairs = h.pairs[:0]
 	for {
-		rid, rop, payload, err := h.readFrame()
+		rid, rop, payload, err := h.fr.Next()
 		if err != nil {
 			return err
 		}
@@ -795,7 +755,7 @@ func (h *handle) rpcStats() (wire.Stats, error) {
 		if _, err := h.writeFrames(); err != nil {
 			return err
 		}
-		rid, rop, payload, err := h.readFrame()
+		rid, rop, payload, err := h.fr.Next()
 		if err != nil {
 			return err
 		}
@@ -821,7 +781,7 @@ func (h *handle) rpcOpen(name string, keyRange uint64) error {
 		if _, err := h.writeFrames(); err != nil {
 			return err
 		}
-		rid, rop, payload, err := h.readFrame()
+		rid, rop, payload, err := h.fr.Next()
 		if err != nil {
 			return err
 		}
@@ -842,7 +802,7 @@ func (h *handle) rpcPromote(ack int, addrs []string) error {
 		if _, err := h.writeFrames(); err != nil {
 			return err
 		}
-		rid, rop, payload, err := h.readFrame()
+		rid, rop, payload, err := h.fr.Next()
 		if err != nil {
 			return err
 		}

@@ -127,7 +127,7 @@ func (h *handle) rpcMetrics() (*ServerMetrics, error) {
 		}
 		var it wire.MetricsItem
 		for {
-			rid, rop, payload, err := h.readFrame()
+			rid, rop, payload, err := h.fr.Next()
 			if err != nil {
 				return err
 			}

@@ -15,9 +15,9 @@ package client
 // blocks on its own done channel. The combiner drains the queue, staging
 // waiters by opcode class, and seals one batch frame per class (chunked
 // at the batch bound). The coalescing window is credit-bounded, not
-// timer-bounded: frames are written while the pipeline has credit (a
+// timer-bounded: frames are gathered while the pipeline has credit (a
 // fixed number of frames in flight), and the combiner only blocks —
-// first flushing buffered frames to the wire — when credit runs out.
+// first writing the gathered frames to the wire — when credit runs out.
 // Under light load an op ships alone immediately (no fixed sleep, no
 // added latency floor); under load the submission queue fills exactly
 // while the combiner waits for credit, and the next frame carries
@@ -48,11 +48,8 @@ package client
 // (enforced by internal/server's TestAllocsMux).
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"sync"
@@ -274,8 +271,7 @@ type muxConn struct {
 
 	ncMu sync.Mutex
 	nc   net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	fr   *wire.FrameReader
 
 	subq    chan *muxOp
 	quit    chan struct{}
@@ -298,11 +294,7 @@ type muxConn struct {
 	batches []*muxOp    // staged explicit-batch pass-throughs
 	keyBuf  []uint64
 	valBuf  []uint64
-	out     []byte
-
-	// Reader scratch.
-	hdr [wire.HeaderLen]byte
-	in  []byte
+	wbuf    []byte // frames gathered since the last write
 }
 
 func (m *Mux) dialConn(addr string) (*muxConn, error) {
@@ -314,8 +306,7 @@ func (m *Mux) dialConn(addr string) (*muxConn, error) {
 		m:       m,
 		addr:    addr,
 		nc:      nc,
-		br:      bufio.NewReaderSize(nc, 64<<10),
-		bw:      bufio.NewWriterSize(nc, 64<<10),
+		fr:      wire.NewFrameReader(nc),
 		subq:    make(chan *muxOp, muxSubDepth),
 		quit:    make(chan struct{}),
 		failed:  make(chan struct{}),
@@ -348,8 +339,7 @@ func (mc *muxConn) setConn(nc net.Conn) {
 	mc.ncMu.Lock()
 	mc.nc = nc
 	mc.ncMu.Unlock()
-	mc.br.Reset(nc)
-	mc.bw.Reset(nc)
+	mc.fr.Reset(nc)
 }
 
 // supervise runs connection generations: start combiner+reader, wait
@@ -525,8 +515,8 @@ func (mc *muxConn) staged() int {
 
 // combiner drains the submission queue into frames: block for the first
 // op (unless salvage left work staged), then greedily stage everything
-// already queued, then flush. Flush blocks on credit only after pushing
-// buffered frames to the wire, so backpressure turns directly into
+// already queued, then flush. Flush blocks on credit only after writing
+// the gathered frames to the wire, so backpressure turns directly into
 // larger next-round batches.
 func (mc *muxConn) combiner(g *muxGen) {
 	for {
@@ -570,10 +560,10 @@ func (mc *muxConn) stage(op *muxOp) bool {
 }
 
 // flush seals every staged class into frames (chunked at muxMaxBatch —
-// salvage can stage more than one frame's worth) and writes them, then
-// flushes the socket. Waiters move out of the staging arrays the moment
-// their frame is sealed, so a mid-flush failure leaves each op in
-// exactly one place: its frame's slot (salvaged as in-flight) or the
+// salvage can stage more than one frame's worth), gathers them and
+// writes them to the socket. Waiters move out of the staging arrays the
+// moment their frame is sealed, so a mid-flush failure leaves each op
+// in exactly one place: its frame's slot (salvaged as in-flight) or the
 // staging array (carried to the next generation untouched).
 func (mc *muxConn) flush(g *muxGen) error {
 	for cls := range mc.points {
@@ -615,15 +605,22 @@ func (mc *muxConn) flush(g *muxGen) error {
 			return err
 		}
 	}
-	if err := mc.bw.Flush(); err != nil {
-		return err
+	return mc.writeOut()
+}
+
+// writeOut writes the gathered frames.
+func (mc *muxConn) writeOut() error {
+	if len(mc.wbuf) == 0 {
+		return nil
 	}
-	return nil
+	_, err := mc.nc.Write(mc.wbuf)
+	mc.wbuf = mc.wbuf[:0]
+	return err
 }
 
 // acquireCredit takes one free response slot. If none is free it first
-// flushes the socket — frames sitting in the bufio buffer earn no
-// responses, and blocking on credit with the window fully buffered
+// writes the gathered frames — frames not yet written earn no
+// responses, and blocking on credit with the whole window gathered
 // would deadlock — then blocks until the reader returns one.
 func (mc *muxConn) acquireCredit(g *muxGen) (slot uint64, err error) {
 	select {
@@ -631,7 +628,7 @@ func (mc *muxConn) acquireCredit(g *muxGen) (slot uint64, err error) {
 		return slot, nil
 	default:
 	}
-	if err := mc.bw.Flush(); err != nil {
+	if err := mc.writeOut(); err != nil {
 		return 0, err
 	}
 	select {
@@ -644,8 +641,8 @@ func (mc *muxConn) acquireCredit(g *muxGen) (slot uint64, err error) {
 	}
 }
 
-// writeFrame installs the frame in its response slot and writes it to
-// the buffered socket (flushed by the caller or by credit pressure).
+// writeFrame installs the frame in its response slot and gathers it
+// (written by the caller, by credit pressure, or once 64 KB gather).
 // Slots cannot collide however the server orders its replies: the slot
 // is the credit itself, carried in the id's low bits, and only the
 // reader frees it, after the frame's own response; salvage empties the
@@ -665,13 +662,12 @@ func (mc *muxConn) writeFrame(g *muxGen, f *muxFrame, op byte, keys, vals []uint
 	f.id = mc.id<<muxSlotBits | slot
 	mc.slots[slot].Store(f)
 	tid := mc.sealSpans(f)
-	mc.out = mc.out[:0]
 	if tid != 0 {
-		mc.out = wire.AppendTraceCtx(mc.out, f.id, tid)
+		mc.wbuf = wire.AppendTraceCtx(mc.wbuf, f.id, tid)
 	}
-	mc.out = wire.AppendBatch(mc.out, f.id, op, keys, vals)
-	if _, err := mc.bw.Write(mc.out); err != nil {
-		return err
+	mc.wbuf = wire.AppendBatch(mc.wbuf, f.id, op, keys, vals)
+	if len(mc.wbuf) >= 64<<10 {
+		return mc.writeOut()
 	}
 	return nil
 }
@@ -735,7 +731,10 @@ func (mc *muxConn) unseal(f *muxFrame) {
 // healthy).
 func (mc *muxConn) reader(g *muxGen) {
 	for {
-		id, rop, payload, err := mc.readFrame()
+		id, rop, payload, err := mc.fr.Next()
+		if errors.Is(err, wire.ErrFrameLength) {
+			err = fmt.Errorf("%w: %v", errProtocol, err)
+		}
 		if err != nil {
 			g.fail(err)
 			return
@@ -798,28 +797,6 @@ func (mc *muxConn) reader(g *muxGen) {
 		}
 		mc.credits <- slot
 	}
-}
-
-// readFrame reads one response frame into the reader's scratch.
-func (mc *muxConn) readFrame() (id uint64, op byte, payload []byte, err error) {
-	if _, err := io.ReadFull(mc.br, mc.hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	length := binary.LittleEndian.Uint32(mc.hdr[:4])
-	if length < wire.HeaderLen-4 || length > wire.MaxFrame {
-		return 0, 0, nil, fmt.Errorf("%w: bad response frame length %d", errProtocol, length)
-	}
-	id = binary.LittleEndian.Uint64(mc.hdr[4:12])
-	op = mc.hdr[12]
-	n := int(length) - (wire.HeaderLen - 4)
-	if cap(mc.in) < n {
-		mc.in = make([]byte, n)
-	}
-	mc.in = mc.in[:n]
-	if _, err := io.ReadFull(mc.br, mc.in); err != nil {
-		return 0, 0, nil, err
-	}
-	return id, op, mc.in, nil
 }
 
 func (mc *muxConn) getFrame() *muxFrame {

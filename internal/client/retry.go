@@ -17,13 +17,13 @@ package client
 //     instance for the same <name, keyRange>).
 //   - Mutations (PUT/DELETE and their batch forms) retry only while the
 //     request frame provably never left the client: a failure before any
-//     frame byte reached the kernel (checked against bufio's unflushed
-//     count), or a server BUSY rejection (the server answers BUSY at
-//     accept time and reads nothing, so nothing was executed). Once a
-//     frame may have been received, a blind replay could apply the
-//     mutation twice — the op fails with ErrAmbiguous instead, and the
-//     caller (or the linearizability recorder, via Maybe ops) owns the
-//     uncertainty.
+//     frame byte reached the kernel (the failed write reports how many
+//     bytes it handed over), or a server BUSY rejection (the server
+//     answers BUSY at accept time and reads nothing, so nothing was
+//     executed). Once a frame may have been received, a blind replay
+//     could apply the mutation twice — the op fails with ErrAmbiguous
+//     instead, and the caller (or the linearizability recorder, via Maybe
+//     ops) owns the uncertainty.
 //
 // The dict.Handle methods still panic when retries are exhausted or an
 // ambiguous mutation surfaces (the interfaces have no error results);
@@ -168,7 +168,8 @@ func (c *Client) forget(nc net.Conn) {
 }
 
 // redial replaces the handle's dead connection with a fresh one,
-// resetting the buffered reader/writer in place (no allocation).
+// resetting the frame reader in place (no allocation: it keeps its
+// buffer and drops any partial frame from the dead connection).
 func (h *handle) redial() error {
 	if h.nc != nil {
 		h.c.forget(h.nc)
@@ -179,8 +180,7 @@ func (h *handle) redial() error {
 		return err
 	}
 	h.nc = nc
-	h.br.Reset(nc)
-	h.bw.Reset(nc)
+	h.fr.Reset(nc)
 	h.broken = false
 	h.c.faults.redials.Add(1)
 	return nil

@@ -90,7 +90,7 @@ func (h *handle) rpcTraces(max int) ([]ServerTrace, error) {
 		out = out[:0]
 		var tf wire.TraceFrame
 		for {
-			rid, rop, payload, err := h.readFrame()
+			rid, rop, payload, err := h.fr.Next()
 			if err != nil {
 				return err
 			}

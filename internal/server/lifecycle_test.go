@@ -115,6 +115,57 @@ func TestIdleTimeoutReaps(t *testing.T) {
 	}
 }
 
+// TestMidFrameStallIsReadError: under IdleTimeout, only a connection
+// with no partial frame buffered is idle. A peer that goes quiet before
+// its first byte or right after a whole frame is reaped as idle; one
+// that stalls inside a header or a payload is a read error.
+func TestMidFrameStallIsReadError(t *testing.T) {
+	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2, IdleTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	put := wire.AppendPoint(nil, 1, wire.OpPut, 42, 1)
+	for _, tc := range []struct {
+		name  string
+		sent  []byte
+		cause string
+	}{
+		{"silent", nil, "idle_timeout"},
+		{"after a frame", put, "idle_timeout"},
+		{"mid-header", put[:5], "read_error"},
+		{"mid-payload", put[:wire.HeaderLen+8], "read_error"},
+	} {
+		counter := "teardown_" + tc.cause + "_total"
+		before := s.MetricsDump().Counters[counter]
+		nc := rawDial(t, addr.String())
+		if len(tc.sent) > 0 {
+			if _, err := nc.Write(tc.sent); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(tc.sent) == len(put) {
+			readResp(t, nc)
+		}
+		nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("%s: read %v, want EOF once the server closes", tc.name, err)
+		}
+		waitFor(t, tc.name+" teardown", func() bool { return s.MetricsDump().Counters[counter] == before+1 })
+	}
+	if got := s.MetricsDump().Counters["teardown_idle_timeout_total"]; got != 2 {
+		t.Errorf("teardown_idle_timeout_total = %d, want 2", got)
+	}
+	if got := s.MetricsDump().Counters["teardown_read_error_total"]; got != 2 {
+		t.Errorf("teardown_read_error_total = %d, want 2", got)
+	}
+}
+
 // TestShutdownDrains: responses to requests the server claimed before
 // the drain kick are flushed before the connection closes — the peer
 // sees a clean prefix of its pipelined burst, then EOF, and the

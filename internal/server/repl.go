@@ -51,10 +51,7 @@ package server
 // open ROADMAP item.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"slices"
 	"sync"
@@ -544,12 +541,8 @@ type replSender struct {
 	idx   int           // position among senders (metrics/trace stripe hint)
 	acked atomic.Uint64 // follower's applied position per its last ack
 
-	nc net.Conn // guarded by r.mu (close() severs a blocked sender)
-
-	// roundTrip's REPL_ACK scratch: a header array on the stack escapes
-	// through io.ReadFull, so both parts live here.
-	ackHdr [wire.HeaderLen]byte
-	ackBuf []byte
+	nc net.Conn         // guarded by r.mu (close() severs a blocked sender)
+	fr wire.FrameReader // REPL_ACK reader, Reset per connection
 }
 
 // replBatchMax caps entries per REPLICATE frame.
@@ -606,11 +599,11 @@ func (sd *replSender) run() {
 // follower's apply spans join the originating traces.
 func (sd *replSender) stream(nc net.Conn, kinds *[]byte, keys, vals, traces *[]uint64) {
 	r := sd.r
-	br := bufio.NewReaderSize(nc, 32<<10)
+	sd.fr.Reset(nc)
 	var out []byte
 	// Probe: a zero-entry REPLICATE whose ack tells us where to resume.
 	out = wire.AppendReplicate(out[:0], 1, 0, nil, nil, nil)
-	cursor, err := sd.roundTrip(nc, br, out)
+	cursor, err := sd.roundTrip(nc, out)
 	if err != nil {
 		return
 	}
@@ -648,7 +641,7 @@ func (sd *replSender) stream(nc net.Conn, kinds *[]byte, keys, vals, traces *[]u
 			out = wire.AppendReplicate(out[:0], 1, cursor+1, *kinds, *keys, *vals)
 		}
 		t0 := time.Now()
-		applied, err := sd.roundTrip(nc, br, out)
+		applied, err := sd.roundTrip(nc, out)
 		if err != nil {
 			return
 		}
@@ -661,29 +654,17 @@ func (sd *replSender) stream(nc net.Conn, kinds *[]byte, keys, vals, traces *[]u
 }
 
 // roundTrip writes one REPLICATE frame and reads its REPL_ACK.
-func (sd *replSender) roundTrip(nc net.Conn, br *bufio.Reader, frame []byte) (uint64, error) {
+func (sd *replSender) roundTrip(nc net.Conn, frame []byte) (uint64, error) {
 	nc.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	if _, err := nc.Write(frame); err != nil {
 		return 0, err
 	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	hdr := &sd.ackHdr
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	_, op, payload, err := sd.fr.Next()
+	if err != nil {
 		return 0, err
 	}
-	length := binary.LittleEndian.Uint32(hdr[:4])
-	if length < wire.HeaderLen-4 || length > wire.MaxFrame {
-		return 0, fmt.Errorf("bad repl ack frame length %d", length)
-	}
-	n := int(length) - (wire.HeaderLen - 4)
-	if cap(sd.ackBuf) < n {
-		sd.ackBuf = make([]byte, n)
-	}
-	payload := sd.ackBuf[:n]
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return 0, err
-	}
-	if op := hdr[12]; op != wire.RespReplAck {
+	if op != wire.RespReplAck {
 		if op == wire.RespError {
 			return 0, fmt.Errorf("follower rejected replication: %s", payload)
 		}

@@ -40,9 +40,7 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -427,7 +425,7 @@ type outBuf struct{ b []byte }
 type srvConn struct {
 	s         *Server
 	nc        net.Conn
-	br        *bufio.Reader
+	fr        *wire.FrameReader
 	remote    string // peer address, captured once for log lines
 	done      chan struct{}
 	drain     chan struct{}
@@ -459,15 +457,12 @@ type srvConn struct {
 	// error in between drops it — the ctx described a frame that never
 	// became a request).
 	pendingTrace uint64
-
-	payload []byte // reader's frame payload scratch
 }
 
 func (s *Server) newConn(nc net.Conn) *srvConn {
 	c := &srvConn{
 		s:       s,
 		nc:      nc,
-		br:      bufio.NewReaderSize(nc, 64<<10),
 		remote:  nc.RemoteAddr().String(),
 		done:    make(chan struct{}),
 		drain:   make(chan struct{}),
@@ -479,10 +474,21 @@ func (s *Server) newConn(nc net.Conn) *srvConn {
 		c.tokens = s.rateBurst
 		c.lastRefill = time.Now()
 	}
+	c.fr = wire.NewFrameReader(c)
 	for i := 0; i < reqSlots; i++ {
 		c.reqPool <- &request{c: c}
 	}
 	return c
+}
+
+// Read is the frame reader's source. Each socket read gets a fresh idle
+// deadline (Config.IdleTimeout), so a silent connection is reaped while
+// a frame arriving in pieces is bounded as progress, not idleness.
+func (c *srvConn) Read(p []byte) (int, error) {
+	if c.s.idleTimeout > 0 {
+		c.nc.SetReadDeadline(time.Now().Add(c.s.idleTimeout))
+	}
+	return c.nc.Read(p)
 }
 
 // rateLimited charges the request against the connection's token bucket
@@ -623,11 +629,11 @@ func (c *srvConn) sendErr(id uint64, msg string) {
 }
 
 // readFailCause classifies a failed read: EOF is the peer hanging up;
-// a deadline expiry is the idle reaper (only when the connection was
-// fully idle — a peer that stalls mid-frame is a read error) or the
+// a deadline expiry is the idle reaper (only when no partial frame is
+// buffered — a peer that stalls mid-frame is a read error) or the
 // drain kick (Shutdown sets an immediate deadline to unblock readers);
 // anything else is a transport error.
-func (c *srvConn) readFailCause(err error, sawBytes bool) int {
+func (c *srvConn) readFailCause(err error) int {
 	if err == io.EOF {
 		return causePeerClosed
 	}
@@ -636,7 +642,7 @@ func (c *srvConn) readFailCause(err error, sawBytes bool) int {
 		if c.s.draining.Load() {
 			return causeDrained
 		}
-		if !sawBytes && c.s.idleTimeout > 0 {
+		if c.fr.Buffered() == 0 && c.s.idleTimeout > 0 {
 			return causeIdleTimeout
 		}
 	}
@@ -653,41 +659,19 @@ func (c *srvConn) readFailCause(err error, sawBytes bool) int {
 func (c *srvConn) reader() {
 	defer c.shutdown()
 	m := &c.s.metrics
-	var hdr [wire.HeaderLen]byte
-	idleTO := c.s.idleTimeout
 	for {
 		if c.s.draining.Load() {
 			c.readCause = causeDrained
 			return
 		}
-		if idleTO > 0 {
-			c.nc.SetReadDeadline(time.Now().Add(idleTO))
-		}
-		if n, err := io.ReadFull(c.br, hdr[:]); err != nil {
-			c.readCause = c.readFailCause(err, n > 0)
-			return
-		}
-		if idleTO > 0 {
-			// Fresh deadline for the payload: the connection is live now,
-			// so the payload read is bounded as progress, not idleness.
-			c.nc.SetReadDeadline(time.Now().Add(idleTO))
-		}
-		length := binary.LittleEndian.Uint32(hdr[:4])
-		if length < wire.HeaderLen-4 || length > wire.MaxFrame {
-			id := binary.LittleEndian.Uint64(hdr[4:12])
-			c.sendErr(id, fmt.Sprintf("bad frame length %d (want 9..%d)", length, wire.MaxFrame))
+		id, op, payload, err := c.fr.Next()
+		if errors.Is(err, wire.ErrFrameLength) {
+			c.sendErr(id, err.Error())
 			c.readCause = causeFraming
 			return
 		}
-		id := binary.LittleEndian.Uint64(hdr[4:12])
-		op := hdr[12]
-		n := int(length) - (wire.HeaderLen - 4)
-		if cap(c.payload) < n {
-			c.payload = make([]byte, n)
-		}
-		c.payload = c.payload[:n]
-		if _, err := io.ReadFull(c.br, c.payload); err != nil {
-			c.readCause = c.readFailCause(err, true)
+		if err != nil {
+			c.readCause = c.readFailCause(err)
 			return
 		}
 		var req *request
@@ -697,7 +681,7 @@ func (c *srvConn) reader() {
 			return
 		}
 		c.inflight.Add(1)
-		if err := wire.DecodeRequest(id, op, c.payload, &req.Request); err != nil {
+		if err := wire.DecodeRequest(id, op, payload, &req.Request); err != nil {
 			m.decodeErrs.Inc(0)
 			c.pendingTrace = 0
 			c.sendErr(id, err.Error())
@@ -762,14 +746,15 @@ func validateKeys(r *wire.Request) string {
 
 func reservedKey(k uint64) bool { return k == 0 || k == ^uint64(0) }
 
-// writer flushes sealed response buffers, batching flushes while the
-// queue is non-empty (pipelined responses coalesce into one syscall).
-// On shutdown (the reader's exit) it drains what is already queued,
-// flushes, and performs the final teardown, so a framing-violation
-// error frame — or the tail of a pipelined burst — reaches the peer
-// before the socket closes.
+// writer sends sealed response buffers. A lone response goes out as
+// is; a burst (more queued behind it) is gathered into one write, cut
+// at 64 KB so a streamed scan cannot grow the scratch without bound.
+// On shutdown (the reader's exit) it drains what is already queued and
+// performs the final teardown, so a framing-violation error frame — or
+// the tail of a pipelined burst — reaches the peer before the socket
+// closes.
 func (c *srvConn) writer() {
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
+	var gather []byte
 	// Each socket write gets a fresh deadline: steady progress never
 	// trips it, a peer that stopped reading does, and the resulting
 	// write error tears the connection down (see Server.writeTimeout).
@@ -786,13 +771,26 @@ func (c *srvConn) writer() {
 		}
 		return causeWriteError
 	}
+	// write leaves nothing gathered once the queue is empty: only the
+	// writer dequeues, so a response gathered behind a non-empty queue is
+	// always followed by another write call.
 	write := func(ob *outBuf) bool {
+		b := ob.b
+		if len(gather) > 0 || len(c.writeq) > 0 {
+			gather = append(gather, b...)
+			if len(c.writeq) > 0 && len(gather) < 64<<10 {
+				c.putOut(ob)
+				return true
+			}
+			b, gather = gather, gather[:0]
+		}
 		deadline()
-		if _, err := bw.Write(ob.b); err != nil {
+		_, err := c.nc.Write(b)
+		c.putOut(ob)
+		if err != nil {
 			c.teardown(writeCause(err))
 			return false
 		}
-		c.putOut(ob)
 		return true
 	}
 	for {
@@ -800,13 +798,6 @@ func (c *srvConn) writer() {
 		case ob := <-c.writeq:
 			if !write(ob) {
 				return
-			}
-			if len(c.writeq) == 0 {
-				deadline()
-				if err := bw.Flush(); err != nil {
-					c.teardown(writeCause(err))
-					return
-				}
 			}
 		case <-c.drain:
 			for {
@@ -845,11 +836,6 @@ func (c *srvConn) writer() {
 						}
 						continue
 					default:
-					}
-					deadline()
-					if err := bw.Flush(); err != nil {
-						c.teardown(writeCause(err))
-						return
 					}
 					c.teardown(c.readCause)
 					return
