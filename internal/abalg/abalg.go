@@ -1,10 +1,11 @@
 // Package abalg is the paper's relaxed (a,b)-tree written once for every
-// node store, apart from the per-key operations: the structural updates
-// (splitting insert, fixTagged, fixUnderfull with its distribute and
-// merge, and the range-query history the replacement leaves inherit),
-// range scans and snapshot scans (scan.go), batched point operations
-// (batch.go) and the quiescent inspection walks (Validate, Scan, Stats,
-// ...).
+// node store: the per-key updates (ops.go: Insert, Delete and Upsert,
+// with publishing elimination's vocabulary in elim.go), the structural
+// updates (splitting insert, fixTagged, fixUnderfull with its distribute
+// and merge, and the range-query history the replacement leaves
+// inherit), range scans and snapshot scans (scan.go), batched point
+// operations (batch.go) and the quiescent inspection walks (Validate,
+// Scan, Stats, ...).
 //
 // The algorithms are generic over a node reference R — a *node on the Go
 // heap in internal/core, a uint64 arena offset in internal/pabtree — and
@@ -13,19 +14,23 @@
 // ones "with persistence additions"; the seam is where the additions
 // live: NewLeaf/NewInternal flush what they build, SetChild is an atomic
 // store or link-and-persist, Unlink also hands the slot to epoch
-// reclamation, Pause and AppendLeaf also observe an injected crash, and
-// ApplyRun writes a leaf with the store's flush discipline.
+// reclamation, Pause, AppendLeaf and LockLeaf also observe an injected
+// crash, and PutLocked/DeleteLocked write a leaf with the store's flush
+// discipline.
 //
 // The seam is coarse on purpose: one dynamic call per node visited, never
 // one per slot. A split runs once per ~8 inserts into a growing tree and
 // the fix-ups on under 1 % of steady-state operations, so the dispatch is
 // invisible there, whereas a per-slot accessor interface under the
 // per-operation descent measured 14-25 % slower (EXPERIMENTS.md, "One
-// rebalancer"). Scans and batches pay a few calls per node or leaf they
-// visit (Route, AppendLeaf, ApplyRun) against a leaf's
-// worth of slots each (EXPERIMENTS.md, "Scans and batches through the
-// seam"). The per-key paths — search, the leaf reads, the locked leaf
-// writes and elimination — stay concrete in each store's package.
+// rebalancer"). A per-key update pays three calls — LockLeaf (the whole
+// descent and pre-lock phase), one locked write and UnlockAll — and a
+// scan or batch a few per node or leaf it visits (Route, AppendLeaf, the
+// locked writes) against a leaf's worth of slots each (EXPERIMENTS.md,
+// "Scans and batches through the seam" and "Point operations through
+// the seam"). What stays concrete in each store is Find — the descent
+// and the double-collect leaf read, which have no loop to share — and
+// the leaf reads and writes behind the seam steps.
 package abalg
 
 import (
@@ -171,27 +176,32 @@ type Store[R comparable] interface {
 	Pause()
 	Scratch() *Scratch[R]
 
-	// The steps below serve the scan and batch engines (scan.go,
-	// batch.go), as AppendLeaf does: Route and ApplyRun are called once
-	// per node or leaf visited, Insert once per key that needs a split.
+	// The steps below serve the per-key updates (ops.go) and the scan
+	// and batch engines, as AppendLeaf does: one call per node or leaf
+	// visited, or per key written to a locked leaf.
 
 	// Route returns the child of the internal node n whose key range
 	// holds key, that child's key range [clo, chi) within n's range
 	// [lo, hi) — hi = 2^64-1 means unbounded above (no key is 2^64-1) —
 	// and whether the child is a leaf.
 	Route(n R, key, lo, hi uint64) (child R, clo, chi uint64, leaf bool)
-	// ApplyRun inserts <run[i].K, vals[run[i].Idx]> (insert) or deletes
-	// run[i].K into the locked leaf, in run order, one version window per
-	// key and with the per-key operation's semantics (an Elim store
-	// publishes each window's record), storing each result into res and
-	// ok at the key's input index. It returns how many keys it applied —
-	// stopping before the first insert that finds the leaf full, or
-	// before the first key if the leaf is unlinked (marked) — and the
-	// leaf's size.
-	ApplyRun(leaf R, insert bool, run []batchkit.Ent, vals, res []uint64, ok []bool) (applied, size int, marked bool)
-	// Insert is the store's per-key insert, which a batch falls back to
-	// for a key that needs a splitting insert.
-	Insert(key, val uint64) (old uint64, inserted bool)
+	// LockLeaf descends to key's leaf and runs op's pre-lock phase
+	// (searchLeaf, or the Elim tree's single scan and lockOrElim, §4.1,
+	// counting eliminated ops in ElimStats). It returns the leaf locked,
+	// or locked == false with op's result in val if op was decided
+	// without the lock: an OpInsert's key present (val is its value), an
+	// OpDelete's absent, or op eliminated (val is the record's value).
+	LockLeaf(key uint64, op OpKind) (leaf R, locked bool, val uint64)
+	// PutLocked inserts absent <key, val> into the locked leaf, or
+	// replaces a present key's value if replace is set, in one version
+	// window (which, on an Elim tree, publishes the slot record) with the
+	// store's flush discipline. old is key's previous value, inserted
+	// whether key was absent; full means it was absent and the leaf has
+	// no free slot, marked that the leaf is unlinked: nothing written.
+	PutLocked(leaf R, key, val uint64, replace bool) (old uint64, inserted, full, marked bool)
+	// DeleteLocked removes key from the locked leaf like PutLocked writes,
+	// returning its value, whether it was present and the leaf's size.
+	DeleteLocked(leaf R, key uint64) (val uint64, found bool, size int, marked bool)
 }
 
 // CheckKey panics on the two reserved keys.

@@ -27,9 +27,9 @@ package abalg
 // or fills up mid-run so a key needs the splitting insert — the run's
 // remainder is retried through the slow runner, an iterative loop that
 // re-descends per leaf through the Thread's cached scan path (scan.go)
-// and handles splits via the per-key insert. Leaves move rarely, so the
-// partition descent is the common case and the slow runner the churn
-// case.
+// and handles splits via the per-key Insert (ops.go). Leaves move
+// rarely, so the partition descent is the common case and the slow
+// runner the churn case.
 //
 // Results are scattered back through each staged key's input index, so
 // the caller sees input order. Equal keys apply in input order; distinct
@@ -178,15 +178,27 @@ func (b *batch[R]) find(leaf R, run []batchkit.Ent) bool {
 	return true
 }
 
-// applyLocked applies run's keys to the leaf under one lock acquisition.
-// It reports how many staged keys it applied and whether it stopped
-// because the leaf was marked (retry the whole run elsewhere); otherwise
-// fewer than len(run) means an insert found it full (run[applied] needs
-// the splitting insert). After unlocking it triggers the underfull
-// repair exactly like the per-key delete path.
+// applyLocked applies run's keys to the leaf under one lock acquisition,
+// through the per-key locked writes. It reports how many staged keys it
+// applied and whether it stopped because the leaf was marked (retry the
+// whole run elsewhere); otherwise fewer than len(run) means an insert
+// found it full (run[applied] needs the splitting insert). After
+// unlocking it triggers the underfull repair exactly like the per-key
+// delete path.
 func (b *batch[R]) applyLocked(leaf R, run []batchkit.Ent) (applied int, marked bool) {
 	b.s.Lock(leaf)
-	applied, size, marked := b.s.ApplyRun(leaf, b.op == bInsert, run, b.vals, b.res, b.ok)
+	size := 0
+	for ; applied < len(run); applied++ {
+		e, full := run[applied], false
+		if b.op == bInsert {
+			b.res[e.Idx], b.ok[e.Idx], full, marked = b.s.PutLocked(leaf, e.K, b.vals[e.Idx], false)
+		} else {
+			b.res[e.Idx], b.ok[e.Idx], size, marked = b.s.DeleteLocked(leaf, e.K)
+		}
+		if full || marked {
+			break
+		}
+	}
 	b.s.UnlockAll()
 	if !marked && b.op == bDelete && size < b.a {
 		FixUnderfull(b.s, leaf)
@@ -219,7 +231,7 @@ func (b *batch[R]) runSlow(ents []batchkit.Ent) {
 		}
 		if i < j {
 			e := ents[i]
-			b.res[e.Idx], b.ok[e.Idx] = b.s.Insert(e.K, b.vals[e.Idx])
+			b.res[e.Idx], b.ok[e.Idx] = Insert(b.s, e.K, b.vals[e.Idx])
 			i++
 			b.sc.ResetPath() // the split restructured this neighborhood
 		}

@@ -37,6 +37,8 @@ type tree struct {
 	thread   func() handle
 	validate func() error
 	len      func() int
+	keySum   func() uint64
+	scan     func(fn func(k, v uint64))
 	rqStats  func() (scans, versions uint64)
 	// longestChain walks the quiescent tree through the seam and returns
 	// the longest version chain hanging off a reachable leaf.
@@ -62,6 +64,8 @@ func volatile(opts ...core.Option) func(a, b, slots int) tree {
 			thread:       func() handle { return tr.NewThread() },
 			validate:     tr.Validate,
 			len:          tr.Len,
+			keySum:       tr.KeySum,
+			scan:         tr.Scan,
 			rqStats:      tr.RQStats,
 			longestChain: func() int { return longestChain(tr.NewThread()) },
 		}
@@ -80,6 +84,8 @@ func durable(opts ...pabtree.Option) func(a, b, slots int) tree {
 				return tr.ValidatePersisted()
 			},
 			len:          tr.Len,
+			keySum:       tr.KeySum,
+			scan:         tr.Scan,
 			rqStats:      tr.RQStats,
 			longestChain: func() int { return longestChain(tr.NewThread()) },
 		}

@@ -3,8 +3,8 @@ package core
 // Batched point operations (dict.Batcher). The partition descent, the
 // per-leaf runs and the slow runner are internal/abalg's (batch.go),
 // written once for this store and internal/pabtree's; each leaf's run
-// reaches this package through AppendLeaf (finds) and ApplyRun (updates,
-// through the per-key locked writes), in seam.go.
+// reaches this package through AppendLeaf (finds, seam.go) and the
+// per-key locked writes PutLocked and DeleteLocked (updates, ops.go).
 
 import "repro/internal/abalg"
 

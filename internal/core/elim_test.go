@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/abalg"
 )
 
 // openPublishingWindow performs the first half of a publishing update of
@@ -10,7 +12,7 @@ import (
 // version window (ver odd). The returned finish performs the second half
 // — writes the slot (insert, replace) or leaves it as the tombstone
 // (delete), stores the slot record, closes the window — and unlocks.
-func openPublishingWindow(tr *Tree, pub *Thread, key, val uint64, k RecKind) (finish func()) {
+func openPublishingWindow(tr *Tree, pub *Thread, key, val uint64, k abalg.RecKind) (finish func()) {
 	n := tr.search(key, nil).N
 	pub.Lock(n)
 	l := n.leaf()
@@ -18,14 +20,14 @@ func openPublishingWindow(tr *Tree, pub *Thread, key, val uint64, k RecKind) (fi
 	s := tr.openWindow(l)
 	return func() {
 		switch k {
-		case RecInsert:
+		case abalg.RecInsert:
 			at = empty
 			l.vals[at].Store(val)
 			l.keys[at].Store(key)
 			s++
-		case RecDelete:
+		case abalg.RecDelete:
 			s--
-		case RecReplace:
+		case abalg.RecReplace:
 			l.vals[at].Store(val)
 		}
 		tr.closeWindow(l, s, at, k)
@@ -45,7 +47,7 @@ func TestPublishingEliminationDeterministic(t *testing.T) {
 
 	// The publisher: manually perform the first half of insert(7, 42).
 	pub := tr.NewThread()
-	finish := openPublishingWindow(tr, pub, 7, 42, RecInsert)
+	finish := openPublishingWindow(tr, pub, 7, 42, abalg.RecInsert)
 
 	// Concurrent operations on key 7 start inside the window. Both will
 	// spin in lockOrElim until the publisher's second increment, then

@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
+
+	"repro/internal/abalg"
 )
 
 // TestMain turns the downcast kind checks on for the whole test binary,
@@ -54,42 +56,42 @@ func TestNodeLayout(t *testing.T) {
 	t.Logf("header %d B, inner %d B, leaf %d B",
 		unsafe.Sizeof(node{}), unsafe.Sizeof(inner{}), unsafe.Sizeof(leaf{}))
 	for i := 0; i < maxCap; i++ {
-		for _, k := range []RecKind{RecInsert, RecDelete, RecReplace} {
-			w := PackRec(i, k)
-			if w&^RecMask != 0 {
-				t.Errorf("PackRec(%d, %d) = %#x spills outside RecMask %#x", i, k, w, RecMask)
+		for _, k := range []abalg.RecKind{abalg.RecInsert, abalg.RecDelete, abalg.RecReplace} {
+			w := abalg.PackRec(i, k)
+			if w&^abalg.RecMask != 0 {
+				t.Errorf("abalg.PackRec(%d, %d) = %#x spills outside abalg.RecMask %#x", i, k, w, abalg.RecMask)
 			}
-			if gi, gk := UnpackRec(w | SizeMask | markedBit); gi != i || gk != k {
-				t.Errorf("UnpackRec(PackRec(%d, %d)) = (%d, %d)", i, k, gi, gk)
+			if gi, gk := abalg.UnpackRec(w | abalg.SizeMask | markedBit); gi != i || gk != k {
+				t.Errorf("abalg.UnpackRec(abalg.PackRec(%d, %d)) = (%d, %d)", i, k, gi, gk)
 			}
 		}
 	}
-	if i, _ := UnpackRec(SizeMask | markedBit); i >= 0 {
+	if i, _ := abalg.UnpackRec(abalg.SizeMask | markedBit); i >= 0 {
 		t.Errorf("a state word with no record decodes to slot %d", i)
 	}
 
 	tr := New(WithElimination())
 	th := tr.NewThread()
 	l := tr.root().leaf()
-	rec := func() ElimRecord {
+	rec := func() abalg.ElimRecord {
 		spins := 0
 		return l.record(&spins)
 	}
 	steps := []struct {
 		name string
 		op   func()
-		want ElimRecord
+		want abalg.ElimRecord
 	}{
-		{"fresh leaf", func() {}, ElimRecord{}},
-		{"insert", func() { th.Insert(1, 2) }, ElimRecord{Key: 1, Val: 2, Kind: RecInsert, Ver: 1}},
-		{"replace", func() { th.Upsert(1, 3) }, ElimRecord{Key: 1, Val: 3, Kind: RecReplace, Ver: 3}},
-		{"delete", func() { th.Delete(1) }, ElimRecord{Key: 1, Val: 3, Kind: RecDelete, Ver: 5}},
-		{"insert after delete", func() { th.Insert(9, 8) }, ElimRecord{Key: 9, Val: 8, Kind: RecInsert, Ver: 7}},
+		{"fresh leaf", func() {}, abalg.ElimRecord{}},
+		{"insert", func() { th.Insert(1, 2) }, abalg.ElimRecord{Key: 1, Val: 2, Kind: abalg.RecInsert, Ver: 1}},
+		{"replace", func() { th.Upsert(1, 3) }, abalg.ElimRecord{Key: 1, Val: 3, Kind: abalg.RecReplace, Ver: 3}},
+		{"delete", func() { th.Delete(1) }, abalg.ElimRecord{Key: 1, Val: 3, Kind: abalg.RecDelete, Ver: 5}},
+		{"insert after delete", func() { th.Insert(9, 8) }, abalg.ElimRecord{Key: 9, Val: 8, Kind: abalg.RecInsert, Ver: 7}},
 		{"split", func() {
 			for k := uint64(10); k < uint64(10+maxCap); k++ {
 				th.Insert(k, k)
 			}
-		}, ElimRecord{}},
+		}, abalg.ElimRecord{}},
 	}
 	for _, s := range steps {
 		s.op()

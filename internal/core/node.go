@@ -14,14 +14,15 @@
 // option): the paper describes the Elim-ABtree as "a modified version of the
 // OCC-ABtree".
 //
-// This package is the Go-heap node store and the per-key half of the
-// algorithm: the node layouts, search, the leaf reads and locked leaf
-// writes, and elimination. The rest — splitting inserts, fixTagged,
-// fixUnderfull, range and snapshot scans, batched operations, Validate
-// and the other inspection walks — is internal/abalg, written once for
-// this store and for internal/pabtree's arena; it reaches the nodes
-// through the abalg.Store seam that *Thread implements (seam.go), one
-// call per node or leaf it visits.
+// This package is the Go-heap node store: the node layouts, search,
+// Find, and the leaf reads and locked leaf writes (with elimination's
+// lockOrElim and slot record) behind the store's seam steps. The
+// algorithm itself — Insert, Delete and Upsert, splitting inserts,
+// fixTagged, fixUnderfull, range and snapshot scans, batched operations,
+// Validate and the other inspection walks — is internal/abalg, written
+// once for this store and for internal/pabtree's arena; it reaches the
+// nodes through the abalg.Store seam that *Thread implements (seam.go,
+// ops.go), one call per node or leaf it visits.
 //
 // Keys and values are uint64. Key 0 is reserved as the paper's ⊥ (the
 // empty-slot sentinel in leaf key arrays).
@@ -53,24 +54,6 @@ const (
 	// emptyKey is ⊥: an empty slot in a leaf's keys array.
 	emptyKey = 0
 )
-
-// ElimRecord summarises the last simple insert, successful delete or
-// replace that modified a leaf (paper §4.1). It is the decoded form of an
-// Elim-ABtree leaf's slot record (record, below), which costs the leaf no
-// bytes; Ver == 0 means the leaf carries no record.
-type ElimRecord struct {
-	Key uint64
-	Val uint64
-	// Kind says which operation published the record (insert, delete or
-	// replace); eliminating operations consult the §7 compatibility
-	// matrix in upsert.go.
-	Kind RecKind
-	// Ver is the (odd) version the publishing operation installed with its
-	// first version increment. An operation O' whose start version is
-	// <= Ver was in progress when the publisher linearized, so O' may
-	// eliminate itself against this record.
-	Ver uint64
-}
 
 // node is the header every tree node starts with, and the type of every
 // tree pointer. A node is never allocated on its own: it is the first
@@ -181,56 +164,29 @@ func (n *node) inner() *inner {
 func (n *node) isLeaf() bool { return n.kind == abalg.LeafKind }
 func (n *node) tagged() bool { return n.kind == abalg.TaggedKind }
 
-// The state word:
+// The state word is a leaf's size word (abalg.SizeMask, abalg.RecMask:
+// its key count and, on an Elim-ABtree, its slot record) with the marked
+// bit on top:
 //
 //	bits 0-3   a leaf's number of non-empty keys (SizeMask)
 //	bits 4-9   a leaf's slot record (RecMask; Elim-ABtree only)
 //	bit  31    marked
 //
-// The slot record is the paper's ElimRecord at zero bytes: the slot the
-// leaf's latest publishing update wrote, plus one (0: none), and that
-// update's RecKind. The record's key and value are the slot's pair, read
-// between two equal even ver loads; its Ver is that even version minus
-// one. The implied Ver is exact because every version window on an
-// unmarked leaf publishes (putLocked, deleteLocked, the replacing Upsert)
-// and every window that does not publish — a structural replacement in
-// internal/abalg — also marks the leaf, and a marked leaf's record is
-// never served (record).
-//
-// A publishing delete cannot clear the slot its record names, so it
-// leaves its pair in place as a tombstone, already excluded from size:
-// every reader of an Elim-ABtree leaf skips the slot a RecDelete record
-// names (tombstone), marked leaves included, whose frozen contents
-// lock-free readers may still reach. The leaf's next version window
-// writes ⊥ into the tombstone before it publishes (openWindow).
-const (
-	SizeMask  = 1<<recShift - 1
-	RecMask   = 1<<(recShift+6) - 1 - SizeMask
-	markedBit = 1 << 31
-
-	recShift = 4
-)
-
-// A leaf's size must fit below the slot record.
-const _ uint = SizeMask - maxCap
-
-// PackRec returns the slot record of an update of kind k that wrote slot
-// i. internal/pabtree keeps the same record in its leaf size word.
-func PackRec(i int, k RecKind) uint32 {
-	return uint32(i+1)<<recShift | uint32(k)<<(recShift+4)
-}
-
-// UnpackRec decodes the slot record in a state word; i < 0 means none.
-func UnpackRec(w uint32) (i int, k RecKind) {
-	return int(w>>recShift&0xf) - 1, RecKind(w >> (recShift + 4) & 3)
-}
+// Here the record's key and value are the slot's pair. A publishing
+// delete cannot clear the slot its record names, so it leaves its pair
+// in place as a tombstone, already excluded from size: every reader of
+// an Elim-ABtree leaf skips the slot a RecDelete record names
+// (tombstone), marked leaves included, whose frozen contents lock-free
+// readers may still reach. The leaf's next version window writes ⊥ into
+// the tombstone before it publishes (openWindow).
+const markedBit = 1 << 31
 
 // tombstone returns the slot a publishing delete left its pair in, or -1.
 func tombstone(w uint32) int {
-	if w&RecMask>>(recShift+4) != uint32(RecDelete) {
-		return -1
+	if i, k := abalg.UnpackRec(w); k == abalg.RecDelete {
+		return i
 	}
-	return int(w>>recShift&0xf) - 1
+	return -1
 }
 
 func (n *node) isMarked() bool { return n.state.Load()&markedBit != 0 }
@@ -240,7 +196,7 @@ func (n *node) isMarked() bool { return n.state.Load()&markedBit != 0 }
 func (n *node) mark() { n.state.Store(n.state.Load() | markedBit) }
 
 // size returns a leaf's number of non-empty keys.
-func (n *node) size() int { return int(n.state.Load() & SizeMask) }
+func (n *node) size() int { return int(n.state.Load() & abalg.SizeMask) }
 
 // routingKeys returns the number of routing keys in an internal node.
 func (n *node) routingKeys() int { return int(n.nchildren) - 1 }
@@ -257,14 +213,14 @@ func (t *Tree) tomb(l *leaf) int {
 
 // record waits for the leaf to be quiescent and returns its elimination
 // record as of that moment (Ver == 0: none, or the leaf is marked).
-func (l *leaf) record(spins *int) ElimRecord {
+func (l *leaf) record(spins *int) abalg.ElimRecord {
 	for {
 		v1 := l.ver.Load()
 		if v1&1 == 0 {
-			var r ElimRecord
+			var r abalg.ElimRecord
 			s := l.state.Load()
-			if i, k := UnpackRec(s); i >= 0 && s&markedBit == 0 {
-				r = ElimRecord{Key: l.keys[i].Load(), Val: l.vals[i].Load(), Kind: k, Ver: v1 - 1}
+			if i, k := abalg.UnpackRec(s); i >= 0 && s&markedBit == 0 {
+				r = abalg.ElimRecord{Key: l.keys[i].Load(), Val: l.vals[i].Load(), Kind: k, Ver: v1 - 1}
 			}
 			if l.ver.Load() == v1 {
 				return r

@@ -1,5 +1,9 @@
 package core
 
+// The per-key operations: wrappers of internal/abalg's Insert, Delete
+// and Upsert, the three locked-leaf steps they call (contracts in
+// abalg.Store), and Find, a descent and a double collect.
+
 import "repro/internal/abalg"
 
 // Find returns the value associated with key, if present (paper §3.2).
@@ -13,61 +17,113 @@ func (th *Thread) Find(key uint64) (uint64, bool) {
 // Insert inserts <key, val> if key is absent and returns (0, true).
 // If key is present, the tree is unchanged and Insert returns the existing
 // value and false (the paper's insert semantics, §3).
-func (th *Thread) Insert(key, val uint64) (uint64, bool) {
-	abalg.CheckKey(key)
+func (th *Thread) Insert(key, val uint64) (uint64, bool) { return abalg.Insert(th, key, val) }
+
+// Delete removes key if present, returning its value and true; otherwise
+// it returns (0, false) and leaves the tree unchanged (paper §3.2).
+func (th *Thread) Delete(key uint64) (uint64, bool) { return abalg.Delete(th, key) }
+
+// Upsert sets key's value to val, inserting the key if absent: the
+// paper's §7 replace-style insert (abalg/elim.go).
+func (th *Thread) Upsert(key, val uint64) { abalg.Upsert(th, key, val) }
+
+// LockLeaf runs the pre-lock read phase on key's leaf. The OCC-ABtree
+// retries leafSearch until it has a consistent snapshot; the Elim-ABtree
+// scans once and, on interference, goes straight to lockOrElim (§4.1).
+// An upsert decides nothing before the lock.
+func (th *Thread) LockLeaf(key uint64, op abalg.OpKind) (*node, bool, uint64) {
 	t := th.t
-	for {
-		path := t.search(key, nil)
-		leaf := path.N
-
-		// Pre-lock read phase. The OCC-ABtree retries leafSearch until it
-		// has a consistent snapshot; the Elim-ABtree scans once and, on
-		// interference, goes straight to lockOrElim (§4.1).
+	n := t.search(key, nil).N
+	if op != abalg.OpUpsert {
+		var v uint64
+		found, consistent := false, true
 		if t.elim {
-			v, found, consistent := t.leafScanOnce(leaf, key)
-			if consistent && found {
-				return v, false
-			}
-			acquired, ev := th.lockOrElimKind(leaf, key, OpInsert)
-			if !acquired {
-				// Eliminated: linearized immediately after the record's
-				// operation; key is (momentarily) present with rec.Val.
-				t.elimInserts.Add(1)
-				return ev, false
-			}
+			v, found, consistent = t.leafScanOnce(n, key)
 		} else {
-			if v, found := t.leafSearch(leaf, key); found {
-				return v, false
-			}
-			th.Lock(leaf)
+			v, found = t.leafSearch(n, key)
 		}
-
-		if leaf.isMarked() {
-			th.UnlockAll()
-			continue
+		if consistent && found == (op == abalg.OpInsert) {
+			return n, false, v
 		}
-
-		if done, old, inserted := t.insertLocked(leaf, key, val); done {
-			th.UnlockAll()
-			return old, inserted
-		}
-
-		// Splitting insert: no empty slot; replace the leaf with a tagged
-		// node over two half leaves (linearizes at the parent's pointer
-		// write). Lock the parent too (bottom-to-top order).
-		parent := path.P
-		th.Lock(parent)
-		if parent.isMarked() {
-			th.UnlockAll()
-			continue
-		}
-		taggedNode := abalg.SplitInsert(th, leaf, parent, path.NIdx, key, val)
-		th.UnlockAll()
-		if taggedNode != nil {
-			abalg.FixTagged(th, taggedNode)
-		}
-		return 0, true
 	}
+	if !t.elim {
+		th.Lock(n)
+		return n, true, 0
+	}
+	if acquired, v := th.lockOrElim(n, key, op); !acquired {
+		t.elims[op].Add(1)
+		return n, false, v
+	}
+	return n, true, 0
+}
+
+// lockOrElim spins until it either holds the leaf's lock or finds a
+// record published after op started that op may eliminate against
+// (abalg.CanEliminate); it then returns false and the record's value.
+func (th *Thread) lockOrElim(n *node, key uint64, op abalg.OpKind) (acquired bool, val uint64) {
+	leaf := n.leaf()
+	startVer := leaf.ver.Load()
+	spins := 0
+	for {
+		rec := leaf.record(&spins)
+		if startVer <= rec.Ver && rec.Key == key && abalg.CanEliminate(op, rec.Kind) {
+			return false, rec.Val
+		}
+		if th.tryLockNode(n) {
+			return true, 0
+		}
+		abalg.SpinPause(&spins)
+	}
+}
+
+// PutLocked writes inside one version window (openWindow, closeWindow),
+// which on an Elim-ABtree publishes the slot record — an insert record
+// for an upsert of an absent key, which was absent before it. A simple
+// insert linearizes at the second version increment.
+func (th *Thread) PutLocked(n *node, key, val uint64, replace bool) (old uint64, inserted, full, marked bool) {
+	if n.isMarked() {
+		return 0, false, false, true
+	}
+	t, l := th.t, n.leaf()
+	at, empty := t.findSlot(l, key)
+	switch {
+	case at >= 0:
+		old = l.vals[at].Load()
+		if replace {
+			s := t.openWindow(l)
+			l.vals[at].Store(val)
+			t.closeWindow(l, s, at, abalg.RecReplace)
+		}
+		return old, false, false, false
+	case empty < 0:
+		return 0, false, true, false
+	}
+	s := t.openWindow(l)
+	l.vals[empty].Store(val)
+	l.keys[empty].Store(key)
+	t.closeWindow(l, s+1, empty, abalg.RecInsert)
+	return 0, true, false, false
+}
+
+// DeleteLocked clears the key's slot or, on an Elim-ABtree, publishes the
+// delete record, which leaves the pair in place as the leaf's tombstone
+// (delete logically now, physically at the leaf's next window).
+func (th *Thread) DeleteLocked(n *node, key uint64) (val uint64, found bool, size int, marked bool) {
+	if n.isMarked() {
+		return 0, false, 0, true
+	}
+	t, l := th.t, n.leaf()
+	idx := t.slotOf(l, key)
+	if idx < 0 {
+		return 0, false, n.size(), false
+	}
+	val = l.vals[idx].Load()
+	s := t.openWindow(l) - 1
+	if !t.elim {
+		l.keys[idx].Store(emptyKey)
+	}
+	t.closeWindow(l, s, idx, abalg.RecDelete)
+	return val, true, int(s & abalg.SizeMask), false
 }
 
 // findSlot scans the locked leaf l for key. at is key's slot, or -1 if
@@ -89,33 +145,6 @@ func (t *Tree) findSlot(l *leaf, key uint64) (at, empty int) {
 	return -1, empty
 }
 
-// insertLocked performs the locked phase of a simple insert: the caller
-// holds the leaf's lock. done is false when the leaf is full (splitting
-// insert required).
-func (t *Tree) insertLocked(n *node, key, val uint64) (done bool, old uint64, inserted bool) {
-	leaf := n.leaf()
-	at, empty := t.findSlot(leaf, key)
-	if at >= 0 {
-		return true, leaf.vals[at].Load(), false
-	}
-	if empty < 0 {
-		return false, 0, false // full: splitting insert
-	}
-	t.putLocked(n, empty, key, val)
-	return true, 0, true
-}
-
-// putLocked writes <key, val> into the empty slot i of the locked leaf n
-// and publishes the insert record, inside one version window. A simple
-// insert linearizes at the second version increment.
-func (t *Tree) putLocked(n *node, i int, key, val uint64) {
-	leaf := n.leaf()
-	s := t.openWindow(leaf)
-	leaf.vals[i].Store(val)
-	leaf.keys[i].Store(key)
-	t.closeWindow(leaf, s+1, i, RecInsert)
-}
-
 // openWindow opens the locked leaf's version window for an in-place
 // update (version now odd: modification in progress), preserves its
 // pre-write state for range queries, clears the tombstone of the leaf's
@@ -133,76 +162,10 @@ func (t *Tree) openWindow(l *leaf) (state uint32) {
 // closeWindow stores the locked leaf's new state — the size in state and,
 // on an Elim-ABtree, the slot record of the update of kind k that wrote
 // slot i — and closes the version window the update linearizes at.
-func (t *Tree) closeWindow(l *leaf, state uint32, i int, k RecKind) {
+func (t *Tree) closeWindow(l *leaf, state uint32, i int, k abalg.RecKind) {
 	if t.elim {
-		state = state&^RecMask | PackRec(i, k)
+		state = state&^abalg.RecMask | abalg.PackRec(i, k)
 	}
 	l.state.Store(state)
 	l.ver.Add(1)
-}
-
-// Delete removes key if present, returning its value and true; otherwise
-// it returns (0, false) and leaves the tree unchanged (paper §3.2).
-func (th *Thread) Delete(key uint64) (uint64, bool) {
-	abalg.CheckKey(key)
-	t := th.t
-	for {
-		leaf := t.search(key, nil).N
-
-		if t.elim {
-			_, found, consistent := t.leafScanOnce(leaf, key)
-			if consistent && !found {
-				return 0, false
-			}
-			acquired, _ := th.lockOrElimKind(leaf, key, OpDelete)
-			if !acquired {
-				// Eliminated deletes always return ⊥ (§4.1): linearized
-				// just before the record's insert, or just after the
-				// record's delete — either way the key is absent.
-				t.elimDeletes.Add(1)
-				return 0, false
-			}
-		} else {
-			if _, found := t.leafSearch(leaf, key); !found {
-				return 0, false
-			}
-			th.Lock(leaf)
-		}
-
-		if leaf.isMarked() {
-			th.UnlockAll()
-			continue
-		}
-
-		val, found, newSize := t.deleteLocked(leaf, key)
-		th.UnlockAll()
-		if !found {
-			// Removed by a concurrent delete between search and lock.
-			return 0, false
-		}
-		if newSize < t.a {
-			abalg.FixUnderfull(th, leaf)
-		}
-		return val, true
-	}
-}
-
-// deleteLocked performs the locked phase of a delete inside one version
-// window: clear the key's slot or, on an Elim-ABtree, publish the delete
-// record, which leaves the pair in place as the leaf's tombstone (delete
-// logically now, physically at the leaf's next window). The caller holds
-// the leaf's lock.
-func (t *Tree) deleteLocked(n *node, key uint64) (val uint64, found bool, newSize int) {
-	leaf := n.leaf()
-	idx := t.slotOf(leaf, key)
-	if idx < 0 {
-		return 0, false, leaf.size()
-	}
-	val = leaf.vals[idx].Load()
-	s := t.openWindow(leaf) - 1
-	if !t.elim {
-		leaf.keys[idx].Store(emptyKey)
-	}
-	t.closeWindow(leaf, s, idx, RecDelete)
-	return val, true, int(s & SizeMask)
 }

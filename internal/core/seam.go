@@ -4,14 +4,14 @@ import (
 	"runtime"
 
 	"repro/internal/abalg"
-	"repro/internal/batchkit"
 	"repro/internal/rq"
 )
 
 // The abalg.Store seam over Go-heap nodes (see the interface for each
 // method's contract). Here a node reference is a *node, publication is
 // an atomic pointer store, and unlinked nodes are left to the garbage
-// collector. Lock and UnlockAll are in thread.go, Insert in ops.go.
+// collector. Lock and UnlockAll are in thread.go; LockLeaf, PutLocked and
+// DeleteLocked, the per-key locked-leaf steps, in ops.go.
 
 func (th *Thread) Degree() (a, b int)               { return th.t.a, th.t.b }
 func (th *Thread) Entry() *node                     { return th.t.entry }
@@ -78,25 +78,4 @@ func (th *Thread) Route(n *node, key, lo, hi uint64) (*node, uint64, uint64, boo
 	}
 	c := n.inner().ptrs[i].Load()
 	return c, lo, hi, c.isLeaf()
-}
-
-// ApplyRun writes through insertLocked and deleteLocked, whose version
-// windows publish the Elim-ABtree's slot record.
-func (th *Thread) ApplyRun(n *node, insert bool, run []batchkit.Ent, vals, res []uint64, ok []bool) (int, int, bool) {
-	if n.isMarked() {
-		return 0, 0, true
-	}
-	t := th.t
-	for i, e := range run {
-		if !insert {
-			res[e.Idx], ok[e.Idx], _ = t.deleteLocked(n, e.K)
-			continue
-		}
-		done, old, inserted := t.insertLocked(n, e.K, vals[e.Idx])
-		if !done {
-			return i, n.size(), false
-		}
-		res[e.Idx], ok[e.Idx] = old, inserted
-	}
-	return len(run), n.size(), false
 }

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/abalg"
+)
 
 // TestTombstoneNeverResurrects: an Elim-ABtree's publishing delete leaves
 // its pair in the leaf as the tombstone (node.go). With no later write to
@@ -36,7 +40,7 @@ func TestTombstoneNeverResurrects(t *testing.T) {
 					t.Error("leafScanOnce found the deleted key in the frozen (marked) leaf")
 				}
 				spins := 0
-				if r := tt.leaf.record(&spins); r != (ElimRecord{}) {
+				if r := tt.leaf.record(&spins); r != (abalg.ElimRecord{}) {
 					t.Errorf("a marked leaf serves the record %+v", r)
 				}
 			}

@@ -21,12 +21,11 @@ type Tree struct {
 	a, b int  // min/max node size
 	elim bool // publishing elimination enabled (Elim-ABtree)
 
-	// Elimination counters (Elim-ABtree only): operations that returned
-	// via publishing elimination instead of modifying the tree. They
-	// expose the mechanism directly, independent of core count.
-	elimInserts atomic.Uint64
-	elimDeletes atomic.Uint64
-	elimUpserts atomic.Uint64
+	// Elimination counters (Elim-ABtree only), by abalg.OpKind:
+	// operations that returned via publishing elimination instead of
+	// modifying the tree. They expose the mechanism directly, independent
+	// of core count.
+	elims [3]atomic.Uint64
 
 	// rqp coordinates linearizable range queries (rqsnap.go): the scan
 	// timestamp clock (private by default, shared under WithRQClock),
@@ -38,7 +37,7 @@ type Tree struct {
 // ElimStats reports how many inserts, deletes and upserts were eliminated
 // against a published record rather than executed against the tree.
 func (t *Tree) ElimStats() (inserts, deletes, upserts uint64) {
-	return t.elimInserts.Load(), t.elimDeletes.Load(), t.elimUpserts.Load()
+	return t.elims[abalg.OpInsert].Load(), t.elims[abalg.OpDelete].Load(), t.elims[abalg.OpUpsert].Load()
 }
 
 // Option configures a Tree.

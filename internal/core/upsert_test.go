@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/abalg"
 	"repro/internal/xrand"
 )
 
@@ -94,25 +95,25 @@ func TestUpsertFullLeafSplits(t *testing.T) {
 // record is the one under test.
 func TestUpsertEliminationMatrix(t *testing.T) {
 	matrix := []struct {
-		recKind RecKind
-		op      OpKind
+		recKind abalg.RecKind
+		op      abalg.OpKind
 		want    bool
 	}{
-		{RecInsert, OpInsert, true},
-		{RecInsert, OpDelete, true},
-		{RecInsert, OpUpsert, false},
-		{RecDelete, OpInsert, true},
-		{RecDelete, OpDelete, true},
-		{RecDelete, OpUpsert, false},
-		{RecReplace, OpInsert, true},
-		{RecReplace, OpDelete, false},
-		{RecReplace, OpUpsert, true},
+		{abalg.RecInsert, abalg.OpInsert, true},
+		{abalg.RecInsert, abalg.OpDelete, true},
+		{abalg.RecInsert, abalg.OpUpsert, false},
+		{abalg.RecDelete, abalg.OpInsert, true},
+		{abalg.RecDelete, abalg.OpDelete, true},
+		{abalg.RecDelete, abalg.OpUpsert, false},
+		{abalg.RecReplace, abalg.OpInsert, true},
+		{abalg.RecReplace, abalg.OpDelete, false},
+		{abalg.RecReplace, abalg.OpUpsert, true},
 	}
 	for _, tc := range matrix {
 		tr := New(WithElimination())
 		pub := tr.NewThread()
 		// For delete/replace records the key must be present beforehand.
-		if tc.recKind != RecInsert {
+		if tc.recKind != abalg.RecInsert {
 			pub.Insert(7, 1)
 		}
 		finish := openPublishingWindow(tr, pub, 7, 42, tc.recKind)
@@ -122,11 +123,11 @@ func TestUpsertEliminationMatrix(t *testing.T) {
 			defer close(done)
 			th := tr.NewThread()
 			switch tc.op {
-			case OpInsert:
+			case abalg.OpInsert:
 				th.Insert(7, 100)
-			case OpDelete:
+			case abalg.OpDelete:
 				th.Delete(7)
-			case OpUpsert:
+			case abalg.OpUpsert:
 				th.Upsert(7, 200)
 			}
 		}()

@@ -7,11 +7,11 @@ package pabtree
 //
 //   - node offsets are only meaningful inside an epoch critical section,
 //     so each batched call brackets itself with one and resets the cached
-//     scan path the slow runner uses (scanEnter); the per-key splitting
-//     insert the slow runner falls back to nests its own section inside;
-//   - every mutation goes through leafInsertLocked/leafDeleteLocked
-//     (ApplyRun), so the batched path has exactly the per-key flush
-//     discipline and durability points.
+//     scan path the slow runner uses (scanEnter); the splitting insert
+//     the slow runner falls back to (abalg.Insert) runs inside it;
+//   - every mutation goes through PutLocked/DeleteLocked, so the batched
+//     path has exactly the per-key flush discipline and durability
+//     points.
 
 import "repro/internal/abalg"
 

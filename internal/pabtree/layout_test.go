@@ -11,7 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/core"
+	"repro/internal/abalg"
 	"repro/internal/pmem"
 )
 
@@ -57,18 +57,18 @@ func TestSlotRecord(t *testing.T) {
 	steps := []struct {
 		name string
 		op   func()
-		want core.ElimRecord
+		want abalg.ElimRecord
 	}{
-		{"fresh leaf", func() {}, core.ElimRecord{}},
-		{"insert", func() { th.Insert(1, 2) }, core.ElimRecord{Key: 1, Val: 2, Kind: core.RecInsert, Ver: 1}},
-		{"replace", func() { th.Upsert(1, 3) }, core.ElimRecord{Key: 1, Val: 3, Kind: core.RecReplace, Ver: 3}},
-		{"delete", func() { th.Delete(1) }, core.ElimRecord{Key: 1, Val: 3, Kind: core.RecDelete, Ver: 5}},
-		{"insert after delete", func() { th.Insert(9, 8) }, core.ElimRecord{Key: 9, Val: 8, Kind: core.RecInsert, Ver: 7}},
+		{"fresh leaf", func() {}, abalg.ElimRecord{}},
+		{"insert", func() { th.Insert(1, 2) }, abalg.ElimRecord{Key: 1, Val: 2, Kind: abalg.RecInsert, Ver: 1}},
+		{"replace", func() { th.Upsert(1, 3) }, abalg.ElimRecord{Key: 1, Val: 3, Kind: abalg.RecReplace, Ver: 3}},
+		{"delete", func() { th.Delete(1) }, abalg.ElimRecord{Key: 1, Val: 3, Kind: abalg.RecDelete, Ver: 5}},
+		{"insert after delete", func() { th.Insert(9, 8) }, abalg.ElimRecord{Key: 9, Val: 8, Kind: abalg.RecInsert, Ver: 7}},
 		{"split", func() {
 			for k := uint64(10); k < 10+maxB; k++ {
 				th.Insert(k, k)
 			}
-		}, core.ElimRecord{}},
+		}, abalg.ElimRecord{}},
 	}
 	for _, s := range steps {
 		s.op()

@@ -6,14 +6,16 @@
 // volatile headers (vnode), one per arena slot in use, and are
 // reconstructed by Recover.
 //
-// This package is the arena node store and the per-key half of the
-// algorithm: the word map, the flush discipline of the leaf writes,
-// search, the slot allocator and recovery. The rest — splitting inserts,
-// fixTagged, fixUnderfull, range and snapshot scans, batched operations,
-// Validate and the other inspection walks — is internal/abalg, shared
-// with internal/core's Go-heap store; it reaches the nodes through the
-// abalg.Store seam that *Thread implements (seam.go), whose NewLeaf,
-// NewInternal and SetChild are where the structural flushes below live.
+// This package is the arena node store: the word map, search, Find, the
+// leaf reads and the flush discipline of the locked leaf writes behind
+// the store's seam steps, the slot allocator and recovery. The algorithm
+// itself — Insert, Delete and Upsert, splitting inserts, fixTagged,
+// fixUnderfull, range and snapshot scans, batched operations, Validate
+// and the other inspection walks — is internal/abalg, shared with
+// internal/core's Go-heap store; it reaches the nodes through the
+// abalg.Store seam that *Thread implements (seam.go, ops.go), whose
+// NewLeaf, NewInternal and SetChild are where the structural flushes
+// below live.
 // The scan and batch wrappers bracket each call with an epoch critical
 // section and reset the cached scan path on entry (rqsnap.go).
 //
@@ -114,9 +116,9 @@ func nchildrenOf(meta uint64) int                 { return int(meta >> 8 & 0xff)
 // vnode holds a node's volatile fields, indexed by arena slot. Everything
 // here is reset by Recover. One header per cache line (layout_test.go).
 //
-// A p-Elim-ABtree leaf's elimination record is core's slot record: the
+// A p-Elim-ABtree leaf's elimination record is the slot record: the
 // slot the leaf's latest publishing update wrote and its kind, in spare
-// bits of the size word (core.PackRec), with Ver implied by the leaf's
+// bits of the size word (abalg.PackRec), with Ver implied by the leaf's
 // version (see record). Its key and value are the slot's arena pair,
 // except that a durable delete must persist ⊥ in its key word, so the
 // deleted key is kept in delKey — there are no tombstones here. Records
@@ -131,8 +133,8 @@ type vnode struct {
 	// side table.
 	freeNext atomic.Uint32
 	ver      atomic.Uint64
-	// size is a leaf's key count (core.SizeMask) and its slot record
-	// (core.RecMask).
+	// size is a leaf's key count (abalg.SizeMask) and its slot record
+	// (abalg.RecMask).
 	size      atomic.Uint32
 	delKey    atomic.Uint64
 	searchKey uint64 // lower bound of the node's key range (abalg.Store)
@@ -162,18 +164,17 @@ type Tree struct {
 	a, b int
 	elim bool
 
-	elimInserts atomic.Uint64
-	elimDeletes atomic.Uint64
-	elimUpserts atomic.Uint64
+	elims [3]atomic.Uint64 // eliminated operations, by abalg.OpKind
 
 	// rqp coordinates linearizable range queries (rqsnap.go).
 	rqp *rq.Provider
 }
 
-// ElimStats reports how many inserts and deletes were eliminated against
-// a published record rather than executed against the tree.
+// ElimStats reports how many inserts, deletes and upserts were
+// eliminated against a published record rather than executed against
+// the tree.
 func (t *Tree) ElimStats() (inserts, deletes, upserts uint64) {
-	return t.elimInserts.Load(), t.elimDeletes.Load(), t.elimUpserts.Load()
+	return t.elims[abalg.OpInsert].Load(), t.elims[abalg.OpDelete].Load(), t.elims[abalg.OpUpsert].Load()
 }
 
 // Option configures a Tree.

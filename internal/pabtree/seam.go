@@ -4,7 +4,6 @@ import (
 	"runtime"
 
 	"repro/internal/abalg"
-	"repro/internal/batchkit"
 	"repro/internal/rq"
 )
 
@@ -14,7 +13,8 @@ import (
 // comment's flush discipline: NewLeaf/NewInternal flush every word they
 // write before returning, SetChild is link-and-persist, and Unlink also
 // queues the slot for epoch reclamation. Lock and UnlockAll are in
-// thread.go, Insert in ops.go.
+// thread.go; LockLeaf, PutLocked and DeleteLocked, the per-key
+// locked-leaf steps carrying the leaf writes' flushes, in ops.go.
 
 func (th *Thread) Degree() (a, b int)                  { return th.t.a, th.t.b }
 func (th *Thread) Entry() uint64                       { return th.t.entryOff }
@@ -105,25 +105,4 @@ func (th *Thread) Route(off, key, lo, hi uint64) (uint64, uint64, uint64, bool) 
 	}
 	c := t.loadChild(off, i)
 	return c, lo, hi, t.isLeaf(c)
-}
-
-// ApplyRun writes through leafInsertLocked and leafDeleteLocked, so each
-// key gets the per-key flush discipline and durability point.
-func (th *Thread) ApplyRun(off uint64, insert bool, run []batchkit.Ent, vals, res []uint64, ok []bool) (int, int, bool) {
-	t, lv := th.t, th.t.vn(off)
-	if lv.marked.Load() {
-		return 0, 0, true
-	}
-	for i, e := range run {
-		if !insert {
-			res[e.Idx], ok[e.Idx], _ = t.leafDeleteLocked(off, e.K)
-			continue
-		}
-		done, old, inserted := t.leafInsertLocked(off, e.K, vals[e.Idx])
-		if !done {
-			return i, lv.leafSize(), false
-		}
-		res[e.Idx], ok[e.Idx] = old, inserted
-	}
-	return len(run), lv.leafSize(), false
 }
