@@ -101,12 +101,12 @@ var causeNames = [numCauses]string{
 // srvMetrics is the server's instrument set. Zero value ready; lives
 // inline in Server.
 type srvMetrics struct {
-	opLat      [numOpSlots]metrics.Histogram // service latency per opcode
-	queueWait  metrics.Histogram             // reader-enqueue to worker-dequeue
+	opLat      [numOpSlots]metrics.Histogram // service latency per opcode, including a reply written by its producer
+	queueWait  metrics.Histogram             // reader-enqueue to serve start (≈ 0 when the reader serves)
 	commitWait metrics.Histogram             // primary: mutation blocked on waitCommitted
 	shipAck    metrics.Histogram             // primary: REPLICATE ship to REPL_ACK, per round trip with entries
 
-	inFlight metrics.Gauge // ops currently executing on workers
+	inFlight metrics.Gauge // ops currently executing on workers and readers
 	conns    metrics.Gauge // registered connections
 	workers  metrics.Gauge // pool size (set once)
 
@@ -115,6 +115,7 @@ type srvMetrics struct {
 	keyRejects   metrics.Counter // reserved-sentinel keys rejected at the boundary
 	shedConnDead metrics.Counter // responses dropped because the connection died first
 	rateLimited  metrics.Counter // requests answered with BUSY by the per-connection token bucket
+	readerServed metrics.Counter // requests served on their connection's reader, bypassing the pool
 	replAcks     metrics.Counter // follower acks absorbed by this primary's senders
 	failovers    metrics.Counter // PROMOTE ops that actually flipped this server to primary
 
@@ -123,7 +124,7 @@ type srvMetrics struct {
 
 // metricsItemCount is the fixed number of instruments a METRICS
 // response streams (the last one carries the MetricsLast flag).
-const metricsItemCount = 7 + numCauses + 5 + 3 + numOpSlots
+const metricsItemCount = 8 + numCauses + 5 + 3 + numOpSlots
 
 // eachCounter visits every counter in the stable stream order.
 func (s *Server) eachCounter(f func(name string, v uint64)) {
@@ -133,6 +134,7 @@ func (s *Server) eachCounter(f func(name string, v uint64)) {
 	f("key_rejects_total", m.keyRejects.Load())
 	f("shed_conn_dead_total", m.shedConnDead.Load())
 	f("rate_limited_total", m.rateLimited.Load())
+	f("reader_served_total", m.readerServed.Load())
 	f("repl_acks_total", m.replAcks.Load())
 	f("failovers_total", m.failovers.Load())
 	for i := range m.teardowns {
@@ -221,7 +223,8 @@ func (s *Server) MetricsDump() MetricsDump {
 // serveMetrics streams the instrument set as RespMetrics frames in
 // stable order, flagging the final one. Runs on a worker like any
 // operation; allocation here is fine (observability rate, not op rate)
-// but the histogram snapshot scratch is per-worker anyway.
+// but the histogram snapshot scratch is per-worker anyway, made by the
+// worker's first METRICS.
 func (w *worker) serveMetrics(c *srvConn, id uint64) {
 	i, alive := 0, true
 	emit := func(fill func(ob *outBuf, last bool)) {
@@ -243,17 +246,20 @@ func (w *worker) serveMetrics(c *srvConn, id uint64) {
 			ob.b = wire.AppendMetricsGauge(ob.b[:0], id, name, v, last)
 		})
 	})
+	if w.msnap == nil {
+		w.msnap = new(metrics.Snapshot)
+	}
 	w.s.eachHist(func(name string, h *metrics.Histogram) {
-		h.Snapshot(&w.msnap)
+		h.Snapshot(w.msnap)
 		emit(func(ob *outBuf, last bool) {
-			ob.b = wire.AppendMetricsHist(ob.b[:0], id, name, &w.msnap, last)
+			ob.b = wire.AppendMetricsHist(ob.b[:0], id, name, w.msnap, last)
 		})
 	})
 }
 
 // observe records one served request's metrics, its trace spans when
 // the request carried a trace id, and, when configured, the slow-op
-// log line. now is the worker's dequeue stamp.
+// log line. now is the serve start stamp.
 func (w *worker) observe(req *request, now time.Time) {
 	m := &w.s.metrics
 	qw := now.Sub(req.enq)

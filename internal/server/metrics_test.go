@@ -287,7 +287,7 @@ func TestMetricsStreamKeys(t *testing.T) {
 	s, c := startServer(t, "occ", 1<<16, 2)
 	counters := []string{
 		"accepted_conns_total", "decode_errors_total", "key_rejects_total",
-		"shed_conn_dead_total", "rate_limited_total", "repl_acks_total", "failovers_total",
+		"shed_conn_dead_total", "rate_limited_total", "reader_served_total", "repl_acks_total", "failovers_total",
 		"teardown_peer_closed_total", "teardown_read_error_total", "teardown_framing_total",
 		"teardown_write_error_total", "teardown_write_timeout_total", "teardown_server_closed_total",
 		"teardown_idle_timeout_total", "teardown_max_conns_reject_total", "teardown_drained_total",

@@ -24,7 +24,11 @@ package server
 // stripe — so the log's same-key order equals the tree's. Cross-key
 // order may differ from wall-clock order, which is state-equivalent
 // (operations on distinct keys commute). The follower applies entries
-// strictly in sequence order under one apply mutex.
+// strictly in sequence order under one apply mutex, on the sink
+// connection's reader: REPLICATE never waits for the worker pool, so
+// client reads that keep every follower worker busy (or park one on a
+// stalled peer) do not hold up the primary's commits, and its REPL_ACK
+// is written by that reader when the connection's writer is idle.
 //
 // Reads on the primary return only committed state: a read snapshots
 // the log position covering everything it may have observed (under the

@@ -5,14 +5,19 @@
 // STATS/OPEN control operations.
 //
 // Concurrency model: dict.Handle is thread-bound (one handle per
-// goroutine, never shared), so connections must not call the hosted
-// structure directly. Instead the server runs a fixed pool of worker
+// goroutine, never shared). The server runs a fixed pool of worker
 // goroutines, each owning its own handle (plus its Batcher and scan
-// entry points), and every connection's reader multiplexes decoded
-// requests onto the shared work queue. Responses carry the request's id
-// and flow back through the connection's writer goroutine in completion
-// order, so one connection can pipeline many requests and have them
-// served by many workers concurrently.
+// entry points), and a connection's reader hands batches, scans,
+// control ops and a primary's point ops to the shared work queue. A
+// lone request that cannot block — GET/PUT/DELETE on a standalone
+// server or a follower while the queue is empty, and every REPLICATE —
+// the reader serves itself, through the same worker code, on a worker
+// of its own attached on first use. Responses carry the request's id,
+// so they may reach the peer in any order: one connection can pipeline
+// many requests and have them served by many workers concurrently. A
+// point reply is written by the goroutine that made it when the
+// connection's writer is idle; everything else flows through the
+// writer goroutine, which gathers bursts.
 //
 // Allocation discipline (the PR 3 scratch-buffer rules, extended across
 // the wire): request structs and response buffers are pooled per
@@ -27,8 +32,9 @@
 // selects on the connection's teardown signal, so a dead connection can
 // never strand a worker (the robustness tests abuse this path) — and a
 // live connection whose peer stopped reading is turned into a dead one
-// by the writer's per-write deadline (Server.writeTimeout), so a
-// stalled peer cannot pin a worker either.
+// by the write deadline (Server.writeTimeout), so a stalled peer cannot
+// pin a worker either. While one does, lone requests on other
+// connections are still served, on their own readers.
 //
 // Overload policy: a full work queue blocks the connection's reader
 // behind its request slots — backpressure reaches the peer through TCP.
@@ -147,14 +153,16 @@ type hosted struct {
 type Server struct {
 	build   Builder
 	workers int
-	// writeTimeout bounds how long a connection's writer may sit in one
-	// socket write without progress (always one minute; a field only so
-	// the in-package test can shorten it). It is the stalled-peer
-	// backstop: a worker publishing a response blocks on the connection's
-	// write queue, which is fine while the peer consumes, but a peer that
-	// stops reading mid-stream would otherwise pin that worker forever.
-	// The deadline turns a stalled connection into a dead one, and
-	// teardown frees the worker.
+	// writeTimeout bounds how long a socket write may sit without
+	// progress (always one minute; a field only so the in-package test
+	// can shorten it). It is the stalled-peer backstop: a worker
+	// publishing a response blocks on the connection's write queue, which
+	// is fine while the peer consumes, but a peer that stops reading
+	// mid-stream would otherwise pin that worker forever. The deadline
+	// turns a stalled connection into a dead one, and teardown frees the
+	// worker. It is re-armed only once less than half of it remains (a
+	// SetWriteDeadline costs several time.Nows), so a stalled write fails
+	// after between ½ and 1 × writeTimeout.
 	writeTimeout time.Duration
 	logf         func(format string, args ...any)
 	traceSlow    time.Duration
@@ -189,7 +197,16 @@ type Server struct {
 	l      net.Listener
 	conns  map[*srvConn]struct{}
 	closed bool
-	wg     sync.WaitGroup
+	// spare holds the workers of readers that have exited, for the next
+	// reader to reuse: a handle may register with its tree for good
+	// (pabtree's epoch manager), so reader handles follow the peak
+	// connection count, not the connection churn. readerWorkers counts
+	// the reader workers ever made.
+	spare         []*worker
+	readerWorkers int
+	// wg counts the pool workers, the accept loop and every connection's
+	// reader: Close returns only once no request runs anywhere.
+	wg sync.WaitGroup
 }
 
 // New builds a server hosting build(name, keyRange) and starts its
@@ -223,7 +240,7 @@ func New(build Builder, name string, keyRange uint64, cfg Config) (*Server, erro
 	s.metrics.workers.Add(0, int64(workers))
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
-		go s.workerLoop(i)
+		go s.workerLoop(newWorker(s, i))
 	}
 	return s, nil
 }
@@ -373,6 +390,7 @@ func (s *Server) acceptLoop(l net.Listener) {
 		}
 		c := s.newConn(nc)
 		s.conns[c] = struct{}{}
+		s.wg.Add(1)
 		s.mu.Unlock()
 		s.metrics.accepted.Inc(0)
 		s.metrics.conns.Add(0, 1)
@@ -418,10 +436,13 @@ type request struct {
 type outBuf struct{ b []byte }
 
 // srvConn is one accepted connection: a reader goroutine decoding
-// frames into pooled request structs, and a writer goroutine flushing
-// pooled response buffers. done closes exactly once, on teardown; every
-// blocking hand-off (worker publishing a response, reader waiting for a
-// free request slot) selects on it.
+// frames into pooled request structs (and serving the lone ones itself,
+// on w), and a writer goroutine flushing pooled response buffers. Two
+// goroutines write the socket — the writer, and whoever made a point
+// reply while the writer was idle — each a whole frame under wmu. done
+// closes exactly once, on teardown; every blocking hand-off (worker
+// publishing a response, reader waiting for a free request slot)
+// selects on it.
 type srvConn struct {
 	s         *Server
 	nc        net.Conn
@@ -441,6 +462,15 @@ type srvConn struct {
 	writeq  chan *outBuf
 	reqPool chan *request
 	outPool chan *outBuf
+
+	// wmu is held for every socket write; wdl is the write deadline last
+	// armed, guarded by wmu.
+	wmu sync.Mutex
+	wdl time.Time
+
+	// w is the reader's own worker, attached on the first request the
+	// reader serves; reader-owned.
+	w *worker
 
 	// inflight counts requests taken from reqPool and not yet returned —
 	// what the writer's drain path waits out so a graceful Shutdown never
@@ -597,9 +627,11 @@ func (c *srvConn) putReq(req *request) {
 	}
 }
 
-// send publishes a sealed response buffer to the writer, abandoning it
-// if the connection tears down first — the worker never blocks on a
-// dead connection. It reports whether the buffer was accepted.
+// send queues a sealed response buffer for the writer, abandoning it if
+// the connection tears down first — the worker never blocks on a dead
+// connection. It reports whether the buffer was accepted. Batch
+// replies, scan chunks and control replies always take this path, so a
+// burst of them is gathered into few writes.
 func (c *srvConn) send(ob *outBuf) bool {
 	select {
 	case c.writeq <- ob:
@@ -610,16 +642,55 @@ func (c *srvConn) send(ob *outBuf) bool {
 	}
 }
 
+// reply publishes a one-frame reply (a point reply or a REPL_ACK). When
+// the writer is idle — nothing queued and wmu free — the calling
+// goroutine writes it to the socket itself, saving the hand-off to the
+// writer goroutine; otherwise it queues it like any response.
+func (c *srvConn) reply(ob *outBuf) {
+	if len(c.writeq) > 0 || !c.wmu.TryLock() {
+		c.send(ob)
+		return
+	}
+	err := c.write(ob.b)
+	c.wmu.Unlock()
+	c.putOut(ob)
+	if err != nil {
+		c.teardown(writeCause(err))
+	}
+}
+
+// write sends b; the caller holds wmu. The deadline is re-armed only
+// once less than half of writeTimeout remains (see Server.writeTimeout).
+func (c *srvConn) write(b []byte) error {
+	if now := time.Now(); c.wdl.Sub(now) < c.s.writeTimeout/2 {
+		c.wdl = now.Add(c.s.writeTimeout)
+		c.nc.SetWriteDeadline(c.wdl)
+	}
+	_, err := c.nc.Write(b)
+	return err
+}
+
+// writeCause classifies a socket-write failure: a deadline expiry (the
+// stalled-peer backstop firing) is its own teardown cause so operators
+// can tell slow consumers from broken pipes.
+func writeCause(err error) int {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return causeWriteTimeout
+	}
+	return causeWriteError
+}
+
 func (c *srvConn) sendPoint(id uint64, val uint64, ok bool) {
 	ob := c.getOut()
 	ob.b = wire.AppendRespPoint(ob.b[:0], id, val, ok)
-	c.send(ob)
+	c.reply(ob)
 }
 
 func (c *srvConn) sendPointSeq(id uint64, val uint64, ok bool, seq uint64) {
 	ob := c.getOut()
 	ob.b = wire.AppendRespPointSeq(ob.b[:0], id, val, ok, seq)
-	c.send(ob)
+	c.reply(ob)
 }
 
 func (c *srvConn) sendErr(id uint64, msg string) {
@@ -649,14 +720,17 @@ func (c *srvConn) readFailCause(err error) int {
 	return causeReadError
 }
 
-// reader decodes frames and multiplexes them onto the server's work
-// queue. Framing violations (short/oversized lengths, short reads)
-// close the connection; malformed-but-delimited frames (unknown opcode,
-// wrong payload size) produce a RespError and the stream continues —
-// the length prefix keeps it aligned either way. Between frames the
-// read sits under the idle deadline (Config.IdleTimeout) and exits
-// cleanly when Shutdown kicks it.
+// reader decodes frames, serves the lone requests that cannot block
+// itself (see onReader) and hands the rest to the server's work queue.
+// Framing violations (short/oversized lengths, short reads) close the
+// connection; malformed-but-delimited frames (unknown opcode, wrong
+// payload size) produce a RespError and the stream continues — the
+// length prefix keeps it aligned either way. Between frames the read
+// sits under the idle deadline (Config.IdleTimeout) and exits cleanly
+// when Shutdown kicks it.
 func (c *srvConn) reader() {
+	defer c.s.wg.Done()
+	defer c.s.parkWorker(c)
 	defer c.shutdown()
 	m := &c.s.metrics
 	for {
@@ -711,6 +785,19 @@ func (c *srvConn) reader() {
 			continue
 		}
 		req.enq = time.Now()
+		if c.onReader(req) {
+			select {
+			case <-c.done:
+				return // torn down: Close may be waiting on this reader
+			default:
+			}
+			if c.w == nil {
+				c.w = c.s.readerWorker()
+			}
+			m.readerServed.Inc(c.w.idx)
+			c.w.serve(req, req.enq)
+			continue
+		}
 		select {
 		case c.s.work <- req:
 		case <-c.done:
@@ -720,6 +807,53 @@ func (c *srvConn) reader() {
 			return
 		}
 	}
+}
+
+// onReader reports whether the reader serves req itself rather than
+// queueing it for the pool: a request that cannot block, at a moment
+// the pool has no backlog to overtake. That is GET/PUT/DELETE on a
+// standalone server or a follower (a primary's point ops block in
+// commitWait), and every REPLICATE — a sink connection is stop-and-wait
+// and applyMu serialises its applies anyway, so the pool adds nothing
+// but a hand-off, and a follower whose workers are all busy still
+// acknowledges its primary.
+func (c *srvConn) onReader(req *request) bool {
+	switch req.Op {
+	case wire.OpGet, wire.OpPut, wire.OpDelete:
+		r := c.s.repl
+		return len(c.s.work) == 0 && (r == nil || r.role.Load() == wire.RoleFollower)
+	case wire.OpReplicate:
+		return true
+	}
+	return false
+}
+
+// readerWorker hands a reader a worker of its own: a parked one when a
+// reader that exited left one, a new one otherwise. New ones share the
+// pool's metrics stripes, round robin, so readers add no histogram
+// stripes of their own.
+func (s *Server) readerWorker() *worker {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.spare); n > 0 {
+		w := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		return w
+	}
+	s.readerWorkers++
+	return newWorker(s, s.readerWorkers%s.workers)
+}
+
+// parkWorker keeps an exiting reader's worker, handle included, for the
+// next reader.
+func (s *Server) parkWorker(c *srvConn) {
+	if c.w == nil {
+		return
+	}
+	s.mu.Lock()
+	s.spare = append(s.spare, c.w)
+	s.mu.Unlock()
+	c.w = nil
 }
 
 // validateKeys enforces the dictionaries' key domain at the protocol
@@ -746,31 +880,19 @@ func validateKeys(r *wire.Request) string {
 
 func reservedKey(k uint64) bool { return k == 0 || k == ^uint64(0) }
 
-// writer sends sealed response buffers. A lone response goes out as
-// is; a burst (more queued behind it) is gathered into one write, cut
-// at 64 KB so a streamed scan cannot grow the scratch without bound.
-// On shutdown (the reader's exit) it drains what is already queued and
-// performs the final teardown, so a framing-violation error frame — or
-// the tail of a pipelined burst — reaches the peer before the socket
-// closes.
+// writer sends the queued response buffers. A lone response goes out
+// as is; a burst (more queued behind it) is gathered into one write,
+// cut at 64 KB so a streamed scan cannot grow the scratch without
+// bound. Each write holds wmu, so a point reply written directly by its
+// producer (reply) never lands inside one of these. Steady progress
+// never trips the write deadline, a peer that stopped reading does, and
+// the resulting write error tears the connection down (see
+// Server.writeTimeout). On shutdown (the reader's exit) it drains what
+// is already queued and performs the final teardown, so a
+// framing-violation error frame — or the tail of a pipelined burst —
+// reaches the peer before the socket closes.
 func (c *srvConn) writer() {
 	var gather []byte
-	// Each socket write gets a fresh deadline: steady progress never
-	// trips it, a peer that stopped reading does, and the resulting
-	// write error tears the connection down (see Server.writeTimeout).
-	deadline := func() {
-		c.nc.SetWriteDeadline(time.Now().Add(c.s.writeTimeout))
-	}
-	// writeCause classifies a socket-write failure: a deadline expiry
-	// (the stalled-peer backstop firing) is its own teardown cause so
-	// operators can tell slow consumers from broken pipes.
-	writeCause := func(err error) int {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return causeWriteTimeout
-		}
-		return causeWriteError
-	}
 	// write leaves nothing gathered once the queue is empty: only the
 	// writer dequeues, so a response gathered behind a non-empty queue is
 	// always followed by another write call.
@@ -784,8 +906,9 @@ func (c *srvConn) writer() {
 			}
 			b, gather = gather, gather[:0]
 		}
-		deadline()
-		_, err := c.nc.Write(b)
+		c.wmu.Lock()
+		err := c.write(b)
+		c.wmu.Unlock()
 		c.putOut(ob)
 		if err != nil {
 			c.teardown(writeCause(err))
@@ -847,13 +970,13 @@ func (c *srvConn) writer() {
 	}
 }
 
-// worker is one pool goroutine and its per-generation attachment to the
-// hosted dictionary: its own thread-bound handle, the handle's Batcher
-// (native or treedict's per-key fallback) and scan entry points, plus
-// batch-result and scan-chunk scratch.
+// worker is one pool goroutine's, or one reader's, per-generation
+// attachment to the hosted dictionary: its own thread-bound handle, the
+// handle's Batcher (native or treedict's per-key fallback) and scan
+// entry points, plus batch-result and scan-chunk scratch.
 type worker struct {
 	s    *Server
-	idx  int // pool index, the worker's metrics shard hint
+	idx  int // the worker's metrics shard hint
 	cur  *hosted
 	h    dict.Handle
 	bat  dict.Batcher
@@ -862,7 +985,7 @@ type worker struct {
 
 	vals  []uint64
 	oks   []bool
-	msnap metrics.Snapshot // METRICS streaming scratch
+	msnap *metrics.Snapshot // METRICS streaming scratch (≈ 9 KB), made on first use
 
 	// Scan-in-flight state for the bound relay callback (one scan at a
 	// time per worker, so worker fields — not a per-scan closure).
@@ -875,14 +998,18 @@ type worker struct {
 	relay func(k, v uint64) bool
 }
 
-func (s *Server) workerLoop(idx int) {
-	defer s.wg.Done()
+func newWorker(s *Server, idx int) *worker {
 	w := &worker{s: s, idx: idx & (metrics.NumShards - 1)}
 	w.relay = w.scanRelay
+	return w
+}
+
+func (s *Server) workerLoop(w *worker) {
+	defer s.wg.Done()
 	for {
 		select {
 		case req := <-s.work:
-			w.serve(req)
+			w.serve(req, time.Now())
 		case <-s.quit:
 			return
 		}
@@ -897,13 +1024,14 @@ func (w *worker) attach(h *hosted) {
 	w.snap = dict.ScanFunc(w.h, true)
 }
 
-// serve executes one dequeued request on the worker's handle and
-// publishes its response(s) to the owning connection.
-func (w *worker) serve(req *request) {
-	if h := w.s.cur.Load(); w.cur != h {
+// serve executes one request on the worker's handle and publishes its
+// response(s) to the owning connection; now is the service start. A
+// REPLICATE applies through the follower's own apply handle, so it
+// attaches nothing.
+func (w *worker) serve(req *request, now time.Time) {
+	if h := w.s.cur.Load(); w.cur != h && req.Op != wire.OpReplicate {
 		w.attach(h)
 	}
-	now := time.Now()
 	w.s.metrics.inFlight.Add(w.idx, 1)
 	c := req.c
 	switch req.Op {
@@ -1013,7 +1141,7 @@ func (w *worker) serve(req *request) {
 		}
 		ob := c.getOut()
 		ob.b = wire.AppendRespReplAck(ob.b[:0], req.ID, applied)
-		c.send(ob)
+		c.reply(ob)
 	case wire.OpPromote:
 		r := w.s.repl
 		if r == nil {
