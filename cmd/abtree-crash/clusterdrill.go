@@ -73,7 +73,6 @@ func clusterDrill(seed uint64, workers int, drainTO time.Duration) error {
 	}
 
 	newMember := func(name string, idx uint64, cfg server.Config) (*clusterMember, error) {
-		cfg.Workers = workers
 		srv, err := server.New(bench.NewDict, structure, keyRange, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", name, err)

@@ -37,7 +37,6 @@ func netDrill(seed uint64, workers, minFaults int, drainTO time.Duration) error 
 	const keyRange = 1 << 16
 
 	srv, err := server.New(bench.NewDict, structure, keyRange, server.Config{
-		Workers:     workers,
 		MaxConns:    8 * (workers + 2),
 		IdleTimeout: 2 * time.Second,
 	})

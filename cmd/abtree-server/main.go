@@ -7,10 +7,10 @@
 // Usage:
 //
 //	abtree-server -addr :7471 -structure shard8-occ-abtree -keys 1000000
-//	abtree-server -addr 127.0.0.1:7471 -structure OCC-ABtree -workers 8
+//	abtree-server -addr 127.0.0.1:7471 -structure OCC-ABtree -max-conns 256
 //
 // Observability: the server keeps per-opcode latency histograms,
-// queue-wait times, connection/worker gauges and error counters (see
+// queue-wait times, connection gauges and error counters (see
 // internal/metrics), reachable three ways:
 //
 //	abtree-server -debug 127.0.0.1:6060      # HTTP: /debug/metrics + /debug/traces JSON, net/http/pprof
@@ -47,7 +47,6 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7471", "TCP listen address")
 		structure = flag.String("structure", "OCC-ABtree", "registry structure to host initially (see abtree-bench)")
 		keys      = flag.Uint64("keys", 1_000_000, "key range the hosted structure is sized for")
-		workers   = flag.Int("workers", 0, "handle-owning worker goroutines (0 = GOMAXPROCS)")
 		debugAddr = flag.String("debug", "", "HTTP listen address for /debug/metrics (JSON instrument dump) and /debug/pprof (empty = off)")
 		traceSlow = flag.Duration("trace-slow", 0, "log any operation whose service time reaches this (0 = off)")
 		maxConns  = flag.Int("max-conns", 0, "max concurrent connections; over-cap accepts get one BUSY frame and close (0 = unlimited)")
@@ -72,7 +71,6 @@ func main() {
 	}
 
 	s, err := server.New(bench.NewDict, *structure, *keys, server.Config{
-		Workers:      *workers,
 		Logf:         log.Printf,
 		TraceSlow:    *traceSlow,
 		MaxConns:     *maxConns,

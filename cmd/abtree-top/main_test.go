@@ -15,7 +15,7 @@ import (
 // the screen must show both roles, the follower's lag, the primary's
 // replication quantiles, and a slowest-traces breakdown.
 func TestRenderAgainstReplPair(t *testing.T) {
-	fol, err := server.New(bench.NewDict, "OCC-ABtree", 1<<16, server.Config{Workers: 2, Follower: true})
+	fol, err := server.New(bench.NewDict, "OCC-ABtree", 1<<16, server.Config{Follower: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestRenderAgainstReplPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fol.Close() })
-	prim, err := server.New(bench.NewDict, "OCC-ABtree", 1<<16, server.Config{Workers: 2, Followers: []string{faddr.String()}})
+	prim, err := server.New(bench.NewDict, "OCC-ABtree", 1<<16, server.Config{Followers: []string{faddr.String()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 func TestRemoteRegistryEntry(t *testing.T) {
-	s, err := server.New(NewDict, "shard4-occ-abtree", 4096, server.Config{Workers: 4})
+	s, err := server.New(NewDict, "shard4-occ-abtree", 4096, server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,10 @@
 // NewHandle dials a dedicated connection per handle — handles are
 // thread-bound by the dict contract, so per-handle connections give
 // each worker goroutine a private, lock-free wire path (the server
-// multiplexes all of them onto its fixed worker pool). Batched
-// operations larger than wire.MaxBatch are pipelined: every chunk frame
-// is written back-to-back before the first response is read, and the
-// echoed request ids reassemble the results in input order.
+// serves each connection on a goroutine and handle of its own). Batched
+// operations larger than wire.MaxBatch are pipelined through a bounded
+// window of chunk frames, and the echoed request ids reassemble the
+// results in input order.
 //
 // Scan responses are buffered per handle before the callback runs (the
 // stream is fully drained first), so dict.Ranger's "fn may run point
@@ -496,35 +496,29 @@ func (h *handle) Insert(key, val uint64) (uint64, bool) { return h.point(wire.Op
 func (h *handle) Delete(key uint64) (uint64, bool) { return h.point(wire.OpDelete, key, 0) }
 
 // maxOutstanding caps a batched operation's pipelined frames in
-// flight. It must stay comfortably under the server's per-connection
-// request-slot bound: with the window full the client is always in a
-// read, so the server can land every outstanding response and the
-// write-all/read-all deadlock (client's send buffer full while the
-// server's response queue is full) cannot form.
+// flight. With the window full the client is always in a read, so at
+// most one window — about 520 KB of MPUT frames out, 300 KB of replies
+// back — must fit in the socket buffers while it writes. The server
+// reads its next frame only after writing its pending replies, so a
+// window the buffers cannot hold would deadlock (both sides blocked
+// writing). A Linux loopback socket holds it with room to spare: its
+// send buffer starts at megabytes (3.9 MB under the default tcp_wmem on
+// Linux 6.18).
 const maxOutstanding = 8
 
-// batch drives one batched operation, splitting into wire.MaxBatch
-// chunk frames. Frames are pipelined through a bounded window (written
-// back-to-back, responses consumed as the window fills; echoed ids land
-// each response chunk at its input offset regardless of the completion
-// order the server's workers produced). Mutating batches whose equal
-// keys straddle a frame boundary degrade to one-frame-at-a-time round
-// trips: the server serves concurrent frames on different workers, so
-// only full serialization preserves dict.Batcher's equal-keys-apply-in-
-// input-order contract across frames (within one frame the trees'
-// native batch path preserves it).
-// batch runs one attempt of a batched operation. Frames are gathered
-// into h.out and written once they reach 64 KB, when the window fills,
-// and after the last one. On failure, wrote reports whether any frame
-// byte may have left the client — the input to the mutation-ambiguity
-// decision in batchRetry.
+// batch runs one attempt of a batched operation, split into
+// wire.MaxBatch chunk frames and pipelined through a bounded window:
+// frames are gathered into h.out and written once they reach 64 KB,
+// when the window fills, and after the last one; responses are
+// consumed as the window fills, each landing at its input offset by
+// its echoed id. The server serves a connection's frames in arrival
+// order, so equal keys in different frames apply in input order (the
+// dict.Batcher contract), as they do within one frame. On failure,
+// wrote reports whether any frame byte may have left the client — the
+// input to the mutation-ambiguity decision in batchRetry.
 func (h *handle) batch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool) (wrote bool, err error) {
 	if len(keys) == 0 {
 		return false, nil
-	}
-	window := maxOutstanding
-	if op != wire.OpMGet && len(keys) > wire.MaxBatch && crossFrameDup(keys) {
-		window = 1
 	}
 	base := h.id + 1
 	written, read := 0, 0
@@ -568,7 +562,7 @@ func (h *handle) batch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool
 		}
 		h.out = wire.AppendBatch(h.out, id, op, keys[off:end], vs)
 		written++
-		if len(h.out) < 64<<10 && written-read < window && end < len(keys) {
+		if len(h.out) < 64<<10 && written-read < maxOutstanding && end < len(keys) {
 			continue
 		}
 		n, werr := h.nc.Write(h.out)
@@ -577,7 +571,7 @@ func (h *handle) batch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool
 		if werr != nil {
 			return wrote, werr
 		}
-		for written-read >= window {
+		for written-read >= maxOutstanding {
 			if rerr := readOne(); rerr != nil {
 				return true, rerr
 			}

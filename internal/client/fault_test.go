@@ -30,7 +30,7 @@ import (
 // startBackend runs a real server on loopback.
 func startBackend(t *testing.T) (*server.Server, string) {
 	t.Helper()
-	s, err := server.New(bench.NewDict, "OCC-ABtree", 1<<16, server.Config{Workers: 2})
+	s, err := server.New(bench.NewDict, "OCC-ABtree", 1<<16, server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,9 +349,9 @@ func TestMuxMutationAmbiguity(t *testing.T) {
 	}
 }
 
-// TestMuxOutOfOrderReplies: a server's worker pool answers one
-// connection's frames in any order, so a frame may still be in flight
-// after arbitrarily many later ones completed. The script withholds the
+// TestMuxOutOfOrderReplies: the wire protocol lets a server answer one
+// connection's frames in any order (matching is by id), so a frame may
+// still be in flight after arbitrarily many later ones completed. The script withholds the
 // first frame's reply (a PUT) until 64 later frames were answered — one
 // full lap of the response-slot table. The PUT must still complete
 // normally, with no generation lost to a mismatched response id.

@@ -952,10 +952,11 @@ func (h *muxHandle) bop(i int) *muxOp {
 // runBatch drives one explicit dict.Batcher call through the shared
 // connection: chunks of wire.MaxBatch submitted as pass-through frames.
 // Chunks are pipelined (submitted back-to-back, then awaited) unless a
-// mutating batch has equal keys straddling chunks — the combiner and
-// server preserve order within one frame but not across frames racing
-// other traffic, so only chunk-at-a-time submission keeps dict.Batcher's
-// equal-keys-apply-in-input-order contract (same rule as handle.batch).
+// mutating batch has equal keys straddling chunks. The server serves
+// the connection's frames in arrival order, but a redial's salvage
+// re-stages in-flight frames in slot order, not submission order, so
+// only chunk-at-a-time submission keeps dict.Batcher's
+// equal-keys-apply-in-input-order contract across chunks.
 func (h *muxHandle) runBatch(op byte, keys, ivals, ovals []uint64, oks []bool) {
 	if len(ovals) != len(keys) || len(oks) != len(keys) || (op == wire.OpMPut && len(ivals) != len(keys)) {
 		panic("client: batch result slices must match len(keys)")

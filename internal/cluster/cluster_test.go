@@ -38,7 +38,7 @@ func startPartition(t *testing.T, keyRange uint64, nFollowers int, part uint64) 
 	t.Helper()
 	var faddrs []string
 	for i := 0; i < nFollowers; i++ {
-		f, err := server.New(build, "occ", keyRange, server.Config{Workers: 2, Follower: true, Partition: part})
+		f, err := server.New(build, "occ", keyRange, server.Config{Follower: true, Partition: part})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func startPartition(t *testing.T, keyRange uint64, nFollowers int, part uint64) 
 		fols = append(fols, member{f, fa.String()})
 		faddrs = append(faddrs, fa.String())
 	}
-	p, err := server.New(build, "occ", keyRange, server.Config{Workers: 2, Followers: faddrs, Partition: part})
+	p, err := server.New(build, "occ", keyRange, server.Config{Followers: faddrs, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,8 @@ package metrics
 import "math/bits"
 
 // NumShards is the stripe count of every instrument (a power of 2).
-// Hints are reduced mod NumShards; fixed worker pools larger than this
-// share stripes, which costs contention, not correctness.
+// Hints are reduced mod NumShards; more writers than this share
+// stripes, which costs contention, not correctness.
 const NumShards = 8
 
 const hintMask = NumShards - 1

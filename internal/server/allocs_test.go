@@ -3,9 +3,9 @@ package server
 // Allocation guard for the remote point-operation path, the ISSUE 5
 // acceptance bar: a warmed-up GET/PUT/DELETE over a live loopback
 // connection must allocate NOTHING across the whole stack — client
-// frame encode, server frame decode (pooled request structs), worker
-// execution on a settled OCC tree, response encode (pooled buffers) and
-// client decode. testing.AllocsPerRun counts mallocs process-wide, so
+// frame encode, server frame decode (into the connection's reused
+// request), execution on a settled OCC tree, response encode (into the
+// connection's reused output buffer) and client decode. testing.AllocsPerRun counts mallocs process-wide, so
 // the server goroutines' allocations are inside the measurement.
 
 import (
@@ -16,12 +16,12 @@ import (
 )
 
 func TestAllocsRemotePointOps(t *testing.T) {
-	_, c := startServer(t, "occ", 1<<16, 2)
+	_, c := startServer(t, "occ", 1<<16)
 	h := c.NewHandle()
 	for k := uint64(1); k <= 10_000; k++ {
 		h.Insert(k, k)
 	}
-	// Warm every pool: request slots, response buffers, scratch growth.
+	// Warm every buffer: decode scratch, output buffer, scratch growth.
 	for i := 0; i < 2000; i++ {
 		h.Find(uint64(1 + i%10_000))
 	}
@@ -73,7 +73,7 @@ func TestAllocsReplicatedPoint(t *testing.T) {
 // pooled plumbing — a warmed-up MGET round trip allocates nothing
 // either (per batch, let alone per key).
 func TestAllocsRemoteBatchOps(t *testing.T) {
-	_, c := startServer(t, "occ", 1<<16, 2)
+	_, c := startServer(t, "occ", 1<<16)
 	h := c.NewHandle()
 	for k := uint64(1); k <= 10_000; k++ {
 		h.Insert(k, k)
@@ -97,7 +97,7 @@ func TestAllocsRemoteBatchOps(t *testing.T) {
 // chunk buffers and the client's pair buffer (the PR 3 scratch
 // discipline over the wire).
 func TestAllocsRemoteScan(t *testing.T) {
-	_, c := startServer(t, "occ", 1<<16, 2)
+	_, c := startServer(t, "occ", 1<<16)
 	h := c.NewHandle()
 	for k := uint64(1); k <= 10_000; k++ {
 		h.Insert(k, k)

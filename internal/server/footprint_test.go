@@ -7,8 +7,10 @@ package server
 // MB here; stripes allocated on first write cost only those the
 // traffic reaches. Connections work the same way: a frame reader's
 // buffer starts at 4 KB on the first frame and grows with the largest
-// frames carried, and writers hold no buffer of their own, where four
-// 64 KB bufio buffers per connection used to cost ≈ 270 KB each.
+// frames carried, and a server connection holds one decoded request
+// and one output buffer, cut at 64 KB — no request slots, no response
+// pool, where four 64 KB bufio buffers per connection used to cost
+// ≈ 270 KB each.
 
 import (
 	"runtime"
@@ -36,14 +38,15 @@ func liveHeap() int64 {
 // GET/PUT/DELETE per handle (so the budget holds in steady state, not
 // only until the first request). After one 40 k-key MPUT and one
 // full-range scan on a handle, less the tree's own growth, it stays
-// within 4 MB. That reading is mostly scratch sized by the traffic and
-// kept by design — the client's 640 KB pair buffer, ten request slots'
-// decoded keys and values (640 KB), pooled response buffers — beside
-// frame readers at their 256 KB cap and a gather cut at 64 KB.
+// within 2 MB. That reading is mostly scratch sized by the traffic and
+// kept by design — the client's 640 KB pair buffer, the server
+// connection's one decoded request (64 KB of keys and values) and the
+// worker's batch results — beside frame readers at their 256 KB cap
+// and output buffers of about 64 KB.
 func TestServingFootprint(t *testing.T) {
-	const setUpBudget, warmedBudget, bulkBudget = 256 << 10, 512 << 10, 4 << 20
+	const setUpBudget, warmedBudget, bulkBudget = 256 << 10, 512 << 10, 2 << 20
 	heap0 := liveHeap()
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2})
+	s, err := New(testBuilder, "occ", 1<<16, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +70,7 @@ func TestServingFootprint(t *testing.T) {
 	}
 	setUp := liveHeap() - heap0
 
-	// Both handles at once, so both workers serve and record.
+	// Both handles at once, so both connections serve and record.
 	var wg sync.WaitGroup
 	errs := make(chan error, len(hs))
 	for i, h := range hs {

@@ -3,7 +3,7 @@ package server
 // ISSUE 8 server lifecycle coverage: MaxConns admission control (BUSY
 // answer + close, counted), IdleTimeout reaping (fully idle connections
 // only), and Shutdown's graceful drain (in-flight responses flushed,
-// connections closed with cause "drained", pool stopped).
+// connections closed with cause "drained").
 
 import (
 	"context"
@@ -32,7 +32,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestMaxConnsReject: the connection over the cap is answered with one
 // BUSY frame and closed; after a slot frees, the next dial is served.
 func TestMaxConnsReject(t *testing.T) {
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2, MaxConns: 1})
+	s, err := New(testBuilder, "occ", 1<<16, Config{MaxConns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestMaxConnsReject(t *testing.T) {
 // TestIdleTimeoutReaps: a connection that sends nothing is reaped with
 // cause idle_timeout; one that keeps trickling requests survives.
 func TestIdleTimeoutReaps(t *testing.T) {
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2, IdleTimeout: 100 * time.Millisecond})
+	s, err := New(testBuilder, "occ", 1<<16, Config{IdleTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestIdleTimeoutReaps(t *testing.T) {
 // its first byte or right after a whole frame is reaped as idle; one
 // that stalls inside a header or a payload is a read error.
 func TestMidFrameStallIsReadError(t *testing.T) {
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2, IdleTimeout: 100 * time.Millisecond})
+	s, err := New(testBuilder, "occ", 1<<16, Config{IdleTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestMidFrameStallIsReadError(t *testing.T) {
 // sees a clean prefix of its pipelined burst, then EOF, and the
 // connection is counted as drained, not errored.
 func TestShutdownDrains(t *testing.T) {
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2})
+	s, err := New(testBuilder, "occ", 1<<16, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +198,8 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 
-	// Read whatever arrived: complete, non-duplicated responses (workers
-	// complete out of request order), then a clean EOF — never a torn
-	// frame.
+	// Read whatever arrived: complete, non-duplicated responses, then a
+	// clean EOF — never a torn frame.
 	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
 	got := 0
 	seen := make(map[uint64]bool)
@@ -244,7 +243,7 @@ func TestShutdownDrains(t *testing.T) {
 // TestShutdownIdempotentWithClose: Shutdown after Close (and vice versa)
 // is a no-op, not a panic.
 func TestShutdownIdempotentWithClose(t *testing.T) {
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 1})
+	s, err := New(testBuilder, "occ", 1<<16, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

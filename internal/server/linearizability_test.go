@@ -3,8 +3,8 @@ package server
 // Client-side linearizability over a live server: the histories are
 // recorded at the CLIENT — call stamped before the frame is written,
 // return stamped after the response is decoded — so a checker pass
-// proves the whole stack (client encode, pipelined wire, worker-pool
-// multiplexing, tree, response path) preserves the dictionary's
+// proves the whole stack (client encode, pipelined wire, one server
+// goroutine per connection, tree, response path) preserves the dictionary's
 // per-key linearizability, and the cross-shard witness proves the
 // server's SNAPSHOT_SCAN keeps the shared-clock atomicity across
 // shard boundaries end to end.
@@ -24,7 +24,7 @@ import (
 // (plus whole-keyset snapshot scans) through remote handles and feeds
 // it to the Wing&Gong checker.
 func TestRemoteLinearizablePointOps(t *testing.T) {
-	_, c := startServer(t, "shard4", 64, 4)
+	_, c := startServer(t, "shard4", 64)
 	keys := []uint64{3, 9, 17, 33, 49, 60} // spread across the 4 shards
 	history := linearizability.Record(func() linearizability.DictHandle {
 		return c.NewHandle().(linearizability.DictHandle)
@@ -48,7 +48,7 @@ func TestRemoteLinearizablePointOps(t *testing.T) {
 // sharing the batch's call/return window — the dict.Batcher contract:
 // individually linearizable, batch not atomic) and checks it.
 func TestRemoteLinearizableBatchOps(t *testing.T) {
-	_, c := startServer(t, "shard4", 64, 4)
+	_, c := startServer(t, "shard4", 64)
 	keys := []uint64{3, 9, 17, 33, 49, 60}
 	// Sized to keep each per-key subhistory small (the checker's DFS is
 	// exponential in the mutually-concurrent op count): ~72 key-slots
@@ -120,7 +120,7 @@ func TestRemoteLinearizableBatchOps(t *testing.T) {
 // check (it should eventually tear, proving the witness can fail).
 func TestRemoteCrossShardSnapshotWitness(t *testing.T) {
 	const m = 64 // witness keys 1,3,...,2m-1 span all 4 shards
-	_, c := startServer(t, "shard4", 2*m, 4)
+	_, c := startServer(t, "shard4", 2*m)
 	init := c.NewHandle()
 	for i := 0; i < m; i++ {
 		init.Insert(uint64(2*i+1), 1_000_000) // "round before round 0"
@@ -217,7 +217,7 @@ func TestRemoteCrossShardSnapshotWitness(t *testing.T) {
 // the combined history — batch frames pipeline across wire.MaxBatch
 // boundaries while point ops from other connections race them.
 func TestRemoteLinearizableAfterPipelinedBatches(t *testing.T) {
-	_, c := startServer(t, "occ", 1<<16, 4)
+	_, c := startServer(t, "occ", 1<<16)
 	keys := []uint64{5, 6}
 	var clock atomic.Int64
 	var mu sync.Mutex

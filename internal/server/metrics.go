@@ -2,7 +2,7 @@ package server
 
 // The server's observability surface (the ISSUE 6 tentpole): striped
 // internal/metrics instruments recorded on the hot path for ~a few ns
-// and 0 allocs (workers hint with their pool index; TestAllocsRemote*
+// and 0 allocs (workers hint with their creation index; TestAllocsRemote*
 // still holds end to end), snapshotted three ways — the wire METRICS
 // operation (one streamed frame per instrument), Server.MetricsDump
 // (the -debug HTTP endpoint's expvar-style JSON), and the structured
@@ -86,7 +86,7 @@ const (
 	causeWriteError
 	causeWriteTimeout
 	causeServerClosed
-	causeIdleTimeout // reader idled past Config.IdleTimeout
+	causeIdleTimeout // connection idled past Config.IdleTimeout
 	causeMaxConns    // rejected at accept with BUSY (Config.MaxConns)
 	causeDrained     // closed by Shutdown after its responses flushed
 	numCauses
@@ -101,30 +101,27 @@ var causeNames = [numCauses]string{
 // srvMetrics is the server's instrument set. Zero value ready; lives
 // inline in Server.
 type srvMetrics struct {
-	opLat      [numOpSlots]metrics.Histogram // service latency per opcode, including a reply written by its producer
-	queueWait  metrics.Histogram             // reader-enqueue to serve start (≈ 0 when the reader serves)
+	opLat      [numOpSlots]metrics.Histogram // service latency per opcode; a scan's includes the writes of its full cuts
+	queueWait  metrics.Histogram             // frame read to serve start (decode, validation, rate limit)
 	commitWait metrics.Histogram             // primary: mutation blocked on waitCommitted
 	shipAck    metrics.Histogram             // primary: REPLICATE ship to REPL_ACK, per round trip with entries
 
-	inFlight metrics.Gauge // ops currently executing on workers and readers
+	inFlight metrics.Gauge // ops currently executing
 	conns    metrics.Gauge // registered connections
-	workers  metrics.Gauge // pool size (set once)
 
-	accepted     metrics.Counter // connections ever accepted
-	decodeErrs   metrics.Counter // malformed-but-delimited frames answered with RespError
-	keyRejects   metrics.Counter // reserved-sentinel keys rejected at the boundary
-	shedConnDead metrics.Counter // responses dropped because the connection died first
-	rateLimited  metrics.Counter // requests answered with BUSY by the per-connection token bucket
-	readerServed metrics.Counter // requests served on their connection's reader, bypassing the pool
-	replAcks     metrics.Counter // follower acks absorbed by this primary's senders
-	failovers    metrics.Counter // PROMOTE ops that actually flipped this server to primary
+	accepted    metrics.Counter // connections ever accepted
+	decodeErrs  metrics.Counter // malformed-but-delimited frames answered with RespError
+	keyRejects  metrics.Counter // reserved-sentinel keys rejected at the boundary
+	rateLimited metrics.Counter // requests answered with BUSY by the per-connection token bucket
+	replAcks    metrics.Counter // follower acks absorbed by this primary's senders
+	failovers   metrics.Counter // PROMOTE ops that actually flipped this server to primary
 
 	teardowns [numCauses]metrics.Counter
 }
 
 // metricsItemCount is the fixed number of instruments a METRICS
 // response streams (the last one carries the MetricsLast flag).
-const metricsItemCount = 8 + numCauses + 5 + 3 + numOpSlots
+const metricsItemCount = 6 + numCauses + 3 + 3 + numOpSlots
 
 // eachCounter visits every counter in the stable stream order.
 func (s *Server) eachCounter(f func(name string, v uint64)) {
@@ -132,9 +129,7 @@ func (s *Server) eachCounter(f func(name string, v uint64)) {
 	f("accepted_conns_total", m.accepted.Load())
 	f("decode_errors_total", m.decodeErrs.Load())
 	f("key_rejects_total", m.keyRejects.Load())
-	f("shed_conn_dead_total", m.shedConnDead.Load())
 	f("rate_limited_total", m.rateLimited.Load())
-	f("reader_served_total", m.readerServed.Load())
 	f("repl_acks_total", m.replAcks.Load())
 	f("failovers_total", m.failovers.Load())
 	for i := range m.teardowns {
@@ -147,8 +142,6 @@ func (s *Server) eachGauge(f func(name string, v int64)) {
 	m := &s.metrics
 	f("open_conns", m.conns.Load())
 	f("inflight_ops", m.inFlight.Load())
-	f("workers", m.workers.Load())
-	f("work_queue_depth", int64(len(s.work)))
 	if r := s.repl; r != nil {
 		f("repl_seq", int64(r.replSeq()))
 	} else {
@@ -221,39 +214,31 @@ func (s *Server) MetricsDump() MetricsDump {
 }
 
 // serveMetrics streams the instrument set as RespMetrics frames in
-// stable order, flagging the final one. Runs on a worker like any
-// operation; allocation here is fine (observability rate, not op rate)
-// but the histogram snapshot scratch is per-worker anyway, made by the
-// worker's first METRICS.
+// stable order, flagging the final one, through the output cut (a dead
+// connection fails each cut at once). Allocation here is fine
+// (observability rate, not op rate) but the histogram snapshot scratch
+// is per-worker anyway, made by the worker's first METRICS.
 func (w *worker) serveMetrics(c *srvConn, id uint64) {
-	i, alive := 0, true
-	emit := func(fill func(ob *outBuf, last bool)) {
-		if !alive {
-			return
-		}
-		ob := c.getOut()
-		fill(ob, i == metricsItemCount-1)
+	i := 0
+	last := func() bool {
 		i++
-		alive = c.send(ob)
+		return i == metricsItemCount
 	}
 	w.s.eachCounter(func(name string, v uint64) {
-		emit(func(ob *outBuf, last bool) {
-			ob.b = wire.AppendMetricsCounter(ob.b[:0], id, name, v, last)
-		})
+		c.out = wire.AppendMetricsCounter(c.out, id, name, v, last())
+		c.cut()
 	})
 	w.s.eachGauge(func(name string, v int64) {
-		emit(func(ob *outBuf, last bool) {
-			ob.b = wire.AppendMetricsGauge(ob.b[:0], id, name, v, last)
-		})
+		c.out = wire.AppendMetricsGauge(c.out, id, name, v, last())
+		c.cut()
 	})
 	if w.msnap == nil {
 		w.msnap = new(metrics.Snapshot)
 	}
 	w.s.eachHist(func(name string, h *metrics.Histogram) {
 		h.Snapshot(w.msnap)
-		emit(func(ob *outBuf, last bool) {
-			ob.b = wire.AppendMetricsHist(ob.b[:0], id, name, w.msnap, last)
-		})
+		c.out = wire.AppendMetricsHist(c.out, id, name, w.msnap, last())
+		c.cut()
 	})
 }
 

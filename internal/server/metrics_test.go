@@ -23,7 +23,7 @@ import (
 )
 
 // waitCond polls f for up to a second — teardown accounting runs on the
-// connection's writer goroutine, so tests must tolerate a short lag.
+// connection's own goroutine, so tests must tolerate a short lag.
 func waitCond(t *testing.T, what string, f func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(time.Second)
@@ -40,7 +40,7 @@ func waitCond(t *testing.T, what string, f func() bool) {
 // fetch METRICS through the client, and check the counters, gauges and
 // per-op histograms line up with the traffic.
 func TestRemoteMetrics(t *testing.T) {
-	s, c := startServer(t, "occ", 1<<16, 2)
+	s, c := startServer(t, "occ", 1<<16)
 	h := c.NewHandle()
 	const ops = 200
 	for i := uint64(1); i <= ops; i++ {
@@ -58,9 +58,9 @@ func TestRemoteMetrics(t *testing.T) {
 		FindBatch(keys, vals []uint64, found []bool)
 	}).FindBatch(keys, vals, oks)
 
-	// A worker observes an op after sending its response, so the METRICS
-	// request, served by the other worker, can overtake the last
-	// observation: poll until the counts settle.
+	// A connection observes each op before it writes the reply, so the
+	// counts have settled by now; the poll only bounds the wait if that
+	// ever changes.
 	var sm *client.ServerMetrics
 	waitCond(t, "op histograms to record every acknowledged op", func() bool {
 		var err error
@@ -91,21 +91,12 @@ func TestRemoteMetrics(t *testing.T) {
 	if p99 := sm.Hists["op_get_ns"].Quantile(0.99); p99 == 0 {
 		t.Error("op_get_ns p99 = 0")
 	}
-	if got := sm.Gauges["workers"]; got != 2 {
-		t.Errorf("workers gauge = %d, want 2", got)
-	}
 	// ctrl handle + point handle at least; STATS from Dial already ran.
 	if got := sm.Counters["accepted_conns_total"]; got < 2 {
 		t.Errorf("accepted_conns_total = %d, want >= 2", got)
 	}
 	if got := sm.Gauges["open_conns"]; got < 2 {
 		t.Errorf("open_conns = %d, want >= 2", got)
-	}
-	if got := sm.Counters["shed_conn_dead_total"]; got != 0 {
-		t.Errorf("shed_conn_dead_total = %d, want 0", got)
-	}
-	if _, ok := sm.Counters["shed_responses_total"]; ok {
-		t.Error("shed_responses_total still exported (it is shed_conn_dead_total now)")
 	}
 
 	// The client recorded matching RTT histograms.
@@ -170,7 +161,7 @@ func (l *logSink) find(sub string) bool {
 // structured line with its cause.
 func TestTeardownCauses(t *testing.T) {
 	var logs logSink
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 1, Logf: logs.logf})
+	s, err := New(testBuilder, "occ", 1<<16, Config{Logf: logs.logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +215,7 @@ func TestTeardownCauses(t *testing.T) {
 // connection alive and bump decode_errors_total; reserved keys bump
 // key_rejects_total.
 func TestDecodeErrorCounter(t *testing.T) {
-	s, c := startServer(t, "occ", 1<<16, 1)
+	s, c := startServer(t, "occ", 1<<16)
 	nc, err := net.Dial("tcp", s.l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +249,7 @@ func TestDecodeErrorCounter(t *testing.T) {
 // slow, so a point op must produce a trace line naming its opcode.
 func TestSlowOpTrace(t *testing.T) {
 	var logs logSink
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 1, Logf: logs.logf, TraceSlow: time.Nanosecond})
+	s, err := New(testBuilder, "occ", 1<<16, Config{Logf: logs.logf, TraceSlow: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,15 +275,15 @@ func TestSlowOpTrace(t *testing.T) {
 // same names. The lists are the stable METRICS vocabulary that
 // abtree-top and the ledger read.
 func TestMetricsStreamKeys(t *testing.T) {
-	s, c := startServer(t, "occ", 1<<16, 2)
+	s, c := startServer(t, "occ", 1<<16)
 	counters := []string{
 		"accepted_conns_total", "decode_errors_total", "key_rejects_total",
-		"shed_conn_dead_total", "rate_limited_total", "reader_served_total", "repl_acks_total", "failovers_total",
+		"rate_limited_total", "repl_acks_total", "failovers_total",
 		"teardown_peer_closed_total", "teardown_read_error_total", "teardown_framing_total",
 		"teardown_write_error_total", "teardown_write_timeout_total", "teardown_server_closed_total",
 		"teardown_idle_timeout_total", "teardown_max_conns_reject_total", "teardown_drained_total",
 	}
-	gauges := []string{"open_conns", "inflight_ops", "workers", "work_queue_depth", "repl_seq"}
+	gauges := []string{"open_conns", "inflight_ops", "repl_seq"}
 	hists := []string{
 		"queue_wait_ns", "repl_commit_wait_ns", "repl_ship_ack_ns",
 		"op_get_ns", "op_put_ns", "op_delete_ns", "op_mget_ns", "op_mput_ns", "op_mdelete_ns",
@@ -349,7 +340,7 @@ func TestMetricsStreamKeys(t *testing.T) {
 // TestRTTSnapshotsOnlyRecordedOps: Client.RTT returns the ops that ran
 // and allocates a snapshot for those alone — not one per RTT histogram.
 func TestRTTSnapshotsOnlyRecordedOps(t *testing.T) {
-	_, c := startServer(t, "occ", 1<<16, 1)
+	_, c := startServer(t, "occ", 1<<16)
 	h := c.NewHandle()
 	h.Find(1)
 	rtt := c.RTT()

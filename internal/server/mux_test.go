@@ -35,9 +35,9 @@ func startServerCfg(t *testing.T, name string, keyRange uint64, cfg Config) (*Se
 
 // startMux spins up a server plus a connected coalescing mux, both torn
 // down with the test (mux first — Close must not race in-flight ops).
-func startMux(t *testing.T, name string, keyRange uint64, workers int) (*Server, *client.Mux) {
+func startMux(t *testing.T, name string, keyRange uint64) (*Server, *client.Mux) {
 	t.Helper()
-	s, addr := startServerCfg(t, name, keyRange, Config{Workers: workers})
+	s, addr := startServerCfg(t, name, keyRange, Config{})
 	m, err := client.DialMux(addr, client.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func startMux(t *testing.T, name string, keyRange uint64, workers int) (*Server,
 // coalescing), then the aggregate key sum is cross-checked server-side.
 func TestMuxPointOps(t *testing.T) {
 	t.Run("one-conn", func(t *testing.T) {
-		_, m := startMux(t, "occ", 1<<20, 4)
+		_, m := startMux(t, "occ", 1<<20)
 		// Four callers per credit make coalescing structural: at most 8
 		// frames are in flight, so while the window is full the other
 		// callers park in the submission queue and the next round's
@@ -135,7 +135,7 @@ func TestMuxPointOps(t *testing.T) {
 // connection — equal keys still apply in input order within a frame,
 // and batches above wire.MaxBatch split and reassemble in input order.
 func TestMuxExplicitBatch(t *testing.T) {
-	_, m := startMux(t, "occ", 1<<20, 4)
+	_, m := startMux(t, "occ", 1<<20)
 	b := m.NewHandle().(dict.Batcher)
 
 	keys := []uint64{5, 5, 7, 5}
@@ -176,7 +176,7 @@ func TestMuxExplicitBatch(t *testing.T) {
 // scans) and feeds them to the Wing&Gong checker: coalescing must
 // preserve per-key linearizability end to end.
 func TestMuxLinearizability(t *testing.T) {
-	_, m := startMux(t, "shard4", 64, 4)
+	_, m := startMux(t, "shard4", 64)
 	keys := []uint64{3, 9, 17, 33, 49, 60} // spread across the 4 shards
 	history := linearizability.Record(func() linearizability.DictHandle {
 		return m.NewHandle().(linearizability.DictHandle)
@@ -200,7 +200,7 @@ func TestMuxLinearizability(t *testing.T) {
 // the combined history (batch keys expanded per the dict.Batcher
 // contract) must stay linearizable.
 func TestMuxLinearizableRacingBatch(t *testing.T) {
-	_, m := startMux(t, "occ", 1<<16, 4)
+	_, m := startMux(t, "occ", 1<<16)
 	keys := []uint64{5, 6}
 	var clock atomic.Int64
 	var mu sync.Mutex
@@ -285,7 +285,7 @@ func TestMuxLinearizableRacingBatch(t *testing.T) {
 // through the mux — combiner staging, frame encode, server round trip,
 // reader scatter, waiter wakeup — allocates nothing process-wide.
 func TestAllocsMux(t *testing.T) {
-	_, m := startMux(t, "occ", 1<<16, 2)
+	_, m := startMux(t, "occ", 1<<16)
 	h := m.NewHandle()
 	for k := uint64(1); k <= 10_000; k++ {
 		h.Insert(k, k)

@@ -1,9 +1,9 @@
 package server
 
-// Lone requests served on their connection's reader: a GET on a
-// standalone server and every REPLICATE on a follower bypass the worker
-// pool, so a pool parked on a stalled peer delays neither. Close waits
-// for the readers as it does for the pool.
+// Every request is served on its connection's own goroutine: a
+// connection parked on a stalled peer delays neither a GET on another
+// connection nor a follower's REPLICATE. Close waits for every
+// connection's goroutine.
 
 import (
 	"io"
@@ -33,13 +33,13 @@ func prefilled(n uint64) Builder {
 
 // stalledKeys is enough keys that one full snapshot scan (16 B a pair)
 // outgrows the server's socket send buffer (4 MB at most on Linux) plus
-// the connection's write queue.
+// the connection's 64 KB output cut.
 const stalledKeys = 600_000
 
 // stallPool sends one full snapshot scan on a connection that reads
-// nothing, then waits until a worker has taken it: that worker stays
-// parked, publishing chunks nobody drains, until the write deadline
-// tears the connection down.
+// nothing, then waits until the server is serving it: that connection
+// stays parked, writing chunks nobody drains, until the write deadline
+// tears it down.
 func stallPool(t *testing.T, s *Server, addr string) {
 	t.Helper()
 	stalled := rawDial(t, addr)
@@ -47,18 +47,17 @@ func stallPool(t *testing.T, s *Server, addr string) {
 	if _, err := stalled.Write(wire.AppendScan(nil, 1, true, 1, 1<<60)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "a worker to take the scan", func() bool {
-		g := s.MetricsDump().Gauges
-		return g["inflight_ops"] == 1 && g["work_queue_depth"] == 0
+	waitFor(t, "the scan to be served", func() bool {
+		return s.MetricsDump().Gauges["inflight_ops"] == 1
 	})
 }
 
-// TestLoneGetBypassesParkedPool: with the only worker parked on a
+// TestLoneGetBypassesParkedPool: with one connection parked on a
 // stalled scan consumer, a lone GET on another connection is answered
-// at once, on its reader, not after the write deadline frees the
-// worker.
+// at once, on its own goroutine, not after the write deadline frees the
+// parked one.
 func TestLoneGetBypassesParkedPool(t *testing.T) {
-	s, err := New(prefilled(stalledKeys), "occ", stalledKeys, Config{Workers: 1})
+	s, err := New(prefilled(stalledKeys), "occ", stalledKeys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,22 +77,19 @@ func TestLoneGetBypassesParkedPool(t *testing.T) {
 	}
 	id, op, payload := readResp(t, nc)
 	if el := time.Since(t0); el >= time.Second {
-		t.Fatalf("lone GET answered after %v behind a parked worker, want < 1s", el)
+		t.Fatalf("lone GET answered after %v beside a parked connection, want < 1s", el)
 	}
 	if id != 7 || op != wire.RespPoint {
 		t.Fatalf("GET got id=%d op=%#x payload=%q", id, op, payload)
 	}
-	if n := s.MetricsDump().Counters["reader_served_total"]; n != 1 {
-		t.Fatalf("reader_served_total = %d, want 1", n)
-	}
 }
 
-// TestFollowerAcksBesideParkedPool: a follower's only worker is parked
-// on a stalled scan consumer; a PUT through the primary still commits at
+// TestFollowerAcksBesideParkedPool: a follower connection is parked on
+// a stalled scan consumer; a PUT through the primary still commits at
 // once, because the follower applies and acknowledges REPLICATE on the
-// sink connection's reader.
+// sink connection's own goroutine.
 func TestFollowerAcksBesideParkedPool(t *testing.T) {
-	f, err := New(prefilled(stalledKeys), "occ", stalledKeys, Config{Workers: 1, Follower: true})
+	f, err := New(prefilled(stalledKeys), "occ", stalledKeys, Config{Follower: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +101,7 @@ func TestFollowerAcksBesideParkedPool(t *testing.T) {
 	t.Cleanup(func() { f.Close() })
 	// The primary starts empty: only the keys this test writes are
 	// shipped, and the follower holds none of them.
-	_, pa := startServerCfg(t, "occ", 1<<32, Config{Workers: 2, Followers: []string{fa.String()}})
+	_, pa := startServerCfg(t, "occ", 1<<32, Config{Followers: []string{fa.String()}})
 	pc, err := client.Dial(pa)
 	if err != nil {
 		t.Fatal(err)
@@ -115,22 +111,18 @@ func TestFollowerAcksBesideParkedPool(t *testing.T) {
 	h.Insert(stalledKeys+1, 1) // the sender is connected and caught up
 	stallPool(t, f, fa.String())
 
-	served := f.MetricsDump().Counters["reader_served_total"]
 	t0 := time.Now()
 	if _, ok := h.Insert(stalledKeys+2, 2); !ok {
 		t.Fatal("PUT of a fresh key did not insert")
 	}
 	if el := time.Since(t0); el >= time.Second {
-		t.Fatalf("replicated PUT committed after %v behind the follower's parked worker, want < 1s", el)
-	}
-	if n := f.MetricsDump().Counters["reader_served_total"]; n <= served {
-		t.Fatalf("follower reader_served_total %d -> %d: REPLICATE not served on the reader", served, n)
+		t.Fatalf("replicated PUT committed after %v beside the follower's parked connection, want < 1s", el)
 	}
 }
 
 // slowInserts delays every insert by a millisecond before applying it,
-// so a reader streaming PUTs is nearly always inside one when Close is
-// called.
+// so a connection streaming PUTs is nearly always inside one when Close
+// is called.
 type slowInserts struct{ dict.Dict }
 
 type slowInsertHandle struct{ dict.Handle }
@@ -143,10 +135,10 @@ func (h slowInsertHandle) Insert(k, v uint64) (uint64, bool) {
 }
 
 // TestCloseWaitsForReaders: Close returns only once no request runs on
-// any reader. A peer streams PUTs that the reader serves itself; after
-// Close returns mid-stream, the tree no longer changes and passes
-// Validate. With the readers left out of the server's wait group, the
-// key sum moves after Close in most rounds.
+// any connection. A peer streams PUTs; after Close returns mid-stream,
+// the tree no longer changes and passes Validate. With the connections
+// left out of the server's wait group, the key sum moves after Close in
+// most rounds.
 func TestCloseWaitsForReaders(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		var tree *core.Tree
@@ -154,7 +146,7 @@ func TestCloseWaitsForReaders(t *testing.T) {
 			tree = core.New()
 			return slowInserts{treedict.Core{T: tree}}
 		}
-		s, err := New(build, "occ", 1<<20, Config{Workers: 1})
+		s, err := New(build, "occ", 1<<20, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,8 +165,8 @@ func TestCloseWaitsForReaders(t *testing.T) {
 				}
 			}
 		}()
-		waitFor(t, "PUTs served on the reader", func() bool {
-			return s.MetricsDump().Counters["reader_served_total"] >= 20
+		waitFor(t, "PUTs served", func() bool {
+			return s.MetricsDump().Histograms["op_put_ns"].Count >= 20
 		})
 		s.Close()
 		before := tree.KeySum()
@@ -185,5 +177,49 @@ func TestCloseWaitsForReaders(t *testing.T) {
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+	}
+}
+
+// TestPipelinedFramesServedInArrivalOrder: one connection pipelines
+// 2000 × (MPUT {k}, DELETE k) without waiting for a reply; the server
+// serves a connection's frames in arrival order, so every DELETE finds
+// the key the MPUT before it inserted.
+func TestPipelinedFramesServedInArrivalOrder(t *testing.T) {
+	_, addr := startServerCfg(t, "occ", 1<<16, Config{})
+	nc := rawDial(t, addr)
+	const pairs = 2000
+	var b []byte
+	for k := uint64(1); k <= pairs; k++ {
+		b = wire.AppendBatch(b, 2*k-1, wire.OpMPut, []uint64{k}, []uint64{k})
+		b = wire.AppendPoint(b, 2*k, wire.OpDelete, k, 0)
+	}
+	written := make(chan error, 1)
+	go func() {
+		_, err := nc.Write(b)
+		written <- err
+	}()
+	missed := 0
+	for i := 0; i < 2*pairs; i++ {
+		id, op, payload := readResp(t, nc)
+		if id%2 == 1 {
+			if op != wire.RespBatch {
+				t.Fatalf("MPUT id %d answered with op %#x: %q", id, op, payload)
+			}
+			continue
+		}
+		if op != wire.RespPoint {
+			t.Fatalf("DELETE id %d answered with op %#x: %q", id, op, payload)
+		}
+		if _, ok, _, err := wire.DecodePoint(payload); err != nil {
+			t.Fatal(err)
+		} else if !ok {
+			missed++
+		}
+	}
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+	if missed > 0 {
+		t.Fatalf("%d of %d DELETEs did not find the key their MPUT inserted", missed, pairs)
 	}
 }

@@ -25,10 +25,10 @@ package server
 // order may differ from wall-clock order, which is state-equivalent
 // (operations on distinct keys commute). The follower applies entries
 // strictly in sequence order under one apply mutex, on the sink
-// connection's reader: REPLICATE never waits for the worker pool, so
-// client reads that keep every follower worker busy (or park one on a
-// stalled peer) do not hold up the primary's commits, and its REPL_ACK
-// is written by that reader when the connection's writer is idle.
+// connection's own goroutine like any request: client connections,
+// busy or parked on a stalled peer, do not hold up the primary's
+// commits, and the REPL_ACK is written before that goroutine reads the
+// next frame.
 //
 // Reads on the primary return only committed state: a read snapshots
 // the log position covering everything it may have observed (under the
@@ -354,7 +354,7 @@ func (w *worker) serveReplPoint(req *request) {
 		// overstating would defeat the read-your-writes fence).
 		seq := r.applied.Load()
 		v, ok := w.h.Find(req.Key)
-		c.sendPointSeq(req.ID, v, ok, seq)
+		c.out = wire.AppendRespPointSeq(c.out, req.ID, v, ok, seq)
 		return
 	}
 	var v uint64
@@ -368,10 +368,10 @@ func (w *worker) serveReplPoint(req *request) {
 	if !w.commitWait(req, seq) {
 		return
 	}
-	c.sendPointSeq(req.ID, v, ok, seq)
+	c.out = wire.AppendRespPointSeq(c.out, req.ID, v, ok, seq)
 }
 
-// commitWait blocks the worker until seq is committed, recording the
+// commitWait blocks the connection until seq is committed, recording the
 // wait in the repl_commit_wait_ns histogram (and as a commit-wait span
 // on traced requests). False means the server closed mid-wait — drop
 // the response (see waitCommitted).
@@ -416,9 +416,7 @@ func (w *worker) serveReplBatch(req *request) {
 		for i, k := range req.Keys {
 			vals[i], oks[i] = w.h.Find(k)
 		}
-		ob := c.getOut()
-		ob.b = wire.AppendRespBatchSeq(ob.b[:0], req.ID, vals, oks, seq)
-		c.send(ob)
+		c.out = wire.AppendRespBatchSeq(c.out, req.ID, vals, oks, seq)
 		return
 	}
 	var maxSeq uint64
@@ -440,9 +438,7 @@ func (w *worker) serveReplBatch(req *request) {
 	if !w.commitWait(req, maxSeq) {
 		return
 	}
-	ob := c.getOut()
-	ob.b = wire.AppendRespBatchSeq(ob.b[:0], req.ID, vals, oks, maxSeq)
-	c.send(ob)
+	c.out = wire.AppendRespBatchSeq(c.out, req.ID, vals, oks, maxSeq)
 }
 
 // --- follower sink ----------------------------------------------------

@@ -19,7 +19,7 @@ import (
 // both hosting name over keyRange.
 func startReplPair(t *testing.T, name string, keyRange uint64) (prim, fol *Server, paddr, faddr string) {
 	t.Helper()
-	f, err := New(testBuilder, name, keyRange, Config{Workers: 2, Follower: true})
+	f, err := New(testBuilder, name, keyRange, Config{Follower: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func startReplPair(t *testing.T, name string, keyRange uint64) (prim, fol *Serve
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	p, err := New(testBuilder, name, keyRange, Config{Workers: 2, Followers: []string{fa.String()}})
+	p, err := New(testBuilder, name, keyRange, Config{Followers: []string{fa.String()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPromotionFencesOldPrimary(t *testing.T) {
 // rejections the client absorbs by backing off — every op still
 // completes exactly once, and rate_limited_total counts the pushback.
 func TestRateLimit(t *testing.T) {
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2, RateLimit: 200})
+	s, err := New(testBuilder, "occ", 1<<16, Config{RateLimit: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestRateLimit(t *testing.T) {
 // leave the bucket ~20s in debt at 100 rps and the Insert would exhaust
 // its retries.
 func TestRateLimitBatchDeficitBounded(t *testing.T) {
-	s, err := New(testBuilder, "occ", 1<<16, Config{Workers: 2, RateLimit: 100})
+	s, err := New(testBuilder, "occ", 1<<16, Config{RateLimit: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,45 +4,40 @@
 // routed straight to dict.Batcher, streamed SCAN/SNAPSHOT_SCAN, and
 // STATS/OPEN control operations.
 //
-// Concurrency model: dict.Handle is thread-bound (one handle per
-// goroutine, never shared). The server runs a fixed pool of worker
-// goroutines, each owning its own handle (plus its Batcher and scan
-// entry points), and a connection's reader hands batches, scans,
-// control ops and a primary's point ops to the shared work queue. A
-// lone request that cannot block — GET/PUT/DELETE on a standalone
-// server or a follower while the queue is empty, and every REPLICATE —
-// the reader serves itself, through the same worker code, on a worker
-// of its own attached on first use. Responses carry the request's id,
-// so they may reach the peer in any order: one connection can pipeline
-// many requests and have them served by many workers concurrently. A
-// point reply is written by the goroutine that made it when the
-// connection's writer is idle; everything else flows through the
-// writer goroutine, which gathers bursts.
+// Concurrency model: one goroutine per connection, as in memcached,
+// Redis and net/http. dict.Handle is thread-bound, so each connection
+// serves on a worker of its own — a handle plus its Batcher and scan
+// entry points — attached on its first request and parked for the next
+// connection when it closes. The goroutine decodes a frame, serves it,
+// appends the reply to the connection's output buffer and moves on:
+// requests are served, and answered, in arrival order, so a peer that
+// pipelines a mutation and a read of the same key sees the mutation.
+// Responses still carry the request's id. One connection is served by
+// one core at a time; a many-core server wants many connections (a
+// client.Mux multiplexes all of its callers over one, and so runs on
+// one server core).
 //
-// Allocation discipline (the PR 3 scratch-buffer rules, extended across
-// the wire): request structs and response buffers are pooled per
-// connection, payloads decode into per-request scratch, batch results
-// land in per-worker scratch, and scan responses stream through reused
-// chunk buffers — so the warmed-up point-operation path allocates
-// nothing end to end (enforced by TestAllocsRemotePointOps).
+// Writes: the output buffer is written once it reaches 64 KB, and
+// before every socket read. The frame reader reads only when no whole
+// frame is buffered, so a pipelined burst is answered in one write and
+// no reply waits behind a blocking read. Scans, METRICS and trace dumps
+// stream through the same 64 KB cut.
 //
-// Flow control: each connection owns a fixed set of request slots; its
-// reader blocks once all of them are in flight, bounding per-connection
-// memory and work-queue pressure. A worker publishing a response
-// selects on the connection's teardown signal, so a dead connection can
-// never strand a worker (the robustness tests abuse this path) — and a
-// live connection whose peer stopped reading is turned into a dead one
-// by the write deadline (Server.writeTimeout), so a stalled peer cannot
-// pin a worker either. While one does, lone requests on other
-// connections are still served, on their own readers.
+// Allocation discipline: each connection decodes into one reused
+// request (key/value scratch included), batch results land in the
+// worker's scratch, and replies append to one reused buffer, so the
+// warmed-up point-operation path allocates nothing end to end (enforced
+// by TestAllocsRemotePointOps).
 //
-// Overload policy: a full work queue blocks the connection's reader
-// behind its request slots — backpressure reaches the peer through TCP.
-// Admission control is Config.MaxConns and Config.RateLimit, both
+// Flow control and overload: a connection's goroutine reads its next
+// frame only after serving the last one, so backpressure is TCP's, per
+// connection. A peer that stops reading is turned into a dead
+// connection by the write deadline (Server.writeTimeout); it holds up
+// only its own goroutine. Admission control is Config.MaxConns — the
+// only cap on concurrent operations — and Config.RateLimit, both
 // answering BUSY ("nothing was executed"), which clients retry after
 // backing off. Merging concurrent callers' point operations into batch
-// descents is the client's job (client.Mux); a worker serves each
-// dequeued request on its own.
+// descents is the client's job (client.Mux).
 package server
 
 import (
@@ -51,7 +46,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,10 +66,6 @@ type Builder func(name string, keyRange uint64) dict.Dict
 
 // Config tunes a Server.
 type Config struct {
-	// Workers is the size of the handle-owning worker pool (default
-	// GOMAXPROCS). It caps the server's operation concurrency the same
-	// way thread counts cap the in-process harness.
-	Workers int
 	// Logf, when set, receives one structured line per connection
 	// teardown (remote address + cause) and per slow operation (see
 	// TraceSlow). Nil keeps the server silent, as before.
@@ -87,9 +77,9 @@ type Config struct {
 	// An accept over the cap is answered with one BUSY frame and closed
 	// — admission control at the cheapest possible point: the rejected
 	// peer learns immediately (and its client retries with backoff)
-	// instead of holding reader/writer goroutines and request slots on a
-	// server that is already saturated. Counted as
-	// teardown_max_conns_reject_total.
+	// instead of holding a goroutine and a handle on a server that is
+	// already saturated. It is the only cap on concurrent operations.
+	// Counted as teardown_max_conns_reject_total.
 	MaxConns int
 	// IdleTimeout reaps connections that send nothing for this long
 	// (0 = never). Only fully idle connections are reaped — a peer that
@@ -131,10 +121,9 @@ type Config struct {
 	Partition    uint64
 }
 
-// reqSlots bounds the requests one connection may have in flight; its
-// reader blocks until a slot frees up. Response buffers are sized to
-// cover every slot plus in-flight scan chunks.
-const reqSlots = 32
+// outCut is the size at which a connection's pending replies are
+// written without waiting for its next read.
+const outCut = 64 << 10
 
 // hosted is one generation of the served dictionary. OPEN installs a
 // fresh generation; workers lazily re-attach (new handle, new Batcher,
@@ -151,18 +140,17 @@ type hosted struct {
 
 // Server serves one dictionary over TCP.
 type Server struct {
-	build   Builder
-	workers int
+	build Builder
 	// writeTimeout bounds how long a socket write may sit without
 	// progress (always one minute; a field only so the in-package test
-	// can shorten it). It is the stalled-peer backstop: a worker
-	// publishing a response blocks on the connection's write queue, which
-	// is fine while the peer consumes, but a peer that stops reading
-	// mid-stream would otherwise pin that worker forever. The deadline
-	// turns a stalled connection into a dead one, and teardown frees the
-	// worker. It is re-armed only once less than half of it remains (a
-	// SetWriteDeadline costs several time.Nows), so a stalled write fails
-	// after between ½ and 1 × writeTimeout.
+	// can shorten it). It is the stalled-peer backstop: a connection's
+	// goroutine writes its own replies, which is fine while the peer
+	// consumes, but a peer that stops reading mid-stream would otherwise
+	// park that goroutine, and its handle, forever. The deadline turns a
+	// stalled connection into a dead one. It is re-armed only once less
+	// than half of it remains (a SetWriteDeadline costs several
+	// time.Nows), so a stalled write fails after between ½ and 1 ×
+	// writeTimeout.
 	writeTimeout time.Duration
 	logf         func(format string, args ...any)
 	traceSlow    time.Duration
@@ -187,8 +175,6 @@ type Server struct {
 
 	cur      atomic.Pointer[hosted]
 	gen      atomic.Uint64
-	work     chan *request
-	quit     chan struct{}
 	draining atomic.Bool
 
 	openMu sync.Mutex // serializes OPEN rebuilds
@@ -197,28 +183,22 @@ type Server struct {
 	l      net.Listener
 	conns  map[*srvConn]struct{}
 	closed bool
-	// spare holds the workers of readers that have exited, for the next
-	// reader to reuse: a handle may register with its tree for good
-	// (pabtree's epoch manager), so reader handles follow the peak
-	// connection count, not the connection churn. readerWorkers counts
-	// the reader workers ever made.
-	spare         []*worker
-	readerWorkers int
-	// wg counts the pool workers, the accept loop and every connection's
-	// reader: Close returns only once no request runs anywhere.
+	// spare holds the workers of closed connections, for the next
+	// connection to reuse: a handle may register with its tree for good
+	// (pabtree's epoch manager), so handles follow the peak connection
+	// count, not the connection churn. made counts the workers ever made.
+	spare []*worker
+	made  int
+	// wg counts the accept loop and every connection's goroutine: Close
+	// returns only once no request runs anywhere.
 	wg sync.WaitGroup
 }
 
-// New builds a server hosting build(name, keyRange) and starts its
-// worker pool (the network listener starts with Start).
+// New builds a server hosting build(name, keyRange); the network
+// listener starts with Start.
 func New(build Builder, name string, keyRange uint64, cfg Config) (*Server, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	s := &Server{
 		build:        build,
-		workers:      workers,
 		writeTimeout: time.Minute,
 		logf:         cfg.Logf,
 		traceSlow:    cfg.TraceSlow,
@@ -227,8 +207,6 @@ func New(build Builder, name string, keyRange uint64, cfg Config) (*Server, erro
 		rateLimit:    cfg.RateLimit,
 		rateBurst:    max(cfg.RateLimit, 32),
 		tracer:       trace.New(),
-		work:         make(chan *request, max(4*workers, 256)),
-		quit:         make(chan struct{}),
 		conns:        make(map[*srvConn]struct{}),
 	}
 	if err := s.host(name, keyRange); err != nil {
@@ -236,11 +214,6 @@ func New(build Builder, name string, keyRange uint64, cfg Config) (*Server, erro
 	}
 	if cfg.Follower || len(cfg.Followers) > 0 {
 		s.repl = newReplState(s, cfg)
-	}
-	s.metrics.workers.Add(0, int64(workers))
-	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
-		go s.workerLoop(newWorker(s, i))
 	}
 	return s, nil
 }
@@ -265,8 +238,8 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	return l.Addr(), nil
 }
 
-// Close stops the listener, tears down every connection and stops the
-// worker pool.
+// Close stops the listener and tears down every connection, returning
+// once no request runs.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -283,7 +256,6 @@ func (s *Server) Close() error {
 	if l != nil {
 		l.Close()
 	}
-	close(s.quit)
 	for _, c := range conns {
 		c.teardown(causeServerClosed)
 	}
@@ -295,11 +267,10 @@ func (s *Server) Close() error {
 }
 
 // Shutdown drains the server gracefully: the listener closes, every
-// connection's reader stops taking new requests, in-flight requests
-// finish on the workers and their responses are flushed to the peers,
-// and only then do the connections close (cause "drained") and the
-// worker pool stop. If ctx expires first the remaining connections are
-// torn down hard, exactly like Close, and ctx.Err() is returned.
+// connection finishes the request it is serving, flushes its replies
+// and closes (cause "drained") without reading another frame. If ctx
+// expires first the remaining connections are torn down hard, exactly
+// like Close, and ctx.Err() is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -312,10 +283,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if l != nil {
 		l.Close()
 	}
-	// Kick every reader out of its blocking read; re-kick each poll tick
-	// because a reader that just served a frame re-arms its own idle
-	// deadline. Readers observe draining and exit via the writer's drain
-	// path, which waits out the connection's in-flight requests.
+	// Kick every connection out of its blocking read; re-kick each poll
+	// tick because a connection that just served a frame re-arms its own
+	// idle deadline. Connections observe draining between frames and
+	// exit, flushing their replies.
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -394,8 +365,7 @@ func (s *Server) acceptLoop(l net.Listener) {
 		s.mu.Unlock()
 		s.metrics.accepted.Inc(0)
 		s.metrics.conns.Add(0, 1)
-		go c.reader()
-		go c.writer()
+		go c.run()
 	}
 }
 
@@ -418,12 +388,12 @@ func (s *Server) rejectBusy(nc net.Conn) {
 	}()
 }
 
-// request is one in-flight request: the decoded frame (with its reused
-// key/value scratch), the connection to respond on, and the reader's
-// enqueue stamp (queue-wait = worker dequeue time minus enq). traceID
-// is the request's trace (0 = untraced), claimed from the connection's
-// pending OpTraceCtx by the reader; commitWait is stamped by the
-// replicated write path for the slow-op log line.
+// request is the request a connection is serving: the decoded frame
+// (with its reused key/value scratch), the connection to answer on, and
+// the stamp taken when its frame was read (queue-wait = serve start
+// minus enq). traceID is the request's trace (0 = untraced), claimed
+// from the connection's pending OpTraceCtx; commitWait is stamped by
+// the replicated write path for the slow-op log line.
 type request struct {
 	c          *srvConn
 	enq        time.Time
@@ -432,89 +402,61 @@ type request struct {
 	wire.Request
 }
 
-// outBuf is one pooled response buffer.
-type outBuf struct{ b []byte }
-
-// srvConn is one accepted connection: a reader goroutine decoding
-// frames into pooled request structs (and serving the lone ones itself,
-// on w), and a writer goroutine flushing pooled response buffers. Two
-// goroutines write the socket — the writer, and whoever made a point
-// reply while the writer was idle — each a whole frame under wmu. done
-// closes exactly once, on teardown; every blocking hand-off (worker
-// publishing a response, reader waiting for a free request slot)
-// selects on it.
+// srvConn is one accepted connection and the state of the one goroutine
+// that serves it (run): everything here but once and closed belongs to
+// that goroutine.
 type srvConn struct {
-	s         *Server
-	nc        net.Conn
-	fr        *wire.FrameReader
-	remote    string // peer address, captured once for log lines
-	done      chan struct{}
-	drain     chan struct{}
-	once      sync.Once
-	drainOnce sync.Once
+	s      *Server
+	nc     net.Conn
+	fr     *wire.FrameReader
+	remote string // peer address, captured once for log lines
+	once   sync.Once
+	closed atomic.Bool // set by teardown: serve no further frame
 
-	// readCause is the teardown cause the reader observed before asking
-	// for shutdown; the writer's drain path passes it to teardown.
-	// Written only by the reader before close(drain), read after the
-	// drain channel fires, so the close is the happens-before edge.
-	readCause int
+	req request
+	w   *worker // attached on the first request served
 
-	writeq  chan *outBuf
-	reqPool chan *request
-	outPool chan *outBuf
-
-	// wmu is held for every socket write; wdl is the write deadline last
-	// armed, guarded by wmu.
-	wmu sync.Mutex
+	// out holds the replies not yet written; wdl is the write deadline
+	// last armed.
+	out []byte
 	wdl time.Time
 
-	// w is the reader's own worker, attached on the first request the
-	// reader serves; reader-owned.
-	w *worker
-
-	// inflight counts requests taken from reqPool and not yet returned —
-	// what the writer's drain path waits out so a graceful Shutdown never
-	// drops a response a worker is still producing.
-	inflight atomic.Int64
-
-	// Token bucket (Config.RateLimit), reader-owned: tokens refill at
-	// rateLimit/sec up to rateBurst, observed at each request's arrival.
+	// Token bucket (Config.RateLimit): tokens refill at rateLimit/sec up
+	// to rateBurst, observed at each request's arrival.
 	tokens     float64
 	lastRefill time.Time
 
 	// pendingTrace is the trace id announced by the last OpTraceCtx
-	// frame, reader-owned: the next decoded request claims it (a decode
-	// error in between drops it — the ctx described a frame that never
-	// became a request).
+	// frame: the next decoded request claims it (a decode error in
+	// between drops it — the ctx described a frame that never became a
+	// request).
 	pendingTrace uint64
 }
 
 func (s *Server) newConn(nc net.Conn) *srvConn {
 	c := &srvConn{
-		s:       s,
-		nc:      nc,
-		remote:  nc.RemoteAddr().String(),
-		done:    make(chan struct{}),
-		drain:   make(chan struct{}),
-		writeq:  make(chan *outBuf, 2*reqSlots),
-		reqPool: make(chan *request, reqSlots),
-		outPool: make(chan *outBuf, 2*reqSlots),
+		s:      s,
+		nc:     nc,
+		remote: nc.RemoteAddr().String(),
 	}
+	c.req.c = c
 	if s.rateLimit > 0 {
 		c.tokens = s.rateBurst
 		c.lastRefill = time.Now()
 	}
 	c.fr = wire.NewFrameReader(c)
-	for i := 0; i < reqSlots; i++ {
-		c.reqPool <- &request{c: c}
-	}
 	return c
 }
 
-// Read is the frame reader's source. Each socket read gets a fresh idle
-// deadline (Config.IdleTimeout), so a silent connection is reaped while
-// a frame arriving in pieces is bounded as progress, not idleness.
+// Read is the frame reader's source, called only when no whole frame is
+// buffered: it first writes the pending replies, so none waits behind a
+// blocking read. Each socket read gets a fresh idle deadline
+// (Config.IdleTimeout), so a silent connection is reaped while a frame
+// arriving in pieces is bounded as progress, not idleness.
 func (c *srvConn) Read(p []byte) (int, error) {
+	if err := c.flush(); err != nil {
+		return 0, err
+	}
 	if c.s.idleTimeout > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(c.s.idleTimeout))
 	}
@@ -559,32 +501,14 @@ func (c *srvConn) rateLimited(r *wire.Request) bool {
 	return false
 }
 
-// sendBusy answers one rate-limited request with a BUSY frame echoing
-// its id: the request was read but not executed, so the client may
-// safely resend it (mutations included) after backing off.
-func (c *srvConn) sendBusy(id uint64) {
-	ob := c.getOut()
-	ob.b = wire.AppendRespBusy(ob.b[:0], id)
-	c.send(ob)
-}
-
-// shutdown asks the writer to drain the queued responses, flush and
-// tear the connection down — the reader's exit path, so responses
-// already produced (including its own error frames) reach the peer
-// before the socket closes.
-func (c *srvConn) shutdown() {
-	c.drainOnce.Do(func() { close(c.drain) })
-}
-
-// teardown closes the connection exactly once: readers and writers
-// unblock via nc.Close and done; workers holding responses for this
-// connection drop them via done. The first caller's cause wins; it is
-// counted per cause and, when Config.Logf is set, logged as one
+// teardown closes the connection exactly once; a goroutine blocked on
+// the socket returns with an error. The first caller's cause wins; it
+// is counted per cause and, when Config.Logf is set, logged as one
 // structured line — write-deadline expiries and framing violations
-// included, which used to vanish silently.
+// included.
 func (c *srvConn) teardown(cause int) {
 	c.once.Do(func() {
-		close(c.done)
+		c.closed.Store(true)
 		c.nc.Close()
 		s := c.s
 		s.mu.Lock()
@@ -598,76 +522,33 @@ func (c *srvConn) teardown(cause int) {
 	})
 }
 
-// getOut fetches a pooled response buffer (allocating only while the
-// pool is still warming up).
-func (c *srvConn) getOut() *outBuf {
-	select {
-	case ob := <-c.outPool:
-		return ob
-	default:
-		return &outBuf{}
+// flush writes the pending replies. The deadline is re-armed only once
+// less than half of writeTimeout remains (see Server.writeTimeout). A
+// failed write tears the connection down.
+func (c *srvConn) flush() error {
+	if len(c.out) == 0 {
+		return nil
 	}
-}
-
-func (c *srvConn) putOut(ob *outBuf) {
-	if cap(ob.b) > wire.MaxFrame {
-		return // oversized one-off (large batch response): let it go
-	}
-	select {
-	case c.outPool <- ob:
-	default:
-	}
-}
-
-func (c *srvConn) putReq(req *request) {
-	c.inflight.Add(-1)
-	select {
-	case c.reqPool <- req:
-	default:
-	}
-}
-
-// send queues a sealed response buffer for the writer, abandoning it if
-// the connection tears down first — the worker never blocks on a dead
-// connection. It reports whether the buffer was accepted. Batch
-// replies, scan chunks and control replies always take this path, so a
-// burst of them is gathered into few writes.
-func (c *srvConn) send(ob *outBuf) bool {
-	select {
-	case c.writeq <- ob:
-		return true
-	case <-c.done:
-		c.s.metrics.shedConnDead.Inc(0)
-		return false
-	}
-}
-
-// reply publishes a one-frame reply (a point reply or a REPL_ACK). When
-// the writer is idle — nothing queued and wmu free — the calling
-// goroutine writes it to the socket itself, saving the hand-off to the
-// writer goroutine; otherwise it queues it like any response.
-func (c *srvConn) reply(ob *outBuf) {
-	if len(c.writeq) > 0 || !c.wmu.TryLock() {
-		c.send(ob)
-		return
-	}
-	err := c.write(ob.b)
-	c.wmu.Unlock()
-	c.putOut(ob)
-	if err != nil {
-		c.teardown(writeCause(err))
-	}
-}
-
-// write sends b; the caller holds wmu. The deadline is re-armed only
-// once less than half of writeTimeout remains (see Server.writeTimeout).
-func (c *srvConn) write(b []byte) error {
 	if now := time.Now(); c.wdl.Sub(now) < c.s.writeTimeout/2 {
 		c.wdl = now.Add(c.s.writeTimeout)
 		c.nc.SetWriteDeadline(c.wdl)
 	}
-	_, err := c.nc.Write(b)
+	_, err := c.nc.Write(c.out)
+	c.out = c.out[:0]
+	if err != nil {
+		c.teardown(writeCause(err))
+	}
 	return err
+}
+
+// cut writes the pending replies once they reach outCut: the bound on a
+// connection's output buffer between reads, kept by every appender that
+// may produce many frames.
+func (c *srvConn) cut() error {
+	if len(c.out) < outCut {
+		return nil
+	}
+	return c.flush()
 }
 
 // writeCause classifies a socket-write failure: a deadline expiry (the
@@ -681,28 +562,14 @@ func writeCause(err error) int {
 	return causeWriteError
 }
 
-func (c *srvConn) sendPoint(id uint64, val uint64, ok bool) {
-	ob := c.getOut()
-	ob.b = wire.AppendRespPoint(ob.b[:0], id, val, ok)
-	c.reply(ob)
-}
-
-func (c *srvConn) sendPointSeq(id uint64, val uint64, ok bool, seq uint64) {
-	ob := c.getOut()
-	ob.b = wire.AppendRespPointSeq(ob.b[:0], id, val, ok, seq)
-	c.reply(ob)
-}
-
 func (c *srvConn) sendErr(id uint64, msg string) {
-	ob := c.getOut()
-	ob.b = wire.AppendRespError(ob.b[:0], id, msg)
-	c.send(ob)
+	c.out = wire.AppendRespError(c.out, id, msg)
 }
 
 // readFailCause classifies a failed read: EOF is the peer hanging up;
 // a deadline expiry is the idle reaper (only when no partial frame is
 // buffered — a peer that stalls mid-frame is a read error) or the
-// drain kick (Shutdown sets an immediate deadline to unblock readers);
+// drain kick (Shutdown sets an immediate deadline to unblock reads);
 // anything else is a transport error.
 func (c *srvConn) readFailCause(err error) int {
 	if err == io.EOF {
@@ -720,119 +587,75 @@ func (c *srvConn) readFailCause(err error) int {
 	return causeReadError
 }
 
-// reader decodes frames, serves the lone requests that cannot block
-// itself (see onReader) and hands the rest to the server's work queue.
+// run is the connection's goroutine: it decodes each frame, serves it
+// on the connection's worker and appends the reply, in arrival order.
 // Framing violations (short/oversized lengths, short reads) close the
 // connection; malformed-but-delimited frames (unknown opcode, wrong
 // payload size) produce a RespError and the stream continues — the
 // length prefix keeps it aligned either way. Between frames the read
-// sits under the idle deadline (Config.IdleTimeout) and exits cleanly
-// when Shutdown kicks it.
-func (c *srvConn) reader() {
-	defer c.s.wg.Done()
-	defer c.s.parkWorker(c)
-	defer c.shutdown()
-	m := &c.s.metrics
-	for {
-		if c.s.draining.Load() {
-			c.readCause = causeDrained
-			return
-		}
+// sits under the idle deadline (Config.IdleTimeout), and a Shutdown
+// stops the loop. On exit the pending replies — an error frame for a
+// framing violation included — are written before the socket closes.
+func (c *srvConn) run() {
+	s := c.s
+	defer s.wg.Done()
+	defer s.parkWorker(c)
+	m := &s.metrics
+	req := &c.req
+	cause := causeDrained
+	for !s.draining.Load() && !c.closed.Load() {
 		id, op, payload, err := c.fr.Next()
 		if errors.Is(err, wire.ErrFrameLength) {
 			c.sendErr(id, err.Error())
-			c.readCause = causeFraming
-			return
+			cause = causeFraming
+			break
 		}
 		if err != nil {
-			c.readCause = c.readFailCause(err)
-			return
+			cause = c.readFailCause(err)
+			break
 		}
-		var req *request
-		select {
-		case req = <-c.reqPool:
-		case <-c.done:
-			return
-		}
-		c.inflight.Add(1)
+		enq := time.Now()
 		if err := wire.DecodeRequest(id, op, payload, &req.Request); err != nil {
 			m.decodeErrs.Inc(0)
 			c.pendingTrace = 0
 			c.sendErr(id, err.Error())
-			c.putReq(req)
 			continue
 		}
 		if req.Op == wire.OpTraceCtx {
-			// Consumed by the reader: remember the trace id and attribute
-			// the NEXT request to it. No response frame — pipelined
-			// response matching is untouched.
-			c.pendingTrace = req.Request.Key
-			c.putReq(req)
+			// Remember the trace id and attribute the NEXT request to it.
+			// No response frame — pipelined response matching is untouched.
+			c.pendingTrace = req.Key
 			continue
 		}
+		req.enq, req.commitWait = enq, 0
 		req.traceID, c.pendingTrace = c.pendingTrace, 0
-		req.commitWait = 0
 		if msg := validateKeys(&req.Request); msg != "" {
 			m.keyRejects.Inc(0)
 			c.sendErr(id, msg)
-			c.putReq(req)
 			continue
 		}
-		if c.s.rateLimit > 0 && c.rateLimited(&req.Request) {
+		if s.rateLimit > 0 && c.rateLimited(&req.Request) {
+			// Read but not executed: the client may safely resend it,
+			// mutations included, after backing off.
 			m.rateLimited.Inc(0)
-			c.sendBusy(id)
-			c.putReq(req)
+			c.out = wire.AppendRespBusy(c.out, id)
 			continue
 		}
-		req.enq = time.Now()
-		if c.onReader(req) {
-			select {
-			case <-c.done:
-				return // torn down: Close may be waiting on this reader
-			default:
-			}
-			if c.w == nil {
-				c.w = c.s.readerWorker()
-			}
-			m.readerServed.Inc(c.w.idx)
-			c.w.serve(req, req.enq)
-			continue
+		if c.w == nil {
+			c.w = s.takeWorker()
 		}
-		select {
-		case c.s.work <- req:
-		case <-c.done:
-			return
-		case <-c.s.quit:
-			c.readCause = causeServerClosed
+		c.w.serve(req)
+		if c.cut() != nil {
 			return
 		}
 	}
+	c.flush()
+	c.teardown(cause)
 }
 
-// onReader reports whether the reader serves req itself rather than
-// queueing it for the pool: a request that cannot block, at a moment
-// the pool has no backlog to overtake. That is GET/PUT/DELETE on a
-// standalone server or a follower (a primary's point ops block in
-// commitWait), and every REPLICATE — a sink connection is stop-and-wait
-// and applyMu serialises its applies anyway, so the pool adds nothing
-// but a hand-off, and a follower whose workers are all busy still
-// acknowledges its primary.
-func (c *srvConn) onReader(req *request) bool {
-	switch req.Op {
-	case wire.OpGet, wire.OpPut, wire.OpDelete:
-		r := c.s.repl
-		return len(c.s.work) == 0 && (r == nil || r.role.Load() == wire.RoleFollower)
-	case wire.OpReplicate:
-		return true
-	}
-	return false
-}
-
-// readerWorker hands a reader a worker of its own: a parked one when a
-// reader that exited left one, a new one otherwise. New ones share the
-// pool's metrics stripes, round robin, so readers add no histogram
-// stripes of their own.
-func (s *Server) readerWorker() *worker {
+// takeWorker hands a connection a worker of its own: a parked one when
+// a closed connection left one, a new one otherwise.
+func (s *Server) takeWorker() *worker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n := len(s.spare); n > 0 {
@@ -840,12 +663,12 @@ func (s *Server) readerWorker() *worker {
 		s.spare = s.spare[:n-1]
 		return w
 	}
-	s.readerWorkers++
-	return newWorker(s, s.readerWorkers%s.workers)
+	s.made++
+	return newWorker(s, s.made)
 }
 
-// parkWorker keeps an exiting reader's worker, handle included, for the
-// next reader.
+// parkWorker keeps a closing connection's worker, handle included, for
+// the next connection.
 func (s *Server) parkWorker(c *srvConn) {
 	if c.w == nil {
 		return
@@ -880,100 +703,10 @@ func validateKeys(r *wire.Request) string {
 
 func reservedKey(k uint64) bool { return k == 0 || k == ^uint64(0) }
 
-// writer sends the queued response buffers. A lone response goes out
-// as is; a burst (more queued behind it) is gathered into one write,
-// cut at 64 KB so a streamed scan cannot grow the scratch without
-// bound. Each write holds wmu, so a point reply written directly by its
-// producer (reply) never lands inside one of these. Steady progress
-// never trips the write deadline, a peer that stopped reading does, and
-// the resulting write error tears the connection down (see
-// Server.writeTimeout). On shutdown (the reader's exit) it drains what
-// is already queued and performs the final teardown, so a
-// framing-violation error frame — or the tail of a pipelined burst —
-// reaches the peer before the socket closes.
-func (c *srvConn) writer() {
-	var gather []byte
-	// write leaves nothing gathered once the queue is empty: only the
-	// writer dequeues, so a response gathered behind a non-empty queue is
-	// always followed by another write call.
-	write := func(ob *outBuf) bool {
-		b := ob.b
-		if len(gather) > 0 || len(c.writeq) > 0 {
-			gather = append(gather, b...)
-			if len(c.writeq) > 0 && len(gather) < 64<<10 {
-				c.putOut(ob)
-				return true
-			}
-			b, gather = gather, gather[:0]
-		}
-		c.wmu.Lock()
-		err := c.write(b)
-		c.wmu.Unlock()
-		c.putOut(ob)
-		if err != nil {
-			c.teardown(writeCause(err))
-			return false
-		}
-		return true
-	}
-	for {
-		select {
-		case ob := <-c.writeq:
-			if !write(ob) {
-				return
-			}
-		case <-c.drain:
-			for {
-				select {
-				case ob := <-c.writeq:
-					if !write(ob) {
-						return
-					}
-				default:
-					// Workers may still be producing responses for this
-					// connection (inflight counts reader-claimed requests
-					// until putReq). Each response is enqueued before its
-					// request is returned, so once inflight reaches zero
-					// with the queue empty, everything is flushed.
-					if c.inflight.Load() > 0 {
-						select {
-						case ob := <-c.writeq:
-							if !write(ob) {
-								return
-							}
-						case <-c.done:
-							return
-						case <-time.After(100 * time.Microsecond):
-						}
-						continue
-					}
-					// inflight hit zero after the empty check above; a
-					// response enqueued in between is in writeq now (the
-					// enqueue happens before the decrement). Sweep once
-					// more, then the queue is final: the reader has exited,
-					// so no request can be claimed anymore.
-					select {
-					case ob := <-c.writeq:
-						if !write(ob) {
-							return
-						}
-						continue
-					default:
-					}
-					c.teardown(c.readCause)
-					return
-				}
-			}
-		case <-c.done:
-			return
-		}
-	}
-}
-
-// worker is one pool goroutine's, or one reader's, per-generation
-// attachment to the hosted dictionary: its own thread-bound handle, the
-// handle's Batcher (native or treedict's per-key fallback) and scan
-// entry points, plus batch-result and scan-chunk scratch.
+// worker is one connection's per-generation attachment to the hosted
+// dictionary: its own thread-bound handle, the handle's Batcher (native
+// or treedict's per-key fallback) and scan entry points, plus
+// batch-result and METRICS scratch.
 type worker struct {
 	s    *Server
 	idx  int // the worker's metrics shard hint
@@ -988,12 +721,13 @@ type worker struct {
 	msnap *metrics.Snapshot // METRICS streaming scratch (≈ 9 KB), made on first use
 
 	// Scan-in-flight state for the bound relay callback (one scan at a
-	// time per worker, so worker fields — not a per-scan closure).
+	// time per worker, so worker fields — not a per-scan closure): the
+	// open chunk starts at out[start].
 	sc struct {
-		c    *srvConn
-		id   uint64
-		ob   *outBuf
-		dead bool // connection tore down mid-scan
+		c     *srvConn
+		id    uint64
+		start int
+		dead  bool // connection tore down mid-scan
 	}
 	relay func(k, v uint64) bool
 }
@@ -1004,18 +738,6 @@ func newWorker(s *Server, idx int) *worker {
 	return w
 }
 
-func (s *Server) workerLoop(w *worker) {
-	defer s.wg.Done()
-	for {
-		select {
-		case req := <-s.work:
-			w.serve(req, time.Now())
-		case <-s.quit:
-			return
-		}
-	}
-}
-
 func (w *worker) attach(h *hosted) {
 	w.cur = h
 	w.h = h.d.NewHandle()
@@ -1024,11 +746,11 @@ func (w *worker) attach(h *hosted) {
 	w.snap = dict.ScanFunc(w.h, true)
 }
 
-// serve executes one request on the worker's handle and publishes its
-// response(s) to the owning connection; now is the service start. A
-// REPLICATE applies through the follower's own apply handle, so it
-// attaches nothing.
-func (w *worker) serve(req *request, now time.Time) {
+// serve executes one request on the worker's handle and appends its
+// response(s) to the connection's output. A REPLICATE applies through
+// the follower's own apply handle, so it attaches nothing.
+func (w *worker) serve(req *request) {
+	now := time.Now()
 	if h := w.s.cur.Load(); w.cur != h && req.Op != wire.OpReplicate {
 		w.attach(h)
 	}
@@ -1050,7 +772,7 @@ func (w *worker) serve(req *request, now time.Time) {
 		case wire.OpDelete:
 			v, ok = w.h.Delete(req.Key)
 		}
-		c.sendPoint(req.ID, v, ok)
+		c.out = wire.AppendRespPoint(c.out, req.ID, v, ok)
 	case wire.OpMGet, wire.OpMPut, wire.OpMDelete:
 		if w.s.repl != nil {
 			w.serveReplBatch(req)
@@ -1070,9 +792,7 @@ func (w *worker) serve(req *request, now time.Time) {
 		case wire.OpMDelete:
 			w.bat.DeleteBatch(req.Keys, vals, oks)
 		}
-		ob := c.getOut()
-		ob.b = wire.AppendRespBatch(ob.b[:0], req.ID, vals, oks)
-		c.send(ob)
+		c.out = wire.AppendRespBatch(c.out, req.ID, vals, oks)
 	case wire.OpScan, wire.OpSnapScan:
 		scan := w.weak
 		if req.Op == wire.OpSnapScan {
@@ -1082,15 +802,13 @@ func (w *worker) serve(req *request, now time.Time) {
 			c.sendErr(req.ID, "hosted structure does not support the requested scan kind")
 			break
 		}
-		w.sc.c, w.sc.id, w.sc.dead = c, req.ID, false
-		w.sc.ob = c.getOut()
-		w.sc.ob.b = wire.BeginChunk(w.sc.ob.b[:0], req.ID)
+		w.sc.c, w.sc.id, w.sc.start, w.sc.dead = c, req.ID, len(c.out), false
+		c.out = wire.BeginChunk(c.out, req.ID)
 		scan(req.Key, req.Val, w.relay)
 		if !w.sc.dead {
-			w.sc.ob.b = wire.FinishChunk(w.sc.ob.b, 0, true)
-			c.send(w.sc.ob)
+			c.out = wire.FinishChunk(c.out, w.sc.start, true)
 		}
-		w.sc.c, w.sc.ob = nil, nil
+		w.sc.c = nil
 	case wire.OpStats:
 		host := w.cur
 		st := wire.Stats{
@@ -1113,9 +831,7 @@ func (w *worker) serve(req *request, now time.Time) {
 		if es, ok := host.d.(dict.ElimStatser); ok {
 			st.ElimInserts, st.ElimDeletes, st.ElimUpserts = es.ElimStats()
 		}
-		ob := c.getOut()
-		ob.b = wire.AppendRespStats(ob.b[:0], req.ID, st)
-		c.send(ob)
+		c.out = wire.AppendRespStats(c.out, req.ID, st)
 	case wire.OpOpen:
 		if w.s.repl != nil {
 			c.sendErr(req.ID, "replicated server: OPEN not supported (the op log is tied to the hosted generation)")
@@ -1124,9 +840,7 @@ func (w *worker) serve(req *request, now time.Time) {
 		if err := w.s.host(string(req.Name), req.Key); err != nil {
 			c.sendErr(req.ID, err.Error())
 		} else {
-			ob := c.getOut()
-			ob.b = wire.AppendRespOK(ob.b[:0], req.ID)
-			c.send(ob)
+			c.out = wire.AppendRespOK(c.out, req.ID)
 		}
 	case wire.OpReplicate:
 		r := w.s.repl
@@ -1139,9 +853,7 @@ func (w *worker) serve(req *request, now time.Time) {
 			c.sendErr(req.ID, err.Error())
 			break
 		}
-		ob := c.getOut()
-		ob.b = wire.AppendRespReplAck(ob.b[:0], req.ID, applied)
-		c.reply(ob)
+		c.out = wire.AppendRespReplAck(c.out, req.ID, applied)
 	case wire.OpPromote:
 		r := w.s.repl
 		if r == nil {
@@ -1156,9 +868,7 @@ func (w *worker) serve(req *request, now time.Time) {
 			c.sendErr(req.ID, err.Error())
 			break
 		}
-		ob := c.getOut()
-		ob.b = wire.AppendRespOK(ob.b[:0], req.ID)
-		c.send(ob)
+		c.out = wire.AppendRespOK(c.out, req.ID)
 	case wire.OpMetrics:
 		w.serveMetrics(c, req.ID)
 	case wire.OpTraceDump:
@@ -1170,23 +880,23 @@ func (w *worker) serve(req *request, now time.Time) {
 	}
 	w.s.metrics.inFlight.Add(w.idx, -1)
 	w.observe(req, now)
-	c.putReq(req)
 }
 
 // scanRelay is the worker's bound scan callback: it packs pairs into
-// the open chunk and ships full chunks mid-scan, stopping the scan if
-// the connection died.
+// the open chunk, closes full chunks mid-scan and opens the next one
+// behind the output cut, stopping the scan if the connection died.
 func (w *worker) scanRelay(k, v uint64) bool {
-	w.sc.ob.b = wire.AppendPair(w.sc.ob.b, k, v)
-	if wire.ChunkPairs(w.sc.ob.b, 0) >= wire.MaxChunkPairs {
-		w.sc.ob.b = wire.FinishChunk(w.sc.ob.b, 0, false)
-		if !w.sc.c.send(w.sc.ob) {
-			w.sc.ob = nil
-			w.sc.dead = true
-			return false
-		}
-		w.sc.ob = w.sc.c.getOut()
-		w.sc.ob.b = wire.BeginChunk(w.sc.ob.b[:0], w.sc.id)
+	c := w.sc.c
+	c.out = wire.AppendPair(c.out, k, v)
+	if wire.ChunkPairs(c.out, w.sc.start) < wire.MaxChunkPairs {
+		return true
 	}
+	c.out = wire.FinishChunk(c.out, w.sc.start, false)
+	if c.cut() != nil {
+		w.sc.dead = true
+		return false
+	}
+	w.sc.start = len(c.out)
+	c.out = wire.BeginChunk(c.out, w.sc.id)
 	return true
 }

@@ -57,9 +57,9 @@ func (h noScanHandle) Delete(k uint64) (uint64, bool)    { return h.h.Delete(k) 
 
 // startServer spins up a server on an ephemeral loopback port plus a
 // connected client, both torn down with the test.
-func startServer(t *testing.T, name string, keyRange uint64, workers int) (*Server, *client.Client) {
+func startServer(t *testing.T, name string, keyRange uint64) (*Server, *client.Client) {
 	t.Helper()
-	s, err := New(testBuilder, name, keyRange, Config{Workers: workers})
+	s, err := New(testBuilder, name, keyRange, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func startServer(t *testing.T, name string, keyRange uint64, workers int) (*Serv
 }
 
 func TestRemotePointOps(t *testing.T) {
-	_, c := startServer(t, "occ", 1<<16, 4)
+	_, c := startServer(t, "occ", 1<<16)
 	h := c.NewHandle()
 	model := make(map[uint64]uint64)
 	rng := xrand.New(7)
@@ -126,7 +126,7 @@ func TestRemotePointOps(t *testing.T) {
 // pipelined frames) and duplicate keys in one batch (input-order
 // semantics).
 func TestRemoteBatchOps(t *testing.T) {
-	_, c := startServer(t, "occ", 1<<20, 4)
+	_, c := startServer(t, "occ", 1<<20)
 	h := c.NewHandle()
 	b := h.(dict.Batcher)
 
@@ -171,11 +171,10 @@ func TestRemoteBatchOps(t *testing.T) {
 
 // TestRemoteBatchCrossFrameOrder: equal keys on opposite sides of a
 // wire.MaxBatch frame boundary must still apply in input order (the
-// dict.Batcher contract) — the client detects the straddle and
-// serializes the frames, because concurrent server workers would
-// otherwise race them.
+// dict.Batcher contract) while the client pipelines the frames — the
+// server serves a connection's frames in arrival order.
 func TestRemoteBatchCrossFrameOrder(t *testing.T) {
-	_, c := startServer(t, "occ", 1<<20, 4)
+	_, c := startServer(t, "occ", 1<<20)
 	b := c.NewHandle().(dict.Batcher)
 	n := wire.MaxBatch + 100
 	keys := make([]uint64, n)
@@ -213,10 +212,10 @@ func TestRemoteBatchCrossFrameOrder(t *testing.T) {
 // TestRemoteBatchDeepPipeline: a batch spanning many frames (several
 // full pipeline windows) completes and lands every result at its input
 // offset — the bounded-window regression guard for the write-all/
-// read-all deadlock — and a pipelined point burst deeper than the work
-// queue is answered completely and in order.
+// read-all deadlock — and a deep pipelined point burst is answered
+// completely and in order.
 func TestRemoteBatchDeepPipeline(t *testing.T) {
-	_, c := startServer(t, "occ", 1<<21, 2)
+	_, c := startServer(t, "occ", 1<<21)
 	b := c.NewHandle().(dict.Batcher)
 	n := wire.MaxBatch*24 + 17 // 25 frames, 3 windows of 8
 	keys := make([]uint64, n)
@@ -236,13 +235,12 @@ func TestRemoteBatchDeepPipeline(t *testing.T) {
 	}
 
 	// The overload policy, same shape one layer down: a raw connection
-	// pipelines a point burst deeper than its request slots AND the work
-	// queue at a single worker. The reader blocks behind its slots
-	// instead of shedding, so every request is answered, in order, and
-	// nothing is dropped.
-	s1, addr := startServerCfg(t, "occ", 1<<16, Config{Workers: 1})
+	// pipelines a deep point burst. The connection serves it frame by
+	// frame instead of shedding, so every request is answered, in order,
+	// and nothing is dropped.
+	_, addr := startServerCfg(t, "occ", 1<<16, Config{})
 	nc := rawDial(t, addr)
-	burst := uint64(2 * cap(s1.work))
+	const burst = 512
 	var buf []byte
 	for id := uint64(1); id <= burst; id++ {
 		buf = wire.AppendPoint(buf, id, wire.OpPut, id, id)
@@ -255,9 +253,6 @@ func TestRemoteBatchDeepPipeline(t *testing.T) {
 			t.Fatalf("burst response %d: id=%d op=%#x", want, id, op)
 		}
 	}
-	if got := s1.MetricsDump().Counters["shed_conn_dead_total"]; got != 0 {
-		t.Errorf("shed_conn_dead_total = %d, want 0 (no connection died)", got)
-	}
 }
 
 // TestRemoteScans checks weak and snapshot scans over a sharded host,
@@ -265,7 +260,7 @@ func TestRemoteBatchDeepPipeline(t *testing.T) {
 // pairs per response), plus early termination.
 func TestRemoteScans(t *testing.T) {
 	const keyRange = 10_000
-	_, c := startServer(t, "shard4", keyRange, 4)
+	_, c := startServer(t, "shard4", keyRange)
 	h := c.NewHandle()
 	for k := uint64(1); k <= keyRange; k++ {
 		h.Insert(k, k*3)
@@ -310,7 +305,7 @@ func TestRemoteScans(t *testing.T) {
 // replaces the hosted one under live handles, which must land their
 // next operations on the new generation.
 func TestRemoteOpen(t *testing.T) {
-	s, c := startServer(t, "occ", 1000, 2)
+	s, c := startServer(t, "occ", 1000)
 	h := c.NewHandle()
 	h.Insert(42, 1)
 	if got := c.KeySum(); got != 42 {
@@ -347,7 +342,7 @@ func TestRemoteOpen(t *testing.T) {
 // TestRemoteCapabilityGating: the client's handles expose exactly the
 // scan interfaces the hosted structure reported via STATS.
 func TestRemoteCapabilityGating(t *testing.T) {
-	_, c := startServer(t, "noscan", 1000, 2)
+	_, c := startServer(t, "noscan", 1000)
 	h := c.NewHandle()
 	if _, ok := h.(dict.Ranger); ok {
 		t.Fatal("scanless host: client handle claims Range")
@@ -367,22 +362,21 @@ func TestRemoteCapabilityGating(t *testing.T) {
 // TestRemoteConcurrentHandles hammers one server from many goroutines,
 // each with its own handle/connection, and cross-checks the key sum —
 // the smallest version of what bench.Run does remotely. Two shapes: a
-// random mix (scans included) against a worker pool, and eight
-// connections marching through phase-aligned Insert/Find/Delete bursts
-// against ONE worker — every request funnels through the same work
-// queue and handle, and each goroutine's own key stripe must match its
-// shadow map exactly.
+// random mix (scans included) on a sharded host, and eight connections
+// marching through phase-aligned Insert/Find/Delete bursts on one tree,
+// where each goroutine's own key stripe must match its shadow map
+// exactly. (The subtest names recall the worker pool the server once
+// had.)
 func TestRemoteConcurrentHandles(t *testing.T) {
 	for _, tc := range []struct {
 		name, host string
-		workers    int
 		run        func(t *testing.T, g int, h dict.Handle) (keySum uint64)
 	}{
-		{"mixed-4-workers", "shard4", 4, mixedOps},
-		{"phased-1-worker", "occ", 1, phasedStripeOps},
+		{"mixed-4-workers", "shard4", mixedOps},
+		{"phased-1-worker", "occ", phasedStripeOps},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, c := startServer(t, tc.host, 1<<16, tc.workers)
+			_, c := startServer(t, tc.host, 1<<16)
 			const goroutines = 8
 			var want atomic.Uint64
 			var wg sync.WaitGroup
@@ -490,7 +484,7 @@ func TestRequestPathOptionCensus(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{Config{}, 10},
+		{Config{}, 9},
 		{client.Config{}, 4},
 		{cluster.Config{}, 6},
 	} {

@@ -52,7 +52,7 @@ func TestSyscallsPerFrame(t *testing.T) {
 		t.Skip("the race detector reshapes pipelined streams")
 	}
 	const n = 40_000 // 10 pipelined wire.MaxBatch frames; 40 scan chunks
-	_, c := startServer(t, "occ", 1<<16, 2)
+	_, c := startServer(t, "occ", 1<<16)
 	h := c.NewHandle()
 	b := h.(dict.Batcher)
 	keys, vals := make([]uint64, n), make([]uint64, n)
@@ -65,7 +65,7 @@ func TestSyscallsPerFrame(t *testing.T) {
 		sink += v
 		return true
 	}
-	_, m := startMux(t, "occ", 1<<16, 2)
+	_, m := startMux(t, "occ", 1<<16)
 
 	probes := []struct {
 		name          string

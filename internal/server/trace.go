@@ -2,7 +2,7 @@ package server
 
 // The server half of request-scoped tracing (internal/trace): the
 // OpTraceDump wire operation and the /debug/traces JSON view. Span
-// *recording* is inlined in the hot paths (reader, observe, repl) —
+// *recording* is inlined in the hot paths (run, observe, repl) —
 // this file is only the snapshot-rate read side.
 
 import (
@@ -33,24 +33,23 @@ func (w *worker) serveTraceDump(c *srvConn, id uint64, max int) {
 	}
 	traces := w.s.tracer.Dump(max)
 	if len(traces) == 0 {
-		ob := c.getOut()
-		ob.b = wire.FinishTrace(wire.BeginTrace(ob.b[:0], id, 0, false), 0, true)
-		c.send(ob)
+		start := len(c.out)
+		c.out = wire.FinishTrace(wire.BeginTrace(c.out, id, 0, false), start, true)
 		return
 	}
 	for i := range traces {
 		tr := &traces[i]
-		ob := c.getOut()
-		ob.b = wire.BeginTrace(ob.b[:0], id, tr.TraceID, tr.Slow)
+		start := len(c.out)
+		c.out = wire.BeginTrace(c.out, id, tr.TraceID, tr.Slow)
 		spans := tr.Spans
 		if len(spans) > wire.MaxTraceSpans {
 			spans = spans[:wire.MaxTraceSpans]
 		}
 		for _, sp := range spans {
-			ob.b = wire.AppendSpan(ob.b, sp.Kind, sp.Op, sp.Start, sp.Dur, sp.Aux)
+			c.out = wire.AppendSpan(c.out, sp.Kind, sp.Op, sp.Start, sp.Dur, sp.Aux)
 		}
-		ob.b = wire.FinishTrace(ob.b, 0, i == len(traces)-1)
-		if !c.send(ob) {
+		c.out = wire.FinishTrace(c.out, start, i == len(traces)-1)
+		if c.cut() != nil {
 			return
 		}
 	}

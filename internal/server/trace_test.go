@@ -95,7 +95,7 @@ func pollServerTrace(t *testing.T, c traceDumper, id uint64, kinds ...byte) []tr
 const wallSlack = uint64(2 * time.Millisecond)
 
 func TestTraceEndToEnd(t *testing.T) {
-	s, addr := startServerCfg(t, "occ", 1<<16, Config{Workers: 2})
+	s, addr := startServerCfg(t, "occ", 1<<16, Config{})
 	c := dialTraced(t, addr)
 	h := c.NewHandle()
 	h.Insert(7, 70)
@@ -196,7 +196,7 @@ func TestTraceReplicatedCausality(t *testing.T) {
 		}
 	}
 	// ...queue-wait precedes service, the commit wait sits inside the
-	// worker's service span...
+	// service span...
 	if sv.Start+wallSlack < qw.Start {
 		t.Fatal("service starts before queue-wait")
 	}
@@ -221,7 +221,7 @@ func TestTraceReplicatedCausality(t *testing.T) {
 // op additionally records the submit->seal staging span, with the
 // coalesced frame's waiter count in Aux.
 func TestTraceMuxStage(t *testing.T) {
-	_, addr := startServerCfg(t, "occ", 1<<16, Config{Workers: 2})
+	_, addr := startServerCfg(t, "occ", 1<<16, Config{})
 	m, err := client.DialMux(addr, client.Config{TraceEvery: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestTraceMuxStage(t *testing.T) {
 // trace id the client minted must carry that operation's opcode, and
 // no span may carry an unknown kind or a zero trace id.
 func TestTraceChaosDrill(t *testing.T) {
-	_, addr := startServerCfg(t, "occ", 1<<16, Config{Workers: 2})
+	_, addr := startServerCfg(t, "occ", 1<<16, Config{})
 	pxCfg := faultnet.Config{
 		Seed:         42,
 		DelayRate:    0.05,
@@ -369,7 +369,7 @@ func TestTraceChaosDrill(t *testing.T) {
 // allocates nothing: trace-ctx frame prefix, server span records and
 // tail-sample offers all run on pooled or fixed storage.
 func TestAllocsTraceRemotePoint(t *testing.T) {
-	_, addr := startServerCfg(t, "occ", 1<<16, Config{Workers: 2})
+	_, addr := startServerCfg(t, "occ", 1<<16, Config{})
 	c := dialTraced(t, addr)
 	h := c.NewHandle()
 	for k := uint64(1); k <= 10_000; k++ {

@@ -12,10 +12,10 @@
 // length counts everything after the length field (id + op + payload),
 // so a frame occupies 4+length bytes and length is always >= 9. id is
 // chosen by the client and echoed verbatim in every response frame for
-// the request, which lets a connection pipeline requests: the server
-// multiplexes each connection's requests onto a pool of worker
-// goroutines and responses come back in completion order, not request
-// order. A scan response is a sequence of RespScanChunk frames sharing
+// the request, which lets a connection pipeline requests and match each
+// response to its request. (internal/server serves a connection's
+// requests one at a time, in arrival order, so its responses also come
+// back in request order.) A scan response is a sequence of RespScanChunk frames sharing
 // the request's id; the final chunk sets ChunkLast.
 //
 // Request payloads:
