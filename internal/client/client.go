@@ -9,9 +9,10 @@
 // thread-bound by the dict contract, so per-handle connections give
 // each worker goroutine a private, lock-free wire path (the server
 // serves each connection on a goroutine and handle of its own). Batched
-// operations larger than wire.MaxBatch are pipelined through a bounded
-// window of chunk frames, and the echoed request ids reassemble the
-// results in input order.
+// operations larger than wire.MaxBatch are pipelined: their chunk frames
+// go out on a goroutine of their own while the caller reads the
+// replies, and the echoed request ids reassemble the results in input
+// order.
 //
 // Scan responses are buffered per handle before the callback runs (the
 // stream is fully drained first), so dict.Ranger's "fn may run point
@@ -495,23 +496,10 @@ func (h *handle) Insert(key, val uint64) (uint64, bool) { return h.point(wire.Op
 // Delete removes key if present.
 func (h *handle) Delete(key uint64) (uint64, bool) { return h.point(wire.OpDelete, key, 0) }
 
-// maxOutstanding caps a batched operation's pipelined frames in
-// flight. With the window full the client is always in a read, so at
-// most one window — about 520 KB of MPUT frames out, 300 KB of replies
-// back — must fit in the socket buffers while it writes. The server
-// reads its next frame only after writing its pending replies, so a
-// window the buffers cannot hold would deadlock (both sides blocked
-// writing). A Linux loopback socket holds it with room to spare: its
-// send buffer starts at megabytes (3.9 MB under the default tcp_wmem on
-// Linux 6.18).
-const maxOutstanding = 8
-
 // batch runs one attempt of a batched operation, split into
-// wire.MaxBatch chunk frames and pipelined through a bounded window:
-// frames are gathered into h.out and written once they reach 64 KB,
-// when the window fills, and after the last one; responses are
-// consumed as the window fills, each landing at its input offset by
-// its echoed id. The server serves a connection's frames in arrival
+// wire.MaxBatch chunk frames, each reply landing at its input offset by
+// its echoed id. A lone frame is written and then answered; more go
+// through pipeline. The server serves a connection's frames in arrival
 // order, so equal keys in different frames apply in input order (the
 // dict.Batcher contract), as they do within one frame. On failure,
 // wrote reports whether any frame byte may have left the client — the
@@ -520,69 +508,115 @@ func (h *handle) batch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool
 	if len(keys) == 0 {
 		return false, nil
 	}
+	frames := (len(keys) + wire.MaxBatch - 1) / wire.MaxBatch
 	base := h.id + 1
-	written, read := 0, 0
-	h.out = h.out[:0]
-	readOne := func() error {
-		rid, rop, payload, err := h.fr.Next()
-		if err != nil {
-			return err
-		}
-		if rop == wire.RespBusy {
-			return errBusy
-		}
-		if rop == wire.RespError {
-			return respError(payload)
-		}
-		idx := rid - base
-		if rop != wire.RespBatch || idx >= uint64(written) {
-			return fmt.Errorf("batch response mismatch: id=%d op=%#x (want ids %d..%d)", rid, rop, base, base+uint64(written)-1)
-		}
-		off := int(idx) * wire.MaxBatch
-		end := min(off+wire.MaxBatch, len(keys))
-		seq, err := wire.DecodeBatch(payload, ovals[off:end], oks[off:end])
-		if err != nil {
-			return err
-		}
-		h.noteSeq(seq)
-		read++
-		return nil
+	h.id += uint64(frames)
+	if frames > 1 {
+		return h.pipeline(op, base, frames, keys, ivals, ovals, oks)
 	}
-	for off := 0; off < len(keys); off += wire.MaxBatch {
+	if wrote, err = h.sendChunks(op, base, keys, ivals); err != nil {
+		return wrote, err
+	}
+	return true, h.readChunk(base, frames, keys, ovals, oks)
+}
+
+// pipeline writes a batch's frames on a goroutine of its own, gathered
+// into writes of up to 64 KB, while the caller reads the replies. The
+// server reads a connection's socket only after writing its pending
+// replies, so a client that wrote several frames before reading would
+// block both ends in write once the socket buffers could not hold them;
+// reading while writing keeps the pipeline safe whatever the buffer
+// sizes. An error reply for one frame does not stop the others, which
+// are read to keep the connection in step.
+func (h *handle) pipeline(op byte, base uint64, frames int, keys, ivals, ovals []uint64, oks []bool) (bool, error) {
+	var wrote bool
+	var werr error
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		wrote, werr = h.sendChunks(op, base, keys, ivals)
+		if werr != nil {
+			h.nc.SetReadDeadline(time.Now()) // no reply is coming for the rest
+		}
+	}()
+	var err, appErr error
+	for read := 0; read < frames; read++ {
+		err = h.readChunk(base, frames, keys, ovals, oks)
+		if _, isApp := err.(respError); isApp {
+			if appErr == nil {
+				appErr = err
+			}
+			err = nil
+		}
+		if err != nil {
+			h.nc.SetWriteDeadline(time.Now()) // stop the writer; batchRetry redials
+			break
+		}
+	}
+	<-sent
+	switch {
+	case werr != nil:
+		return wrote, werr
+	case err != nil:
+		return wrote, err
+	}
+	return wrote, appErr
+}
+
+// sendChunks writes a batch's chunk frames, ids base onwards, gathered
+// into writes of up to 64 KB. The trace rides the first chunk; its
+// server spans represent the batch (per-chunk spans would multiply one
+// logical op).
+func (h *handle) sendChunks(op byte, base uint64, keys, ivals []uint64) (wrote bool, err error) {
+	h.out = h.out[:0]
+	for off, id := 0, base; off < len(keys); off, id = off+wire.MaxBatch, id+1 {
 		end := min(off+wire.MaxBatch, len(keys))
 		var vs []uint64
 		if op == wire.OpMPut {
 			vs = ivals[off:end]
 		}
-		id := h.nextID()
 		if h.trace != 0 && off == 0 {
-			// The trace rides the first chunk; its server spans represent
-			// the batch (per-chunk spans would multiply one logical op).
 			h.out = wire.AppendTraceCtx(h.out, id, h.trace)
 		}
 		h.out = wire.AppendBatch(h.out, id, op, keys[off:end], vs)
-		written++
-		if len(h.out) < 64<<10 && written-read < maxOutstanding && end < len(keys) {
+		if len(h.out) < 64<<10 && end < len(keys) {
 			continue
 		}
-		n, werr := h.nc.Write(h.out)
+		n, err := h.nc.Write(h.out)
 		h.out = h.out[:0]
 		wrote = wrote || n > 0
-		if werr != nil {
-			return wrote, werr
-		}
-		for written-read >= maxOutstanding {
-			if rerr := readOne(); rerr != nil {
-				return true, rerr
-			}
+		if err != nil {
+			return wrote, err
 		}
 	}
-	for read < written {
-		if rerr := readOne(); rerr != nil {
-			return true, rerr
-		}
+	return wrote, nil
+}
+
+// readChunk reads one reply of a batch whose frames carry ids base to
+// base+frames-1 and decodes it into ovals/oks at its chunk's offset.
+func (h *handle) readChunk(base uint64, frames int, keys, ovals []uint64, oks []bool) error {
+	rid, rop, payload, err := h.fr.Next()
+	if err != nil {
+		return err
 	}
-	return true, nil
+	if rop == wire.RespBusy {
+		return errBusy
+	}
+	if rop == wire.RespError {
+		return respError(payload)
+	}
+	idx := rid - base
+	if rop != wire.RespBatch || idx >= uint64(frames) {
+		return fmt.Errorf("batch response mismatch: id=%d op=%#x (want ids %d..%d)", rid, rop, base, base+uint64(frames)-1)
+	}
+	off := int(idx) * wire.MaxBatch
+	end := min(off+wire.MaxBatch, len(keys))
+	seq, err := wire.DecodeBatch(payload, ovals[off:end], oks[off:end])
+	if err != nil {
+		return err
+	}
+	h.noteSeq(seq)
+	return nil
 }
 
 // batchRetry applies the retry.go policy around batch attempts: MGET
@@ -618,24 +652,6 @@ func (h *handle) batchRetry(op byte, keys, ivals []uint64, ovals []uint64, oks [
 		}
 		h.backoff(attempt)
 	}
-}
-
-// crossFrameDup reports whether any key occurs in two different
-// wire.MaxBatch frames of the batch. Only called for mutating batches
-// big enough to split (a rare path), so the map allocation is fine.
-func crossFrameDup(keys []uint64) bool {
-	firstFrame := make(map[uint64]int, len(keys))
-	for i, k := range keys {
-		frame := i / wire.MaxBatch
-		if f, seen := firstFrame[k]; seen {
-			if f != frame {
-				return true
-			}
-		} else {
-			firstFrame[k] = frame
-		}
-	}
-	return false
 }
 
 func (h *handle) runBatch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool) {

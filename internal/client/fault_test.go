@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +22,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/client"
+	"repro/internal/dict"
 	"repro/internal/faultnet"
 	"repro/internal/linearizability"
 	"repro/internal/server"
@@ -236,6 +238,55 @@ func TestBusyRetriesMutation(t *testing.T) {
 	}
 	if v, ok, err := h.TryFind(600); err != nil || !ok || v != 601 {
 		t.Fatalf("after BUSY-retried insert: v=%d ok=%v err=%v", v, ok, err)
+	}
+}
+
+// TestBatchPipelineSwallowed: the swallowed-frame fault under a
+// 3-frame batch, whose frames go out on a goroutine of their own while
+// the caller reads. The failed read must stop the writer and the call
+// must return: MGET replays on the next connection, MPUT fails with
+// ErrAmbiguous, and the handle then serves its next batch.
+func TestBatchPipelineSwallowed(t *testing.T) {
+	_, backend := startBackend(t)
+	// Conn 1 is the control handle; conns 2 and 4 are the two handles'
+	// first, and conns 3 and 5 their redials, passed through.
+	front := evilFront(t, backend, map[int]func(net.Conn){2: swallowFrameAndClose, 4: swallowFrameAndClose})
+	c, err := client.DialConfig(front, client.Config{RetryAttempts: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	const n = 2*wire.MaxBatch + 1
+	keys, vals := make([]uint64, n), make([]uint64, n)
+	for i := range keys {
+		keys[i], vals[i] = uint64(i+1), uint64(i+7)
+	}
+	got, oks := make([]uint64, n), make([]bool, n)
+
+	reader := c.NewHandle().(dict.Batcher)
+	reader.FindBatch(keys, got, oks)
+	if fs := c.FaultStats(); fs.Redials != 1 || fs.Ambiguous != 0 {
+		t.Fatalf("MGET across a swallowed frame: %+v, want one redial and no ambiguity", fs)
+	}
+
+	writer := c.NewHandle().(dict.Batcher)
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), client.ErrAmbiguous.Error()) {
+				t.Fatalf("MPUT across a swallowed frame: panic %v, want ErrAmbiguous", r)
+			}
+		}()
+		writer.InsertBatch(keys, vals, got, oks)
+	}()
+	writer.InsertBatch(keys, vals, got, oks)
+	reader.FindBatch(keys, got, oks)
+	for i := range keys {
+		if !oks[i] || got[i] != vals[i] {
+			t.Fatalf("key %d: (%d, %v) after the replayed MPUT, want (%d, true)", keys[i], got[i], oks[i], vals[i])
+		}
+	}
+	if fs := c.FaultStats(); fs.Redials != 2 || fs.Ambiguous != 1 {
+		t.Fatalf("after the ambiguous MPUT: %+v, want two redials and one ambiguity", fs)
 	}
 }
 

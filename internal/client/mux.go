@@ -1022,6 +1022,24 @@ func (h *muxHandle) runBatch(op byte, keys, ivals, ovals []uint64, oks []bool) {
 	h.traceSpan(tid, op, t0)
 }
 
+// crossFrameDup reports whether any key occurs in two different
+// wire.MaxBatch frames of the batch. Only called for mutating batches
+// big enough to split (a rare path), so the map allocation is fine.
+func crossFrameDup(keys []uint64) bool {
+	firstFrame := make(map[uint64]int, len(keys))
+	for i, k := range keys {
+		frame := i / wire.MaxBatch
+		if f, seen := firstFrame[k]; seen {
+			if f != frame {
+				return true
+			}
+		} else {
+			firstFrame[k] = frame
+		}
+	}
+	return false
+}
+
 // FindBatch looks up keys[i] for every i (dict.Batcher over the shared
 // connection).
 func (h *muxHandle) FindBatch(keys, vals []uint64, found []bool) {

@@ -8,9 +8,8 @@ package server
 // traffic reaches. Connections work the same way: a frame reader's
 // buffer starts at 4 KB on the first frame and grows with the largest
 // frames carried, and a server connection holds one decoded request
-// and one output buffer, cut at 64 KB — no request slots, no response
-// pool, where four 64 KB bufio buffers per connection used to cost
-// ≈ 270 KB each.
+// and one output buffer, cut at 64 KB: no request slots and no
+// response pool.
 
 import (
 	"runtime"

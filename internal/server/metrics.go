@@ -273,6 +273,6 @@ func (w *worker) observe(req *request, now time.Time) {
 	}
 	if ts := w.s.traceSlow; ts > 0 && dur >= ts && w.s.logf != nil {
 		w.s.logf("server: slow-op op=%s id=%d trace=%016x dur=%s queue_wait=%s commit_wait=%s remote=%s",
-			wire.OpName(req.Op), req.ID, req.traceID, dur, qw, req.commitWait, req.c.remote)
+			wire.OpName(req.Op), req.ID, req.traceID, dur, qw, req.commitWait, w.c.remote)
 	}
 }

@@ -341,7 +341,7 @@ func (r *replState) findOne(h dict.Handle, key uint64) (v uint64, found bool, se
 // at the client, which is the truthful classification.
 func (w *worker) serveReplPoint(req *request) {
 	r := w.s.repl
-	c := req.c
+	c := w.c
 	if r.role.Load() == wire.RoleFollower {
 		if req.Op != wire.OpGet {
 			c.sendErr(req.ID, "follower: read-only replica")
@@ -399,7 +399,7 @@ func (w *worker) commitWait(req *request, seq uint64) bool {
 // wait covers the whole batch; the response carries the covering seq.
 func (w *worker) serveReplBatch(req *request) {
 	r := w.s.repl
-	c := req.c
+	c := w.c
 	n := len(req.Keys)
 	if cap(w.vals) < n {
 		w.vals = make([]uint64, n)

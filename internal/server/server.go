@@ -30,8 +30,12 @@
 // by TestAllocsRemotePointOps).
 //
 // Flow control and overload: a connection's goroutine reads its next
-// frame only after serving the last one, so backpressure is TCP's, per
-// connection. A peer that stops reading is turned into a dead
+// frame only after serving the last one, and reads the socket only
+// after writing its pending replies, so backpressure is TCP's, per
+// connection. A peer that pipelines must therefore read replies while
+// it writes (as client.Mux and a client handle's multi-frame batches
+// do): one that wrote more than the socket buffers hold before reading
+// would block both ends in write. A peer that stops reading is turned into a dead
 // connection by the write deadline (Server.writeTimeout); it holds up
 // only its own goroutine. Admission control is Config.MaxConns — the
 // only cap on concurrent operations — and Config.RateLimit, both
@@ -389,13 +393,11 @@ func (s *Server) rejectBusy(nc net.Conn) {
 }
 
 // request is the request a connection is serving: the decoded frame
-// (with its reused key/value scratch), the connection to answer on, and
-// the stamp taken when its frame was read (queue-wait = serve start
-// minus enq). traceID is the request's trace (0 = untraced), claimed
+// (with its reused key/value scratch) and the stamp taken when its frame
+// was read (queue-wait = serve start minus enq). traceID is the request's trace (0 = untraced), claimed
 // from the connection's pending OpTraceCtx; commitWait is stamped by
 // the replicated write path for the slow-op log line.
 type request struct {
-	c          *srvConn
 	enq        time.Time
 	traceID    uint64
 	commitWait time.Duration
@@ -439,7 +441,6 @@ func (s *Server) newConn(nc net.Conn) *srvConn {
 		nc:     nc,
 		remote: nc.RemoteAddr().String(),
 	}
-	c.req.c = c
 	if s.rateLimit > 0 {
 		c.tokens = s.rateBurst
 		c.lastRefill = time.Now()
@@ -642,7 +643,7 @@ func (c *srvConn) run() {
 			continue
 		}
 		if c.w == nil {
-			c.w = s.takeWorker()
+			c.w = s.takeWorker(c)
 		}
 		c.w.serve(req)
 		if c.cut() != nil {
@@ -653,18 +654,21 @@ func (c *srvConn) run() {
 	c.teardown(cause)
 }
 
-// takeWorker hands a connection a worker of its own: a parked one when
-// a closed connection left one, a new one otherwise.
-func (s *Server) takeWorker() *worker {
+// takeWorker hands c a worker of its own: a parked one when a closed
+// connection left one, a new one otherwise.
+func (s *Server) takeWorker(c *srvConn) *worker {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	var w *worker
 	if n := len(s.spare); n > 0 {
-		w := s.spare[n-1]
+		w = s.spare[n-1]
 		s.spare = s.spare[:n-1]
-		return w
+	} else {
+		s.made++
+		w = newWorker(s, s.made)
 	}
-	s.made++
-	return newWorker(s, s.made)
+	s.mu.Unlock()
+	w.c = c
+	return w
 }
 
 // parkWorker keeps a closing connection's worker, handle included, for
@@ -673,6 +677,7 @@ func (s *Server) parkWorker(c *srvConn) {
 	if c.w == nil {
 		return
 	}
+	c.w.c = nil
 	s.mu.Lock()
 	s.spare = append(s.spare, c.w)
 	s.mu.Unlock()
@@ -709,7 +714,8 @@ func reservedKey(k uint64) bool { return k == 0 || k == ^uint64(0) }
 // batch-result and METRICS scratch.
 type worker struct {
 	s    *Server
-	idx  int // the worker's metrics shard hint
+	c    *srvConn // the connection the worker serves
+	idx  int      // the worker's metrics shard hint
 	cur  *hosted
 	h    dict.Handle
 	bat  dict.Batcher
@@ -724,7 +730,6 @@ type worker struct {
 	// time per worker, so worker fields — not a per-scan closure): the
 	// open chunk starts at out[start].
 	sc struct {
-		c     *srvConn
 		id    uint64
 		start int
 		dead  bool // connection tore down mid-scan
@@ -755,7 +760,7 @@ func (w *worker) serve(req *request) {
 		w.attach(h)
 	}
 	w.s.metrics.inFlight.Add(w.idx, 1)
-	c := req.c
+	c := w.c
 	switch req.Op {
 	case wire.OpGet, wire.OpPut, wire.OpDelete:
 		if w.s.repl != nil {
@@ -802,13 +807,12 @@ func (w *worker) serve(req *request) {
 			c.sendErr(req.ID, "hosted structure does not support the requested scan kind")
 			break
 		}
-		w.sc.c, w.sc.id, w.sc.start, w.sc.dead = c, req.ID, len(c.out), false
+		w.sc.id, w.sc.start, w.sc.dead = req.ID, len(c.out), false
 		c.out = wire.BeginChunk(c.out, req.ID)
 		scan(req.Key, req.Val, w.relay)
 		if !w.sc.dead {
 			c.out = wire.FinishChunk(c.out, w.sc.start, true)
 		}
-		w.sc.c = nil
 	case wire.OpStats:
 		host := w.cur
 		st := wire.Stats{
@@ -886,7 +890,7 @@ func (w *worker) serve(req *request) {
 // the open chunk, closes full chunks mid-scan and opens the next one
 // behind the output cut, stopping the scan if the connection died.
 func (w *worker) scanRelay(k, v uint64) bool {
-	c := w.sc.c
+	c := w.c
 	c.out = wire.AppendPair(c.out, k, v)
 	if wire.ChunkPairs(c.out, w.sc.start) < wire.MaxChunkPairs {
 		return true

@@ -209,15 +209,13 @@ func TestRemoteBatchCrossFrameOrder(t *testing.T) {
 	}
 }
 
-// TestRemoteBatchDeepPipeline: a batch spanning many frames (several
-// full pipeline windows) completes and lands every result at its input
-// offset — the bounded-window regression guard for the write-all/
-// read-all deadlock — and a deep pipelined point burst is answered
-// completely and in order.
+// TestRemoteBatchDeepPipeline: a batch spanning 25 frames completes
+// and lands every result at its input offset, and a deep pipelined
+// point burst is answered completely and in order.
 func TestRemoteBatchDeepPipeline(t *testing.T) {
 	_, c := startServer(t, "occ", 1<<21)
 	b := c.NewHandle().(dict.Batcher)
-	n := wire.MaxBatch*24 + 17 // 25 frames, 3 windows of 8
+	n := wire.MaxBatch*24 + 17 // 25 frames
 	keys := make([]uint64, n)
 	vals := make([]uint64, n)
 	res := make([]uint64, n)
@@ -236,8 +234,8 @@ func TestRemoteBatchDeepPipeline(t *testing.T) {
 
 	// The overload policy, same shape one layer down: a raw connection
 	// pipelines a deep point burst. The connection serves it frame by
-	// frame instead of shedding, so every request is answered, in order,
-	// and nothing is dropped.
+	// frame, so every request is answered, in order, and nothing is
+	// dropped.
 	_, addr := startServerCfg(t, "occ", 1<<16, Config{})
 	nc := rawDial(t, addr)
 	const burst = 512
@@ -365,8 +363,7 @@ func TestRemoteCapabilityGating(t *testing.T) {
 // random mix (scans included) on a sharded host, and eight connections
 // marching through phase-aligned Insert/Find/Delete bursts on one tree,
 // where each goroutine's own key stripe must match its shadow map
-// exactly. (The subtest names recall the worker pool the server once
-// had.)
+// exactly.
 func TestRemoteConcurrentHandles(t *testing.T) {
 	for _, tc := range []struct {
 		name, host string
