@@ -266,60 +266,54 @@ func (c *Client) ElimStats() (inserts, deletes, upserts uint64) {
 // use. Callers hold ctrlMu (the RPC serialization), NOT mu.
 func (c *Client) ctrlHandle() (*handle, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ctrl == nil {
-		h, err := c.newHandleLocked()
-		if err != nil {
+	h := c.ctrl
+	c.mu.Unlock()
+	if h == nil {
+		var err error
+		if h, err = c.newHandle(); err != nil {
 			return nil, err
 		}
+		c.mu.Lock()
 		c.ctrl = h
+		c.mu.Unlock()
 	}
-	return c.ctrl, nil
+	return h, nil
 }
 
+// newHandle returns a handle with its connection dialed (once: a dial
+// error is returned, not retried).
 func (c *Client) newHandle() (*handle, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.newHandleLocked()
-}
-
-func (c *Client) newHandleLocked() (*handle, error) {
-	if !c.open {
-		return nil, errClientClosed
-	}
-	nc, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
-	if err != nil {
+	h := c.undialed()
+	if err := h.redial(); err != nil {
 		return nil, err
 	}
-	c.conns[nc] = struct{}{}
+	return h, nil
+}
+
+// undialed returns a handle whose connection is not dialed yet: its
+// first operation dials it through the retry policy, as a redial does.
+func (c *Client) undialed() *handle {
+	c.mu.Lock()
 	c.nhands++
-	return &handle{
-		c:    c,
-		nc:   nc,
-		fr:   wire.NewFrameReader(nc),
-		rtt:  &c.rtt,
-		hint: c.nhands,
-		rng:  newRetryRNG(c.nhands),
-	}, nil
+	n := c.nhands
+	c.mu.Unlock()
+	return &handle{meter: meter{c: c, hint: n}, rng: newRetryRNG(n), broken: true}
 }
 
 // handle is a per-goroutine wire accessor over its own connection. Not
 // safe for concurrent use, like every dict.Handle.
 type handle struct {
-	c      *Client // owning pool (redial policy + fault counters)
+	meter  // owning pool (redial policy, fault counters) + per-op instruments
 	nc     net.Conn
 	fr     *wire.FrameReader // response frames; payloads valid until the next read
 	id     uint64
-	broken bool        // connection known dead; next attempt redials
+	broken bool        // connection dead or not yet dialed; next attempt redials
 	rng    *xrand.Rand // backoff jitter stream
-	rtt    *rttHists   // shared per-op RTT histograms (see metrics.go)
-	hint   int         // this handle's histogram stripe
 
 	out   []byte // request frame scratch
 	pairs []byte // scan pair buffer (packed 16-byte pairs)
 
-	traceN int    // ops since this handle's last head sample
-	trace  uint64 // trace id of the in-flight sampled batch/scan (0: none)
+	trace uint64 // trace id of the in-flight sampled batch/scan (0: none)
 
 	// lastSeq is the highest replication sequence number any response on
 	// this handle has carried (0 against standalone servers). The cluster
@@ -475,15 +469,23 @@ func (h *handle) rpcPoint(op byte, key, val uint64, tid uint64) (uint64, bool, e
 	}
 }
 
-func (h *handle) point(op byte, key, val uint64) (uint64, bool) {
-	t0 := time.Now()
-	tid := h.maybeTrace()
+// tryPoint is one metered point op: the Try* methods return its error,
+// the dict.Handle methods panic on it.
+func (h *handle) tryPoint(op byte, key, val uint64) (uint64, bool, error) {
+	t0, tid := h.start()
 	v, ok, err := h.rpcPoint(op, key, val, tid)
+	if err != nil {
+		return 0, false, err
+	}
+	h.done(op, t0, tid)
+	return v, ok, nil
+}
+
+func (h *handle) point(op byte, key, val uint64) (uint64, bool) {
+	v, ok, err := h.tryPoint(op, key, val)
 	if err != nil {
 		panic(fmt.Sprintf("client: point op %#x: %v", op, err))
 	}
-	h.observe(copFor(op), t0)
-	h.traceSpan(tid, op, t0)
 	return v, ok
 }
 
@@ -658,16 +660,14 @@ func (h *handle) runBatch(op byte, keys, ivals []uint64, ovals []uint64, oks []b
 	if len(ovals) != len(keys) || len(oks) != len(keys) || (op == wire.OpMPut && len(ivals) != len(keys)) {
 		panic("client: batch result slices must match len(keys)")
 	}
-	t0 := time.Now()
-	tid := h.maybeTrace()
+	t0, tid := h.start()
 	h.trace = tid
 	err := h.batchRetry(op, keys, ivals, ovals, oks)
 	h.trace = 0
 	if err != nil {
 		panic(fmt.Sprintf("client: batch op %#x: %v", op, err))
 	}
-	h.observe(copFor(op), t0) // whole-call RTT, all pipelined frames
-	h.traceSpan(tid, op, t0)
+	h.done(op, t0, tid) // whole-call RTT, all pipelined frames
 }
 
 // FindBatch looks up keys[i] for every i (dict.Batcher, remoted as one
@@ -694,12 +694,11 @@ func (h *handle) DeleteBatch(keys []uint64, prev []uint64, deleted []bool) {
 // while fn runs, so fn may issue point operations on this same handle
 // (the dict.Ranger contract).
 func (h *handle) scan(snapshot bool, lo, hi uint64, fn func(k, v uint64) bool) {
-	t0 := time.Now()
-	slot := copScan
+	op := byte(wire.OpScan)
 	if snapshot {
-		slot = copSnapScan
+		op = wire.OpSnapScan
 	}
-	tid := h.maybeTrace()
+	t0, tid := h.start()
 	h.trace = tid
 	// Scans are idempotent: a failed attempt restarts from scratch (the
 	// pair buffer is reset per attempt, and fn only runs after a full
@@ -709,12 +708,7 @@ func (h *handle) scan(snapshot bool, lo, hi uint64, fn func(k, v uint64) bool) {
 	if err != nil {
 		panic(fmt.Sprintf("client: scan: %v", err))
 	}
-	h.observe(slot, t0) // stream fully drained; excludes fn replay
-	op := byte(wire.OpScan)
-	if snapshot {
-		op = wire.OpSnapScan
-	}
-	h.traceSpan(tid, op, t0)
+	h.done(op, t0, tid) // stream fully drained; excludes fn replay
 	for i, n := 0, len(h.pairs)/16; i < n; i++ {
 		k, v := wire.PairAt(h.pairs, i)
 		if !fn(k, v) {

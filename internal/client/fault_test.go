@@ -54,30 +54,33 @@ func evilFront(t *testing.T, backend string, evil map[int]func(net.Conn)) string
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	go serveFront(ln, backend, evil)
+	return ln.Addr().String()
+}
+
+// serveFront is evilFront's accept loop; it returns when ln closes.
+func serveFront(ln net.Listener, backend string, evil map[int]func(net.Conn)) {
 	var idx atomic.Int32
-	go func() {
-		for {
-			nc, err := ln.Accept()
+	for {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		if fn := evil[int(idx.Add(1))]; fn != nil {
+			go fn(nc)
+			continue
+		}
+		go func(nc net.Conn) {
+			defer nc.Close()
+			bc, err := net.Dial("tcp", backend)
 			if err != nil {
 				return
 			}
-			if fn := evil[int(idx.Add(1))]; fn != nil {
-				go fn(nc)
-				continue
-			}
-			go func(nc net.Conn) {
-				defer nc.Close()
-				bc, err := net.Dial("tcp", backend)
-				if err != nil {
-					return
-				}
-				defer bc.Close()
-				go io.Copy(bc, nc)
-				io.Copy(nc, bc)
-			}(nc)
-		}
-	}()
-	return ln.Addr().String()
+			defer bc.Close()
+			go io.Copy(bc, nc)
+			io.Copy(nc, bc)
+		}(nc)
+	}
 }
 
 // readOneFrame consumes exactly one request frame from a raw conn.
@@ -400,12 +403,63 @@ func TestMuxMutationAmbiguity(t *testing.T) {
 	}
 }
 
+// TestMuxSideDialRetries: a mux handle's batches ride a side connection
+// dialed on first use. That dial goes through the retry policy, as a
+// redial does, so a batch issued while the server refuses connections
+// waits the outage out instead of panicking; the first dial is not
+// counted as a redial.
+func TestMuxSideDialRetries(t *testing.T) {
+	_, backend := startBackend(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	go serveFront(ln, backend, nil)
+	m, err := client.DialMux(addr, client.Config{RetryAttempts: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	h := m.NewHandle()
+	h.Insert(5, 50)
+
+	ln.Close() // the address now refuses connections...
+	relisten := make(chan net.Listener, 1)
+	go func() { // ...until it is back 50 ms later
+		time.Sleep(50 * time.Millisecond)
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			close(relisten)
+			return
+		}
+		relisten <- ln
+		serveFront(ln, backend, nil)
+	}()
+	t.Cleanup(func() {
+		if ln, ok := <-relisten; ok {
+			ln.Close()
+		}
+	})
+	keys := []uint64{5, 6}
+	vals := make([]uint64, len(keys))
+	found := make([]bool, len(keys))
+	h.(dict.Batcher).FindBatch(keys, vals, found)
+	if !found[0] || vals[0] != 50 || found[1] {
+		t.Fatalf("FindBatch = %v %v, want [50 _] [true false]", vals, found)
+	}
+	if fs := m.FaultStats(); fs.Retries == 0 || fs.Redials != 0 {
+		t.Fatalf("side dial through a refused address: %+v, want retries > 0 and no redial", fs)
+	}
+}
+
 // TestMuxOutOfOrderReplies: the wire protocol lets a server answer one
 // connection's frames in any order (matching is by id), so a frame may
-// still be in flight after arbitrarily many later ones completed. The script withholds the
-// first frame's reply (a PUT) until 64 later frames were answered — one
-// full lap of the response-slot table. The PUT must still complete
-// normally, with no generation lost to a mismatched response id.
+// still be in flight after arbitrarily many later ones completed. The
+// script withholds the first frame's reply (a PUT) until 64 later
+// frames were answered — one full lap of the response-slot table. The
+// PUT must still complete normally, with no generation lost to a
+// mismatched response id.
 func TestMuxOutOfOrderReplies(t *testing.T) {
 	_, backend := startBackend(t)
 	const later = 64

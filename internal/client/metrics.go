@@ -1,17 +1,20 @@
 package client
 
-// Client-side observability: every handle records the round-trip time
-// of each operation into a per-op striped histogram shared by the whole
-// Client (handles stripe by a per-handle hint, so concurrent workers
-// never contend), and ServerMetrics drains the server's METRICS stream
-// into plain maps. Recording is two time.Now calls and two atomic adds
-// per op — the warmed remote point path stays 0 allocs/op.
+// Client-side observability: every handle, plain or mux, meters each
+// operation through one meter — head sampling (Config.TraceEvery), the
+// client span, and the round-trip time recorded into a per-op striped
+// histogram shared by the whole Client (handles stripe by a per-handle
+// hint, so concurrent workers never contend). ServerMetrics drains the
+// server's METRICS stream into plain maps. Metering is one time.Now and
+// one time.Since per op — the warmed remote point path stays 0
+// allocs/op.
 
 import (
 	"fmt"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -63,16 +66,50 @@ type rttHists struct {
 	h [numClientOps]metrics.Histogram
 }
 
-// observe records one completed operation's round trip.
-func (h *handle) observe(slot int, t0 time.Time) {
-	if h.rtt == nil || slot < 0 {
-		return
+// meter is a handle's per-op instrumentation. Not safe for concurrent
+// use: it belongs to one handle, like the handle itself.
+type meter struct {
+	c      *Client
+	hint   int // this handle's histogram and trace stripe
+	traceN int // ops since this handle's last head sample
+}
+
+// start stamps an operation and head-samples it: tid is a fresh trace
+// id, or 0 — tracing off, the server never advertised CapTrace, or this
+// op lost the 1-in-TraceEvery draw. 0 allocs.
+func (m *meter) start() (t0 time.Time, tid uint64) {
+	t0 = time.Now()
+	c := m.c
+	if c.cfg.TraceEvery <= 0 || !c.canTrace.Load() {
+		return t0, 0
 	}
+	m.traceN++
+	if m.traceN < c.cfg.TraceEvery {
+		return t0, 0
+	}
+	m.traceN = 0
+	return t0, c.traceSeq.Add(1)
+}
+
+// done closes a completed operation: its round trip (retries included)
+// into op's RTT histogram and, when sampled, its client span plus a
+// tail-sample offer so slow round trips are retained locally too.
+// 0 allocs.
+func (m *meter) done(op byte, t0 time.Time, tid uint64) {
 	d := time.Since(t0)
 	if d < 0 {
 		d = 0
 	}
-	h.rtt.h[slot].Record(h.hint, uint64(d))
+	if slot := copFor(op); slot >= 0 {
+		m.c.rtt.h[slot].Record(m.hint, uint64(d))
+	}
+	if tid != 0 {
+		m.c.tracer.Record(m.hint, trace.Span{
+			TraceID: tid, Kind: trace.KindClient, Op: op,
+			Start: uint64(t0.UnixNano()), Dur: uint64(d),
+		})
+		m.c.tracer.RecordTail(op, tid, uint64(d))
+	}
 }
 
 // RTT snapshots the client-side round-trip histograms, keyed by

@@ -25,10 +25,13 @@ package client
 // bounded by muxMaxBatch. The reader completes each waiter from the
 // batch response by input position and returns the frame's credit.
 //
-// Explicit dict.Batcher calls pass through as their own frames (they
-// are already batches; re-coalescing them would only add copying) but
-// share the connection, its credit window and its FIFO order with the
-// coalesced traffic.
+// The shared connection carries only coalesced point frames. Explicit
+// dict.Batcher calls and scans ride each mux handle's side handle: a
+// plain handle on a connection of its own, dialed on first use through
+// the Client's retry policy. A batch is already a batch (re-coalescing
+// it would only add copying), a scan streams and would head-of-line
+// block the shared pipe, and the plain handle already keeps equal keys
+// in input order across a batch's frames.
 //
 // Fault tolerance: when the shared connection dies, the supervisor stops
 // both loops, salvages the in-flight state, redials with the Client's
@@ -77,21 +80,20 @@ const (
 	muxWindow   = 1 << muxSlotBits
 	muxSlotMask = muxWindow - 1
 
-	muxSubDepth   = 4096 // submission queue depth
-	muxBatchFlush = 8    // explicit-batch frames staged per combiner round
+	muxSubDepth = 4096 // submission queue depth
 )
 
 // Mux is a shared-connection coalescing client. It implements dict.Dict
 // (plus dict.RQStatser and dict.ElimStatser) exactly like Client, so
 // bench.NewDict can hand it to every workload unchanged; control-plane
-// operations (STATS, OPEN, KeySum) and scans ride a plain Client under
-// the hood.
+// operations (STATS, OPEN, KeySum) and each handle's batches and scans
+// ride a plain Client under the hood.
 type Mux struct {
-	c     *Client  // control plane + scan connections
+	c     *Client  // control plane + side handles (batches, scans)
 	mc    *muxConn // the shared data connection
 	nhand atomic.Uint64
 
-	inflight metrics.Gauge     // ops submitted, not yet completed
+	inflight metrics.Gauge     // point ops submitted, not yet completed
 	coalesce metrics.Histogram // waiters per coalesced point frame
 
 	closeOnce sync.Once
@@ -99,7 +101,8 @@ type Mux struct {
 }
 
 // DialMux connects a Mux to an abtree server: the shared data
-// connection plus a Client (dialed with cfg) for control and scans.
+// connection plus a Client (dialed with cfg) for control, batches and
+// scans.
 func DialMux(addr string, cfg Config) (*Mux, error) {
 	c, err := DialConfig(addr, cfg)
 	if err != nil {
@@ -174,18 +177,19 @@ func (m *Mux) CoalesceStats() *metrics.Snapshot {
 	return s
 }
 
-// Inflight reports the mux_inflight gauge: operations submitted and not
-// yet completed across every handle.
+// Inflight reports the mux_inflight gauge: point operations submitted
+// and not yet completed across every handle (batches and scans ride the
+// side handles and are not counted).
 func (m *Mux) Inflight() int64 { return m.inflight.Load() }
 
-// NewHandle returns a per-goroutine accessor multiplexed onto the
-// shared connection. Handles are cheap — no dial — so any number of
-// worker goroutines can share it. The dynamic type exposes the hosted
-// structure's scan capabilities, like Client.NewHandle; scans ride a
-// dedicated per-handle connection dialed lazily on first use (scans are
-// streamed and would head-of-line block the shared pipe).
+// NewHandle returns a per-goroutine accessor whose point operations are
+// multiplexed onto the shared connection. Handles are cheap — no dial —
+// so any number of worker goroutines can share it. The dynamic type
+// exposes the hosted structure's scan capabilities, like
+// Client.NewHandle; batches and scans ride the handle's side handle,
+// whose connection is dialed on first use.
 func (m *Mux) NewHandle() dict.Handle {
-	h := &muxHandle{m: m, hint: int(m.nhand.Add(1))}
+	h := &muxHandle{meter: meter{c: m.c, hint: int(m.nhand.Add(1))}, m: m}
 	h.op.done = make(chan struct{}, 1)
 	m.c.mu.Lock()
 	caps := m.c.caps
@@ -200,21 +204,15 @@ func (m *Mux) NewHandle() dict.Handle {
 	return &muxSnapHandle{muxRangeHandle{h}}
 }
 
-// muxOp is one parked operation: a point op (op/key/val, completed into
-// resVal/resOk) or an explicit-batch pass-through (keys/vals slices,
-// completed into the caller's resVals/resOks). done is buffered so the
-// completer never blocks. resErr carries a fault-path failure
-// (ErrAmbiguous, an application respError, or a terminal reconnect
-// failure) to the submitting goroutine.
+// muxOp is one parked point operation (op/key/val, completed into
+// resVal/resOk). done is buffered so the completer never blocks. resErr
+// carries a fault-path failure (ErrAmbiguous, an application respError,
+// or a terminal reconnect failure) to the submitting goroutine.
 type muxOp struct {
 	op       byte
 	key, val uint64
 
-	keys, vals []uint64 // explicit batch input (nil for point ops)
-	resVals    []uint64 // explicit batch results (caller's slices)
-	resOks     []bool
-
-	resVal uint64 // point result
+	resVal uint64
 	resOk  bool
 	resErr error
 
@@ -225,13 +223,11 @@ type muxOp struct {
 }
 
 // muxFrame is one in-flight frame's completion state: the waiters to
-// scatter a coalesced response into, or the single explicit-batch op.
-// Pooled by the connection.
+// scatter its coalesced response into. Pooled by the connection.
 type muxFrame struct {
 	id      uint64
 	waiters []*muxOp
-	bop     *muxOp   // non-nil for explicit-batch pass-through frames
-	vals    []uint64 // coalesced response decode scratch
+	vals    []uint64 // response decode scratch
 	oks     []bool
 }
 
@@ -290,11 +286,10 @@ type muxConn struct {
 	id uint64 // combiner-owned frame sequence; ids are id<<muxSlotBits | slot
 
 	// Combiner staging and scratch (supervisor-owned between generations).
-	points  [3][]*muxOp // staged point waiters by class (get/put/delete)
-	batches []*muxOp    // staged explicit-batch pass-throughs
-	keyBuf  []uint64
-	valBuf  []uint64
-	wbuf    []byte // frames gathered since the last write
+	points [3][]*muxOp // staged waiters by class (get/put/delete)
+	keyBuf []uint64
+	valBuf []uint64
+	wbuf   []byte // frames gathered since the last write
 }
 
 func (m *Mux) dialConn(addr string) (*muxConn, error) {
@@ -387,7 +382,7 @@ func (mc *muxConn) supervise() {
 }
 
 // salvage reclaims every in-flight frame after a generation died:
-// idempotent waiters (GET/MGET) are re-staged for the next generation,
+// idempotent waiters (GET) are re-staged for the next generation,
 // mutation waiters complete with ErrAmbiguous naming cause, the error
 // that ended the generation (their frame may have reached the server),
 // unless requeueAll says the server never read them. Credits are reset
@@ -401,28 +396,17 @@ func (mc *muxConn) salvage(requeueAll bool, cause error) {
 			continue
 		}
 		mc.slots[i].Store(nil)
-		if f.bop != nil {
-			o := f.bop
-			if requeueAll || o.op == wire.OpMGet {
-				mc.batches = append(mc.batches, o)
+		for _, o := range f.waiters {
+			if requeueAll || o.op == wire.OpGet {
+				cls := pointClass(o.op)
+				mc.points[cls] = append(mc.points[cls], o)
 			} else {
 				o.resErr = fmt.Errorf("%w (mux conn, op %#x): %v", ErrAmbiguous, o.op, cause)
 				ambiguous++
 				o.done <- struct{}{}
 			}
-		} else {
-			for _, o := range f.waiters {
-				if requeueAll || o.op == wire.OpGet {
-					cls := pointClass(o.op)
-					mc.points[cls] = append(mc.points[cls], o)
-				} else {
-					o.resErr = fmt.Errorf("%w (mux conn, op %#x): %v", ErrAmbiguous, o.op, cause)
-					ambiguous++
-					o.done <- struct{}{}
-				}
-			}
-			f.waiters = f.waiters[:0]
 		}
+		f.waiters = f.waiters[:0]
 		mc.putFrame(f)
 	}
 	if ambiguous > 0 {
@@ -471,11 +455,6 @@ func (mc *muxConn) failTerminal(err error) {
 		}
 		mc.points[cls] = mc.points[cls][:0]
 	}
-	for _, o := range mc.batches {
-		o.resErr = err
-		o.done <- struct{}{}
-	}
-	mc.batches = mc.batches[:0]
 	for {
 		select {
 		case o := <-mc.subq:
@@ -487,17 +466,15 @@ func (mc *muxConn) failTerminal(err error) {
 	}
 }
 
-// pointClass maps a point opcode to its staging class (-1 otherwise).
+// pointClass maps a point opcode to its staging class.
 func pointClass(op byte) int {
 	switch op {
 	case wire.OpGet:
 		return 0
 	case wire.OpPut:
 		return 1
-	case wire.OpDelete:
-		return 2
 	}
-	return -1
+	return 2 // wire.OpDelete
 }
 
 // pointBatchOp is the batch opcode each staging class seals into.
@@ -506,7 +483,7 @@ var pointBatchOp = [3]byte{wire.OpMGet, wire.OpMPut, wire.OpMDelete}
 // staged reports how many waiters are parked in the staging arrays
 // (non-zero right after a salvage carried work into this generation).
 func (mc *muxConn) staged() int {
-	n := len(mc.batches)
+	n := 0
 	for cls := range mc.points {
 		n += len(mc.points[cls])
 	}
@@ -551,12 +528,9 @@ func (mc *muxConn) combiner(g *muxGen) {
 // stage parks one op in its class, reporting whether any class hit its
 // frame bound (time to flush even though the queue may be non-empty).
 func (mc *muxConn) stage(op *muxOp) bool {
-	if cls := pointClass(op.op); cls >= 0 {
-		mc.points[cls] = append(mc.points[cls], op)
-		return len(mc.points[cls]) >= muxMaxBatch
-	}
-	mc.batches = append(mc.batches, op)
-	return len(mc.batches) >= muxBatchFlush
+	cls := pointClass(op.op)
+	mc.points[cls] = append(mc.points[cls], op)
+	return len(mc.points[cls]) >= muxMaxBatch
 }
 
 // flush seals every staged class into frames (chunked at muxMaxBatch —
@@ -571,7 +545,6 @@ func (mc *muxConn) flush(g *muxGen) error {
 			ops := mc.points[cls]
 			n := min(len(ops), muxMaxBatch)
 			f := mc.getFrame()
-			f.bop = nil
 			f.waiters = append(f.waiters[:0], ops[:n]...)
 			mc.points[cls] = append(ops[:0], ops[n:]...) // keep remainder staged
 			mc.keyBuf = mc.keyBuf[:0]
@@ -591,18 +564,6 @@ func (mc *muxConn) flush(g *muxGen) error {
 			if err := mc.writeFrame(g, f, op, mc.keyBuf, vals); err != nil {
 				return err
 			}
-		}
-	}
-	for len(mc.batches) > 0 {
-		o := mc.batches[0]
-		n := copy(mc.batches, mc.batches[1:])
-		mc.batches[n] = nil
-		mc.batches = mc.batches[:n]
-		f := mc.getFrame()
-		f.bop = o
-		f.waiters = f.waiters[:0]
-		if err := mc.writeFrame(g, f, o.op, o.keys, o.vals); err != nil {
-			return err
 		}
 	}
 	return mc.writeOut()
@@ -678,16 +639,13 @@ func (mc *muxConn) writeFrame(g *muxGen, f *muxFrame, op byte, keys, vals []uint
 // waiter's (only one trace can own the server-side request). 0 allocs
 // on the untraced path.
 func (mc *muxConn) sealSpans(f *muxFrame) uint64 {
-	var first uint64
-	var sealNs uint64
-	span := func(o *muxOp, members int) {
+	var first, sealNs uint64
+	for _, o := range f.waiters {
 		if o.trace == 0 {
-			return
+			continue
 		}
 		if first == 0 {
 			first = o.trace
-		}
-		if sealNs == 0 {
 			sealNs = uint64(time.Now().UnixNano())
 		}
 		var dur uint64
@@ -696,31 +654,19 @@ func (mc *muxConn) sealSpans(f *muxFrame) uint64 {
 		}
 		mc.m.c.tracer.Record(0, trace.Span{
 			TraceID: o.trace, Kind: trace.KindMuxStage, Op: o.op,
-			Start: uint64(o.submitT), Dur: dur, Aux: uint64(members),
+			Start: uint64(o.submitT), Dur: dur, Aux: uint64(len(f.waiters)),
 		})
-	}
-	if f.bop != nil {
-		span(f.bop, 1)
-		return first
-	}
-	for _, o := range f.waiters {
-		span(o, len(f.waiters))
 	}
 	return first
 }
 
 // unseal returns a sealed-but-not-installed frame's waiters to staging.
 func (mc *muxConn) unseal(f *muxFrame) {
-	if f.bop != nil {
-		mc.batches = append(mc.batches, f.bop)
-	} else {
-		for _, o := range f.waiters {
-			if cls := pointClass(o.op); cls >= 0 {
-				mc.points[cls] = append(mc.points[cls], o)
-			}
-		}
-		f.waiters = f.waiters[:0]
+	for _, o := range f.waiters {
+		cls := pointClass(o.op)
+		mc.points[cls] = append(mc.points[cls], o)
 	}
+	f.waiters = f.waiters[:0]
 	mc.putFrame(f)
 }
 
@@ -756,45 +702,31 @@ func (mc *muxConn) reader(g *muxGen) {
 			g.fail(fmt.Errorf("%w: unexpected response op %#x", errProtocol, rop))
 			return
 		}
-		if f.bop != nil {
-			o := f.bop
-			if appErr == nil {
-				// The mux targets standalone servers; a replication seq,
-				// if present, is dropped (routing clients use per-goroutine
-				// handles, which track it).
-				if _, err := wire.DecodeBatch(payload, o.resVals, o.resOks); err != nil {
-					g.fail(fmt.Errorf("%w: %v", errProtocol, err))
-					return
-				}
+		n := len(f.waiters)
+		if appErr == nil {
+			if cap(f.vals) < n {
+				f.vals = make([]uint64, n)
+				f.oks = make([]bool, n)
 			}
-			o.resErr = appErr
-			mc.slots[slot].Store(nil)
-			mc.putFrame(f)
-			o.done <- struct{}{}
-		} else {
-			n := len(f.waiters)
-			if appErr == nil {
-				if cap(f.vals) < n {
-					f.vals = make([]uint64, n)
-					f.oks = make([]bool, n)
-				}
-				if _, err := wire.DecodeBatch(payload, f.vals[:n], f.oks[:n]); err != nil {
-					g.fail(fmt.Errorf("%w: %v", errProtocol, err))
-					return
-				}
+			// The mux targets standalone servers; a replication seq, if
+			// present, is dropped (routing clients use per-goroutine
+			// handles, which track it).
+			if _, err := wire.DecodeBatch(payload, f.vals[:n], f.oks[:n]); err != nil {
+				g.fail(fmt.Errorf("%w: %v", errProtocol, err))
+				return
 			}
-			vals, oks := f.vals[:cap(f.vals)], f.oks[:cap(f.oks)]
-			for i, o := range f.waiters {
-				if appErr == nil {
-					o.resVal, o.resOk, o.resErr = vals[i], oks[i], nil
-				} else {
-					o.resErr = appErr
-				}
-				o.done <- struct{}{}
-			}
-			mc.slots[slot].Store(nil)
-			mc.putFrame(f)
 		}
+		vals, oks := f.vals[:cap(f.vals)], f.oks[:cap(f.oks)]
+		for i, o := range f.waiters {
+			if appErr == nil {
+				o.resVal, o.resOk, o.resErr = vals[i], oks[i], nil
+			} else {
+				o.resErr = appErr
+			}
+			o.done <- struct{}{}
+		}
+		mc.slots[slot].Store(nil)
+		mc.putFrame(f)
 		mc.credits <- slot
 	}
 }
@@ -809,56 +741,21 @@ func (mc *muxConn) getFrame() *muxFrame {
 }
 
 func (mc *muxConn) putFrame(f *muxFrame) {
-	f.bop = nil
 	select {
 	case mc.frees <- f:
 	default:
 	}
 }
 
-// muxHandle is a per-goroutine accessor multiplexed onto the shared
-// connection. Not safe for concurrent use, like every dict.Handle —
-// the sharing happens below it, in the connection.
+// muxHandle is a per-goroutine accessor whose point ops are
+// multiplexed onto the shared connection. Not safe for concurrent use,
+// like every dict.Handle — the sharing happens below it, in the
+// connection.
 type muxHandle struct {
+	meter
 	m    *Mux
-	hint int // metrics stripe
-
-	op     muxOp    // reused point-op parking slot
-	bops   []*muxOp // reused explicit-batch sub-ops (chunk pipelining)
-	traceN int      // ops since this handle's last head sample
-	scanH  dict.Handle
-}
-
-// maybeTrace head-samples the next op on this mux handle (the plain
-// handle's policy: Config.TraceEvery, gated on CapTrace). 0 allocs.
-func (h *muxHandle) maybeTrace() uint64 {
-	c := h.m.c
-	if c.cfg.TraceEvery <= 0 || !c.canTrace.Load() {
-		return 0
-	}
-	h.traceN++
-	if h.traceN < c.cfg.TraceEvery {
-		return 0
-	}
-	h.traceN = 0
-	return c.traceSeq.Add(1)
-}
-
-// traceSpan closes a sampled mux op's client span (submit to
-// completion, the whole coalesced round trip).
-func (h *muxHandle) traceSpan(tid uint64, op byte, t0 time.Time) {
-	if tid == 0 {
-		return
-	}
-	d := time.Since(t0)
-	if d < 0 {
-		d = 0
-	}
-	h.m.c.tracer.Record(h.hint, trace.Span{
-		TraceID: tid, Kind: trace.KindClient, Op: op,
-		Start: uint64(t0.UnixNano()), Dur: uint64(d),
-	})
-	h.m.c.tracer.RecordTail(op, tid, uint64(d))
+	op   muxOp   // reused point-op parking slot
+	side *handle // batches and scans (see sideHandle)
 }
 
 // submit parks o on the shared connection and blocks until it is
@@ -878,20 +775,17 @@ func (h *muxHandle) submit(o *muxOp) {
 }
 
 func (h *muxHandle) tryPoint(opcode byte, key, val uint64) (uint64, bool, error) {
-	t0 := time.Now()
-	tid := h.maybeTrace()
+	t0, tid := h.start()
 	h.m.inflight.Add(h.hint, 1)
 	o := &h.op
 	o.op, o.key, o.val = opcode, key, val
-	o.keys, o.vals = nil, nil
 	o.trace, o.submitT = tid, t0.UnixNano()
 	h.submit(o)
 	h.m.inflight.Add(h.hint, -1)
 	if o.resErr != nil {
 		return 0, false, o.resErr
 	}
-	h.observeRTT(copFor(opcode), t0)
-	h.traceSpan(tid, opcode, t0)
+	h.done(opcode, t0, tid)
 	return o.resVal, o.resOk, nil
 }
 
@@ -901,17 +795,6 @@ func (h *muxHandle) point(opcode byte, key, val uint64) (uint64, bool) {
 		panic(fmt.Sprintf("client: mux point op %#x: %v", opcode, err))
 	}
 	return v, ok
-}
-
-func (h *muxHandle) observeRTT(slot int, t0 time.Time) {
-	if slot < 0 {
-		return
-	}
-	d := time.Since(t0)
-	if d < 0 {
-		d = 0
-	}
-	h.m.c.rtt.h[slot].Record(h.hint, uint64(d))
 }
 
 // Find looks up key on the remote structure (coalesced).
@@ -941,141 +824,43 @@ func (h *muxHandle) TryDelete(key uint64) (uint64, bool, error) {
 	return h.tryPoint(wire.OpDelete, key, 0)
 }
 
-// bop returns the i-th reused explicit-batch sub-op.
-func (h *muxHandle) bop(i int) *muxOp {
-	for len(h.bops) <= i {
-		h.bops = append(h.bops, &muxOp{done: make(chan struct{}, 1)})
+// sideHandle returns the plain handle this mux handle's batches and
+// scans ride, made on first use. Its connection is dialed by its first
+// operation, through the Client's retry policy as a redial is, so a
+// batch during a transient outage retries instead of failing at the
+// first refused dial.
+func (h *muxHandle) sideHandle() *handle {
+	if h.side == nil {
+		h.side = h.m.c.undialed()
 	}
-	return h.bops[i]
+	return h.side
 }
 
-// runBatch drives one explicit dict.Batcher call through the shared
-// connection: chunks of wire.MaxBatch submitted as pass-through frames.
-// Chunks are pipelined (submitted back-to-back, then awaited) unless a
-// mutating batch has equal keys straddling chunks. The server serves
-// the connection's frames in arrival order, but a redial's salvage
-// re-stages in-flight frames in slot order, not submission order, so
-// only chunk-at-a-time submission keeps dict.Batcher's
-// equal-keys-apply-in-input-order contract across chunks.
-func (h *muxHandle) runBatch(op byte, keys, ivals, ovals []uint64, oks []bool) {
-	if len(ovals) != len(keys) || len(oks) != len(keys) || (op == wire.OpMPut && len(ivals) != len(keys)) {
-		panic("client: batch result slices must match len(keys)")
-	}
-	if len(keys) == 0 {
-		return
-	}
-	t0 := time.Now()
-	tid := h.maybeTrace()
-	h.m.inflight.Add(h.hint, int64(len(keys)))
-	serial := op != wire.OpMGet && len(keys) > wire.MaxBatch && crossFrameDup(keys)
-	nsub := 0
-	var firstErr error
-	for off := 0; off < len(keys); off += wire.MaxBatch {
-		end := min(off+wire.MaxBatch, len(keys))
-		o := h.bop(nsub)
-		o.op = op
-		o.trace, o.submitT = 0, t0.UnixNano()
-		if off == 0 {
-			o.trace = tid // the trace rides the first chunk (see handle.batch)
-		}
-		o.keys = keys[off:end]
-		if op == wire.OpMPut {
-			o.vals = ivals[off:end]
-		} else {
-			o.vals = nil
-		}
-		o.resVals, o.resOks = ovals[off:end], oks[off:end]
-		if serial {
-			h.submit(o)
-			if o.resErr != nil && firstErr == nil {
-				firstErr = o.resErr
-				break
-			}
-		} else {
-			o.resErr = nil
-			select {
-			case h.m.mc.subq <- o:
-				nsub++
-			case <-h.m.mc.quit:
-				panic("client: mux: operation on closed mux")
-			case <-h.m.mc.failed:
-				if firstErr == nil {
-					firstErr = h.m.mc.failErr
-				}
-			}
-			if firstErr != nil {
-				break
-			}
-		}
-	}
-	for i := 0; i < nsub; i++ {
-		<-h.bops[i].done
-		if err := h.bops[i].resErr; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	h.m.inflight.Add(h.hint, -int64(len(keys)))
-	if firstErr != nil {
-		panic(fmt.Sprintf("client: mux batch op %#x: %v", op, firstErr))
-	}
-	h.observeRTT(copFor(op), t0)
-	h.traceSpan(tid, op, t0)
-}
-
-// crossFrameDup reports whether any key occurs in two different
-// wire.MaxBatch frames of the batch. Only called for mutating batches
-// big enough to split (a rare path), so the map allocation is fine.
-func crossFrameDup(keys []uint64) bool {
-	firstFrame := make(map[uint64]int, len(keys))
-	for i, k := range keys {
-		frame := i / wire.MaxBatch
-		if f, seen := firstFrame[k]; seen {
-			if f != frame {
-				return true
-			}
-		} else {
-			firstFrame[k] = frame
-		}
-	}
-	return false
-}
-
-// FindBatch looks up keys[i] for every i (dict.Batcher over the shared
-// connection).
+// FindBatch looks up keys[i] for every i (dict.Batcher, over the side
+// handle).
 func (h *muxHandle) FindBatch(keys, vals []uint64, found []bool) {
-	h.runBatch(wire.OpMGet, keys, nil, vals, found)
+	h.sideHandle().FindBatch(keys, vals, found)
 }
 
-// InsertBatch inserts <keys[i], vals[i]> where absent (dict.Batcher
-// over the shared connection).
+// InsertBatch inserts <keys[i], vals[i]> where absent (dict.Batcher,
+// over the side handle).
 func (h *muxHandle) InsertBatch(keys, vals []uint64, prev []uint64, inserted []bool) {
-	h.runBatch(wire.OpMPut, keys, vals, prev, inserted)
+	h.sideHandle().InsertBatch(keys, vals, prev, inserted)
 }
 
-// DeleteBatch removes keys[i] where present (dict.Batcher over the
-// shared connection).
+// DeleteBatch removes keys[i] where present (dict.Batcher, over the
+// side handle).
 func (h *muxHandle) DeleteBatch(keys []uint64, prev []uint64, deleted []bool) {
-	h.runBatch(wire.OpMDelete, keys, nil, prev, deleted)
+	h.sideHandle().DeleteBatch(keys, prev, deleted)
 }
 
-// scanHandle lazily dials this handle's dedicated scan connection (a
-// plain Client handle; scans are streamed and must not head-of-line
-// block the shared pipe).
-func (h *muxHandle) scanHandle() dict.Handle {
-	if h.scanH == nil {
-		h.scanH = h.m.c.NewHandle()
-	}
-	return h.scanH
-}
-
-// muxRangeHandle adds weak scans over the handle's dedicated scan
-// connection.
+// muxRangeHandle adds weak scans over the side handle.
 type muxRangeHandle struct{ *muxHandle }
 
 // Range calls fn for each pair with lo <= key <= hi in ascending key
 // order, with whatever atomicity the hosted structure's Range has.
 func (h *muxRangeHandle) Range(lo, hi uint64, fn func(k, v uint64) bool) {
-	h.scanHandle().(dict.Ranger).Range(lo, hi, fn)
+	h.sideHandle().scan(false, lo, hi, fn)
 }
 
 // muxSnapHandle adds linearizable scans.
@@ -1084,5 +869,5 @@ type muxSnapHandle struct{ muxRangeHandle }
 // RangeSnapshot calls fn for each pair of one atomic snapshot of
 // [lo, hi] (the hosted structure's RangeSnapshot).
 func (h *muxSnapHandle) RangeSnapshot(lo, hi uint64, fn func(k, v uint64) bool) {
-	h.scanHandle().(dict.SnapshotRanger).RangeSnapshot(lo, hi, fn)
+	h.sideHandle().scan(true, lo, hi, fn)
 }

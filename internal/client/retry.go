@@ -169,7 +169,9 @@ func (c *Client) forget(nc net.Conn) {
 
 // redial replaces the handle's dead connection with a fresh one,
 // resetting the frame reader in place (no allocation: it keeps its
-// buffer and drops any partial frame from the dead connection).
+// buffer and drops any partial frame from the dead connection). A
+// handle's first dial runs here too; it makes the frame reader and is
+// not counted as a redial.
 func (h *handle) redial() error {
 	if h.nc != nil {
 		h.c.forget(h.nc)
@@ -180,8 +182,12 @@ func (h *handle) redial() error {
 		return err
 	}
 	h.nc = nc
-	h.fr.Reset(nc)
 	h.broken = false
+	if h.fr == nil {
+		h.fr = wire.NewFrameReader(nc)
+		return nil
+	}
+	h.fr.Reset(nc)
 	h.c.faults.redials.Add(1)
 	return nil
 }
@@ -266,43 +272,19 @@ type TryHandle interface {
 
 // TryFind is Find with an error result instead of a panic.
 func (h *handle) TryFind(key uint64) (uint64, bool, error) {
-	t0 := time.Now()
-	tid := h.maybeTrace()
-	v, ok, err := h.rpcPoint(wire.OpGet, key, 0, tid)
-	if err != nil {
-		return 0, false, err
-	}
-	h.observe(copGet, t0)
-	h.traceSpan(tid, wire.OpGet, t0)
-	return v, ok, nil
+	return h.tryPoint(wire.OpGet, key, 0)
 }
 
 // TryInsert is Insert with an error result; ErrAmbiguous means the
 // insert may or may not have been applied.
 func (h *handle) TryInsert(key, val uint64) (uint64, bool, error) {
-	t0 := time.Now()
-	tid := h.maybeTrace()
-	v, ok, err := h.rpcPoint(wire.OpPut, key, val, tid)
-	if err != nil {
-		return 0, false, err
-	}
-	h.observe(copPut, t0)
-	h.traceSpan(tid, wire.OpPut, t0)
-	return v, ok, nil
+	return h.tryPoint(wire.OpPut, key, val)
 }
 
 // TryDelete is Delete with an error result; ErrAmbiguous means the
 // delete may or may not have been applied.
 func (h *handle) TryDelete(key uint64) (uint64, bool, error) {
-	t0 := time.Now()
-	tid := h.maybeTrace()
-	v, ok, err := h.rpcPoint(wire.OpDelete, key, 0, tid)
-	if err != nil {
-		return 0, false, err
-	}
-	h.observe(copDelete, t0)
-	h.traceSpan(tid, wire.OpDelete, t0)
-	return v, ok, nil
+	return h.tryPoint(wire.OpDelete, key, 0)
 }
 
 // newRetryRNG builds a handle's jitter stream.

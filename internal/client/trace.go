@@ -1,51 +1,16 @@
 package client
 
-// Client-side request tracing: head sampling (Config.TraceEvery), the
-// per-client span collector, and the OpTraceDump RPC that drains a
-// server's collector for abtree-top and the end-to-end trace tests.
+// Client-side request tracing: the per-client span collector and the
+// OpTraceDump RPC that drains a server's collector for abtree-top and
+// the end-to-end trace tests. Head sampling (Config.TraceEvery) and the
+// client span are the per-op meter's (metrics.go).
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
-
-// maybeTrace decides whether the next operation on this handle is head
-// sampled, minting a fresh trace id when it is. 0 means untraced —
-// tracing off, the server never advertised CapTrace, or this op lost
-// the 1-in-TraceEvery draw. 0 allocs.
-func (h *handle) maybeTrace() uint64 {
-	c := h.c
-	if c.cfg.TraceEvery <= 0 || !c.canTrace.Load() {
-		return 0
-	}
-	h.traceN++
-	if h.traceN < c.cfg.TraceEvery {
-		return 0
-	}
-	h.traceN = 0
-	return c.traceSeq.Add(1)
-}
-
-// traceSpan closes a head-sampled operation's client span: the whole
-// RPC, issue to response decode (retries included), plus a tail-sample
-// offer so slow round trips are retained locally too. 0 allocs.
-func (h *handle) traceSpan(tid uint64, op byte, t0 time.Time) {
-	if tid == 0 {
-		return
-	}
-	d := time.Since(t0)
-	if d < 0 {
-		d = 0
-	}
-	h.c.tracer.Record(h.hint, trace.Span{
-		TraceID: tid, Kind: trace.KindClient, Op: op,
-		Start: uint64(t0.UnixNano()), Dur: uint64(d),
-	})
-	h.c.tracer.RecordTail(op, tid, uint64(d))
-}
 
 // Tracer returns the client's local span collector (nil unless
 // Config.TraceEvery > 0; a nil collector's methods are no-ops).

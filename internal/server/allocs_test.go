@@ -5,8 +5,9 @@ package server
 // connection must allocate NOTHING across the whole stack — client
 // frame encode, server frame decode (into the connection's reused
 // request), execution on a settled OCC tree, response encode (into the
-// connection's reused output buffer) and client decode. testing.AllocsPerRun counts mallocs process-wide, so
-// the server goroutines' allocations are inside the measurement.
+// connection's reused output buffer) and client decode.
+// testing.AllocsPerRun counts mallocs process-wide, so the server
+// goroutines' allocations are inside the measurement.
 
 import (
 	"testing"

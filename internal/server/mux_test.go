@@ -131,9 +131,10 @@ func TestMuxPointOps(t *testing.T) {
 	})
 }
 
-// TestMuxExplicitBatch: dict.Batcher calls pass through the shared
-// connection — equal keys still apply in input order within a frame,
-// and batches above wire.MaxBatch split and reassemble in input order.
+// TestMuxExplicitBatch: dict.Batcher calls on a mux handle ride its
+// side handle, not the shared connection — equal keys still apply in
+// input order within a frame, and batches above wire.MaxBatch split and
+// reassemble in input order.
 func TestMuxExplicitBatch(t *testing.T) {
 	_, m := startMux(t, "occ", 1<<20)
 	b := m.NewHandle().(dict.Batcher)
@@ -196,9 +197,10 @@ func TestMuxLinearizability(t *testing.T) {
 }
 
 // TestMuxLinearizableRacingBatch: point ops coalescing on the shared
-// connection race an explicit multi-frame batch on the SAME connection;
-// the combined history (batch keys expanded per the dict.Batcher
-// contract) must stay linearizable.
+// connection race an explicit multi-frame batch from a handle of the
+// same mux, which rides that handle's side connection; the combined
+// history (batch keys expanded per the dict.Batcher contract) must stay
+// linearizable.
 func TestMuxLinearizableRacingBatch(t *testing.T) {
 	_, m := startMux(t, "occ", 1<<16)
 	keys := []uint64{5, 6}

@@ -602,7 +602,7 @@ func (sd *replSender) stream(nc net.Conn, kinds *[]byte, keys, vals, traces *[]u
 	sd.fr.Reset(nc)
 	var out []byte
 	// Probe: a zero-entry REPLICATE whose ack tells us where to resume.
-	out = wire.AppendReplicate(out[:0], 1, 0, nil, nil, nil)
+	out = wire.AppendReplicate(out[:0], 1, 0, nil, nil, nil, nil)
 	cursor, err := sd.roundTrip(nc, out)
 	if err != nil {
 		return
@@ -635,11 +635,11 @@ func (sd *replSender) stream(nc net.Conn, kinds *[]byte, keys, vals, traces *[]u
 			}
 		}
 		r.mu.Unlock()
+		var runTraces []uint64 // nil keeps an untraced run's frame in the untraced form
 		if anyTrace {
-			out = wire.AppendReplicateTraced(out[:0], 1, cursor+1, *kinds, *keys, *vals, *traces)
-		} else {
-			out = wire.AppendReplicate(out[:0], 1, cursor+1, *kinds, *keys, *vals)
+			runTraces = *traces
 		}
+		out = wire.AppendReplicate(out[:0], 1, cursor+1, *kinds, *keys, *vals, runTraces)
 		t0 := time.Now()
 		applied, err := sd.roundTrip(nc, out)
 		if err != nil {

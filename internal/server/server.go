@@ -35,13 +35,13 @@
 // connection. A peer that pipelines must therefore read replies while
 // it writes (as client.Mux and a client handle's multi-frame batches
 // do): one that wrote more than the socket buffers hold before reading
-// would block both ends in write. A peer that stops reading is turned into a dead
-// connection by the write deadline (Server.writeTimeout); it holds up
-// only its own goroutine. Admission control is Config.MaxConns — the
-// only cap on concurrent operations — and Config.RateLimit, both
-// answering BUSY ("nothing was executed"), which clients retry after
-// backing off. Merging concurrent callers' point operations into batch
-// descents is the client's job (client.Mux).
+// would block both ends in write. A peer that stops reading is turned
+// into a dead connection by the write deadline (Server.writeTimeout);
+// it holds up only its own goroutine. Admission control is
+// Config.MaxConns — the only cap on concurrent operations — and
+// Config.RateLimit, both answering BUSY ("nothing was executed"), which
+// clients retry after backing off. Merging concurrent callers' point
+// operations into batch descents is the client's job (client.Mux).
 package server
 
 import (
@@ -393,10 +393,11 @@ func (s *Server) rejectBusy(nc net.Conn) {
 }
 
 // request is the request a connection is serving: the decoded frame
-// (with its reused key/value scratch) and the stamp taken when its frame
-// was read (queue-wait = serve start minus enq). traceID is the request's trace (0 = untraced), claimed
-// from the connection's pending OpTraceCtx; commitWait is stamped by
-// the replicated write path for the slow-op log line.
+// (with its reused key/value scratch) and the stamp taken when its
+// frame was read (queue-wait = serve start minus enq). traceID is the
+// request's trace (0 = untraced), claimed from the connection's pending
+// OpTraceCtx; commitWait is stamped by the replicated write path for
+// the slow-op log line.
 type request struct {
 	enq        time.Time
 	traceID    uint64

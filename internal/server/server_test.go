@@ -172,40 +172,56 @@ func TestRemoteBatchOps(t *testing.T) {
 // TestRemoteBatchCrossFrameOrder: equal keys on opposite sides of a
 // wire.MaxBatch frame boundary must still apply in input order (the
 // dict.Batcher contract) while the client pipelines the frames — the
-// server serves a connection's frames in arrival order.
+// server serves a connection's frames in arrival order. A mux handle's
+// batches ride its side handle and must keep the same order.
 func TestRemoteBatchCrossFrameOrder(t *testing.T) {
-	_, c := startServer(t, "occ", 1<<20)
-	b := c.NewHandle().(dict.Batcher)
-	n := wire.MaxBatch + 100
-	keys := make([]uint64, n)
-	vals := make([]uint64, n)
-	res := make([]uint64, n)
-	ok := make([]bool, n)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-		vals[i] = uint64(i + 1)
-	}
-	// Key 7 appears in frame 0 (index 3, val A) and frame 1 (last
-	// index, val B): the first must insert, the second must report the
-	// first's value — every run, not just lucky schedules.
-	const dup, valA, valB = 7, 111_111, 222_222
-	keys[3], vals[3] = dup, valA
-	keys[n-1], vals[n-1] = dup, valB
-	for round := 0; round < 20; round++ {
-		b.InsertBatch(keys, vals, res, ok)
-		if !ok[3] {
-			t.Fatalf("round %d: first occurrence of dup key not inserted (prev=%d)", round, res[3])
-		}
-		if ok[n-1] || res[n-1] != valA {
-			t.Fatalf("round %d: second occurrence got (%d,%v), want existing %d", round, res[n-1], ok[n-1], valA)
-		}
-		b.DeleteBatch(keys, res, ok)
-		if !ok[3] || res[3] != valA {
-			t.Fatalf("round %d: first dup delete got (%d,%v), want (%d,true)", round, res[3], ok[3], valA)
-		}
-		if ok[n-1] {
-			t.Fatalf("round %d: second dup delete reported deleted", round)
-		}
+	for _, tc := range []struct {
+		name   string
+		handle func(t *testing.T) dict.Handle
+	}{
+		{"plain", func(t *testing.T) dict.Handle {
+			_, c := startServer(t, "occ", 1<<20)
+			return c.NewHandle()
+		}},
+		{"mux", func(t *testing.T) dict.Handle {
+			_, m := startMux(t, "occ", 1<<20)
+			return m.NewHandle()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := tc.handle(t).(dict.Batcher)
+			n := wire.MaxBatch + 100
+			keys := make([]uint64, n)
+			vals := make([]uint64, n)
+			res := make([]uint64, n)
+			ok := make([]bool, n)
+			for i := range keys {
+				keys[i] = uint64(i + 1)
+				vals[i] = uint64(i + 1)
+			}
+			// Key 7 appears in frame 0 (index 3, val A) and frame 1 (last
+			// index, val B): the first must insert, the second must report
+			// the first's value — every run, not just lucky schedules.
+			const dup, valA, valB = 7, 111_111, 222_222
+			keys[3], vals[3] = dup, valA
+			keys[n-1], vals[n-1] = dup, valB
+			for round := 0; round < 20; round++ {
+				b.InsertBatch(keys, vals, res, ok)
+				if !ok[3] {
+					t.Fatalf("round %d: first occurrence of dup key not inserted (prev=%d)", round, res[3])
+				}
+				if ok[n-1] || res[n-1] != valA {
+					t.Fatalf("round %d: second occurrence got (%d,%v), want existing %d", round, res[n-1], ok[n-1], valA)
+				}
+				b.DeleteBatch(keys, res, ok)
+				if !ok[3] || res[3] != valA {
+					t.Fatalf("round %d: first dup delete got (%d,%v), want (%d,true)", round, res[3], ok[3], valA)
+				}
+				if ok[n-1] {
+					t.Fatalf("round %d: second dup delete reported deleted", round)
+				}
+			}
+		})
 	}
 }
 

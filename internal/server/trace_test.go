@@ -219,7 +219,8 @@ func TestTraceReplicatedCausality(t *testing.T) {
 
 // TestTraceMuxStage: through the shared-connection mux, a traced point
 // op additionally records the submit->seal staging span, with the
-// coalesced frame's waiter count in Aux.
+// coalesced frame's waiter count in Aux, and the server serves it as
+// the batch opcode its class seals into.
 func TestTraceMuxStage(t *testing.T) {
 	_, addr := startServerCfg(t, "occ", 1<<16, Config{})
 	m, err := client.DialMux(addr, client.Config{TraceEvery: 1})
@@ -244,11 +245,9 @@ func TestTraceMuxStage(t *testing.T) {
 	if mx.Aux < 1 {
 		t.Fatalf("mux-stage waiter count %d, want >= 1", mx.Aux)
 	}
-	// Server-side the op rides a coalesced frame, so the service span
-	// names the batch opcode (or the bare PUT if it sailed alone).
 	spans := pollServerTrace(t, m, local[0].TraceID, trace.KindService)
-	if sv, _ := findSpan(spans, trace.KindService); sv.Op != wire.OpPut && sv.Op != wire.OpMPut {
-		t.Fatalf("server service op %s, want PUT or MPUT", wire.OpName(sv.Op))
+	if sv, _ := findSpan(spans, trace.KindService); sv.Op != wire.OpMPut {
+		t.Fatalf("server service op %s, want MPUT", wire.OpName(sv.Op))
 	}
 }
 

@@ -123,7 +123,7 @@ func TestReplicateTracedRoundTrip(t *testing.T) {
 	keys := []uint64{1, 2, 3}
 	vals := []uint64{10, 0, 30}
 	traces := []uint64{0xA1, 0, 0xA3}
-	frame := AppendReplicateTraced(nil, 5, 100, kinds, keys, vals, traces)
+	frame := AppendReplicate(nil, 5, 100, kinds, keys, vals, traces)
 	id, op, payload := splitFrame(t, frame)
 	if err := DecodeRequest(id, op, payload, &r); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestReplicateTracedRoundTrip(t *testing.T) {
 	}
 	// The legacy (untraced) form still decodes with empty Traces — and a
 	// reused scratch Request must not leak the previous frame's ids.
-	id, op, payload = splitFrame(t, AppendReplicate(nil, 6, 100, kinds, keys, vals))
+	id, op, payload = splitFrame(t, AppendReplicate(nil, 6, 100, kinds, keys, vals, nil))
 	if err := DecodeRequest(id, op, payload, &r); err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,9 @@
 // the request, which lets a connection pipeline requests and match each
 // response to its request. (internal/server serves a connection's
 // requests one at a time, in arrival order, so its responses also come
-// back in request order.) A scan response is a sequence of RespScanChunk frames sharing
-// the request's id; the final chunk sets ChunkLast.
+// back in request order.) A scan response is a sequence of
+// RespScanChunk frames sharing the request's id; the final chunk sets
+// ChunkLast.
 //
 // Request payloads:
 //
@@ -227,7 +228,11 @@ func AppendScan(b []byte, id uint64, snapshot bool, lo, hi uint64) []byte {
 // contiguous op-log run starting at firstSeq: entry i is
 // (kinds[i], keys[i], vals[i]) with sequence number firstSeq+i.
 // len(kinds) == 0 is the cursor probe. len(kinds) must be <= MaxBatch.
-func AppendReplicate(b []byte, id uint64, firstSeq uint64, kinds []byte, keys, vals []uint64) []byte {
+// A nil traces writes the untraced 12+17n form; otherwise the frame
+// also ships traces[i] per entry (0 = untraced), the 12+25n form, so a
+// mutation's trace follows its log entry to the follower. Send traces
+// only to peers that advertised CapTrace.
+func AppendReplicate(b []byte, id uint64, firstSeq uint64, kinds []byte, keys, vals, traces []uint64) []byte {
 	if len(kinds) > MaxBatch {
 		panic(fmt.Sprintf("wire: replicate run of %d entries exceeds MaxBatch %d", len(kinds), MaxBatch))
 	}
@@ -242,30 +247,10 @@ func AppendReplicate(b []byte, id uint64, firstSeq uint64, kinds []byte, keys, v
 	for _, v := range vals[:len(kinds)] {
 		b = le.AppendUint64(b, v)
 	}
-	return finishFrame(b, start)
-}
-
-// AppendReplicateTraced is AppendReplicate's traced form: it also ships
-// one trace id per entry (0 = untraced), so a mutation's trace follows
-// its log entry to the follower. Only send it to peers that advertised
-// CapTrace; AppendReplicate keeps the legacy layout for everyone else.
-func AppendReplicateTraced(b []byte, id uint64, firstSeq uint64, kinds []byte, keys, vals, traces []uint64) []byte {
-	if len(kinds) > MaxBatch {
-		panic(fmt.Sprintf("wire: replicate run of %d entries exceeds MaxBatch %d", len(kinds), MaxBatch))
-	}
-	start := len(b)
-	b = beginFrame(b, id, OpReplicate)
-	b = le.AppendUint64(b, firstSeq)
-	b = le.AppendUint32(b, uint32(len(kinds)))
-	b = append(b, kinds...)
-	for _, k := range keys[:len(kinds)] {
-		b = le.AppendUint64(b, k)
-	}
-	for _, v := range vals[:len(kinds)] {
-		b = le.AppendUint64(b, v)
-	}
-	for _, t := range traces[:len(kinds)] {
-		b = le.AppendUint64(b, t)
+	if traces != nil {
+		for _, t := range traces[:len(kinds)] {
+			b = le.AppendUint64(b, t)
+		}
 	}
 	return finishFrame(b, start)
 }

@@ -73,7 +73,7 @@ func TestRequestRoundTrip(t *testing.T) {
 				t.Fatalf("keyRange %d name %q", r.Key, r.Name)
 			}
 		}},
-		{"replicate", AppendReplicate(nil, 11, 42, []byte{ReplPut, ReplDelete}, []uint64{7, 8}, []uint64{70, 0}), func(t *testing.T) {
+		{"replicate", AppendReplicate(nil, 11, 42, []byte{ReplPut, ReplDelete}, []uint64{7, 8}, []uint64{70, 0}, nil), func(t *testing.T) {
 			if r.Key != 42 || len(r.Ops) != 2 || r.Ops[0] != ReplPut || r.Ops[1] != ReplDelete {
 				t.Fatalf("firstSeq %d ops %v", r.Key, r.Ops)
 			}
@@ -81,7 +81,7 @@ func TestRequestRoundTrip(t *testing.T) {
 				t.Fatalf("keys %v vals %v", r.Keys, r.Vals)
 			}
 		}},
-		{"replicate-probe", AppendReplicate(nil, 12, 0, nil, nil, nil), func(t *testing.T) {
+		{"replicate-probe", AppendReplicate(nil, 12, 0, nil, nil, nil, nil), func(t *testing.T) {
 			if r.Key != 0 || len(r.Ops) != 0 || len(r.Keys) != 0 {
 				t.Fatalf("probe decoded firstSeq %d ops %v keys %v", r.Key, r.Ops, r.Keys)
 			}
@@ -246,12 +246,12 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(uint8(0x7F), []byte{})
 	seed := AppendBatch(nil, 9, OpMGet, []uint64{1, 2, 3}, nil)
 	f.Add(uint8(OpMGet), seed[HeaderLen:])
-	repl := AppendReplicate(nil, 10, 5, []byte{ReplPut}, []uint64{1}, []uint64{2})
+	repl := AppendReplicate(nil, 10, 5, []byte{ReplPut}, []uint64{1}, []uint64{2}, nil)
 	f.Add(uint8(OpReplicate), repl[HeaderLen:])
 	f.Add(uint8(OpPromote), AppendPromote(nil, 11, 1, "a:1,b:2")[HeaderLen:])
 	f.Add(uint8(OpTraceCtx), AppendTraceCtx(nil, 12, 7)[HeaderLen:])
 	f.Add(uint8(OpTraceDump), AppendTraceDump(nil, 13, 32)[HeaderLen:])
-	rtr := AppendReplicateTraced(nil, 14, 5, []byte{ReplPut}, []uint64{1}, []uint64{2}, []uint64{3})
+	rtr := AppendReplicate(nil, 14, 5, []byte{ReplPut}, []uint64{1}, []uint64{2}, []uint64{3})
 	f.Add(uint8(OpReplicate), rtr[HeaderLen:])
 	var r Request
 	f.Fuzz(func(t *testing.T, op uint8, payload []byte) {
