@@ -1,14 +1,13 @@
-// Package client is the Go client for internal/server: a connection-
-// pooled, pipelined implementation of dict.Dict + dict.Batcher over the
-// internal/wire protocol, so the entire in-process workload harness
-// (bench, ycsb, the linearizability recorder) runs unmodified against a
-// remote server.
+// Package client is the Go client for internal/server: a pipelined
+// implementation of dict.Dict + dict.Batcher over the internal/wire
+// protocol, so the entire in-process workload harness (bench, ycsb, the
+// linearizability recorder) runs unmodified against a remote server.
 //
-// Shape: a Client owns the pool of TCP connections to one server.
-// NewHandle dials a dedicated connection per handle — handles are
-// thread-bound by the dict contract, so per-handle connections give
+// Shape: each handle owns one TCP connection to the server. Handles are
+// thread-bound by the dict contract, so a connection per handle gives
 // each worker goroutine a private, lock-free wire path (the server
-// serves each connection on a goroutine and handle of its own). Batched
+// serves each connection on a goroutine and handle of its own); the
+// Client holds the dial/retry policy and the control handle. Batched
 // operations larger than wire.MaxBatch are pipelined: their chunk frames
 // go out on a goroutine of their own while the caller reads the
 // replies, and the echoed request ids reassemble the results in input
@@ -25,11 +24,11 @@
 //
 // Error model: Dial, Open, Stats and Close return errors; the
 // dict.Dict/Handle methods cannot (the interfaces have no error
-// results). A transport failure first goes through the retry policy in
-// retry.go — handles redial with capped exponential backoff and replay
-// idempotent operations transparently; mutations that may have reached
-// the server fail with ErrAmbiguous instead of replaying. Only when
-// retries are exhausted (or a mutation turns ambiguous) does a
+// results). Every request runs as one attempt under the one retry loop
+// in retry.go — handles redial with capped exponential backoff and
+// replay idempotent operations transparently; mutations that may have
+// reached the server fail with ErrAmbiguous instead of replaying. Only
+// when retries are exhausted (or a mutation turns ambiguous) does a
 // dict.Handle method panic with a descriptive message; the Try* methods
 // (TryHandle) surface the same errors for chaos drills.
 package client
@@ -49,20 +48,20 @@ import (
 	"repro/internal/xrand"
 )
 
-// Client is a connection pool to one abtree server. It implements
-// dict.Dict (plus dict.RQStatser and dict.ElimStatser, served by the
-// remote STATS operation), so bench.NewDict can hand it to every
-// workload unchanged.
+// Client connects to one abtree server; each handle it makes owns one
+// connection. It implements dict.Dict (plus dict.RQStatser and
+// dict.ElimStatser, served by the remote STATS operation), so
+// bench.NewDict can hand it to every workload unchanged.
 type Client struct {
 	addr string
 	cfg  Config // dial/retry policy (see retry.go), defaults applied
 
-	// ctrlMu serializes control RPCs (STATS/OPEN/PROMOTE) on the shared
-	// ctrl handle. It is a separate lock from mu and is never held while
-	// taking it in the other order: the retry machinery under a control
-	// RPC re-enters mu (redial registers/unregisters connections), so
-	// holding mu across the RPC would self-deadlock the moment a ctrl
-	// connection broke mid-call.
+	// ctrlMu serializes control RPCs (STATS/OPEN/PROMOTE/METRICS/
+	// TRACE_DUMP) on the shared ctrl handle. It is a separate lock from
+	// mu and is never held while taking it in the other order: the retry
+	// machinery under a control RPC re-enters mu (redial registers/
+	// unregisters connections), so holding mu across the RPC would
+	// self-deadlock the moment a ctrl connection broke mid-call.
 	ctrlMu sync.Mutex
 
 	mu     sync.Mutex
@@ -123,13 +122,12 @@ func (c *Client) Name() string {
 // counters, hosted name/keyRange/generation, scan capabilities) and
 // refreshes the cached capabilities.
 func (c *Client) Stats() (wire.Stats, error) {
-	c.ctrlMu.Lock()
-	defer c.ctrlMu.Unlock()
-	h, err := c.ctrlHandle()
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	st, err := h.rpcStats()
+	var st wire.Stats
+	err := c.control(wire.OpStats, func(out []byte, id uint64) []byte { return wire.AppendStats(out, id) },
+		wire.RespStats, func(payload []byte) (last bool, err error) {
+			st, err = wire.DecodeStats(payload)
+			return true, err
+		})
 	if err != nil {
 		return wire.Stats{}, err
 	}
@@ -144,26 +142,16 @@ func (c *Client) Stats() (wire.Stats, error) {
 // structure sized for keyRange (the remote analogue of bench.NewDict),
 // then refreshes the cached capabilities. Handles created before Open
 // keep operating on the old generation's semantics until their next
-// operation, which lands on the new structure.
+// operation, which lands on the new structure. OPEN retries like an
+// idempotent op: re-opening the same <name, keyRange> after a torn
+// connection converges on the same state (a fresh hosted instance).
 func (c *Client) Open(name string, keyRange uint64) error {
-	c.ctrlMu.Lock()
-	defer c.ctrlMu.Unlock()
-	h, err := c.ctrlHandle()
-	if err != nil {
-		return err
+	err := c.control(wire.OpOpen, func(out []byte, id uint64) []byte { return wire.AppendOpen(out, id, keyRange, name) },
+		wire.RespOK, nil)
+	if err == nil {
+		_, err = c.Stats()
 	}
-	if err := h.rpcOpen(name, keyRange); err != nil {
-		return err
-	}
-	st, err := h.rpcStats()
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.caps = st
-	c.mu.Unlock()
-	c.canTrace.Store(st.CanTrace)
-	return nil
+	return err
 }
 
 // Promote asks the server to become (or confirm itself as) the primary
@@ -172,13 +160,30 @@ func (c *Client) Open(name string, keyRange uint64) error {
 // primary is a no-op), so it retries like an idempotent op. The cluster
 // router calls this during failover.
 func (c *Client) Promote(ack int, addrs []string) error {
+	joined := strings.Join(addrs, ",")
+	return c.control(wire.OpPromote, func(out []byte, id uint64) []byte { return wire.AppendPromote(out, id, ack, joined) },
+		wire.RespOK, nil)
+}
+
+// control runs one control RPC (see handle.rpc) on the shared control
+// handle, dialing it on first use.
+func (c *Client) control(op byte, req func(out []byte, id uint64) []byte,
+	want byte, each func(payload []byte) (last bool, err error)) error {
 	c.ctrlMu.Lock()
 	defer c.ctrlMu.Unlock()
-	h, err := c.ctrlHandle()
-	if err != nil {
-		return err
+	c.mu.Lock()
+	h := c.ctrl
+	c.mu.Unlock()
+	if h == nil {
+		var err error
+		if h, err = c.newHandle(); err != nil {
+			return err
+		}
+		c.mu.Lock()
+		c.ctrl = h
+		c.mu.Unlock()
 	}
-	return h.rpcPromote(ack, addrs)
+	return h.rpc(op, req, want, each)
 }
 
 // Close closes every connection the client dialed.
@@ -262,24 +267,6 @@ func (c *Client) ElimStats() (inserts, deletes, upserts uint64) {
 	return st.ElimInserts, st.ElimDeletes, st.ElimUpserts
 }
 
-// ctrlHandle returns the shared control handle, dialing it on first
-// use. Callers hold ctrlMu (the RPC serialization), NOT mu.
-func (c *Client) ctrlHandle() (*handle, error) {
-	c.mu.Lock()
-	h := c.ctrl
-	c.mu.Unlock()
-	if h == nil {
-		var err error
-		if h, err = c.newHandle(); err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.ctrl = h
-		c.mu.Unlock()
-	}
-	return h, nil
-}
-
 // newHandle returns a handle with its connection dialed (once: a dial
 // error is returned, not retried).
 func (c *Client) newHandle() (*handle, error) {
@@ -346,14 +333,6 @@ func (h *handle) nextID() uint64 {
 	return h.id
 }
 
-// writeFrames writes h.out (one or more frames) to the server in one
-// write. On failure, wrote reports whether any frame byte may have left
-// the client: the kernel took n bytes.
-func (h *handle) writeFrames() (wrote bool, err error) {
-	n, err := h.nc.Write(h.out)
-	return n > 0, err
-}
-
 // respError is an application-level failure reported by the server over
 // a healthy connection (RespError). It is never retried: the request was
 // received, executed and rejected exactly once.
@@ -368,117 +347,85 @@ func (e respError) Is(target error) bool {
 	return target == ErrReadOnly && strings.HasPrefix(string(e), "follower:")
 }
 
-// expect validates a response's id and opcode, surfacing RespError
-// payloads as errors.
-func expect(gotID, wantID uint64, gotOp, wantOp byte, payload []byte) error {
-	if gotOp == wire.RespError {
-		return respError(payload)
+// reply reads the next reply frame and returns its payload when it
+// answers request id with opcode want. Otherwise it returns the read
+// error, errRateLimited for a BUSY echoing id (the connection stays
+// healthy), errBusy for an admission BUSY (id 0: the connection is
+// dead), a respError, or errProtocol for any other id or opcode.
+func (h *handle) reply(id uint64, want byte) ([]byte, error) {
+	rid, rop, payload, err := h.fr.Next()
+	switch {
+	case err != nil:
+		return nil, err
+	case rop == wire.RespBusy:
+		if rid == id {
+			return nil, errRateLimited
+		}
+		return nil, errBusy
+	case rop == wire.RespError:
+		return nil, respError(payload)
+	case rid != id || rop != want:
+		return nil, fmt.Errorf("%w: got id=%d op=%#x, want id=%d op=%#x", errProtocol, rid, rop, id, want)
 	}
-	if gotID != wantID || gotOp != wantOp {
-		return fmt.Errorf("response mismatch: got id=%d op=%#x, want id=%d op=%#x", gotID, gotOp, wantID, wantOp)
-	}
-	return nil
+	return payload, nil
 }
 
-// rpcPoint drives one point op with the retry.go policy: transparent
-// replay across reconnects while it is safe (GET always; PUT/DELETE only
-// while no frame byte left the client, or after a BUSY rejection), typed
-// ErrAmbiguous once a mutation's frame may have reached the server.
-// tid != 0 announces the trace id with an OpTraceCtx frame ahead of the
-// request (the id survives retries, so a replayed attempt lands its
-// server spans on the same trace).
-func (h *handle) rpcPoint(op byte, key, val uint64, tid uint64) (uint64, bool, error) {
-	mutation := op != wire.OpGet
-	for attempt := 0; ; attempt++ {
-		if err := h.prepare(); err != nil {
-			if errors.Is(err, errClientClosed) || attempt >= h.retryBudget() {
-				return 0, false, err
-			}
-			h.backoff(attempt)
-			continue
-		}
+// rpc runs one single-frame request under retry. Each attempt builds the
+// request anew — req appends the frame for id to out, announced under
+// h.trace when a trace is in flight — writes it, and hands every reply
+// to each until each reports the last one. A nil each takes one reply
+// and ignores its payload.
+func (h *handle) rpc(op byte, req func(out []byte, id uint64) []byte,
+	want byte, each func(payload []byte) (last bool, err error)) error {
+	return h.retry(op, func() (bool, error) {
 		id := h.nextID()
 		h.out = h.out[:0]
-		if tid != 0 {
-			h.out = wire.AppendTraceCtx(h.out, id, tid)
+		if h.trace != 0 {
+			h.out = wire.AppendTraceCtx(h.out, id, h.trace)
 		}
-		h.out = wire.AppendPoint(h.out, id, op, key, val)
-		if wrote, err := h.writeFrames(); err != nil {
-			h.broken = true
-			if mutation && wrote {
-				return 0, false, h.failAmbiguous(op, err)
-			}
-			if attempt >= h.retryBudget() {
-				return 0, false, err
-			}
-			h.backoff(attempt)
-			continue
+		h.out = req(h.out, id)
+		if n, err := h.nc.Write(h.out); err != nil {
+			return n > 0, err
 		}
-		rid, rop, payload, err := h.fr.Next()
-		if err == nil && rop == wire.RespBusy {
-			h.c.faults.busy.Add(1)
-			if rid == id {
-				// Rate-limit rejection: the server read this very request,
-				// executed nothing, and keeps the connection alive — back
-				// off and resend on the same connection (safe even for
-				// mutations: BUSY means nothing was executed).
-				if attempt >= h.retryBudget() {
-					return 0, false, errBusy
-				}
-				h.backoff(attempt)
-				continue
+		for {
+			payload, err := h.reply(id, want)
+			if err != nil || each == nil {
+				return true, err
 			}
-			// Admission rejection: the server answered at accept time and
-			// read nothing, so even a mutation is safe to replay.
-			err = errBusy
-		}
-		if err != nil {
-			h.broken = true
-			if mutation && !errors.Is(err, errBusy) {
-				return 0, false, h.failAmbiguous(op, err)
+			if last, err := each(payload); last || err != nil {
+				return true, err
 			}
-			if attempt >= h.retryBudget() {
-				return 0, false, err
-			}
-			h.backoff(attempt)
-			continue
 		}
-		if rop == wire.RespError {
-			// Application-level failure: the connection is healthy and
-			// the op was executed (and rejected) exactly once.
-			return 0, false, respError(payload)
-		}
-		if err := expect(rid, id, rop, wire.RespPoint, payload); err != nil {
-			// Protocol confusion: the stream can't be trusted anymore.
-			h.broken = true
-			if mutation {
-				return 0, false, h.failAmbiguous(op, err)
-			}
-			if attempt >= h.retryBudget() {
-				return 0, false, err
-			}
-			h.backoff(attempt)
-			continue
-		}
-		v, ok, seq, derr := wire.DecodePoint(payload)
-		if derr != nil {
-			return 0, false, derr
-		}
-		h.noteSeq(seq)
-		return v, ok, nil
+	})
+}
+
+// metered runs one data request with its round trip metered and, when
+// head-sampled, its trace id in h.trace for the request frames.
+func (h *handle) metered(op byte, run func() error) error {
+	t0, tid := h.start()
+	h.trace = tid
+	err := run()
+	h.trace = 0
+	if err == nil {
+		h.done(op, t0, tid)
 	}
+	return err
 }
 
 // tryPoint is one metered point op: the Try* methods return its error,
 // the dict.Handle methods panic on it.
-func (h *handle) tryPoint(op byte, key, val uint64) (uint64, bool, error) {
-	t0, tid := h.start()
-	v, ok, err := h.rpcPoint(op, key, val, tid)
-	if err != nil {
-		return 0, false, err
-	}
-	h.done(op, t0, tid)
-	return v, ok, nil
+func (h *handle) tryPoint(op byte, key, val uint64) (v uint64, ok bool, err error) {
+	err = h.metered(op, func() error {
+		return h.rpc(op, func(out []byte, id uint64) []byte { return wire.AppendPoint(out, id, op, key, val) },
+			wire.RespPoint, func(payload []byte) (bool, error) {
+				var seq uint64
+				var derr error
+				v, ok, seq, derr = wire.DecodePoint(payload)
+				h.noteSeq(seq)
+				return true, derr
+			})
+	})
+	return v, ok, err
 }
 
 func (h *handle) point(op byte, key, val uint64) (uint64, bool) {
@@ -498,39 +445,51 @@ func (h *handle) Insert(key, val uint64) (uint64, bool) { return h.point(wire.Op
 // Delete removes key if present.
 func (h *handle) Delete(key uint64) (uint64, bool) { return h.point(wire.OpDelete, key, 0) }
 
-// batch runs one attempt of a batched operation, split into
-// wire.MaxBatch chunk frames, each reply landing at its input offset by
-// its echoed id. A lone frame is written and then answered; more go
-// through pipeline. The server serves a connection's frames in arrival
-// order, so equal keys in different frames apply in input order (the
-// dict.Batcher contract), as they do within one frame. On failure,
-// wrote reports whether any frame byte may have left the client — the
-// input to the mutation-ambiguity decision in batchRetry.
-func (h *handle) batch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool) (wrote bool, err error) {
-	if len(keys) == 0 {
-		return false, nil
+func (h *handle) runBatch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool) {
+	if len(ovals) != len(keys) || len(oks) != len(keys) || (op == wire.OpMPut && len(ivals) != len(keys)) {
+		panic("client: batch result slices must match len(keys)")
 	}
+	if len(keys) == 0 {
+		return
+	}
+	// Each attempt rebuilds every frame and re-decodes every reply, so a
+	// partial earlier attempt leaves no residue in ovals/oks.
+	err := h.metered(op, func() error { // whole-call RTT, all pipelined frames
+		if len(keys) > wire.MaxBatch {
+			return h.retry(op, func() (bool, error) { return h.pipeline(op, keys, ivals, ovals, oks) })
+		}
+		return h.rpc(op, func(out []byte, id uint64) []byte { return wire.AppendBatch(out, id, op, keys, ivals) },
+			wire.RespBatch, func(payload []byte) (bool, error) { return true, h.decodeBatch(payload, ovals, oks) })
+	})
+	if err != nil {
+		panic(fmt.Sprintf("client: batch op %#x: %v", op, err))
+	}
+}
+
+// decodeBatch decodes one batch reply into its chunk's results.
+func (h *handle) decodeBatch(payload []byte, ovals []uint64, oks []bool) error {
+	seq, err := wire.DecodeBatch(payload, ovals, oks)
+	h.noteSeq(seq)
+	return err
+}
+
+// pipeline runs one attempt of a batch larger than wire.MaxBatch: its
+// chunk frames, one id each, are written on a goroutine of their own,
+// gathered into writes of up to 64 KB, while the caller reads the
+// replies. The server reads a connection's socket only after writing
+// its pending replies, so a client that wrote several frames before
+// reading would block both ends in write once the socket buffers could
+// not hold them; reading while writing keeps the pipeline safe whatever
+// the buffer sizes. The server serves a connection's frames in arrival
+// order, so the replies come in id order and equal keys in different
+// frames apply in input order (the dict.Batcher contract), as they do
+// within one frame. An error reply for one frame does not stop the
+// others, which are read to keep the connection in step. wrote reports
+// whether any frame byte may have left the client.
+func (h *handle) pipeline(op byte, keys, ivals, ovals []uint64, oks []bool) (bool, error) {
 	frames := (len(keys) + wire.MaxBatch - 1) / wire.MaxBatch
 	base := h.id + 1
 	h.id += uint64(frames)
-	if frames > 1 {
-		return h.pipeline(op, base, frames, keys, ivals, ovals, oks)
-	}
-	if wrote, err = h.sendChunks(op, base, keys, ivals); err != nil {
-		return wrote, err
-	}
-	return true, h.readChunk(base, frames, keys, ovals, oks)
-}
-
-// pipeline writes a batch's frames on a goroutine of its own, gathered
-// into writes of up to 64 KB, while the caller reads the replies. The
-// server reads a connection's socket only after writing its pending
-// replies, so a client that wrote several frames before reading would
-// block both ends in write once the socket buffers could not hold them;
-// reading while writing keeps the pipeline safe whatever the buffer
-// sizes. An error reply for one frame does not stop the others, which
-// are read to keep the connection in step.
-func (h *handle) pipeline(op byte, base uint64, frames int, keys, ivals, ovals []uint64, oks []bool) (bool, error) {
 	var wrote bool
 	var werr error
 	sent := make(chan struct{})
@@ -542,16 +501,26 @@ func (h *handle) pipeline(op byte, base uint64, frames int, keys, ivals, ovals [
 		}
 	}()
 	var err, appErr error
-	for read := 0; read < frames; read++ {
-		err = h.readChunk(base, frames, keys, ovals, oks)
+	for i := 0; i < frames; i++ {
+		var payload []byte
+		if payload, err = h.reply(base+uint64(i), wire.RespBatch); err == nil {
+			off := i * wire.MaxBatch
+			end := min(off+wire.MaxBatch, len(keys))
+			err = h.decodeBatch(payload, ovals[off:end], oks[off:end])
+		}
 		if _, isApp := err.(respError); isApp {
 			if appErr == nil {
 				appErr = err
 			}
 			err = nil
 		}
+		if errors.Is(err, errRateLimited) {
+			// Batch frames are never rate-limited, and the connection
+			// cannot be resent on with replies still due.
+			err = fmt.Errorf("%w: BUSY for a batch frame", errProtocol)
+		}
 		if err != nil {
-			h.nc.SetWriteDeadline(time.Now()) // stop the writer; batchRetry redials
+			h.nc.SetWriteDeadline(time.Now()) // stop the writer; retry redials
 			break
 		}
 	}
@@ -594,82 +563,6 @@ func (h *handle) sendChunks(op byte, base uint64, keys, ivals []uint64) (wrote b
 	return wrote, nil
 }
 
-// readChunk reads one reply of a batch whose frames carry ids base to
-// base+frames-1 and decodes it into ovals/oks at its chunk's offset.
-func (h *handle) readChunk(base uint64, frames int, keys, ovals []uint64, oks []bool) error {
-	rid, rop, payload, err := h.fr.Next()
-	if err != nil {
-		return err
-	}
-	if rop == wire.RespBusy {
-		return errBusy
-	}
-	if rop == wire.RespError {
-		return respError(payload)
-	}
-	idx := rid - base
-	if rop != wire.RespBatch || idx >= uint64(frames) {
-		return fmt.Errorf("batch response mismatch: id=%d op=%#x (want ids %d..%d)", rid, rop, base, base+uint64(frames)-1)
-	}
-	off := int(idx) * wire.MaxBatch
-	end := min(off+wire.MaxBatch, len(keys))
-	seq, err := wire.DecodeBatch(payload, ovals[off:end], oks[off:end])
-	if err != nil {
-		return err
-	}
-	h.noteSeq(seq)
-	return nil
-}
-
-// batchRetry applies the retry.go policy around batch attempts: MGET
-// replays transparently; mutating batches replay only while no frame
-// byte left the client or after a BUSY rejection, and fail with
-// ErrAmbiguous otherwise. Each attempt rebuilds every frame and
-// re-decodes every response chunk, so a partial earlier attempt leaves
-// no residue in ovals/oks.
-func (h *handle) batchRetry(op byte, keys, ivals []uint64, ovals []uint64, oks []bool) error {
-	mutation := op != wire.OpMGet
-	for attempt := 0; ; attempt++ {
-		err := h.prepare()
-		if err == nil {
-			var wrote bool
-			wrote, err = h.batch(op, keys, ivals, ovals, oks)
-			if err == nil {
-				return nil
-			}
-			if _, isApp := err.(respError); isApp {
-				return err // healthy connection, executed exactly once
-			}
-			h.broken = true
-			busy := errors.Is(err, errBusy)
-			if busy {
-				h.c.faults.busy.Add(1)
-			}
-			if mutation && wrote && !busy {
-				return h.failAmbiguous(op, err)
-			}
-		}
-		if errors.Is(err, errClientClosed) || attempt >= h.retryBudget() {
-			return err
-		}
-		h.backoff(attempt)
-	}
-}
-
-func (h *handle) runBatch(op byte, keys, ivals []uint64, ovals []uint64, oks []bool) {
-	if len(ovals) != len(keys) || len(oks) != len(keys) || (op == wire.OpMPut && len(ivals) != len(keys)) {
-		panic("client: batch result slices must match len(keys)")
-	}
-	t0, tid := h.start()
-	h.trace = tid
-	err := h.batchRetry(op, keys, ivals, ovals, oks)
-	h.trace = 0
-	if err != nil {
-		panic(fmt.Sprintf("client: batch op %#x: %v", op, err))
-	}
-	h.done(op, t0, tid) // whole-call RTT, all pipelined frames
-}
-
 // FindBatch looks up keys[i] for every i (dict.Batcher, remoted as one
 // or more pipelined MGET frames).
 func (h *handle) FindBatch(keys, vals []uint64, found []bool) {
@@ -698,123 +591,29 @@ func (h *handle) scan(snapshot bool, lo, hi uint64, fn func(k, v uint64) bool) {
 	if snapshot {
 		op = wire.OpSnapScan
 	}
-	t0, tid := h.start()
-	h.trace = tid
-	// Scans are idempotent: a failed attempt restarts from scratch (the
-	// pair buffer is reset per attempt, and fn only runs after a full
-	// drain, so a retried scan replays exactly one attempt's snapshot).
-	err := h.retryIdempotent(func() error { return h.scanOnce(snapshot, lo, hi) })
-	h.trace = 0
+	// Scans are idempotent: each attempt starts from an empty pair
+	// buffer, and fn only runs after a full drain, so a retried scan
+	// replays exactly one attempt's snapshot. The metered RTT ends with
+	// the drain and excludes fn's replay.
+	err := h.metered(op, func() error {
+		return h.rpc(op, func(out []byte, id uint64) []byte {
+			h.pairs = h.pairs[:0]
+			return wire.AppendScan(out, id, snapshot, lo, hi)
+		}, wire.RespScanChunk, func(payload []byte) (bool, error) {
+			last, pb, err := wire.DecodeChunk(payload)
+			h.pairs = append(h.pairs, pb...)
+			return last, err
+		})
+	})
 	if err != nil {
 		panic(fmt.Sprintf("client: scan: %v", err))
 	}
-	h.done(op, t0, tid) // stream fully drained; excludes fn replay
 	for i, n := 0, len(h.pairs)/16; i < n; i++ {
 		k, v := wire.PairAt(h.pairs, i)
 		if !fn(k, v) {
 			return
 		}
 	}
-}
-
-// scanOnce runs one scan attempt, leaving the pairs in h.pairs.
-func (h *handle) scanOnce(snapshot bool, lo, hi uint64) error {
-	id := h.nextID()
-	h.out = h.out[:0]
-	if h.trace != 0 {
-		h.out = wire.AppendTraceCtx(h.out, id, h.trace)
-	}
-	h.out = wire.AppendScan(h.out, id, snapshot, lo, hi)
-	if _, err := h.writeFrames(); err != nil {
-		return err
-	}
-	h.pairs = h.pairs[:0]
-	for {
-		rid, rop, payload, err := h.fr.Next()
-		if err != nil {
-			return err
-		}
-		if rop == wire.RespBusy {
-			return errBusy
-		}
-		if err := expect(rid, id, rop, wire.RespScanChunk, payload); err != nil {
-			return err
-		}
-		last, pb, err := wire.DecodeChunk(payload)
-		if err != nil {
-			return err
-		}
-		h.pairs = append(h.pairs, pb...)
-		if last {
-			return nil
-		}
-	}
-}
-
-func (h *handle) rpcStats() (wire.Stats, error) {
-	var st wire.Stats
-	err := h.retryIdempotent(func() error {
-		id := h.nextID()
-		h.out = wire.AppendStats(h.out[:0], id)
-		if _, err := h.writeFrames(); err != nil {
-			return err
-		}
-		rid, rop, payload, err := h.fr.Next()
-		if err != nil {
-			return err
-		}
-		if rop == wire.RespBusy {
-			return errBusy
-		}
-		if err := expect(rid, id, rop, wire.RespStats, payload); err != nil {
-			return err
-		}
-		st, err = wire.DecodeStats(payload)
-		return err
-	})
-	return st, err
-}
-
-// rpcOpen retries like an idempotent op: re-opening the same
-// <name, keyRange> after a torn connection converges on the same state
-// (a fresh hosted instance) as a single OPEN.
-func (h *handle) rpcOpen(name string, keyRange uint64) error {
-	return h.retryIdempotent(func() error {
-		id := h.nextID()
-		h.out = wire.AppendOpen(h.out[:0], id, keyRange, name)
-		if _, err := h.writeFrames(); err != nil {
-			return err
-		}
-		rid, rop, payload, err := h.fr.Next()
-		if err != nil {
-			return err
-		}
-		if rop == wire.RespBusy {
-			return errBusy
-		}
-		return expect(rid, id, rop, wire.RespOK, payload)
-	})
-}
-
-// rpcPromote issues PROMOTE (idempotent: the server's role flip is a
-// CAS and re-promoting a primary succeeds unchanged).
-func (h *handle) rpcPromote(ack int, addrs []string) error {
-	joined := strings.Join(addrs, ",")
-	return h.retryIdempotent(func() error {
-		id := h.nextID()
-		h.out = wire.AppendPromote(h.out[:0], id, ack, joined)
-		if _, err := h.writeFrames(); err != nil {
-			return err
-		}
-		rid, rop, payload, err := h.fr.Next()
-		if err != nil {
-			return err
-		}
-		if rop == wire.RespBusy {
-			return errBusy
-		}
-		return expect(rid, id, rop, wire.RespOK, payload)
-	})
 }
 
 // rangeHandle adds remote weak scans (the hosted structure's handles

@@ -10,7 +10,6 @@ package client
 // allocs/op.
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/metrics"
@@ -140,62 +139,32 @@ type ServerMetrics struct {
 // ServerMetrics fetches the server's observability snapshot over the
 // control connection.
 func (c *Client) ServerMetrics() (*ServerMetrics, error) {
-	c.ctrlMu.Lock()
-	defer c.ctrlMu.Unlock()
-	h, err := c.ctrlHandle()
-	if err != nil {
-		return nil, err
-	}
-	return h.rpcMetrics()
-}
-
-func (h *handle) rpcMetrics() (*ServerMetrics, error) {
 	var sm *ServerMetrics
-	err := h.retryIdempotent(func() error {
-		id := h.nextID()
-		h.out = wire.AppendMetricsReq(h.out[:0], id)
-		if _, err := h.writeFrames(); err != nil {
-			return err
-		}
+	var it wire.MetricsItem
+	err := c.control(wire.OpMetrics, func(out []byte, id uint64) []byte {
 		sm = &ServerMetrics{
 			Counters: make(map[string]uint64),
 			Gauges:   make(map[string]int64),
 			Hists:    make(map[string]*metrics.Snapshot),
 		}
-		var it wire.MetricsItem
-		for {
-			rid, rop, payload, err := h.fr.Next()
-			if err != nil {
-				return err
-			}
-			if rop == wire.RespBusy {
-				return errBusy
-			}
-			if rop == wire.RespError {
-				return respError(payload)
-			}
-			if rid != id || rop != wire.RespMetrics {
-				return fmt.Errorf("metrics response mismatch: got id=%d op=%#x, want id=%d op=%#x", rid, rop, id, wire.RespMetrics)
-			}
-			last, err := wire.DecodeMetricsItem(payload, &it)
-			if err != nil {
-				return err
-			}
-			name := string(it.Name)
-			switch it.Kind {
-			case wire.MetricCounter:
-				sm.Counters[name] = it.Value
-			case wire.MetricGauge:
-				sm.Gauges[name] = it.Gauge()
-			case wire.MetricHistogram:
-				s := new(metrics.Snapshot)
-				*s = it.Hist
-				sm.Hists[name] = s
-			}
-			if last {
-				return nil
-			}
+		return wire.AppendMetricsReq(out, id)
+	}, wire.RespMetrics, func(payload []byte) (bool, error) {
+		last, err := wire.DecodeMetricsItem(payload, &it)
+		if err != nil {
+			return true, err
 		}
+		name := string(it.Name)
+		switch it.Kind {
+		case wire.MetricCounter:
+			sm.Counters[name] = it.Value
+		case wire.MetricGauge:
+			sm.Gauges[name] = it.Gauge()
+		case wire.MetricHistogram:
+			s := new(metrics.Snapshot)
+			*s = it.Hist
+			sm.Hists[name] = s
+		}
+		return last, nil
 	})
 	if err != nil {
 		return nil, err

@@ -2,28 +2,34 @@ package client
 
 // Fault tolerance: reconnect + retry policy for handles.
 //
-// Every handle owns one TCP connection. When an operation hits a
-// transport failure (dial refused, read/write error, torn frame,
-// protocol mismatch, server BUSY rejection) the handle marks itself
-// broken; the next attempt redials with capped exponential backoff plus
-// jitter and replays the request. What may be replayed is governed by
-// the ambiguity contract:
+// Every handle owns one TCP connection, and every request it makes —
+// point op, batch, scan, control RPC — is one attempt closure run by
+// one loop, retry. An attempt reports whether any frame byte may have
+// left the client and what went wrong; the loop alone decides what
+// happens next:
 //
-//   - Idempotent operations — GET, MGET, STATS, METRICS, scans — retry
-//     transparently across reconnects. Re-executing them cannot change
-//     the structure, so the recorded history stays linearizable.
-//   - OPEN retries too: re-opening the same registry structure twice in
-//     a row is equivalent to opening it once (both yield a fresh
-//     instance for the same <name, keyRange>).
-//   - Mutations (PUT/DELETE and their batch forms) retry only while the
-//     request frame provably never left the client: a failure before any
-//     frame byte reached the kernel (the failed write reports how many
-//     bytes it handed over), or a server BUSY rejection (the server
-//     answers BUSY at accept time and reads nothing, so nothing was
-//     executed). Once a frame may have been received, a blind replay
-//     could apply the mutation twice — the op fails with ErrAmbiguous
-//     instead, and the caller (or the linearizability recorder, via Maybe
-//     ops) owns the uncertainty.
+//   - A transport failure (dial refused, read/write error, torn frame)
+//     or a protocol error (mismatched id or opcode, a reply that fails
+//     to decode) marks the connection broken; the next attempt redials
+//     with capped exponential backoff plus jitter and replays.
+//   - A BUSY echoing the request's id is a rate-limit rejection: the
+//     server read the request, executed nothing and keeps the
+//     connection, so the request is resent on it after backing off.
+//   - A BUSY with id 0 is an admission rejection: the server answered
+//     at accept time, read nothing and closed the connection.
+//   - A RespError is terminal: the request was received, executed and
+//     rejected exactly once. So is a closed client.
+//
+// What may be replayed is governed by the ambiguity contract:
+// idempotent requests — GET, MGET, scans, STATS, METRICS, TRACE_DUMP,
+// and OPEN and PROMOTE, whose repeats converge on the state of one —
+// always replay. Mutations (PUT/DELETE and their batch forms) replay
+// only while the request provably never executed: no frame byte
+// reached the kernel (the failed write reports how many bytes it
+// handed over), or the server answered BUSY. Once a frame may have been
+// received, a blind replay could apply the mutation twice — the op
+// fails with ErrAmbiguous instead, and the caller (or the
+// linearizability recorder, via Maybe ops) owns the uncertainty.
 //
 // The dict.Handle methods still panic when retries are exhausted or an
 // ambiguous mutation surfaces (the interfaces have no error results);
@@ -53,6 +59,10 @@ var errClientClosed = errors.New("client is closed")
 // errBusy marks a server admission-control rejection; always safe to
 // retry (the rejecting server reads nothing before answering BUSY).
 var errBusy = errors.New("server busy: connection rejected at admission")
+
+// errRateLimited marks a BUSY echoing the request's id: the connection
+// is healthy and the request was not executed.
+var errRateLimited = errors.New("server busy: request rate-limited")
 
 // ErrReadOnly matches (via errors.Is) the application error a follower
 // replica returns for client mutations. The cluster router treats it as
@@ -110,7 +120,7 @@ type FaultStats struct {
 	Redials   uint64 // successful reconnects
 	Retries   uint64 // operations replayed after a transport failure
 	Ambiguous uint64 // mutations failed with ErrAmbiguous
-	Busy      uint64 // server BUSY admission rejections absorbed
+	Busy      uint64 // server BUSY rejections absorbed (admission and rate limit)
 	// Mux connection generations ended by a transport failure, and by a
 	// response violating the wire protocol (a bug; also logged).
 	MuxTransport uint64
@@ -207,55 +217,43 @@ func (c *Client) backoff(attempt int, rng *xrand.Rand) {
 	c.faults.retries.Add(1)
 }
 
-func (h *handle) backoff(attempt int) { h.c.backoff(attempt, h.rng) }
-
-// retryBudget returns how many retries this handle's client allows.
-func (h *handle) retryBudget() int { return h.c.cfg.RetryAttempts }
-
-// prepare readies the handle for an attempt: if the connection is known
-// broken, redial (terminal on a closed client).
-func (h *handle) prepare() error {
-	if !h.broken {
-		return nil
-	}
-	return h.redial()
-}
-
-// retryIdempotent runs one idempotent operation attempt under the retry
-// policy: transport failures mark the connection broken and replay after
-// backoff; application-level respErrors and client closure are terminal.
-// Only for ops safe to re-execute (reads, STATS/METRICS, scans, OPEN) —
-// the allocation-gated point/batch paths hand-roll this loop instead
-// (the closure would cost an allocation per op).
-func (h *handle) retryIdempotent(attemptFn func() error) error {
-	for attempt := 0; ; attempt++ {
-		err := h.prepare()
+// retry runs attempt under the retry policy above until it succeeds or
+// fails terminally. op names the request: a mutation's attempt that
+// wrote a frame byte and then failed, BUSY aside, is ErrAmbiguous. The
+// closures handed to retry do not escape, so the loop costs the
+// allocation-gated paths nothing.
+func (h *handle) retry(op byte, attempt func() (wrote bool, err error)) error {
+	mutation := op == wire.OpPut || op == wire.OpDelete || op == wire.OpMPut || op == wire.OpMDelete
+	for n := 0; ; n++ {
+		var err error
+		if h.broken {
+			err = h.redial()
+		}
 		if err == nil {
-			err = attemptFn()
-			if err == nil {
-				return nil
-			}
-			if _, isApp := err.(respError); isApp {
+			var wrote bool
+			wrote, err = attempt()
+			if _, isApp := err.(respError); isApp || err == nil {
 				return err // healthy connection, executed exactly once
 			}
-			h.broken = true
-			if errors.Is(err, errBusy) {
+			switch {
+			case errors.Is(err, errRateLimited):
+				h.c.faults.busy.Add(1) // resend on the same connection
+			case errors.Is(err, errBusy):
 				h.c.faults.busy.Add(1)
+				h.broken = true
+			case mutation && wrote:
+				h.broken = true
+				h.c.faults.ambiguous.Add(1)
+				return fmt.Errorf("%w (op %#x: %v)", ErrAmbiguous, op, err)
+			default:
+				h.broken = true
 			}
 		}
-		if errors.Is(err, errClientClosed) || attempt >= h.retryBudget() {
+		if errors.Is(err, errClientClosed) || n >= h.c.cfg.RetryAttempts {
 			return err
 		}
-		h.backoff(attempt)
+		h.c.backoff(n, h.rng)
 	}
-}
-
-// failAmbiguous marks the connection broken and wraps the cause in
-// ErrAmbiguous.
-func (h *handle) failAmbiguous(op byte, cause error) error {
-	h.broken = true
-	h.c.faults.ambiguous.Add(1)
-	return fmt.Errorf("%w (op %#x: %v)", ErrAmbiguous, op, cause)
 }
 
 // --- error-aware operation surface -----------------------------------

@@ -6,8 +6,6 @@ package client
 // client span are the per-op meter's (metrics.go).
 
 import (
-	"fmt"
-
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -32,66 +30,36 @@ type ServerTrace struct {
 // connection: up to max traces (0 = server default), tail-sampled slow
 // traces first.
 func (c *Client) ServerTraces(max int) ([]ServerTrace, error) {
-	c.ctrlMu.Lock()
-	defer c.ctrlMu.Unlock()
-	h, err := c.ctrlHandle()
-	if err != nil {
-		return nil, err
-	}
-	return h.rpcTraces(max)
-}
-
-func (h *handle) rpcTraces(max int) ([]ServerTrace, error) {
 	if max < 0 {
 		max = 0
 	}
 	var out []ServerTrace
-	err := h.retryIdempotent(func() error {
-		id := h.nextID()
-		h.out = wire.AppendTraceDump(h.out[:0], id, uint32(max))
-		if _, err := h.writeFrames(); err != nil {
-			return err
-		}
+	var tf wire.TraceFrame
+	err := c.control(wire.OpTraceDump, func(b []byte, id uint64) []byte {
 		out = out[:0]
-		var tf wire.TraceFrame
-		for {
-			rid, rop, payload, err := h.fr.Next()
-			if err != nil {
-				return err
-			}
-			if rop == wire.RespBusy {
-				return errBusy
-			}
-			if rop == wire.RespError {
-				return respError(payload)
-			}
-			if rid != id || rop != wire.RespTrace {
-				return fmt.Errorf("trace response mismatch: got id=%d op=%#x, want id=%d op=%#x", rid, rop, id, wire.RespTrace)
-			}
-			if err := wire.DecodeTrace(payload, &tf); err != nil {
-				return err
-			}
-			// The empty dump's terminator frame (trace id 0) is protocol,
-			// not data.
-			if tf.TraceID != 0 {
-				st := ServerTrace{
-					TraceID: tf.TraceID,
-					Slow:    tf.Slow,
-					Spans:   make([]trace.Span, wire.TraceSpans(tf.Spans)),
-				}
-				for i := range st.Spans {
-					kind, op, start, dur, aux := wire.SpanAt(tf.Spans, i)
-					st.Spans[i] = trace.Span{
-						TraceID: tf.TraceID, Kind: kind, Op: op,
-						Start: start, Dur: dur, Aux: aux,
-					}
-				}
-				out = append(out, st)
-			}
-			if tf.Last {
-				return nil
-			}
+		return wire.AppendTraceDump(b, id, uint32(max))
+	}, wire.RespTrace, func(payload []byte) (bool, error) {
+		if err := wire.DecodeTrace(payload, &tf); err != nil {
+			return true, err
 		}
+		// The empty dump's terminator frame (trace id 0) is protocol,
+		// not data.
+		if tf.TraceID != 0 {
+			st := ServerTrace{
+				TraceID: tf.TraceID,
+				Slow:    tf.Slow,
+				Spans:   make([]trace.Span, wire.TraceSpans(tf.Spans)),
+			}
+			for i := range st.Spans {
+				kind, op, start, dur, aux := wire.SpanAt(tf.Spans, i)
+				st.Spans[i] = trace.Span{
+					TraceID: tf.TraceID, Kind: kind, Op: op,
+					Start: start, Dur: dur, Aux: aux,
+				}
+			}
+			out = append(out, st)
+		}
+		return tf.Last, nil
 	})
 	if err != nil {
 		return nil, err

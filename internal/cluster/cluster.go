@@ -1,6 +1,6 @@
 // Package cluster is the client-side router for a replicated,
 // range-partitioned abtree deployment: N partitions over the keyspace
-// (internal/shard's bounds math), each served by one primary and its
+// (internal/shard's Bounds), each served by one primary and its
 // followers (internal/server replication, PROMOTE/role STATS over
 // internal/wire).
 //
@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/dict"
+	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -54,8 +55,8 @@ type Partition struct {
 // Config describes the cluster and the router's policies.
 type Config struct {
 	// Partitions in ascending key order; partition i owns the i-th
-	// equal slice of [1, KeyRange] (the last one unbounded above),
-	// exactly like internal/shard.
+	// equal slice of [1, KeyRange] (the last one unbounded above): the
+	// partition map is internal/shard's Bounds.
 	Partitions []Partition
 	// KeyRange sizes the partition bounds. Required.
 	KeyRange uint64
@@ -90,7 +91,7 @@ const maxFailovers = 3
 type Dict struct {
 	cfg     Config
 	parts   []*partState
-	bounds  []uint64 // bounds[i] = first key of partition i+1
+	bounds  shard.Bounds
 	clients map[string]*client.Client
 
 	failovers atomic.Uint64 // primary changes this router performed
@@ -118,15 +119,8 @@ func New(cfg Config) (*Dict, error) {
 	n := len(cfg.Partitions)
 	d := &Dict{
 		cfg:     cfg,
-		bounds:  make([]uint64, n-1),
+		bounds:  shard.NewBounds(n, cfg.KeyRange),
 		clients: make(map[string]*client.Client),
-	}
-	step := cfg.KeyRange / uint64(n)
-	if step == 0 {
-		step = 1
-	}
-	for i := 0; i < n-1; i++ {
-		d.bounds[i] = 1 + step*uint64(i+1)
 	}
 	for i, p := range cfg.Partitions {
 		members := append([]string{p.Primary}, p.Followers...)
@@ -195,32 +189,6 @@ func (d *Dict) logf(format string, args ...any) {
 	if d.cfg.Logf != nil {
 		d.cfg.Logf(format, args...)
 	}
-}
-
-// route returns the partition index owning key (shard.route's sweep).
-func (d *Dict) route(key uint64) int {
-	for i, b := range d.bounds {
-		if key < b {
-			return i
-		}
-	}
-	return len(d.parts) - 1
-}
-
-// lowOf returns the smallest key partition i owns.
-func (d *Dict) lowOf(i int) uint64 {
-	if i == 0 {
-		return 1
-	}
-	return d.bounds[i-1]
-}
-
-// highOf returns the largest key partition i owns.
-func (d *Dict) highOf(i int) uint64 {
-	if i == len(d.parts)-1 {
-		return ^uint64(0) - 1
-	}
-	return d.bounds[i] - 1
 }
 
 // raiseFence lifts the partition's read-your-writes fence to seq (a
@@ -414,7 +382,7 @@ func (h *clusterHandle) onPrimary(p *partState, mutation bool,
 // caught up, else through the primary.
 func (h *clusterHandle) TryFind(key uint64) (uint64, bool, error) {
 	d := h.d
-	p := d.parts[d.route(key)]
+	p := d.parts[d.bounds.Route(key)]
 	if d.cfg.ReadFollowers {
 		if addr, ok := p.pickFollower(); ok {
 			if s, err := h.sub(addr); err == nil {
@@ -438,7 +406,7 @@ func (h *clusterHandle) TryFind(key uint64) (uint64, bool, error) {
 
 // TryInsert routes a mutation to its partition's primary.
 func (h *clusterHandle) TryInsert(key, val uint64) (uint64, bool, error) {
-	p := h.d.parts[h.d.route(key)]
+	p := h.d.parts[h.d.bounds.Route(key)]
 	return h.onPrimary(p, true, func(t client.TryHandle) (uint64, bool, error) {
 		return t.TryInsert(key, val)
 	})
@@ -446,7 +414,7 @@ func (h *clusterHandle) TryInsert(key, val uint64) (uint64, bool, error) {
 
 // TryDelete routes a mutation to its partition's primary.
 func (h *clusterHandle) TryDelete(key uint64) (uint64, bool, error) {
-	p := h.d.parts[h.d.route(key)]
+	p := h.d.parts[h.d.bounds.Route(key)]
 	return h.onPrimary(p, true, func(t client.TryHandle) (uint64, bool, error) {
 		return t.TryDelete(key)
 	})
@@ -490,15 +458,9 @@ func (h *clusterHandle) Range(lo, hi uint64, fn func(k, v uint64) bool) {
 	d := h.d
 	stopped := false
 	for i, p := range d.parts {
-		plo, phi := d.lowOf(i), d.highOf(i)
-		if phi < lo || plo > hi {
+		plo, phi := max(lo, d.bounds.Low(i)), min(hi, d.bounds.High(i))
+		if plo > phi {
 			continue
-		}
-		if plo < lo {
-			plo = lo
-		}
-		if phi > hi {
-			phi = hi
 		}
 		s, err := h.sub(p.members[p.primary.Load()])
 		if err != nil {

@@ -243,9 +243,11 @@ func (r *replState) replSeq() uint64 {
 	return r.committedSeq()
 }
 
-// append logs one effective mutation and returns its seq. Caller holds
-// the key's stripe lock (the apply+append atomicity that keeps log
-// order equal to tree order per key).
+// append logs one effective mutation and returns its seq. On a primary
+// the caller holds the key's stripe lock (the apply+append atomicity
+// that keeps log order equal to tree order per key); a follower's
+// caller holds applyMu. A follower has no senders, so its log commits
+// as it grows, as a promoted follower's whole log does.
 func (r *replState) append(kind byte, key, val, traceID uint64) uint64 {
 	r.mu.Lock()
 	r.log = append(r.log, replEntry{kind: kind, key: key, val: val, trace: traceID})
@@ -335,40 +337,69 @@ func (r *replState) findOne(h dict.Handle, key uint64) (v uint64, found bool, se
 
 // --- worker dispatch --------------------------------------------------
 
-// serveReplPoint serves GET/PUT/DELETE on a replicated server. A
-// dropped response (waitCommitted returning false: the server closed
-// mid-wait) is deliberate — the dying connection surfaces ErrAmbiguous
-// at the client, which is the truthful classification.
-func (w *worker) serveReplPoint(req *request) {
+// serveRepl serves GET/PUT/DELETE and MGET/MPUT/MDELETE on a
+// replicated server: a point request is a batch of one key, staged in
+// the worker's scratch. Keys run one by one through the stripe-locked
+// log path (the trees' native batch descents would bypass the
+// apply+append atomicity); one commit wait covers the request, and the
+// reply carries the covering seq. A dropped response (waitCommitted
+// returning false: the server closed mid-wait) is deliberate — the
+// dying connection surfaces ErrAmbiguous at the client, which is the
+// truthful classification.
+func (w *worker) serveRepl(req *request) {
 	r := w.s.repl
 	c := w.c
+	point := req.Op == wire.OpGet || req.Op == wire.OpPut || req.Op == wire.OpDelete
+	keys, ivals := req.Keys, req.Vals
+	if point {
+		w.key1[0], w.val1[0] = req.Key, req.Val
+		keys, ivals = w.key1[:], w.val1[:]
+	}
+	n := len(keys)
+	if cap(w.vals) < n {
+		w.vals = make([]uint64, n)
+		w.oks = make([]bool, n)
+	}
+	vals, oks := w.vals[:n], w.oks[:n]
+	read := req.Op == wire.OpGet || req.Op == wire.OpMGet
+	var seq uint64
 	if r.role.Load() == wire.RoleFollower {
-		if req.Op != wire.OpGet {
+		if !read {
 			c.sendErr(req.ID, "follower: read-only replica")
 			return
 		}
-		// Snapshot the apply position BEFORE the read: entries <= seq
-		// were applied before Find started, so the reported position
-		// never overstates what the read observed (it may understate,
-		// which only costs the router a conservative primary fallback —
-		// overstating would defeat the read-your-writes fence).
-		seq := r.applied.Load()
-		v, ok := w.h.Find(req.Key)
-		c.out = wire.AppendRespPointSeq(c.out, req.ID, v, ok, seq)
-		return
-	}
-	var v uint64
-	var ok bool
-	var seq uint64
-	if req.Op == wire.OpGet {
-		v, ok, seq = r.findOne(w.h, req.Key)
+		// Snapshot the apply position BEFORE the reads: entries <= seq
+		// were applied before the first Find started, so the reported
+		// position never overstates what the reads observed (it may
+		// understate, which only costs the router a conservative primary
+		// fallback — overstating would defeat the read-your-writes fence).
+		seq = r.applied.Load()
+		for i, k := range keys {
+			vals[i], oks[i] = w.h.Find(k)
+		}
 	} else {
-		v, ok, seq = r.applyOne(w.h, req.Op, req.Key, req.Val, req.traceID)
+		put := req.Op == wire.OpPut || req.Op == wire.OpMPut
+		for i, k := range keys {
+			var ks uint64
+			switch {
+			case read:
+				vals[i], oks[i], ks = r.findOne(w.h, k)
+			case put:
+				vals[i], oks[i], ks = r.applyOne(w.h, req.Op, k, ivals[i], req.traceID)
+			default:
+				vals[i], oks[i], ks = r.applyOne(w.h, req.Op, k, 0, req.traceID)
+			}
+			seq = max(seq, ks)
+		}
+		if !w.commitWait(req, seq) {
+			return
+		}
 	}
-	if !w.commitWait(req, seq) {
-		return
+	if point {
+		c.out = wire.AppendRespPointSeq(c.out, req.ID, vals[0], oks[0], seq)
+	} else {
+		c.out = wire.AppendRespBatchSeq(c.out, req.ID, vals, oks, seq)
 	}
-	c.out = wire.AppendRespPointSeq(c.out, req.ID, v, ok, seq)
 }
 
 // commitWait blocks the connection until seq is committed, recording the
@@ -391,54 +422,6 @@ func (w *worker) commitWait(req *request, seq uint64) bool {
 		})
 	}
 	return ok
-}
-
-// serveReplBatch serves MGET/MPUT/MDELETE on a replicated server as a
-// per-key loop through the stripe-locked log path (the trees' native
-// batch descents would bypass the apply+append atomicity). One commit
-// wait covers the whole batch; the response carries the covering seq.
-func (w *worker) serveReplBatch(req *request) {
-	r := w.s.repl
-	c := w.c
-	n := len(req.Keys)
-	if cap(w.vals) < n {
-		w.vals = make([]uint64, n)
-		w.oks = make([]bool, n)
-	}
-	vals, oks := w.vals[:n], w.oks[:n]
-	if r.role.Load() == wire.RoleFollower {
-		if req.Op != wire.OpMGet {
-			c.sendErr(req.ID, "follower: read-only replica")
-			return
-		}
-		// Position snapshot before the reads — see serveReplPoint.
-		seq := r.applied.Load()
-		for i, k := range req.Keys {
-			vals[i], oks[i] = w.h.Find(k)
-		}
-		c.out = wire.AppendRespBatchSeq(c.out, req.ID, vals, oks, seq)
-		return
-	}
-	var maxSeq uint64
-	for i, k := range req.Keys {
-		var seq uint64
-		if req.Op == wire.OpMGet {
-			vals[i], oks[i], seq = r.findOne(w.h, k)
-		} else {
-			val := uint64(0)
-			if req.Op == wire.OpMPut {
-				val = req.Vals[i]
-			}
-			vals[i], oks[i], seq = r.applyOne(w.h, req.Op, k, val, req.traceID)
-		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-	}
-	if !w.commitWait(req, maxSeq) {
-		return
-	}
-	c.out = wire.AppendRespBatchSeq(c.out, req.ID, vals, oks, maxSeq)
 }
 
 // --- follower sink ----------------------------------------------------
@@ -481,12 +464,9 @@ func (r *replState) applyReplicate(req *wire.Request) (uint64, error) {
 				r.applyH.Delete(k)
 			}
 			// Retain the entry (trace id included) as our own log so
-			// promotion can backfill laggard followers from seq 1.
-			r.mu.Lock()
-			r.log = append(r.log, replEntry{kind: req.Ops[i], key: k, val: val, trace: tid})
-			r.lastSeq = seq
-			r.lastSeqA.Store(seq)
-			r.mu.Unlock()
+			// promotion can backfill laggard followers from seq 1. The
+			// applied prefix is gapless, so the entry lands at seq.
+			r.append(req.Ops[i], k, val, tid)
 			applied = seq
 			r.applied.Store(seq)
 			if tid != 0 {

@@ -189,38 +189,64 @@ func TestPromotionFencesOldPrimary(t *testing.T) {
 // TestRateLimit: a tiny per-connection budget turns a burst into BUSY
 // rejections the client absorbs by backing off — every op still
 // completes exactly once, and rate_limited_total counts the pushback.
+// A rate-limit BUSY leaves the connection healthy, so the client
+// resends on it: no read costs a redial, which would also hand the
+// handle a fresh, full bucket. The inputs read the inserted keys back
+// by point lookups and by scans.
 func TestRateLimit(t *testing.T) {
-	s, err := New(testBuilder, "occ", 1<<16, Config{RateLimit: 200})
-	if err != nil {
-		t.Fatal(err)
+	reads := []struct {
+		name string
+		read func(h dict.Handle, k uint64) (uint64, bool)
+	}{
+		{"find", func(h dict.Handle, k uint64) (uint64, bool) { return h.Find(k) }},
+		{"scan", func(h dict.Handle, k uint64) (v uint64, ok bool) {
+			h.(dict.Ranger).Range(k, k, func(_, val uint64) bool {
+				v, ok = val, true
+				return true
+			})
+			return v, ok
+		}},
 	}
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	c, err := client.DialConfig(addr.String(), client.Config{RetryAttempts: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	h := c.NewHandle()
-	for i := uint64(1); i <= 200; i++ {
-		if _, ok := h.Insert(i, i); !ok {
-			t.Fatalf("insert %d reported duplicate on a fresh tree", i)
-		}
-	}
-	for i := uint64(1); i <= 200; i++ {
-		if v, ok := h.Find(i); !ok || v != i {
-			t.Fatalf("Find(%d) = %d,%v after rate-limited burst", i, v, ok)
-		}
-	}
-	dump := s.MetricsDump()
-	if dump.Counters["rate_limited_total"] == 0 {
-		t.Fatal("rate limiter never fired on a 400-op burst at 200 rps (bucket depth 200)")
-	}
-	if fs := c.FaultStats(); fs.Busy == 0 {
-		t.Fatal("client absorbed no BUSY rejections")
+	for _, in := range reads {
+		t.Run(in.name, func(t *testing.T) {
+			s, err := New(testBuilder, "occ", 1<<16, Config{RateLimit: 200})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, err := s.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			c, err := client.DialConfig(addr.String(), client.Config{RetryAttempts: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			h := c.NewHandle()
+			for i := uint64(1); i <= 200; i++ {
+				if _, ok := h.Insert(i, i); !ok {
+					t.Fatalf("insert %d reported duplicate on a fresh tree", i)
+				}
+			}
+			before := c.FaultStats()
+			for i := uint64(1); i <= 200; i++ {
+				if v, ok := in.read(h, i); !ok || v != i {
+					t.Fatalf("read %d = %d,%v after rate-limited burst", i, v, ok)
+				}
+			}
+			dump := s.MetricsDump()
+			if dump.Counters["rate_limited_total"] == 0 {
+				t.Fatal("rate limiter never fired on a 400-op burst at 200 rps (bucket depth 200)")
+			}
+			fs := c.FaultStats()
+			if fs.Busy == before.Busy {
+				t.Fatalf("client absorbed no BUSY rejections on its reads: %+v", fs)
+			}
+			if fs.Redials != 0 {
+				t.Fatalf("rate-limited requests redialed: %+v, want 0 redials", fs)
+			}
+		})
 	}
 }
 

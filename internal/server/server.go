@@ -725,6 +725,8 @@ type worker struct {
 
 	vals  []uint64
 	oks   []bool
+	key1  [1]uint64 // a replicated point request, staged as a batch of one
+	val1  [1]uint64
 	msnap *metrics.Snapshot // METRICS streaming scratch (≈ 9 KB), made on first use
 
 	// Scan-in-flight state for the bound relay callback (one scan at a
@@ -765,7 +767,7 @@ func (w *worker) serve(req *request) {
 	switch req.Op {
 	case wire.OpGet, wire.OpPut, wire.OpDelete:
 		if w.s.repl != nil {
-			w.serveReplPoint(req)
+			w.serveRepl(req)
 			break
 		}
 		var v uint64
@@ -781,7 +783,7 @@ func (w *worker) serve(req *request) {
 		c.out = wire.AppendRespPoint(c.out, req.ID, v, ok)
 	case wire.OpMGet, wire.OpMPut, wire.OpMDelete:
 		if w.s.repl != nil {
-			w.serveReplBatch(req)
+			w.serveRepl(req)
 			break
 		}
 		n := len(req.Keys)

@@ -80,8 +80,8 @@ func (h *handle) applyBatch(op batchOp, keys, vals, res []uint64, ok []bool) {
 	st.ents = ents
 	i := 0
 	for i < len(ents) {
-		s := h.d.route(ents[i].K)
-		hi := h.d.highOf(s)
+		s := h.d.bounds.Route(ents[i].K)
+		hi := h.d.bounds.High(s)
 		j := i + 1
 		for j < len(ents) && ents[j].K <= hi {
 			j++

@@ -48,9 +48,7 @@ type Builder func(shard int, clock *rq.Clock) dict.Dict
 type Dict struct {
 	clock  *rq.Clock
 	shards []dict.Dict
-	// bounds[i] is the first key owned by shard i+1 (len = n-1); shard 0
-	// starts at key 1 and the last shard is unbounded above.
-	bounds []uint64
+	bounds Bounds
 
 	canRange bool // every shard handle implements dict.Ranger
 	canSnap  bool // ... and dict.SnapshotAtRanger (shared-clock scans)
@@ -63,17 +61,10 @@ func New(n int, keyRange uint64, build Builder) *Dict {
 	if n < 1 {
 		panic(fmt.Sprintf("shard: need at least 1 shard, got %d", n))
 	}
-	step := keyRange / uint64(n)
-	if step == 0 {
-		step = 1
-	}
 	d := &Dict{
 		clock:  rq.NewClock(),
 		shards: make([]dict.Dict, n),
-		bounds: make([]uint64, n-1),
-	}
-	for i := 0; i < n-1; i++ {
-		d.bounds[i] = 1 + step*uint64(i+1)
+		bounds: NewBounds(n, keyRange),
 	}
 	for i := range d.shards {
 		d.shards[i] = build(i, d.clock)
@@ -117,31 +108,49 @@ func (d *Dict) Clock() *rq.Clock { return d.clock }
 // weak Range but never claims cross-partition snapshot atomicity.
 func (d *Dict) RQClock() *rq.Clock { return d.clock }
 
-// route returns the index of the shard owning key. n is registry-scale
-// (single digits), so a linear sweep beats binary search.
-func (d *Dict) route(key uint64) int {
-	for i, b := range d.bounds {
-		if key < b {
+// Bounds is a range partition of the key domain [1, 2^64-2] into
+// len(b)+1 parts: b[i] is the first key of part i+1, part 0 starts at
+// key 1, and the last part is unbounded above. The sharded dictionary
+// and the cluster router partition keys with it.
+type Bounds []uint64
+
+// NewBounds splits [1, keyRange] into n equal parts, the last one open
+// above keyRange.
+func NewBounds(n int, keyRange uint64) Bounds {
+	step := max(keyRange/uint64(n), 1)
+	b := make(Bounds, n-1)
+	for i := range b {
+		b[i] = 1 + step*uint64(i+1)
+	}
+	return b
+}
+
+// Route returns the index of the part owning key. The part count is
+// registry-scale (single digits), so a linear sweep beats binary
+// search.
+func (b Bounds) Route(key uint64) int {
+	for i, lo := range b {
+		if key < lo {
 			return i
 		}
 	}
-	return len(d.shards) - 1
+	return len(b)
 }
 
-// lowOf returns the smallest key shard i owns.
-func (d *Dict) lowOf(i int) uint64 {
+// Low returns the smallest key part i owns.
+func (b Bounds) Low(i int) uint64 {
 	if i == 0 {
 		return 1
 	}
-	return d.bounds[i-1]
+	return b[i-1]
 }
 
-// highOf returns the largest key shard i owns.
-func (d *Dict) highOf(i int) uint64 {
-	if i == len(d.shards)-1 {
+// High returns the largest key part i owns.
+func (b Bounds) High(i int) uint64 {
+	if i == len(b) {
 		return ^uint64(0) - 1
 	}
-	return d.bounds[i] - 1
+	return b[i] - 1
 }
 
 // NewHandle returns a per-goroutine accessor whose dynamic type exposes
@@ -225,15 +234,15 @@ type handle struct {
 }
 
 func (h *handle) Find(key uint64) (uint64, bool) {
-	return h.hs[h.d.route(key)].Find(key)
+	return h.hs[h.d.bounds.Route(key)].Find(key)
 }
 
 func (h *handle) Insert(key, val uint64) (uint64, bool) {
-	return h.hs[h.d.route(key)].Insert(key, val)
+	return h.hs[h.d.bounds.Route(key)].Insert(key, val)
 }
 
 func (h *handle) Delete(key uint64) (uint64, bool) {
-	return h.hs[h.d.route(key)].Delete(key)
+	return h.hs[h.d.bounds.Route(key)].Delete(key)
 }
 
 // scanState is a handle's cross-shard scan plumbing, allocated once
@@ -282,8 +291,8 @@ func (d *Dict) forEachShard(lo, hi uint64, ss *scanState, fn func(k, v uint64) b
 	}
 	ss.begin(fn)
 	defer ss.end()
-	for i := d.route(max(lo, 1)); i < len(d.shards); i++ {
-		sublo, subhi := max(lo, d.lowOf(i)), min(hi, d.highOf(i))
+	for i := d.bounds.Route(max(lo, 1)); i < len(d.shards); i++ {
+		sublo, subhi := max(lo, d.bounds.Low(i)), min(hi, d.bounds.High(i))
 		if sublo > subhi {
 			break
 		}

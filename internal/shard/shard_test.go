@@ -50,12 +50,12 @@ func TestShardRouting(t *testing.T) {
 		key  uint64
 		want int
 	}{{1, 0}, {250, 0}, {251, 1}, {500, 1}, {501, 2}, {750, 2}, {751, 3}, {1000, 3}, {999999, 3}} {
-		if got := d.route(tc.key); got != tc.want {
+		if got := d.bounds.Route(tc.key); got != tc.want {
 			t.Errorf("route(%d) = %d, want %d", tc.key, got, tc.want)
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if lo, hi := d.lowOf(i), d.highOf(i); d.route(lo) != i || d.route(hi) != i {
+		if lo, hi := d.bounds.Low(i), d.bounds.High(i); d.bounds.Route(lo) != i || d.bounds.Route(hi) != i {
 			t.Errorf("shard %d: bounds [%d, %d] do not route home", i, lo, hi)
 		}
 	}
@@ -349,11 +349,11 @@ func TestShardCrossShardWriteOrderWitness(t *testing.T) {
 		for g := uint64(1); !stop.Load(); g++ {
 			for i := 0; i < m; i++ {
 				k := uint64(2*i + 1)
-				th := ths[d.route(k)]
+				th := ths[d.bounds.Route(k)]
 				th.Upsert(k, g)
 				if i%3 == 0 {
 					ck := uint64(2*i + 2)
-					cth := ths[d.route(ck)]
+					cth := ths[d.bounds.Route(ck)]
 					if chaff {
 						cth.Insert(ck, ck)
 					} else {
@@ -415,7 +415,7 @@ func TestShardCrossShardWriteOrderWitness(t *testing.T) {
 	}
 	tornScan := func(lo, hi uint64, fn func(k, v uint64) bool) {
 		for i := range perShard {
-			sublo, subhi := max(lo, d.lowOf(i)), min(hi, d.highOf(i))
+			sublo, subhi := max(lo, d.bounds.Low(i)), min(hi, d.bounds.High(i))
 			if sublo > subhi {
 				continue
 			}
