@@ -1,11 +1,12 @@
 // Package abalg is the paper's relaxed (a,b)-tree written once for every
-// node store: the per-key updates (ops.go: Insert, Delete and Upsert,
-// with publishing elimination's vocabulary in elim.go), the structural
-// updates (splitting insert, fixTagged, fixUnderfull with its distribute
-// and merge, and the range-query history the replacement leaves
-// inherit), range scans and snapshot scans (scan.go), batched point
-// operations (batch.go) and the quiescent inspection walks (Validate,
-// Scan, Stats, ...).
+// node store: the per-key operations (ops.go: the lock-free descent
+// Search, Find with its double collect, and Insert, Delete and Upsert
+// with their pre-lock phase; publishing elimination's vocabulary and
+// lockOrElim in elim.go), the structural updates (splitting insert,
+// fixTagged, fixUnderfull with its distribute and merge, and the
+// range-query history the replacement leaves inherit), range scans and
+// snapshot scans (scan.go), batched point operations (batch.go) and the
+// quiescent inspection walks (Validate, Scan, Stats, ...).
 //
 // The algorithms are generic over a node reference R — a *node on the Go
 // heap in internal/core, a uint64 arena offset in internal/pabtree — and
@@ -14,23 +15,24 @@
 // ones "with persistence additions"; the seam is where the additions
 // live: NewLeaf/NewInternal flush what they build, SetChild is an atomic
 // store or link-and-persist, Unlink also hands the slot to epoch
-// reclamation, Pause, AppendLeaf and LockLeaf also observe an injected
-// crash, and PutLocked/DeleteLocked write a leaf with the store's flush
-// discipline.
+// reclamation, Pause, AppendLeaf, Record and a failed TryLock also
+// observe an injected crash, and PutLocked/DeleteLocked write a leaf with
+// the store's flush discipline.
 //
-// The seam is coarse on purpose: one dynamic call per node visited, never
-// one per slot. A split runs once per ~8 inserts into a growing tree and
-// the fix-ups on under 1 % of steady-state operations, so the dispatch is
-// invisible there, whereas a per-slot accessor interface under the
-// per-operation descent measured 14-25 % slower (EXPERIMENTS.md, "One
-// rebalancer"). A per-key update pays three calls — LockLeaf (the whole
-// descent and pre-lock phase), one locked write and UnlockAll — and a
-// scan or batch a few per node or leaf it visits (Route, AppendLeaf, the
-// locked writes) against a leaf's worth of slots each (EXPERIMENTS.md,
-// "Scans and batches through the seam" and "Point operations through
-// the seam"). What stays concrete in each store is Find — the descent
-// and the double-collect leaf read, which have no loop to share — and
-// the leaf reads and writes behind the seam steps.
+// The seam is coarse on purpose: one dynamic call per node visited or
+// per poll of a wait loop, never one per slot. A split runs once per ~8
+// inserts into a growing tree and the fix-ups on under 1 % of
+// steady-state operations, so the dispatch is invisible there, whereas a
+// per-slot accessor interface under the per-operation descent measured
+// 14-25 % slower (EXPERIMENTS.md, "One rebalancer"). A descent pays one
+// Route per internal node, a double collect one AppendLeaf per pass, an
+// update one locked write and UnlockAll beside them, and a scan or batch
+// the same steps per node or leaf it visits against a leaf's worth of
+// slots each (EXPERIMENTS.md, "Scans and batches through the seam",
+// "Point operations through the seam" and "One descent for both
+// trees"). What stays concrete in each store is the node layout: the
+// leaf reads and writes behind the seam steps, and the slot record's
+// encoding behind Record.
 package abalg
 
 import (
@@ -137,14 +139,12 @@ type Store[R comparable] interface {
 	AppendLeaf(leaf R, items []rq.Pair, lo, hi uint64) (out []rq.Pair, before, after uint64, marked bool, stamp uint64, chain *rq.Version)
 	GatherInternal(n R, children []R, keys []uint64) ([]R, []uint64)
 
-	// Search descends lock-free from the entry toward key, stopping at a
-	// leaf or at target, whichever comes first (paper Figure 2).
-	Search(key uint64, target R) Path[R]
-
 	// Lock blocks until n's lock is held. Callers lock bottom-to-top,
-	// ties left-to-right (deadlock freedom, §3.3.5); UnlockAll releases
-	// everything this Thread holds.
+	// ties left-to-right (deadlock freedom, §3.3.5); TryLock takes it
+	// only if it is free; UnlockAll releases everything this Thread
+	// holds.
 	Lock(n R)
+	TryLock(n R) bool
 	UnlockAll()
 	Marked(n R) bool
 	// Unlink marks n as removed from the tree — once, never cleared, by
@@ -176,22 +176,28 @@ type Store[R comparable] interface {
 	Pause()
 	Scratch() *Scratch[R]
 
-	// The steps below serve the per-key updates (ops.go) and the scan
-	// and batch engines, as AppendLeaf does: one call per node or leaf
-	// visited, or per key written to a locked leaf.
+	// The steps below serve the descent, the per-key updates (ops.go)
+	// and the scan and batch engines, as AppendLeaf does: one call per
+	// node or leaf visited, per poll of lockOrElim (elim.go), or per key
+	// written to a locked leaf.
 
 	// Route returns the child of the internal node n whose key range
-	// holds key, that child's key range [clo, chi) within n's range
-	// [lo, hi) — hi = 2^64-1 means unbounded above (no key is 2^64-1) —
-	// and whether the child is a leaf.
-	Route(n R, key, lo, hi uint64) (child R, clo, chi uint64, leaf bool)
-	// LockLeaf descends to key's leaf and runs op's pre-lock phase
-	// (searchLeaf, or the Elim tree's single scan and lockOrElim, §4.1,
-	// counting eliminated ops in ElimStats). It returns the leaf locked,
-	// or locked == false with op's result in val if op was decided
-	// without the lock: an OpInsert's key present (val is its value), an
-	// OpDelete's absent, or op eliminated (val is the record's value).
-	LockLeaf(key uint64, op OpKind) (leaf R, locked bool, val uint64)
+	// holds key, its index i in n, that child's key range [clo, chi)
+	// within n's range [lo, hi) — hi = 2^64-1 means unbounded above (no
+	// key is 2^64-1) — and whether the child is a leaf.
+	Route(n R, key, lo, hi uint64) (child R, i int, clo, chi uint64, leaf bool)
+	// Elim reports whether the store runs publishing elimination (an
+	// Elim tree, §4.1): its updates publish slot records, and its
+	// pre-lock phase is one optimistic scan and lockOrElim.
+	Elim() bool
+	// Record waits until the leaf is quiescent and returns its slot
+	// record as of that moment (ElimRecord's fields, as scalars): the
+	// key and value of the leaf's latest publishing update, its kind,
+	// and ver, the odd version that update installed. ver == 0 and key
+	// == 0 mean none, or the leaf is marked.
+	Record(leaf R) (key, val uint64, k RecKind, ver uint64)
+	// Eliminated counts op as returned by elimination (ElimStats).
+	Eliminated(op OpKind)
 	// PutLocked inserts absent <key, val> into the locked leaf, or
 	// replaces a present key's value if replace is set, in one version
 	// window (which, on an Elim tree, publishes the slot record) with the

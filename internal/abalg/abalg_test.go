@@ -105,7 +105,7 @@ func (f fixture[R]) want(pic string, final bool) {
 // path, under the locks the operation would hold, and returns the tagged
 // node (if any).
 func (f fixture[R]) splitInsert(key uint64) R {
-	path := f.s.Search(key, *new(R))
+	path := abalg.Search(f.s, key, *new(R))
 	f.s.Lock(path.N)
 	f.s.Lock(path.P)
 	tagged := abalg.SplitInsert(f.s, path.N, path.P, path.NIdx, key, key*10)

@@ -121,7 +121,7 @@ func runBatch[R comparable](s Store[R], op batchOp, keys, vals, res []uint64, ok
 // children recurses, bounded by the tree height.
 func (b *batch[R]) runSubtree(n R, hi uint64, run []batchkit.Ent) {
 	for i := 0; i < len(run); {
-		c, _, chi, leaf := b.s.Route(n, run[i].K, 0, hi)
+		c, _, _, chi, leaf := b.s.Route(n, run[i].K, 0, hi)
 		end := batchkit.RunEnd(run, i, chi, true)
 		switch {
 		case leaf:

@@ -1,9 +1,10 @@
 package abalg
 
-// The vocabulary of publishing elimination (paper §4.1), shared by both
-// stores: which operation published a leaf's record, which operation is
-// trying to eliminate against it, and the slot-record encoding both
-// stores keep in spare bits of a leaf's size word.
+// Publishing elimination (paper §4.1), shared by both stores: the
+// pre-lock wait that eliminates against a leaf's record (lockOrElim),
+// which operation published the record, which operation is trying to
+// eliminate against it, and the slot-record encoding both stores keep in
+// spare bits of a leaf's size word.
 //
 // The paper's §7 ("Future work") extension adds an insert with replace
 // semantics that returns no value (Upsert) — "publishing elimination
@@ -31,6 +32,25 @@ package abalg
 // absent immediately before a successful insert, nor against a delete
 // record, because Delete reports the value it removed and the publisher
 // has already returned the older one.
+
+// lockOrElim spins until it either holds the leaf's lock or finds a
+// record published after op started that op may eliminate against
+// (CanEliminate): startVer is a version of the leaf read after op
+// started, and the record's publisher installed ver >= startVer, so its
+// linearization point fell inside op's interval. It then counts op as
+// eliminated and returns false and the record's value.
+func lockOrElim[R comparable](s Store[R], leaf R, key uint64, op OpKind, startVer uint64) (locked bool, val uint64) {
+	for spins := 0; ; SpinPause(&spins) {
+		rkey, rval, kind, ver := s.Record(leaf)
+		if startVer <= ver && rkey == key && CanEliminate(op, kind) {
+			s.Eliminated(op)
+			return false, rval
+		}
+		if s.TryLock(leaf) {
+			return true, 0
+		}
+	}
+}
 
 // RecKind identifies the operation that published an ElimRecord — the
 // decoded form of a leaf's slot record.

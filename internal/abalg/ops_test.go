@@ -344,8 +344,8 @@ func BenchmarkPointFind(b *testing.B) {
 }
 
 // BenchmarkPointUpdate alternates Insert and Delete (tree size about
-// constant): LockLeaf, one locked write, and the occasional split or
-// underfull repair.
+// constant): the descent and pre-lock phase, one locked write, and the
+// occasional split or underfull repair.
 func BenchmarkPointUpdate(b *testing.B) {
 	benchPoint(b, 4, func(th handle, i int, k uint64) {
 		if i&1 == 0 {

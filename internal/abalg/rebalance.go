@@ -64,7 +64,7 @@ func FixTagged[R comparable](s Store[R], n R) {
 		if s.Marked(n) {
 			return
 		}
-		path := s.Search(s.SearchKey(n), n)
+		path := Search(s, s.SearchKey(n), n)
 		if path.N != n {
 			// Another thread already removed the tagged node.
 			return
@@ -144,7 +144,7 @@ func FixUnderfull[R comparable](s Store[R], n R) {
 		if n == entry || n == s.Child(entry, 0) {
 			return // The root may be underfull.
 		}
-		path := s.Search(s.SearchKey(n), n)
+		path := Search(s, s.SearchKey(n), n)
 		if path.N != n {
 			return // n is no longer in the tree.
 		}

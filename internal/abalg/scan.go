@@ -113,7 +113,7 @@ func searchScan[R comparable](s Store[R], sc *Scratch[R], key uint64) (leaf R, h
 	n, lo, hi := l.n, l.lo, l.hi
 	caching := true
 	for isLeaf := false; !isLeaf; {
-		n, lo, hi, isLeaf = s.Route(n, key, lo, hi)
+		n, _, lo, hi, isLeaf = s.Route(n, key, lo, hi)
 		if !caching {
 			continue
 		}

@@ -581,6 +581,10 @@ func (h *handle) DeleteBatch(keys []uint64, prev []uint64, deleted []bool) {
 	h.runBatch(wire.OpMDelete, keys, nil, prev, deleted)
 }
 
+// maxKeptPairs is the most pairs a handle's scan buffer keeps between
+// scans (64 KB); a larger one is dropped once its pairs are replayed.
+const maxKeptPairs = 4096
+
 // scan drives one remote scan: request, drain every chunk into the
 // handle's pair buffer, then replay the pairs through fn. Draining
 // before the callback keeps the connection free of in-flight state
@@ -608,8 +612,12 @@ func (h *handle) scan(snapshot bool, lo, hi uint64, fn func(k, v uint64) bool) {
 	if err != nil {
 		panic(fmt.Sprintf("client: scan: %v", err))
 	}
-	for i, n := 0, len(h.pairs)/16; i < n; i++ {
-		k, v := wire.PairAt(h.pairs, i)
+	pairs := h.pairs
+	if cap(pairs) > maxKeptPairs*16 {
+		h.pairs = nil // one large scan does not pin its buffer for the handle's life
+	}
+	for i, n := 0, len(pairs)/16; i < n; i++ {
+		k, v := wire.PairAt(pairs, i)
 		if !fn(k, v) {
 			return
 		}

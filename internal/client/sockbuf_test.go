@@ -66,7 +66,10 @@ func narrowSockets(t *testing.T, addr string, size int) int {
 // the megabytes a loopback socket starts with. The server reads a
 // connection's socket only after writing its pending replies, so a
 // client that wrote more frames than the buffers hold before reading a
-// reply would block both ends in write until the write deadline.
+// reply would block both ends in write until the write deadline. Each
+// batch call has its own 10 s stall deadline, not the test as a whole:
+// under -race the nine calls take several seconds together, while a
+// deadlocked call never returns.
 func TestBatchSmallSocketBuffers(t *testing.T) {
 	const size = 16 << 10
 	_, addr := startBackend(t)
@@ -87,28 +90,32 @@ func TestBatchSmallSocketBuffers(t *testing.T) {
 		keys[i], vals[i] = uint64(i+1), uint64(3*i)
 	}
 	got, oks := make([]uint64, n), make([]bool, n)
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		b := h.(dict.Batcher)
-		for round := 0; round < 3; round++ {
-			b.InsertBatch(keys, vals, got, oks)
-			b.FindBatch(keys, got, oks)
-			for i := range keys {
-				if !oks[i] || got[i] != vals[i] {
-					panic("MGET of key " + strconv.Itoa(int(keys[i])) + " missed its MPUT")
-				}
+	call := func(name string, round int, batch func()) {
+		t.Helper()
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			batch()
+		}()
+		select {
+		case r := <-done:
+			if r != nil {
+				t.Fatalf("%s, round %d: %v", name, round, r)
 			}
-			b.DeleteBatch(keys, got, oks)
+		case <-time.After(10 * time.Second):
+			c.Close()
+			t.Fatalf("%s, round %d, still running after 10 s: both ends blocked writing", name, round)
 		}
-	}()
-	select {
-	case r := <-done:
-		if r != nil {
-			t.Fatal(r)
+	}
+	b := h.(dict.Batcher)
+	for round := 0; round < 3; round++ {
+		call("MPUT", round, func() { b.InsertBatch(keys, vals, got, oks) })
+		call("MGET", round, func() { b.FindBatch(keys, got, oks) })
+		for i := range keys {
+			if !oks[i] || got[i] != vals[i] {
+				t.Fatalf("MGET of key %d missed its MPUT", keys[i])
+			}
 		}
-	case <-time.After(10 * time.Second):
-		c.Close()
-		t.Fatal("batches still running after 10 s: both ends blocked writing")
+		call("MDELETE", round, func() { b.DeleteBatch(keys, got, oks) })
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/abalg"
+	"repro/internal/pabtree"
+	"repro/internal/pmem"
 )
 
 // openPublishingWindow performs the first half of a publishing update of
@@ -13,7 +15,7 @@ import (
 // — writes the slot (insert, replace) or leaves it as the tombstone
 // (delete), stores the slot record, closes the window — and unlocks.
 func openPublishingWindow(tr *Tree, pub *Thread, key, val uint64, k abalg.RecKind) (finish func()) {
-	n := tr.search(key, nil).N
+	n := abalg.Search[*node](pub, key, nil).N
 	pub.Lock(n)
 	l := n.leaf()
 	at, empty := tr.findSlot(l, key)
@@ -100,26 +102,57 @@ func TestPublishingEliminationDeterministic(t *testing.T) {
 
 // TestEliminationRequiresOverlap: an operation that starts after the
 // publisher completed (start version > rec.Ver) must NOT eliminate — it
-// would not have been concurrent with the publisher.
+// would not have been concurrent with the publisher. The rule is
+// abalg's lockOrElim, so the table runs it on both stores; each step
+// would eliminate against the record its predecessor left.
 func TestEliminationRequiresOverlap(t *testing.T) {
-	tr := New(WithElimination())
-	th := tr.NewThread()
-	th.Insert(7, 42) // completes fully; rec published with some odd ver
+	type store interface {
+		Find(key uint64) (uint64, bool)
+		Insert(key, val uint64) (uint64, bool)
+		Delete(key uint64) (uint64, bool)
+		Upsert(key, val uint64)
+	}
+	pt := pabtree.New(pmem.New(64*pabtree.NodeWords), pabtree.WithElimination())
+	ct := New(WithElimination())
+	for _, st := range []struct {
+		name  string
+		th    store
+		stats func() (uint64, uint64, uint64)
+	}{
+		{"core", ct.NewThread(), ct.ElimStats},
+		{"pabtree", pt.NewThread(), pt.ElimStats},
+	} {
+		t.Run(st.name, func(t *testing.T) {
+			th := st.th
+			th.Insert(7, 42) // completes fully; rec published with some odd ver
 
-	// A later delete must actually delete (not eliminate against the old
-	// record).
-	if v, ok := th.Delete(7); !ok || v != 42 {
-		t.Fatalf("Delete(7) = (%d, %v), want (42, true)", v, ok)
-	}
-	if _, ok := th.Find(7); ok {
-		t.Fatal("key 7 still present: delete was wrongly eliminated")
-	}
-	// And a later insert must actually insert.
-	if _, ins := th.Insert(7, 50); !ins {
-		t.Fatal("insert wrongly eliminated / found phantom key")
-	}
-	if v, _ := th.Find(7); v != 50 {
-		t.Fatalf("Find(7) = %d, want 50", v)
+			// A later delete must actually delete (not eliminate against
+			// the insert record).
+			if v, ok := th.Delete(7); !ok || v != 42 {
+				t.Fatalf("Delete(7) = (%d, %v), want (42, true)", v, ok)
+			}
+			if _, ok := th.Find(7); ok {
+				t.Fatal("key 7 still present: delete was wrongly eliminated")
+			}
+			// A later insert must actually insert (not eliminate against
+			// the delete record).
+			if _, ins := th.Insert(7, 50); !ins {
+				t.Fatal("insert wrongly eliminated / found phantom key")
+			}
+			if v, _ := th.Find(7); v != 50 {
+				t.Fatalf("Find(7) = %d, want 50", v)
+			}
+			// A later upsert must actually replace (not eliminate against
+			// the replace record).
+			th.Upsert(7, 60)
+			th.Upsert(7, 61)
+			if v, _ := th.Find(7); v != 61 {
+				t.Fatalf("Find(7) = %d after upserts of 60 and 61, want 61", v)
+			}
+			if i, d, u := st.stats(); i+d+u != 0 {
+				t.Fatalf("ElimStats = (%d, %d, %d), want none eliminated", i, d, u)
+			}
+		})
 	}
 }
 

@@ -73,9 +73,9 @@ func TestNodeLayout(t *testing.T) {
 	tr := New(WithElimination())
 	th := tr.NewThread()
 	l := tr.root().leaf()
-	rec := func() abalg.ElimRecord {
-		spins := 0
-		return l.record(&spins)
+	rec := func() (r abalg.ElimRecord) {
+		r.Key, r.Val, r.Kind, r.Ver = th.Record(&l.node)
+		return r
 	}
 	steps := []struct {
 		name string

@@ -14,15 +14,16 @@
 // option): the paper describes the Elim-ABtree as "a modified version of the
 // OCC-ABtree".
 //
-// This package is the Go-heap node store: the node layouts, search,
-// Find, and the leaf reads and locked leaf writes (with elimination's
-// lockOrElim and slot record) behind the store's seam steps. The
-// algorithm itself — Insert, Delete and Upsert, splitting inserts,
-// fixTagged, fixUnderfull, range and snapshot scans, batched operations,
-// Validate and the other inspection walks — is internal/abalg, written
-// once for this store and for internal/pabtree's arena; it reaches the
-// nodes through the abalg.Store seam that *Thread implements (seam.go,
-// ops.go), one call per node or leaf it visits.
+// This package is the Go-heap node store: the node layouts, and the
+// leaf reads, locked leaf writes and slot record (elimination's Record)
+// behind the store's seam steps. The algorithm itself — the descent,
+// Find's double collect, Insert, Delete and Upsert with their pre-lock
+// phase and lockOrElim, splitting inserts, fixTagged, fixUnderfull,
+// range and snapshot scans, batched operations, Validate and the other
+// inspection walks — is internal/abalg, written once for this store and
+// for internal/pabtree's arena; it reaches the nodes through the
+// abalg.Store seam that *Thread implements (seam.go, ops.go), one call
+// per node or leaf it visits.
 //
 // Keys and values are uint64. Key 0 is reserved as the paper's ⊥ (the
 // empty-slot sentinel in leaf key arrays).
@@ -66,7 +67,7 @@ const (
 //	leaf      header + ver, rq.LeafState + 11 values        224 B
 //
 // OCC-ABtree and Elim-ABtree leaves are the same 224 B: the elimination
-// record lives in spare state bits and the slot it names (record, below).
+// record lives in spare state bits and the slot it names (Record, seam.go).
 //
 // Everything that works on any node — locking, marking, routing by keys,
 // re-location by searchKey — reads the header through the *node. The
@@ -209,25 +210,6 @@ func (t *Tree) tomb(l *leaf) int {
 		return tombstone(l.state.Load())
 	}
 	return -1
-}
-
-// record waits for the leaf to be quiescent and returns its elimination
-// record as of that moment (Ver == 0: none, or the leaf is marked).
-func (l *leaf) record(spins *int) abalg.ElimRecord {
-	for {
-		v1 := l.ver.Load()
-		if v1&1 == 0 {
-			var r abalg.ElimRecord
-			s := l.state.Load()
-			if i, k := abalg.UnpackRec(s); i >= 0 && s&markedBit == 0 {
-				r = abalg.ElimRecord{Key: l.keys[i].Load(), Val: l.vals[i].Load(), Kind: k, Ver: v1 - 1}
-			}
-			if l.ver.Load() == v1 {
-				return r
-			}
-		}
-		abalg.SpinPause(spins)
-	}
 }
 
 // newLeaf builds a leaf containing items (at most b of them), packed into

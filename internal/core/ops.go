@@ -1,18 +1,14 @@
 package core
 
-// The per-key operations: wrappers of internal/abalg's Insert, Delete
-// and Upsert, the three locked-leaf steps they call (contracts in
-// abalg.Store), and Find, a descent and a double collect.
+// The per-key operations: wrappers of internal/abalg's Find, Insert,
+// Delete and Upsert, and the two locked-leaf writes the updates call
+// (contracts in abalg.Store).
 
 import "repro/internal/abalg"
 
 // Find returns the value associated with key, if present (paper §3.2).
 // Finds take no locks and never restart from the root.
-func (th *Thread) Find(key uint64) (uint64, bool) {
-	abalg.CheckKey(key)
-	t := th.t
-	return t.leafSearch(t.search(key, nil).N, key)
-}
+func (th *Thread) Find(key uint64) (uint64, bool) { return abalg.Find(th, key) }
 
 // Insert inserts <key, val> if key is absent and returns (0, true).
 // If key is present, the tree is unchanged and Insert returns the existing
@@ -26,55 +22,6 @@ func (th *Thread) Delete(key uint64) (uint64, bool) { return abalg.Delete(th, ke
 // Upsert sets key's value to val, inserting the key if absent: the
 // paper's §7 replace-style insert (abalg/elim.go).
 func (th *Thread) Upsert(key, val uint64) { abalg.Upsert(th, key, val) }
-
-// LockLeaf runs the pre-lock read phase on key's leaf. The OCC-ABtree
-// retries leafSearch until it has a consistent snapshot; the Elim-ABtree
-// scans once and, on interference, goes straight to lockOrElim (§4.1).
-// An upsert decides nothing before the lock.
-func (th *Thread) LockLeaf(key uint64, op abalg.OpKind) (*node, bool, uint64) {
-	t := th.t
-	n := t.search(key, nil).N
-	if op != abalg.OpUpsert {
-		var v uint64
-		found, consistent := false, true
-		if t.elim {
-			v, found, consistent = t.leafScanOnce(n, key)
-		} else {
-			v, found = t.leafSearch(n, key)
-		}
-		if consistent && found == (op == abalg.OpInsert) {
-			return n, false, v
-		}
-	}
-	if !t.elim {
-		th.Lock(n)
-		return n, true, 0
-	}
-	if acquired, v := th.lockOrElim(n, key, op); !acquired {
-		t.elims[op].Add(1)
-		return n, false, v
-	}
-	return n, true, 0
-}
-
-// lockOrElim spins until it either holds the leaf's lock or finds a
-// record published after op started that op may eliminate against
-// (abalg.CanEliminate); it then returns false and the record's value.
-func (th *Thread) lockOrElim(n *node, key uint64, op abalg.OpKind) (acquired bool, val uint64) {
-	leaf := n.leaf()
-	startVer := leaf.ver.Load()
-	spins := 0
-	for {
-		rec := leaf.record(&spins)
-		if startVer <= rec.Ver && rec.Key == key && abalg.CanEliminate(op, rec.Kind) {
-			return false, rec.Val
-		}
-		if th.tryLockNode(n) {
-			return true, 0
-		}
-		abalg.SpinPause(&spins)
-	}
-}
 
 // PutLocked writes inside one version window (openWindow, closeWindow),
 // which on an Elim-ABtree publishes the slot record — an insert record
@@ -113,7 +60,7 @@ func (th *Thread) DeleteLocked(n *node, key uint64) (val uint64, found bool, siz
 		return 0, false, 0, true
 	}
 	t, l := th.t, n.leaf()
-	idx := t.slotOf(l, key)
+	idx, _ := t.findSlot(l, key)
 	if idx < 0 {
 		return 0, false, n.size(), false
 	}

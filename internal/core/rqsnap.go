@@ -50,10 +50,14 @@ func gatherPairs(t *Tree, l *leaf, items []rq.Pair) []rq.Pair {
 // unsorted, skipping empty slots and the tombstone (node.go); with lo ==
 // hi it stops at the match, since outside the tombstone a key is in at
 // most one slot. Lock-free callers validate the pass against l's version.
+// The range test is one unsigned compare (lo <= hi): for a one-key read,
+// Find's and the pre-lock phase's, it is k == lo, which almost every
+// slot fails predictably; a separate k >= lo would split a leaf's slots
+// at random.
 func (t *Tree) appendPairs(items []rq.Pair, l *leaf, lo, hi uint64) []rq.Pair {
 	tomb := t.tomb(l)
 	for i := 0; i < t.b; i++ {
-		if k := l.keys[i].Load(); k != emptyKey && k >= lo && k <= hi && i != tomb {
+		if k := l.keys[i].Load(); k-lo <= hi-lo && k != emptyKey && i != tomb {
 			items = append(items, rq.Pair{K: k, V: l.vals[i].Load()})
 			if lo == hi {
 				break

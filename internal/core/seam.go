@@ -10,8 +10,8 @@ import (
 // The abalg.Store seam over Go-heap nodes (see the interface for each
 // method's contract). Here a node reference is a *node, publication is
 // an atomic pointer store, and unlinked nodes are left to the garbage
-// collector. Lock and UnlockAll are in thread.go; LockLeaf, PutLocked and
-// DeleteLocked, the per-key locked-leaf steps, in ops.go.
+// collector. Lock, TryLock and UnlockAll are in thread.go; PutLocked and
+// DeleteLocked, the per-key locked-leaf writes, in ops.go.
 
 func (th *Thread) Degree() (a, b int)               { return th.t.a, th.t.b }
 func (th *Thread) Entry() *node                     { return th.t.entry }
@@ -26,6 +26,8 @@ func (th *Thread) LeafState(n *node) *rq.LeafState  { return &n.leaf().LeafState
 func (th *Thread) RQ() *rq.Provider                 { return th.t.rqp }
 func (th *Thread) SetChild(p *node, i int, c *node) { p.inner().ptrs[i].Store(c) }
 func (th *Thread) Pause()                           { runtime.Gosched() }
+func (th *Thread) Elim() bool                       { return th.t.elim }
+func (th *Thread) Eliminated(op abalg.OpKind)       { th.t.elims[op].Add(1) }
 func (th *Thread) Scratch() *abalg.Scratch[*node]   { return &th.scratch }
 
 func (th *Thread) Size(n *node) int {
@@ -54,10 +56,6 @@ func (th *Thread) GatherInternal(n *node, children []*node, keys []uint64) ([]*n
 	return children, keys
 }
 
-func (th *Thread) Search(key uint64, target *node) abalg.Path[*node] {
-	return th.t.search(key, target)
-}
-
 func (th *Thread) NewLeaf(items []rq.Pair, searchKey uint64) *node {
 	return th.t.newLeaf(items, searchKey)
 }
@@ -66,7 +64,7 @@ func (th *Thread) NewInternal(k abalg.Kind, keys []uint64, children []*node, sea
 	return newInternal(k, keys, children, searchKey)
 }
 
-func (th *Thread) Route(n *node, key, lo, hi uint64) (*node, uint64, uint64, bool) {
+func (th *Thread) Route(n *node, key, lo, hi uint64) (*node, int, uint64, uint64, bool) {
 	i, rk := 0, n.routingKeys()
 	for ; i < rk; i++ {
 		k := n.keys[i].Load()
@@ -77,5 +75,24 @@ func (th *Thread) Route(n *node, key, lo, hi uint64) (*node, uint64, uint64, boo
 		lo = k
 	}
 	c := n.inner().ptrs[i].Load()
-	return c, lo, hi, c.isLeaf()
+	return c, i, lo, hi, c.isLeaf()
+}
+
+// Record reads the slot record (node.go) between two equal even
+// versions: the pair in the slot it names, and Ver the version minus
+// one.
+func (th *Thread) Record(n *node) (key, val uint64, k abalg.RecKind, ver uint64) {
+	l := n.leaf()
+	for spins := 0; ; abalg.SpinPause(&spins) {
+		if v1 := l.ver.Load(); v1&1 == 0 {
+			key, val, k, ver = 0, 0, 0, 0
+			s := l.state.Load()
+			if i, kind := abalg.UnpackRec(s); i >= 0 && s&markedBit == 0 {
+				key, val, k, ver = l.keys[i].Load(), l.vals[i].Load(), kind, v1-1
+			}
+			if l.ver.Load() == v1 {
+				return key, val, k, ver
+			}
+		}
+	}
 }

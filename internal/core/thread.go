@@ -41,8 +41,8 @@ func (th *Thread) Lock(n *node) {
 	th.nheld++
 }
 
-// tryLockNode attempts to acquire n's lock without waiting.
-func (th *Thread) tryLockNode(n *node) bool {
+// TryLock acquires n's lock if it is free, like Lock.
+func (th *Thread) TryLock(n *node) bool {
 	if th.nheld == maxHeld {
 		panic("core: too many locks held")
 	}

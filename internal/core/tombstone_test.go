@@ -33,14 +33,13 @@ func TestTombstoneNeverResurrects(t *testing.T) {
 				if !tt.leaf.isMarked() {
 					t.Fatal("the tombstoned leaf was not replaced")
 				}
-				if _, ok := tt.tr.leafSearch(&tt.leaf.node, tt.dead); ok {
-					t.Error("leafSearch found the deleted key in the frozen (marked) leaf")
+				// Find's double collect and the pre-lock phase's single
+				// scan both read the leaf as this one-key AppendLeaf.
+				if items, _, _, _, _, _ := tt.th.AppendLeaf(&tt.leaf.node, nil, tt.dead, tt.dead); len(items) != 0 {
+					t.Error("a one-key read found the deleted key in the frozen (marked) leaf")
 				}
-				if _, ok, _ := tt.tr.leafScanOnce(&tt.leaf.node, tt.dead); ok {
-					t.Error("leafScanOnce found the deleted key in the frozen (marked) leaf")
-				}
-				spins := 0
-				if r := tt.leaf.record(&spins); r != (abalg.ElimRecord{}) {
+				var r abalg.ElimRecord
+				if r.Key, r.Val, r.Kind, r.Ver = tt.th.Record(&tt.leaf.node); r != (abalg.ElimRecord{}) {
 					t.Errorf("a marked leaf serves the record %+v", r)
 				}
 			}
@@ -69,7 +68,7 @@ func newTombTree(t *testing.T) *tombTree {
 		tt.th.Insert(k, k+1)
 		tt.model[k] = k + 1
 	}
-	path := tt.tr.search(5_000, nil)
+	path := abalg.Search[*node](tt.th, 5_000, nil)
 	tt.leaf = path.N.leaf()
 	if path.NIdx+1 >= int(path.P.nchildren) || tt.leaf.size() != 6 {
 		t.Fatalf("leaf of key 5000 has size %d at child %d of %d: the build no longer gives this test its shape",
@@ -129,7 +128,7 @@ func (tt *tombTree) split(t *testing.T) bool {
 // tombstoned leaf: the sibling's repair merges the two (2 + 1 < 2a
 // keys), gathering the tombstoned leaf's pairs under its lock.
 func (tt *tombTree) merge(t *testing.T) bool {
-	path := tt.tr.search(tt.dead, nil)
+	path := abalg.Search[*node](tt.th, tt.dead, nil)
 	right := path.P.inner().ptrs[path.NIdx+1].Load().leaf()
 	keys := gatherPairs(tt.tr, right, nil)
 	for _, p := range keys[1:] {

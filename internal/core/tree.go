@@ -92,84 +92,3 @@ func (t *Tree) MinSize() int { return t.a }
 
 // MaxSize returns the maximum node size b.
 func (t *Tree) MaxSize() int { return t.b }
-
-// search descends from the entry toward key, stopping at a leaf or at
-// target (whichever comes first), taking no locks (paper Figure 2).
-func (t *Tree) search(key uint64, target *node) abalg.Path[*node] {
-	var gp, p *node
-	pIdx := 0
-	n := t.entry
-	nIdx := 0
-	for !n.isLeaf() {
-		if n == target {
-			break
-		}
-		gp, p, pIdx = p, n, nIdx
-		nIdx = 0
-		rk := n.routingKeys()
-		for nIdx < rk && key >= n.keys[nIdx].Load() {
-			nIdx++
-		}
-		n = n.inner().ptrs[nIdx].Load()
-	}
-	return abalg.Path[*node]{GP: gp, P: p, PIdx: pIdx, N: n, NIdx: nIdx}
-}
-
-// leafSearch obtains a consistent snapshot answer for key in leaf l using
-// the double-collect pattern (paper Figure 2, searchLeaf): read the
-// version, scan, re-read the version; retry if the leaf changed or was
-// being modified. It never takes a lock — find operations never restart
-// from the root in the OCC-ABtree.
-func (t *Tree) leafSearch(n *node, key uint64) (uint64, bool) {
-	l := n.leaf()
-	spins := 0
-	for {
-		v1 := l.ver.Load()
-		if v1&1 == 1 {
-			abalg.SpinPause(&spins)
-			continue
-		}
-		val, found := l.valAt(t.slotOf(l, key))
-		if l.ver.Load() == v1 {
-			return val, found
-		}
-		abalg.SpinPause(&spins)
-	}
-}
-
-// slotOf returns key's slot in leaf l, or -1 if key is absent. A key in
-// the tombstone (node.go) is absent. Lock-free callers validate the pass
-// against l's version.
-func (t *Tree) slotOf(l *leaf, key uint64) int {
-	for i := 0; i < t.b; i++ {
-		if l.keys[i].Load() == key {
-			if i == t.tomb(l) {
-				return -1
-			}
-			return i
-		}
-	}
-	return -1
-}
-
-// valAt returns the value in slot i of l, and false if i < 0 (slotOf's
-// "absent").
-func (l *leaf) valAt(i int) (uint64, bool) {
-	if i < 0 {
-		return 0, false
-	}
-	return l.vals[i].Load(), true
-}
-
-// leafScanOnce performs the Elim-ABtree's single optimistic scan (§4.1):
-// one pass over the leaf, with consistent reporting whether the leaf was
-// quiescent and unchanged across the scan.
-func (t *Tree) leafScanOnce(n *node, key uint64) (val uint64, found, consistent bool) {
-	l := n.leaf()
-	v1 := l.ver.Load()
-	if v1&1 == 1 {
-		return 0, false, false
-	}
-	val, found = l.valAt(t.slotOf(l, key))
-	return val, found, l.ver.Load() == v1
-}

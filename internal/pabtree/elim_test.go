@@ -24,7 +24,7 @@ func elimArena() *pmem.Arena { return pmem.New(1024 * NodeWords) }
 // value word (replace) or the ⊥ key with delKey (delete), stores the
 // slot record, closes the window — and unlocks.
 func openPublishingWindow(tr *Tree, pub *Thread, key, val uint64, k abalg.RecKind) (finish func()) {
-	leaf := tr.search(key, 0).N
+	leaf := abalg.Search[uint64](pub, key, 0).N
 	pub.Lock(leaf)
 	lv := tr.vn(leaf)
 	at, empty := tr.findSlot(leaf, key)

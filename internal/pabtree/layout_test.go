@@ -53,7 +53,7 @@ func TestPairSharesLine(t *testing.T) {
 func TestSlotRecord(t *testing.T) {
 	tr := New(pmem.New(64*NodeWords), WithElimination())
 	th := tr.NewThread()
-	leaf := tr.search(1, 0).N
+	leaf := abalg.Search[uint64](th, 1, 0).N
 	steps := []struct {
 		name string
 		op   func()
@@ -72,8 +72,8 @@ func TestSlotRecord(t *testing.T) {
 	}
 	for _, s := range steps {
 		s.op()
-		spins := 0
-		if r := tr.record(leaf, &spins); r != s.want {
+		var r abalg.ElimRecord
+		if r.Key, r.Val, r.Kind, r.Ver = th.Record(leaf); r != s.want {
 			t.Errorf("after %s: record %+v, want %+v", s.name, r, s.want)
 		}
 	}

@@ -1,86 +1,17 @@
 package pabtree
 
-// The per-key operations: wrappers of internal/abalg's Insert, Delete
-// and Upsert, each in an epoch critical section, the three locked-leaf
-// steps they call (contracts in abalg.Store), which carry the leaf half
-// of the package comment's flush discipline, and Find, a descent and a
-// double collect.
+// The per-key operations: wrappers of internal/abalg's Find, Insert,
+// Delete and Upsert, each in an epoch critical section, and the two
+// locked-leaf writes the updates call (contracts in abalg.Store), which
+// carry the leaf half of the package comment's flush discipline.
 
 import "repro/internal/abalg"
 
-// search descends from the entry toward key, stopping at a leaf or at
-// target, lock-free. It only follows persisted (unmarked) pointers.
-// Offset 0 is "none".
-func (t *Tree) search(key uint64, target uint64) abalg.Path[uint64] {
-	var gp, p uint64
-	pIdx := 0
-	n := t.entryOff
-	nIdx := 0
-	for {
-		meta := t.meta(n)
-		if kindOf(meta) == abalg.LeafKind || n == target {
-			break
-		}
-		gp, p, pIdx = p, n, nIdx
-		nIdx = 0
-		rk := nchildrenOf(meta) - 1
-		for nIdx < rk && key >= t.routingKey(n, nIdx) {
-			nIdx++
-		}
-		n = t.loadChild(p, nIdx)
-	}
-	return abalg.Path[uint64]{GP: gp, P: p, PIdx: pIdx, N: n, NIdx: nIdx}
-}
-
-// leafSearch double-collects a consistent answer for key in the leaf.
-func (t *Tree) leafSearch(off uint64, key uint64) (uint64, bool) {
-	v := t.vn(off)
-	spins := 0
-	for {
-		v1 := v.ver.Load()
-		if v1&1 == 1 {
-			t.crashCheck()
-			abalg.SpinPause(&spins)
-			continue
-		}
-		val, found := t.valOf(off, key)
-		if v.ver.Load() == v1 {
-			return val, found
-		}
-		t.crashCheck()
-		abalg.SpinPause(&spins)
-	}
-}
-
-// leafScanOnce is the Elim variant's single optimistic scan.
-func (t *Tree) leafScanOnce(off uint64, key uint64) (val uint64, found, consistent bool) {
-	v := t.vn(off)
-	v1 := v.ver.Load()
-	if v1&1 == 1 {
-		return 0, false, false
-	}
-	val, found = t.valOf(off, key)
-	return val, found, v.ver.Load() == v1
-}
-
-// valOf returns key's value in the leaf, if present, in one pass.
-// Lock-free callers validate the pass against the leaf's version.
-func (t *Tree) valOf(off, key uint64) (uint64, bool) {
-	for i := 0; i < t.b; i++ {
-		if t.leafKey(off, i) == key {
-			return t.leafVal(off, i), true
-		}
-	}
-	return 0, false
-}
-
 // Find returns the value associated with key, if present.
 func (th *Thread) Find(key uint64) (uint64, bool) {
-	abalg.CheckKey(key)
 	th.enter()
 	defer th.exit()
-	t := th.t
-	return t.leafSearch(t.search(key, 0).N, key)
+	return abalg.Find(th, key)
 }
 
 // Insert inserts <key, val> if absent, returning (0, true); if key is
@@ -106,82 +37,6 @@ func (th *Thread) Upsert(key, val uint64) {
 	th.enter()
 	defer th.exit()
 	abalg.Upsert(th, key, val)
-}
-
-// LockLeaf runs the pre-lock read phase on key's leaf: leafSearch then
-// Lock on a p-OCC-ABtree, one leafScanOnce then lockOrElim on a
-// p-Elim-ABtree. An upsert decides nothing before the lock.
-func (th *Thread) LockLeaf(key uint64, op abalg.OpKind) (uint64, bool, uint64) {
-	t := th.t
-	leaf := t.search(key, 0).N
-	if op != abalg.OpUpsert {
-		var v uint64
-		found, consistent := false, true
-		if t.elim {
-			v, found, consistent = t.leafScanOnce(leaf, key)
-		} else {
-			v, found = t.leafSearch(leaf, key)
-		}
-		if consistent && found == (op == abalg.OpInsert) {
-			return leaf, false, v
-		}
-	}
-	if !t.elim {
-		th.Lock(leaf)
-		return leaf, true, 0
-	}
-	if acquired, v := th.lockOrElim(leaf, key, op); !acquired {
-		t.elims[op].Add(1)
-		return leaf, false, v
-	}
-	return leaf, true, 0
-}
-
-// lockOrElim spins until it either holds the leaf's lock or finds a
-// record published after op started that op may eliminate against
-// (abalg.CanEliminate); it then returns false and the record's value.
-func (th *Thread) lockOrElim(leaf uint64, key uint64, op abalg.OpKind) (acquired bool, val uint64) {
-	t := th.t
-	lv := t.vn(leaf)
-	startVer := lv.ver.Load()
-	spins := 0
-	for {
-		rec := t.record(leaf, &spins)
-		if startVer <= rec.Ver && rec.Key == key && abalg.CanEliminate(op, rec.Kind) {
-			return false, rec.Val
-		}
-		if th.tryLockNode(leaf) {
-			return true, 0
-		}
-		t.crashCheck()
-		abalg.SpinPause(&spins)
-	}
-}
-
-// record waits for the leaf to be quiescent and returns the ElimRecord
-// its slot record decodes to (vnode) as of that moment. As in
-// internal/core, Ver is the even version minus one: every version window
-// on an unmarked leaf publishes, and every other window marks the leaf,
-// so a marked leaf serves none (Ver == 0).
-func (t *Tree) record(leaf uint64, spins *int) abalg.ElimRecord {
-	lv := t.vn(leaf)
-	for {
-		v1 := lv.ver.Load()
-		if v1&1 == 0 {
-			var r abalg.ElimRecord
-			if i, k := abalg.UnpackRec(lv.size.Load()); i >= 0 && !lv.marked.Load() {
-				r = abalg.ElimRecord{Key: t.leafKey(leaf, i), Val: t.leafVal(leaf, i), Kind: k, Ver: v1 - 1}
-				if k == abalg.RecDelete {
-					r.Key = lv.delKey.Load()
-				}
-			}
-			if lv.ver.Load() == v1 {
-				return r
-			}
-		}
-		t.crashCheck()
-		abalg.SpinPause(spins)
-	}
 }
 
 // PutLocked writes with the persistent flush discipline: a simple insert

@@ -6,16 +6,19 @@
 // volatile headers (vnode), one per arena slot in use, and are
 // reconstructed by Recover.
 //
-// This package is the arena node store: the word map, search, Find, the
-// leaf reads and the flush discipline of the locked leaf writes behind
-// the store's seam steps, the slot allocator and recovery. The algorithm
-// itself — Insert, Delete and Upsert, splitting inserts, fixTagged,
-// fixUnderfull, range and snapshot scans, batched operations, Validate
-// and the other inspection walks — is internal/abalg, shared with
-// internal/core's Go-heap store; it reaches the nodes through the
-// abalg.Store seam that *Thread implements (seam.go, ops.go), whose
-// NewLeaf, NewInternal and SetChild are where the structural flushes
-// below live.
+// This package is the arena node store: the word map, the leaf reads,
+// the slot record's encoding (Record) and the flush discipline of the
+// locked leaf writes behind the store's seam steps, the slot allocator
+// and recovery. The algorithm itself — the descent, Find's double
+// collect, Insert, Delete and Upsert with their pre-lock phase and
+// lockOrElim, splitting inserts, fixTagged, fixUnderfull, range and
+// snapshot scans, batched operations, Validate and the other inspection
+// walks — is internal/abalg, shared with internal/core's Go-heap store;
+// it reaches the nodes through the abalg.Store seam that *Thread
+// implements (seam.go, ops.go), whose NewLeaf, NewInternal and SetChild
+// are where the structural flushes below live, and whose waits (Pause,
+// AppendLeaf on an open window, Record, a failed TryLock) observe an
+// injected crash.
 // The scan and batch wrappers bracket each call with an epoch critical
 // section and reset the cached scan path on entry (rqsnap.go).
 //

@@ -45,9 +45,10 @@ func (t *Tree) rqStamp(off uint64) {
 // appendPairs appends the leaf's pairs with lo <= key <= hi to items,
 // unsorted; with lo == hi it stops at the match, as no key is in two
 // slots. Lock-free callers validate the pass against the leaf's version.
+// The range test is one unsigned compare, as in internal/core.
 func (t *Tree) appendPairs(off uint64, items []rq.Pair, lo, hi uint64) []rq.Pair {
 	for i := 0; i < t.b; i++ {
-		if k := t.leafKey(off, i); k != emptyKey && k >= lo && k <= hi {
+		if k := t.leafKey(off, i); k-lo <= hi-lo && k != emptyKey {
 			items = append(items, rq.Pair{K: k, V: t.leafVal(off, i)})
 			if lo == hi {
 				break

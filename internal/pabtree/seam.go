@@ -12,9 +12,9 @@ import (
 // none), and the seam carries the structural half of the package
 // comment's flush discipline: NewLeaf/NewInternal flush every word they
 // write before returning, SetChild is link-and-persist, and Unlink also
-// queues the slot for epoch reclamation. Lock and UnlockAll are in
-// thread.go; LockLeaf, PutLocked and DeleteLocked, the per-key
-// locked-leaf steps carrying the leaf writes' flushes, in ops.go.
+// queues the slot for epoch reclamation. Lock, TryLock and UnlockAll
+// are in thread.go; PutLocked and DeleteLocked, the per-key locked-leaf
+// writes carrying their flushes, in ops.go.
 
 func (th *Thread) Degree() (a, b int)                  { return th.t.a, th.t.b }
 func (th *Thread) Entry() uint64                       { return th.t.entryOff }
@@ -28,6 +28,8 @@ func (th *Thread) LeafState(off uint64) *rq.LeafState  { return &th.t.vn(off).Le
 func (th *Thread) RQ() *rq.Provider                    { return th.t.rqp }
 func (th *Thread) SetChild(p uint64, i int, c uint64)  { th.t.setChildPersist(p, i, c) }
 func (th *Thread) Scratch() *abalg.Scratch[uint64]     { return &th.scratch }
+func (th *Thread) Elim() bool                          { return th.t.elim }
+func (th *Thread) Eliminated(op abalg.OpKind)          { th.t.elims[op].Add(1) }
 
 // AppendLeaf observes an injected crash when it finds a version window
 // open, like Pause: a reader retrying until the window closes may be
@@ -51,10 +53,6 @@ func (th *Thread) GatherInternal(off uint64, children, keys []uint64) ([]uint64,
 		keys = append(keys, t.routingKey(off, i))
 	}
 	return children, keys
-}
-
-func (th *Thread) Search(key uint64, target uint64) abalg.Path[uint64] {
-	return th.t.search(key, target)
 }
 
 // Unlink marks the node and hands its slot to the epoch manager; it
@@ -92,7 +90,7 @@ func (th *Thread) Size(off uint64) int {
 	return nchildrenOf(th.t.meta(off))
 }
 
-func (th *Thread) Route(off, key, lo, hi uint64) (uint64, uint64, uint64, bool) {
+func (th *Thread) Route(off, key, lo, hi uint64) (uint64, int, uint64, uint64, bool) {
 	t := th.t
 	i, rk := 0, nchildrenOf(t.meta(off))-1
 	for ; i < rk; i++ {
@@ -104,5 +102,30 @@ func (th *Thread) Route(off, key, lo, hi uint64) (uint64, uint64, uint64, bool) 
 		lo = k
 	}
 	c := t.loadChild(off, i)
-	return c, lo, hi, t.isLeaf(c)
+	return c, i, lo, hi, t.isLeaf(c)
+}
+
+// Record reads the slot record (vnode) between two equal even versions:
+// the pair in the slot it names, the key from delKey for a delete (its
+// key word holds the durable ⊥), and Ver the version minus one. As in
+// internal/core, that Ver is exact: every version window on an unmarked
+// leaf publishes, and every other window marks the leaf, so a marked
+// leaf serves none. The wait observes an injected crash.
+func (th *Thread) Record(leaf uint64) (key, val uint64, k abalg.RecKind, ver uint64) {
+	t, lv := th.t, th.t.vn(leaf)
+	for spins := 0; ; abalg.SpinPause(&spins) {
+		if v1 := lv.ver.Load(); v1&1 == 0 {
+			key, val, k, ver = 0, 0, 0, 0
+			if i, kind := abalg.UnpackRec(lv.size.Load()); i >= 0 && !lv.marked.Load() {
+				key, val, k, ver = t.leafKey(leaf, i), t.leafVal(leaf, i), kind, v1-1
+				if kind == abalg.RecDelete {
+					key = lv.delKey.Load()
+				}
+			}
+			if lv.ver.Load() == v1 {
+				return key, val, k, ver
+			}
+		}
+		t.crashCheck()
+	}
 }

@@ -56,14 +56,17 @@ func (th *Thread) Lock(off uint64) {
 	th.nheld++
 }
 
-// tryLockNode attempts to acquire the node's lock without waiting.
-func (th *Thread) tryLockNode(off uint64) bool {
+// TryLock acquires the node's lock if it is free. A failed attempt
+// observes an injected crash, like Lock's abortable wait: the caller
+// polls, and the holder may never release.
+func (th *Thread) TryLock(off uint64) bool {
 	if th.nheld == maxHeld {
 		panic("pabtree: too many locks held")
 	}
 	v := th.t.vn(off)
 	qn := &th.qn[th.nheld]
 	if !v.mcs.TryAcquire(qn) {
+		th.t.crashCheck()
 		return false
 	}
 	th.held[th.nheld] = v
