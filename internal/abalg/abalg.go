@@ -191,10 +191,15 @@ type Store[R comparable] interface {
 	// pre-lock phase is one optimistic scan and lockOrElim.
 	Elim() bool
 	// Record waits until the leaf is quiescent and returns its slot
-	// record as of that moment (ElimRecord's fields, as scalars): the
-	// key and value of the leaf's latest publishing update, its kind,
-	// and ver, the odd version that update installed. ver == 0 and key
-	// == 0 mean none, or the leaf is marked.
+	// record as of that moment — the paper's ElimRecord (§4.1), which
+	// summarises the last simple insert, successful delete or replace
+	// that modified the leaf: the key and value of that publishing
+	// update, its kind, which eliminating operations check against the
+	// compatibility matrix (elim.go), and ver, the odd version the update
+	// installed with its first version increment. An operation whose
+	// start version is <= ver was in progress when the publisher
+	// linearized, so it may eliminate itself against the record. ver ==
+	// 0 and key == 0 mean none, or the leaf is marked.
 	Record(leaf R) (key, val uint64, k RecKind, ver uint64)
 	// Eliminated counts op as returned by elimination (ElimStats).
 	Eliminated(op OpKind)

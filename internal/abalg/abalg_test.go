@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/abalg"
+	"repro/internal/abalg/storetest"
 	"repro/internal/core"
 	"repro/internal/pabtree"
 	"repro/internal/pmem"
@@ -308,26 +309,26 @@ func validateRejects[R comparable, S abalg.Store[R]](t *testing.T, mk func() S) 
 // in fixUnderfull, waiting for its two-child root to grow.
 func TestDeleteToEmptyDegreeMatrix(t *testing.T) {
 	const n = 2000
-	for _, tc := range trees {
+	for _, tc := range storetest.All {
 		for _, d := range [][2]int{{2, 4}, {2, 11}, {3, 8}, {4, 11}, {5, 11}} {
-			t.Run(fmt.Sprintf("%s/a%d-b%d", tc.name, d[0], d[1]), func(t *testing.T) {
-				tr := tc.open(d[0], d[1], 4096)
-				th := tr.thread()
+			t.Run(fmt.Sprintf("%s/a%d-b%d", tc.Name, d[0], d[1]), func(t *testing.T) {
+				tr := tc.Open(d[0], d[1], 4096)
+				th := tr.Thread()
 				for k := uint64(1); k <= n; k++ {
 					if _, ok := th.Insert(k, k); !ok {
 						t.Fatalf("Insert(%d) found the key present", k)
 					}
 				}
-				if err := tr.validate(); err != nil || tr.len() != n {
-					t.Fatalf("after the inserts: Validate = %v, Len = %d", err, tr.len())
+				if err := tr.Validate(); err != nil || tr.Len() != n {
+					t.Fatalf("after the inserts: Validate = %v, Len = %d", err, tr.Len())
 				}
 				for k := uint64(1); k <= n; k++ {
 					if v, ok := th.Delete(k); !ok || v != k {
 						t.Fatalf("Delete(%d) = (%d, %v)", k, v, ok)
 					}
 				}
-				if err := tr.validate(); err != nil || tr.len() != 0 {
-					t.Fatalf("after deleting every key: Validate = %v, Len = %d", err, tr.len())
+				if err := tr.Validate(); err != nil || tr.Len() != 0 {
+					t.Fatalf("after deleting every key: Validate = %v, Len = %d", err, tr.Len())
 				}
 			})
 		}

@@ -52,8 +52,8 @@ func lockOrElim[R comparable](s Store[R], leaf R, key uint64, op OpKind, startVe
 	}
 }
 
-// RecKind identifies the operation that published an ElimRecord — the
-// decoded form of a leaf's slot record.
+// RecKind identifies the operation that published a leaf's slot record
+// (Store.Record).
 type RecKind uint8
 
 const (
@@ -86,36 +86,20 @@ func CanEliminate(op OpKind, rec RecKind) bool {
 	}
 }
 
-// ElimRecord summarises the last simple insert, successful delete or
-// replace that modified a leaf (paper §4.1). It is the decoded form of a
-// leaf's slot record, which costs the leaf no bytes; Ver == 0 means the
-// leaf carries no record.
-type ElimRecord struct {
-	Key uint64
-	Val uint64
-	// Kind says which operation published the record; eliminating
-	// operations consult the compatibility matrix above.
-	Kind RecKind
-	// Ver is the (odd) version the publishing operation installed with its
-	// first version increment. An operation O' whose start version is
-	// <= Ver was in progress when the publisher linearized, so O' may
-	// eliminate itself against this record.
-	Ver uint64
-}
-
 // A leaf's size word, in both stores:
 //
 //	bits 0-3   the leaf's number of non-empty keys (SizeMask)
 //	bits 4-9   its slot record (RecMask; Elim trees only)
 //
-// The slot record is the paper's ElimRecord at zero bytes: the slot the
-// leaf's latest publishing update wrote, plus one (0: none), and that
-// update's RecKind. The record's key and value are read from the leaf
-// between two equal even version loads; its Ver is that even version
-// minus one. The implied Ver is exact because every version window on an
-// unmarked leaf publishes (PutLocked, DeleteLocked) and every window
-// that does not — a structural replacement — also marks the leaf, and a
-// marked leaf's record is never served.
+// The slot record is the paper's ElimRecord (§4.1) at zero bytes: the
+// slot the leaf's latest publishing update wrote, plus one (0: none),
+// and that update's RecKind; Store.Record serves it. The record's key
+// and value are read from the leaf between two equal even version
+// loads; its Ver is that even version minus one. The implied Ver is
+// exact because every version window on an unmarked leaf publishes
+// (PutLocked, DeleteLocked) and every window that does not — a
+// structural replacement — also marks the leaf, and a marked leaf's
+// record is never served.
 const (
 	SizeMask = 1<<recShift - 1
 	RecMask  = 1<<(recShift+6) - 1 - SizeMask

@@ -1,159 +1,31 @@
 package abalg_test
 
 // The scan and batch engines (scan.go, batch.go) are written once, so
-// their tests and benchmarks are too: each test runs once per tree —
-// OCC, Elim, p-OCC and p-Elim — through a Thread's public operations,
-// and each benchmark once per node store.
+// their tests and benchmarks are too. The tests here run once per tree —
+// OCC, Elim, p-OCC and p-Elim, storetest.All — through a Thread's public
+// operations; the engines' conformance bodies shared with
+// internal/core's and internal/pabtree's suites (snapshot differentials,
+// the write-order witness, batch differentials) are in
+// internal/abalg/storetest. Each benchmark runs once per node store.
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/abalg"
+	"repro/internal/abalg/storetest"
 	"repro/internal/core"
 	"repro/internal/pabtree"
 	"repro/internal/pmem"
 )
 
-// handle is what the tests drive: a *core.Thread or a *pabtree.Thread.
-type handle interface {
-	Insert(k, v uint64) (uint64, bool)
-	Delete(k uint64) (uint64, bool)
-	Find(k uint64) (uint64, bool)
-	Upsert(k, v uint64)
-	Range(lo, hi uint64, fn func(k, v uint64) bool)
-	RangeSnapshot(lo, hi uint64, fn func(k, v uint64) bool)
-	FindBatch(keys, vals []uint64, found []bool)
-	InsertBatch(keys, vals, prev []uint64, inserted []bool)
-	DeleteBatch(keys, prev []uint64, deleted []bool)
-}
-
-// tree is one opened tree.
-type tree struct {
-	thread   func() handle
-	validate func() error
-	len      func() int
-	keySum   func() uint64
-	scan     func(fn func(k, v uint64))
-	rqStats  func() (scans, versions uint64)
-	// longestChain walks the quiescent tree through the seam and returns
-	// the longest version chain hanging off a reachable leaf.
-	longestChain func() int
-}
-
-// trees are the four trees. open builds one at degree (a, b); slots
-// sizes a persistent tree's arena, in node slots.
-var trees = []struct {
-	name string
-	open func(a, b, slots int) tree
-}{
-	{"OCC-ABtree", volatile()},
-	{"Elim-ABtree", volatile(core.WithElimination())},
-	{"p-OCC-ABtree", durable()},
-	{"p-Elim-ABtree", durable(pabtree.WithElimination())},
-}
-
-func volatile(opts ...core.Option) func(a, b, slots int) tree {
-	return func(a, b, _ int) tree {
-		tr := core.New(append(opts, core.WithDegree(a, b))...)
-		return tree{
-			thread:       func() handle { return tr.NewThread() },
-			validate:     tr.Validate,
-			len:          tr.Len,
-			keySum:       tr.KeySum,
-			scan:         tr.Scan,
-			rqStats:      tr.RQStats,
-			longestChain: func() int { return longestChain(tr.NewThread()) },
-		}
-	}
-}
-
-func durable(opts ...pabtree.Option) func(a, b, slots int) tree {
-	return func(a, b, slots int) tree {
-		tr := pabtree.New(pmem.New(slots*pabtree.NodeWords), append(opts, pabtree.WithDegree(a, b))...)
-		return tree{
-			thread: func() handle { return tr.NewThread() },
-			validate: func() error {
-				if err := tr.Validate(); err != nil {
-					return err
-				}
-				return tr.ValidatePersisted()
-			},
-			len:          tr.Len,
-			keySum:       tr.KeySum,
-			scan:         tr.Scan,
-			rqStats:      tr.RQStats,
-			longestChain: func() int { return longestChain(tr.NewThread()) },
-		}
-	}
-}
-
-func longestChain[R comparable](s abalg.Store[R]) int {
-	var walk func(n R) int
-	walk = func(n R) int {
-		if s.Kind(n) == abalg.LeafKind {
-			depth := 0
-			for v := s.LeafState(n).Vers.Load(); v != nil; v = v.Next() {
-				depth++
-			}
-			return depth
-		}
-		longest := 0
-		for i := 0; i < s.Size(n); i++ {
-			longest = max(longest, walk(s.Child(n, i)))
-		}
-		return longest
-	}
-	return walk(s.Child(s.Entry(), 0))
-}
-
-// forEachTree runs body once per tree, opened at degree (a, b) with an
-// arena of slots node slots for the persistent ones.
-func forEachTree(t *testing.T, a, b, slots int, body func(t *testing.T, tr tree)) {
-	for _, tc := range trees {
-		t.Run(tc.name, func(t *testing.T) { body(t, tc.open(a, b, slots)) })
-	}
-}
-
-// churn runs writers goroutines, each applying at most 100 000 random
-// updates to keys drawn by key, until stop is set. Bounding the work
-// keeps a writer from eating a full scheduler slice at every yield of
-// the goroutine under test when GOMAXPROCS is 1, and bounds the slots a
-// persistent tree's reclamation must keep up with.
-func churn(tr tree, writers int, seed int64, key func(rng *rand.Rand) uint64) (stop func()) {
-	var done atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			th := tr.thread()
-			for n := 0; n < 100_000 && !done.Load(); n++ {
-				if k := key(rng); rng.Intn(2) == 0 {
-					th.Delete(k)
-				} else {
-					th.Insert(k, k)
-				}
-			}
-		}(seed + int64(w))
-	}
-	return func() {
-		done.Store(true)
-		wg.Wait()
-	}
-}
-
 // TestBatchSplitFallback forces the mid-batch leaf-full fallback: a
 // batch dense enough that every leaf in its range must split while the
 // batch is applying, then drained again in one batch (merging deletes).
 func TestBatchSplitFallback(t *testing.T) {
-	forEachTree(t, 2, 4, 1<<15, func(t *testing.T, tr tree) {
-		th := tr.thread()
+	storetest.ForEach(t, storetest.All, 2, 4, 1<<15, func(t *testing.T, tr storetest.Tree) {
+		th := tr.Thread()
 		for k := uint64(10); k <= 4000; k += 10 {
 			th.Insert(k, k)
 		}
@@ -174,10 +46,10 @@ func TestBatchSplitFallback(t *testing.T) {
 				t.Fatalf("key %d: insert did not land", k)
 			}
 		}
-		if got, want := tr.len(), 4000; got != want {
+		if got, want := tr.Len(), 4000; got != want {
 			t.Fatalf("Len = %d, want %d", got, want)
 		}
-		if err := tr.validate(); err != nil {
+		if err := tr.Validate(); err != nil {
 			t.Fatalf("tree invalid after splitting batch: %v", err)
 		}
 		th.DeleteBatch(keys, res, ok)
@@ -190,10 +62,10 @@ func TestBatchSplitFallback(t *testing.T) {
 				t.Fatalf("key %d: deleted (%d,%v), want (%d,true)", k, res[i], ok[i], want)
 			}
 		}
-		if got := tr.len(); got != 0 {
+		if got := tr.Len(); got != 0 {
 			t.Fatalf("Len = %d after draining batch, want 0", got)
 		}
-		if err := tr.validate(); err != nil {
+		if err := tr.Validate(); err != nil {
 			t.Fatalf("tree invalid after merging batch: %v", err)
 		}
 	})
@@ -201,8 +73,8 @@ func TestBatchSplitFallback(t *testing.T) {
 
 // TestBatchLengthMismatchPanics pins the dict.Batcher length contract.
 func TestBatchLengthMismatchPanics(t *testing.T) {
-	forEachTree(t, 2, 11, 64, func(t *testing.T, tr tree) {
-		th := tr.thread()
+	storetest.ForEach(t, storetest.All, 2, 11, 64, func(t *testing.T, tr storetest.Tree) {
+		th := tr.Thread()
 		mustPanic := func(name string, f func()) {
 			defer func() {
 				if recover() == nil {
@@ -229,15 +101,15 @@ func TestBatchLengthMismatchPanics(t *testing.T) {
 func TestScanPathCacheWeakRangeStableKeys(t *testing.T) {
 	const keyRange = 4000
 	oddKey := func(rng *rand.Rand) uint64 { return uint64(rng.Intn(keyRange/2))*2 + 1 }
-	forEachTree(t, 2, 4, 1<<17, func(t *testing.T, tr tree) {
-		loader := tr.thread()
+	storetest.ForEach(t, storetest.All, 2, 4, 1<<17, func(t *testing.T, tr storetest.Tree) {
+		loader := tr.Thread()
 		for k := uint64(2); k <= keyRange; k += 2 {
 			loader.Insert(k, k*7)
 		}
-		stop := churn(tr, 3, 100, oddKey)
+		stop := storetest.Churn(tr, 3, 100, oddKey)
 		defer stop()
 
-		th, local := tr.thread(), tr.thread()
+		th, local := tr.Thread(), tr.Thread()
 		rng := rand.New(rand.NewSource(7))
 		iters := 400
 		if testing.Short() {
@@ -284,137 +156,13 @@ func TestScanPathCacheWeakRangeStableKeys(t *testing.T) {
 	})
 }
 
-// TestRangeSnapshotDifferential cross-checks concurrent RangeSnapshot
-// results against a mutex-guarded reference model under insert/delete
-// churn that constantly splits and merges leaves. Every model entry
-// whose last transition happened before the scan began (and that was not
-// touched during the scan) must appear in — or be absent from — the
-// snapshot exactly as the model says, with the model's value.
-func TestRangeSnapshotDifferential(t *testing.T) {
-	type ref struct {
-		present  bool
-		inflight bool
-		val      uint64
-		seq      uint64
-	}
-	const (
-		keyRange = 512
-		writers  = 4
-	)
-	forEachTree(t, 2, 4, 1<<16, func(t *testing.T, tr tree) {
-		var mu sync.Mutex
-		var seq uint64
-		model := make(map[uint64]*ref)
-		entry := func(k uint64) *ref {
-			if model[k] == nil {
-				model[k] = &ref{}
-			}
-			return model[k]
-		}
-
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				th := tr.thread()
-				rng := rand.New(rand.NewSource(int64(w)*2654435761 + 99))
-				for n := 0; n < 100_000 && !stop.Load(); n++ {
-					// Each writer owns keys ≡ w (mod writers).
-					k := uint64(w) + uint64(writers*rng.Intn(keyRange/writers)) + 1
-					v := uint64(rng.Intn(1000)) + 1
-					mu.Lock()
-					e := entry(k)
-					ins := !e.present
-					e.inflight = true
-					seq++
-					e.seq = seq
-					mu.Unlock()
-					if ins {
-						th.Insert(k, v)
-					} else {
-						th.Delete(k)
-						v = 0
-					}
-					mu.Lock()
-					e.present = ins
-					e.val = v
-					e.inflight = false
-					seq++
-					e.seq = seq
-					mu.Unlock()
-				}
-			}(w)
-		}
-
-		// Let the writers build up a populated, churning tree before the
-		// scans start, so the model makes real claims.
-		for {
-			mu.Lock()
-			populated := len(model) >= keyRange/4
-			mu.Unlock()
-			if populated {
-				break
-			}
-			runtime.Gosched()
-		}
-
-		th := tr.thread()
-		rounds := 300
-		if testing.Short() {
-			rounds = 60
-		}
-		claims := 0
-		for n := 0; n < rounds; n++ {
-			mu.Lock()
-			startSeq := seq
-			mu.Unlock()
-			snap := make(map[uint64]uint64)
-			th.RangeSnapshot(1, keyRange+writers, func(k, v uint64) bool {
-				snap[k] = v
-				return true
-			})
-			mu.Lock()
-			for k, e := range model {
-				if e.seq > startSeq || e.inflight {
-					continue // touched around the scan: no claim
-				}
-				claims++
-				v, in := snap[k]
-				if e.present && (!in || v != e.val) {
-					t.Errorf("scan %d: key %d=%d confirmed before scan, snapshot has (%d,%v)", n, k, e.val, v, in)
-				}
-				if !e.present && in {
-					t.Errorf("scan %d: key %d confirmed absent before scan, snapshot has %d", n, k, v)
-				}
-			}
-			mu.Unlock()
-			if t.Failed() {
-				break
-			}
-		}
-		stop.Store(true)
-		wg.Wait()
-		if err := tr.validate(); err != nil {
-			t.Fatal(err)
-		}
-		if scans, _ := tr.rqStats(); scans == 0 {
-			t.Fatal("no scans recorded")
-		}
-		if claims < rounds*keyRange/8 {
-			t.Fatalf("model made only %d claims: scans did not overlap churn", claims)
-		}
-	})
-}
-
 // TestRangeSnapshotVersionsPruned checks that writers prune version
 // chains once no scan needs them: after interleaved scanning and writes
 // and a quiescent sweep of writes, no live leaf may retain more than the
 // pruning boundary entry.
 func TestRangeSnapshotVersionsPruned(t *testing.T) {
-	forEachTree(t, 2, 4, 1<<12, func(t *testing.T, tr tree) {
-		th := tr.thread()
+	storetest.ForEach(t, storetest.All, 2, 4, 1<<12, func(t *testing.T, tr storetest.Tree) {
+		th := tr.Thread()
 		for k := uint64(1); k <= 200; k++ {
 			th.Insert(k, k)
 		}
@@ -422,7 +170,7 @@ func TestRangeSnapshotVersionsPruned(t *testing.T) {
 			th.RangeSnapshot(1, 200, func(k, v uint64) bool { return true })
 			th.Upsert(uint64(i%200)+1, uint64(i))
 		}
-		if _, versions := tr.rqStats(); versions == 0 {
+		if _, versions := tr.RQStats(); versions == 0 {
 			t.Fatal("interleaved scans and writes created no leaf versions")
 		}
 		// No scan is in flight: one more write to each leaf must leave at
@@ -430,7 +178,7 @@ func TestRangeSnapshotVersionsPruned(t *testing.T) {
 		for k := uint64(1); k <= 200; k++ {
 			th.Upsert(k, k)
 		}
-		if depth := tr.longestChain(); depth > 1 {
+		if depth := tr.LongestChain(); depth > 1 {
 			t.Fatalf("a leaf retains %d versions with no scans active", depth)
 		}
 	})
@@ -445,12 +193,12 @@ func TestRangeSnapshotVersionsPruned(t *testing.T) {
 func TestScanCallbackPointOps(t *testing.T) {
 	const keyRange = 4000
 	oddKey := func(rng *rand.Rand) uint64 { return uint64(rng.Intn(keyRange/2))*2 + 1 }
-	forEachTree(t, 2, 4, 1<<17, func(t *testing.T, tr tree) {
-		th := tr.thread()
+	storetest.ForEach(t, storetest.All, 2, 4, 1<<17, func(t *testing.T, tr storetest.Tree) {
+		th := tr.Thread()
 		for k := uint64(2); k <= keyRange; k += 2 {
 			th.Insert(k, k) // stable even keys
 		}
-		stop := churn(tr, 1, 9, oddKey)
+		stop := storetest.Churn(tr, 1, 9, oddKey)
 		defer stop()
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 200; i++ {
@@ -498,19 +246,19 @@ const benchKeys = 100_000
 // times what the prefill claims.
 var benchStores = []struct {
 	name string
-	open func() (th handle, thread func() handle)
+	open func() (th storetest.Handle, thread func() storetest.Handle)
 }{
-	{"core", func() (handle, func() handle) {
+	{"core", func() (storetest.Handle, func() storetest.Handle) {
 		tr := core.New()
-		return prefill(tr.NewThread()), func() handle { return tr.NewThread() }
+		return prefill(tr.NewThread()), func() storetest.Handle { return tr.NewThread() }
 	}},
-	{"pabtree", func() (handle, func() handle) {
+	{"pabtree", func() (storetest.Handle, func() storetest.Handle) {
 		tr := pabtree.New(pmem.New(benchKeys * pabtree.NodeWords))
-		return prefill(tr.NewThread()), func() handle { return tr.NewThread() }
+		return prefill(tr.NewThread()), func() storetest.Handle { return tr.NewThread() }
 	}},
 }
 
-func prefill(th handle) handle {
+func prefill(th storetest.Handle) storetest.Handle {
 	for k := uint64(1); k <= benchKeys; k++ {
 		th.Insert(k, k)
 	}
@@ -521,7 +269,7 @@ func prefill(th handle) handle {
 // store: the scan fast path (path-cached descent, per-thread scratch,
 // version pooling). allocs/op must read 0 (TestAllocsScanFastPath is
 // the hard gate).
-func benchScan(b *testing.B, scan func(th handle, lo, hi uint64, fn func(k, v uint64) bool)) {
+func benchScan(b *testing.B, scan func(th storetest.Handle, lo, hi uint64, fn func(k, v uint64) bool)) {
 	for _, st := range benchStores {
 		for _, L := range []uint64{10, 100, 1000} {
 			b.Run(fmt.Sprintf("%s/scanlen=%d", st.name, L), func(b *testing.B) {
@@ -545,13 +293,13 @@ func benchScan(b *testing.B, scan func(th handle, lo, hi uint64, fn func(k, v ui
 
 // BenchmarkScanWeak measures the per-leaf-atomic Range hot path.
 func BenchmarkScanWeak(b *testing.B) {
-	benchScan(b, func(th handle, lo, hi uint64, fn func(k, v uint64) bool) { th.Range(lo, hi, fn) })
+	benchScan(b, func(th storetest.Handle, lo, hi uint64, fn func(k, v uint64) bool) { th.Range(lo, hi, fn) })
 }
 
 // BenchmarkScanSnapshot measures the linearizable RangeSnapshot hot path
 // (timestamp draw + versioned leaf collects).
 func BenchmarkScanSnapshot(b *testing.B) {
-	benchScan(b, func(th handle, lo, hi uint64, fn func(k, v uint64) bool) { th.RangeSnapshot(lo, hi, fn) })
+	benchScan(b, func(th storetest.Handle, lo, hi uint64, fn func(k, v uint64) bool) { th.RangeSnapshot(lo, hi, fn) })
 }
 
 // BenchmarkWriteUnderScan measures the updater's cost while snapshot
@@ -604,7 +352,7 @@ func BenchmarkWriteUnderScan(b *testing.B) {
 // uniform random keys, per store: one benchmark op is one batch of size
 // keys, so ns/op of the loop and batch variants at one size compare
 // directly.
-func benchBatch(b *testing.B, seed int64, loop, batch func(th handle, keys, res []uint64, ok []bool)) {
+func benchBatch(b *testing.B, seed int64, loop, batch func(th storetest.Handle, keys, res []uint64, ok []bool)) {
 	for _, st := range benchStores {
 		for _, size := range []int{1, 8, 64, 512} {
 			keys := make([]uint64, size)
@@ -612,7 +360,7 @@ func benchBatch(b *testing.B, seed int64, loop, batch func(th handle, keys, res 
 			ok := make([]bool, size)
 			for _, v := range []struct {
 				name string
-				run  func(th handle, keys, res []uint64, ok []bool)
+				run  func(th storetest.Handle, keys, res []uint64, ok []bool)
 			}{{"loop", loop}, {"batch", batch}} {
 				b.Run(fmt.Sprintf("%s/%s-%d", st.name, v.name, size), func(b *testing.B) {
 					th, _ := st.open()
@@ -632,11 +380,11 @@ func benchBatch(b *testing.B, seed int64, loop, batch func(th handle, keys, res 
 
 // BenchmarkBatchFind: MultiGet, batched vs per-key loop.
 func BenchmarkBatchFind(b *testing.B) {
-	benchBatch(b, 1, func(th handle, keys, _ []uint64, _ []bool) {
+	benchBatch(b, 1, func(th storetest.Handle, keys, _ []uint64, _ []bool) {
 		for _, k := range keys {
 			th.Find(k)
 		}
-	}, func(th handle, keys, res []uint64, ok []bool) {
+	}, func(th storetest.Handle, keys, res []uint64, ok []bool) {
 		th.FindBatch(keys, res, ok)
 	})
 }
@@ -644,14 +392,14 @@ func BenchmarkBatchFind(b *testing.B) {
 // BenchmarkBatchUpdate measures a delete+reinsert cycle of size uniform
 // keys — the steady-state update shape (tree size constant).
 func BenchmarkBatchUpdate(b *testing.B) {
-	benchBatch(b, 2, func(th handle, keys, _ []uint64, _ []bool) {
+	benchBatch(b, 2, func(th storetest.Handle, keys, _ []uint64, _ []bool) {
 		for _, k := range keys {
 			th.Delete(k)
 		}
 		for _, k := range keys {
 			th.Insert(k, k)
 		}
-	}, func(th handle, keys, res []uint64, ok []bool) {
+	}, func(th storetest.Handle, keys, res []uint64, ok []bool) {
 		th.DeleteBatch(keys, res, ok)
 		th.InsertBatch(keys, keys, res, ok)
 	})

@@ -1,26 +1,31 @@
-package core
+package storetest
 
-// Allocation regression guards for the hot paths ISSUE 3 makes
-// allocation-free: steady-state point operations (scan-free) and the
-// warmed-up scan fast path. These are hard == 0 assertions — a single
-// new allocation on these paths is a regression, not noise.
+// Allocation regression guards for the hot paths: steady-state point
+// operations (scan-free), publishing updates, the warmed-up scan fast
+// path, batches, writes under a scan, and structural churn. Except for
+// churn's bound, which is the store's, these are hard == 0 assertions —
+// a single new allocation on these paths is a regression, not noise.
 
-import "testing"
+import (
+	"testing"
 
-func allocGuardTree(t *testing.T, opts ...Option) (*Tree, *Thread) {
-	t.Helper()
-	tr := New(opts...)
-	th := tr.NewThread()
-	for k := uint64(1); k <= 10_000; k++ {
-		th.Insert(k, k)
+	"repro/internal/pabtree"
+)
+
+// allocGuardTree opens a tree of kind k prefilled with keys 1..10 000.
+func allocGuardTree(k Kind) (Tree, Handle) {
+	tr := k.Open(2, 11, 1<<20/pabtree.NodeWords)
+	th := tr.Thread()
+	for key := uint64(1); key <= 10_000; key++ {
+		th.Insert(key, key)
 	}
 	return tr, th
 }
 
-// TestAllocsSteadyStatePointOps: Get, a present-key Insert (pure read),
-// and a delete/insert cycle on a settled OCC tree allocate nothing.
-func TestAllocsSteadyStatePointOps(t *testing.T) {
-	_, th := allocGuardTree(t)
+// AllocsSteadyStatePointOps: Get, a present-key Insert (pure read), and
+// a delete/insert cycle on a settled tree allocate nothing.
+func AllocsSteadyStatePointOps(t *testing.T, k Kind) {
+	_, th := allocGuardTree(k)
 	if avg := testing.AllocsPerRun(200, func() { th.Find(7777) }); avg != 0 {
 		t.Errorf("Find allocates %.2f/op, want 0", avg)
 	}
@@ -35,33 +40,32 @@ func TestAllocsSteadyStatePointOps(t *testing.T) {
 	}
 }
 
-// TestAllocsElimUpdates: publishing updates on a settled Elim-ABtree
-// allocate nothing — the ElimRecord is decoded from the leaf's slot
-// record (node.go), which the version window writes into spare state
-// bits.
-func TestAllocsElimUpdates(t *testing.T) {
-	_, th := allocGuardTree(t, WithElimination())
+// AllocsElimUpdates: publishing updates on a settled Elim tree of kind k
+// allocate nothing. The record is the slot the update wrote, kept in
+// spare bits of the leaf's size word, not a heap object per publish.
+func AllocsElimUpdates(t *testing.T, k Kind) {
+	_, th := allocGuardTree(k)
 	if avg := testing.AllocsPerRun(200, func() {
 		th.Delete(5000)
 		th.Insert(5000, 5000)
 	}); avg != 0 {
-		t.Errorf("Elim Delete+Insert allocates %.2f/op, want 0", avg)
+		t.Errorf("%s Delete+Insert allocates %.2f/op, want 0", k.Name, avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() { th.Upsert(5000, 1) }); avg != 0 {
-		t.Errorf("Elim replacing Upsert allocates %.2f/op, want 0", avg)
+		t.Errorf("%s replacing Upsert allocates %.2f/op, want 0", k.Name, avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
 		th.Delete(6000)
 		th.Upsert(6000, 6000)
 	}); avg != 0 {
-		t.Errorf("Elim Delete+inserting Upsert allocates %.2f/op, want 0", avg)
+		t.Errorf("%s Delete+inserting Upsert allocates %.2f/op, want 0", k.Name, avg)
 	}
 }
 
-// TestAllocsScanFastPath: warmed-up weak and snapshot scans allocate
+// AllocsScanFastPath: warmed-up weak and snapshot scans allocate
 // nothing, across scan lengths spanning one leaf to hundreds.
-func TestAllocsScanFastPath(t *testing.T) {
-	_, th := allocGuardTree(t)
+func AllocsScanFastPath(t *testing.T, k Kind) {
+	_, th := allocGuardTree(k)
 	var sink uint64
 	fn := func(_, v uint64) bool {
 		sink += v
@@ -79,13 +83,13 @@ func TestAllocsScanFastPath(t *testing.T) {
 	_ = sink
 }
 
-// TestAllocsBatchOps: steady-state batched point operations (batch.go)
-// allocate nothing once the Thread's staging scratch is warm — the
-// sort, the run formation and the result scatter all live in
-// per-Thread/caller buffers. Keys are spread one per leaf (stride 50)
-// so the delete/insert cycle never splits or merges.
-func TestAllocsBatchOps(t *testing.T) {
-	_, th := allocGuardTree(t)
+// AllocsBatchOps: steady-state batched point operations allocate
+// nothing once the Thread's staging scratch is warm — the sort, the run
+// formation and the result scatter all live in per-Thread/caller
+// buffers. Keys are spread one per leaf (stride 50) so the delete/insert
+// cycle never splits or merges.
+func AllocsBatchOps(t *testing.T, k Kind) {
+	_, th := allocGuardTree(k)
 	const n = 64
 	keys := make([]uint64, n)
 	vals := make([]uint64, n)
@@ -110,15 +114,14 @@ func TestAllocsBatchOps(t *testing.T) {
 	}
 }
 
-// TestAllocsWriteUnderScan: once the version pool is warm, a writer
+// AllocsWriteUnderScan: once the version pool is warm, a writer
 // preserving pre-write states for an in-flight scan recycles Version
 // nodes instead of allocating them.
-func TestAllocsWriteUnderScan(t *testing.T) {
-	tr, th := allocGuardTree(t)
-	sc := tr.rqp.Register()
+func AllocsWriteUnderScan(t *testing.T, k Kind) {
+	tr, th := allocGuardTree(k)
+	sc := tr.Register()
 	cycle := func() {
-		ts := sc.Begin()
-		_ = ts
+		sc.Begin()
 		th.Delete(5000)
 		th.Insert(5000, 5000)
 		sc.End()
@@ -131,19 +134,19 @@ func TestAllocsWriteUnderScan(t *testing.T) {
 	}
 }
 
-// TestAllocsStructuralChurn: appending 256 keys and deleting them again
-// splits and then merges leaves and internal nodes. The only allocations
-// are the replacement nodes themselves (474 of them, as when the staging
-// buffers were stack arrays): the structural updates stage in the
-// Thread's scratch (abalg.Scratch), so nothing escapes through the seam.
-func TestAllocsStructuralChurn(t *testing.T) {
-	tr, th := allocGuardTree(t)
+// AllocsStructuralChurn: appending 256 keys and deleting them again
+// splits and then merges leaves and internal nodes. The structural
+// updates stage in the Thread's scratch (abalg.Scratch), so nothing
+// escapes through the seam: the only allocations left are the store's
+// new nodes, at most limit per run.
+func AllocsStructuralChurn(t *testing.T, k Kind, limit float64) {
+	tr, th := allocGuardTree(k)
 	churn := func() {
-		for k := uint64(20_001); k <= 20_256; k++ {
-			th.Insert(k, k)
+		for key := uint64(20_001); key <= 20_256; key++ {
+			th.Insert(key, key)
 		}
-		for k := uint64(20_001); k <= 20_256; k++ {
-			th.Delete(k)
+		for key := uint64(20_001); key <= 20_256; key++ {
+			th.Delete(key)
 		}
 	}
 	churn()
@@ -152,7 +155,7 @@ func TestAllocsStructuralChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%.0f allocations per 256-key insert+delete churn", avg)
-	if avg > 474 {
-		t.Errorf("structural churn allocates %.0f/run, want <= 474 (the nodes)", avg)
+	if avg > limit {
+		t.Errorf("structural churn allocates %.0f/run, want <= %.0f (the nodes)", avg, limit)
 	}
 }

@@ -2,7 +2,8 @@ package core
 
 // Layout and footprint guards for the split node layouts (node.go): the
 // byte budgets as compile-time constants, the live heap they buy, and a
-// walk of every variant with the downcast checks on.
+// walk of every variant with the downcast checks on. The slot record's
+// encoding is TestNodeLayout (conformance_test.go).
 
 import (
 	"flag"
@@ -11,8 +12,6 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
-
-	"repro/internal/abalg"
 )
 
 // TestMain turns the downcast kind checks on for the whole test binary,
@@ -47,62 +46,6 @@ var (
 	_ [-unsafe.Offsetof(leaf{}.node)]byte
 	_ [-unsafe.Offsetof(inner{}.node)]byte
 )
-
-// TestNodeLayout checks the slot record encoding (node.go) and its round
-// trip through a leaf: each publishing update's record is the slot it
-// wrote, with Ver implied by the leaf's version, and a marked leaf serves
-// none.
-func TestNodeLayout(t *testing.T) {
-	t.Logf("header %d B, inner %d B, leaf %d B",
-		unsafe.Sizeof(node{}), unsafe.Sizeof(inner{}), unsafe.Sizeof(leaf{}))
-	for i := 0; i < maxCap; i++ {
-		for _, k := range []abalg.RecKind{abalg.RecInsert, abalg.RecDelete, abalg.RecReplace} {
-			w := abalg.PackRec(i, k)
-			if w&^abalg.RecMask != 0 {
-				t.Errorf("abalg.PackRec(%d, %d) = %#x spills outside abalg.RecMask %#x", i, k, w, abalg.RecMask)
-			}
-			if gi, gk := abalg.UnpackRec(w | abalg.SizeMask | markedBit); gi != i || gk != k {
-				t.Errorf("abalg.UnpackRec(abalg.PackRec(%d, %d)) = (%d, %d)", i, k, gi, gk)
-			}
-		}
-	}
-	if i, _ := abalg.UnpackRec(abalg.SizeMask | markedBit); i >= 0 {
-		t.Errorf("a state word with no record decodes to slot %d", i)
-	}
-
-	tr := New(WithElimination())
-	th := tr.NewThread()
-	l := tr.root().leaf()
-	rec := func() (r abalg.ElimRecord) {
-		r.Key, r.Val, r.Kind, r.Ver = th.Record(&l.node)
-		return r
-	}
-	steps := []struct {
-		name string
-		op   func()
-		want abalg.ElimRecord
-	}{
-		{"fresh leaf", func() {}, abalg.ElimRecord{}},
-		{"insert", func() { th.Insert(1, 2) }, abalg.ElimRecord{Key: 1, Val: 2, Kind: abalg.RecInsert, Ver: 1}},
-		{"replace", func() { th.Upsert(1, 3) }, abalg.ElimRecord{Key: 1, Val: 3, Kind: abalg.RecReplace, Ver: 3}},
-		{"delete", func() { th.Delete(1) }, abalg.ElimRecord{Key: 1, Val: 3, Kind: abalg.RecDelete, Ver: 5}},
-		{"insert after delete", func() { th.Insert(9, 8) }, abalg.ElimRecord{Key: 9, Val: 8, Kind: abalg.RecInsert, Ver: 7}},
-		{"split", func() {
-			for k := uint64(10); k < uint64(10+maxCap); k++ {
-				th.Insert(k, k)
-			}
-		}, abalg.ElimRecord{}},
-	}
-	for _, s := range steps {
-		s.op()
-		if r := rec(); r != s.want {
-			t.Errorf("after %s: record %+v, want %+v", s.name, r, s.want)
-		}
-	}
-	if !l.isMarked() {
-		t.Fatal("the root leaf did not split")
-	}
-}
 
 // TestHeapBytesPerKey pins the footprint the layouts exist for: uniform
 // random inserts settle at ~69% leaf fill, so a 224 B leaf class plus

@@ -6,7 +6,8 @@
 //     fine-grained versioned MCS locks for updates and lock-free,
 //     version-validated searches, and
 //   - the Elim-ABtree (paper §4): the OCC-ABtree extended with *publishing
-//     elimination*, where an update publishes an ElimRecord in the leaf it
+//     elimination*, where an update publishes a record of itself (the
+//     paper's ElimRecord; here the leaf's slot record) in the leaf it
 //     modified so that concurrent inserts/deletes of the same key can
 //     linearize against it and return without writing to the tree.
 //

@@ -8,76 +8,7 @@ import (
 
 	"repro/internal/pmem"
 	"repro/internal/xrand"
-	"repro/internal/zipfian"
 )
-
-func stress(t *testing.T, tr *Tree, workers int, d time.Duration, keyRange uint64, zipfS float64) {
-	t.Helper()
-	sums := make([]int64, workers)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := tr.NewThread()
-			z := zipfian.New(xrand.New(uint64(w)*31+5), keyRange, zipfS)
-			rng := xrand.New(uint64(w) * 77)
-			var sum int64
-			for !stop.Load() {
-				k := z.Next()
-				switch rng.Uint64n(4) {
-				case 0, 1:
-					if _, ins := th.Insert(k, k); ins {
-						sum += int64(k)
-					}
-				case 2:
-					if _, del := th.Delete(k); del {
-						sum -= int64(k)
-					}
-				default:
-					th.Find(k)
-				}
-			}
-			sums[w] = sum
-		}(w)
-	}
-	time.Sleep(d)
-	stop.Store(true)
-	wg.Wait()
-
-	var total int64
-	for _, s := range sums {
-		total += s
-	}
-	if got := int64(tr.KeySum()); got != total {
-		t.Fatalf("key-sum validation failed: tree=%d threads=%d", got, total)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.ValidatePersisted(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConcurrentUniform(t *testing.T) {
-	both(t, func(t *testing.T, tr *Tree) {
-		stress(t, tr, 8, 300*time.Millisecond, 5000, 0)
-	})
-}
-
-func TestConcurrentZipf(t *testing.T) {
-	both(t, func(t *testing.T, tr *Tree) {
-		stress(t, tr, 8, 300*time.Millisecond, 5000, 1)
-	})
-}
-
-func TestConcurrentTinyKeyRange(t *testing.T) {
-	both(t, func(t *testing.T, tr *Tree) {
-		stress(t, tr, 8, 200*time.Millisecond, 8, 0)
-	})
-}
 
 // TestConcurrentThenCrash combines concurrency with a crash: workers run,
 // stop at an arbitrary moment, the arena crashes, and recovery must

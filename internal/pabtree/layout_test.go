@@ -11,7 +11,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/abalg"
 	"repro/internal/pmem"
 )
 
@@ -42,43 +41,6 @@ func TestPairSharesLine(t *testing.T) {
 	}
 	if childOff(0, maxB-1) >= NodeWords {
 		t.Errorf("last child word %d is outside the node", childOff(0, maxB-1))
-	}
-}
-
-// TestSlotRecord round-trips the p-Elim-ABtree's elimination record
-// through a leaf (vnode): each publishing update's record is the pair it
-// wrote, a delete's key comes from delKey because its key word holds the
-// durable ⊥, Ver is implied by the leaf's version, and a marked leaf
-// serves none.
-func TestSlotRecord(t *testing.T) {
-	tr := New(pmem.New(64*NodeWords), WithElimination())
-	th := tr.NewThread()
-	leaf := abalg.Search[uint64](th, 1, 0).N
-	steps := []struct {
-		name string
-		op   func()
-		want abalg.ElimRecord
-	}{
-		{"fresh leaf", func() {}, abalg.ElimRecord{}},
-		{"insert", func() { th.Insert(1, 2) }, abalg.ElimRecord{Key: 1, Val: 2, Kind: abalg.RecInsert, Ver: 1}},
-		{"replace", func() { th.Upsert(1, 3) }, abalg.ElimRecord{Key: 1, Val: 3, Kind: abalg.RecReplace, Ver: 3}},
-		{"delete", func() { th.Delete(1) }, abalg.ElimRecord{Key: 1, Val: 3, Kind: abalg.RecDelete, Ver: 5}},
-		{"insert after delete", func() { th.Insert(9, 8) }, abalg.ElimRecord{Key: 9, Val: 8, Kind: abalg.RecInsert, Ver: 7}},
-		{"split", func() {
-			for k := uint64(10); k < 10+maxB; k++ {
-				th.Insert(k, k)
-			}
-		}, abalg.ElimRecord{}},
-	}
-	for _, s := range steps {
-		s.op()
-		var r abalg.ElimRecord
-		if r.Key, r.Val, r.Kind, r.Ver = th.Record(leaf); r != s.want {
-			t.Errorf("after %s: record %+v, want %+v", s.name, r, s.want)
-		}
-	}
-	if !tr.vn(leaf).marked.Load() {
-		t.Fatal("the root leaf did not split")
 	}
 }
 

@@ -91,31 +91,3 @@ func TestQuickCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickDegreeVariants runs random op sequences against persistent
-// trees of several (a,b) configurations.
-func TestQuickDegreeVariants(t *testing.T) {
-	f := func(seed uint16, cfg uint8) bool {
-		degrees := [][2]int{{2, 4}, {2, 8}, {3, 8}, {2, 11}}
-		d := degrees[int(cfg)%len(degrees)]
-		tr := New(pmem.New(32*1024*NodeWords), WithDegree(d[0], d[1]))
-		th := tr.NewThread()
-		rng := xrand.New(uint64(seed) + 77)
-		model := make(map[uint64]uint64)
-		for i := 0; i < 8000; i++ {
-			k := 1 + rng.Uint64n(250)
-			if rng.Uint64n(2) == 0 {
-				if _, ins := th.Insert(k, k); ins {
-					model[k] = k
-				}
-			} else {
-				th.Delete(k)
-				delete(model, k)
-			}
-		}
-		return tr.Validate() == nil && tr.Len() == len(model)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -1,117 +1,6 @@
 package pabtree
 
-import (
-	"sync"
-	"sync/atomic"
-	"testing"
-)
-
-func TestRangeSnapshotSequential(t *testing.T) {
-	both(t, func(t *testing.T, tr *Tree) {
-		th := tr.NewThread()
-		for k := uint64(1); k <= 300; k++ {
-			th.Insert(k, k*10)
-		}
-		var got []uint64
-		th.RangeSnapshot(50, 120, func(k, v uint64) bool {
-			if v != k*10 {
-				t.Fatalf("key %d: value %d, want %d", k, v, k*10)
-			}
-			got = append(got, k)
-			return true
-		})
-		if len(got) != 71 {
-			t.Fatalf("got %d keys, want 71", len(got))
-		}
-		for i, k := range got {
-			if k != 50+uint64(i) {
-				t.Fatalf("position %d: key %d, want %d", i, k, 50+uint64(i))
-			}
-		}
-		n := 0
-		th.RangeSnapshot(1, 300, func(k, v uint64) bool { n++; return n < 5 })
-		if n != 5 {
-			t.Fatalf("early stop visited %d keys, want 5", n)
-		}
-	})
-}
-
-// TestRangeSnapshotWitness is the persistent-tree version of the core
-// write-order witness: one writer sweeps odd witness keys ascending with
-// a round number while toggling even chaff keys (splits/merges); every
-// snapshot of the witness keys must be a round-g prefix followed by a
-// round-(g-1) suffix.
-func TestRangeSnapshotWitness(t *testing.T) {
-	both(t, func(t *testing.T, tr *Tree) {
-		const m = 100
-		init := tr.NewThread()
-		for i := 0; i < m; i++ {
-			init.Insert(uint64(2*i+1), 0)
-		}
-
-		var stop atomic.Bool
-		var writer sync.WaitGroup
-		writer.Add(1)
-		go func() {
-			defer writer.Done()
-			th := tr.NewThread()
-			chaff := false
-			for g := uint64(1); !stop.Load(); g++ {
-				for i := 0; i < m; i++ {
-					th.Upsert(uint64(2*i+1), g)
-					if i%3 == 0 {
-						k := uint64(2*i + 2)
-						if chaff {
-							th.Insert(k, k)
-						} else {
-							th.Delete(k)
-						}
-					}
-				}
-				chaff = !chaff
-			}
-		}()
-
-		th := tr.NewThread()
-		rounds := 200
-		if testing.Short() {
-			rounds = 50
-		}
-		for n := 0; n < rounds; n++ {
-			var vals []uint64
-			th.RangeSnapshot(1, 2*m, func(k, v uint64) bool {
-				if k%2 == 1 {
-					vals = append(vals, v)
-				}
-				return true
-			})
-			if len(vals) != m {
-				t.Errorf("scan %d saw %d witness keys, want %d", n, len(vals), m)
-				break
-			}
-			torn := false
-			for i := 1; i < m; i++ {
-				if vals[i] > vals[i-1] {
-					t.Errorf("scan %d torn: witness %d has round %d after round %d", n, i, vals[i], vals[i-1])
-					torn = true
-					break
-				}
-			}
-			if torn {
-				break
-			}
-			if vals[0]-vals[m-1] > 1 {
-				t.Errorf("scan %d torn: rounds spread %d..%d", n, vals[m-1], vals[0])
-				break
-			}
-		}
-		stop.Store(true)
-		writer.Wait()
-		if err := tr.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
+import "testing"
 
 // TestRangeSnapshotAfterRecover checks the volatile snapshot machinery
 // starts clean on a recovered tree.

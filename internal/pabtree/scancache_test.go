@@ -1,110 +1,14 @@
 package pabtree
 
-// Tests for the path-cached scan fast path on the persistent trees: the
-// differential of internal/core/scancache_test.go — two snapshot scans
-// at the SAME linearization timestamp, one through the warm path cache,
-// one with the cache disabled, must agree exactly under concurrent
-// split/merge churn — and the epoch rule only this store has.
+// The epoch rule of the path-cached scan fast path, which only this
+// store has. The differential of the cached scan against a full
+// re-descent is storetest.ScanPathCacheDifferential.
 
 import (
-	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/pmem"
-	"repro/internal/rq"
 )
-
-func TestScanPathCacheDifferential(t *testing.T) {
-	const keyRange = 4000
-	// The degree-(2,4) tree splits and merges constantly, and every SMO
-	// allocates node slots whose reclamation trails by an epoch grace
-	// period: give the arena generous headroom and bound the background
-	// writers' total work so slot demand cannot outrun reclamation on
-	// any scheduling.
-	tr := New(pmem.New(1<<23), WithDegree(2, 4))
-	loader := tr.NewThread()
-	for k := uint64(1); k <= keyRange; k++ {
-		loader.Insert(k, k)
-	}
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			wth := tr.NewThread()
-			for n := 0; n < 100_000 && !stop.Load(); n++ {
-				k := uint64(rng.Intn(keyRange)) + 1
-				if rng.Intn(2) == 0 {
-					wth.Delete(k)
-				} else {
-					wth.Insert(k, k*3)
-				}
-			}
-		}(int64(w) + 1)
-	}
-
-	cached := tr.NewThread()
-	fresh := tr.NewThread()
-	fresh.scratch.NoScanCache = true
-	churn := tr.NewThread()
-	sc := tr.rqp.Register()
-	rng := rand.New(rand.NewSource(42))
-	iters := 300
-	if testing.Short() {
-		iters = 80
-	}
-	var got, want []rq.Pair
-	for i := 0; i < iters; i++ {
-		// Churn from this goroutine too, so single-CPU boxes still
-		// reshape the tree between scans.
-		for j := 0; j < 20; j++ {
-			k := uint64(rng.Intn(keyRange)) + 1
-			if rng.Intn(2) == 0 {
-				churn.Delete(k)
-			} else {
-				churn.Insert(k, k*3)
-			}
-		}
-		runtime.Gosched()
-		lo := uint64(rng.Intn(keyRange-200)) + 1
-		hi := lo + uint64(rng.Intn(200))
-		ts := sc.Begin()
-		got = got[:0]
-		want = want[:0]
-		cached.RangeSnapshotAt(ts, lo, hi, func(k, v uint64) bool {
-			got = append(got, rq.Pair{K: k, V: v})
-			return true
-		})
-		fresh.RangeSnapshotAt(ts, lo, hi, func(k, v uint64) bool {
-			want = append(want, rq.Pair{K: k, V: v})
-			return true
-		})
-		sc.End()
-		if len(got) != len(want) {
-			stop.Store(true)
-			wg.Wait()
-			t.Fatalf("iter %d [%d,%d] ts=%d: cached scan returned %d pairs, full re-descent %d", i, lo, hi, ts, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				stop.Store(true)
-				wg.Wait()
-				t.Fatalf("iter %d [%d,%d] ts=%d: pair %d differs: cached %+v, full %+v", i, lo, hi, ts, j, got[j], want[j])
-			}
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
-	if _, versions := tr.RQStats(); versions == 0 {
-		t.Fatal("churn produced no preserved versions; the differential exercised nothing")
-	}
-}
 
 // TestScanPathResetPerEpochSection pins the epoch rule of the cached
 // scan path: an arena offset names the same node only inside the epoch

@@ -288,7 +288,11 @@ func TestRobustNoWorkerLeak(t *testing.T) {
 // buffers hold and never reads a byte; the per-write deadline
 // (shortened from its one-minute production value) must fire, the
 // connection must die with cause write_timeout — its goroutine, parked
-// writing a chunk, comes free — and the next client is served.
+// writing a chunk, comes free — and the next client is served. How long
+// the server takes to fill the buffers and stall depends on the box's
+// load, so the wait is on progress, not on the wall clock: it fails
+// only once 10 s pass with no scan finished and no teardown, which the
+// 50 ms deadline never allows once the write has stalled.
 func TestWriteTimeoutTearsDownStalledPeer(t *testing.T) {
 	s, err := New(testBuilder, "occ", 1<<16, Config{})
 	if err != nil {
@@ -328,8 +332,25 @@ func TestWriteTimeoutTearsDownStalledPeer(t *testing.T) {
 	if _, err := stalled.Write(b); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "write_timeout teardown", func() bool {
+	scansServed := func() uint64 { return s.MetricsDump().Histograms["op_scan_ns"].Count }
+	waitProgress(t, "write_timeout teardown", 10*time.Second, scansServed, func() bool {
 		return s.MetricsDump().Counters["teardown_write_timeout_total"] == 1
 	})
 	checkServes(t, addr)
+}
+
+// waitProgress polls cond until it holds, failing only once progress
+// has stood still for stall: a loaded box may take long to get there,
+// but a wait whose progress has stopped is stuck.
+func waitProgress(t *testing.T, what string, stall time.Duration, progress func() uint64, cond func() bool) {
+	t.Helper()
+	last, since := progress(), time.Now()
+	for !cond() {
+		if p := progress(); p != last {
+			last, since = p, time.Now()
+		} else if time.Since(since) > stall {
+			t.Fatalf("waiting for %s: no progress for %v (at %d)", what, stall, p)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
