@@ -1,9 +1,10 @@
 package abalg_test
 
-// The per-key operations (ops.go) are written once, so their benchmarks
-// are too: each runs once per node store. Their behavioural tests are
-// internal/abalg/storetest's bodies, which internal/core and
-// internal/pabtree run on their trees.
+// The per-key operations (ops.go) are written once, so their tests and
+// benchmarks are too. Each behavioural test is a one-line wrapper that
+// runs its internal/abalg/storetest body on all four trees, the bodies
+// internal/core and internal/pabtree run on their own two; each
+// benchmark runs once per node store.
 
 import (
 	"math/rand"
@@ -11,6 +12,23 @@ import (
 
 	"repro/internal/abalg/storetest"
 )
+
+func TestEmptyTree(t *testing.T)         { storetest.EmptyTree(t, storetest.All...) }
+func TestInsertFindDelete(t *testing.T)  { storetest.InsertFindDelete(t, storetest.All...) }
+func TestModelRandomOps(t *testing.T)    { storetest.ModelRandomOps(t, storetest.All...) }
+func TestConcurrentUniform(t *testing.T) { storetest.ConcurrentUniform(t, storetest.All...) }
+func TestConcurrentZipf(t *testing.T)    { storetest.ConcurrentZipf(t, storetest.All...) }
+func TestUpsertBasics(t *testing.T)      { storetest.UpsertBasics(t, storetest.All...) }
+func TestUpsertModelMixed(t *testing.T)  { storetest.UpsertModelMixed(t, storetest.All...) }
+func TestUpsertFullLeafSplits(t *testing.T) {
+	storetest.UpsertFullLeafSplits(t, storetest.All...)
+}
+func TestConcurrentTinyKeyRange(t *testing.T) {
+	storetest.ConcurrentTinyKeyRange(t, storetest.All...)
+}
+func TestUpsertConcurrentLastWriterWins(t *testing.T) {
+	storetest.UpsertConcurrentLastWriterWins(t, storetest.All...)
+}
 
 // pointKeys returns n uniform random keys in [1, benchKeys].
 func pointKeys(seed int64, n int) []uint64 {

@@ -6,7 +6,8 @@ package abalg_test
 // operations; the engines' conformance bodies shared with
 // internal/core's and internal/pabtree's suites (snapshot differentials,
 // the write-order witness, batch differentials) are in
-// internal/abalg/storetest. Each benchmark runs once per node store.
+// internal/abalg/storetest, and TestRangeSnapshotDifferential runs its
+// body here on all four. Each benchmark runs once per node store.
 
 import (
 	"fmt"
@@ -19,6 +20,10 @@ import (
 	"repro/internal/pabtree"
 	"repro/internal/pmem"
 )
+
+func TestRangeSnapshotDifferential(t *testing.T) {
+	storetest.RangeSnapshotDifferential(t, storetest.All...)
+}
 
 // TestBatchSplitFallback forces the mid-batch leaf-full fallback: a
 // batch dense enough that every leaf in its range must split while the

@@ -6,8 +6,9 @@
 //
 // internal/core and internal/pabtree run each body on their own two
 // trees through one-line wrappers (conformance_test.go) that keep their
-// test IDs and subtest names; internal/abalg runs the engine tests that
-// are its own on all four. What stays in a store's package is what only
+// test IDs and subtest names; internal/abalg runs its engine tests, and
+// wrappers for the point-op, stress, upsert and snapshot-differential
+// bodies, on all four. What stays in a store's package is what only
 // that store has: node layouts and sizes, downcasts, tombstones, heap
 // per key, flush counts, crash points and recovery.
 //
