@@ -7,7 +7,8 @@ package abalg_test
 // internal/core's and internal/pabtree's suites (snapshot differentials,
 // the write-order witness, batch differentials) are in
 // internal/abalg/storetest, and TestRangeSnapshotDifferential runs its
-// body here on all four. Each benchmark runs once per node store.
+// body here on all four at degree (4,11) (a4b11, ops_test.go). Each
+// benchmark runs once per node store.
 
 import (
 	"fmt"
@@ -22,7 +23,7 @@ import (
 )
 
 func TestRangeSnapshotDifferential(t *testing.T) {
-	storetest.RangeSnapshotDifferential(t, storetest.All...)
+	storetest.RangeSnapshotDifferential(t, a4b11...)
 }
 
 // TestBatchSplitFallback forces the mid-batch leaf-full fallback: a
@@ -111,7 +112,7 @@ func TestScanPathCacheWeakRangeStableKeys(t *testing.T) {
 		for k := uint64(2); k <= keyRange; k += 2 {
 			loader.Insert(k, k*7)
 		}
-		stop := storetest.Churn(tr, 3, 100, oddKey)
+		stop := storetest.Churn(tr, 3, 100_000, 100, oddKey)
 		defer stop()
 
 		th, local := tr.Thread(), tr.Thread()
@@ -203,7 +204,7 @@ func TestScanCallbackPointOps(t *testing.T) {
 		for k := uint64(2); k <= keyRange; k += 2 {
 			th.Insert(k, k) // stable even keys
 		}
-		stop := storetest.Churn(tr, 1, 9, oddKey)
+		stop := storetest.Churn(tr, 1, 100_000, 9, oddKey)
 		defer stop()
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 200; i++ {

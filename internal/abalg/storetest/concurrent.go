@@ -15,37 +15,46 @@ import (
 )
 
 // stress runs workers goroutines over keyRange keys (Zipf-distributed
-// with parameter zipfS; 0 is uniform) for d: updatePct percent of the
-// ops are updates, half of them inserts, and the rest are finds. It
-// then applies the paper's §6 validation: each goroutine tracks the sum
-// of keys it inserted minus those it deleted, and the grand total must
-// equal the sum of the keys left.
-func stress(t *testing.T, tr Tree, workers int, d time.Duration, keyRange uint64, zipfS float64, updatePct int) {
+// with parameter zipfS; 0 is uniform) for d: updatePct percent of their
+// ops are updates, half of them inserts, and the rest are finds. Beside
+// them finders goroutines only find. Every value written is its key, so
+// a find that returns another value fails the test. It then applies the
+// paper's §6 validation: each goroutine tracks the sum of keys it
+// inserted minus those it deleted, and the grand total must equal the
+// sum of the keys left.
+func stress(t *testing.T, tr Tree, workers, finders int, d time.Duration, keyRange uint64, zipfS float64, updatePct int) {
 	t.Helper()
-	sums := make([]int64, workers)
+	sums := make([]int64, workers+finders)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < workers+finders; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			th := tr.Thread()
 			rng := xrand.New(uint64(w)*7919 + 13)
 			z := zipfian.New(xrand.New(uint64(w)*104729+7), keyRange, zipfS)
+			pct := updatePct
+			if w >= workers {
+				pct = 0
+			}
 			var sum int64
 			for !stop.Load() {
 				k := z.Next()
-				switch {
-				case int(rng.Uint64n(100)) < updatePct/2:
+				switch r := int(rng.Uint64n(100)); {
+				case r < pct/2:
 					if _, inserted := th.Insert(k, k); inserted {
 						sum += int64(k)
 					}
-				case int(rng.Uint64n(100)) < updatePct:
+				case r < pct:
 					if _, deleted := th.Delete(k); deleted {
 						sum -= int64(k)
 					}
 				default:
-					th.Find(k)
+					if v, ok := th.Find(k); ok && v != k {
+						t.Errorf("Find(%d) = %d, want the key", k, v)
+						return
+					}
 				}
 			}
 			sums[w] = sum
@@ -67,15 +76,17 @@ func stress(t *testing.T, tr Tree, workers int, d time.Duration, keyRange uint64
 	}
 }
 
+// ConcurrentUniform, ConcurrentZipf and ConcurrentTinyKeyRange run 8
+// updating goroutines and 2 finding ones.
 func ConcurrentUniform(t *testing.T, kinds ...Kind) {
 	ForEach(t, kinds, 2, 11, opsSlots, func(t *testing.T, tr Tree) {
-		stress(t, tr, 8, 300*time.Millisecond, 10000, 0, 100)
+		stress(t, tr, 8, 2, 300*time.Millisecond, 10000, 0, 100)
 	})
 }
 
 func ConcurrentZipf(t *testing.T, kinds ...Kind) {
 	ForEach(t, kinds, 2, 11, opsSlots, func(t *testing.T, tr Tree) {
-		stress(t, tr, 8, 300*time.Millisecond, 10000, 1, 100)
+		stress(t, tr, 8, 2, 300*time.Millisecond, 10000, 1, 100)
 	})
 }
 
@@ -84,13 +95,14 @@ func ConcurrentZipf(t *testing.T, kinds ...Kind) {
 // root, and height collapse.
 func ConcurrentTinyKeyRange(t *testing.T, kinds ...Kind) {
 	ForEach(t, kinds, 2, 11, opsSlots, func(t *testing.T, tr Tree) {
-		stress(t, tr, 8, 300*time.Millisecond, 8, 0, 100)
+		stress(t, tr, 8, 2, 300*time.Millisecond, 8, 0, 100)
 	})
 }
 
+// ConcurrentMixed runs 6 goroutines that each mix finds with updates.
 func ConcurrentMixed(t *testing.T, kinds ...Kind) {
 	ForEach(t, kinds, 2, 11, opsSlots, func(t *testing.T, tr Tree) {
-		stress(t, tr, 6, 300*time.Millisecond, 2000, 0.5, 50)
+		stress(t, tr, 6, 0, 300*time.Millisecond, 2000, 0.5, 50)
 	})
 }
 
@@ -145,7 +157,7 @@ func FindDuringHeavyUpdates(t *testing.T, kinds ...Kind) {
 		for i := uint64(1); i <= 100; i++ {
 			th0.Insert(i, i)
 		}
-		stop := Churn(tr, 4, 1, func(rng *rand.Rand) uint64 { return 101 + uint64(rng.Intn(100)) })
+		stop := Churn(tr, 4, 0, 1, func(rng *rand.Rand) uint64 { return 101 + uint64(rng.Intn(100)) })
 		reader := tr.Thread()
 		rng := xrand.New(0xabc)
 		for i := 0; i < 200000; i++ {
@@ -177,7 +189,7 @@ func RangeUnderConcurrentUpdates(t *testing.T, kinds ...Kind) {
 		for i := uint64(1); i <= 1000; i++ {
 			th0.Insert(i, i)
 		}
-		stop := Churn(tr, 4, 42, func(rng *rand.Rand) uint64 { return 2000 + uint64(rng.Intn(1000)) })
+		stop := Churn(tr, 4, 0, 42, func(rng *rand.Rand) uint64 { return 2000 + uint64(rng.Intn(1000)) })
 		defer stop()
 		reader := tr.Thread()
 		deadline := time.Now().Add(300 * time.Millisecond)
@@ -237,12 +249,13 @@ func EliminationObservable(t *testing.T, kinds ...Kind) {
 	})
 }
 
-// UpsertConcurrentLastWriterWins: 8 workers upsert 64 keys; every value
-// left must be one some worker wrote for that key. Each does 5000
-// upserts, not 20 000: under -race with GOMAXPROCS above the CPU count,
-// the OCC trees' contended leaf locks stretch a 20 000-upsert tree to
-// about 30 s.
-func UpsertConcurrentLastWriterWins(t *testing.T, kinds ...Kind) {
+// UpsertConcurrentLastWriterWins: 8 workers each upsert random keys of
+// 64, upserts times; every value left must be one some worker wrote for
+// that key. On an OCC tree each upsert hands the contended leaf's queue lock
+// on, and with GOMAXPROCS above the CPU count a preempted waiter stalls
+// the queue: 20 000 per worker takes 2–5 s per OCC tree at GOMAXPROCS=4
+// on 2 CPUs even without -race.
+func UpsertConcurrentLastWriterWins(t *testing.T, upserts int, kinds ...Kind) {
 	ForEach(t, kinds, 2, 11, opsSlots, func(t *testing.T, tr Tree) {
 		const workers = 8
 		var wg sync.WaitGroup
@@ -252,7 +265,7 @@ func UpsertConcurrentLastWriterWins(t *testing.T, kinds ...Kind) {
 				defer wg.Done()
 				th := tr.Thread()
 				rng := xrand.New(uint64(w) + 900)
-				for i := 0; i < 5000; i++ {
+				for i := 0; i < upserts; i++ {
 					k := 1 + rng.Uint64n(64)
 					th.Upsert(k, k*1000+uint64(w))
 				}

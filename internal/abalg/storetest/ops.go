@@ -80,7 +80,7 @@ func ReservedKeysPanic(t *testing.T, kinds ...Kind) {
 func SequentialBulk(t *testing.T, kinds ...Kind) {
 	ForEach(t, kinds, 2, 11, opsSlots, func(t *testing.T, tr Tree) {
 		th := tr.Thread()
-		const n = 8000
+		const n = 10000
 		for i := uint64(1); i <= n; i++ {
 			if _, inserted := th.Insert(i, i*2); !inserted {
 				t.Fatalf("Insert(%d) failed", i)
@@ -284,16 +284,16 @@ func InvalidDegreePanics(t *testing.T, k Kind) {
 
 // HeightLogarithmic fills a tree of kind k with sequential keys.
 func HeightLogarithmic(t *testing.T, k Kind) {
-	tr := k.Open(2, 11, 1<<15)
+	tr := k.Open(2, 11, 1<<16)
 	th := tr.Thread()
-	const n = 40000
+	const n = 100000
 	for i := uint64(1); i <= n; i++ {
 		th.Insert(i, i)
 	}
 	// With b=11 and a=2, height should be far below log2(n); allow a
 	// generous bound of log_2(n) (relaxed trees are not strictly
 	// height-bounded, but sequential fills behave like B-trees).
-	if h := tr.Height(); h > 16 {
+	if h := tr.Height(); h > 17 {
 		t.Fatalf("Height = %d for %d sequential inserts", h, n)
 	}
 	st := tr.Shape()

@@ -136,7 +136,7 @@ func RangeSnapshotDifferential(t *testing.T, kinds ...Kind) {
 				defer wg.Done()
 				th := tr.Thread()
 				rng := rand.New(rand.NewSource(int64(w)*2654435761 + 99))
-				for n := 0; n < 100_000 && !stop.Load(); n++ {
+				for !stop.Load() {
 					// Each writer owns keys ≡ w (mod writers).
 					k := uint64(w) + uint64(writers*rng.Intn(keyRange/writers)) + 1
 					v := uint64(rng.Intn(1000)) + 1
@@ -241,16 +241,16 @@ func ScanPathCacheDifferential(t *testing.T, kinds ...Kind) {
 		for k := uint64(1); k <= keyRange; k++ {
 			loader.Insert(k, k)
 		}
-		stop := Churn(tr, 2, 1, func(rng *rand.Rand) uint64 { return uint64(rng.Intn(keyRange)) + 1 })
+		stop := Churn(tr, 3, 100_000, 1, func(rng *rand.Rand) uint64 { return uint64(rng.Intn(keyRange)) + 1 })
 		defer stop()
 
 		cached, fresh, churn := tr.Thread(), tr.Thread(), tr.Thread()
 		tr.NoScanCache(fresh)
 		sc := tr.Register()
 		rng := rand.New(rand.NewSource(42))
-		iters := 300
+		iters := 400
 		if testing.Short() {
-			iters = 80
+			iters = 100
 		}
 		var got, want []rq.Pair
 		for i := 0; i < iters; i++ {
@@ -379,7 +379,7 @@ func BatchDifferentialSequential(t *testing.T, kinds ...Kind) {
 // leaves underneath the cached descents. Degree (2,4) maximizes
 // structural churn per write.
 func BatchDifferentialUnderChurn(t *testing.T, kinds ...Kind) {
-	const keyRange = 3000
+	const keyRange = 6000
 	otherKey := func(rng *rand.Rand) uint64 {
 		k := uint64(rng.Intn(keyRange)) + 1
 		if k%3 == 0 {
@@ -394,14 +394,14 @@ func BatchDifferentialUnderChurn(t *testing.T, kinds ...Kind) {
 			loader.Insert(k, k*7)
 			shadow[k] = k * 7
 		}
-		stop := Churn(tr, 3, 1, otherKey)
+		stop := Churn(tr, 3, 100_000, 1, otherKey)
 		defer stop()
 
 		th, churn := tr.Thread(), tr.Thread()
 		rng := rand.New(rand.NewSource(5))
-		iters := 300
+		iters := 400
 		if testing.Short() {
-			iters = 80
+			iters = 100
 		}
 		ownedKey := func() uint64 { return uint64(rng.Intn(keyRange/3))*3 + 3 }
 		var keys, vals, res []uint64

@@ -6,9 +6,10 @@
 //
 // internal/core and internal/pabtree run each body on their own two
 // trees through one-line wrappers (conformance_test.go) that keep their
-// test IDs and subtest names; internal/abalg runs its engine tests, and
-// wrappers for the point-op, stress, upsert and snapshot-differential
-// bodies, on all four. What stays in a store's package is what only
+// test IDs and subtest names; internal/abalg runs its engine tests on
+// all four, and the point-op, stress, upsert and snapshot-differential
+// bodies on all four at degree (4,11), one the store packages do not run
+// them at. What stays in a store's package is what only
 // that store has: node layouts and sizes, downcasts, tombstones, heap
 // per key, flush counts, crash points and recovery.
 //
@@ -170,12 +171,13 @@ func ForEach(t *testing.T, kinds []Kind, a, b, slots int, body func(t *testing.T
 	}
 }
 
-// Churn runs writers goroutines, each applying at most 100 000 random
-// updates (value = key) to keys drawn by key, until stop is called.
-// Bounding the work keeps a writer from eating a full scheduler slice at
-// every yield of the goroutine under test when GOMAXPROCS is 1, and
-// bounds the slots a persistent tree's reclamation must keep up with.
-func Churn(tr Tree, writers int, seed int64, key func(rng *rand.Rand) uint64) (stop func()) {
+// Churn runs writers goroutines, each applying random updates (value =
+// key) to keys drawn by key until stop is called, or until it has
+// applied limit of them if limit > 0. A limit keeps a writer from eating
+// a full scheduler slice at every yield of the goroutine under test when
+// GOMAXPROCS is 1, and bounds the slots a persistent tree's reclamation
+// must keep up with.
+func Churn(tr Tree, writers, limit int, seed int64, key func(rng *rand.Rand) uint64) (stop func()) {
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -184,7 +186,7 @@ func Churn(tr Tree, writers int, seed int64, key func(rng *rand.Rand) uint64) (s
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			th := tr.Thread()
-			for n := 0; n < 100_000 && !done.Load(); n++ {
+			for n := 0; (limit <= 0 || n < limit) && !done.Load(); n++ {
 				if k := key(rng); rng.Intn(2) == 0 {
 					th.Delete(k)
 				} else {

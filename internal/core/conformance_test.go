@@ -69,7 +69,7 @@ func TestRangeUnderConcurrentUpdates(t *testing.T) {
 	storetest.RangeUnderConcurrentUpdates(t, occ, elim)
 }
 func TestUpsertConcurrentLastWriterWins(t *testing.T) {
-	storetest.UpsertConcurrentLastWriterWins(t, occ, elim)
+	storetest.UpsertConcurrentLastWriterWins(t, 20000, occ, elim)
 }
 
 func TestEliminationObservable(t *testing.T) { storetest.EliminationObservable(t, elim) }

@@ -69,8 +69,13 @@ func TestFindDuringHeavyUpdates(t *testing.T) { storetest.FindDuringHeavyUpdates
 func TestRangeUnderConcurrentUpdates(t *testing.T) {
 	storetest.RangeUnderConcurrentUpdates(t, pOCC, pElim)
 }
+
+// TestUpsertConcurrentLastWriterWins makes 5000 upserts per worker, not
+// core's 20 000: the procs matrix runs this package beside core and
+// abalg at GOMAXPROCS=4 under a 60 s timeout, and at 20 000 this
+// package's -count=3 run hit that timeout on 2 CPUs.
 func TestUpsertConcurrentLastWriterWins(t *testing.T) {
-	storetest.UpsertConcurrentLastWriterWins(t, pOCC, pElim)
+	storetest.UpsertConcurrentLastWriterWins(t, 5000, pOCC, pElim)
 }
 
 func TestEliminationObservable(t *testing.T) { storetest.EliminationObservable(t, pElim) }
