@@ -13,6 +13,16 @@
 // replies, and the echoed request ids reassemble the results in input
 // order.
 //
+// A Mux (mux.go) is one combiner goroutine over one such handle: it
+// merges concurrent callers' point operations into batch frames, one
+// pass in flight at a time, under the same retry loop. A server answers
+// a connection's frames in the order it read them (see internal/wire),
+// so every reply is read against the oldest unanswered frame
+// (handle.reply); a reply to any other frame is a protocol error, and
+// the connection is redialed. Neither a handle nor a Mux has a terminal
+// state: a request that exhausts its retries fails, and the next one
+// redials afresh.
+//
 // Scan responses are buffered per handle before the callback runs (the
 // stream is fully drained first), so dict.Ranger's "fn may run point
 // operations on the same handle" contract holds over the wire too.
@@ -347,6 +357,11 @@ func (e respError) Is(target error) bool {
 	return target == ErrReadOnly && strings.HasPrefix(string(e), "follower:")
 }
 
+// errProtocol marks a reply the wire contract rules out — a bug on one
+// side of the connection, not a transport failure; the connection is
+// redialed like a broken one.
+var errProtocol = errors.New("protocol violation")
+
 // reply reads the next reply frame and returns its payload when it
 // answers request id with opcode want. Otherwise it returns the read
 // error, errRateLimited for a BUSY echoing id (the connection stays
@@ -473,6 +488,21 @@ func (h *handle) decodeBatch(payload []byte, ovals []uint64, oks []bool) error {
 	return err
 }
 
+// batchReply reads the reply to batch frame id into its results. A
+// rate-limit BUSY is a protocol error here: batch frames are never
+// rate-limited, and a connection with replies still due cannot be
+// resent on.
+func (h *handle) batchReply(id uint64, ovals []uint64, oks []bool) error {
+	payload, err := h.reply(id, wire.RespBatch)
+	if errors.Is(err, errRateLimited) {
+		return fmt.Errorf("%w: BUSY for a batch frame", errProtocol)
+	}
+	if err != nil {
+		return err
+	}
+	return h.decodeBatch(payload, ovals, oks)
+}
+
 // pipeline runs one attempt of a batch larger than wire.MaxBatch: its
 // chunk frames, one id each, are written on a goroutine of their own,
 // gathered into writes of up to 64 KB, while the caller reads the
@@ -502,22 +532,14 @@ func (h *handle) pipeline(op byte, keys, ivals, ovals []uint64, oks []bool) (boo
 	}()
 	var err, appErr error
 	for i := 0; i < frames; i++ {
-		var payload []byte
-		if payload, err = h.reply(base+uint64(i), wire.RespBatch); err == nil {
-			off := i * wire.MaxBatch
-			end := min(off+wire.MaxBatch, len(keys))
-			err = h.decodeBatch(payload, ovals[off:end], oks[off:end])
-		}
+		off := i * wire.MaxBatch
+		end := min(off+wire.MaxBatch, len(keys))
+		err = h.batchReply(base+uint64(i), ovals[off:end], oks[off:end])
 		if _, isApp := err.(respError); isApp {
 			if appErr == nil {
 				appErr = err
 			}
 			err = nil
-		}
-		if errors.Is(err, errRateLimited) {
-			// Batch frames are never rate-limited, and the connection
-			// cannot be resent on with replies still due.
-			err = fmt.Errorf("%w: BUSY for a batch frame", errProtocol)
 		}
 		if err != nil {
 			h.nc.SetWriteDeadline(time.Now()) // stop the writer; retry redials

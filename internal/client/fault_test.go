@@ -310,8 +310,8 @@ func TestDialTimeout(t *testing.T) {
 
 // TestMuxReconnect: the shared-connection mux redials across injected
 // disconnects; concurrent GET callers all complete with correct values
-// and nothing leaks. (GETs are re-enqueued even when their frame was in
-// flight — the ISSUE 8 never-written/idempotent re-enqueue rule.)
+// and nothing leaks. (A pass of GETs is resent however far it got:
+// reads are idempotent.)
 func TestMuxReconnect(t *testing.T) {
 	_, backend := startBackend(t)
 	px := faultnet.New(backend, faultnet.Config{})
@@ -393,7 +393,7 @@ func TestMuxMutationAmbiguity(t *testing.T) {
 	if !errors.Is(err, client.ErrAmbiguous) {
 		t.Fatalf("mux TryInsert on a swallowed frame: %v, want ErrAmbiguous", err)
 	}
-	// The supervisor redials (conn 3, passed through); the same handle
+	// The next pass redials (conn 3, passed through); the same handle
 	// keeps working, and GETs were never at ambiguity risk.
 	if _, _, err := h.TryFind(700); err != nil {
 		t.Fatalf("mux TryFind after ambiguous mutation: %v", err)
@@ -453,85 +453,130 @@ func TestMuxSideDialRetries(t *testing.T) {
 	}
 }
 
-// TestMuxOutOfOrderReplies: the wire protocol lets a server answer one
-// connection's frames in any order (matching is by id), so a frame may
-// still be in flight after arbitrarily many later ones completed. The
-// script withholds the first frame's reply (a PUT) until 64 later
-// frames were answered — one full lap of the response-slot table. The
-// PUT must still complete normally, with no generation lost to a
-// mismatched response id.
-func TestMuxOutOfOrderReplies(t *testing.T) {
+// TestMuxReplyOutOfOrder: a server answers a connection's frames in the
+// order it read them, so a reply for any frame other than the oldest
+// unanswered one is a protocol error. The script holds its reply to the
+// mux's first frame until a GET and a DELETE are queued behind it, so
+// the next pass carries an MGET and an MDELETE frame, and it answers the
+// MDELETE first, with made-up results. The mux must deliver none of
+// them: the DELETE, whose frame was written, fails with ErrAmbiguous,
+// and the GET goes into the next pass, which redials (conn 3, passed
+// through) and reads the backend's value.
+func TestMuxReplyOutOfOrder(t *testing.T) {
 	_, backend := startBackend(t)
-	const later = 64
-	firstRead := make(chan struct{})
-	// answer replies "absent/applied, no value" for every key of a frame.
-	answer := func(nc net.Conn, id uint64, n int) {
-		oks := make([]bool, n)
-		for i := range oks {
-			oks[i] = true
-		}
-		nc.Write(wire.AppendRespBatch(nil, id, make([]uint64, n), oks))
+	direct, err := client.Dial(backend)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { direct.Close() })
+	direct.NewHandle().Insert(8, 80)
+
+	firstRead, release := make(chan struct{}), make(chan struct{})
+	twoFrames := make(chan bool, 1)
 	script := func(nc net.Conn) {
 		defer nc.Close()
-		firstID, firstN, ok := readBatchFrame(nc)
+		id, n, ok := readBatchFrame(nc)
 		if !ok {
 			return
 		}
 		close(firstRead)
-		for i := 0; i < later; i++ {
-			id, n, ok := readBatchFrame(nc)
-			if !ok {
-				return
-			}
-			answer(nc, id, n)
+		<-release
+		nc.Write(wire.AppendRespBatch(nil, id, make([]uint64, n), make([]bool, n)))
+		getID, _, ok1 := readBatchFrame(nc)
+		delID, n, ok2 := readBatchFrame(nc)
+		pair := ok1 && ok2 && delID == getID+1
+		twoFrames <- pair
+		if !pair {
+			return
 		}
-		answer(nc, firstID, firstN)
-		io.Copy(io.Discard, nc) // stay open until the mux closes
+		vals, oks := make([]uint64, n), make([]bool, n)
+		for i := range vals {
+			vals[i], oks[i] = 999, true
+		}
+		nc.Write(wire.AppendRespBatch(nil, delID, vals, oks))
+		io.Copy(io.Discard, nc) // until the mux redials
 	}
 	// Conn 1: control client dial. Conn 2: the mux's shared connection.
 	front := evilFront(t, backend, map[int]func(net.Conn){2: script})
-	m, err := client.DialMux(front, client.Config{})
+	m, err := client.DialMux(front, client.Config{RetryAttempts: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
 
-	putErr := make(chan error, 1)
-	go func() {
-		_, _, err := m.NewHandle().(client.TryHandle).TryInsert(700, 701)
-		putErr <- err
-	}()
+	type result struct {
+		v   uint64
+		ok  bool
+		err error
+	}
+	run := func(op func(h client.TryHandle) (uint64, bool, error)) chan result {
+		c := make(chan result, 1)
+		go func() {
+			v, ok, err := op(m.NewHandle().(client.TryHandle))
+			c <- result{v, ok, err}
+		}()
+		return c
+	}
+	first := run(func(h client.TryHandle) (uint64, bool, error) { return h.TryFind(1) })
 	select {
 	case <-firstRead:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the PUT frame never reached the server")
+		t.Fatal("the first frame never reached the server")
 	}
-	h := m.NewHandle().(client.TryHandle)
-	for i := 0; i < later; i++ {
-		if _, _, err := h.TryFind(uint64(2 + i)); err != nil {
-			t.Fatalf("TryFind %d behind the withheld PUT: %v", i, err)
+	get := run(func(h client.TryHandle) (uint64, bool, error) { return h.TryFind(8) })
+	del := run(func(h client.TryHandle) (uint64, bool, error) { return h.TryDelete(9) })
+	for deadline := time.Now().Add(10 * time.Second); m.Inflight() != 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("inflight %d, want 3", m.Inflight())
 		}
 	}
+	time.Sleep(50 * time.Millisecond) // both queued, not only counted
+	close(release)
 	select {
-	case err := <-putErr:
-		if err != nil {
-			t.Errorf("withheld PUT: %v, want its late reply", err)
+	case pair := <-twoFrames:
+		if !pair {
+			t.Fatal("the second pass did not carry an MGET and an MDELETE frame")
 		}
 	case <-time.After(10 * time.Second):
-		t.Error("withheld PUT never completed: its response slot was reused")
+		t.Fatal("the second pass never reached the server")
 	}
-	if fs := m.FaultStats(); fs.Redials+fs.Ambiguous+fs.MuxProtocol+fs.MuxTransport != 0 {
-		t.Errorf("out-of-order replies cost a generation: %+v", fs)
+	if r := <-first; r.err != nil || r.ok {
+		t.Errorf("first GET = %+v, want absent", r)
 	}
+	if r := <-get; r.err != nil || !r.ok || r.v != 80 {
+		t.Errorf("GET behind the out-of-order reply = %+v, want (80, true)", r)
+	}
+	if r := <-del; !errors.Is(r.err, client.ErrAmbiguous) {
+		t.Errorf("DELETE answered out of order = %+v, want ErrAmbiguous", r)
+	}
+	if fs := m.FaultStats(); fs.Redials != 1 || fs.Ambiguous != 1 {
+		t.Errorf("after the out-of-order reply: %+v, want one redial and one ambiguity", fs)
+	}
+}
+
+// chaosDict is what a chaos round needs of a Client or a Mux.
+type chaosDict interface {
+	Open(name string, keyRange uint64) error
+	NewHandle() dict.Handle
+	Close() error
 }
 
 // TestChaosLinearizable is the acceptance gate: chaos rounds through a
 // fault-injecting proxy (delays, disconnects, truncations) until at
 // least 40 faults fired, every round's history checker-clean with
 // ambiguous mutations carried as Maybe ops, and the server still
-// serving cleanly afterwards.
+// serving cleanly afterwards. It runs through plain handles and through
+// a Mux's coalescing handles.
 func TestChaosLinearizable(t *testing.T) {
+	t.Run("handle", func(t *testing.T) {
+		chaosLinearizable(t, func(addr string, cfg client.Config) (chaosDict, error) { return client.DialConfig(addr, cfg) })
+	})
+	t.Run("mux", func(t *testing.T) {
+		chaosLinearizable(t, func(addr string, cfg client.Config) (chaosDict, error) { return client.DialMux(addr, cfg) })
+	})
+}
+
+func chaosLinearizable(t *testing.T, dial func(addr string, cfg client.Config) (chaosDict, error)) {
 	srv, backend := startBackend(t)
 	pxCfg := faultnet.Config{
 		Seed:         77,
@@ -555,7 +600,7 @@ func TestChaosLinearizable(t *testing.T) {
 		if rounds++; rounds > 300 {
 			t.Fatalf("only %d faults after %d rounds", px.Stats().Total(), rounds)
 		}
-		c, err := client.DialConfig(paddr.String(), client.Config{RetryAttempts: 16})
+		c, err := dial(paddr.String(), client.Config{RetryAttempts: 16})
 		if err != nil {
 			continue // dial-time STATS lost the retry lottery; redial fresh
 		}

@@ -3,10 +3,10 @@ package client
 // Fault tolerance: reconnect + retry policy for handles.
 //
 // Every handle owns one TCP connection, and every request it makes —
-// point op, batch, scan, control RPC — is one attempt closure run by
-// one loop, retry. An attempt reports whether any frame byte may have
-// left the client and what went wrong; the loop alone decides what
-// happens next:
+// point op, batch, scan, control RPC, and a Mux's pass over its shared
+// handle — is one attempt closure run by one loop, retry. An attempt
+// reports whether any frame byte may have left the client and what went
+// wrong; the loop alone decides what happens next:
 //
 //   - A transport failure (dial refused, read/write error, torn frame)
 //     or a protocol error (mismatched id or opcode, a reply that fails
@@ -119,12 +119,8 @@ func (cfg Config) withDefaults() Config {
 type FaultStats struct {
 	Redials   uint64 // successful reconnects
 	Retries   uint64 // operations replayed after a transport failure
-	Ambiguous uint64 // mutations failed with ErrAmbiguous
+	Ambiguous uint64 // mutating requests (a mux pass is one) failed with ErrAmbiguous
 	Busy      uint64 // server BUSY rejections absorbed (admission and rate limit)
-	// Mux connection generations ended by a transport failure, and by a
-	// response violating the wire protocol (a bug; also logged).
-	MuxTransport uint64
-	MuxProtocol  uint64
 }
 
 // faultCounters is the atomic backing store (fast path never touches it).
@@ -133,9 +129,6 @@ type faultCounters struct {
 	retries   atomic.Uint64
 	ambiguous atomic.Uint64
 	busy      atomic.Uint64
-
-	muxTransport atomic.Uint64
-	muxProtocol  atomic.Uint64
 }
 
 // FaultStats snapshots the client's fault-path counters.
@@ -145,9 +138,6 @@ func (c *Client) FaultStats() FaultStats {
 		Retries:   c.faults.retries.Load(),
 		Ambiguous: c.faults.ambiguous.Load(),
 		Busy:      c.faults.busy.Load(),
-
-		MuxTransport: c.faults.muxTransport.Load(),
-		MuxProtocol:  c.faults.muxProtocol.Load(),
 	}
 }
 
@@ -203,16 +193,16 @@ func (h *handle) redial() error {
 }
 
 // backoff sleeps for the attempt'th capped exponential backoff with
-// ±50% jitter drawn from rng (the caller's own stream: a plain handle's
-// or the mux supervisor's), counting the retry.
-func (c *Client) backoff(attempt int, rng *xrand.Rand) {
+// ±50% jitter drawn from the handle's own stream, counting the retry.
+func (h *handle) backoff(attempt int) {
+	c := h.c
 	d := c.cfg.RetryBackoff << uint(attempt)
 	if d > retryBackoffMax || d <= 0 {
 		d = retryBackoffMax
 	}
 	// Jitter in [d/2, 3d/2) so synchronized failures don't re-dial in
 	// lockstep.
-	d = d/2 + time.Duration(rng.Uint64n(uint64(d)))
+	d = d/2 + time.Duration(h.rng.Uint64n(uint64(d)))
 	time.Sleep(d)
 	c.faults.retries.Add(1)
 }
@@ -252,7 +242,7 @@ func (h *handle) retry(op byte, attempt func() (wrote bool, err error)) error {
 		if errors.Is(err, errClientClosed) || n >= h.c.cfg.RetryAttempts {
 			return err
 		}
-		h.c.backoff(n, h.rng)
+		h.backoff(n)
 	}
 }
 

@@ -30,6 +30,12 @@ const idle = ^uint64(0)
 // e+2, so at most three generations are pending at once.
 const limboBuckets = 3
 
+// limboAdvance is how many retirees a handle's current generation holds
+// before every Exit tries to advance the epoch, not only every 64th. It
+// bounds what a lone churning thread keeps in limbo to a few
+// generations of this size, however few operations retire.
+const limboAdvance = 16
+
 // Manager coordinates epochs for one shared structure. Create one per
 // tree with NewManager; register one Handle per worker goroutine.
 type Manager[T any] struct {
@@ -92,15 +98,19 @@ func (h *Handle[T]) Enter() {
 }
 
 // Exit ends the critical section opened by the matching Enter; only the
-// outermost Exit closes the section. Periodically it tries to advance
-// the global epoch and frees any limbo generation that has expired.
+// outermost Exit closes the section. Every 64th operation, and every one
+// while the handle's current generation holds limboAdvance retirees, it
+// tries to advance the global epoch; then it frees any limbo generation
+// that has expired. An advance waits for every handle inside a critical
+// section, so a goroutine preempted inside its section holds back every
+// handle's frees until it runs again.
 func (h *Handle[T]) Exit() {
 	if h.depth--; h.depth > 0 {
 		return
 	}
 	h.announce.Store(idle)
 	h.ops++
-	if h.ops%64 == 0 {
+	if h.ops%64 == 0 || len(h.limbo[h.m.epoch.Load()%limboBuckets]) >= limboAdvance {
 		h.m.tryAdvance()
 	}
 	h.drain()

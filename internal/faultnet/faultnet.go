@@ -125,8 +125,7 @@ type Proxy struct {
 	target string
 	cfg    Config
 
-	l       net.Listener
-	enabled atomic.Bool // faults armed (starts true; DropAll works regardless)
+	l net.Listener
 
 	mu     sync.Mutex
 	conns  map[*proxyConn]struct{}
@@ -146,9 +145,7 @@ func New(target string, cfg Config) *Proxy {
 	if cfg.BlackholeDur <= 0 {
 		cfg.BlackholeDur = 20 * time.Millisecond
 	}
-	p := &Proxy{target: target, cfg: cfg, conns: make(map[*proxyConn]struct{})}
-	p.enabled.Store(true)
-	return p
+	return &Proxy{target: target, cfg: cfg, conns: make(map[*proxyConn]struct{})}
 }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and begins proxying.
@@ -193,11 +190,6 @@ func (p *Proxy) Close() error {
 	p.wg.Wait()
 	return nil
 }
-
-// SetFaults arms or disarms the probabilistic schedule (DropAll still
-// works while disarmed — it is the scripted fault for deterministic
-// tests).
-func (p *Proxy) SetFaults(on bool) { p.enabled.Store(on) }
 
 // DropAll severs every live proxied connection right now — the scripted
 // "pull the cable" fault. Returns how many connections it killed.
@@ -312,7 +304,7 @@ func (c *proxyConn) pump(src, dst net.Conn, rng *xrand.Rand) {
 		n, err := src.Read(buf)
 		if n > 0 {
 			chunk := buf[:n]
-			if c.p.enabled.Load() && forwarded >= cfg.WarmupBytes {
+			if forwarded >= cfg.WarmupBytes {
 				if !c.perturb(&chunk, dst, rng) {
 					return // fault consumed the connection
 				}

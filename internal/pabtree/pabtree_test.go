@@ -38,6 +38,40 @@ func TestSlotRecycling(t *testing.T) {
 	}
 }
 
+// TestEpochLimboBounded: one thread deleting and re-inserting 8-key
+// blocks of a 40-key tree at degree (2,4) splits and merges leaves on
+// every round, retiring a node slot each time. Its limbo must reach the
+// free list within a few generations, so the run fits an arena of 128
+// slots — about five times the tree's live nodes. With the epoch
+// advanced only every 64 operations, the same run bumped 219 slots.
+func TestEpochLimboBounded(t *testing.T) {
+	const slots = 128
+	a := pmem.New(slots * NodeWords)
+	tr := New(a, WithDegree(2, 4))
+	th := tr.NewThread()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("churn in a %d-slot arena: %v", slots, r)
+		}
+	}()
+	for k := uint64(1); k <= 40; k++ {
+		th.Insert(k, k)
+	}
+	for round := 0; round < 2000; round++ {
+		lo := 1 + uint64(round%5)*8
+		for k := lo; k < lo+8; k++ {
+			th.Delete(k)
+		}
+		for k := lo; k < lo+8; k++ {
+			th.Insert(k, k)
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("bumped %d of %d slots", a.Allocated()/NodeWords, slots)
+}
+
 func TestFlushCountsPerOp(t *testing.T) {
 	// A pair shares a cache line, so every in-place update is one flush
 	// and one fence: the pair's line for an insert, the ⊥ key's for a

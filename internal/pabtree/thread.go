@@ -4,7 +4,6 @@ import (
 	"repro/internal/abalg"
 	"repro/internal/epoch"
 	"repro/internal/mcslock"
-	"repro/internal/pmem"
 )
 
 const maxHeld = abalg.MaxHeld
@@ -87,15 +86,3 @@ func (th *Thread) UnlockAll() {
 // section, so retired node slots cannot be recycled under a traversal.
 func (th *Thread) enter() { th.eh.Enter() }
 func (th *Thread) exit()  { th.eh.Exit() }
-
-// recoverCrash converts a failpoint panic into a clean abort of the
-// current operation. Used only by crash-injection tests via RunOp.
-func (th *Thread) recoverCrash(err *error) {
-	if r := recover(); r != nil {
-		if r == pmem.ErrCrash {
-			*err = pmem.ErrCrash
-			return
-		}
-		panic(r)
-	}
-}

@@ -54,10 +54,10 @@ func startMux(t *testing.T, name string, keyRange uint64) (*Server, *client.Mux)
 func TestMuxPointOps(t *testing.T) {
 	t.Run("one-conn", func(t *testing.T) {
 		_, m := startMux(t, "occ", 1<<20)
-		// Four callers per credit make coalescing structural: at most 8
-		// frames are in flight, so while the window is full the other
-		// callers park in the submission queue and the next round's
-		// frames (one per opcode class) must carry them together.
+		// 32 callers on one pass in flight make coalescing structural:
+		// while a pass is on the wire the other callers park in the
+		// submission queue, and the next pass's frames (one per opcode
+		// class) must carry them together.
 		const (
 			goroutines = 32
 			ops        = 750

@@ -33,10 +33,11 @@
 // frame only after serving the last one, and reads the socket only
 // after writing its pending replies, so backpressure is TCP's, per
 // connection. A peer that pipelines must therefore read replies while
-// it writes (as client.Mux and a client handle's multi-frame batches
-// do): one that wrote more than the socket buffers hold before reading
-// would block both ends in write. A peer that stops reading is turned
-// into a dead connection by the write deadline (Server.writeTimeout);
+// it writes (as a client handle's multi-frame batches do), or bound what
+// it writes before reading (a client.Mux pass writes at most three
+// frames): one that wrote more than the socket buffers hold before
+// reading would block both ends in write. A peer that stops reading is
+// turned into a dead connection by the write deadline (Server.writeTimeout);
 // it holds up only its own goroutine. Admission control is
 // Config.MaxConns — the only cap on concurrent operations — and
 // Config.RateLimit, both answering BUSY ("nothing was executed"), which
@@ -100,8 +101,8 @@ type Config struct {
 	// the request id — the server read the request and executed nothing,
 	// so even a mutation is safe to resend after backing off. Batched
 	// frames are charged their full key count but never rejected (a
-	// mid-stream BUSY would break the client mux's "BUSY means nothing
-	// executed" salvage contract), so heavy batch traffic pushes the
+	// BUSY between a pipeline's replies would leave the client unable to
+	// resend on the connection), so heavy batch traffic pushes the
 	// bucket into deficit and throttles the connection's subsequent
 	// requests instead; the deficit is capped at one extra burst so a
 	// run of large batches delays later single-frame ops by at most

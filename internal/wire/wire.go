@@ -12,10 +12,10 @@
 // length counts everything after the length field (id + op + payload),
 // so a frame occupies 4+length bytes and length is always >= 9. id is
 // chosen by the client and echoed verbatim in every response frame for
-// the request, which lets a connection pipeline requests and match each
-// response to its request. (internal/server serves a connection's
-// requests one at a time, in arrival order, so its responses also come
-// back in request order.) A scan response is a sequence of
+// the request, which lets a connection pipeline requests and check each
+// response against its request. A server answers a connection's frames
+// in the order it read them, so a client may treat a response to any
+// frame but its oldest unanswered one as a protocol error. A scan response is a sequence of
 // RespScanChunk frames sharing the request's id; the final chunk sets
 // ChunkLast.
 //
