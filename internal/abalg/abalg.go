@@ -5,8 +5,9 @@
 // lockOrElim in elim.go), the structural updates (splitting insert,
 // fixTagged, fixUnderfull with its distribute and merge, and the
 // range-query history the replacement leaves inherit), range scans and
-// snapshot scans (scan.go), batched point operations (batch.go) and the
-// quiescent inspection walks (Validate, Scan, Stats, ...).
+// snapshot scans (scan.go), batched point operations with their
+// level-synchronous partition descent (batch.go) and the quiescent
+// inspection walks (Validate, Scan, Stats, ...).
 //
 // The algorithms are generic over a node reference R — a *node on the Go
 // heap in internal/core, a uint64 arena offset in internal/pabtree — and
@@ -26,13 +27,17 @@
 // per-slot accessor interface under the per-operation descent measured
 // 14-25 % slower (EXPERIMENTS.md, "One rebalancer"). A descent pays one
 // Route per internal node, a double collect one AppendLeaf per pass, an
-// update one locked write and UnlockAll beside them, and a scan or batch
-// the same steps per node or leaf it visits against a leaf's worth of
-// slots each (EXPERIMENTS.md, "Scans and batches through the seam",
-// "Point operations through the seam" and "One descent for both
-// trees"). What stays concrete in each store is the node layout: the
-// leaf reads and writes behind the seam steps, and the slot record's
-// encoding behind Record.
+// update one locked write and UnlockAll beside them, and a scan the same
+// steps per node or leaf it visits against a leaf's worth of slots each.
+// A batch pays one Touch and one Kind per node its descent reaches and
+// one Branch per child a run is split among: Branch is Route without the
+// read of the child, so a level's nodes are all requested (Touch) before
+// any of them is read (EXPERIMENTS.md, "Scans and batches through the
+// seam", "Point operations through the seam", "One descent for both
+// trees" and "Level-synchronous batch descent"). What stays concrete in
+// each store is the node layout: the leaf reads and writes behind the
+// seam steps, the lines Touch loads, and the slot record's encoding
+// behind Record.
 package abalg
 
 import (
@@ -90,6 +95,8 @@ type Scratch[R comparable] struct {
 	path      scanPath[R]    // the cached descent (scan.go)
 	pairs     []rq.Pair      // per-leaf collects append here (scan.go)
 	ents, tmp []batchkit.Ent // the sorted batch and the sort's spare (batch.go)
+	level     []hop[R]       // the batch descent's frontier (batch.go)
+	next      []hop[R]       // and the level it routes the frontier into
 	scanner   *rq.Scanner    // the RangeSnapshot registration, made on first use
 
 	// NoScanCache makes every scan and batch hop re-descend from the
@@ -178,14 +185,26 @@ type Store[R comparable] interface {
 
 	// The steps below serve the descent, the per-key updates (ops.go)
 	// and the scan and batch engines, as AppendLeaf does: one call per
-	// node or leaf visited, per poll of lockOrElim (elim.go), or per key
-	// written to a locked leaf.
+	// node or leaf visited, per child a batch's run is split among, per
+	// poll of lockOrElim (elim.go), or per key written to a locked leaf.
 
-	// Route returns the child of the internal node n whose key range
-	// holds key, its index i in n, that child's key range [clo, chi)
+	// Branch returns the child of the internal node n whose key range
+	// holds key, its index i in n, and that child's key range [clo, chi)
 	// within n's range [lo, hi) — hi = 2^64-1 means unbounded above (no
-	// key is 2^64-1) — and whether the child is a leaf.
+	// key is 2^64-1). It reads n only, never the child: the batch
+	// engine's level loop routes a whole level's runs before it reads
+	// any node of the next level.
+	Branch(n R, key, lo, hi uint64) (child R, i int, clo, chi uint64)
+	// Route is Branch plus whether the child is a leaf: the step of a
+	// one-key descent, which reads the child next anyway. A store writes
+	// its routing loop once, for both.
 	Route(n R, key, lo, hi uint64) (child R, i int, clo, chi uint64, leaf bool)
+	// Touch loads one word of every cache line of node n, of either
+	// kind, and discards them: the loads are independent, so the
+	// processor keeps their misses in flight together. The batch engine
+	// touches a whole level before it classifies and routes it, so a
+	// batch waits for about one miss per level rather than one per node.
+	Touch(n R)
 	// Elim reports whether the store runs publishing elimination (an
 	// Elim tree, §4.1): its updates publish slot records, and its
 	// pre-lock phase is one optimistic scan and lockOrElim.

@@ -247,6 +247,77 @@ func rebalanceCases[R comparable, S abalg.Store[R]](t *testing.T, mk func(a, b i
 	})
 }
 
+// TestBatchMixedLeafDepths: a tagged node (a split's temporary extra
+// level) puts the leaves below it one level deeper than their cousins.
+// The batch descent must serve the runs of every leaf, at both depths,
+// with per-key results: finds, then inserts and deletes, each batch
+// spanning all four leaves, with a repeated key and absent keys.
+func TestBatchMixedLeafDepths(t *testing.T) {
+	t.Run("core", func(t *testing.T) {
+		batchMixedLeafDepths(t, core.New(core.WithDegree(2, 8)).NewThread(), nil)
+	})
+	t.Run("pabtree", func(t *testing.T) {
+		tr := pabtree.New(pmem.New(64*pabtree.NodeWords), pabtree.WithDegree(2, 8))
+		batchMixedLeafDepths(t, tr.NewThread(), tr.ValidatePersisted)
+	})
+}
+
+func batchMixedLeafDepths[R comparable, S abalg.Store[R]](t *testing.T, s S, persisted func() error) {
+	f := fixture[R]{t, s, persisted}
+	tagged := f.node(abalg.TaggedKind, 10, []uint64{15}, f.leaf(10, 10, 12), f.leaf(15, 15, 17))
+	f.setRoot(f.node(abalg.InternalKind, 1, []uint64{10, 20}, f.leaf(1, 1, 3), tagged, f.leaf(20, 20, 22)))
+	model := map[uint64]uint64{}
+	for _, k := range []uint64{1, 3, 10, 12, 15, 17, 20, 22} {
+		model[k] = k * 10
+	}
+	// check compares one batch's per-key results with the model, applying
+	// the model key by key in input order.
+	check := func(op string, keys, res []uint64, ok []bool) {
+		t.Helper()
+		for i, k := range keys {
+			v, present := model[k]
+			want := present
+			switch op {
+			case "insert":
+				want = !present
+				if !present {
+					model[k] = k * 10
+				}
+			case "delete":
+				delete(model, k)
+			}
+			if ok[i] != want || (present && res[i] != v) {
+				t.Errorf("%s key %d (#%d) = (%d, %v), want (%d, %v)", op, k, i, res[i], ok[i], v, want)
+			}
+		}
+	}
+
+	keys := []uint64{22, 12, 3, 17, 11, 1, 16, 20, 12, 25}
+	res, ok := make([]uint64, len(keys)), make([]bool, len(keys))
+	abalg.FindBatch(f.s, keys, res, ok)
+	check("find", keys, res, ok)
+	f.want("[(1 3) 10 <(10 12) 15 (15 17)> 20 (20 22)]", false)
+
+	keys = []uint64{16, 2, 21, 12, 11, 18, 16}
+	vals := make([]uint64, len(keys))
+	for i, k := range keys {
+		vals[i] = k * 10
+	}
+	res, ok = make([]uint64, len(keys)), make([]bool, len(keys))
+	abalg.InsertBatch(f.s, keys, vals, res, ok)
+	check("insert", keys, res, ok)
+	f.want("[(1 2 3) 10 <(10 11 12) 15 (15 16 17 18)> 20 (20 21 22)]", false)
+
+	keys = []uint64{3, 12, 22, 5, 16, 12}
+	res, ok = make([]uint64, len(keys)), make([]bool, len(keys))
+	abalg.DeleteBatch(f.s, keys, res, ok)
+	check("delete", keys, res, ok)
+	f.want("[(1 2) 10 <(10 11) 15 (15 17 18)> 20 (20 21)]", false)
+
+	abalg.FixTagged(f.s, tagged)
+	f.want("[(1 2) 10 (10 11) 15 (15 17 18) 20 (20 21)]", true)
+}
+
 // TestValidateRejects: the shared checker catches each invariant it
 // lists, on both stores — including the searchKey rule.
 func TestValidateRejects(t *testing.T) {

@@ -7,11 +7,28 @@ package abalg
 // The per-key operations pay a full root-to-leaf descent and (for
 // updates) a lock acquisition per key. A batch is instead staged into
 // the Thread's scratch and sorted by key (internal/batchkit's stable LSD
-// radix, so equal keys keep input order), then driven down the tree by a
-// partition descent: every internal node the batch touches is visited
-// once, its sorted run split among its children by the immutable routing
-// keys — so the upper levels cost O(distinct nodes), not O(keys x
-// height). At each leaf the whole run is
+// radix, so equal keys keep input order), then driven down the tree by
+// a level-synchronous partition descent. Its frontier holds, per node
+// the batch reached, the node, the upper bound of its key range and the
+// run of sorted keys routed to it. Each level takes two passes:
+//
+//  1. Touch every frontier node, requesting all of its cache lines.
+//     The loads are independent, so their misses overlap: the level
+//     costs about one miss, not one per node.
+//  2. Classify each node with Kind. A leaf rides into the next level as
+//     it is; an internal node's run is split among its children by
+//     Branch, which reads the routing keys and child pointers of the
+//     node alone, never the child it returns.
+//
+// The loop ends at the first level that holds only leaves. Leaves ride
+// along in place, so that level lists them in key order even when a
+// tagged node (a split's temporary extra level) put some of them one
+// level deeper than the rest. Every internal node the batch touches is
+// visited once, so the upper levels cost O(distinct nodes), not
+// O(keys x height); and each key's path is read one level after another
+// as in a per-key descent, only with the whole batch's reads of one
+// level in flight together (group prefetching over a partition). Then
+// each leaf's whole run, in key order, is
 //
 //   - answered from one validated double collect (finds), or
 //   - applied under one lock acquisition (updates; each key still gets
@@ -23,12 +40,12 @@ package abalg
 //     still publishes its record. On a persistent store every key gets
 //     the per-key flush discipline and durability point.
 //
-// When a leaf cannot serve its run — it was unlinked under the descent,
-// or fills up mid-run so a key needs the splitting insert — the run's
-// remainder is retried through the slow runner, an iterative loop that
-// re-descends per leaf through the Thread's cached scan path (scan.go)
-// and handles splits via the per-key Insert (ops.go). Leaves move
-// rarely, so the partition descent is the common case and the slow
+// When a leaf cannot serve its run — it was unlinked after the descent
+// reached it, or fills up mid-run so a key needs the splitting insert —
+// the run's remainder is retried through the slow runner, an iterative
+// loop that re-descends per leaf through the Thread's cached scan path
+// (scan.go) and handles splits via the per-key Insert (ops.go). Leaves
+// move rarely, so the partition descent is the common case and the slow
 // runner the churn case.
 //
 // Results are scattered back through each staged key's input index, so
@@ -110,29 +127,50 @@ func runBatch[R comparable](s Store[R], op batchOp, keys, vals, res []uint64, ok
 	}
 	ents, b.sc.tmp = batchkit.Sort(ents, b.sc.tmp)
 	b.sc.ents = ents
-	b.runSubtree(s.Entry(), unbounded, ents)
+	b.partition(ents)
 }
 
-// runSubtree drives one sorted run down the subtree at the internal node
-// n, whose key range ends below hi, splitting it among children by the
-// immutable routing keys so every node the batch touches is visited
-// exactly once. The whole run usually funnels through the top levels
-// into one child, which descends iteratively; a run split among internal
-// children recurses, bounded by the tree height.
-func (b *batch[R]) runSubtree(n R, hi uint64, run []batchkit.Ent) {
-	for i := 0; i < len(run); {
-		c, _, _, chi, leaf := b.s.Route(n, run[i].K, 0, hi)
-		end := batchkit.RunEnd(run, i, chi, true)
-		switch {
-		case leaf:
-			b.applyLeafRun(c, run[i:end])
-		case i == 0 && end == len(run):
-			n, hi = c, chi // the whole run funnels into one child
-			continue
-		default:
-			b.runSubtree(c, chi, run[i:end])
+// hop is one entry of the batch descent's frontier: a node the batch
+// reached, the upper bound of its key range, and the run ents[i:j] of
+// staged keys routed to it.
+type hop[R comparable] struct {
+	n    R
+	hi   uint64
+	i, j int
+}
+
+// partition drives the sorted batch down from the entry one level at a
+// time (see the file comment) and serves the leaves it ends at in key
+// order. The frontier's two slices live in the scratch, so a warmed-up
+// Thread descends without allocating.
+func (b *batch[R]) partition(ents []batchkit.Ent) {
+	s, sc := b.s, b.sc
+	level := append(sc.level[:0], hop[R]{s.Entry(), unbounded, 0, len(ents)})
+	next := sc.next
+	for inner := true; inner; {
+		for _, h := range level {
+			s.Touch(h.n)
 		}
-		i = end
+		next, inner = next[:0], false
+		for _, h := range level {
+			if s.Kind(h.n) == LeafKind {
+				next = append(next, h)
+				continue
+			}
+			inner = true
+			run := ents[:h.j]
+			for i := h.i; i < h.j; {
+				c, _, _, chi := s.Branch(h.n, run[i].K, 0, h.hi)
+				j := batchkit.RunEnd(run, i, chi, true)
+				next = append(next, hop[R]{c, chi, i, j})
+				i = j
+			}
+		}
+		level, next = next, level
+	}
+	sc.level, sc.next = level, next
+	for _, h := range level {
+		b.applyLeafRun(h.n, ents[h.i:h.j])
 	}
 }
 

@@ -712,3 +712,67 @@ func FuzzOps(f *testing.F, kinds ...Kind) {
 		}
 	})
 }
+
+// FuzzBatchOps drives trees of each kind at degree (2,4) with batches
+// from a fuzzer-controlled byte stream: a header byte picks the
+// operation (header mod 3) and the batch length (1-16), and the bytes
+// after it are the batch's keys, drawn from 64 so that batches repeat
+// keys. A model map, applied key by key in input order, is the oracle
+// for every per-key result; at the end every key's Find must agree with
+// it and the tree must be valid. The seed corpus runs as a regular test.
+func FuzzBatchOps(f *testing.F, kinds ...Kind) {
+	f.Add([]byte{3*7 + 0, 1, 2, 3, 4, 5, 6, 7, 8, 3*3 + 2, 1, 9, 4, 4, 3*4 + 1, 2, 2, 8, 60, 7})
+	f.Add([]byte{3*15 + 0, 9, 1, 40, 17, 33, 2, 63, 9, 5, 21, 12, 48, 27, 30, 9, 1, 3*15 + 1, 40, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, kind := range kinds {
+			tr := kind.Open(2, 4, 1024)
+			th := tr.Thread()
+			model := make(map[uint64]uint64)
+			for i := 0; i < len(data); {
+				op, n := data[i]%3, int(data[i]/3)%16+1
+				i++
+				var keys, vals []uint64
+				for ; n > 0 && i < len(data); n, i = n-1, i+1 {
+					k := uint64(data[i])%64 + 1
+					keys = append(keys, k)
+					vals = append(vals, k<<16|uint64(i))
+				}
+				res, ok := make([]uint64, len(keys)), make([]bool, len(keys))
+				switch op {
+				case 0:
+					th.InsertBatch(keys, vals, res, ok)
+				case 1:
+					th.DeleteBatch(keys, res, ok)
+				default:
+					th.FindBatch(keys, res, ok)
+				}
+				for j, k := range keys {
+					mv, present := model[k]
+					want := present
+					switch op {
+					case 0:
+						want = !present
+						if !present {
+							model[k] = vals[j]
+						}
+					case 1:
+						delete(model, k)
+					}
+					if ok[j] != want || (present && res[j] != mv) {
+						t.Fatalf("%s byte %d: op %d key %d (#%d of %v) = (%d, %v), model (%d, %v)",
+							kind.Name, i, op, k, j, keys, res[j], ok[j], mv, want)
+					}
+				}
+			}
+			for k := uint64(1); k <= 64; k++ {
+				mv, present := model[k]
+				if v, ok := th.Find(k); ok != present || v != mv {
+					t.Fatalf("%s: Find(%d) = (%d, %v), model (%d, %v)", kind.Name, k, v, ok, mv, present)
+				}
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("%s: %v", kind.Name, err)
+			}
+		}
+	})
+}

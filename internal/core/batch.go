@@ -1,10 +1,13 @@
 package core
 
-// Batched point operations (dict.Batcher). The partition descent, the
-// per-leaf runs and the slow runner are internal/abalg's (batch.go),
-// written once for this store and internal/pabtree's; each leaf's run
-// reaches this package through AppendLeaf (finds, seam.go) and the
-// per-key locked writes PutLocked and DeleteLocked (updates, ops.go).
+// Batched point operations (dict.Batcher). The level-synchronous
+// partition descent, the per-leaf runs and the slow runner are
+// internal/abalg's (batch.go), written once for this store and
+// internal/pabtree's. The descent reaches this package through Touch (a
+// load from each cache line of the node, node.touch), Kind and Branch
+// (the routing loop Route shares, node.route); each leaf's run through
+// AppendLeaf (finds, seam.go) and the per-key locked writes PutLocked
+// and DeleteLocked (updates, ops.go).
 
 import "repro/internal/abalg"
 

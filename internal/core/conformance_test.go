@@ -57,7 +57,8 @@ func TestQuickSetSemantics(t *testing.T)    { storetest.QuickSetSemantics(t, occ
 func TestQuickInsertDeleteInverse(t *testing.T) {
 	storetest.QuickInsertDeleteInverse(t, occ, elim)
 }
-func FuzzOps(f *testing.F) { storetest.FuzzOps(f, occ, elim) }
+func FuzzOps(f *testing.F)      { storetest.FuzzOps(f, occ, elim) }
+func FuzzBatchOps(f *testing.F) { storetest.FuzzBatchOps(f, occ, elim) }
 
 func TestConcurrentUniform(t *testing.T)      { storetest.ConcurrentUniform(t, occ, elim) }
 func TestConcurrentZipf(t *testing.T)         { storetest.ConcurrentZipf(t, occ, elim) }

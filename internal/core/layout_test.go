@@ -47,6 +47,28 @@ var (
 	_ [-unsafe.Offsetof(inner{}.node)]byte
 )
 
+// TestTouchWords pins the four words node.touch loads: at each offset
+// both layouts hold an atomic word, so a touch of either kind of node
+// reads only words that are written atomically.
+func TestTouchWords(t *testing.T) {
+	var l leaf
+	var in inner
+	lb, ib := uintptr(unsafe.Pointer(&l)), uintptr(unsafe.Pointer(&in))
+	for _, w := range []struct {
+		off              uintptr
+		leafWord, inWord unsafe.Pointer
+	}{
+		{0, unsafe.Pointer(&l.mcs), unsafe.Pointer(&in.mcs)},
+		{64, unsafe.Pointer(&l.keys[5]), unsafe.Pointer(&in.keys[5])},
+		{128, unsafe.Pointer(&l.Vers), unsafe.Pointer(&in.ptrs[2])},
+		{192, unsafe.Pointer(&l.vals[7]), unsafe.Pointer(&in.ptrs[10])},
+	} {
+		if lo, io := uintptr(w.leafWord)-lb, uintptr(w.inWord)-ib; lo != w.off || io != w.off {
+			t.Errorf("touch word %d: leaf field at %d, inner field at %d", w.off, lo, io)
+		}
+	}
+}
+
 // TestHeapBytesPerKey pins the footprint the layouts exist for: uniform
 // random inserts settle at ~69% leaf fill, so a 224 B leaf class plus
 // the internal levels cost ~32 B of live heap per key (the unified

@@ -73,8 +73,9 @@ const (
 // Everything that works on any node — locking, marking, routing by keys,
 // re-location by searchKey — reads the header through the *node. The
 // role-specific tails are reached through the downcasts leaf() and
-// inner(), which hold the package's only unsafe conversions; kind says
-// which one is legal (LeafKind: leaf; otherwise inner).
+// inner(), which hold the package's only unsafe conversions besides
+// touch's line loads; kind says which one is legal (LeafKind: leaf;
+// otherwise inner).
 //
 // Mutability discipline:
 //   - header state (marked bit, leaf size, slot record): written only
@@ -163,6 +164,21 @@ func (n *node) inner() *inner {
 	return (*inner)(unsafe.Pointer(n))
 }
 
+// touch loads one word of every cache line n's allocation spans and
+// discards them (abalg.Store.Touch). The allocation classes are 16 B
+// aligned for an inner node (208 B) and 32 B aligned for a leaf (224
+// B), so either spans at most four 64 B lines, and the words at offsets
+// 0, 64, 128 and 192 lie inside both layouts and on four different
+// lines. Every word there is only ever written atomically, or before
+// publication.
+func (n *node) touch() {
+	p := unsafe.Pointer(n)
+	atomic.LoadUint64((*uint64)(p))
+	atomic.LoadUint64((*uint64)(unsafe.Add(p, 64)))
+	atomic.LoadUint64((*uint64)(unsafe.Add(p, 128)))
+	atomic.LoadUint64((*uint64)(unsafe.Add(p, 192)))
+}
+
 func (n *node) isLeaf() bool { return n.kind == abalg.LeafKind }
 func (n *node) tagged() bool { return n.kind == abalg.TaggedKind }
 
@@ -202,6 +218,20 @@ func (n *node) size() int { return int(n.state.Load() & abalg.SizeMask) }
 
 // routingKeys returns the number of routing keys in an internal node.
 func (n *node) routingKeys() int { return int(n.nchildren) - 1 }
+
+// route returns the index of the internal node n's child whose key range
+// holds key, and that child's range within n's range [lo, hi).
+func (n *node) route(key, lo, hi uint64) (int, uint64, uint64) {
+	rk := n.routingKeys()
+	for i := 0; i < rk; i++ {
+		k := n.keys[i].Load()
+		if key < k {
+			return i, lo, k
+		}
+		lo = k
+	}
+	return rk, lo, hi
+}
 
 // tomb returns the slot every reader of l must skip: its tombstone on an
 // Elim-ABtree, -1 otherwise. Lock-free readers call it inside their

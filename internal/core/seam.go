@@ -29,6 +29,7 @@ func (th *Thread) Pause()                           { runtime.Gosched() }
 func (th *Thread) Elim() bool                       { return th.t.elim }
 func (th *Thread) Eliminated(op abalg.OpKind)       { th.t.elims[op].Add(1) }
 func (th *Thread) Scratch() *abalg.Scratch[*node]   { return &th.scratch }
+func (th *Thread) Touch(n *node)                    { n.touch() }
 
 func (th *Thread) Size(n *node) int {
 	if n.isLeaf() {
@@ -64,16 +65,15 @@ func (th *Thread) NewInternal(k abalg.Kind, keys []uint64, children []*node, sea
 	return newInternal(k, keys, children, searchKey)
 }
 
+// Branch and Route share the store's one routing loop, node.route,
+// which inlines into both; Route then reads the child's kind.
+func (th *Thread) Branch(n *node, key, lo, hi uint64) (*node, int, uint64, uint64) {
+	i, lo, hi := n.route(key, lo, hi)
+	return n.inner().ptrs[i].Load(), i, lo, hi
+}
+
 func (th *Thread) Route(n *node, key, lo, hi uint64) (*node, int, uint64, uint64, bool) {
-	i, rk := 0, n.routingKeys()
-	for ; i < rk; i++ {
-		k := n.keys[i].Load()
-		if key < k {
-			hi = k
-			break
-		}
-		lo = k
-	}
+	i, lo, hi := n.route(key, lo, hi)
 	c := n.inner().ptrs[i].Load()
 	return c, i, lo, hi, c.isLeaf()
 }

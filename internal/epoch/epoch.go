@@ -27,7 +27,8 @@ const idle = ^uint64(0)
 
 // limboBuckets is the number of retire generations kept per handle. Three
 // suffice: objects retired in epoch e are freed when the epoch reaches
-// e+2, so at most three generations are pending at once.
+// e+2, so at most three generations are pending at once. Bucket e mod 3
+// holds epoch e's retirees and is tagged with e.
 const limboBuckets = 3
 
 // limboAdvance is how many retirees a handle's current generation holds
@@ -54,6 +55,7 @@ type Handle[T any] struct {
 	m        *Manager[T]
 	announce atomic.Uint64
 	limbo    [limboBuckets][]T
+	tag      [limboBuckets]uint64 // the epoch limbo[b]'s retirees were retired in
 	ops      uint64
 	depth    int          // Enter nesting level (handle is single-owner)
 	_        [64 - 8]byte // avoid false sharing between handles' announcements
@@ -116,28 +118,34 @@ func (h *Handle[T]) Exit() {
 	h.drain()
 }
 
-// Retire schedules x to be freed two epochs from now.
+// Retire schedules x to be freed two epochs from now. If x's bucket
+// still holds an older generation (its tag is at most e-3, so it has
+// expired), that generation is freed first.
 func (h *Handle[T]) Retire(x T) {
 	e := h.m.epoch.Load()
-	h.limbo[e%limboBuckets] = append(h.limbo[e%limboBuckets], x)
+	b := int(e % limboBuckets)
+	if h.tag[b] != e {
+		h.free(b)
+		h.tag[b] = e
+	}
+	h.limbo[b] = append(h.limbo[b], x)
 }
 
-// drain frees this handle's limbo bucket for the generation that expired
-// at the current epoch (retired at e-2, where e is current).
+// drain frees every limbo bucket whose generation has expired: retired
+// in an epoch at most e-2, where e is current. The epoch can advance
+// several times between two of this handle's Exits (only its own open
+// section holds it back), so more than one bucket may have expired.
 func (h *Handle[T]) drain() {
 	e := h.m.epoch.Load()
-	if e < 2 {
-		return
+	for b := range h.limbo {
+		if len(h.limbo[b]) > 0 && h.tag[b]+2 <= e {
+			h.free(b)
+		}
 	}
-	b := (e - 2) % limboBuckets
-	// Safe to free bucket (e-2) only if nothing retired at e-2 could still
-	// be in use: true because the epoch advanced twice since. But the same
-	// bucket index is reused for epoch e+1's retirees, so drain only items
-	// retired before the bucket was recycled — we track that by draining
-	// eagerly on every Exit, before the epoch can advance again.
-	if len(h.limbo[b]) == 0 {
-		return
-	}
+}
+
+// free hands bucket b's retirees to the free callback and empties it.
+func (h *Handle[T]) free(b int) {
 	for _, x := range h.limbo[b] {
 		h.m.free(x)
 	}
@@ -162,9 +170,6 @@ func (m *Manager[T]) tryAdvance() {
 // a benchmark run or after a simulated crash.
 func (h *Handle[T]) Flush() {
 	for b := range h.limbo {
-		for _, x := range h.limbo[b] {
-			h.m.free(x)
-		}
-		h.limbo[b] = h.limbo[b][:0]
+		h.free(b)
 	}
 }

@@ -201,3 +201,27 @@ func TestNestedEnterKeepsSectionOpen(t *testing.T) {
 		t.Fatal("retiree never freed after the section closed and the epoch advanced")
 	}
 }
+
+// TestDrainAfterSkippedEpochs: the epoch may advance several times
+// between two Exits of one handle while other handles run. The retiree
+// has expired once the epoch is two past its retirement, so the
+// retiring handle's next Exit must free it, whichever epoch it sees.
+func TestDrainAfterSkippedEpochs(t *testing.T) {
+	var freed []int
+	m := NewManager[int](func(x int) { freed = append(freed, x) })
+	h, other := m.Register(), m.Register()
+
+	h.Enter()
+	h.Retire(1)
+	h.Exit()
+	for i := 0; i < 3; i++ {
+		other.Enter()
+		other.Exit()
+		m.tryAdvance()
+	}
+	h.Enter()
+	h.Exit()
+	if len(freed) != 1 || freed[0] != 1 {
+		t.Fatalf("epoch %d: freed %v, want [1]", m.Epoch(), freed)
+	}
+}

@@ -1,14 +1,17 @@
 package pabtree
 
 // Batched point operations for the persistent trees (dict.Batcher). The
-// partition descent, the per-leaf runs and the slow runner are
-// internal/abalg's (batch.go), shared with internal/core. Two
-// persistence twists:
+// level-synchronous partition descent, the per-leaf runs and the slow
+// runner are internal/abalg's (batch.go), shared with internal/core. The
+// descent reaches this package through Touch (a slot's three arena lines
+// and its volatile header's version), Kind and Branch (the routing loop
+// it shares with Route, Tree.route). Two persistence twists:
 //
 //   - node offsets are only meaningful inside an epoch critical section,
 //     so each batched call brackets itself with one and resets the cached
-//     scan path the slow runner uses (scanEnter); the splitting insert
-//     the slow runner falls back to (abalg.Insert) runs inside it;
+//     scan path the slow runner uses (scanEnter); the frontier's offsets
+//     and the splitting insert the slow runner falls back to
+//     (abalg.Insert) live inside it;
 //   - every mutation goes through PutLocked/DeleteLocked, so the batched
 //     path has exactly the per-key flush discipline and durability
 //     points.

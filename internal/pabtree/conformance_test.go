@@ -58,7 +58,8 @@ func TestQuickSetSemantics(t *testing.T)    { storetest.QuickSetSemantics(t, pOC
 func TestQuickInsertDeleteInverse(t *testing.T) {
 	storetest.QuickInsertDeleteInverse(t, pOCC, pElim)
 }
-func FuzzOps(f *testing.F) { storetest.FuzzOps(f, pOCC, pElim) }
+func FuzzOps(f *testing.F)      { storetest.FuzzOps(f, pOCC, pElim) }
+func FuzzBatchOps(f *testing.F) { storetest.FuzzBatchOps(f, pOCC, pElim) }
 
 func TestConcurrentUniform(t *testing.T)      { storetest.ConcurrentUniform(t, pOCC, pElim) }
 func TestConcurrentZipf(t *testing.T)         { storetest.ConcurrentZipf(t, pOCC, pElim) }

@@ -416,6 +416,23 @@ func (t *Tree) leafVal(off uint64, i int) uint64 { return t.arena.Load(leafValOf
 
 func (t *Tree) routingKey(off uint64, i int) uint64 { return t.arena.Load(routingKeyOff(off, i)) }
 
+// route returns the index of the internal node at off's child whose key
+// range holds key, and that child's range within the node's [lo, hi).
+// The caller passes the node's meta word, which keeps route small enough
+// to inline into both of its callers.
+func (t *Tree) route(off, meta, key, lo, hi uint64) (i int, clo, chi uint64) {
+	rk := nchildrenOf(meta) - 1
+	for clo, chi = lo, hi; i < rk; i++ {
+		k := t.routingKey(off, i)
+		if key < k {
+			chi = k
+			break
+		}
+		clo = k
+	}
+	return
+}
+
 // loadChild returns child i of the internal node at off, waiting out the
 // link-and-persist mark bit: a marked pointer has been written but not yet
 // flushed, and following it could let an operation depend on unpersisted

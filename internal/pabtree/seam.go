@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"repro/internal/abalg"
+	"repro/internal/pmem"
 	"repro/internal/rq"
 )
 
@@ -90,19 +91,30 @@ func (th *Thread) Size(off uint64) int {
 	return nchildrenOf(th.t.meta(off))
 }
 
+// Branch and Route share the store's one routing loop, Tree.route,
+// which inlines into both; Route then reads the child's kind.
+func (th *Thread) Branch(off, key, lo, hi uint64) (uint64, int, uint64, uint64) {
+	t := th.t
+	i, lo, hi := t.route(off, t.meta(off), key, lo, hi)
+	return t.loadChild(off, i), i, lo, hi
+}
+
 func (th *Thread) Route(off, key, lo, hi uint64) (uint64, int, uint64, uint64, bool) {
 	t := th.t
-	i, rk := 0, nchildrenOf(t.meta(off))-1
-	for ; i < rk; i++ {
-		k := t.routingKey(off, i)
-		if key < k {
-			hi = k
-			break
-		}
-		lo = k
-	}
+	i, lo, hi := t.route(off, t.meta(off), key, lo, hi)
 	c := t.loadChild(off, i)
 	return c, i, lo, hi, t.isLeaf(c)
+}
+
+// Touch loads one word of each of the slot's three arena lines (slots
+// are line-aligned) and the version of its volatile header, which has a
+// line of its own.
+func (th *Thread) Touch(off uint64) {
+	a := th.t.arena
+	a.Load(off)
+	a.Load(off + pmem.LineWords)
+	a.Load(off + 2*pmem.LineWords)
+	th.t.vn(off).ver.Load()
 }
 
 // Record reads the slot record (vnode) between two equal even versions:

@@ -6,8 +6,10 @@ package shard
 // position), which makes each shard's keys one contiguous run — the
 // range partition and the sort agree on order. Each run is handed to
 // the owning shard's native Batcher when its handle has one (the
-// sub-batch is already sorted, so the shard's own sorted-run descent
-// sharing kicks in) or applied with a per-key loop otherwise, and
+// sub-batch is already sorted, so the shard's own level-synchronous
+// partition descent shares each node among the run's keys and overlaps
+// the run's cache misses level by level) or applied with a per-key loop
+// otherwise, and
 // results are scattered back through the staged input indices, so the
 // caller sees input order. Like the cross-shard scans, all plumbing is
 // per-handle scratch: steady-state batches allocate nothing.
