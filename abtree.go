@@ -146,7 +146,9 @@ func (h *Handle) Range(lo, hi uint64, fn func(k, v uint64) bool) { h.th.Range(lo
 // technique the paper's §3 points to; see internal/rq). Point
 // operations never wait for scans; while scans are in flight,
 // conflicting updates preserve superseded leaf states on short version
-// chains for them (recycled through a pool once no scan can need them).
+// chains for them (recycled through a pool once no scan can need them),
+// and leaves that replace others in splits and merges link the replaced
+// leaves' chains instead of copying them.
 // Safe to call concurrently with updates. fn may run point operations
 // on this handle but must not start another scan on it.
 func (h *Handle) RangeSnapshot(lo, hi uint64, fn func(k, v uint64) bool) {

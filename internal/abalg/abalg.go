@@ -4,10 +4,10 @@
 // with their pre-lock phase; publishing elimination's vocabulary and
 // lockOrElim in elim.go), the structural updates (splitting insert,
 // fixTagged, fixUnderfull with its distribute and merge, and the
-// range-query history the replacement leaves inherit), range scans and
-// snapshot scans (scan.go), batched point operations with their
-// level-synchronous partition descent (batch.go) and the quiescent
-// inspection walks (Validate, Scan, Stats, ...).
+// range-query history the replacement leaves inherit by reference),
+// range scans and snapshot scans (scan.go), batched point operations
+// with their level-synchronous partition descent (batch.go) and the
+// quiescent inspection walks (Validate, Scan, Stats, ...).
 //
 // The algorithms are generic over a node reference R — a *node on the Go
 // heap in internal/core, a uint64 arena offset in internal/pabtree — and

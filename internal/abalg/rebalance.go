@@ -28,7 +28,7 @@ func SplitInsert[R comparable](s Store[R], leaf, parent R, nIdx int, key, val ui
 	lo := s.SearchKey(leaf)
 	left := s.NewLeaf(items[:mid], lo)
 	right := s.NewLeaf(items[mid:], sep)
-	inherit(s, timeline(s, leaf, c), left, right, sep, c)
+	inherit(s, leaf, leaf, left, right, sep, c)
 
 	k := TaggedKind
 	if parent == s.Entry() {
@@ -216,7 +216,7 @@ func distribute[R comparable](s Store[R], left, right, p, gp R, lIdx, pIdx int) 
 		sep = items[lc].K
 		c := openWindows(s, left, right)
 		newLeft, newRight = s.NewLeaf(items[:lc], lo), s.NewLeaf(items[lc:], sep)
-		inherit(s, mergedTimeline(s, left, right, c), newLeft, newRight, sep, c)
+		inherit(s, left, right, newLeft, newRight, s.SearchKey(right), c)
 	} else {
 		children, keys := gatherSiblings(s, left, right, s.RoutingKey(p, lIdx))
 		lc := (len(children) + 1) / 2
@@ -246,9 +246,7 @@ func merge[R comparable](s Store[R], left, right, p, gp R, lIdx, pIdx int) {
 		items := gather(s, right, gather(s, left, sc.Items[:0]))
 		c := openWindows(s, left, right)
 		nn = s.NewLeaf(items, lo)
-		ls := s.LeafState(nn)
-		ls.TS.Store(c)
-		ls.Vers.Store(mergedTimeline(s, left, right, c))
+		inherit(s, left, right, nn, nn, s.SearchKey(right), c)
 	} else {
 		children, keys := gatherSiblings(s, left, right, s.RoutingKey(p, lIdx))
 		nn = s.NewInternal(InternalKind, keys, children, lo)
@@ -327,37 +325,45 @@ func unlinkFamily[R comparable](s Store[R], left, right, p R, leaves bool) {
 }
 
 // The replacement leaves of a structural update inherit the replaced
-// leaves' range-query history. These helpers run inside the old
-// leaves' version windows, with c the stamp read there.
+// leaves' range-query history by reference (rq.Inherit), and a scan
+// clips what it resolves to each leaf's range (scan.go). These helpers
+// run inside the old leaves' version windows, with c the stamp read
+// there.
+
+// inherit stamps the new leaves nl and nr (one leaf twice, for a merge)
+// with c and hands them the history of the replaced siblings left and
+// right (one leaf twice, for a split), linked under one inheritance node
+// that splits it at sep. No history is handed on when no scan can
+// resolve a timestamp at or below c: every scan then reads the new
+// leaves' current contents.
+func inherit[R comparable](s Store[R], left, right, nl, nr R, sep, c uint64) {
+	var h *rq.Version
+	if m := s.RQ().MinActive(); m <= c {
+		l := timeline(s, left, c, m)
+		r := l
+		if right != left {
+			r = timeline(s, right, c, m)
+		}
+		h = rq.Inherit(l, r, sep)
+	}
+	for _, n := range [2]R{nl, nr} {
+		ls := s.LeafState(n)
+		ls.TS.Store(c)
+		ls.Vers.Store(h)
+	}
+}
 
 // timeline returns a leaf's full state history — the version chain,
 // headed by the current contents when a scan in (stamp, c] could still
-// need them. The leaf must be locked and not yet modified by the caller.
-func timeline[R comparable](s Store[R], leaf R, c uint64) *rq.Version {
+// need them, pruned at minActive m. The leaf must be locked and not yet
+// modified by the caller.
+func timeline[R comparable](s Store[R], leaf R, c, m uint64) *rq.Version {
 	ls, p := s.LeafState(leaf), s.RQ()
 	tl := ls.Vers.Load()
 	if st := ls.TS.Load(); st < c {
 		v := p.Acquire()
 		v.Items = gather(s, leaf, v.Items)
-		tl = p.PushAcquired(tl, st, v, p.MinActive())
+		tl = p.PushAcquired(tl, st, v, m)
 	}
 	return tl
-}
-
-// inherit stamps the new leaves left and right (split at sep) and hands
-// them the history tl, each restricted to its key range.
-func inherit[R comparable](s Store[R], tl *rq.Version, left, right R, sep, c uint64) {
-	ll, rl := s.LeafState(left), s.LeafState(right)
-	ll.TS.Store(c)
-	rl.TS.Store(c)
-	if tl != nil {
-		ll.Vers.Store(s.RQ().Restrict(tl, 0, sep-1))
-		rl.Vers.Store(s.RQ().Restrict(tl, sep, ^uint64(0)))
-	}
-}
-
-// mergedTimeline combines two sibling leaves' histories (for merge and
-// distribute, whose replacements span both old ranges).
-func mergedTimeline[R comparable](s Store[R], left, right R, c uint64) *rq.Version {
-	return s.RQ().MergeTimelines(timeline(s, left, c), timeline(s, right, c))
 }

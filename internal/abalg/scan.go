@@ -14,9 +14,10 @@ package abalg
 // still need them are in flight (see the internal/rq package comment for
 // the protocol and its linearizability argument). Writers stamp leaves
 // inside their version windows (each store's rqStamp; structural
-// replacements inherit the replaced leaves' chains in rebalance.go), and
+// replacements link the replaced leaves' chains by reference in
+// rebalance.go, so a chain may hold keys beyond its leaf's range), and
 // a snapshot scan resolves each leaf's state as of its timestamp in
-// collect.
+// collect, clipped to the leaf's range.
 //
 // Scan fast path: hopping leaf to leaf by re-descending from the root
 // makes an L-key scan cost O(L/b * log n) node visits. Instead, each
@@ -136,14 +137,16 @@ func searchScan[R comparable](s Store[R], sc *Scratch[R], key uint64) (leaf R, h
 const latest = ^uint64(0)
 
 // collect appends the leaf's state as of scan timestamp ts (its current
-// state for latest), filtered to [lo, hi] and sorted, to buf. It is the
-// validated double collect every lock-free read of a leaf's pairs uses:
-// the pass is repeated until it overlaps no version window. ok is false
-// if the leaf has been unlinked (observed inside the validated window),
-// in which case the caller must re-descend from the root: a cached path
-// or a partition descent may have reached the leaf arbitrarily long
-// after the unlink, so its frozen contents cannot be served, while its
-// replacements (which inherited its version history) are reachable.
+// state for latest), filtered to [lo, hi] and sorted, to buf; [lo, hi]
+// must lie in the leaf's range, as the history it resolves may hold keys
+// beyond it. It is the validated double collect every lock-free read of
+// a leaf's pairs uses: the pass is repeated until it overlaps no version
+// window. ok is false if the leaf has been unlinked (observed inside the
+// validated window), in which case the caller must re-descend from the
+// root: a cached path or a partition descent may have reached the leaf
+// arbitrarily long after the unlink, so its frozen contents cannot be
+// served, while its replacements (which inherited its version history)
+// are reachable.
 func collect[R comparable](s Store[R], leaf R, buf []rq.Pair, ts, lo, hi uint64) (items []rq.Pair, ok bool) {
 	var before, after, stamp uint64
 	var marked bool
@@ -162,13 +165,7 @@ func collect[R comparable](s Store[R], leaf R, buf []rq.Pair, ts, lo, hi uint64)
 	// scan (see internal/rq). Current state is the answer iff its stamp
 	// predates the scan; otherwise resolve the chain.
 	if ts != latest && stamp >= ts {
-		if v := rq.VisibleAt(chain, ts); v != nil {
-			items = items[:0]
-			for _, it := range v.Items {
-				if it.K >= lo && it.K <= hi {
-					items = append(items, it)
-				}
-			}
+		if items, ok := rq.VisibleAt(items[:0], chain, ts, lo, hi); ok {
 			return items, true
 		}
 		// No chain entry below ts: unreachable while the scan holds its
@@ -230,7 +227,7 @@ func RangeSnapshotAt[R comparable](s Store[R], ts, lo, hi uint64, fn func(k, v u
 	sc := s.Scratch()
 	for cursor := lo; ; {
 		leaf, bound := searchScan(s, sc, cursor)
-		items, ok := collect(s, leaf, sc.pairs[:0], ts, cursor, hi)
+		items, ok := collect(s, leaf, sc.pairs[:0], ts, cursor, min(hi, bound-1))
 		sc.pairs = items[:0]
 		if !ok {
 			sc.ResetPath()

@@ -26,6 +26,10 @@ func TestRangeSnapshotDifferential(t *testing.T) {
 	storetest.RangeSnapshotDifferential(t, a4b11...)
 }
 
+func TestDeletesUnderOpenSnapshot(t *testing.T) {
+	storetest.DeletesUnderOpenSnapshot(t, storetest.All...)
+}
+
 // TestBatchSplitFallback forces the mid-batch leaf-full fallback: a
 // batch dense enough that every leaf in its range must split while the
 // batch is applying, then drained again in one batch (merging deletes).
@@ -165,7 +169,7 @@ func TestScanPathCacheWeakRangeStableKeys(t *testing.T) {
 // TestRangeSnapshotVersionsPruned checks that writers prune version
 // chains once no scan needs them: after interleaved scanning and writes
 // and a quiescent sweep of writes, no live leaf may retain more than the
-// pruning boundary entry.
+// pruning boundary entry, nor after quiescent splits and merges.
 func TestRangeSnapshotVersionsPruned(t *testing.T) {
 	storetest.ForEach(t, storetest.All, 2, 4, 1<<12, func(t *testing.T, tr storetest.Tree) {
 		th := tr.Thread()
@@ -186,6 +190,20 @@ func TestRangeSnapshotVersionsPruned(t *testing.T) {
 		}
 		if depth := tr.LongestChain(); depth > 1 {
 			t.Fatalf("a leaf retains %d versions with no scans active", depth)
+		}
+		// Splits and merges with no scan in flight hand the new leaves no
+		// history, since no scan can read it: chains must not grow
+		// inheritance nodes.
+		for k := uint64(201); k <= 400; k++ {
+			th.Insert(k, k)
+		}
+		for k := uint64(1); k <= 400; k++ {
+			if k%4 != 0 {
+				th.Delete(k)
+			}
+		}
+		if depth := tr.LongestChain(); depth > 1 {
+			t.Fatalf("a leaf retains %d chain entries after splits and merges with no scans active", depth)
 		}
 	})
 }

@@ -224,6 +224,71 @@ func RangeSnapshotDifferential(t *testing.T, kinds ...Kind) {
 	})
 }
 
+// DeletesUnderOpenSnapshot deletes every key of a tree of n from inside
+// the first callback of one RangeSnapshot over all of them, once in
+// ascending order and once in random order. The scan must still report
+// each key with its value, in order, and the history written into
+// version chains for it must average at most 2b pairs per delete: the
+// leaves that replace merged or redistributed ones link the replaced
+// leaves' history rather than copy it (internal/rq), where copying made
+// ascending deletes under one scan quadratic.
+func DeletesUnderOpenSnapshot(t *testing.T, kinds ...Kind) {
+	const (
+		n    = 4096
+		a, b = 2, 11
+	)
+	ascending := make([]uint64, n)
+	for i := range ascending {
+		ascending[i] = uint64(i + 1)
+	}
+	shuffled := append([]uint64(nil), ascending...)
+	rand.New(rand.NewSource(7)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, order := range []struct {
+		name string
+		keys []uint64
+	}{{"ascending", ascending}, {"random", shuffled}} {
+		t.Run(order.name, func(t *testing.T) {
+			ForEach(t, kinds, a, b, 1<<15, func(t *testing.T, tr Tree) {
+				th := tr.Thread()
+				for _, k := range ascending {
+					th.Insert(k, 7*k)
+				}
+				before := tr.RQPairs()
+				next := uint64(1)
+				th.RangeSnapshot(1, n, func(k, v uint64) bool {
+					if k != next || v != 7*k {
+						t.Errorf("scan reported (%d, %d), want (%d, %d)", k, v, next, 7*next)
+						return false
+					}
+					if next++; k == 1 {
+						for _, d := range order.keys {
+							if _, ok := th.Delete(d); !ok {
+								t.Errorf("delete %d under the scan missed", d)
+								return false
+							}
+						}
+					}
+					return true
+				})
+				if next != n+1 && !t.Failed() {
+					t.Errorf("scan stopped after %d of %d keys", next-1, n)
+				}
+				if got := tr.Len(); got != 0 {
+					t.Errorf("Len = %d after deleting every key", got)
+				}
+				if err := tr.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				perDelete := float64(tr.RQPairs()-before) / n
+				t.Logf("%.2f pairs written into history per delete", perDelete)
+				if perDelete > 2*b {
+					t.Errorf("%.2f pairs written into history per delete, want <= 2b = %d", perDelete, 2*b)
+				}
+			})
+		})
+	}
+}
+
 // ScanPathCacheDifferential runs two snapshot scans at the SAME
 // linearization timestamp — one through the warm path cache, one with
 // the cache disabled (full re-descent per hop, the pre-cache

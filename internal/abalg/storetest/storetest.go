@@ -55,6 +55,7 @@ type Tree struct {
 	Shape     func() abalg.Stats
 	Scan      func(fn func(k, v uint64))
 	RQStats   func() (scans, versions uint64)
+	RQPairs   func() uint64 // pairs pushed into version chains (rq.Provider.Pairs)
 	ElimStats func() (inserts, deletes, upserts uint64)
 	// Register registers a scanner on the tree's range-query clock.
 	Register func() *rq.Scanner
@@ -109,6 +110,7 @@ func volatile(opts ...core.Option) func(a, b, slots int) Tree {
 			Shape:        tr.Stats,
 			Scan:         tr.Scan,
 			RQStats:      tr.RQStats,
+			RQPairs:      func() uint64 { return tr.NewThread().RQ().Pairs() },
 			ElimStats:    tr.ElimStats,
 			Register:     tr.RQClock().Register,
 			NoScanCache:  func(th Handle) { th.(*core.Thread).Scratch().NoScanCache = true },
@@ -134,6 +136,7 @@ func durable(opts ...pabtree.Option) func(a, b, slots int) Tree {
 			Shape:        func() abalg.Stats { return tr.Stats().Stats },
 			Scan:         tr.Scan,
 			RQStats:      tr.RQStats,
+			RQPairs:      func() uint64 { return tr.NewThread().RQ().Pairs() },
 			ElimStats:    tr.ElimStats,
 			Register:     tr.RQClock().Register,
 			NoScanCache:  func(th Handle) { th.(*pabtree.Thread).Scratch().NoScanCache = true },

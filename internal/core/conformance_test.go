@@ -87,6 +87,7 @@ func TestRangeSnapshotWriteOrderWitness(t *testing.T) {
 	storetest.RangeSnapshotWriteOrderWitness(t, rqTrees...)
 }
 func TestRangeSnapshotDifferential(t *testing.T) { storetest.RangeSnapshotDifferential(t, rqTrees...) }
+func TestDeletesUnderOpenSnapshot(t *testing.T)  { storetest.DeletesUnderOpenSnapshot(t, rqTrees...) }
 func TestScanPathCacheDifferential(t *testing.T) { storetest.ScanPathCacheDifferential(t, occ) }
 func TestBatchDifferentialSequential(t *testing.T) {
 	storetest.BatchDifferentialSequential(t, occ.Named("default"), occ.Degree(2, 4).Named("degree-2-4"), elim.Named("elim"))

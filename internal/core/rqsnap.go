@@ -6,8 +6,8 @@ package core
 // file holds the public wrappers and the writer's half of linearizable
 // range queries, rqStamp, which in-place updates run inside the leaf's
 // version window (structural replacements inherit the replaced leaves'
-// chains in internal/abalg). See the internal/rq package comment for the
-// protocol and its linearizability argument.
+// chains by reference in internal/abalg). See the internal/rq package
+// comment for the protocol and its linearizability argument.
 //
 // Writers preserving pre-write states draw their Version nodes and Items
 // buffers from the provider's recycling pool (internal/rq), so they do

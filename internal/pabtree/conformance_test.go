@@ -91,6 +91,7 @@ func TestEliminationRequiresOverlap(t *testing.T) {
 func TestRangeSnapshotSequential(t *testing.T)   { storetest.RangeSnapshotSequential(t, pOCC, pElim) }
 func TestRangeSnapshotWitness(t *testing.T)      { storetest.RangeSnapshotWriteOrderWitness(t, pOCC, pElim) }
 func TestRangeSnapshotDifferential(t *testing.T) { storetest.RangeSnapshotDifferential(t, pOCC, pElim) }
+func TestDeletesUnderOpenSnapshot(t *testing.T)  { storetest.DeletesUnderOpenSnapshot(t, pOCC, pElim) }
 func TestScanPathCacheDifferential(t *testing.T) { storetest.ScanPathCacheDifferential(t, pOCC) }
 func TestBatchDifferentialSequential(t *testing.T) {
 	storetest.BatchDifferentialSequential(t, pOCC.Named("occ"), pElim.Named("elim"))

@@ -4,11 +4,11 @@ package pabtree
 // descent and the per-leaf double collect are internal/abalg's
 // (scan.go), shared with internal/core; this file holds the public
 // wrappers and the writer's half of linearizable range queries, rqStamp
-// (structural replacements inherit the replaced leaves' chains in
-// internal/abalg). The leaf version chains are volatile (they hang off
-// the vnode headers): a scan is a runtime construct, so snapshots need
-// not survive a crash — Recover starts from a quiescent image with fresh
-// chains.
+// (structural replacements inherit the replaced leaves' chains by
+// reference in internal/abalg). The leaf version chains are volatile
+// (they hang off the vnode headers): a scan is a runtime construct, so
+// snapshots need not survive a crash — Recover starts from a quiescent
+// image with fresh chains.
 //
 // One persistence twist lives in the wrappers: node slots are recycled
 // through internal/epoch, so a cached offset is only meaningful inside

@@ -81,41 +81,3 @@ func TestPushAcquiredRoundTrip(t *testing.T) {
 		t.Fatalf("version count %d, want 100", versions)
 	}
 }
-
-// TestProviderRestrictMergeUsePool checks the SMO inheritance paths draw
-// their copies from the pool.
-func TestProviderRestrictMergeUsePool(t *testing.T) {
-	p := NewProvider()
-	var chain *Version
-	chain = p.Push(chain, 2, pairs(1, 5, 9), 0)
-	chain = p.Push(chain, 4, pairs(1, 5, 6, 9), 0)
-
-	// Prime the pool with four recycled nodes.
-	var junk *Version
-	for s := uint64(0); s < 4; s++ {
-		junk = p.Push(junk, s, pairs(s+1), 0)
-	}
-	p.recycleChain(junk)
-	if p.Pooled() != 4 {
-		t.Fatalf("pool size %d, want 4", p.Pooled())
-	}
-
-	left := p.Restrict(chain, 0, 5)
-	if p.Pooled() != 2 {
-		t.Fatalf("Restrict left %d pooled nodes, want 2 consumed", p.Pooled())
-	}
-	if got := stamps(left); !eqU64(got, []uint64{4, 2}) {
-		t.Fatalf("left stamps %v", got)
-	}
-	if !eqU64(keys(left), []uint64{1, 5}) || !eqU64(keys(left.Next()), []uint64{1, 5}) {
-		t.Fatalf("left items %v / %v", keys(left), keys(left.Next()))
-	}
-
-	m := p.MergeTimelines(left, p.Restrict(chain, 6, ^uint64(0)))
-	if got := stamps(m); !eqU64(got, []uint64{4, 2}) {
-		t.Fatalf("merged stamps %v", got)
-	}
-	if !eqU64(keys(m), []uint64{1, 5, 6, 9}) {
-		t.Fatalf("merged head items %v", keys(m))
-	}
-}

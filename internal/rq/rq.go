@@ -36,27 +36,29 @@
 //
 //   - Structural modifications (splitting inserts, merges,
 //     distributions) replace leaves wholesale; the replacement nodes
-//     inherit the replaced leaves' version chains, restricted to each
-//     new leaf's key range, so history survives arbitrary reshaping.
-//     Retired chains on unlinked leaves are reclaimed exactly like the
-//     leaves themselves: by the garbage collector for the volatile
-//     trees, and alongside internal/epoch's grace period for the
-//     persistent trees (a scan holds an epoch guard, so a retired
-//     leaf's chain cannot be recycled under it).
+//     inherit the replaced leaves' version chains by reference: a new
+//     leaf's chain ends in an inheritance node (Inherit) that links the
+//     replaced leaves' chains, split at a separator key, so history
+//     survives arbitrary reshaping and no pair is copied. A chain may
+//     therefore hold keys outside its leaf's range; a scan clips each
+//     leaf's resolved state to the leaf's range. History behind an
+//     inheritance node is shared and never mutated: it is reclaimed by
+//     the garbage collector once no live chain reaches it.
 //
 //   - Chains are pruned by the writers that grow them, using the
 //     registry of active scan timestamps: any snapshot older than the
 //     newest snapshot still visible to the minimum active timestamp is
-//     unreachable and is cut loose. Cut-loose snapshots — Version nodes
-//     and their Items backing arrays — return to a per-Provider pool
-//     and are handed back out by Acquire, so in steady state a
-//     scan-heavy mix imposes no allocation on updaters: each push
-//     reuses a node some earlier prune retired. Recycling at prune
-//     time is safe precisely because of the pruning rule: MinActive
-//     bounds every in-flight and future scan from below, a scan walks
-//     a chain only down to its newest entry stamped below its own
-//     timestamp, and entries the prune cuts lie strictly below the
-//     entry visible at MinActive — no scan can be holding them.
+//     unreachable and is cut loose. Pruning stops at the chain's
+//     inheritance node, where the leaf's own entries end. Cut-loose
+//     snapshots — Version nodes and their Items backing arrays — return
+//     to a per-Provider pool and are handed back out by Acquire, so in
+//     steady state a scan-heavy mix imposes no allocation on updaters:
+//     each push reuses a node some earlier prune retired. Recycling at
+//     prune time is safe precisely because of the pruning rule:
+//     MinActive bounds every in-flight and future scan from below, a
+//     scan walks a chain only down to its newest entry stamped below
+//     its own timestamp, and entries the prune cuts lie strictly below
+//     the entry visible at MinActive — no scan can be holding them.
 //
 // Correctness hinges on two points. First, stamps order operations
 // consistently with real time: if a write returns before a scan begins,
@@ -84,19 +86,26 @@ const idle = ^uint64(0)
 // Pair is one key-value pair in a version snapshot.
 type Pair struct{ K, V uint64 }
 
-// Version is an immutable snapshot of one leaf's contents (restricted to
-// that leaf's key range), valid for scan timestamps t with
-// Stamp < t <= stamp of the next-newer state. Items are sorted by key.
-// Next links to the next-older snapshot; it is atomic only so that
-// writers can prune the tail while concurrent scans walk the chain.
+// Version is an entry of a leaf's version chain. An own entry is an
+// immutable snapshot of the leaf's contents, valid for scan timestamps
+// t with Stamp < t <= stamp of the next-newer state; Items are sorted by
+// key, and next (atomic so that writers can prune the tail while scans
+// walk the chain) links to the next-older entry. An inheritance node
+// (Inherit; right != nil) ends the chain: Stamp holds its separator key,
+// next and right the histories below and above it. Both kinds fit 48 B.
 type Version struct {
 	Stamp uint64
 	Items []Pair
 	next  atomic.Pointer[Version]
+	right *Version
 }
 
-// Next returns the next-older snapshot in the chain, or nil.
+// Next returns the next-older entry in the chain (an inheritance node's
+// lower side), or nil.
 func (v *Version) Next() *Version { return v.next.Load() }
+
+// inherits reports whether v is an inheritance node.
+func (v *Version) inherits() bool { return v.right != nil }
 
 // LeafState is the range-query state every leaf embeds: TS is the global
 // timestamp observed by the leaf's most recent write, Vers the chain of
@@ -148,6 +157,7 @@ func NewClock() *Clock {
 type Provider struct {
 	clock    *Clock
 	versions atomic.Uint64 // snapshots pushed by this tree's writers
+	pairs    atomic.Uint64 // pairs those snapshots hold
 	recycled atomic.Uint64 // snapshots returned to the pool by pruning
 
 	rr      atomic.Uint64 // round-robin stripe cursor
@@ -281,7 +291,9 @@ func (p *Provider) Acquire() *Version {
 }
 
 // recycleChain returns an unreachable chain (a pruned tail) to the
-// pool. Every node's Items keeps its backing array, emptied, so the
+// pool, up to its first inheritance node: what lies behind one may be
+// shared with a sibling leaf's chain, so it is left to the garbage
+// collector. Every node's Items keeps its backing array, emptied, so the
 // next Acquire reuses both the node and the buffer. Nodes that find
 // every stripe contended or full are dropped to the garbage collector.
 func (p *Provider) recycleChain(tail *Version) {
@@ -295,7 +307,7 @@ func (p *Provider) recycleChain(tail *Version) {
 			break
 		}
 	}
-	for v := tail; v != nil; {
+	for v := tail; v != nil && !v.inherits(); {
 		next := v.next.Load()
 		v.next.Store(nil)
 		v.Stamp = 0
@@ -311,6 +323,10 @@ func (p *Provider) recycleChain(tail *Version) {
 	}
 	p.recycled.Add(n)
 }
+
+// Pairs reports how many pairs the snapshots this tree's writers pushed
+// hold: the history written on behalf of scans.
+func (p *Provider) Pairs() uint64 { return p.pairs.Load() }
 
 // Recycled reports how many pruned snapshots have been returned to the
 // provider's pool (overflow dropped to the garbage collector is not
@@ -342,6 +358,7 @@ func (p *Provider) PushAcquired(chain *Version, stamp uint64, v *Version, minAct
 	v.Stamp = stamp
 	v.next.Store(chain)
 	p.versions.Add(1)
+	p.pairs.Add(uint64(len(v.Items)))
 	p.prune(v, minActive)
 	return v
 }
@@ -350,19 +367,16 @@ func (p *Provider) PushAcquired(chain *Version, stamp uint64, v *Version, minAct
 // mostly): it wraps items in a fresh Version node, bypassing the pool
 // on the way in but still recycling what its prune cuts loose.
 func (p *Provider) Push(chain *Version, stamp uint64, items []Pair, minActive uint64) *Version {
-	v := &Version{Stamp: stamp, Items: items}
-	v.next.Store(chain)
-	p.versions.Add(1)
-	p.prune(v, minActive)
-	return v
+	return p.PushAcquired(chain, stamp, &Version{Items: items}, minActive)
 }
 
 // prune cuts the chain after the newest entry stamped < minActive: that
 // entry is the one a scan at minActive resolves to, and everything older
 // is shadowed for every reachable timestamp — and, being unreachable,
-// goes back to the pool.
+// goes back to the pool. It stops at an inheritance node: the history
+// behind one is shared, and the leaf's own entries end there.
 func (p *Provider) prune(head *Version, minActive uint64) {
-	for v := head; v != nil; v = v.next.Load() {
+	for v := head; v != nil && !v.inherits(); v = v.next.Load() {
 		if v.Stamp < minActive {
 			if tail := v.next.Load(); tail != nil {
 				v.next.Store(nil)
@@ -373,139 +387,55 @@ func (p *Provider) prune(head *Version, minActive uint64) {
 	}
 }
 
-// VisibleAt resolves chain for a scan timestamp t: the newest snapshot
-// stamped < t. It returns nil if the chain holds no such snapshot —
-// which, under the pruning rule, can only happen for timestamps no
-// registered scan holds.
-func VisibleAt(chain *Version, t uint64) *Version {
-	for v := chain; v != nil; v = v.next.Load() {
-		if v.Stamp < t {
-			return v
-		}
-	}
-	return nil
-}
-
-// newVersion allocates; it is the pool-less acquire used by the
-// package-level Restrict/MergeTimelines.
-func newVersion() *Version { return &Version{} }
-
-// Restrict copies a timeline, keeping only items with lo <= key <= hi.
-// Entries are kept even when their restriction is empty: an empty
-// snapshot still records "no keys in this subrange at that time". The
-// copy shares no links with the input, so the originals' pruning cannot
-// disturb it.
-func Restrict(chain *Version, lo, hi uint64) *Version {
-	return restrict(chain, lo, hi, newVersion)
-}
-
-// Restrict is the package-level Restrict drawing the copied entries
-// from the provider's version pool (the structural-modification path:
-// replacement leaves inherit restricted copies of their predecessors'
-// chains).
-func (p *Provider) Restrict(chain *Version, lo, hi uint64) *Version {
-	return restrict(chain, lo, hi, p.Acquire)
-}
-
-func restrict(chain *Version, lo, hi uint64, acquire func() *Version) *Version {
-	var head, tail *Version
-	for v := chain; v != nil; v = v.next.Load() {
-		nv := acquire()
-		nv.Stamp = v.Stamp
-		for _, it := range v.Items {
-			if it.K >= lo && it.K <= hi {
-				nv.Items = append(nv.Items, it)
-			}
-		}
-		if tail == nil {
-			head = nv
-		} else {
-			tail.next.Store(nv)
-		}
-		tail = nv
-	}
-	return head
-}
-
-// MergeTimelines combines the timelines of two leaves with disjoint key
-// ranges (a merge's inputs) into one: the result has an entry at every
-// stamp where either side changed, holding the union of the two sides'
-// states at that stamp. Sides whose history does not reach back to some
-// stamp contribute their oldest known state (or nothing) — by the
-// pruning rule no live scan resolves below the truncation point.
-func MergeTimelines(a, b *Version) *Version {
-	return mergeTimelines(a, b, newVersion)
-}
-
-// MergeTimelines is the package-level MergeTimelines drawing the merged
-// entries from the provider's version pool.
-func (p *Provider) MergeTimelines(a, b *Version) *Version {
-	return mergeTimelines(a, b, p.Acquire)
-}
-
-func mergeTimelines(a, b *Version, acquire func() *Version) *Version {
-	if a == nil && b == nil {
+// Inherit returns the history of a leaf that replaces others in a
+// structural update, nil if both sides are nil: keys below sep resolve
+// through left, the rest through right. The sides are linked, not
+// copied, and never mutated again: prune and recycleChain stop at an
+// inheritance node, so what lies behind one goes to the garbage
+// collector once no chain reaches it, never back to the pool.
+func Inherit(left, right *Version, sep uint64) *Version {
+	if left == nil && right == nil {
 		return nil
 	}
-	as, bs := toSlice(a), toSlice(b)
-	stamps := mergedStamps(as, bs)
-
-	var head, tail *Version
-	for _, s := range stamps { // descending
-		ia, ib := itemsAt(as, s), itemsAt(bs, s)
-		nv := acquire()
-		nv.Stamp = s
-		nv.Items = append(append(nv.Items, ia...), ib...)
-		SortPairs(nv.Items)
-		if tail == nil {
-			head = nv
-		} else {
-			tail.next.Store(nv)
-		}
-		tail = nv
+	if right == nil {
+		right = none
 	}
-	return head
+	v := &Version{Stamp: sep, right: right}
+	v.next.Store(left)
+	return v
 }
 
-func toSlice(v *Version) []*Version {
-	var out []*Version
-	for ; v != nil; v = v.next.Load() {
-		out = append(out, v)
-	}
-	return out
-}
+// none is a missing right side: no keys at any timestamp.
+var none = &Version{}
 
-// mergedStamps returns the union of the two entry-stamp sets, descending.
-func mergedStamps(as, bs []*Version) []uint64 {
-	var out []uint64
-	i, j := 0, 0
-	for i < len(as) || j < len(bs) {
-		switch {
-		case j == len(bs) || (i < len(as) && as[i].Stamp > bs[j].Stamp):
-			out = append(out, as[i].Stamp)
-			i++
-		case i == len(as) || bs[j].Stamp > as[i].Stamp:
-			out = append(out, bs[j].Stamp)
-			j++
-		default: // equal
-			out = append(out, as[i].Stamp)
-			i++
-			j++
+// VisibleAt appends chain's pairs with lo <= key <= hi, as of scan
+// timestamp t, to buf, in key order: those of the newest own entry
+// stamped < t, or, if the walk reaches an inheritance node first, those
+// each side resolves to at t, clipped to its side of the separator. ok
+// is false if the walk finds neither — which, under the pruning rule,
+// can only happen for timestamps no registered scan holds.
+func VisibleAt(buf []Pair, chain *Version, t, lo, hi uint64) (out []Pair, ok bool) {
+	for v := chain; v != nil; v = v.next.Load() {
+		if v.inherits() {
+			sep := v.Stamp
+			if lo < sep {
+				buf, _ = VisibleAt(buf, v.next.Load(), t, lo, min(hi, sep-1))
+			}
+			if hi >= sep {
+				buf, _ = VisibleAt(buf, v.right, t, max(lo, sep), hi)
+			}
+			return buf, true
+		}
+		if v.Stamp < t {
+			for _, it := range v.Items {
+				if it.K >= lo && it.K <= hi {
+					buf = append(buf, it)
+				}
+			}
+			return buf, true
 		}
 	}
-	return out
-}
-
-// itemsAt returns one side's state as of stamp s: its newest entry
-// stamped <= s (entries are descending). nil if history was pruned
-// below s.
-func itemsAt(vs []*Version, s uint64) []Pair {
-	for _, v := range vs {
-		if v.Stamp <= s {
-			return v.Items
-		}
-	}
-	return nil
+	return buf, false
 }
 
 // SortPairs sorts by key (insertion sort: inputs throughout the RQ

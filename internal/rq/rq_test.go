@@ -1,22 +1,14 @@
 package rq
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func pairs(ks ...uint64) []Pair {
 	out := make([]Pair, len(ks))
 	for i, k := range ks {
 		out[i] = Pair{K: k, V: k * 10}
-	}
-	return out
-}
-
-func keys(v *Version) []uint64 {
-	if v == nil {
-		return nil
-	}
-	out := make([]uint64, len(v.Items))
-	for i, p := range v.Items {
-		out[i] = p.K
 	}
 	return out
 }
@@ -145,9 +137,8 @@ func TestPushVisibleAtPrune(t *testing.T) {
 		{4, []uint64{1, 2}},
 		{6, []uint64{1, 2, 3}},
 	} {
-		v := VisibleAt(chain, tc.t)
-		if v == nil || !eqU64(keys(v), tc.want) {
-			t.Fatalf("VisibleAt(%d) = %v, want %v", tc.t, keys(v), tc.want)
+		if got := visible(chain, tc.t, 0, ^uint64(0)); !eqU64(got, tc.want) {
+			t.Fatalf("VisibleAt(%d) = %v, want %v", tc.t, got, tc.want)
 		}
 	}
 	// Pruning with minActive 4: the entry stamped 3 still serves t=4;
@@ -161,29 +152,49 @@ func TestPushVisibleAtPrune(t *testing.T) {
 	}
 }
 
+// visible resolves chain at t within [lo, hi] and returns the keys.
+func visible(chain *Version, t, lo, hi uint64) []uint64 {
+	var out []uint64
+	items, _ := VisibleAt(nil, chain, t, lo, hi)
+	for _, p := range items {
+		out = append(out, p.K)
+	}
+	return out
+}
+
+// TestRestrict checks a split's inheritance: both halves share one
+// inheritance node over the split leaf's chain, and each resolves to its
+// own key range — the restriction is made when a scan resolves, not by
+// copying.
 func TestRestrict(t *testing.T) {
 	p := NewProvider()
 	var chain *Version
 	chain = p.Push(chain, 2, pairs(1, 5, 9), 0)
 	chain = p.Push(chain, 4, pairs(1, 5, 6, 9), 0)
-	left := Restrict(chain, 0, 5)
-	right := Restrict(chain, 6, ^uint64(0))
-	if got := stamps(left); !eqU64(got, []uint64{4, 2}) {
-		t.Fatalf("left stamps %v", got)
+	h := Inherit(chain, chain, 6)
+	if h.Next() != chain {
+		t.Fatal("inheritance node does not link the split leaf's chain")
 	}
-	if !eqU64(keys(left), []uint64{1, 5}) || !eqU64(keys(left.Next()), []uint64{1, 5}) {
-		t.Fatalf("left items %v / %v", keys(left), keys(left.Next()))
-	}
-	if !eqU64(keys(right), []uint64{6, 9}) || !eqU64(keys(right.Next()), []uint64{9}) {
-		t.Fatalf("right items %v / %v", keys(right), keys(right.Next()))
-	}
-	// The copy must be detached: pruning the original leaves it intact.
-	p.Push(chain, 9, pairs(1), 9)
-	if left.Next() == nil {
-		t.Fatal("restricted chain shares links with the original")
+	for _, tc := range []struct {
+		name      string
+		t, lo, hi uint64
+		want      []uint64
+	}{
+		{"left at 4", 5, 0, 5, []uint64{1, 5}},
+		{"left at 2", 3, 0, 5, []uint64{1, 5}},
+		{"right at 4", 5, 6, ^uint64(0), []uint64{6, 9}},
+		{"right at 2", 3, 6, ^uint64(0), []uint64{9}},
+		{"straddling", 5, 5, 6, []uint64{5, 6}},
+	} {
+		if got := visible(h, tc.t, tc.lo, tc.hi); !eqU64(got, tc.want) {
+			t.Errorf("%s: VisibleAt(%d, [%d, %d]) = %v, want %v", tc.name, tc.t, tc.lo, tc.hi, got, tc.want)
+		}
 	}
 }
 
+// TestMergeTimelines checks a merge's inheritance: keys below the
+// separator resolve through the left leaf's timeline and the rest
+// through the right's, each at its own newest state before t.
 func TestMergeTimelines(t *testing.T) {
 	p := NewProvider()
 	// Left leaf (keys < 10): states at 0 and 4. Right leaf (keys >= 10):
@@ -193,32 +204,83 @@ func TestMergeTimelines(t *testing.T) {
 	a = p.Push(a, 4, pairs(1, 2), 0)
 	b = p.Push(b, 0, pairs(10), 0)
 	b = p.Push(b, 6, pairs(10, 11), 0)
+	// wide is a left timeline inherited from a split, so it also holds
+	// keys at or above the merge's separator; they must not leak.
+	wide := p.Push(nil, 0, pairs(1, 12), 0)
 
-	m := MergeTimelines(a, b)
-	if got := stamps(m); !eqU64(got, []uint64{6, 4, 0}) {
-		t.Fatalf("merged stamps %v", got)
-	}
-	// At stamp 6: newest of both sides. At 4: left's update, right still
-	// old. At 0: both initial.
+	all := ^uint64(0)
 	for _, tc := range []struct {
+		name string
+		h    *Version
 		t    uint64
 		want []uint64
 	}{
-		{7, []uint64{1, 2, 10, 11}},
-		{5, []uint64{1, 2, 10}},
-		{3, []uint64{1, 10}},
+		// At stamp 6: newest of both sides. At 4: left's update, right
+		// still old. At 0: both initial.
+		{"both at 6", Inherit(a, b, 10), 7, []uint64{1, 2, 10, 11}},
+		{"both at 4", Inherit(a, b, 10), 5, []uint64{1, 2, 10}},
+		{"both at 0", Inherit(a, b, 10), 3, []uint64{1, 10}},
+		// One-sided merges keep the survivor's history.
+		{"left only", Inherit(a, nil, 10), 7, []uint64{1, 2}},
+		{"left only at 0", Inherit(a, nil, 10), 3, []uint64{1}},
+		{"right only", Inherit(nil, b, 10), 7, []uint64{10, 11}},
+		{"left clipped", Inherit(wide, nil, 10), 1, []uint64{1}},
+		{"nested", Inherit(Inherit(a, b, 10), wide, 12), 7, []uint64{1, 2, 10, 11, 12}},
 	} {
-		v := VisibleAt(m, tc.t)
-		if v == nil || !eqU64(keys(v), tc.want) {
-			t.Fatalf("merged VisibleAt(%d) = %v, want %v", tc.t, keys(v), tc.want)
+		if got := visible(tc.h, tc.t, 0, all); !eqU64(got, tc.want) {
+			t.Errorf("%s: VisibleAt(%d) = %v, want %v", tc.name, tc.t, got, tc.want)
 		}
 	}
-	if MergeTimelines(nil, nil) != nil {
-		t.Fatal("merging empty timelines should be nil")
+	if Inherit(nil, nil, 10) != nil {
+		t.Fatal("inheriting two empty timelines should be nil")
 	}
-	// One-sided merge keeps the survivor's history.
-	m = MergeTimelines(a, nil)
-	if got := stamps(m); !eqU64(got, []uint64{4, 0}) {
-		t.Fatalf("one-sided merged stamps %v", got)
+	if n := testing.AllocsPerRun(100, func() { Inherit(nil, nil, 10) }); n != 0 {
+		t.Fatalf("Inherit(nil, nil, _) allocates %.0f", n)
+	}
+}
+
+// TestPruneStopsAtInheritance checks that pruning one sibling's chain
+// past its inheritance node recycles only the sibling's own entries and
+// leaves both inherited timelines, shared with the other sibling,
+// intact.
+func TestPruneStopsAtInheritance(t *testing.T) {
+	p := NewProvider()
+	var a, b *Version
+	a = p.Push(a, 0, pairs(1), 0)
+	a = p.Push(a, 2, pairs(1, 2), 0)
+	b = p.Push(b, 1, pairs(10), 0)
+	h := Inherit(a, b, 10)
+	left := p.Push(h, 5, pairs(1, 2, 10), 0)
+	// minActive 10: the stamp-9 head serves every reachable scan, so the
+	// stamp-5 entry is cut and recycled, and the walk must stop at h.
+	left = p.Push(left, 9, pairs(1, 10), 10)
+	if got := stamps(left); !eqU64(got, []uint64{9}) {
+		t.Fatalf("pruned chain stamps %v, want just the head", got)
+	}
+	if got := p.Recycled(); got != 1 {
+		t.Fatalf("recycled %d entries, want only the sibling's own 1", got)
+	}
+	// A prune that reaches h before any entry below minActive stops
+	// there too.
+	right := p.Push(h, 7, pairs(10, 11), 5)
+	if right.Next() != h || h.Next() != a {
+		t.Fatal("prune cut into the inheritance node")
+	}
+	if got := stamps(a); !eqU64(got, []uint64{2, 0}) {
+		t.Fatalf("inherited left timeline stamps %v, want [2 0]", got)
+	}
+	if got := stamps(b); !eqU64(got, []uint64{1}) {
+		t.Fatalf("inherited right timeline stamps %v, want [1]", got)
+	}
+	if got := visible(right, 3, 0, ^uint64(0)); !eqU64(got, []uint64{1, 2, 10}) {
+		t.Fatalf("sibling resolves %v through the shared history, want [1 2 10]", got)
+	}
+}
+
+// TestVersionSize pins Version to the 48-byte size class: an
+// inheritance node must not move every snapshot up to 64 bytes.
+func TestVersionSize(t *testing.T) {
+	if n := unsafe.Sizeof(Version{}); n > 48 {
+		t.Fatalf("Version is %d bytes, want <= 48", n)
 	}
 }
