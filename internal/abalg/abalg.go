@@ -6,7 +6,8 @@
 // fixTagged, fixUnderfull with its distribute and merge, and the
 // range-query history the replacement leaves inherit by reference),
 // range scans and snapshot scans (scan.go), batched point operations
-// with their level-synchronous partition descent (batch.go) and the
+// staged once and served by one level-synchronous partition descent
+// (batch.go; ApplyStaged takes a batch its caller staged) and the
 // quiescent inspection walks (Validate, Scan, Stats, ...).
 //
 // The algorithms are generic over a node reference R — a *node on the Go
@@ -95,20 +96,21 @@ type Scratch[R comparable] struct {
 	path      scanPath[R]    // the cached descent (scan.go)
 	pairs     []rq.Pair      // per-leaf collects append here (scan.go)
 	ents, tmp []batchkit.Ent // the sorted batch and the sort's spare (batch.go)
+	left      []hop[R]       // the spans a round's leaves left over (batch.go)
 	level     []hop[R]       // the batch descent's frontier (batch.go)
 	next      []hop[R]       // and the level it routes the frontier into
 	scanner   *rq.Scanner    // the RangeSnapshot registration, made on first use
 
-	// NoScanCache makes every scan and batch hop re-descend from the
-	// root, bypassing the cached path (differential tests only).
+	// NoScanCache makes every scan hop re-descend from the root,
+	// bypassing the cached path (differential tests only).
 	NoScanCache bool
 }
 
 // ResetPath empties the cached scan path, so the next hop descends from
 // the root. A store whose node references can be recycled (pabtree's
-// epoch-managed slots) calls it on entry to every scan and batch: a
-// cached reference is only meaningful inside the critical section it was
-// read in.
+// epoch-managed slots) calls it on entry to every scan: a cached
+// reference is only meaningful inside the critical section it was read
+// in.
 func (sc *Scratch[R]) ResetPath() { sc.path.depth = 0 }
 
 // Store is the node-store seam. All methods taking a node require what

@@ -41,30 +41,26 @@ package abalg
 //     the per-key flush discipline and durability point.
 //
 // When a leaf cannot serve its run — it was unlinked after the descent
-// reached it, or fills up mid-run so a key needs the splitting insert —
-// the run's remainder is retried through the slow runner, an iterative
-// loop that re-descends per leaf through the Thread's cached scan path
-// (scan.go) and handles splits via the per-key Insert (ops.go). Leaves
-// move rarely, so the partition descent is the common case and the slow
-// runner the churn case.
+// reached it, or it fills mid-run so a key needs the splitting insert —
+// that key goes through the per-key Insert (ops.go) and the rest of the
+// run, a span of the staged batch, goes on a leftover list in the
+// Thread's scratch. The spans are in key order, as the leaves are; the
+// next round partitions them again from the root. Leaves move rarely,
+// so nearly every batch takes one round. A long run that keeps filling
+// its leaf (an ascending bulk insert) takes a round per split, each a
+// descent that RunEnd's galloping search keeps logarithmic in the run.
 //
-// Results are scattered back through each staged key's input index, so
-// the caller sees input order. Equal keys apply in input order; distinct
-// keys commute. Hence a batch's results always match the per-key loop
-// (the differential tests pin this); internal/dict.Batcher states the
-// cross-structure contract. All staging lives in per-Thread scratch:
-// steady-state batched operations allocate nothing (TestAllocsBatchOps).
+// Results land at each staged key's input index, so the caller sees
+// input order. Equal keys apply in input order; distinct keys commute.
+// Hence a batch's results always match the per-key loop (the
+// differential tests pin this); internal/dict.Batcher states the
+// cross-structure contract. A caller that has already staged and
+// sorted a batch hands it to ApplyStaged directly: internal/shard
+// stages a batch once and gives each shard its run. All staging lives
+// in per-Thread scratch: steady-state batched operations allocate
+// nothing (TestAllocsBatchOps).
 
 import "repro/internal/batchkit"
-
-// batchOp selects which point operation a partition descent applies.
-type batchOp uint8
-
-const (
-	bFind batchOp = iota
-	bInsert
-	bDelete
-)
 
 // FindBatch looks up every keys[i], storing the value into vals[i] and
 // its presence into found[i]. Like Find it takes no locks.
@@ -72,7 +68,7 @@ func FindBatch[R comparable](s Store[R], keys, vals []uint64, found []bool) {
 	if len(vals) != len(keys) || len(found) != len(keys) {
 		panic("abtree: FindBatch result slices must match len(keys)")
 	}
-	runBatch(s, bFind, keys, nil, vals, found)
+	ApplyStaged(s, batchkit.Find, stage(s, keys), nil, vals, found)
 }
 
 // InsertBatch inserts <keys[i], vals[i]> where absent, storing each
@@ -84,7 +80,7 @@ func InsertBatch[R comparable](s Store[R], keys, vals, prev []uint64, inserted [
 	if len(vals) != len(keys) || len(prev) != len(keys) || len(inserted) != len(keys) {
 		panic("abtree: InsertBatch result slices must match len(keys)")
 	}
-	runBatch(s, bInsert, keys, vals, prev, inserted)
+	ApplyStaged(s, batchkit.Insert, stage(s, keys), vals, prev, inserted)
 }
 
 // DeleteBatch removes every present keys[i], storing its value and
@@ -96,7 +92,38 @@ func DeleteBatch[R comparable](s Store[R], keys, prev []uint64, deleted []bool) 
 	if len(prev) != len(keys) || len(deleted) != len(keys) {
 		panic("abtree: DeleteBatch result slices must match len(keys)")
 	}
-	runBatch(s, bDelete, keys, nil, prev, deleted)
+	ApplyStaged(s, batchkit.Delete, stage(s, keys), nil, prev, deleted)
+}
+
+// stage copies keys into the Thread's scratch, sorted by key with equal
+// keys in input order.
+func stage[R comparable](s Store[R], keys []uint64) []batchkit.Ent {
+	sc := s.Scratch()
+	ents := sc.ents[:0]
+	for i, k := range keys {
+		ents = append(ents, batchkit.Ent{K: k, Idx: i})
+	}
+	sc.ents, sc.tmp = batchkit.Sort(ents, sc.tmp)
+	return sc.ents
+}
+
+// ApplyStaged applies op to every entry of ents, which must be sorted by
+// key with equal keys in input order: each result lands at its entry's
+// Idx in res and ok, and an insert's value is vals[Idx]
+// (dict.StagedBatcher). It runs the level loop in rounds, the first over
+// all of ents, each next one over what the last one's leaves left over.
+func ApplyStaged[R comparable](s Store[R], op batchkit.Op, ents []batchkit.Ent, vals, res []uint64, ok []bool) {
+	if len(ents) == 0 {
+		return
+	}
+	CheckKey(ents[0].K) // sorted: a reserved key sits at one end
+	CheckKey(ents[len(ents)-1].K)
+	a, _ := s.Degree()
+	b := batch[R]{s, s.Scratch(), op, vals, res, ok, a}
+	b.sc.left = append(b.sc.left[:0], hop[R]{s.Entry(), unbounded, 0, len(ents)})
+	for len(b.sc.left) > 0 {
+		b.round(ents)
+	}
 }
 
 // batch is one batched operation in flight: the store, the Thread's
@@ -105,29 +132,11 @@ func DeleteBatch[R comparable](s Store[R], keys, prev []uint64, deleted []bool) 
 type batch[R comparable] struct {
 	s    Store[R]
 	sc   *Scratch[R]
-	op   batchOp
+	op   batchkit.Op
 	vals []uint64
 	res  []uint64
 	ok   []bool
 	a    int
-}
-
-// runBatch stages keys into the Thread's scratch, sorted for run
-// formation, and drives them down from the entry.
-func runBatch[R comparable](s Store[R], op batchOp, keys, vals, res []uint64, ok []bool) {
-	if len(keys) == 0 {
-		return
-	}
-	a, _ := s.Degree()
-	b := batch[R]{s, s.Scratch(), op, vals, res, ok, a}
-	ents := b.sc.ents[:0]
-	for i, k := range keys {
-		CheckKey(k)
-		ents = append(ents, batchkit.Ent{K: k, Idx: i})
-	}
-	ents, b.sc.tmp = batchkit.Sort(ents, b.sc.tmp)
-	b.sc.ents = ents
-	b.partition(ents)
 }
 
 // hop is one entry of the batch descent's frontier: a node the batch
@@ -139,13 +148,15 @@ type hop[R comparable] struct {
 	i, j int
 }
 
-// partition drives the sorted batch down from the entry one level at a
-// time (see the file comment) and serves the leaves it ends at in key
-// order. The frontier's two slices live in the scratch, so a warmed-up
-// Thread descends without allocating.
-func (b *batch[R]) partition(ents []batchkit.Ent) {
+// round drives the leftover spans of ents down from the entry one level
+// at a time (see the file comment) and serves the leaves it ends at in
+// key order, which refills the leftover list. The frontier's two slices
+// live in the scratch, so a warmed-up Thread descends without
+// allocating.
+func (b *batch[R]) round(ents []batchkit.Ent) {
 	s, sc := b.s, b.sc
-	level := append(sc.level[:0], hop[R]{s.Entry(), unbounded, 0, len(ents)})
+	level := append(sc.level[:0], sc.left...)
+	sc.left = sc.left[:0]
 	next := sc.next
 	for inner := true; inner; {
 		for _, h := range level {
@@ -161,7 +172,7 @@ func (b *batch[R]) partition(ents []batchkit.Ent) {
 			run := ents[:h.j]
 			for i := h.i; i < h.j; {
 				c, _, _, chi := s.Branch(h.n, run[i].K, 0, h.hi)
-				j := batchkit.RunEnd(run, i, chi, true)
+				j := batchkit.RunEnd(run, i, chi)
 				next = append(next, hop[R]{c, chi, i, j})
 				i = j
 			}
@@ -170,26 +181,22 @@ func (b *batch[R]) partition(ents []batchkit.Ent) {
 	}
 	sc.level, sc.next = level, next
 	for _, h := range level {
-		b.applyLeafRun(h.n, ents[h.i:h.j])
+		b.serve(h, ents[h.i:h.j])
 	}
 }
 
-// applyLeafRun serves one leaf's whole run: finds from one validated
-// double collect, updates through applyLocked. Runs the slow runner for
-// whatever remainder the leaf could not serve (unlinked leaf, or a full
-// leaf needing a splitting insert).
-func (b *batch[R]) applyLeafRun(leaf R, run []batchkit.Ent) {
-	if b.op == bFind {
-		if !b.find(leaf, run) {
-			b.runSlow(run)
-		}
-		return
+// serve serves the run of the leaf h reached: finds from one validated
+// double collect, updates through applyLocked. What the leaf did not
+// serve goes on the leftover list.
+func (b *batch[R]) serve(h hop[R], run []batchkit.Ent) {
+	served := 0
+	if b.op != batchkit.Find {
+		served = b.applyLocked(h.n, run)
+	} else if b.find(h.n, run) {
+		served = len(run)
 	}
-	if applied, _ := b.applyLocked(leaf, run); applied < len(run) {
-		// Marked leaf: retry the whole run. Full leaf: the splitting
-		// insert (inside the slow runner) restructures the leaf, so the
-		// rest of the run re-descends there too.
-		b.runSlow(run[applied:])
+	if h.i+served < h.j {
+		b.sc.left = append(b.sc.left, hop[R]{b.s.Entry(), unbounded, h.i + served, h.j})
 	}
 }
 
@@ -217,18 +224,17 @@ func (b *batch[R]) find(leaf R, run []batchkit.Ent) bool {
 }
 
 // applyLocked applies run's keys to the leaf under one lock acquisition,
-// through the per-key locked writes. It reports how many staged keys it
-// applied and whether it stopped because the leaf was marked (retry the
-// whole run elsewhere); otherwise fewer than len(run) means an insert
-// found it full (run[applied] needs the splitting insert). After
-// unlocking it triggers the underfull repair exactly like the per-key
-// delete path.
-func (b *batch[R]) applyLocked(leaf R, run []batchkit.Ent) (applied int, marked bool) {
+// through the per-key locked writes, and returns how many keys it
+// served: none if the leaf was marked; if an insert found it full, the
+// keys before that one and, through the per-key splitting insert after
+// unlocking, that one. After unlocking it triggers the underfull repair
+// exactly like the per-key delete path.
+func (b *batch[R]) applyLocked(leaf R, run []batchkit.Ent) (served int) {
 	b.s.Lock(leaf)
-	size := 0
-	for ; applied < len(run); applied++ {
-		e, full := run[applied], false
-		if b.op == bInsert {
+	size, full, marked := 0, false, false
+	for ; served < len(run); served++ {
+		e := run[served]
+		if b.op == batchkit.Insert {
 			b.res[e.Idx], b.ok[e.Idx], full, marked = b.s.PutLocked(leaf, e.K, b.vals[e.Idx], false)
 		} else {
 			b.res[e.Idx], b.ok[e.Idx], size, marked = b.s.DeleteLocked(leaf, e.K)
@@ -238,40 +244,13 @@ func (b *batch[R]) applyLocked(leaf R, run []batchkit.Ent) (applied int, marked 
 		}
 	}
 	b.s.UnlockAll()
-	if !marked && b.op == bDelete && size < b.a {
+	switch {
+	case full:
+		e := run[served]
+		b.res[e.Idx], b.ok[e.Idx] = Insert(b.s, e.K, b.vals[e.Idx])
+		served++
+	case !marked && b.op == batchkit.Delete && size < b.a:
 		FixUnderfull(b.s, leaf)
 	}
-	return applied, marked
-}
-
-// runSlow is the churn path: an iterative per-leaf loop that re-locates
-// each staged key through the Thread's cached scan path, re-descending
-// from the root whenever a leaf moved, and handling splitting inserts
-// via the per-key insert. It serves the run remainders the partition
-// descent could not.
-func (b *batch[R]) runSlow(ents []batchkit.Ent) {
-	for i := 0; i < len(ents); {
-		leaf, bound := searchScan(b.s, b.sc, ents[i].K)
-		j := batchkit.RunEnd(ents, i, bound, true)
-		if b.op == bFind {
-			if !b.find(leaf, ents[i:j]) {
-				b.sc.ResetPath()
-				continue // leaf was unlinked: re-descend to its replacement
-			}
-			i = j
-			continue
-		}
-		applied, marked := b.applyLocked(leaf, ents[i:j])
-		i += applied
-		if marked {
-			b.sc.ResetPath()
-			continue
-		}
-		if i < j {
-			e := ents[i]
-			b.res[e.Idx], b.ok[e.Idx] = Insert(b.s, e.K, b.vals[e.Idx])
-			i++
-			b.sc.ResetPath() // the split restructured this neighborhood
-		}
-	}
+	return served
 }

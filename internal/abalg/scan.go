@@ -47,8 +47,8 @@ package abalg
 // long as it is cached. The Go heap guarantees that; an arena store
 // whose slots are recycled guarantees it only within one reclamation
 // critical section, so it resets the path (Scratch.ResetPath) on entry
-// to every scan and batch call: within the section a retired slot cannot
-// be recycled, so a stale cached node is at worst marked, never a
+// to every scan call: within the section a retired slot cannot be
+// recycled, so a stale cached node is at worst marked, never a
 // different node.
 //
 // The collects write into per-Thread scratch buffers, and writers
@@ -69,8 +69,8 @@ const unbounded = ^uint64(0)
 
 // scanLevel is one level of a cached descent: the node and the key range
 // [lo, hi) its subtree covered along this path. One struct per level
-// keeps a level's reads and writes inside one cache line; the batched
-// point operations made a four-parallel-arrays layout a measurable cost.
+// keeps a level's reads and writes inside one cache line; four parallel
+// arrays were a measurable cost.
 type scanLevel[R comparable] struct {
 	n      R
 	lo, hi uint64

@@ -1,10 +1,19 @@
 // Package batchkit holds the structure-independent staging machinery
 // shared by every batched-point-operation implementation (core,
-// pabtree, shard): the staged-entry type, the stable sort that orders
-// a batch for run formation, and the run-boundary scan. The tree
-// packages deliberately do not depend on each other, so the one copy
-// of this code lives below all of them.
+// pabtree, shard): the operation a batch applies, the staged-entry
+// type, the stable sort that orders a batch for run formation, and the
+// run-boundary scan. The tree packages deliberately do not depend on
+// each other, so the one copy of this code lives below all of them.
 package batchkit
+
+// Op is the point operation a staged batch applies.
+type Op uint8
+
+const (
+	Find Op = iota
+	Insert
+	Delete
+)
 
 // Ent is one key of an in-flight batched operation: the key and its
 // index in the caller's slices (results — and, for inserts, the
@@ -50,21 +59,11 @@ func Sort(ents, scratch []Ent) (sorted, spare []Ent) {
 		return ents, scratch
 	}
 	// Bytes where every key agrees (orK and andK share the byte) cannot
-	// reorder anything: skip their passes. The same sweep detects an
-	// already-sorted batch — free for the sharded compositions, whose
-	// per-shard sub-batches arrive sorted and would otherwise pay the
-	// counting passes again inside each shard's native batcher.
+	// reorder anything: skip their passes.
 	orK, andK := uint64(0), ^uint64(0)
-	inOrder := true
 	for i := range ents {
 		orK |= ents[i].K
 		andK &= ents[i].K
-		if i > 0 && ents[i-1].K > ents[i].K {
-			inOrder = false
-		}
-	}
-	if inOrder {
-		return ents, scratch
 	}
 	if cap(scratch) < n {
 		scratch = make([]Ent, n)
@@ -96,12 +95,22 @@ func Sort(ents, scratch []Ent) (sorted, spare []Ent) {
 	return a, b
 }
 
-// RunEnd returns the end of the run starting at i: the first staged
-// key not covered by a leaf whose key range is bounded above by bound.
-func RunEnd(ents []Ent, i int, bound uint64, hasBound bool) int {
-	j := i + 1
-	for j < len(ents) && (!hasBound || ents[j].K < bound) {
-		j++
+// RunEnd returns the end of the run starting at i: the first staged key
+// at or above bound. It gallops from i, then bisects the last stride:
+// one compare for a one-key run, O(log n) for a run of n keys.
+func RunEnd(ents []Ent, i int, bound uint64) int {
+	lo, hi := i+1, i+1 // ents[lo-1] is in the run; ents[hi] is the next probe
+	for step := 1; hi < len(ents) && ents[hi].K < bound; step *= 2 {
+		lo, hi = hi+1, hi+step
 	}
-	return j
+	hi = min(hi, len(ents))
+	for lo < hi { // the end is in [lo, hi]
+		m := int(uint(lo+hi) >> 1)
+		if ents[m].K < bound {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }

@@ -33,9 +33,8 @@ func TestSortStable(t *testing.T) {
 	}
 }
 
-// TestSortPresorted: an already-sorted batch (the sharded layer's
-// sub-batches) takes the O(n) early-out and must stay stable for
-// equal keys.
+// TestSortPresorted: an already-sorted batch must come back unchanged,
+// stable for equal keys.
 func TestSortPresorted(t *testing.T) {
 	ents := make([]Ent, 400)
 	for i := range ents {
@@ -67,13 +66,38 @@ func TestSortWideKeys(t *testing.T) {
 
 func TestRunEnd(t *testing.T) {
 	ents := []Ent{{K: 5}, {K: 7}, {K: 9}, {K: 12}}
-	if got := RunEnd(ents, 0, 10, true); got != 3 {
+	if got := RunEnd(ents, 0, 10); got != 3 {
 		t.Fatalf("RunEnd bounded = %d, want 3", got)
 	}
-	if got := RunEnd(ents, 0, 0, false); got != 4 {
+	if got := RunEnd(ents, 0, ^uint64(0)); got != 4 {
 		t.Fatalf("RunEnd unbounded = %d, want 4", got)
 	}
-	if got := RunEnd(ents, 3, 13, true); got != 4 {
+	if got := RunEnd(ents, 3, 13); got != 4 {
 		t.Fatalf("RunEnd tail = %d, want 4", got)
+	}
+}
+
+// TestRunEndGallop checks the galloping search against a linear scan
+// for every start and every bound over sorted keys with duplicates and
+// gaps, so runs of every length from one to the whole batch are
+// covered.
+func TestRunEndGallop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ents := make([]Ent, 300)
+	k := uint64(1)
+	for i := range ents {
+		k += uint64(rng.Intn(3))
+		ents[i] = Ent{K: k, Idx: i}
+	}
+	for i := range ents {
+		for bound := ents[i].K + 1; bound <= k+1; bound++ {
+			want := i + 1
+			for want < len(ents) && ents[want].K < bound {
+				want++
+			}
+			if got := RunEnd(ents, i, bound); got != want {
+				t.Fatalf("RunEnd(i=%d, bound=%d) = %d, want %d", i, bound, got, want)
+			}
+		}
 	}
 }

@@ -11,12 +11,15 @@
 // package's types.
 //
 // The capability interfaces (Ranger, SnapshotRanger, SnapshotAtRanger,
-// ElimStatser, RQStatser) are discovered by type assertion, never
-// required: a structure participates in exactly the workloads its
-// handles can serve.
+// Batcher, StagedBatcher, RQClocked, ElimStatser, RQStatser) are
+// discovered by type assertion, never required: a structure
+// participates in exactly the workloads its handles can serve.
 package dict
 
-import "repro/internal/rq"
+import (
+	"repro/internal/batchkit"
+	"repro/internal/rq"
+)
 
 // Handle is a per-goroutine accessor for a dictionary. Handles are not
 // safe for concurrent use; create one per worker goroutine (structures
@@ -100,6 +103,15 @@ type Batcher interface {
 	// value into prev[i] (deleted[i] = true); absent keys leave the
 	// structure unchanged (deleted[i] = false).
 	DeleteBatch(keys []uint64, prev []uint64, deleted []bool)
+}
+
+// StagedBatcher is implemented by handles that apply a batch staged by
+// the caller (internal/shard stages a batch once and hands each shard its
+// run): ents sorted by key, equal keys in input order (batchkit.Sort).
+// Each result lands at its entry's Idx in res and ok, an insert's value
+// is vals[Idx], and the Batcher contract holds.
+type StagedBatcher interface {
+	ApplyStaged(op batchkit.Op, ents []batchkit.Ent, vals, res []uint64, ok []bool)
 }
 
 // RQClocked is implemented by dictionaries whose range-query subsystem

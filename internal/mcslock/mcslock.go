@@ -9,7 +9,7 @@
 // A thread may hold several MCS locks at once (an update locks up to four
 // tree nodes), and each held lock needs its own queue node, so callers pass
 // an explicit *QNode to Lock/TryLock/Unlock. The tree code keeps a small
-// per-thread pool of QNodes (see occabtree.Thread).
+// per-thread pool of QNodes (see core.Thread and pabtree.Thread).
 package mcslock
 
 import (

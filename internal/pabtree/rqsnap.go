@@ -58,7 +58,7 @@ func (t *Tree) appendPairs(off uint64, items []rq.Pair, lo, hi uint64) []rq.Pair
 	return items
 }
 
-// scanEnter opens the epoch critical section a scan or batch runs in and
+// scanEnter opens the epoch critical section a scan runs in and
 // drops the cached path, whose offsets from prior sections are dead.
 func (th *Thread) scanEnter() {
 	th.enter()

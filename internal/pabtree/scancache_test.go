@@ -12,8 +12,8 @@ import (
 
 // TestScanPathResetPerEpochSection pins the epoch rule of the cached
 // scan path: an arena offset names the same node only inside the epoch
-// critical section it was read in, so every scan and batch call drops
-// the path on entry (scanEnter). The test warms the cache, retires the
+// critical section it was read in, so every scan call drops the path
+// on entry (scanEnter). The test warms the cache, retires the
 // nodes on it and recycles their slots as different nodes, then scans
 // again: a path carried over from the earlier call would resume the
 // descent at a recycled slot and read some other part of the tree.

@@ -38,20 +38,43 @@ var ErrCrash = fmt.Errorf("pmem: simulated crash (failpoint)")
 // concurrent use except Crash, which requires that no other method is
 // invoked concurrently (a real power failure stops all CPUs too; tests
 // arrange this by stopping workers first).
+//
+// The layout keeps what every Store and Flush reads off the lines that
+// steady-state traffic writes: the first two cache lines hold the slice
+// headers and failpoint beside fields only Crash writes, the bump cursor
+// has a line of its own, and the flush and fence counts are striped by
+// the flushed line's index over lines of their own, in an allocation of
+// their own (TestArenaLayout pins this).
 type Arena struct {
 	words     []atomic.Uint64 // volatile view (cache + memory)
 	persisted []atomic.Uint64 // what survives a crash
 	dirty     []atomic.Bool   // per-line modified-since-flush
-
-	next atomic.Uint64 // bump allocation cursor (in words)
-
-	flushes atomic.Uint64
-	fences  atomic.Uint64
-	crashes atomic.Uint64
+	counts    []countStripe   // flush and fence counts
 
 	failpoint atomic.Int64 // < 0: disarmed; otherwise remaining events
-	mu        sync.Mutex   // serializes Crash bookkeeping
+	crashes   atomic.Uint64
+	mu        sync.Mutex // serializes Crash bookkeeping
+	_         [2*lineBytes - 120]byte
+
+	next atomic.Uint64 // bump allocation cursor (in words)
+	_    [lineBytes - 8]byte
 }
+
+// lineBytes is the size of a host cache line.
+const lineBytes = 64
+
+// countStripes is how many lines the flush and fence counts are
+// spread over.
+const countStripes = 8
+
+// countStripe is one line's share of the flush and fence counts.
+type countStripe struct {
+	flushes, fences atomic.Uint64
+	_               [lineBytes - 16]byte
+}
+
+// stripe returns the count stripe for a flush of line.
+func (a *Arena) stripe(line uint64) *countStripe { return &a.counts[line%countStripes] }
 
 // New returns an arena of capWords 64-bit words, all zero and persisted.
 func New(capWords int) *Arena {
@@ -62,6 +85,7 @@ func New(capWords int) *Arena {
 		words:     make([]atomic.Uint64, capWords),
 		persisted: make([]atomic.Uint64, capWords),
 		dirty:     make([]atomic.Bool, capWords/LineWords),
+		counts:    make([]countStripe, countStripes),
 	}
 	a.failpoint.Store(disarmed)
 	return a
@@ -101,9 +125,11 @@ func (a *Arena) Store(off, val uint64) {
 // the line's current volatile contents are copied to the persistent view.
 func (a *Arena) Flush(off uint64) {
 	a.maybeFail()
-	a.flushLine(off / LineWords)
-	a.flushes.Add(1)
-	a.fences.Add(1)
+	line := off / LineWords
+	a.flushLine(line)
+	c := a.stripe(line)
+	c.flushes.Add(1)
+	c.fences.Add(1)
 }
 
 // FlushRange flushes every line overlapping [off, off+n) words. It counts
@@ -115,8 +141,9 @@ func (a *Arena) FlushRange(off, n uint64) {
 	for l := first; l <= last; l++ {
 		a.flushLine(l)
 	}
-	a.flushes.Add(last - first + 1)
-	a.fences.Add(1)
+	c := a.stripe(first)
+	c.flushes.Add(last - first + 1)
+	c.fences.Add(1)
 }
 
 func (a *Arena) flushLine(line uint64) {
@@ -129,7 +156,7 @@ func (a *Arena) flushLine(line uint64) {
 
 // Fence records an sfence with no preceding clwb (ordering only; in this
 // model every Flush is already ordered, so Fence is bookkeeping).
-func (a *Arena) Fence() { a.fences.Add(1) }
+func (a *Arena) Fence() { a.counts[0].fences.Add(1) }
 
 // Stats reports persistence-event counters.
 type Stats struct {
@@ -138,13 +165,20 @@ type Stats struct {
 
 // Stats returns cumulative counters.
 func (a *Arena) Stats() Stats {
-	return Stats{Flushes: a.flushes.Load(), Fences: a.fences.Load(), Crashes: a.crashes.Load()}
+	st := Stats{Crashes: a.crashes.Load()}
+	for i := range a.counts {
+		st.Flushes += a.counts[i].flushes.Load()
+		st.Fences += a.counts[i].fences.Load()
+	}
+	return st
 }
 
 // ResetStats zeroes the flush/fence counters (crash count is kept).
 func (a *Arena) ResetStats() {
-	a.flushes.Store(0)
-	a.fences.Store(0)
+	for i := range a.counts {
+		a.counts[i].flushes.Store(0)
+		a.counts[i].fences.Store(0)
+	}
 }
 
 // Crash simulates power loss. Each dirty line is persisted with

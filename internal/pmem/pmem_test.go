@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestStoreLoadRoundTrip(t *testing.T) {
@@ -200,5 +201,63 @@ func TestInvalidCapacityPanics(t *testing.T) {
 			}()
 			New(c)
 		}()
+	}
+}
+
+// TestArenaLayout pins the cache-line layout that keeps every Store's and
+// Flush's read of failpoint off the lines steady-state writes touch:
+// failpoint shares its line only with fields nothing writes outside
+// Crash, the bump cursor has a line of its own, and each count stripe
+// fills exactly one line. The line checks hold because the arena and
+// its stripes start on a line, which the last two checks pin.
+func TestArenaLayout(t *testing.T) {
+	var a Arena
+	line := func(off uintptr) uintptr { return off / lineBytes }
+	fp := line(unsafe.Offsetof(a.failpoint))
+	for name, off := range map[string]uintptr{
+		"words":     unsafe.Offsetof(a.words),
+		"persisted": unsafe.Offsetof(a.persisted),
+		"dirty":     unsafe.Offsetof(a.dirty),
+		"counts":    unsafe.Offsetof(a.counts),
+		"crashes":   unsafe.Offsetof(a.crashes),
+		"mu":        unsafe.Offsetof(a.mu),
+	} {
+		if line(off) > fp {
+			t.Errorf("%s at offset %d is past failpoint's line %d", name, off, fp)
+		}
+	}
+	if next := unsafe.Offsetof(a.next); next != (fp+1)*lineBytes || unsafe.Sizeof(a) != next+lineBytes {
+		t.Errorf("next at offset %d in a %d-byte arena: want the line after failpoint's, alone", next, unsafe.Sizeof(a))
+	}
+	if sz := unsafe.Sizeof(countStripe{}); sz != lineBytes {
+		t.Errorf("countStripe is %d bytes, want %d", sz, lineBytes)
+	}
+	arenaSink = New(LineWords) // escapes, like every arena a tree keeps
+	if p := uintptr(unsafe.Pointer(arenaSink)); p%lineBytes != 0 {
+		t.Errorf("New returned an arena at %#x, not line-aligned", p)
+	}
+	if p := uintptr(unsafe.Pointer(&arenaSink.counts[0])); p%lineBytes != 0 {
+		t.Errorf("count stripes at %#x, not line-aligned", p)
+	}
+}
+
+var arenaSink *Arena
+
+// TestStripedCountsSum: flushes of lines in different stripes, a range
+// flush and a bare fence all reach Stats, and ResetStats clears every
+// stripe.
+func TestStripedCountsSum(t *testing.T) {
+	a := New(LineWords * 4 * countStripes)
+	for l := uint64(0); l < 2*countStripes; l++ {
+		a.Flush(l * LineWords)
+	}
+	a.FlushRange(3, 3*LineWords) // four lines, one fence
+	a.Fence()
+	if st := a.Stats(); st.Flushes != 2*countStripes+4 || st.Fences != 2*countStripes+2 {
+		t.Fatalf("stats = %+v, want %d flushes and %d fences", st, 2*countStripes+4, 2*countStripes+2)
+	}
+	a.ResetStats()
+	if st := a.Stats(); st.Flushes != 0 || st.Fences != 0 {
+		t.Fatalf("after reset: %+v", st)
 	}
 }

@@ -30,6 +30,7 @@ package shard
 import (
 	"fmt"
 
+	"repro/internal/batchkit"
 	"repro/internal/dict"
 	"repro/internal/rq"
 )
@@ -157,14 +158,12 @@ func (b Bounds) High(i int) uint64 {
 // exactly the scan capabilities every shard supports.
 func (d *Dict) NewHandle() dict.Handle {
 	hs := make([]dict.Handle, len(d.shards))
-	bt := make([]dict.Batcher, len(d.shards))
+	sb := make([]dict.StagedBatcher, len(d.shards))
 	for i, s := range d.shards {
 		hs[i] = s.NewHandle()
-		if b, ok := hs[i].(dict.Batcher); ok {
-			bt[i] = b
-		}
+		sb[i], _ = hs[i].(dict.StagedBatcher)
 	}
-	base := handle{d: d, hs: hs, batchers: bt}
+	base := handle{d: d, hs: hs, staged: sb}
 	if !d.canRange {
 		return &base
 	}
@@ -223,14 +222,16 @@ func (d *Dict) RQStats() (scans, versions uint64) {
 }
 
 // handle routes point operations to the owning shard. It also
-// implements dict.Batcher (batch.go): batched operations split into one
-// sorted sub-batch per shard, served natively where the shard handle
-// batches (batchers[i] non-nil) and by per-key loop otherwise.
+// implements dict.Batcher (batch.go): a batch is staged once and split
+// into one sorted run per shard, handed over whole where the shard
+// handle takes staged runs (staged[i] non-nil) and applied by per-key
+// loop otherwise.
 type handle struct {
-	d        *Dict
-	hs       []dict.Handle
-	batchers []dict.Batcher // batchers[i] is hs[i]'s native Batcher, nil if none
-	bs       batchState
+	d      *Dict
+	hs     []dict.Handle
+	staged []dict.StagedBatcher // staged[i] is hs[i] if it takes staged runs, nil if not
+
+	ents, tmp []batchkit.Ent // the staged batch and the sort's spare (batch.go)
 }
 
 func (h *handle) Find(key uint64) (uint64, bool) {
