@@ -6,7 +6,7 @@
 //
 //   - New            — the OCC-ABtree (paper §3): optimistic concurrency
 //     control over a relaxed (a,b)-tree; lock-free searches, fine-grained
-//     versioned MCS locks for updates.
+//     versioned node locks for updates.
 //   - NewElim        — the Elim-ABtree (§4): adds publishing elimination,
 //     which makes concurrent inserts/deletes of the same key linearize
 //     against a published record instead of writing to the tree. Fastest
@@ -20,8 +20,9 @@
 // insert-if-absent: it never overwrites an existing value.
 //
 // All operations go through a per-goroutine Handle obtained from
-// NewHandle; a Handle must not be shared between goroutines (it owns the
-// thread's lock queue nodes, mirroring the paper's per-thread state).
+// NewHandle; a Handle must not be shared between goroutines (it records
+// the locks its operation holds and stages its structural updates,
+// mirroring the paper's per-thread state).
 //
 // Quickstart:
 //

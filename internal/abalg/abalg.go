@@ -39,6 +39,19 @@
 // each store is the node layout: the leaf reads and writes behind the
 // seam steps, the lines Touch loads, and the slot record's encoding
 // behind Record.
+//
+// Node locks depart from the paper. Its trees queue on MCS locks (§3.1,
+// §7), which scale across NUMA sockets when every thread owns a core.
+// Here a node's lock is one word taken by test-and-test-and-set
+// (Store.TryLock), and every wait for one is a loop over TryLock: Lock,
+// or lockOrElim on an Elim tree. Goroutines are not pinned, and a queued
+// waiter the scheduler deschedules stalls every waiter queued behind it,
+// while a descheduled TTAS waiter holds up nobody. With GOMAXPROCS=8 on
+// 2 vCPUs, 8 goroutines making 20 000 upserts each on 64 keys took
+// 5.7–43 s on the OCC tree with MCS and 0.03–0.10 s with TTAS (10 runs
+// each). Figure 13's update-only Zipf-1 cell at 32 threads went from 1.8
+// to 5.1–5.6 ops/µs and its p99 from ~290 to ~2 µs, but its p999 from
+// ~470 to 1340–1510 µs (EXPERIMENTS.md, "One lock discipline").
 package abalg
 
 import (
@@ -148,11 +161,9 @@ type Store[R comparable] interface {
 	AppendLeaf(leaf R, items []rq.Pair, lo, hi uint64) (out []rq.Pair, before, after uint64, marked bool, stamp uint64, chain *rq.Version)
 	GatherInternal(n R, children []R, keys []uint64) ([]R, []uint64)
 
-	// Lock blocks until n's lock is held. Callers lock bottom-to-top,
-	// ties left-to-right (deadlock freedom, §3.3.5); TryLock takes it
-	// only if it is free; UnlockAll releases everything this Thread
-	// holds.
-	Lock(n R)
+	// TryLock takes n's lock if it is free, without waiting; every wait
+	// for a lock is a loop over it (Lock, lockOrElim). UnlockAll
+	// releases everything this Thread holds.
 	TryLock(n R) bool
 	UnlockAll()
 	Marked(n R) bool
@@ -253,5 +264,13 @@ func SpinPause(spins *int) {
 	*spins++
 	if *spins%32 == 0 {
 		runtime.Gosched()
+	}
+}
+
+// Lock blocks until n's lock is held: the one blocking acquire of both
+// trees, a loop over TryLock. Callers lock bottom-to-top, ties
+// left-to-right (deadlock freedom, §3.3.5).
+func Lock[R comparable](s Store[R], n R) {
+	for spins := 0; !s.TryLock(n); SpinPause(&spins) {
 	}
 }

@@ -107,8 +107,8 @@ func (f fixture[R]) want(pic string, final bool) {
 // node (if any).
 func (f fixture[R]) splitInsert(key uint64) R {
 	path := abalg.Search(f.s, key, *new(R))
-	f.s.Lock(path.N)
-	f.s.Lock(path.P)
+	abalg.Lock(f.s, path.N)
+	abalg.Lock(f.s, path.P)
 	tagged := abalg.SplitInsert(f.s, path.N, path.P, path.NIdx, key, key*10)
 	f.s.UnlockAll()
 	return tagged
@@ -359,7 +359,7 @@ func validateRejects[R comparable, S abalg.Store[R]](t *testing.T, mk func() S) 
 		},
 		"is marked": func(f fixture[R]) R {
 			l := f.leaf(1, 1, 2)
-			f.s.Lock(l)
+			abalg.Lock(f.s, l)
 			f.s.Unlink(l)
 			f.s.UnlockAll()
 			return f.node(I, 1, keys(10), l, f.leaf(10, 10, 11))

@@ -230,7 +230,7 @@ func (b *batch[R]) find(leaf R, run []batchkit.Ent) bool {
 // unlocking, that one. After unlocking it triggers the underfull repair
 // exactly like the per-key delete path.
 func (b *batch[R]) applyLocked(leaf R, run []batchkit.Ent) (served int) {
-	b.s.Lock(leaf)
+	Lock(b.s, leaf)
 	size, full, marked := 0, false, false
 	for ; served < len(run); served++ {
 		e := run[served]

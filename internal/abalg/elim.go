@@ -33,8 +33,9 @@ package abalg
 // record, because Delete reports the value it removed and the publisher
 // has already returned the older one.
 
-// lockOrElim spins until it either holds the leaf's lock or finds a
-// record published after op started that op may eliminate against
+// lockOrElim is Lock's loop with a record check before each TryLock: it
+// spins until it either holds the leaf's lock or finds a record
+// published after op started that op may eliminate against
 // (CanEliminate): startVer is a version of the leaf read after op
 // started, and the record's publisher installed ver >= startVer, so its
 // linearization point fell inside op's interval. It then counts op as

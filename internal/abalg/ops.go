@@ -80,7 +80,7 @@ func lockLeaf[R comparable](s Store[R], key uint64, op OpKind) (leaf R, locked b
 				return leaf, false, v
 			}
 		}
-		s.Lock(leaf)
+		Lock(s, leaf)
 		return leaf, true, 0
 	}
 	v, found, ok, startVer := scanLeaf(s, leaf, key)
@@ -168,7 +168,7 @@ func split[R comparable](s Store[R], leaf R, key, val uint64) bool {
 	if path.N != leaf {
 		return false
 	}
-	s.Lock(path.P)
+	Lock(s, path.P)
 	if s.Marked(path.P) {
 		return false
 	}

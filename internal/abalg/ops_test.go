@@ -40,10 +40,8 @@ func TestConcurrentTinyKeyRange(t *testing.T) {
 	storetest.ConcurrentTinyKeyRange(t, a4b11...)
 }
 
-// TestUpsertConcurrentLastWriterWins makes 5000 upserts per worker, as
-// pabtree's does (its wrapper says why).
 func TestUpsertConcurrentLastWriterWins(t *testing.T) {
-	storetest.UpsertConcurrentLastWriterWins(t, 5000, a4b11...)
+	storetest.UpsertConcurrentLastWriterWins(t, a4b11...)
 }
 
 // pointKeys returns n uniform random keys in [1, benchKeys].

@@ -77,9 +77,9 @@ func FixTagged[R comparable](s Store[R], n R) {
 			return
 		}
 
-		s.Lock(n)
-		s.Lock(p)
-		s.Lock(gp)
+		Lock(s, n)
+		Lock(s, p)
+		Lock(s, gp)
 		if s.Marked(n) || s.Marked(p) || s.Marked(gp) || s.Kind(p) == TaggedKind {
 			s.UnlockAll()
 			continue
@@ -170,10 +170,10 @@ func FixUnderfull[R comparable](s Store[R], n R) {
 			left, right, lIdx = sibling, n, sIdx
 		}
 		// Lock order: bottom-to-top, left-to-right.
-		s.Lock(left)
-		s.Lock(right)
-		s.Lock(p)
-		s.Lock(gp)
+		Lock(s, left)
+		Lock(s, right)
+		Lock(s, p)
+		Lock(s, gp)
 
 		if s.Size(n) >= a {
 			// Another thread fixed it (e.g. an insert refilled the leaf).

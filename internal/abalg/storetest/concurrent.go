@@ -1,18 +1,98 @@
 package storetest
 
-// Concurrent bodies: the paper's §6 key-sum validation under mixed
-// workloads, single-key contention, and readers beside heavy updates.
+// Concurrent bodies: the node lock's mutual exclusion, the paper's §6
+// key-sum validation under mixed workloads, single-key contention, and
+// readers beside heavy updates.
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/abalg"
+	"repro/internal/core"
+	"repro/internal/pabtree"
 	"repro/internal/xrand"
 	"repro/internal/zipfian"
 )
+
+// LockExcludes checks the node lock every wait loops over
+// (Store.TryLock): a held lock refuses a second Thread and is free again
+// after UnlockAll, and goroutines that each take one leaf, through
+// abalg.Lock or a single TryLock, are never inside it together. Inside,
+// each reads a non-atomic counter, yields and writes it back plus one,
+// so an overlap also loses an increment; the yield makes the body bite
+// at GOMAXPROCS=1 too.
+func LockExcludes(t *testing.T, kinds ...Kind) {
+	ForEach(t, kinds, 2, 11, 64, func(t *testing.T, tr Tree) {
+		switch th := tr.Thread().(type) {
+		case *core.Thread:
+			lockExcludes(t, th, tr.Thread)
+		case *pabtree.Thread:
+			lockExcludes(t, th, tr.Thread)
+		default:
+			t.Fatalf("no lock body for %T", th)
+		}
+	})
+}
+
+func lockExcludes[R comparable](t *testing.T, s abalg.Store[R], thread func() Handle) {
+	leaf := abalg.Search(s, 1, *new(R)).N
+	other := thread().(abalg.Store[R])
+	if !s.TryLock(leaf) {
+		t.Fatal("TryLock of a free lock failed")
+	}
+	if other.TryLock(leaf) {
+		t.Fatal("TryLock of a held lock succeeded")
+	}
+	s.UnlockAll()
+	if !other.TryLock(leaf) {
+		t.Fatal("TryLock after UnlockAll failed")
+	}
+	other.UnlockAll()
+
+	const goroutines, iters = 8, 5000
+	counter := 0 // not atomic: only the lock orders its updates
+	var inside, overlaps, entries atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := thread().(abalg.Store[R])
+			for i := 0; i < iters; i++ {
+				if i%2 == 0 {
+					abalg.Lock(th, leaf)
+				} else if !th.TryLock(leaf) {
+					continue
+				}
+				if inside.Add(1) != 1 {
+					overlaps.Add(1)
+				}
+				c := counter
+				runtime.Gosched()
+				counter = c + 1
+				entries.Add(1)
+				inside.Add(-1)
+				th.UnlockAll()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("%d of %d entries found another Thread inside the lock", n, entries.Load())
+	}
+	if int64(counter) != entries.Load() {
+		t.Errorf("counter = %d after %d entries: increments were lost", counter, entries.Load())
+	}
+	if !s.TryLock(leaf) {
+		t.Fatal("the lock is held after every Thread released it")
+	}
+	s.UnlockAll()
+}
 
 // stress runs workers goroutines over keyRange keys (Zipf-distributed
 // with parameter zipfS; 0 is uniform) for d: updatePct percent of their
@@ -250,14 +330,16 @@ func EliminationObservable(t *testing.T, kinds ...Kind) {
 }
 
 // UpsertConcurrentLastWriterWins: 8 workers each upsert random keys of
-// 64, upserts times; every value left must be one some worker wrote for
-// that key. On an OCC tree each upsert hands the contended leaf's queue lock
-// on, and with GOMAXPROCS above the CPU count a preempted waiter stalls
-// the queue: 20 000 per worker takes 2–5 s per OCC tree at GOMAXPROCS=4
-// on 2 CPUs even without -race.
-func UpsertConcurrentLastWriterWins(t *testing.T, upserts int, kinds ...Kind) {
+// 64, 20 000 times; every value left must be one some worker wrote for
+// that key. Every OCC upsert takes its contended leaf through Lock's
+// try-lock loop, so the body's run time also watches the lock
+// discipline: a queue lock convoys here once GOMAXPROCS exceeds the CPU
+// count, because a descheduled waiter stalls every waiter queued behind
+// it (an MCS lock took 5.7–43 s on the OCC tree at GOMAXPROCS=8 on 2
+// CPUs, the try-lock loop 0.03–0.10 s).
+func UpsertConcurrentLastWriterWins(t *testing.T, kinds ...Kind) {
 	ForEach(t, kinds, 2, 11, opsSlots, func(t *testing.T, tr Tree) {
-		const workers = 8
+		const workers, upserts = 8, 20000
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)

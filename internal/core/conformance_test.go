@@ -60,6 +60,7 @@ func TestQuickInsertDeleteInverse(t *testing.T) {
 func FuzzOps(f *testing.F)      { storetest.FuzzOps(f, occ, elim) }
 func FuzzBatchOps(f *testing.F) { storetest.FuzzBatchOps(f, occ, elim) }
 
+func TestLockExcludes(t *testing.T)           { storetest.LockExcludes(t, occ, elim) }
 func TestConcurrentUniform(t *testing.T)      { storetest.ConcurrentUniform(t, occ, elim) }
 func TestConcurrentZipf(t *testing.T)         { storetest.ConcurrentZipf(t, occ, elim) }
 func TestConcurrentTinyKeyRange(t *testing.T) { storetest.ConcurrentTinyKeyRange(t, occ, elim) }
@@ -70,7 +71,7 @@ func TestRangeUnderConcurrentUpdates(t *testing.T) {
 	storetest.RangeUnderConcurrentUpdates(t, occ, elim)
 }
 func TestUpsertConcurrentLastWriterWins(t *testing.T) {
-	storetest.UpsertConcurrentLastWriterWins(t, 20000, occ, elim)
+	storetest.UpsertConcurrentLastWriterWins(t, occ, elim)
 }
 
 func TestEliminationObservable(t *testing.T) { storetest.EliminationObservable(t, elim) }

@@ -17,7 +17,7 @@ const MarkedBit = markedBit
 func OpenPublishingWindow(pub *Thread, key, val uint64, k abalg.RecKind) (finish func()) {
 	tr := pub.t
 	n := abalg.Search[*node](pub, key, nil).N
-	pub.Lock(n)
+	abalg.Lock[*node](pub, n)
 	l := n.leaf()
 	at, empty := tr.findSlot(l, key)
 	s := tr.openWindow(l)

@@ -58,7 +58,7 @@ func TestTouchWords(t *testing.T) {
 		off              uintptr
 		leafWord, inWord unsafe.Pointer
 	}{
-		{0, unsafe.Pointer(&l.mcs), unsafe.Pointer(&in.mcs)},
+		{0, unsafe.Pointer(&l.lock), unsafe.Pointer(&in.lock)},
 		{64, unsafe.Pointer(&l.keys[5]), unsafe.Pointer(&in.keys[5])},
 		{128, unsafe.Pointer(&l.Vers), unsafe.Pointer(&in.ptrs[2])},
 		{192, unsafe.Pointer(&l.vals[7]), unsafe.Pointer(&in.ptrs[10])},

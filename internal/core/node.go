@@ -3,7 +3,7 @@
 // PPoPP 2022):
 //
 //   - the OCC-ABtree (paper §3): a concurrent relaxed (a,b)-tree using
-//     fine-grained versioned MCS locks for updates and lock-free,
+//     fine-grained versioned node locks for updates and lock-free,
 //     version-validated searches, and
 //   - the Elim-ABtree (paper §4): the OCC-ABtree extended with *publishing
 //     elimination*, where an update publishes a record of itself (the
@@ -35,7 +35,6 @@ import (
 	"unsafe"
 
 	"repro/internal/abalg"
-	"repro/internal/mcslock"
 	"repro/internal/rq"
 )
 
@@ -92,8 +91,11 @@ const (
 //   - inner ptrs: mutated only while the node's lock is held; read
 //     lock-free by searches.
 type node struct {
-	// mcs is the node's lock.
-	mcs mcslock.Lock
+	// lock is the node's test-and-test-and-set lock word: 0 free, 1
+	// held (Thread.TryLock). It is a field of its own at offset 0, not a
+	// bit of state: kind and nchildren's padding absorbs it, so the
+	// header stays 112 B and touch's words stay where they are.
+	lock atomic.Uint32
 
 	// state packs the marked bit with a leaf's number of non-empty keys
 	// and, on an Elim-ABtree, its slot record (see the bit map below).

@@ -10,7 +10,7 @@ import (
 // The abalg.Store seam over Go-heap nodes (see the interface for each
 // method's contract). Here a node reference is a *node, publication is
 // an atomic pointer store, and unlinked nodes are left to the garbage
-// collector. Lock, TryLock and UnlockAll are in thread.go; PutLocked and
+// collector. TryLock and UnlockAll are in thread.go; PutLocked and
 // DeleteLocked, the per-key locked-leaf writes, in ops.go.
 
 func (th *Thread) Degree() (a, b int)               { return th.t.a, th.t.b }

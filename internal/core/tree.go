@@ -11,7 +11,8 @@ import (
 // Tree is an OCC-ABtree or (with WithElimination) an Elim-ABtree.
 //
 // All operations go through a Thread handle (see NewThread); the handle
-// owns the per-thread MCS queue nodes, mirroring the paper's C++ threads.
+// records the locks an operation holds and stages its structural
+// updates, mirroring the paper's C++ threads.
 // A Tree is safe for use by any number of Threads concurrently.
 type Tree struct {
 	// entry is the sentinel: an internal node with no keys and one child

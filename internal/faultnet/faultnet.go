@@ -276,17 +276,19 @@ func (c *proxyConn) kill() {
 }
 
 // killCounted kills the pair and counts the fault, reporting whether
-// this call was the one that killed it.
+// this call was the one that killed it. The fault is counted before the
+// sockets close, so a peer that sees the connection die also sees the
+// count in Stats.
 func (c *proxyConn) killCounted(kind int) bool {
 	killed := false
 	c.once.Do(func() {
+		c.p.injected[kind].Add(1)
 		c.down.Close()
 		c.up.Close()
 		c.p.mu.Lock()
 		delete(c.p.conns, c)
 		c.p.mu.Unlock()
 		c.p.active.Add(-1)
-		c.p.injected[kind].Add(1)
 		killed = true
 	})
 	return killed

@@ -61,6 +61,7 @@ func TestQuickInsertDeleteInverse(t *testing.T) {
 func FuzzOps(f *testing.F)      { storetest.FuzzOps(f, pOCC, pElim) }
 func FuzzBatchOps(f *testing.F) { storetest.FuzzBatchOps(f, pOCC, pElim) }
 
+func TestLockExcludes(t *testing.T)           { storetest.LockExcludes(t, pOCC, pElim) }
 func TestConcurrentUniform(t *testing.T)      { storetest.ConcurrentUniform(t, pOCC, pElim) }
 func TestConcurrentZipf(t *testing.T)         { storetest.ConcurrentZipf(t, pOCC, pElim) }
 func TestConcurrentTinyKeyRange(t *testing.T) { storetest.ConcurrentTinyKeyRange(t, pOCC, pElim) }
@@ -71,12 +72,8 @@ func TestRangeUnderConcurrentUpdates(t *testing.T) {
 	storetest.RangeUnderConcurrentUpdates(t, pOCC, pElim)
 }
 
-// TestUpsertConcurrentLastWriterWins makes 5000 upserts per worker, not
-// core's 20 000: the procs matrix runs this package beside core and
-// abalg at GOMAXPROCS=4 under a 60 s timeout, and at 20 000 this
-// package's -count=3 run hit that timeout on 2 CPUs.
 func TestUpsertConcurrentLastWriterWins(t *testing.T) {
-	storetest.UpsertConcurrentLastWriterWins(t, 5000, pOCC, pElim)
+	storetest.UpsertConcurrentLastWriterWins(t, pOCC, pElim)
 }
 
 func TestEliminationObservable(t *testing.T) { storetest.EliminationObservable(t, pElim) }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/abalg"
 	"repro/internal/pmem"
 	"repro/internal/xrand"
 )
@@ -365,6 +367,68 @@ func TestCrashStorm(t *testing.T) {
 		}
 		if tr.Len() != len(model) {
 			t.Fatalf("era %d: Len %d vs model %d", era, tr.Len(), len(model))
+		}
+	}
+}
+
+// TestCrashUnderHeldLock: a Thread crashes while it holds a leaf's lock,
+// and a second Thread's upsert of a key in that leaf must observe the
+// crash — panic with pmem.ErrCrash — instead of waiting for a release
+// that never comes. The holder crashes inside a publishing window
+// (OpenPublishingWindow's finish, at its first persistence event) or,
+// holding the lock with no window open, at a flush. Only a failed
+// TryLock polls the crash in the second case on both trees, and in the
+// first on the p-OCC-ABtree, whose upsert takes the lock without a
+// pre-lock read; the p-Elim-ABtree's upsert meets the open window in
+// its pre-lock read and in Record first.
+func TestCrashUnderHeldLock(t *testing.T) {
+	const key = 7
+	holds := []struct {
+		name string
+		hold func(tr *Tree, pub *Thread)
+	}{
+		{"window", func(tr *Tree, pub *Thread) {
+			finish := OpenPublishingWindow(pub, key, 70, abalg.RecReplace)
+			tr.arena.SetFailpoint(1)
+			finish()
+		}},
+		{"lock", func(tr *Tree, pub *Thread) {
+			leaf := abalg.Search[uint64](pub, key, 0).N
+			abalg.Lock[uint64](pub, leaf)
+			tr.arena.SetFailpoint(1)
+			tr.arena.Flush(leafKeyOff(leaf, 0))
+		}},
+	}
+	crash := func(fn func()) (r any) {
+		defer func() { r = recover() }()
+		fn()
+		return nil
+	}
+	for _, kind := range []struct {
+		name string
+		opts []Option
+	}{{"pOCC", nil}, {"pElim", []Option{WithElimination()}}} {
+		for _, h := range holds {
+			t.Run(kind.name+"/"+h.name, func(t *testing.T) {
+				tr := New(pmem.New(64*NodeWords), kind.opts...)
+				pub := tr.NewThread()
+				for k := uint64(1); k <= 8; k++ {
+					pub.Insert(k, k)
+				}
+				if r := crash(func() { h.hold(tr, pub) }); r != pmem.ErrCrash {
+					t.Fatalf("the lock holder did not crash: recovered %v", r)
+				}
+				done := make(chan any, 1)
+				go func() { done <- crash(func() { tr.NewThread().Upsert(key, 71) }) }()
+				select {
+				case r := <-done:
+					if r != pmem.ErrCrash {
+						t.Fatalf("upsert beside the crashed holder recovered %v, want pmem.ErrCrash", r)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("upsert beside the crashed holder still waits after 10 s")
+				}
+			})
 		}
 	}
 }

@@ -17,7 +17,7 @@ import "repro/internal/abalg"
 func OpenPublishingWindow(pub *Thread, key, val uint64, k abalg.RecKind) (finish func()) {
 	tr := pub.t
 	leaf := abalg.Search[uint64](pub, key, 0).N
-	pub.Lock(leaf)
+	abalg.Lock[uint64](pub, leaf)
 	lv := tr.vn(leaf)
 	at, empty := tr.findSlot(leaf, key)
 	lv.ver.Add(1)

@@ -82,7 +82,6 @@ import (
 
 	"repro/internal/abalg"
 	"repro/internal/epoch"
-	"repro/internal/mcslock"
 	"repro/internal/pmem"
 	"repro/internal/rq"
 )
@@ -129,7 +128,9 @@ func nchildrenOf(meta uint64) int                 { return int(meta >> 8 & 0xff)
 // eliminated after the publisher's second — volatile — version increment,
 // by which point the publisher is durably linearized, §5).
 type vnode struct {
-	mcs    mcslock.Lock
+	// lock is the node's test-and-test-and-set lock word: 0 free, 1 held
+	// (Thread.TryLock).
+	lock   atomic.Uint32
 	marked atomic.Bool
 	// freeNext links the slot into the free list while it is recycled
 	// (pushFree/popFree); it shares marked's word, so the list costs no

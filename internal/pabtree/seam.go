@@ -13,8 +13,8 @@ import (
 // none), and the seam carries the structural half of the package
 // comment's flush discipline: NewLeaf/NewInternal flush every word they
 // write before returning, SetChild is link-and-persist, and Unlink also
-// queues the slot for epoch reclamation. Lock, TryLock and UnlockAll
-// are in thread.go; PutLocked and DeleteLocked, the per-key locked-leaf
+// queues the slot for epoch reclamation. TryLock and UnlockAll are in
+// thread.go; PutLocked and DeleteLocked, the per-key locked-leaf
 // writes carrying their flushes, in ops.go.
 
 func (th *Thread) Degree() (a, b int)                  { return th.t.a, th.t.b }

@@ -3,18 +3,16 @@ package pabtree
 import (
 	"repro/internal/abalg"
 	"repro/internal/epoch"
-	"repro/internal/mcslock"
 )
 
 const maxHeld = abalg.MaxHeld
 
-// Thread is a per-goroutine operation handle. It owns the MCS queue nodes
-// for held locks and this worker's epoch-reclamation handle. A Thread must
-// not be used concurrently.
+// Thread is a per-goroutine operation handle. It records the locks an
+// operation holds, for UnlockAll, and owns this worker's
+// epoch-reclamation handle. A Thread must not be used concurrently.
 type Thread struct {
 	t     *Tree
 	eh    *epoch.Handle[uint32]
-	qn    [maxHeld]mcslock.QNode
 	held  [maxHeld]*vnode
 	nheld int
 
@@ -32,39 +30,17 @@ func (t *Tree) NewThread() *Thread {
 // Tree returns the tree this handle operates on.
 func (th *Thread) Tree() *Tree { return th.t }
 
-// Lock acquires the lock of the node at off (bottom-to-top,
-// left-to-right global order). When a crash failpoint is armed the wait is
-// abortable: a lock whose holder "crashed" will never be released, so
-// waiters must observe the crash rather than queue behind it.
-func (th *Thread) Lock(off uint64) {
-	if th.nheld == maxHeld {
-		panic("pabtree: too many locks held")
-	}
-	v := th.t.vn(off)
-	qn := &th.qn[th.nheld]
-	if th.t.arena.FailpointArmed() {
-		spins := 0
-		for !v.mcs.TryAcquire(qn) {
-			th.t.crashCheck()
-			abalg.SpinPause(&spins)
-		}
-	} else {
-		v.mcs.Acquire(qn)
-	}
-	th.held[th.nheld] = v
-	th.nheld++
-}
-
-// TryLock acquires the node's lock if it is free. A failed attempt
-// observes an injected crash, like Lock's abortable wait: the caller
-// polls, and the holder may never release.
+// TryLock acquires the lock of the node at off if it is free and records
+// it for UnlockAll: one test-and-test-and-set of the lock word. A failed
+// attempt observes an injected crash: every wait for a lock
+// (abalg.Lock, lockOrElim) polls TryLock, and a holder that crashed will
+// never release.
 func (th *Thread) TryLock(off uint64) bool {
 	if th.nheld == maxHeld {
 		panic("pabtree: too many locks held")
 	}
 	v := th.t.vn(off)
-	qn := &th.qn[th.nheld]
-	if !v.mcs.TryAcquire(qn) {
+	if v.lock.Load() != 0 || !v.lock.CompareAndSwap(0, 1) {
 		th.t.crashCheck()
 		return false
 	}
@@ -76,7 +52,7 @@ func (th *Thread) TryLock(off uint64) bool {
 // UnlockAll releases all held locks, most recent first.
 func (th *Thread) UnlockAll() {
 	for i := th.nheld - 1; i >= 0; i-- {
-		th.held[i].mcs.Release(&th.qn[i])
+		th.held[i].lock.Store(0)
 		th.held[i] = nil
 	}
 	th.nheld = 0

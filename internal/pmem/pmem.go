@@ -221,12 +221,6 @@ func (a *Arena) SetFailpoint(n int64) {
 	a.failpoint.Store(n)
 }
 
-// FailpointArmed reports whether a crash trigger is scheduled or has
-// fired. Lock-acquisition paths in the persistent trees switch to an
-// abortable spin when armed, so goroutines blocked behind a "crashed"
-// lock holder can observe the crash instead of waiting forever.
-func (a *Arena) FailpointArmed() bool { return a.failpoint.Load() > disarmed }
-
 // FailpointTriggered reports whether the crash trigger has fired: every
 // subsequent persistence event will panic with ErrCrash.
 func (a *Arena) FailpointTriggered() bool {

@@ -106,8 +106,13 @@ func TestShardBatchDifferentialFallback(t *testing.T) {
 
 // TestShardBatchUnderChurn: batched ops over keys ≡ 0 (mod 3) must
 // track a shadow map while churn threads hammer the other keys across
-// every shard (including across shard boundaries).
+// every shard (including across shard boundaries). The churn threads
+// yield every churnYield ops: the batch loop yields once an iteration,
+// and at GOMAXPROCS=1 a churn thread that never yields keeps the
+// processor until it is preempted, a scheduler slice per thread per
+// iteration (7.6 s per run instead of well under one).
 func TestShardBatchUnderChurn(t *testing.T) {
+	const churnYield = 8
 	const keyRange = 6000
 	d, _ := newCoreShards(8, keyRange)
 	h := d.NewHandle()
@@ -126,7 +131,10 @@ func TestShardBatchUnderChurn(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			wh := d.NewHandle()
-			for !stop.Load() {
+			for n := 1; !stop.Load(); n++ {
+				if n%churnYield == 0 {
+					runtime.Gosched()
+				}
 				k := uint64(rng.Intn(keyRange)) + 1
 				if k%3 == 0 {
 					k++
