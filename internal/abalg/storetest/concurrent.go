@@ -19,41 +19,89 @@ import (
 	"repro/internal/zipfian"
 )
 
-// LockExcludes checks the node lock every wait loops over
-// (Store.TryLock): a held lock refuses a second Thread and is free again
-// after UnlockAll, and goroutines that each take one leaf, through
-// abalg.Lock or a single TryLock, are never inside it together. Inside,
-// each reads a non-atomic counter, yields and writes it back plus one,
-// so an overlap also loses an increment; the yield makes the body bite
-// at GOMAXPROCS=1 too.
-func LockExcludes(t *testing.T, kinds ...Kind) {
+// The node lock every wait loops over (Store.TryLock), checked on a leaf
+// of each tree in four bodies:
+//
+//   - LockAcquireRelease: abalg.Lock takes a free lock, a second Thread's
+//     TryLock is refused while it is held, and UnlockAll frees it.
+//   - LockTryAcquire: TryLock takes a free lock, is refused a held one and
+//     takes it again after UnlockAll.
+//   - LockExcludes: goroutines that each take the leaf, through abalg.Lock
+//     or a single TryLock, are never inside it together.
+//   - LockTryUnderContention: single TryLock attempts beside a goroutine
+//     that takes and releases the lock through abalg.Lock leave the lock
+//     working and lose no update made under it.
+//
+// Inside the lock the concurrent bodies read a non-atomic counter, yield
+// and write it back plus one, so an overlap also loses an increment; the
+// yield makes them bite at GOMAXPROCS=1 too.
+func LockAcquireRelease(t *testing.T, kinds ...Kind) { lockBody(t, kinds, lockAcquireRelease) }
+func LockTryAcquire(t *testing.T, kinds ...Kind)     { lockBody(t, kinds, lockTryAcquire) }
+func LockExcludes(t *testing.T, kinds ...Kind)       { lockBody(t, kinds, lockExcludes) }
+func LockTryUnderContention(t *testing.T, kinds ...Kind) {
+	lockBody(t, kinds, lockTryUnderContention)
+}
+
+type lockCheck int
+
+const (
+	lockAcquireRelease lockCheck = iota
+	lockTryAcquire
+	lockExcludes
+	lockTryUnderContention
+)
+
+func lockBody(t *testing.T, kinds []Kind, c lockCheck) {
 	ForEach(t, kinds, 2, 11, 64, func(t *testing.T, tr Tree) {
 		switch th := tr.Thread().(type) {
 		case *core.Thread:
-			lockExcludes(t, th, tr.Thread)
+			runLockCheck(t, c, th, tr.Thread)
 		case *pabtree.Thread:
-			lockExcludes(t, th, tr.Thread)
+			runLockCheck(t, c, th, tr.Thread)
 		default:
 			t.Fatalf("no lock body for %T", th)
 		}
 	})
 }
 
-func lockExcludes[R comparable](t *testing.T, s abalg.Store[R], thread func() Handle) {
+func runLockCheck[R comparable](t *testing.T, c lockCheck, s abalg.Store[R], thread func() Handle) {
 	leaf := abalg.Search(s, 1, *new(R)).N
 	other := thread().(abalg.Store[R])
-	if !s.TryLock(leaf) {
-		t.Fatal("TryLock of a free lock failed")
+	switch c {
+	case lockAcquireRelease:
+		abalg.Lock(s, leaf)
+		if other.TryLock(leaf) {
+			t.Fatal("TryLock succeeded while abalg.Lock held the lock")
+		}
+		s.UnlockAll()
+		if !other.TryLock(leaf) {
+			t.Fatal("the lock is held after UnlockAll")
+		}
+		other.UnlockAll()
+	case lockTryAcquire:
+		if !s.TryLock(leaf) {
+			t.Fatal("TryLock of a free lock failed")
+		}
+		if other.TryLock(leaf) {
+			t.Fatal("TryLock of a held lock succeeded")
+		}
+		s.UnlockAll()
+		if !other.TryLock(leaf) {
+			t.Fatal("TryLock after UnlockAll failed")
+		}
+		other.UnlockAll()
+	case lockExcludes:
+		lockExcludesRun(t, leaf, thread)
+	case lockTryUnderContention:
+		lockTryUnderContentionRun(t, leaf, s, other)
 	}
-	if other.TryLock(leaf) {
-		t.Fatal("TryLock of a held lock succeeded")
+	if !s.TryLock(leaf) {
+		t.Fatal("the lock is held after every Thread released it")
 	}
 	s.UnlockAll()
-	if !other.TryLock(leaf) {
-		t.Fatal("TryLock after UnlockAll failed")
-	}
-	other.UnlockAll()
+}
 
+func lockExcludesRun[R comparable](t *testing.T, leaf R, thread func() Handle) {
 	const goroutines, iters = 8, 5000
 	counter := 0 // not atomic: only the lock orders its updates
 	var inside, overlaps, entries atomic.Int64
@@ -88,10 +136,43 @@ func lockExcludes[R comparable](t *testing.T, s abalg.Store[R], thread func() Ha
 	if int64(counter) != entries.Load() {
 		t.Errorf("counter = %d after %d entries: increments were lost", counter, entries.Load())
 	}
-	if !s.TryLock(leaf) {
-		t.Fatal("the lock is held after every Thread released it")
+}
+
+func lockTryUnderContentionRun[R comparable](t *testing.T, leaf R, s, other abalg.Store[R]) {
+	const attempts = 20000
+	counter := 0 // not atomic: only the lock orders its updates
+	var stop atomic.Bool
+	var taken atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			abalg.Lock(other, leaf)
+			c := counter
+			runtime.Gosched()
+			counter = c + 1
+			taken.Add(1)
+			other.UnlockAll()
+			runtime.Gosched()
+		}
+	}()
+	acquired := 0
+	for i := 0; i < attempts; i++ {
+		if s.TryLock(leaf) {
+			acquired++
+			c := counter
+			runtime.Gosched()
+			counter = c + 1
+			s.UnlockAll()
+		}
+		runtime.Gosched()
 	}
-	s.UnlockAll()
+	stop.Store(true)
+	<-done
+	if want := int64(acquired) + taken.Load(); int64(counter) != want {
+		t.Errorf("counter = %d after %d entries: increments were lost", counter, want)
+	}
+	t.Logf("TryLock succeeded %d of %d times beside %d abalg.Lock entries", acquired, attempts, taken.Load())
 }
 
 // stress runs workers goroutines over keyRange keys (Zipf-distributed

@@ -60,7 +60,10 @@ func TestQuickInsertDeleteInverse(t *testing.T) {
 func FuzzOps(f *testing.F)      { storetest.FuzzOps(f, occ, elim) }
 func FuzzBatchOps(f *testing.F) { storetest.FuzzBatchOps(f, occ, elim) }
 
+func TestLockAcquireRelease(t *testing.T)     { storetest.LockAcquireRelease(t, occ, elim) }
+func TestLockTryAcquire(t *testing.T)         { storetest.LockTryAcquire(t, occ, elim) }
 func TestLockExcludes(t *testing.T)           { storetest.LockExcludes(t, occ, elim) }
+func TestLockTryUnderContention(t *testing.T) { storetest.LockTryUnderContention(t, occ, elim) }
 func TestConcurrentUniform(t *testing.T)      { storetest.ConcurrentUniform(t, occ, elim) }
 func TestConcurrentZipf(t *testing.T)         { storetest.ConcurrentZipf(t, occ, elim) }
 func TestConcurrentTinyKeyRange(t *testing.T) { storetest.ConcurrentTinyKeyRange(t, occ, elim) }

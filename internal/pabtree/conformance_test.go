@@ -61,7 +61,10 @@ func TestQuickInsertDeleteInverse(t *testing.T) {
 func FuzzOps(f *testing.F)      { storetest.FuzzOps(f, pOCC, pElim) }
 func FuzzBatchOps(f *testing.F) { storetest.FuzzBatchOps(f, pOCC, pElim) }
 
+func TestLockAcquireRelease(t *testing.T)     { storetest.LockAcquireRelease(t, pOCC, pElim) }
+func TestLockTryAcquire(t *testing.T)         { storetest.LockTryAcquire(t, pOCC, pElim) }
 func TestLockExcludes(t *testing.T)           { storetest.LockExcludes(t, pOCC, pElim) }
+func TestLockTryUnderContention(t *testing.T) { storetest.LockTryUnderContention(t, pOCC, pElim) }
 func TestConcurrentUniform(t *testing.T)      { storetest.ConcurrentUniform(t, pOCC, pElim) }
 func TestConcurrentZipf(t *testing.T)         { storetest.ConcurrentZipf(t, pOCC, pElim) }
 func TestConcurrentTinyKeyRange(t *testing.T) { storetest.ConcurrentTinyKeyRange(t, pOCC, pElim) }
